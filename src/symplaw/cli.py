@@ -4,8 +4,9 @@
         --d N --trials K --seed S [--input SPEC.json] [--out REPORT.json]
     symplaw eval <pfaffian|detlaw|invariant|theta> --input VALUE.json [--out OUT.json]
 
-Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input.
-SYMPLAW_MAX_DIM caps 2d (default 12).
+Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or
+environment.  SYMPLAW_MAX_DIM caps 2d (default 12) on every path; it must be
+a positive integer.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import json
 import os
 import sys
 
+from .detlaws import eval_det_law, eval_pf_law
 from .errors import SchemaError, SymplawError
 from .invariants import InvariantFunction, TraceWord, eval_invariant
 from .pseudochar import Pseudocharacter, theta_eval
@@ -33,9 +35,12 @@ from .words import parse_word
 def _max_dim() -> int:
     raw = os.environ.get("SYMPLAW_MAX_DIM", "12")
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
-        return 12
+        cap = 0
+    if cap < 1:
+        raise SymplawError(f"SYMPLAW_MAX_DIM must be a positive integer, got {raw!r}")
+    return cap
 
 
 def _load_json(path: str):
@@ -71,10 +76,7 @@ def _cmd_suite(args) -> int:
             sys.stderr.write("--input provides a GMA spec; only the gma/all suites accept one\n")
             return 2
         blob = _load_json(args.input)
-        spec = gma_spec_from_json(blob)
-        if spec.n > _max_dim():
-            sys.stderr.write(f"GMA dimension {spec.n} exceeds SYMPLAW_MAX_DIM\n")
-            return 2
+        spec = gma_spec_from_json(blob, _max_dim())
     report = run_suite(cfg, gma_spec=spec)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
@@ -120,13 +122,9 @@ def _cmd_eval(args) -> int:
     elif args.command == "detlaw":
         if not isinstance(blob, dict) or "rep" not in blob or "element" not in blob:
             raise SchemaError("detlaw input must be {'rep':.., 'element':.., 'law': 'D'|'P'}")
-        rep = representation_from_json(blob["rep"])
-        if rep.ctx.n > _max_dim():
-            raise SchemaError("representation exceeds SYMPLAW_MAX_DIM")
+        rep = representation_from_json(blob["rep"], _max_dim())
         x = group_elem_from_json(blob["element"])
         law = blob.get("law", "D")
-        from .detlaws import eval_det_law, eval_pf_law
-
         if law == "D":
             values = {"D": ring_value_to_string(eval_det_law(rep, x))}
         elif law == "P":
@@ -134,16 +132,18 @@ def _cmd_eval(args) -> int:
         else:
             raise SchemaError(f"law must be 'D' or 'P', got {law!r}")
     elif args.command == "invariant":
-        if not isinstance(blob, dict) or "matrices" not in blob:
-            raise SchemaError("invariant input needs 'matrices'")
+        if not isinstance(blob, dict) or not isinstance(blob.get("matrices"), list):
+            raise SchemaError("invariant input needs 'matrices', a list of matrices")
         mats = [matrix_from_json(m) for m in blob["matrices"]]
+        if any(max(m.rows, m.cols) > _max_dim() for m in mats):
+            raise SchemaError("matrix exceeds SYMPLAW_MAX_DIM")
         f = _invariant_from_json(blob, arity=len(mats))
         values = {"value": ring_value_to_string(eval_invariant(f, mats))}
     elif args.command == "theta":
         for key in ("rep", "f", "gammas"):
             if not isinstance(blob, dict) or key not in blob:
                 raise SchemaError(f"theta input missing {key!r}")
-        rep = representation_from_json(blob["rep"])
+        rep = representation_from_json(blob["rep"], _max_dim())
         gammas = [parse_word(w) for w in blob["gammas"]]
         f = _invariant_from_json(blob["f"], arity=len(gammas))
         pc = Pseudocharacter(rep)

@@ -23,9 +23,15 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, char_poly, lambdas_from_char_poly, mat_det
+from .matrices import RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, fresh_var
-from .symplectic import SymplecticContext, reduced_pfaffian, similitude
+from .symplectic import (
+    SymplecticContext,
+    is_j_symmetric,
+    pfaffian_coeffs_of_matrix,
+    reduced_pfaffian,
+    similitude,
+)
 from .words import Word, format_word, max_generator, word_inv, word_mul
 
 # -- group algebra ----------------------------------------------------
@@ -237,14 +243,7 @@ class PfaffianCoeffVector:
 
 
 def lambda_vector_of_matrix(m: RingMatrix) -> LambdaVector:
-    var = "t"
-    taken: set = set()
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, MultiPoly):
-                taken.update(x.vars)
-    var = fresh_var(var, taken)
-    return LambdaVector(m.rows, lambdas_from_char_poly(char_poly(m, var), m.rows, var))
+    return LambdaVector(m.rows, lambdas_of_matrix(m))
 
 
 def newton_lambdas_from_traces(traces: Sequence, n: int) -> LambdaVector:
@@ -399,8 +398,6 @@ def _pf_coeffs_via_recursion(ctx: SymplecticContext, s: RingMatrix) -> list:
     Uses the Pfaffian of (tI - s)J directly; falls back to the Lambda
     recursion if s is not j-symmetric over the extension.
     """
-    from .symplectic import is_j_symmetric, pfaffian_coeffs_of_matrix
-
     if is_j_symmetric(ctx, s):
         return pfaffian_coeffs_of_matrix(ctx, s)
     lv = lambda_vector_of_matrix(s)

@@ -24,8 +24,8 @@ from typing import Mapping, Sequence
 
 from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import RingMatrix, char_poly, lambdas_from_char_poly, mat_det, matrix_rank
-from .multipoly import MultiPoly, Ring, fresh_var
+from .matrices import RingMatrix, lambdas_of_matrix, mat_det, matrix_rank
+from .multipoly import MultiPoly, Ring
 from .symplectic import is_alternating, pfaffian, standard_j
 
 # -- quotient ring ------------------------------------------------------
@@ -223,12 +223,6 @@ class GmaSpec:
             return 1
         return self.tau_signs.get(frozenset((i, j)), 1)
 
-    def block_of_entry(self, row: int, col: int) -> tuple:
-        off = self.type.offsets()
-        bi = next(k for k in range(1, self.type.r + 1) if off[k - 1] <= row < off[k])
-        bj = next(k for k in range(1, self.type.r + 1) if off[k - 1] <= col < off[k])
-        return bi, bj
-
     def check_membership(self, m: RingMatrix):
         if m.rows != self.n or m.cols != self.n:
             raise DimensionError(f"expected {self.n}x{self.n} matrix")
@@ -252,20 +246,30 @@ class GmaSpec:
 def delta_involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """M -> J_delta tau(M)^T J_delta^(-1) with tau the per-block sign rescaling."""
     spec.check_membership(m)
-    off = spec.type.offsets()
     n = spec.n
-    tau_rows = []
+    # J_delta has one entry +-1 per row: J_delta[a][perm[a]] = sign[a].
+    perm, sign = [], []
+    for row in spec.J_delta.entries:
+        b = next(b for b, x in enumerate(row) if x != 0)
+        perm.append(b)
+        sign.append(row[b])
+    inv = [0] * n
+    for a, b in enumerate(perm):
+        inv[b] = a
+    block = [k for k, dim in enumerate(spec.type.dims, 1) for _ in range(dim)]
+    # With J_delta^(-1) = -J_delta, entry (a, b) of J_delta tau(M)^T J_delta^(-1)
+    # is -sign[a] * sign[c] * tau(M)[c][perm[a]] for c = inv[b].
+    rows = []
     for a in range(n):
+        p = perm[a]
         row = []
         for b in range(n):
-            i, j = spec.block_of_entry(a, b)
-            s = spec.sign(i, j)
-            row.append(m[a, b] if s == 1 else -m[a, b])
-        tau_rows.append(row)
-    tau_m = RingMatrix(tau_rows)
-    jd = spec.J_delta
-    out = -(jd * tau_m.transpose() * jd)  # J_delta^(-1) = -J_delta
-    return spec.ring.reduce_matrix(out)
+            c = inv[b]
+            x = m.entries[c][p]
+            s = -sign[a] * sign[c] * spec.sign(block[c], block[p])
+            row.append(x if s == 1 else -x)
+        rows.append(row)
+    return spec.ring.reduce_matrix(RingMatrix(rows))
 
 
 def validate_standard_gma(spec: GmaSpec) -> dict:
@@ -361,11 +365,8 @@ def gma_pfaffian(spec: GmaSpec, m: RingMatrix) -> Fraction:
 
 def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> list:
     """[T_0..T_d] for a symmetric GMA element, from the Lambda recursion."""
-    var = fresh_var("t", spec.ring.vars)
-    p = char_poly(m, var)
-    lams = lambdas_from_char_poly(p, spec.n, var)
     consts = []
-    for i, lam in enumerate(lams):
+    for i, lam in enumerate(lambdas_of_matrix(m)):
         if isinstance(lam, MultiPoly):
             lam = spec.ring.reduce(lam)
         consts.append(_constant_or_raise(lam, f"Lambda_{i} of a GMA element"))

@@ -22,8 +22,8 @@ from math import gcd
 from typing import Sequence
 
 from .errors import ArityError, CapacityError, DimensionError, SymplawError
-from .matrices import RingMatrix, matrix_rank
-from .symplectic import SymplecticContext, lambdas_of_matrix, random_matrix, similitude, symplectic_transpose
+from .matrices import RingMatrix, lambdas_of_matrix, matrix_rank
+from .symplectic import SymplecticContext, random_matrix, similitude, symplectic_transpose
 
 # -- trace words -------------------------------------------------------
 
@@ -79,7 +79,8 @@ def enumerate_trace_words(m: int, max_len: int) -> list:
     return [TraceWord(w) for w in sorted(seen, key=lambda w: (len(w), w))]
 
 
-def eval_trace_word(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext) -> Fraction:
+def word_value(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext) -> RingMatrix:
+    """The product of the word's letters, X_i -> mats[i-1] and X_i* -> its symplectic transpose."""
     prod_m = None
     for i, starred in word.letters:
         if i > len(mats):
@@ -88,7 +89,19 @@ def eval_trace_word(word: TraceWord, mats: Sequence[RingMatrix], ctx: Symplectic
         if starred:
             m = symplectic_transpose(ctx, m)
         prod_m = m if prod_m is None else prod_m * m
-    return prod_m.trace()
+    return prod_m
+
+
+def eval_trace_word(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext) -> Fraction:
+    return word_value(word, mats, ctx).trace()
+
+
+def word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
+    """[L_0..L_2d] of the word value: sigma_i(word) evaluated at mats is entry i."""
+    n = mats[0].rows
+    if n % 2:
+        raise DimensionError("matrices must be 2d x 2d")
+    return lambdas_of_matrix(word_value(word, mats, SymplecticContext(n // 2)))
 
 
 # -- invariant functions ----------------------------------------------
@@ -133,25 +146,39 @@ class InvariantFunction:
         return ("similitude", self.arity, self.var_index, self.power)
 
 
+# The two most recent (word letters, matrices, Lambda-vector) triples.  Loops
+# that compare sigma_1..sigma_2d of one word on a tuple and on its conjugate
+# alternate between two tuples, so two entries serve every index after the
+# first.  Matrices are matched by identity: each entry holds its matrices, so
+# their ids cannot be reused while cached, and RingMatrix is immutable.
+_recent_lambdas: tuple = ()
+
+
+def _cached_word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
+    global _recent_lambdas
+    mats = tuple(mats)
+    for letters, cached_mats, lams in _recent_lambdas:
+        if letters == word.letters and len(cached_mats) == len(mats) and all(
+            a is b for a, b in zip(cached_mats, mats)
+        ):
+            return lams
+    lams = word_lambdas(word, mats)
+    _recent_lambdas = ((word.letters, mats, lams),) + _recent_lambdas[:1]
+    return lams
+
+
 def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix]) -> Fraction:
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
     n = mats[0].rows
     if n % 2:
         raise DimensionError("matrices must be 2d x 2d")
-    ctx = SymplecticContext(n // 2)
     if f.kind == "similitude":
-        lam = similitude(ctx, mats[f.var_index - 1])
+        lam = similitude(SymplecticContext(n // 2), mats[f.var_index - 1])
         return lam**f.power
     if not 1 <= f.sigma_index <= n:
         raise DimensionError(f"sigma index {f.sigma_index} out of range for 2d = {n}")
-    word_value = None
-    for i, starred in f.word.letters:
-        m = mats[i - 1]
-        if starred:
-            m = symplectic_transpose(ctx, m)
-        word_value = m if word_value is None else word_value * m
-    return lambdas_of_matrix(word_value)[f.sigma_index]
+    return _cached_word_lambdas(f.word, mats)[f.sigma_index]
 
 
 def relabel(f: InvariantFunction, zeta: Sequence[int], arity: int) -> InvariantFunction:

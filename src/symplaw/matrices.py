@@ -2,9 +2,12 @@
 
 Determinants are exact: division-free cofactor expansion (dynamic
 programming over column subsets) for polynomial entries and small sizes,
-Bareiss fraction-free elimination for larger rational matrices.  Every
-check in this library lives at dimension <= 12, so no sparse or
-asymptotically clever machinery is needed.
+Bareiss fraction-free elimination for larger rational matrices.  The
+characteristic polynomial uses Berkowitz's division-free algorithm
+(S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
+themselves, so it serves rational, polynomial and quotient-ring entries
+alike.  Every check in this library lives at dimension <= 12, so no sparse
+or asymptotically clever machinery is needed.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .errors import DimensionError
+from .errors import DimensionError, VariableError
 from .multipoly import MultiPoly, Ring, fresh_var
 
 _BAREISS_MIN = 7  # cofactor DP below this, per the exactness/size tradeoff
@@ -30,9 +33,6 @@ def entry_is_zero(x: Ring) -> bool:
     if isinstance(x, MultiPoly):
         return x.is_zero()
     return x == 0
-
-
-_is_zero = entry_is_zero
 
 
 class RingMatrix:
@@ -156,7 +156,7 @@ class RingMatrix:
         return acc
 
     def is_zero(self) -> bool:
-        return all(_is_zero(x) for row in self.entries for x in row)
+        return all(entry_is_zero(x) for row in self.entries for x in row)
 
     def all_rational(self) -> bool:
         return all(isinstance(x, Fraction) for row in self.entries for x in row)
@@ -219,7 +219,7 @@ def _det_cofactor(m: RingMatrix) -> Ring:
             low = rest & (-rest)
             j = low.bit_length() - 1
             entry = a[row][j]
-            if not _is_zero(entry):
+            if not entry_is_zero(entry):
                 sub = det_of(mask ^ low)
                 term = entry * sub
                 acc = acc + term if sign > 0 else acc - term
@@ -252,10 +252,53 @@ def _det_bareiss(m: RingMatrix) -> Fraction:
     return sign * a[n - 1][n - 1]
 
 
+def entry_vars(m: RingMatrix) -> set:
+    """The variable names carried by the MultiPoly entries of ``m``."""
+    taken: set = set()
+    for row in m.entries:
+        for x in row:
+            if isinstance(x, MultiPoly):
+                taken.update(x.vars)
+    return taken
+
+
+def _dot(u, v) -> Ring:
+    """sum u_k * v_k over the pairs with no zero factor."""
+    acc: Ring = Fraction(0)
+    for a, b in zip(u, v):
+        if not (entry_is_zero(a) or entry_is_zero(b)):
+            acc = acc + a * b
+    return acc
+
+
+def _berkowitz(a: tuple) -> list:
+    """[c_0..c_n] with det(tI - A) = sum c_k t^(n-k), for the rows ``a`` of A.
+
+    Division-free (Berkowitz 1984).  Step r extends the leading r x r block
+    A_r by row R = a[r][:r], column C = (a[0][r]..a[r-1][r]) and corner
+    a[r][r]: the new coefficient vector is the lower-triangular Toeplitz
+    matrix of (1, -a[r][r], -R C, -R A_r C, ..., -R A_r^(r-1) C) applied to
+    the old one.
+    """
+    coeffs = [Fraction(1), -a[0][0]]
+    for r in range(1, len(a)):
+        row = a[r][:r]
+        lead = [a[i][:r] for i in range(r)]
+        x = [a[i][r] for i in range(r)]
+        toeplitz = [Fraction(1), -a[r][r]]
+        for k in range(r):
+            toeplitz.append(-_dot(row, x))
+            if k < r - 1:
+                x = [_dot(lead_row, x) for lead_row in lead]
+        coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(r + 2)]
+    return coeffs
+
+
 def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     """det(var*I - M), a monic MultiPoly of degree n in ``var``.
 
     Entries may themselves be polynomials, as long as they do not use ``var``.
+    The Berkowitz coefficients are assembled by Horner's rule.
     """
     if not m.is_square():
         raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -264,34 +307,22 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
             if isinstance(x, MultiPoly) and var in x.vars:
                 i = x.vars.index(var)
                 if any(exp[i] for exp in x.terms):
-                    from .errors import VariableError
-
                     raise VariableError(f"entry already uses variable {var!r}")
     t = MultiPoly.variable(var)
-    n = m.rows
-    shifted = RingMatrix(
-        [[(t if i == j else Fraction(0)) - m.entries[i][j] for j in range(n)]
-         for i in range(n)]
-    )
-    det = mat_det(shifted)
-    if isinstance(det, Fraction):
-        det = MultiPoly.constant(det, (var,))
-    return det
+    p = MultiPoly.constant(1, (var,))
+    for c in _berkowitz(m.entries)[1:]:
+        p = p * t + c
+    return p
 
 
-def char_poly_fresh_var(m: RingMatrix, base: str = "t") -> tuple[MultiPoly, str]:
-    """char_poly with a variable name guaranteed not to clash with the entries."""
-    taken: set = set()
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, MultiPoly):
-                taken.update(x.vars)
-    var = fresh_var(base, taken)
-    return char_poly(m, var), var
+def lambdas_of_matrix(m: RingMatrix) -> list:
+    """[L_0..L_n] with det(tI - M) = sum (-1)^i L_i t^(n-i), in a variable the entries do not use."""
+    var = fresh_var("t", entry_vars(m))
+    return lambdas_from_char_poly(char_poly(m, var), m.rows, var)
 
 
 def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> list:
-    """Coefficients [L_0..L_n] with det(tI - M) = sum (-1)^i L_i t^(n-i)."""
+    """Coefficients [L_0..L_n] with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M)."""
     buckets = p.coefficients_in(var)
     out = []
     for i in range(n + 1):

@@ -27,7 +27,7 @@ from .detlaws import (
 )
 from .errors import ArityError, StructureError, UnsupportedKindError
 from .invariants import InvariantFunction, TraceWord, eval_invariant, hat, relabel
-from .matrices import RingMatrix
+from .matrices import RingMatrix, mat_det
 from .multipoly import Ring
 from .symplectic import reduced_pfaffian, similitude
 from .words import Word, format_word, random_word, word_inv, word_mul
@@ -165,8 +165,6 @@ def comparison_to_det_law(pc: Pseudocharacter):
     ctx = rep.ctx
 
     def d_law(x: GroupAlgebraElement) -> Ring:
-        from .matrices import mat_det
-
         acc = RingMatrix.zeros(ctx.n)
         for w, c in x.terms.items():
             acc = acc + rep.rho_word(w) * c

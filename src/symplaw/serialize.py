@@ -16,7 +16,7 @@ from .errors import SchemaError
 from .gma import GmaSpec, GmaType, QuotientRing
 from .matrices import RingMatrix
 from .multipoly import MultiPoly
-from .symplectic import SymplecticContext
+from .symplectic import SymplecticContext, similitude
 from .words import format_word, parse_word
 
 
@@ -199,19 +199,24 @@ def representation_to_json(rep: InvolutiveRepresentation) -> dict:
     }
 
 
-def representation_from_json(obj) -> InvolutiveRepresentation:
+def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepresentation:
+    """Parse a representation; with ``max_dim``, refuse 2d > max_dim before building anything."""
     if not isinstance(obj, dict):
         raise SchemaError("representation must be an object")
     for key in ("d", "kind", "generators"):
         if key not in obj:
             raise SchemaError(f"representation missing {key!r}")
-    ctx = SymplecticContext(int(obj["d"]))
+    try:
+        d = int(obj["d"])
+    except (TypeError, ValueError) as e:
+        raise SchemaError(f"representation d must be an integer, got {obj['d']!r}") from e
+    if max_dim is not None and 2 * d > max_dim:
+        raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
+    ctx = SymplecticContext(d)
     images = tuple(matrix_from_json(m) for m in obj["generators"])
     if "lambdas" in obj:
         lams = tuple(fraction_from_json(x) for x in obj["lambdas"])
     else:
-        from .symplectic import similitude
-
         lams = tuple(similitude(ctx, m) for m in images)
     try:
         return InvolutiveRepresentation(ctx, images, lams, str(obj["kind"]))
@@ -248,7 +253,8 @@ def gma_spec_to_json(spec: GmaSpec) -> dict:
     }
 
 
-def gma_spec_from_json(obj) -> GmaSpec:
+def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
+    """Parse a GMA spec; with ``max_dim``, refuse a total dimension above it before building J_delta."""
     if not isinstance(obj, dict):
         raise SchemaError("GMA spec must be an object")
     for key in ("I0", "I1", "I2", "sigma", "dims"):
@@ -261,6 +267,8 @@ def gma_spec_from_json(obj) -> GmaSpec:
         )
     except ValueError as e:
         raise SchemaError(str(e)) from e
+    if max_dim is not None and t.total > max_dim:
+        raise SchemaError(f"GMA dimension {t.total} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     variables = tuple(sorted(obj.get("base_vars", ())))
     nils = []
     for mono in obj.get("nil_monomials", ()):

@@ -40,9 +40,10 @@ from .symplectic import (
     reduced_pfaffian,
     sample_similitude,
     sample_symplectic,
+    similitude,
     symplectic_transpose,
 )
-from .words import random_word
+from .words import random_word, word_inv, word_mul
 
 SUITE_NAMES = ("pfaffian", "det-law", "invariants", "gma", "pseudochar", "all")
 
@@ -218,8 +219,6 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
         w = random_word(rng, 2, 4)
         if not w:
             continue
-        from .words import word_inv, word_mul
-
         t = lambda word: rep.rho_word(word).trace()  # noqa: E731
         g, gi = w, word_inv(w)
         g2 = word_mul(w, w)
@@ -315,8 +314,6 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
         cdd = SymplecticContext(min(d, 2))
         h = sample_similitude(cdd, seed * 59 + k, factor=Fraction(k % 5 + 2))
         g = sample_symplectic(cdd, seed * 61 + k)
-        from .symplectic import similitude
-
         if similitude(cdd, g * h * g.inverse()) != similitude(cdd, h):
             ok = False
             break
@@ -474,8 +471,6 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
     for _ in range(min(trials, 25)):
         a = random_word(rng, 2, 3)
         b = random_word(rng, 2, 3)
-        from .words import word_mul
-
         lhs = pseudochar.similitude_character(gsp, word_mul(a, b))
         rhs = pseudochar.similitude_character(gsp, a) * pseudochar.similitude_character(gsp, b)
         if lhs != rhs:

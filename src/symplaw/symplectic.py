@@ -13,8 +13,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import DimensionError, NotASimilitudeError, StructureError
-from .matrices import RingMatrix, char_poly, entry_is_zero, lambdas_from_char_poly
+from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
+from .matrices import RingMatrix, entry_is_zero, entry_vars, lambdas_from_char_poly
 from .multipoly import MultiPoly, Ring, fresh_var
 
 
@@ -56,11 +56,18 @@ def _check_size(ctx: SymplecticContext, m: RingMatrix):
 
 
 def symplectic_transpose(ctx: SymplecticContext, m: RingMatrix) -> RingMatrix:
-    """M^j = J M^T J^(-1).  An involutive anti-homomorphism."""
+    """M^j = J M^T J^(-1).  An involutive anti-homomorphism.
+
+    J is a signed permutation, so no products are needed: for
+    M = [[A, B], [C, D]] in d x d blocks, M^j = [[D^T, -B^T], [-C^T, A^T]].
+    """
     _check_size(ctx, m)
-    j = ctx.J
-    # J^2 = -Id, so J^(-1) = -J
-    return -(j * m.transpose() * j)
+    d, n, e = ctx.d, ctx.n, m.entries
+    swap = list(range(d, n)) + list(range(d))  # J sends coordinate k to swap[k]
+    return RingMatrix(
+        [[e[swap[j]][swap[i]] if (i < d) == (j < d) else -e[swap[j]][swap[i]] for j in range(n)]
+         for i in range(n)]
+    )
 
 
 def is_alternating(a: RingMatrix) -> bool:
@@ -124,16 +131,10 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
     _check_size(ctx, m)
     if not is_j_symmetric(ctx, m):
         raise StructureError("Pfaffian characteristic polynomial requires M^j = M")
-    taken: set = set()
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, MultiPoly):
-                taken.update(x.vars)
+    taken = entry_vars(m)
     if var is None:
         var = fresh_var("t", taken)
     elif var in taken:
-        from .errors import VariableError
-
         raise VariableError(f"matrix entries already use variable {var!r}")
     t = MultiPoly.variable(var)
     shifted = RingMatrix.scalar(ctx.n, t) - m
@@ -146,23 +147,8 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
 def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix, var: str | None = None) -> list:
     """[T_0..T_d] with Pf char poly = sum (-1)^i T_i t^(d-i)."""
     if var is None:
-        taken: set = set()
-        for row in m.entries:
-            for x in row:
-                if isinstance(x, MultiPoly):
-                    taken.update(x.vars)
-        var = fresh_var("t", taken)
-    p = pfaffian_char_poly(ctx, m, var)
-    buckets = p.coefficients_in(var)
-    out = []
-    for i in range(ctx.d + 1):
-        coef = buckets.get(ctx.d - i)
-        if coef is None:
-            out.append(Fraction(0))
-        else:
-            val = coef.constant_value() if coef.is_constant() else coef
-            out.append(val if i % 2 == 0 else -val)
-    return out
+        var = fresh_var("t", entry_vars(m))
+    return lambdas_from_char_poly(pfaffian_char_poly(ctx, m, var), ctx.d, var)
 
 
 def matrix_poly_value(coeffs: list, m: RingMatrix) -> RingMatrix:
@@ -300,11 +286,6 @@ def sample_similitude(
           for j in range(ctx.n)] for i in range(ctx.n)]
     )
     return s * scale
-
-
-def lambdas_of_matrix(m: RingMatrix, var: str = "t") -> list:
-    """[L_0..L_n] of det(tI - M) = sum (-1)^i L_i t^(n-i)."""
-    return lambdas_from_char_poly(char_poly(m, var), m.rows, var)
 
 
 def power_traces(m: RingMatrix, upto: int) -> list:

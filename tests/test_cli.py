@@ -121,3 +121,84 @@ def test_out_file_written(tmp_path, capsys):
     assert code == 0
     assert out_path.read_text() == out
     json.loads(out_path.read_text())  # round-trips
+
+
+def _write(tmp_path, blob, name="in.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(blob))
+    return str(path)
+
+
+def _identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def test_malformed_max_dim_exits_2(tmp_path, capsys, monkeypatch):
+    pf = _write(tmp_path, {"matrix": [[0, "1"], ["-1", 0]]})
+    for raw in ("abc", "0", "-4", ""):
+        monkeypatch.setenv("SYMPLAW_MAX_DIM", raw)
+        for args in (["suite", "pfaffian", "--d", "1", "--trials", "2"],
+                     ["eval", "pfaffian", "--input", pf]):
+            code = main(args)
+            captured = capsys.readouterr()
+            assert code == 2, (raw, args)
+            assert captured.out == ""
+            assert "SYMPLAW_MAX_DIM" in captured.err
+
+
+def test_eval_invariant_guards_matrix_size(tmp_path, capsys, monkeypatch):
+    blob = {"matrices": [_identity(4), _identity(4)], "sigma_index": 1, "word": "1 2*"}
+    path = _write(tmp_path, blob)
+    code, out = run_cli(["eval", "invariant", "--input", path], capsys)
+    assert code == 0
+    assert json.loads(out) == {"value": "4"}
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", "2")
+    code, out = run_cli(["eval", "invariant", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_eval_invariant_rejects_non_list_matrices(tmp_path, capsys):
+    path = _write(tmp_path, {"matrices": 5, "sigma_index": 1, "word": "1"})
+    code, _ = run_cli(["eval", "invariant", "--input", path], capsys)
+    assert code == 2
+
+
+def test_eval_theta_guards_representation_size(tmp_path, capsys, monkeypatch):
+    rep = {"d": 2, "kind": "Sp", "generators": [_identity(4)]}
+    path = _write(tmp_path, {"rep": rep, "f": {"sigma_index": 1, "word": "1"}, "gammas": ["g1"]})
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", "2")
+    code, out = run_cli(["eval", "theta", "--input", path], capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_representation_size_checked_before_it_is_built(tmp_path, capsys):
+    # 2d = 14 is over the default cap of 12; the 2x2 generator would fail a
+    # later shape check, so exit 2 here comes from the size guard itself
+    rep = {"d": 7, "kind": "Sp", "generators": [_identity(2)]}
+    element = {"terms": [{"word": "g1", "coef": "1"}]}
+    path = _write(tmp_path, {"rep": rep, "element": element, "law": "D"})
+    code = main(["eval", "detlaw", "--input", path])
+    assert code == 2
+    assert "2d = 14 exceeds SYMPLAW_MAX_DIM = 12" in capsys.readouterr().err
+
+
+def test_malformed_representation_dimension_exits_2(tmp_path, capsys):
+    rep = {"d": "abc", "kind": "Sp", "generators": [_identity(2)]}
+    element = {"terms": [{"word": "g1", "coef": "1"}]}
+    path = _write(tmp_path, {"rep": rep, "element": element, "law": "D"})
+    code, _ = run_cli(["eval", "detlaw", "--input", path], capsys)
+    assert code == 2
+
+
+def test_gma_spec_size_guard(tmp_path, capsys, monkeypatch):
+    blob = {
+        "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [2, 2],
+        "base_vars": ["u"], "nil_monomials": ["u^2"], "blocks": {}, "tau_signs": {},
+    }
+    path = _write(tmp_path, blob)
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", "2")
+    code, out = run_cli(["suite", "gma", "--trials", "2", "--input", path], capsys)
+    assert code == 2
+    assert out == ""

@@ -47,3 +47,10 @@ def test_gma_suite_counterexample_expected_failure_passes():
 def test_weak_law_probe_finds_nothing():
     outcome = weak_law_counterexample_probe(trials=5, seed=9)
     assert outcome == {"found": False, "witness": None}
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_invariants_suite_seed_sweep(d):
+    for seed in range(10):
+        report = run_suite(SuiteConfig(suite="invariants", d=d, trials=4, seed=seed))
+        assert report["pass"], (seed, [c for c in report["checks"] if not c["pass"]])
