@@ -63,13 +63,7 @@ def _cmd_suite(args) -> int:
     if 2 * args.d > _max_dim():
         sys.stderr.write(f"2d = {2 * args.d} exceeds SYMPLAW_MAX_DIM = {_max_dim()}\n")
         return 2
-    cfg = SuiteConfig(
-        suite=args.name,
-        d=args.d,
-        trials=args.trials,
-        seed=args.seed,
-        input_paths=tuple([args.input] if args.input else []),
-    )
+    cfg = SuiteConfig(suite=args.name, d=args.d, trials=args.trials, seed=args.seed)
     spec = None
     if args.input:
         if args.name not in ("gma", "all"):
@@ -95,17 +89,33 @@ def _parse_trace_word(text: str) -> TraceWord:
     return TraceWord(tuple(letters))
 
 
-def _invariant_from_json(obj, arity: int | None = None) -> InvariantFunction:
+def _int_field(obj: dict, key: str, default: int) -> int:
+    """obj[key] (or ``default`` if absent) as an int; an integer or a string of one."""
+    value = obj.get(key, default)
+    if not isinstance(value, bool):
+        if isinstance(value, int):
+            return value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    raise SchemaError(f"{key} must be an integer, got {value!r}")
+
+
+def _invariant_from_json(obj, arity: int) -> InvariantFunction:
     if not isinstance(obj, dict):
         raise SchemaError("invariant function must be an object")
     if "sigma_index" in obj:
         word = _parse_trace_word(obj.get("word", ""))
-        declared = obj.get("arity", arity)
-        return InvariantFunction.sigma(int(obj["sigma_index"]), word, declared)
+        return InvariantFunction.sigma(
+            _int_field(obj, "sigma_index", 0), word, _int_field(obj, "arity", arity)
+        )
     if "similitude_power" in obj:
-        declared = obj.get("arity", arity)
         return InvariantFunction.similitude_power(
-            int(obj.get("var_index", 1)), int(obj["similitude_power"]), declared
+            _int_field(obj, "var_index", 1),
+            _int_field(obj, "similitude_power", 0),
+            _int_field(obj, "arity", arity),
         )
     raise SchemaError("invariant function needs sigma_index or similitude_power")
 
@@ -144,6 +154,10 @@ def _cmd_eval(args) -> int:
             if not isinstance(blob, dict) or key not in blob:
                 raise SchemaError(f"theta input missing {key!r}")
         rep = representation_from_json(blob["rep"], _max_dim())
+        if not isinstance(blob["gammas"], list) or not all(
+            isinstance(w, str) for w in blob["gammas"]
+        ):
+            raise SchemaError("theta gammas must be a list of word strings")
         gammas = [parse_word(w) for w in blob["gammas"]]
         f = _invariant_from_json(blob["f"], arity=len(gammas))
         pc = Pseudocharacter(rep)

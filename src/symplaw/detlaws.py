@@ -7,7 +7,7 @@ Pfaffian of rho(.) on symmetric elements.  The coefficient vectors
 (Lambda_i from D, T_i from P) are tied by the convolution recursion
 Lambda_i = sum_j T_j T_(i-j), which determines P from D whenever 2 is
 invertible; that recursion is also what extends P to non-symmetric
-arguments and what feeds the polarized Cayley-Hamilton forms chi_alpha.
+arguments.
 """
 
 from __future__ import annotations
@@ -23,11 +23,11 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, lambdas_of_matrix, mat_det
+from .matrices import RingMatrix, entry_is_zero, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, fresh_var
 from .symplectic import (
     SymplecticContext,
-    is_j_symmetric,
+    matrix_poly_value,
     pfaffian_coeffs_of_matrix,
     reduced_pfaffian,
     similitude,
@@ -35,18 +35,6 @@ from .symplectic import (
 from .words import Word, format_word, max_generator, word_inv, word_mul
 
 # -- group algebra ----------------------------------------------------
-
-
-def _coerce_coef(c) -> Ring:
-    if isinstance(c, (Fraction, MultiPoly)):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"coefficient must be exact: {c!r}")
-
-
-def _coef_is_zero(c: Ring) -> bool:
-    return c.is_zero() if isinstance(c, MultiPoly) else c == 0
 
 
 class GroupAlgebraElement:
@@ -57,8 +45,8 @@ class GroupAlgebraElement:
     def __init__(self, terms: Mapping[Word, Ring]):
         clean = {}
         for w, c in terms.items():
-            c = _coerce_coef(c)
-            if not _coef_is_zero(c):
+            c = exact_scalar(c)
+            if not entry_is_zero(c):
                 clean[tuple(w)] = c
         object.__setattr__(self, "terms", clean)
 
@@ -83,7 +71,7 @@ class GroupAlgebraElement:
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupAlgebraElement":
-        c = _coerce_coef(c)
+        c = exact_scalar(c)
         return GroupAlgebraElement({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
@@ -168,10 +156,11 @@ class InvolutiveRepresentation:
 
     def rho_word(self, w: Word) -> RingMatrix:
         self._check_word(w)
-        m = RingMatrix.identity(self.ctx.n)
+        m = None
         for gen, sign in w:
-            m = m * (self.generator_images[gen - 1] if sign > 0 else self._inverses[gen - 1])
-        return m
+            g = self.generator_images[gen - 1] if sign > 0 else self._inverses[gen - 1]
+            m = g if m is None else m * g
+        return RingMatrix.identity(self.ctx.n) if m is None else m
 
     def lambda_of_word(self, w: Word) -> Fraction:
         self._check_word(w)
@@ -371,16 +360,9 @@ def chi_alpha(
     s = RingMatrix.zeros(rep.ctx.n)
     for tv, r in zip(tvars, elems):
         s = s + rep.rho(r) * MultiPoly.variable(tv)
-    coeffs = _pf_coeffs_via_recursion(rep.ctx, s)
-    acc = RingMatrix.zeros(rep.ctx.n)
-    power = RingMatrix.identity(rep.ctx.n)
-    powers = [power]
-    for _ in range(d):
-        power = power * s
-        powers.append(power)
-    for i, c in enumerate(coeffs):
-        term = powers[d - i] * c
-        acc = acc + term if i % 2 == 0 else acc - term
+    # s is j-symmetric: every r_i is symmetric and every generator's similitude
+    # is verified, so rho(r*) = rho(r)^j
+    acc = matrix_poly_value(pfaffian_coeffs_of_matrix(rep.ctx, s), s)
     mono = {tv: a for tv, a in zip(tvars, alpha)}
 
     def pick(entry):
@@ -391,14 +373,3 @@ def chi_alpha(
 
     return acc.map_entries(pick)
 
-
-def _pf_coeffs_via_recursion(ctx: SymplecticContext, s: RingMatrix) -> list:
-    """[T_0..T_d] of a j-symmetric matrix over a polynomial ring.
-
-    Uses the Pfaffian of (tI - s)J directly; falls back to the Lambda
-    recursion if s is not j-symmetric over the extension.
-    """
-    if is_j_symmetric(ctx, s):
-        return pfaffian_coeffs_of_matrix(ctx, s)
-    lv = lambda_vector_of_matrix(s)
-    return list(pfaffian_coeffs_from_lambdas(lv).coeffs)

@@ -26,7 +26,7 @@ from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
 from .matrices import RingMatrix, lambdas_of_matrix, mat_det, matrix_rank
 from .multipoly import MultiPoly, Ring
-from .symplectic import is_alternating, pfaffian, standard_j
+from .symplectic import is_alternating, matrix_poly_value, pfaffian, standard_j
 
 # -- quotient ring ------------------------------------------------------
 
@@ -318,7 +318,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
                             )
     # involution consistency of the form itself
     jd = spec.J_delta
-    if jd.transpose() != -jd:
+    if not is_alternating(jd):
         violations.append("J_delta is not alternating")
     if pfaffian(jd) not in (Fraction(1), Fraction(-1)):
         violations.append("Pf(J_delta) is not a unit sign")
@@ -378,18 +378,8 @@ def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """chi^P(m, m) = sum (-1)^i T_i m^(d-i): zero iff the Pfaffian CH identity holds at m."""
     if delta_involution(spec, m) != m:
         raise StructureError("chi^P is evaluated at symmetric elements")
-    coeffs = gma_pf_coeffs(spec, m)
-    d = spec.d
-    acc = RingMatrix.zeros(spec.n)
-    power = RingMatrix.identity(spec.n)
-    powers = [power]
-    for _ in range(d):
-        power = spec.ring.reduce_matrix(power * m)
-        powers.append(power)
-    for i, c in enumerate(coeffs):
-        term = powers[d - i] * c
-        acc = acc + term if i % 2 == 0 else acc - term
-    return spec.ring.reduce_matrix(acc)
+    # reduction modulo a monomial ideal is a ring homomorphism, so reducing once is exact
+    return spec.ring.reduce_matrix(matrix_poly_value(gma_pf_coeffs(spec, m), m))
 
 
 def check_sch_condition(spec: GmaSpec) -> tuple:

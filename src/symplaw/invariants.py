@@ -39,7 +39,10 @@ class TraceWord:
     def __post_init__(self):
         if not self.letters:
             raise SymplawError("trace word must be nonempty")
-        object.__setattr__(self, "letters", canonical_letters(self.letters))
+        letters = canonical_letters(self.letters)
+        if min(i for i, _ in letters) < 1:
+            raise SymplawError(f"trace-word letter indices start at 1: {letters}")
+        object.__setattr__(self, "letters", letters)
 
     def __len__(self):
         return len(self.letters)

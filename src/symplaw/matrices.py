@@ -21,12 +21,13 @@ from .multipoly import MultiPoly, Ring, fresh_var
 _BAREISS_MIN = 7  # cofactor DP below this, per the exactness/size tradeoff
 
 
-def _coerce_entry(x) -> Ring:
+def exact_scalar(x) -> Ring:
+    """``x`` as a ring element: Fraction and MultiPoly pass through, int becomes Fraction."""
     if isinstance(x, (Fraction, MultiPoly)):
         return x
     if isinstance(x, int):
         return Fraction(x)
-    raise TypeError(f"matrix entry must be exact: {x!r}")
+    raise TypeError(f"scalar must be exact (int, Fraction or MultiPoly): {x!r}")
 
 
 def entry_is_zero(x: Ring) -> bool:
@@ -39,7 +40,7 @@ class RingMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(_coerce_entry(x) for x in row) for row in entries)
+        rows = tuple(tuple(exact_scalar(x) for x in row) for row in entries)
         if not rows:
             raise DimensionError("empty matrix")
         ncols = len(rows[0])
@@ -65,7 +66,7 @@ class RingMatrix:
 
     @staticmethod
     def scalar(n: int, c) -> "RingMatrix":
-        c = _coerce_entry(c)
+        c = exact_scalar(c)
         z = Fraction(0)
         return RingMatrix([[c if i == j else z for j in range(n)] for i in range(n)])
 

@@ -83,11 +83,6 @@ class MultiPoly:
             raise VariableError(f"not a constant polynomial: {self}")
         return next(iter(self.terms.values()))
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(exp) for exp in self.terms)
-
     def in_vars(self, variables: Iterable[str]) -> "MultiPoly":
         """Rewrite over a larger (sorted) variable tuple."""
         target = tuple(variables)

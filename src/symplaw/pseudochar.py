@@ -19,15 +19,17 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 
 from .detlaws import (
     GroupAlgebraElement,
     InvolutiveRepresentation,
+    eval_det_law,
     star,
 )
 from .errors import ArityError, StructureError, UnsupportedKindError
 from .invariants import InvariantFunction, TraceWord, eval_invariant, hat, relabel
-from .matrices import RingMatrix, mat_det
+from .matrices import RingMatrix
 from .multipoly import Ring
 from .symplectic import reduced_pfaffian, similitude
 from .words import Word, format_word, random_word, word_inv, word_mul
@@ -157,18 +159,13 @@ def _symmetric_decomposition(pc: Pseudocharacter, x: GroupAlgebraElement) -> lis
 def comparison_to_det_law(pc: Pseudocharacter):
     """The determinant-law pair induced by the pseudocharacter.
 
-    D sends sum c_i gamma_i to det(sum c_i rho(gamma_i)); P sends a
+    D is eval_det_law on the representation, sum c_i gamma_i ->
+    det(sum c_i rho(gamma_i)); P sends a
     symmetric sum c_i (gamma_i + lambda(gamma_i) gamma_i^(-1)) to the
     normalized Pfaffian of sum c_i (rho(gamma_i) + lambda_i rho(gamma_i)^(-1)).
     """
     rep = pc.rep
     ctx = rep.ctx
-
-    def d_law(x: GroupAlgebraElement) -> Ring:
-        acc = RingMatrix.zeros(ctx.n)
-        for w, c in x.terms.items():
-            acc = acc + rep.rho_word(w) * c
-        return mat_det(acc)
 
     def p_law(x: GroupAlgebraElement) -> Ring:
         acc = RingMatrix.zeros(ctx.n)
@@ -178,7 +175,7 @@ def comparison_to_det_law(pc: Pseudocharacter):
             acc = acc + (m + m.inverse() * lam) * c
         return reduced_pfaffian(ctx, acc)
 
-    return d_law, p_law
+    return partial(eval_det_law, rep), p_law
 
 
 def similitude_character(pc: Pseudocharacter, gamma: Word) -> Fraction:

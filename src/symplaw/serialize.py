@@ -157,17 +157,7 @@ def matrix_from_json(obj) -> RingMatrix:
         raise SchemaError(str(e)) from e
 
 
-# -- contexts, group algebra, representations ------------------------------
-
-
-def context_to_json(ctx: SymplecticContext) -> dict:
-    return {"d": ctx.d}
-
-
-def context_from_json(obj) -> SymplecticContext:
-    if not isinstance(obj, dict) or "d" not in obj:
-        raise SchemaError("context must be {'d': n}")
-    return SymplecticContext(int(obj["d"]))
+# -- group algebra, representations ------------------------------------------
 
 
 def group_elem_to_json(x: GroupAlgebraElement) -> dict:
@@ -180,10 +170,12 @@ def group_elem_to_json(x: GroupAlgebraElement) -> dict:
 
 
 def group_elem_from_json(obj) -> GroupAlgebraElement:
-    if not isinstance(obj, dict) or "terms" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise SchemaError("group algebra element must be {'terms': [...]}")
     terms: dict = {}
     for t in obj["terms"]:
+        if not isinstance(t, dict) or not isinstance(t.get("word"), str) or "coef" not in t:
+            raise SchemaError(f"group algebra term must be {{'word': str, 'coef': ..}}, got {t!r}")
         w = parse_word(t["word"])
         c = ring_value_from_json(t["coef"])
         terms[w] = terms.get(w, Fraction(0)) + c

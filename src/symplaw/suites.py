@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import gma, invariants, pseudochar
@@ -54,7 +54,6 @@ class SuiteConfig:
     d: int = 2
     trials: int = 100
     seed: int = 0
-    input_paths: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if self.suite not in SUITE_NAMES:

@@ -155,12 +155,10 @@ def matrix_poly_value(coeffs: list, m: RingMatrix) -> RingMatrix:
     """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = [c_0..c_deg]."""
     deg = len(coeffs) - 1
     acc = RingMatrix.zeros(m.rows, m.cols)
-    power = RingMatrix.identity(m.rows)
-    # build powers from M^0 upward, then combine with alternating signs
-    powers = [power]
-    for _ in range(deg):
-        power = power * m
-        powers.append(power)
+    # powers M^0..M^deg; M^1 is M itself, so no product starts from the identity
+    powers = [RingMatrix.identity(m.rows), m]
+    for _ in range(deg - 1):
+        powers.append(powers[-1] * m)
     for i, c in enumerate(coeffs):
         term = powers[deg - i] * c
         acc = acc + term if i % 2 == 0 else acc - term
@@ -291,8 +289,9 @@ def sample_similitude(
 def power_traces(m: RingMatrix, upto: int) -> list:
     """[tr M, tr M^2, ..., tr M^upto]."""
     out = []
-    p = RingMatrix.identity(m.rows)
-    for _ in range(upto):
-        p = p * m
+    p = m
+    for k in range(upto):
+        if k:
+            p = p * m
         out.append(p.trace())
     return out

@@ -79,7 +79,10 @@ def parse_word(text: str) -> Word:
             raise GeneratorError(f"bad word token {token!r}") from None
         if gen < 1:
             raise GeneratorError(f"bad generator index in {token!r}")
-        n = int(exp) if exp else 1
+        try:
+            n = int(exp) if exp else 1
+        except ValueError:
+            raise GeneratorError(f"bad exponent in {token!r}") from None
         sign = 1 if n > 0 else -1
         letters.extend([(gen, sign)] * abs(n))
     return reduce_letters(letters)

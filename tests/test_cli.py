@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from symplaw.cli import main
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
@@ -202,3 +204,28 @@ def test_gma_spec_size_guard(tmp_path, capsys, monkeypatch):
     code, out = run_cli(["suite", "gma", "--trials", "2", "--input", path], capsys)
     assert code == 2
     assert out == ""
+
+
+_REP_4 = {"d": 2, "kind": "Sp", "generators": [_identity(4)]}
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("invariant", {"matrices": [_identity(2)], "sigma_index": "x", "word": "1"}),
+        ("invariant", {"matrices": [_identity(2)], "sigma_index": 1, "word": "1", "arity": "z"}),
+        ("theta", {"rep": _REP_4, "f": {"similitude_power": "q"}, "gammas": ["g1"]}),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1"}, "gammas": [1]}),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1"}, "gammas": ["g1^x"]}),
+        ("detlaw", {"rep": _REP_4, "element": {"terms": [{"word": 1, "coef": "1"}]}}),
+        ("invariant", {"matrices": [[[1, 2], [3, 4]]], "sigma_index": 1, "word": "0"}),
+    ],
+    ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
+         "letter_0"],
+)
+def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

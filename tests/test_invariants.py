@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from symplaw.errors import ArityError, CapacityError
+from symplaw.errors import ArityError, CapacityError, SymplawError
 from symplaw.invariants import (
     InvariantFunction,
     TraceWord,
@@ -173,3 +173,10 @@ def test_arity_errors():
     f = InvariantFunction.sigma(1, TraceWord(((1, False),)))
     with pytest.raises(ArityError):
         eval_invariant(f, [RingMatrix.identity(2), RingMatrix.identity(2)])
+
+
+@pytest.mark.parametrize("letters", [((0, False),), ((1, False), (0, True)), ((-2, False),)])
+def test_trace_word_letters_are_one_based(letters):
+    # letter 0 used to read mats[-1], the last matrix, without complaint
+    with pytest.raises(SymplawError):
+        TraceWord(letters)

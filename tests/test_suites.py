@@ -49,8 +49,13 @@ def test_weak_law_probe_finds_nothing():
     assert outcome == {"found": False, "witness": None}
 
 
-@pytest.mark.parametrize("d", [1, 2])
-def test_invariants_suite_seed_sweep(d):
+# pseudochar is left out until its corrupted_cache_detected fixture stops
+# depending on the seed (it fails at some seeds for every trial count)
+@pytest.mark.parametrize(
+    ("suite", "d"),
+    [(suite, d) for suite in ("pfaffian", "det-law", "gma", "invariants") for d in (1, 2)],
+)
+def test_suite_seed_sweep(suite, d):
     for seed in range(10):
-        report = run_suite(SuiteConfig(suite="invariants", d=d, trials=4, seed=seed))
+        report = run_suite(SuiteConfig(suite=suite, d=d, trials=4, seed=seed))
         assert report["pass"], (seed, [c for c in report["checks"] if not c["pass"]])
