@@ -23,6 +23,7 @@ from .pseudochar import Pseudocharacter, theta_eval
 from .serialize import (
     gma_spec_from_json,
     group_elem_from_json,
+    int_from_json,
     matrix_from_json,
     representation_from_json,
     ring_value_to_string,
@@ -91,16 +92,7 @@ def _parse_trace_word(text: str) -> TraceWord:
 
 def _int_field(obj: dict, key: str, default: int) -> int:
     """obj[key] (or ``default`` if absent) as an int; an integer or a string of one."""
-    value = obj.get(key, default)
-    if not isinstance(value, bool):
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                pass
-    raise SchemaError(f"{key} must be an integer, got {value!r}")
+    return int_from_json(obj.get(key, default), key)
 
 
 def _invariant_from_json(obj, arity: int) -> InvariantFunction:

@@ -18,11 +18,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
 from typing import Sequence
 
 from .errors import ArityError, CapacityError, DimensionError, SymplawError
-from .matrices import RingMatrix, lambdas_of_matrix, matrix_rank
+from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, matrix_rank
 from .symplectic import SymplecticContext, random_matrix, similitude, symplectic_transpose
 
 # -- trace words -------------------------------------------------------
@@ -257,39 +256,6 @@ def sp_basis(d: int) -> list:
     return basis
 
 
-class _SparseIntEliminator:
-    """Incremental integer row echelon; fraction-free, gcd-normalized."""
-
-    def __init__(self):
-        self.pivots: dict = {}
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def add_row(self, row: dict) -> bool:
-        row = {c: v for c, v in row.items() if v}
-        while row:
-            c = min(row)
-            piv = self.pivots.get(c)
-            if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {col: v // g for col, v in row.items()}
-                self.pivots[c] = row
-                return True
-            a, b = piv[c], row[c]
-            g = gcd(a, b)
-            fa, fb = a // g, b // g
-            new = {col: fa * v for col, v in row.items()}
-            for col, v in piv.items():
-                new[col] = new.get(col, 0) - fb * v
-            row = {col: v for col, v in new.items() if v}
-        return False
-
-
 def multilinear_invariant_dim(d: int, m: int) -> int:
     """Dimension of Sp_2d-invariant multilinear maps (M_2d)^m -> Q.
 
@@ -301,7 +267,7 @@ def multilinear_invariant_dim(d: int, m: int) -> int:
     unknowns = cell**m
     if unknowns > _MAX_UNKNOWNS:
         raise CapacityError(f"{unknowns} unknowns exceed the {_MAX_UNKNOWNS} guard")
-    elim = _SparseIntEliminator()
+    elim = IntegerEliminator()
     for h in sp_basis(d):
         by_col = [[(i, h[i][a]) for i in range(n) if h[i][a]] for a in range(n)]
         by_row = [[(j, h[b][j]) for j in range(n) if h[b][j]] for b in range(n)]

@@ -42,6 +42,19 @@ def fraction_from_json(obj) -> Fraction:
     raise SchemaError(f"not a rational: {obj!r}")
 
 
+def int_from_json(value, what: str) -> int:
+    """An integer, or a string of one, as an int; ``what`` names the field in the error."""
+    if not isinstance(value, bool):
+        if isinstance(value, int):
+            return value
+        if isinstance(value, str):
+            try:
+                return int(value)
+            except ValueError:
+                pass
+    raise SchemaError(f"{what} must be an integer, got {value!r}")
+
+
 # -- polynomials ----------------------------------------------------------
 
 
@@ -92,11 +105,13 @@ def parse_poly_string(text: str) -> MultiPoly:
             if not factor:
                 raise SchemaError(f"empty factor in {text!r}")
             if factor[0].isdigit():
-                coef *= Fraction(factor)
+                coef *= fraction_from_json(factor)
             else:
                 name, _, exp = factor.partition("^")
                 if not name.isidentifier():
                     raise SchemaError(f"bad variable {name!r} in {text!r}")
+                if exp and not exp.isdecimal():
+                    raise SchemaError(f"bad exponent {exp!r} in {text!r}")
                 factors[name] = factors.get(name, 0) + (int(exp) if exp else 1)
         vs = tuple(sorted(factors))
         term = MultiPoly(vs, {tuple(factors[v] for v in vs): coef})
@@ -245,6 +260,17 @@ def gma_spec_to_json(spec: GmaSpec) -> dict:
     }
 
 
+def _block_key(key: str) -> tuple:
+    """A block key "i,j" as the pair of ints (i, j)."""
+    parts = key.split(",")
+    if len(parts) == 2:
+        try:
+            return int(parts[0]), int(parts[1])
+        except ValueError:
+            pass
+    raise SchemaError(f"block key must be two comma-separated integers, got {key!r}")
+
+
 def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
     """Parse a GMA spec; with ``max_dim``, refuse a total dimension above it before building J_delta."""
     if not isinstance(obj, dict):
@@ -275,7 +301,7 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
     ring = QuotientRing(variables, tuple(nils))
     blocks = {}
     for key, basis in obj.get("blocks", {}).items():
-        i, j = (int(x) for x in key.split(","))
+        i, j = _block_key(key)
         parsed = []
         for p in basis:
             q = poly_from_json(p)
@@ -283,8 +309,8 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
         blocks[(i, j)] = tuple(parsed)
     signs = {}
     for key, s in obj.get("tau_signs", {}).items():
-        i, j = (int(x) for x in key.split(","))
-        signs[frozenset((i, j))] = int(s)
+        i, j = _block_key(key)
+        signs[frozenset((i, j))] = int_from_json(s, f"tau sign {key!r}")
     try:
         return GmaSpec(t, ring, blocks, signs)
     except ValueError as e:

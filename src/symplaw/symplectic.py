@@ -14,7 +14,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
-from .matrices import RingMatrix, entry_is_zero, entry_vars, lambdas_from_char_poly
+from .matrices import (
+    RingMatrix,
+    _integer_rows,
+    entry_is_zero,
+    entry_vars,
+    exact_scalar,
+    lambdas_from_char_poly,
+)
 from .multipoly import MultiPoly, Ring, fresh_var
 
 
@@ -89,33 +96,42 @@ def pfaffian(a: RingMatrix) -> Ring:
 
     Division-free, so it works for polynomial entries; equals the Leibniz
     sum (1/(2^n n!)) sum_sigma sgn(sigma) prod a_(sigma(2i-1),sigma(2i)),
-    and Pf(A)^2 = det(A).
+    and Pf(A)^2 = det(A).  For rational A = B / delta it is Pf(B) / delta^(n/2).
     """
     if not a.is_square() or a.rows % 2 != 0:
         raise StructureError(f"Pfaffian needs an even square matrix, got {a.rows}x{a.cols}")
     if not is_alternating(a):
         raise StructureError("Pfaffian of a non-alternating matrix")
-    n = a.rows
-    memo: dict = {(): Fraction(1)}
+    ints = _integer_rows(a.entries)
+    if ints is None:
+        return exact_scalar(_pfaffian_expansion(a.entries))
+    b, den = ints
+    return Fraction(_pfaffian_expansion(b), den ** (a.rows // 2))
+
+
+def _pfaffian_expansion(a) -> Ring:
+    """Pf of the alternating rows ``a``; the int 0 if every term vanishes."""
+    memo: dict = {(): 1}
 
     def pf(indices: tuple) -> Ring:
         if indices in memo:
             return memo[indices]
         i0 = indices[0]
         rest = indices[1:]
-        acc: Ring = Fraction(0)
+        acc = None
         sign = 1
         for pos, k in enumerate(rest):
-            entry = a[i0, k]
+            entry = a[i0][k]
             if not entry_is_zero(entry):
-                sub = pf(rest[:pos] + rest[pos + 1:])
-                term = entry * sub
-                acc = acc + term if sign > 0 else acc - term
+                term = entry * pf(rest[:pos] + rest[pos + 1:])
+                if sign < 0:
+                    term = -term
+                acc = term if acc is None else acc + term
             sign = -sign
-        memo[indices] = acc
-        return acc
+        memo[indices] = 0 if acc is None else acc
+        return memo[indices]
 
-    return pf(tuple(range(n)))
+    return pf(tuple(range(len(a))))
 
 
 def reduced_pfaffian(ctx: SymplecticContext, m: RingMatrix) -> Ring:

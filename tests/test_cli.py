@@ -229,3 +229,39 @@ def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def _assert_one_line_error(code, captured):
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("coef", ["1/0", "2/0*c", "1/x*c", "c^x"])
+def test_malformed_poly_string_coefficient_exits_2(tmp_path, capsys, coef):
+    blob = {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": coef}]}, "law": "D"}
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
+_GMA_INPUT = {
+    "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1],
+    "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],
+    "blocks": {"1,2": ["u"], "2,1": ["v"]}, "tau_signs": {"1,2": -1},
+}
+
+
+@pytest.mark.parametrize(
+    ("field", "value"),
+    [
+        ("blocks", {"1;2": ["u"], "2,1": ["v"]}),
+        ("blocks", {"1,2,3": ["u"], "2,1": ["v"]}),
+        ("tau_signs", {"1,2": "x"}),
+        ("tau_signs", {"1;2": -1}),
+    ],
+    ids=["block_key_semicolon", "block_key_three_parts", "sign_not_integer", "sign_key"],
+)
+def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
+    path = _write(tmp_path, {**_GMA_INPUT, field: value})
+    code = main(["suite", "gma", "--trials", "2", "--input", path])
+    _assert_one_line_error(code, capsys.readouterr())
