@@ -8,7 +8,10 @@ J_delta^(-1) where tau rescales each off-diagonal block by a sign.
 
 Block coefficient modules live inside a polynomial ring modulo a monomial
 ideal, so products and span membership reduce to exact monomial
-bookkeeping.  The trace/determinant land in Q; the Pfaffian-type law is
+bookkeeping: span membership is tested against integer echelon rows that
+each spec computes once per block, and J_delta is kept as a signed
+permutation, so the involution and M J_delta are reindexings of M.  The
+trace/determinant land in Q; the Pfaffian-type law is
 computed from MJ_delta when that matrix is alternating and otherwise from
 the determinant through the coefficient recursion (the two agree whenever
 both apply, since the law of degree d with value 1 at the identity is
@@ -20,11 +23,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Mapping, Sequence
 
 from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import RingMatrix, lambdas_of_matrix, mat_det, matrix_rank
+from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring
 from .symplectic import is_alternating, matrix_poly_value, pfaffian, standard_j
 
@@ -50,19 +54,22 @@ class QuotientRing:
         object.__setattr__(self, "nil_monomials", nils)
 
     def reduce(self, x: Ring) -> Ring:
+        """x without its terms divisible by a nil monomial; x itself if it has none."""
         if isinstance(x, Fraction):
             return x
-        p = x.in_vars(self.vars) if set(x.vars) <= set(self.vars) else None
-        if p is None:
-            raise MembershipError(f"element uses variables outside the ring: {x.vars}")
-        terms = {}
-        for exp, coef in p.terms.items():
-            if not any(all(e >= n for e, n in zip(exp, nil)) for nil in self.nil_monomials):
-                terms[exp] = coef
-        return MultiPoly(self.vars, terms)
+        if x.vars != self.vars:
+            if not set(x.vars) <= set(self.vars):
+                raise MembershipError(f"element uses variables outside the ring: {x.vars}")
+            x = x.in_vars(self.vars)
+        nils = self.nil_monomials
+        terms = {
+            exp: coef for exp, coef in x.terms.items()
+            if not any(all(e >= n for e, n in zip(exp, nil)) for nil in nils)
+        }
+        return x if len(terms) == len(x.terms) else MultiPoly._trusted(self.vars, terms)
 
     def reduce_matrix(self, m: RingMatrix) -> RingMatrix:
-        return m.map_entries(self.reduce)
+        return RingMatrix._trusted([[self.reduce(x) for x in row] for row in m.entries])
 
     def variable(self, name: str) -> MultiPoly:
         if name not in self.vars:
@@ -70,27 +77,35 @@ class QuotientRing:
         return MultiPoly.variable(name).in_vars(self.vars)
 
 
-def _poly_coords(polys: Sequence[MultiPoly], vars_: tuple):
-    """Common monomial coordinates for a family of polynomials."""
-    monos = sorted({exp for p in polys for exp in p.in_vars(vars_).terms})
-    rows = []
+def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
+    return ring.reduce(x if isinstance(x, MultiPoly) else MultiPoly.constant(x, ring.vars))
+
+
+def _integer_row(p: MultiPoly, columns: dict) -> dict:
+    """The coefficients of p, scaled by their common denominator, keyed by monomial column."""
+    den = lcm(*[c.denominator for c in p.terms.values()])
+    return {columns[exp]: c.numerator * (den // c.denominator) for exp, c in p.terms.items()}
+
+
+def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
+    """(monomial columns, integer echelon rows) of the span of the reduced basis elements."""
+    polys = [_reduced_poly(b, ring) for b in basis]
+    columns = {exp: k for k, exp in enumerate(sorted({exp for p in polys for exp in p.terms}))}
+    rows = IntegerEliminator()
     for p in polys:
-        terms = p.in_vars(vars_).terms
-        rows.append([terms.get(mo, Fraction(0)) for mo in monos])
-    return rows
+        rows.add_row(_integer_row(p, columns))
+    return columns, rows
+
+
+def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
+    columns, rows = span
+    p = _reduced_poly(p, ring)
+    return all(exp in columns for exp in p.terms) and rows.spans(_integer_row(p, columns))
 
 
 def in_span(p: Ring, basis: Sequence[Ring], ring: QuotientRing) -> bool:
     """Is p a Q-linear combination of the basis elements, inside the quotient?"""
-    p = ring.reduce(p if isinstance(p, MultiPoly) else MultiPoly.constant(p, ring.vars))
-    if p.is_zero():
-        return True
-    polys = [ring.reduce(b if isinstance(b, MultiPoly) else MultiPoly.constant(b, ring.vars))
-             for b in basis]
-    base_rows = _poly_coords(polys + [p], ring.vars)
-    without = matrix_rank(base_rows[:-1])
-    with_p = matrix_rank(base_rows)
-    return with_p == without
+    return _in_span_rows(p, _span_rows(basis, ring), ring)
 
 
 # -- GMA type -----------------------------------------------------------
@@ -187,6 +202,10 @@ class GmaSpec:
     blocks: Mapping  # (i, j) -> tuple of MultiPoly spanning A_(i,j), i != j
     tau_signs: Mapping  # frozenset({i, j}) -> +-1
     J_delta: RingMatrix = field(init=False, repr=False)
+    # (i, j) -> (monomial columns, integer echelon rows) of span(i, j), i != j
+    _spans: dict = field(init=False, repr=False, compare=False)
+    # (perm, sign, inverse of perm): J_delta[a][perm[a]] = sign[a] is the one nonzero in row a
+    _j_perm: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         blocks = {}
@@ -205,7 +224,16 @@ class GmaSpec:
             signs[pair] = int(s)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "tau_signs", signs)
-        object.__setattr__(self, "J_delta", build_J_delta(self.type))
+        jd = build_J_delta(self.type)
+        object.__setattr__(self, "J_delta", jd)
+        r = self.type.r
+        spans = {(i, j): _span_rows(self.span(i, j), self.ring)
+                 for i in range(1, r + 1) for j in range(1, r + 1) if i != j}
+        object.__setattr__(self, "_spans", spans)
+        perm = tuple(next(b for b, x in enumerate(row) if x) for row in jd.entries)
+        sign = tuple(int(row[b]) for row, b in zip(jd.entries, perm))
+        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
+        object.__setattr__(self, "_j_perm", (perm, sign, inv))
 
     @property
     def n(self) -> int:
@@ -229,14 +257,14 @@ class GmaSpec:
         off = self.type.offsets()
         for i in range(1, self.type.r + 1):
             for j in range(1, self.type.r + 1):
-                basis = self.span(i, j)
+                span = self._spans.get((i, j))
                 for a in range(off[i - 1], off[i]):
                     for b in range(off[j - 1], off[j]):
                         x = m[a, b]
                         if i == j:
                             ok = isinstance(x, Fraction) or self.ring.reduce(x).is_constant()
                         else:
-                            ok = in_span(x, basis, self.ring)
+                            ok = _in_span_rows(x, span, self.ring)
                         if not ok:
                             raise MembershipError(
                                 f"entry ({a},{b}) = {x} outside the declared span of block ({i},{j})"
@@ -246,16 +274,13 @@ class GmaSpec:
 def delta_involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """M -> J_delta tau(M)^T J_delta^(-1) with tau the per-block sign rescaling."""
     spec.check_membership(m)
+    return _involution(spec, m)
+
+
+def _involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
+    """``delta_involution`` of a matrix already known to lie in the GMA."""
     n = spec.n
-    # J_delta has one entry +-1 per row: J_delta[a][perm[a]] = sign[a].
-    perm, sign = [], []
-    for row in spec.J_delta.entries:
-        b = next(b for b, x in enumerate(row) if x != 0)
-        perm.append(b)
-        sign.append(row[b])
-    inv = [0] * n
-    for a, b in enumerate(perm):
-        inv[b] = a
+    perm, sign, inv = spec._j_perm
     block = [k for k, dim in enumerate(spec.type.dims, 1) for _ in range(dim)]
     # With J_delta^(-1) = -J_delta, entry (a, b) of J_delta tau(M)^T J_delta^(-1)
     # is -sign[a] * sign[c] * tau(M)[c][perm[a]] for c = inv[b].
@@ -269,7 +294,7 @@ def delta_involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
             s = -sign[a] * sign[c] * spec.sign(block[c], block[p])
             row.append(x if s == 1 else -x)
         rows.append(row)
-    return spec.ring.reduce_matrix(RingMatrix(rows))
+    return spec.ring.reduce_matrix(RingMatrix._trusted(rows))
 
 
 def validate_standard_gma(spec: GmaSpec) -> dict:
@@ -278,26 +303,19 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
     t = spec.type
     ring = spec.ring
 
-    def spans_equal(b1, b2):
-        rows1 = _poly_coords(list(b1) + list(b2), ring.vars) if (b1 or b2) else []
-        if not rows1:
-            return True
-        r_all = matrix_rank(rows1)
-        r1 = matrix_rank(rows1[: len(b1)]) if b1 else 0
-        r2 = matrix_rank(rows1[len(b1):]) if b2 else 0
-        return r_all == r1 == r2
+    def spans_inside(b1, b2):
+        return all(_in_span_rows(x, spec._spans[b2], ring) for x in spec.span(*b1))
 
     for i in range(1, t.r + 1):
         for j in range(1, t.r + 1):
             if i == j:
                 continue
             si, sj = t.apply(i), t.apply(j)
-            if not spans_equal(spec.span(i, j), spec.span(sj, si)):
+            if not (spans_inside((i, j), (sj, si)) and spans_inside((sj, si), (i, j))):
                 violations.append(f"span({i},{j}) != span({sj},{si})")
             if spec.sign(i, j) != spec.sign(si, sj):
                 violations.append(f"tau sign of ({i},{j}) differs from ({si},{sj})")
             for k in range(1, t.r + 1):
-                target = spec.span(i, k)
                 for x in spec.span(i, j):
                     for y in spec.span(j, k) if j != k else (MultiPoly.constant(1, ring.vars),):
                         prod = ring.reduce(x * y)
@@ -308,7 +326,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
                                 violations.append(
                                     f"closure: span({i},{j})*span({j},{k}) leaves Q at block ({i},{i})"
                                 )
-                        elif not in_span(prod, target, ring):
+                        elif not _in_span_rows(prod, spec._spans[(i, k)], ring):
                             violations.append(
                                 f"closure: span({i},{j})*span({j},{k}) not inside span({i},{k})"
                             )
@@ -344,9 +362,7 @@ def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
     spec.check_membership(m)
     trace = _constant_or_raise(spec.ring.reduce(m.trace()), "GMA trace")
     det = _constant_or_raise(spec.ring.reduce(mat_det(m)), "GMA determinant")
-    pf = None
-    if delta_involution(spec, m) == m:
-        pf = gma_pfaffian(spec, m)
+    pf = _pfaffian_law(spec, m) if _involution(spec, m) == m else None
     return trace, det, pf
 
 
@@ -354,7 +370,20 @@ def gma_pfaffian(spec: GmaSpec, m: RingMatrix) -> Fraction:
     """The degree-d law with square det and value 1 at the identity."""
     if delta_involution(spec, m) != m:
         raise StructureError("Pfaffian law requires a symmetric GMA element")
-    mj = spec.ring.reduce_matrix(m * spec.J_delta)
+    return _pfaffian_law(spec, m)
+
+
+def _times_j_delta(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
+    """M J_delta: column perm[c] of the product is sign[c] times column c of M."""
+    perm, sign, inv = spec._j_perm
+    return RingMatrix._trusted(
+        [[row[c] if sign[c] == 1 else -row[c] for c in inv] for row in m.entries]
+    )
+
+
+def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
+    """``gma_pfaffian`` of a matrix already known to be a symmetric GMA element."""
+    mj = spec.ring.reduce_matrix(_times_j_delta(spec, m))
     if is_alternating(mj):
         pf_jd = pfaffian(spec.J_delta)
         return _constant_or_raise(

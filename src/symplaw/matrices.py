@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
 from typing import Callable, Sequence
@@ -242,6 +243,13 @@ def _product(a: Sequence, b: Sequence) -> list:
     return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
 
 
+def trace_of_product(a: RingMatrix, b: RingMatrix) -> Ring:
+    """tr(AB) = sum a_ik b_ki, without forming AB."""
+    if a.cols != b.rows or a.rows != b.cols:
+        raise DimensionError("shape mismatch in trace of a product")
+    return reduce(add, map(mul, chain(*a.entries), chain(*zip(*b.entries))))
+
+
 def mat_det(m: RingMatrix) -> Ring:
     """Exact determinant of a square matrix over Fraction or MultiPoly entries."""
     if not m.is_square():
@@ -438,16 +446,27 @@ class IntegerEliminator:
 
     def add_row(self, row: dict) -> bool:
         """Add a row; True if it raised the rank."""
+        row = self._residue(row)
+        if not row:
+            return False
+        g = gcd(*row.values())
+        if g > 1:
+            row = {col: v // g for col, v in row.items()}
+        self.pivots[min(row)] = row
+        return True
+
+    def spans(self, row: dict) -> bool:
+        """Is the row in the span of the rows added so far?  The echelon form is not changed."""
+        return not self._residue(row)
+
+    def _residue(self, row: dict) -> dict:
+        """The row cleared against the pivot rows until its leading column has no pivot."""
         row = {c: v for c, v in row.items() if v}
         while row:
             c = min(row)
             piv = self.pivots.get(c)
             if piv is None:
-                g = gcd(*row.values())
-                if g > 1:
-                    row = {col: v // g for col, v in row.items()}
-                self.pivots[c] = row
-                return True
+                break
             a, b = piv[c], row[c]
             g = gcd(a, b)
             fa, fb = a // g, b // g
@@ -455,4 +474,4 @@ class IntegerEliminator:
             for col, v in piv.items():
                 new[col] = new.get(col, 0) - fb * v
             row = {col: v for col, v in new.items() if v}
-        return False
+        return row

@@ -4,8 +4,11 @@ A polynomial stores an ordered tuple of variable names (kept sorted, so the
 ordering is canonical) and a dict mapping exponent tuples to nonzero
 ``Fraction`` coefficients.  All arithmetic is exact; there is no floating
 point anywhere.  Polynomials interoperate with ``Fraction`` and ``int``
-scalars, which are lifted to constants on demand, so matrix code can stay
+scalars, which act on the coefficients directly, so matrix code can stay
 agnostic about whether an entry is a scalar or a polynomial.
+
+The public constructor validates its input; arithmetic results are built
+from validated operands by the private ``MultiPoly._trusted``, unchecked.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -13,6 +16,7 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Union
 
 from .errors import VariableError
@@ -41,13 +45,21 @@ class MultiPoly:
         clean = {}
         for exp, coef in terms.items():
             exp = tuple(exp)
-            if len(exp) != len(vs):
-                raise VariableError(f"exponent {exp} does not match variables {vs}")
+            if len(exp) != len(vs) or not all(type(e) is int and e >= 0 for e in exp):
+                raise VariableError(f"exponent {exp} is not {len(vs)} non-negative ints for {vs}")
             c = _as_fraction(coef)
             if c != 0:
                 clean[exp] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
+
+    @classmethod
+    def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Unchecked: sorted distinct variables, Fraction coefficients; zeros are dropped."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "vars", variables)
+        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
@@ -108,53 +120,48 @@ class MultiPoly:
         union = tuple(sorted(set(a.vars) | set(b.vars)))
         return a.in_vars(union), b.in_vars(union)
 
-    def _lift(self, other) -> "MultiPoly | None":
-        if isinstance(other, MultiPoly):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return MultiPoly.constant(other, self.vars)
-        return None
-
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = MultiPoly._aligned(self, o)
-        terms = dict(a.terms)
-        for exp, coef in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + coef
-        return MultiPoly(a.vars, terms)
+        if isinstance(other, MultiPoly):
+            a, b = MultiPoly._aligned(self, other)
+            terms = dict(a.terms)
+            for exp, coef in b.terms.items():
+                terms[exp] = terms[exp] + coef if exp in terms else coef
+            return MultiPoly._trusted(a.vars, terms)
+        if isinstance(other, (int, Fraction)):
+            if not other:
+                return self
+            one = (0,) * len(self.vars)
+            terms = dict(self.terms)
+            terms[one] = terms[one] + other if one in terms else _as_fraction(other)
+            return MultiPoly._trusted(self.vars, terms)
+        return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self + (-other) if isinstance(other, (MultiPoly, int, Fraction)) else NotImplemented
 
     def __rsub__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        return o + (-self)
+        return -self + other if isinstance(other, (int, Fraction)) else NotImplemented
 
     def __mul__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = MultiPoly._aligned(self, o)
-        terms: dict = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MultiPoly(a.vars, terms)
+        if isinstance(other, MultiPoly):
+            a, b = MultiPoly._aligned(self, other)
+            terms: dict = {}
+            for e1, c1 in a.terms.items():
+                for e2, c2 in b.terms.items():
+                    exp = tuple(map(add, e1, e2))
+                    c = c1 * c2
+                    terms[exp] = terms[exp] + c if exp in terms else c
+            return MultiPoly._trusted(a.vars, terms)
+        if isinstance(other, (int, Fraction)):
+            return MultiPoly._trusted(self.vars, {e: c * other for e, c in self.terms.items()})
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -171,11 +178,12 @@ class MultiPoly:
         return result
 
     def __eq__(self, other):
-        o = self._lift(other)
-        if o is None:
-            return NotImplemented
-        a, b = MultiPoly._aligned(self, o)
-        return a.terms == b.terms
+        if isinstance(other, MultiPoly):
+            a, b = MultiPoly._aligned(self, other)
+            return a.terms == b.terms
+        if isinstance(other, (int, Fraction)):
+            return self.terms == ({(0,) * len(self.vars): other} if other else {})
+        return NotImplemented
 
     def __hash__(self):
         # Hash ignores unused variables so that equal values hash equally.

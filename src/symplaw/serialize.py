@@ -75,10 +75,15 @@ def poly_from_json(obj) -> MultiPoly:
         return MultiPoly.constant(obj)
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
         raise SchemaError(f"bad polynomial object: {obj!r}")
-    variables = tuple(obj["vars"])
+    variables, raw_terms = obj["vars"], obj["terms"]
+    if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
+            and isinstance(raw_terms, list)):
+        raise SchemaError(f"polynomial needs a list of variable names and a list of terms: {obj!r}")
     terms = {}
-    for t in obj["terms"]:
-        exp = tuple(int(e) for e in t["exp"])
+    for t in raw_terms:
+        if not isinstance(t, dict) or not isinstance(t.get("exp"), list) or "coef" not in t:
+            raise SchemaError(f"polynomial term must be {{'exp': [..], 'coef': ..}}, got {t!r}")
+        exp = tuple(int_from_json(e, "exponent") for e in t["exp"])  # MultiPoly refuses e < 0
         terms[exp] = terms.get(exp, Fraction(0)) + fraction_from_json(t["coef"])
     try:
         return MultiPoly(variables, terms)
@@ -107,12 +112,12 @@ def parse_poly_string(text: str) -> MultiPoly:
             if factor[0].isdigit():
                 coef *= fraction_from_json(factor)
             else:
-                name, _, exp = factor.partition("^")
+                name, caret, exp = factor.partition("^")
                 if not name.isidentifier():
                     raise SchemaError(f"bad variable {name!r} in {text!r}")
-                if exp and not exp.isdecimal():
+                if caret and not exp.isdecimal():
                     raise SchemaError(f"bad exponent {exp!r} in {text!r}")
-                factors[name] = factors.get(name, 0) + (int(exp) if exp else 1)
+                factors[name] = factors.get(name, 0) + (int(exp) if caret else 1)
         vs = tuple(sorted(factors))
         term = MultiPoly(vs, {tuple(factors[v] for v in vs): coef})
         total = term if total is None else total + term

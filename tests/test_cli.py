@@ -237,7 +237,7 @@ def _assert_one_line_error(code, captured):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("coef", ["1/0", "2/0*c", "1/x*c", "c^x"])
+@pytest.mark.parametrize("coef", ["1/0", "2/0*c", "1/x*c", "c^x", "u^-1", "u^", "2*u^*v"])
 def test_malformed_poly_string_coefficient_exits_2(tmp_path, capsys, coef):
     blob = {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": coef}]}, "law": "D"}
     code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
@@ -265,3 +265,32 @@ def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
     path = _write(tmp_path, {**_GMA_INPUT, field: value})
     code = main(["suite", "gma", "--trials", "2", "--input", path])
     _assert_one_line_error(code, capsys.readouterr())
+
+
+@pytest.mark.parametrize(
+    "coef",
+    [
+        {"vars": ["u"], "terms": [{"exp": [-1], "coef": 1}]},
+        {"vars": ["u"], "terms": [{"exp": ["x"], "coef": 1}]},
+        {"vars": ["u"], "terms": [{"coef": 1}]},
+        {"vars": ["u"], "terms": [{"exp": [1.5], "coef": 1}]},
+        {"vars": ["u"], "terms": [{"exp": [True], "coef": 1}]},
+        {"vars": "uv", "terms": [{"exp": [1, 0], "coef": 1}]},
+        {"vars": ["u"], "terms": "ab"},
+        {"vars": ["u"], "terms": ["ab"]},
+    ],
+    ids=["negative_exp", "string_exp", "missing_exp", "float_exp", "bool_exp", "string_vars",
+         "string_terms", "string_term"],
+)
+def test_malformed_polynomial_object_exits_2(tmp_path, capsys, coef):
+    blob = {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": coef}]}, "law": "D"}
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
+    _assert_one_line_error(code, capsys.readouterr())
+
+
+def test_polynomial_object_with_string_exponent_is_read(tmp_path, capsys):
+    coef = {"vars": ["u"], "terms": [{"exp": ["2"], "coef": 1}]}
+    blob = {"rep": _REP_4, "element": {"terms": [{"word": "1", "coef": coef}]}, "law": "D"}
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out) == {"D": "u^8"}

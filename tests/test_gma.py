@@ -21,8 +21,9 @@ from symplaw.gma import (
     random_symmetric_gma_element,
     standard_fixture,
     validate_standard_gma,
+    _times_j_delta,
 )
-from symplaw.matrices import RingMatrix, mat_det
+from symplaw.matrices import RingMatrix, mat_det, matrix_rank, trace_of_product
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import is_alternating, pfaffian
 
@@ -248,3 +249,130 @@ def test_chi_p_nonzero_on_random_symmetric_counterexample_elements():
             found_nonzero = True
             assert kernel_probe(ce, chi, trials=10, seed=58)
     assert found_nonzero
+
+
+# -- the per-spec span rows against the dense definitions ---------------------
+
+
+def reference_in_span(p, basis, ring):
+    """Span membership as the rank of the basis coordinates, with and without p."""
+    def reduced(x):
+        return ring.reduce(x if isinstance(x, MultiPoly) else MultiPoly.constant(x, ring.vars))
+
+    p = reduced(p)
+    if p.is_zero():
+        return True
+    polys = [reduced(b) for b in basis] + [p]
+    monos = sorted({exp for q in polys for exp in q.terms})
+    rows = [[q.terms.get(mo, Fraction(0)) for mo in monos] for q in polys]
+    return matrix_rank(rows[:-1]) == matrix_rank(rows)
+
+
+def redundant_basis_spec():
+    """Non-monomial, redundant block bases in Q[u, v, w] / (all monomials of degree 2)."""
+    t = GmaType(i0=(1,), i1=(2,), i2=(3,), sigma=(1, 3, 2), dims=(2, 1, 1))
+    nils = ((2, 0, 0), (0, 2, 0), (0, 0, 2), (1, 1, 0), (1, 0, 1), (0, 1, 1))
+    ring = QuotientRing(("u", "v", "w"), nils)
+    u, v, w = (ring.variable(x) for x in ("u", "v", "w"))
+    blocks = {
+        (1, 2): (u + v, 2 * u + 2 * v, u - v),
+        (2, 1): (u + w, 2 * u + 2 * w),
+        (1, 3): (Fraction(1, 2) * u - w, u * u + v, 3 * v - 6 * w + u),
+    }
+    return GmaSpec(t, ring, blocks, {})
+
+
+def _candidates(spec, basis, rng):
+    ring = spec.ring
+    monos = [ring.variable(x) for x in ring.vars]
+    out = [Fraction(0), MultiPoly.zero(ring.vars), Fraction(3), monos[0] * monos[0]]
+    out += list(basis) + monos
+    for _ in range(6):
+        acc = MultiPoly.zero(ring.vars)
+        for b in basis:
+            acc = acc + Fraction(rng.randint(-4, 4), rng.randint(1, 3)) * b
+        out += [acc, acc + monos[0] * monos[-1], acc + rng.choice(monos), acc + 1]
+    return out
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       redundant_basis_spec])
+def test_span_rows_agree_with_the_rank_test(make_spec):
+    spec = make_spec()
+    rng = random.Random(61)
+    off = spec.type.offsets()
+    seen = set()
+    for i in range(1, spec.type.r + 1):
+        for j in range(1, spec.type.r + 1):
+            if i == j:
+                continue
+            basis = spec.span(i, j)
+            for x in _candidates(spec, basis, rng):
+                expected = reference_in_span(x, basis, spec.ring)
+                seen.add(expected)
+                assert in_span(x, basis, spec.ring) == expected
+                rows = [[Fraction(0)] * spec.n for _ in range(spec.n)]
+                rows[off[i - 1]][off[j - 1]] = x
+                m = RingMatrix(rows)
+                if expected:
+                    spec.check_membership(m)
+                else:
+                    with pytest.raises(MembershipError):
+                        spec.check_membership(m)
+    assert seen == {True, False}
+
+
+def test_in_span_of_a_redundant_non_monomial_basis():
+    spec = redundant_basis_spec()
+    u, v, w = (spec.ring.variable(x) for x in ("u", "v", "w"))
+    assert in_span(3 * u - v, spec.span(1, 2), spec.ring)
+    assert not in_span(w, spec.span(1, 2), spec.ring)  # foreign monomial
+    assert in_span(Fraction(-1, 3) * u - Fraction(1, 3) * w, spec.span(2, 1), spec.ring)
+    assert not in_span(u - w, spec.span(2, 1), spec.ring)  # in the coordinates, not the span
+    assert not in_span(u, spec.span(2, 1), spec.ring)
+
+
+def _with_foreign_entry(spec, m):
+    """m with one entry of an off-diagonal block replaced by a monomial outside its span."""
+    off = spec.type.offsets()
+    rows = [list(r) for r in m.entries]
+    for x in (spec.ring.variable(v) for v in spec.ring.vars):
+        if not in_span(x, spec.span(1, 2), spec.ring):
+            rows[off[0]][off[1]] = x
+            return RingMatrix(rows)
+    raise AssertionError("every ring variable lies in span(1, 2)")
+
+
+@pytest.mark.parametrize("fn", [delta_involution, gma_pfaffian, gma_chi_p, gma_trace_det_pf])
+def test_every_entry_point_refuses_a_non_member(fn):
+    rng = random.Random(62)
+    for spec in (standard_fixture(), counterexample_fixture()):
+        bad = _with_foreign_entry(spec, random_symmetric_gma_element(spec, rng))
+        with pytest.raises(MembershipError):
+            fn(spec, bad)
+
+
+def test_times_j_delta_matches_the_dense_product():
+    rng = random.Random(63)
+    for spec in (standard_fixture(), counterexample_fixture(), redundant_basis_spec()):
+        for _ in range(10):
+            m = random_gma_element(spec, rng)
+            assert _times_j_delta(spec, m) == m * spec.J_delta
+        q = RingMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(spec.n)]
+                        for _ in range(spec.n)])
+        assert _times_j_delta(spec, q) == q * spec.J_delta
+
+
+def test_trace_of_product_matches_the_trace_of_the_product():
+    rng = random.Random(64)
+    for n in (1, 2, 4):
+        a, b = (RingMatrix([[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(n)]
+                            for _ in range(n)]) for _ in range(2))
+        assert trace_of_product(a, b) == (a * b).trace()
+    for spec in (standard_fixture(), counterexample_fixture(), redundant_basis_spec()):
+        for _ in range(10):
+            x, y = random_gma_element(spec, rng), random_gma_element(spec, rng)
+            assert trace_of_product(x, y) == (x * y).trace()
+    wide = RingMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
+    tall = RingMatrix([[Fraction(4)], [Fraction(5)], [Fraction(6)]])
+    assert trace_of_product(wide, tall) == (wide * tall).trace() == 32

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from symplaw.errors import VariableError
+from symplaw.gma import QuotientRing
 from symplaw.multipoly import MultiPoly, fresh_var, poly_coefficient
 
 
@@ -103,3 +104,86 @@ def test_fresh_var():
 def test_str_is_canonical():
     p = MultiPoly(("x", "y"), {(0, 1): Fraction(-1), (1, 0): Fraction(1, 2), (0, 0): Fraction(3)})
     assert str(p) == "1/2*x - y + 3"
+
+
+def test_constructor_refuses_bad_exponents():
+    for exp in ((-1,), (1.5,), ("2",), (True,)):
+        with pytest.raises(VariableError):
+            MultiPoly(("x",), {exp: Fraction(1)})
+
+
+def _rebuilt(p):
+    """The same polynomial through the validating public constructor."""
+    return MultiPoly(p.vars, p.terms)
+
+
+def _assert_trusted(result, expected):
+    assert result == expected == _rebuilt(result)
+    assert result.terms == expected.terms
+    assert hash(result) == hash(expected)
+    assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+
+
+def test_trusted_arithmetic_matches_validated_construction():
+    rng = random.Random(5)
+    scalars = [0, 1, -3, Fraction(0), Fraction(2, 3), Fraction(-5, 7)]
+    for _ in range(300):
+        variables = rng.choice((("x", "y"), ("x",), ("y", "z")))
+        p = rand_poly(rng, variables)
+        q = rand_poly(rng, rng.choice((variables, ("x", "y", "z"))))
+        c = rng.choice(scalars)
+        union = tuple(sorted(set(p.vars) | set(q.vars)))
+        pu, qu = p.in_vars(union), q.in_vars(union)
+
+        total, difference = dict(pu.terms), dict(pu.terms)
+        for e, v in qu.terms.items():
+            total[e] = total.get(e, 0) + v
+            difference[e] = difference.get(e, 0) - v
+        _assert_trusted(p + q, MultiPoly(union, total))
+        _assert_trusted(p - q, MultiPoly(union, difference))
+
+        product: dict = {}
+        for e1, v1 in pu.terms.items():
+            for e2, v2 in qu.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                product[e] = product.get(e, 0) + v1 * v2
+        _assert_trusted(p * q, MultiPoly(union, product))
+
+        _assert_trusted(-p, MultiPoly(p.vars, {e: -v for e, v in p.terms.items()}))
+        one = (0,) * len(p.vars)
+        shifted = dict(p.terms)
+        shifted[one] = shifted.get(one, 0) + c
+        for result in (p + c, c + p):
+            _assert_trusted(result, MultiPoly(p.vars, shifted))
+        scaled = MultiPoly(p.vars, {e: v * c for e, v in p.terms.items()})
+        for result in (p * c, c * p):
+            _assert_trusted(result, scaled)
+        _assert_trusted(p + (-p), MultiPoly(p.vars, {}))
+        negated = {e: -v for e, v in p.terms.items()}
+        negated[one] = negated.get(one, 0) + c
+        _assert_trusted(c - p, MultiPoly(p.vars, negated))
+
+
+def test_scalar_results_store_fractions():
+    x = MultiPoly.variable("x")
+    assert (x + 1).terms == {(1,): Fraction(1), (0,): Fraction(1)}
+    assert type((x + 1).terms[(0,)]) is Fraction
+    assert type((1 - x).terms[(0,)]) is Fraction
+    assert all(type(c) is Fraction for c in (x * 3).terms.values())
+    assert (x * 0).is_zero() and (x * 0).vars == ("x",)
+    assert x + 0 is x
+
+
+def test_quotient_reduce_drops_exactly_the_nil_divisible_terms():
+    rng = random.Random(6)
+    ring = QuotientRing(("u", "v"), ((2, 0), (1, 1), (0, 3)))
+    for _ in range(200):
+        p = rand_poly(rng, rng.choice((("u", "v"), ("u",), ("v",))), max_terms=6)
+        r = ring.reduce(p)
+        kept = {e: c for e, c in p.in_vars(ring.vars).terms.items()
+                if not (e[0] >= 2 or (e[0] >= 1 and e[1] >= 1) or e[1] >= 3)}
+        assert r.vars == ring.vars
+        assert r == MultiPoly(ring.vars, kept)
+        assert r.terms == kept
+        assert all(type(c) is Fraction for c in r.terms.values())
+        assert ring.reduce(r) is r
