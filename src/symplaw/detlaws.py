@@ -116,6 +116,8 @@ class InvolutiveRepresentation:
     lambda_values: tuple
     kind: str = "Sp"
     _inverses: tuple = field(init=False, repr=False)
+    # word -> rho(word), every prefix of a cached word included; outside eq, hash and repr
+    _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("Sp", "GSp"):
@@ -132,7 +134,13 @@ class InvolutiveRepresentation:
             raise StructureError("Sp representation must have all similitudes equal to 1")
         object.__setattr__(self, "generator_images", images)
         object.__setattr__(self, "lambda_values", lams)
-        object.__setattr__(self, "_inverses", tuple(m.inverse() for m in images))
+        inverses = tuple(m.inverse() for m in images)
+        object.__setattr__(self, "_inverses", inverses)
+        cache = {(): RingMatrix.identity(self.ctx.n)}
+        for gen, (m, mi) in enumerate(zip(images, inverses), 1):
+            cache[((gen, 1),)] = m
+            cache[((gen, -1),)] = mi
+        object.__setattr__(self, "_images", cache)
 
     @staticmethod
     def from_images(images: Sequence[RingMatrix], kind: str = "Sp") -> "InvolutiveRepresentation":
@@ -155,12 +163,22 @@ class InvolutiveRepresentation:
             raise GeneratorError(f"word uses g{top} but only {self.num_generators} generators exist")
 
     def rho_word(self, w: Word) -> RingMatrix:
+        """rho(w), memoized: a new word extends its longest cached prefix, one product per letter."""
+        cache = self._images
+        w = tuple(w)
+        m = cache.get(w)
+        if m is not None:
+            return m
         self._check_word(w)
-        m = None
-        for gen, sign in w:
-            g = self.generator_images[gen - 1] if sign > 0 else self._inverses[gen - 1]
-            m = g if m is None else m * g
-        return RingMatrix.identity(self.ctx.n) if m is None else m
+        k = len(w) - 1
+        while w[:k] not in cache:
+            k -= 1
+        m = cache[w[:k]]
+        for i in range(k, len(w)):
+            gen, sign = w[i]
+            m = m * (self.generator_images[gen - 1] if sign > 0 else self._inverses[gen - 1])
+            cache[w[: i + 1]] = m
+        return m
 
     def lambda_of_word(self, w: Word) -> Fraction:
         self._check_word(w)

@@ -9,22 +9,28 @@ themselves, so it serves rational, polynomial and quotient-ring entries
 alike.  Every check in this library lives at dimension <= 12, so no sparse
 or asymptotically clever machinery is needed.
 
-When every entry of a matrix is a Fraction, the kernels clear denominators
-once, A = B / delta with B an integer matrix, run their loop on Python ints
-and restore delta once at the end: the product is B1 B2 / (delta1 delta2),
+A matrix whose entries are all Fractions keeps one cleared form (B, delta):
+B a tuple of integer rows and delta > 0 the least common denominator, so
+that A = B / delta and gcd(delta, content of B) = 1.  That pair is unique
+for each rational matrix.  It is fixed when the matrix is built, and the
+kernels run on Python ints and normalize their results the same way: the
+product is B1 B2 / (delta1 delta2), sums, negation, scalar multiples,
+transposes and the signed reindexing of ``RingMatrix.rearranged`` keep or
+rescale delta, equality compares the pairs, the trace is tr(B) / delta,
 the k-th characteristic-polynomial coefficient c_k(B) / delta^k, the
-determinant det(B) / delta^n, the inverse delta B^(-1) (integer
-Gauss-Jordan, each row divided by its content) and the rank rank(B).  The
-division-free routines (cofactor expansion, Berkowitz, and the Pfaffian
-recursion in ``symplectic``) run unchanged on either B or the original
-entries.  Results are Fractions again, equal to what the same algorithm
-gives over Q; any other entries take the generic path.
+determinant det(B) / delta^n and the inverse delta B^(-1) (integer
+Gauss-Jordan, each row divided by its content).  No Fraction is built in
+between: a result of these kernels makes its Fraction ``entries`` only when
+they are read (``entries``, ``m[i, j]``, JSON output).  The division-free
+routines (cofactor expansion, Berkowitz, and the Pfaffian recursion in
+``symplectic``) run unchanged on either B or the entries.  Matrices with
+MultiPoly entries have no cleared form and take the generic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
+from functools import partial, reduce
 from itertools import chain
 from math import gcd, lcm
 from operator import add, mul
@@ -52,9 +58,10 @@ def entry_is_zero(x: Ring) -> bool:
 
 
 def _integer_rows(entries) -> tuple | None:
-    """(B, delta) with entries = B / delta, if every entry is a Fraction, else None.
+    """(B, delta) in normalized form with entries = B / delta, if every entry is a Fraction.
 
-    B is a list of integer rows and delta > 0 the least common denominator.
+    B is a tuple of integer rows and delta > 0 the least common denominator,
+    so gcd(delta, content of B) = 1.  None if some entry is not a Fraction.
     """
     for row in entries:
         for x in row:
@@ -62,11 +69,22 @@ def _integer_rows(entries) -> tuple | None:
                 return None
     ratios = [list(map(Fraction.as_integer_ratio, row)) for row in entries]
     den = lcm(*[q for row in ratios for _, q in row])
-    return [[p * (den // q) for p, q in row] for row in ratios], den
+    return tuple(tuple([p * (den // q) for p, q in row]) for row in ratios), den
+
+
+_sum_from_first = partial(reduce, add)  # a sum that starts from its first term, not from 0
 
 
 class RingMatrix:
-    __slots__ = ("rows", "cols", "entries")
+    """An immutable matrix over Fraction or MultiPoly entries.
+
+    A matrix whose entries are all Fractions also holds its cleared form
+    (``_ints``, ``_den``) and the kernels run on it; a result they build is a
+    ``_LazyEntries`` matrix, which makes its Fraction ``entries`` on first
+    read.  Any other matrix has ``_ints = None`` and works on ``entries``.
+    """
+
+    __slots__ = ("rows", "cols", "entries", "_ints", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(exact_scalar(x) for x in row) for row in entries)
@@ -75,18 +93,33 @@ class RingMatrix:
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):
             raise DimensionError("ragged rows")
-        object.__setattr__(self, "rows", len(rows))
-        object.__setattr__(self, "cols", ncols)
-        object.__setattr__(self, "entries", rows)
+        _fill(self, rows)
 
     @classmethod
     def _trusted(cls, rows) -> "RingMatrix":
         """A matrix on nonempty rectangular rows of Fraction or MultiPoly entries, unchecked."""
         m = object.__new__(cls)
-        entries = tuple(map(tuple, rows))
-        object.__setattr__(m, "rows", len(entries))
-        object.__setattr__(m, "cols", len(entries[0]))
-        object.__setattr__(m, "entries", entries)
+        _fill(m, tuple(map(tuple, rows)))
+        return m
+
+    @staticmethod
+    def _cleared(ints, den: int) -> "RingMatrix":
+        """The matrix B / delta for nonempty rectangular integer rows B and delta > 0.
+
+        The pair is brought to normalized form, gcd(delta, content of B) = 1;
+        the Fraction entries are made only if they are read.
+        """
+        ints = tuple(map(tuple, ints))
+        if den > 1:
+            g = gcd(den, *chain.from_iterable(ints))
+            if g > 1:
+                den //= g
+                ints = tuple(tuple([x // g for x in row]) for row in ints)
+        m = object.__new__(_LazyEntries)
+        _set_rows(m, len(ints))
+        _set_cols(m, len(ints[0]))
+        _set_ints(m, ints)
+        _set_den(m, den)
         return m
 
     def __setattr__(self, name, value):
@@ -94,18 +127,19 @@ class RingMatrix:
 
     @staticmethod
     def identity(n: int) -> "RingMatrix":
-        return RingMatrix(
-            [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-        )
+        return RingMatrix._cleared([[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     @staticmethod
     def zeros(rows: int, cols: int | None = None) -> "RingMatrix":
         cols = rows if cols is None else cols
-        return RingMatrix([[Fraction(0)] * cols for _ in range(rows)])
+        return RingMatrix._cleared([[0] * cols for _ in range(rows)], 1)
 
     @staticmethod
     def scalar(n: int, c) -> "RingMatrix":
         c = exact_scalar(c)
+        if isinstance(c, Fraction):
+            p, q = c.as_integer_ratio()
+            return RingMatrix._cleared([[p if i == j else 0 for j in range(n)] for i in range(n)], q)
         z = Fraction(0)
         return RingMatrix([[c if i == j else z for j in range(n)] for i in range(n)])
 
@@ -121,37 +155,62 @@ class RingMatrix:
     def map_entries(self, fn: Callable) -> "RingMatrix":
         return RingMatrix([[fn(x) for x in row] for row in self.entries])
 
+    def cleared(self) -> tuple | None:
+        """(B, delta) with self = B / delta in normalized form, or None unless every entry is rational."""
+        return None if self._ints is None else (self._ints, self._den)
+
+    def rearranged(self, fn: Callable) -> "RingMatrix":
+        """The matrix with rows fn(rows), for an fn that only moves entries and negates some.
+
+        Such an fn commutes with clearing denominators, so a rational matrix
+        runs it on B and keeps delta.
+        """
+        if self._ints is None:
+            return RingMatrix._trusted(fn(self.entries))
+        return RingMatrix._cleared(fn(self._ints), self._den)
+
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in matrix addition")
-        return RingMatrix._trusted(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+        if self._ints is None or other._ints is None:
+            return RingMatrix._trusted(
+                [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
+            )
+        den = lcm(self._den, other._den)
+        f1, f2 = den // self._den, den // other._den
+        return RingMatrix._cleared(
+            [[a * f1 + b * f2 for a, b in zip(r1, r2)] for r1, r2 in zip(self._ints, other._ints)],
+            den,
         )
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
         return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
-        return self.map_entries(lambda x: -x)
+        if self._ints is None:
+            return self.map_entries(lambda x: -x)
+        return RingMatrix._cleared([[-x for x in row] for row in self._ints], self._den)
 
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
             if self.cols != other.rows:
                 raise DimensionError("shape mismatch in matrix product")
-            left, right = _integer_rows(self.entries), _integer_rows(other.entries)
-            if left is None or right is None:
-                return RingMatrix._trusted(_product(self.entries, other.entries))
-            (b1, den1), (b2, den2) = left, right
-            den = den1 * den2
-            return RingMatrix._trusted(
-                [[Fraction(x, den) for x in row] for row in _product(b1, b2)]
-            )
-        return self.map_entries(lambda x: x * other)
+            if self._ints is None or other._ints is None:
+                return RingMatrix._trusted(_product(self.entries, other.entries, _sum_from_first))
+            return RingMatrix._cleared(_product(self._ints, other._ints), self._den * other._den)
+        return self._scaled(other, lambda x: x * other)
 
     def __rmul__(self, other):
-        return self.map_entries(lambda x: other * x)
+        return self._scaled(other, lambda x: other * x)
+
+    def _scaled(self, c, generic: Callable) -> "RingMatrix":
+        """c times the matrix: on B for a rational matrix and an int or Fraction c, else ``generic`` on each entry."""
+        if self._ints is None or not isinstance(c, (int, Fraction)):
+            return self.map_entries(generic)
+        p, q = c.as_integer_ratio()
+        return RingMatrix._cleared([[p * x for x in row] for row in self._ints], self._den * q)
 
     def __pow__(self, n: int) -> "RingMatrix":
         if not self.is_square():
@@ -172,6 +231,9 @@ class RingMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
+        if self._ints is not None and other._ints is not None:
+            # the normalized form of a rational matrix is unique
+            return self._den == other._den and self._ints == other._ints
         return all(
             a == b for r1, r2 in zip(self.entries, other.entries) for a, b in zip(r1, r2)
         )
@@ -180,21 +242,25 @@ class RingMatrix:
         return hash((self.rows, self.cols))
 
     def transpose(self) -> "RingMatrix":
-        return RingMatrix._trusted(zip(*self.entries))
+        return self.rearranged(lambda rows: zip(*rows))
 
     def trace(self) -> Ring:
         if not self.is_square():
             raise DimensionError("trace of a non-square matrix")
+        if self._ints is not None:
+            return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
         acc = self.entries[0][0]
         for i in range(1, self.rows):
             acc = acc + self.entries[i][i]
         return acc
 
     def is_zero(self) -> bool:
+        if self._ints is not None:
+            return not any(map(any, self._ints))
         return all(entry_is_zero(x) for row in self.entries for x in row)
 
     def all_rational(self) -> bool:
-        return all(isinstance(x, Fraction) for row in self.entries for x in row)
+        return self._ints is not None
 
     # -- solving (rational entries only) -------------------------------
 
@@ -208,12 +274,10 @@ class RingMatrix:
         """
         if not self.is_square():
             raise DimensionError("inverse of a non-square matrix")
-        ints = _integer_rows(self.entries)
-        if ints is None:
+        if self._ints is None:
             raise TypeError("inverse requires rational entries")
-        b, den = ints
         n = self.rows
-        aug = [row + [1 if i == j else 0 for j in range(n)] for i, row in enumerate(b)]
+        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._ints)]
         for col in range(n):
             pivot = next((r for r in range(col, n) if aug[r][col]), None)
             if pivot is None:
@@ -227,8 +291,11 @@ class RingMatrix:
                     row = [pv * x - f * y for x, y in zip(aug[r], prow)]
                     g = gcd(*row)
                     aug[r] = [x // g for x in row] if g > 1 else row
-        return RingMatrix._trusted(
-            [[Fraction(den * x, row[i]) for x in row[n:]] for i, row in enumerate(aug)]
+        # row i of the inverse is delta v_i / d_i; over the common denominator L = lcm |d_i|
+        # it is delta v_i (L / d_i) / L
+        den = lcm(*[row[i] for i, row in enumerate(aug)])
+        return RingMatrix._cleared(
+            [[self._den * (den // row[i]) * x for x in row[n:]] for i, row in enumerate(aug)], den
         )
 
     def __str__(self):
@@ -237,10 +304,51 @@ class RingMatrix:
     __repr__ = __str__
 
 
-def _product(a: Sequence, b: Sequence) -> list:
-    """The rows of A B for the rows of A and of B, each entry summed from its first product."""
+# the slot setters, called directly: RingMatrix.__setattr__ refuses every assignment
+_set_rows, _set_cols, _set_entries, _set_ints, _set_den = (
+    RingMatrix.__dict__[name].__set__ for name in RingMatrix.__slots__
+)
+
+
+def _fill(m: RingMatrix, entries: tuple):
+    """Set the shape, the entries and, if every entry is a Fraction, the cleared form of ``m``."""
+    if isinstance(entries[0][0], MultiPoly):  # the usual polynomial matrix, decided at once
+        ints = den = None
+    else:
+        ints, den = _integer_rows(entries) or (None, None)
+    _set_rows(m, len(entries))
+    _set_cols(m, len(entries[0]))
+    _set_entries(m, entries)
+    _set_ints(m, ints)
+    _set_den(m, den)
+
+
+class _LazyEntries(RingMatrix):
+    """A rational matrix built from its cleared form; ``entries`` is unset until first read.
+
+    Only this class defines ``__getattr__``, which slows every attribute
+    read of its instances a little, so other matrices do not pay for it.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name != "entries":
+            raise AttributeError(name)
+        den = self._den
+        entries = tuple(tuple([Fraction(x, den) for x in row]) for row in self._ints)
+        _set_entries(self, entries)
+        return entries
+
+
+def _product(a: Sequence, b: Sequence, total: Callable = sum) -> list:
+    """The rows of A B for the rows of A and of B; ``total`` sums the products of each entry.
+
+    The default ``sum`` serves integer rows; ring entries use a sum that
+    starts from the first product.
+    """
     cols = list(zip(*b))
-    return [[reduce(add, map(mul, row, col)) for col in cols] for row in a]
+    return [tuple([total(map(mul, row, col)) for col in cols]) for row in a]
 
 
 def trace_of_product(a: RingMatrix, b: RingMatrix) -> Ring:
@@ -261,11 +369,9 @@ def mat_det(m: RingMatrix) -> Ring:
 
 def _det_cofactor(m: RingMatrix) -> Ring:
     """Cofactor expansion of det(M); on integer rows B for rational M, det(B) / delta^n."""
-    ints = _integer_rows(m.entries)
-    if ints is None:
+    if m._ints is None:
         return exact_scalar(_cofactor_expansion(m.entries))
-    b, den = ints
-    return Fraction(_cofactor_expansion(b), den ** m.rows)
+    return Fraction(_cofactor_expansion(m._ints), m._den ** m.rows)
 
 
 def _cofactor_expansion(a: Sequence) -> Ring:
@@ -304,7 +410,7 @@ def _cofactor_expansion(a: Sequence) -> Ring:
 
 def _det_bareiss(m: RingMatrix) -> Fraction:
     """det(B) / delta^n for rational M = B / delta, by Bareiss's exact-division elimination on B."""
-    a, den = _integer_rows(m.entries)
+    a = list(map(list, m._ints))
     n = m.rows
     sign = 1
     prev = 1
@@ -323,12 +429,14 @@ def _det_bareiss(m: RingMatrix) -> Fraction:
                 ri[j] = (ri[j] * pk - f * rk[j]) // prev
             ri[k] = 0
         prev = pk
-    return Fraction(sign * a[n - 1][n - 1], den ** n)
+    return Fraction(sign * a[n - 1][n - 1], m._den ** n)
 
 
 def entry_vars(m: RingMatrix) -> set:
     """The variable names carried by the MultiPoly entries of ``m``."""
     taken: set = set()
+    if m.all_rational():
+        return taken
     for row in m.entries:
         for x in row:
             if isinstance(x, MultiPoly):
@@ -345,14 +453,18 @@ def _dot(u, v) -> Ring:
     return 0 if acc is None else acc
 
 
-def _berkowitz(a: tuple) -> list:
+def _int_dot(u, v) -> int:
+    return sum(map(mul, u, v))
+
+
+def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     """[c_0..c_n] with det(tI - A) = sum c_k t^(n-k), for the rows ``a`` of A.
 
     Division-free (Berkowitz 1984).  Step r extends the leading r x r block
     A_r by row R = a[r][:r], column C = (a[0][r]..a[r-1][r]) and corner
     a[r][r]: the new coefficient vector is the lower-triangular Toeplitz
     matrix of (1, -a[r][r], -R C, -R A_r C, ..., -R A_r^(r-1) C) applied to
-    the old one.
+    the old one.  ``dot`` is the inner product of two sequences of entries.
     """
     coeffs = [1, -a[0][0]]
     for r in range(1, len(a)):
@@ -361,10 +473,10 @@ def _berkowitz(a: tuple) -> list:
         x = [a[i][r] for i in range(r)]
         toeplitz = [1, -a[r][r]]
         for k in range(r):
-            toeplitz.append(-_dot(row, x))
+            toeplitz.append(-dot(row, x))
             if k < r - 1:
-                x = [_dot(lead_row, x) for lead_row in lead]
-        coeffs = [_dot(toeplitz[i::-1], coeffs) for i in range(r + 2)]
+                x = [dot(lead_row, x) for lead_row in lead]
+        coeffs = [dot(toeplitz[i::-1], coeffs) for i in range(r + 2)]
     return coeffs
 
 
@@ -377,18 +489,17 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     """
     if not m.is_square():
         raise DimensionError("characteristic polynomial of a non-square matrix")
-    for row in m.entries:
-        for x in row:
-            if isinstance(x, MultiPoly) and var in x.vars:
-                i = x.vars.index(var)
-                if any(exp[i] for exp in x.terms):
-                    raise VariableError(f"entry already uses variable {var!r}")
-    ints = _integer_rows(m.entries)
-    if ints is None:
+    if m._ints is None:
+        for row in m.entries:
+            for x in row:
+                if isinstance(x, MultiPoly) and var in x.vars:
+                    i = x.vars.index(var)
+                    if any(exp[i] for exp in x.terms):
+                        raise VariableError(f"entry already uses variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
-        b, den = ints
-        coeffs = [Fraction(c, den**k) for k, c in enumerate(_berkowitz(b)[1:], 1)]
+        den = m._den
+        coeffs = [Fraction(c, den**k) for k, c in enumerate(_berkowitz(m._ints, _int_dot)[1:], 1)]
     t = MultiPoly.variable(var)
     p = MultiPoly.constant(1, (var,))
     for c in coeffs:

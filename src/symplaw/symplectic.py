@@ -12,11 +12,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
     RingMatrix,
-    _integer_rows,
     entry_is_zero,
     entry_vars,
     exact_scalar,
@@ -25,8 +25,9 @@ from .matrices import (
 from .multipoly import MultiPoly, Ring, fresh_var
 
 
+@cache
 def standard_j(d: int) -> RingMatrix:
-    """J = [[0, Id_d], [-Id_d, 0]]."""
+    """J = [[0, Id_d], [-Id_d, 0]]; built once per d (every context of that d shares it)."""
     n = 2 * d
     rows = []
     for i in range(n):
@@ -69,22 +70,22 @@ def symplectic_transpose(ctx: SymplecticContext, m: RingMatrix) -> RingMatrix:
     M = [[A, B], [C, D]] in d x d blocks, M^j = [[D^T, -B^T], [-C^T, A^T]].
     """
     _check_size(ctx, m)
-    d, n, e = ctx.d, ctx.n, m.entries
+    d, n = ctx.d, ctx.n
     swap = list(range(d, n)) + list(range(d))  # J sends coordinate k to swap[k]
-    return RingMatrix(
-        [[e[swap[j]][swap[i]] if (i < d) == (j < d) else -e[swap[j]][swap[i]] for j in range(n)]
-         for i in range(n)]
-    )
+
+    def flip(e):
+        return [[e[swap[j]][swap[i]] if (i < d) == (j < d) else -e[swap[j]][swap[i]]
+                 for j in range(n)] for i in range(n)]
+
+    return m.rearranged(flip)
 
 
 def is_alternating(a: RingMatrix) -> bool:
     if not a.is_square():
         return False
-    for i in range(a.rows):
-        for k in range(i, a.cols):
-            if not (a[i, k] == -a[k, i]):
-                return False
-    return True
+    form = a.cleared()
+    e = a.entries if form is None else form[0]
+    return all(e[i][k] == -e[k][i] for i in range(a.rows) for k in range(i, a.cols))
 
 
 def is_j_symmetric(ctx: SymplecticContext, m: RingMatrix) -> bool:
@@ -102,10 +103,10 @@ def pfaffian(a: RingMatrix) -> Ring:
         raise StructureError(f"Pfaffian needs an even square matrix, got {a.rows}x{a.cols}")
     if not is_alternating(a):
         raise StructureError("Pfaffian of a non-alternating matrix")
-    ints = _integer_rows(a.entries)
-    if ints is None:
+    form = a.cleared()
+    if form is None:
         return exact_scalar(_pfaffian_expansion(a.entries))
-    b, den = ints
+    b, den = form
     return Fraction(_pfaffian_expansion(b), den ** (a.rows // 2))
 
 
@@ -185,7 +186,7 @@ def similitude(ctx: SymplecticContext, m: RingMatrix) -> Fraction:
     """The scalar lambda with M^j M = lambda * Id (the GSp similitude character)."""
     _check_size(ctx, m)
     prod = symplectic_transpose(ctx, m) * m
-    lam = prod[0, 0]
+    lam = prod.trace() * Fraction(1, ctx.n)  # the diagonal entry, if M^j M is scalar
     if RingMatrix.scalar(ctx.n, lam) != prod:
         raise NotASimilitudeError("M^j M is not scalar")
     if isinstance(lam, MultiPoly):

@@ -3,17 +3,22 @@
 char_poly (Berkowitz) against the cofactor determinant of tI - M, the
 signed-permutation symplectic transpose and GMA involution against the
 products with J and J_delta, the memoized Lambda-vector behind
-eval_invariant against a fresh computation, and the integer kernels for
+eval_invariant against a fresh computation, the integer kernels for
 rational matrices (product, inverse, determinant, Pfaffian, char_poly,
-rank) against plain Fraction references kept in this file.
+rank) against plain Fraction references kept in this file, the cleared
+form (B, delta) every rational matrix keeps, and the memoized word images
+of a representation against plain products.
 """
 
 import random
 from fractions import Fraction
+from itertools import chain, product
+from math import gcd
 
 import pytest
 
-from symplaw.errors import VariableError
+from symplaw.detlaws import InvolutiveRepresentation
+from symplaw.errors import GeneratorError, VariableError
 from symplaw.gma import (
     counterexample_fixture,
     delta_involution,
@@ -32,6 +37,7 @@ from symplaw.matrices import (
     RingMatrix,
     _det_bareiss,
     _det_cofactor,
+    _integer_rows,
     char_poly,
     mat_det,
     matrix_rank,
@@ -42,6 +48,8 @@ from symplaw.symplectic import (
     pfaffian,
     random_alternating,
     random_matrix,
+    sample_similitude,
+    sample_symplectic,
     symplectic_transpose,
 )
 
@@ -360,3 +368,224 @@ def cofactor_det_in_first_entry(m, x):
         return x
     minor = RingMatrix([row[1:] for row in m.entries[1:]])
     return fraction_det(m) + (x - m[0, 0]) * fraction_det(minor)
+
+
+# -- the cleared form of rational matrices -------------------------------------
+
+
+def assert_normalized(m):
+    """m keeps (B, delta) with delta > 0, gcd(delta, content of B) = 1, and B / delta = m."""
+    b, den = m.cleared()
+    assert den > 0 and gcd(den, *chain.from_iterable(b)) == 1
+    assert all(type(x) is int for x in chain.from_iterable(b))
+    assert (m.rows, m.cols) == (len(b), len(b[0]))
+    # lcm-clearing of the entries gives the same pair, so it is the one normalized form
+    assert _integer_rows(m.entries) == (b, den)
+
+
+def entries_unset(m):
+    """True while a matrix built by the cleared kernels has not made its Fraction entries."""
+    try:
+        RingMatrix.__dict__["entries"].__get__(m)
+    except AttributeError:
+        return True
+    return False
+
+
+def naive_rows(rows):
+    return [list(r) for r in rows]
+
+
+def naive_transpose(rows):
+    return [list(c) for c in zip(*rows)]
+
+
+def naive_pfaffian(rows):
+    """Expansion along the first row over Fraction entries."""
+    if not rows:
+        return Fraction(1)
+    total = Fraction(0)
+    for k in range(1, len(rows)):
+        rest = [i for i in range(1, len(rows)) if i != k]
+        minor = [[rows[i][j] for j in rest] for i in rest]
+        total += (-1) ** (k - 1) * rows[0][k] * naive_pfaffian(minor)
+    return total
+
+
+def naive_j(d):
+    n = 2 * d
+    return [[Fraction(1) if j == i + d else Fraction(-1) if i == j + d else Fraction(0)
+             for j in range(n)] for i in range(n)]
+
+
+def naive_mul(a, b):
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), Fraction(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def _cleared_inputs():
+    rng = random.Random(41)
+    for d in (1, 2, 3):
+        n = 2 * d
+        yield f"integer 2d={n}", _mixed(rng, n, dens=(1,))
+        yield f"mixed 2d={n}", _mixed(rng, n)
+        yield f"halves 2d={n}", _mixed(rng, n, dens=(2,))
+        yield f"zero 2d={n}", RingMatrix.zeros(n)
+        yield f"singular 2d={n}", _singular(rng, n)
+
+
+CLEARED_INPUTS = list(_cleared_inputs())
+
+
+@pytest.mark.parametrize(("label", "m"), CLEARED_INPUTS, ids=[k for k, _ in CLEARED_INPUTS])
+def test_cleared_kernels_stay_normalized_and_match_fractions(label, m):
+    n = m.rows
+    ctx = SymplecticContext(n // 2)
+    other = _mixed(random.Random(n), n)
+    a, b = naive_rows(m.entries), naive_rows(other.entries)
+    results = [
+        (m * other, naive_mul(a, b)),
+        (other * m, naive_mul(b, a)),
+        (m + other, [[x + y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (m - other, [[x - y for x, y in zip(r, s)] for r, s in zip(a, b)]),
+        (m + m, [[2 * x for x in r] for r in a]),
+        (-m, [[-x for x in r] for r in a]),
+        (m.transpose(), naive_transpose(a)),
+        (symplectic_transpose(ctx, m),
+         naive_mul(naive_mul(naive_j(ctx.d), naive_transpose(a)),
+                   [[-x for x in r] for r in naive_j(ctx.d)])),
+        (RingMatrix.scalar(n, Fraction(-3, 4)),
+         [[Fraction(-3, 4) if i == j else 0 for j in range(n)] for i in range(n)]),
+        (RingMatrix.identity(n), [[int(i == j) for j in range(n)] for i in range(n)]),
+    ]
+    for c in (0, 3, -1, Fraction(-2, 3), Fraction(97, 2)):
+        results.append((m * c, [[x * c for x in r] for r in a]))
+        results.append((c * m, [[c * x for x in r] for r in a]))
+    det = fraction_det(m)
+    if det:
+        inv = m.inverse()
+        assert naive_mul(a, naive_rows(inv.entries)) == naive_rows(RingMatrix.identity(n).entries)
+        results.append((inv, naive_rows(inv.entries)))
+    for got, want in results:
+        assert_normalized(got)
+        assert got.entries == tuple(map(tuple, want)), label
+        assert _all_fractions(got)
+    assert m.trace() == sum((a[i][i] for i in range(n)), Fraction(0))
+    assert mat_det(m) == det
+    assert char_poly(m) == char_poly(with_polynomial_entry(m)) == cofactor_char_poly(m)
+    alt = m - m.transpose()
+    assert pfaffian(alt) == naive_pfaffian(naive_rows(alt.entries))
+    assert (m == other) == (a == b) and m == RingMatrix(a)
+
+
+def test_cleared_results_make_entries_only_when_read():
+    rng = random.Random(42)
+    a, b = _mixed(rng, 4), _mixed(rng, 4)
+    ctx = SymplecticContext(2)
+    results = [a * b, a + b, -a, a * Fraction(1, 3), a.transpose(), symplectic_transpose(ctx, a),
+               a.inverse(), RingMatrix.identity(4), RingMatrix.zeros(4)]
+    kernels = (RingMatrix.trace, RingMatrix.is_zero, mat_det, char_poly, lambda x: x == a,
+               lambda x: pfaffian(x - x.transpose()))
+    for m in results:
+        assert entries_unset(m)
+        for kernel in kernels:
+            kernel(m)
+        assert entries_unset(m)
+        b, den = m.cleared()
+        assert m[0, 0] == Fraction(b[0][0], den)
+        assert not entries_unset(m)
+
+
+def test_cleared_and_fraction_built_matrices_are_equal_and_hash_equal():
+    rng = random.Random(43)
+    for _ in range(20):
+        m = _mixed(rng, 3)
+        b, den = m.cleared()
+        k = rng.randint(2, 6)
+        # (k B, k delta) is the same matrix, reduced to the same form
+        scaled = RingMatrix._cleared([[k * x for x in row] for row in b], k * den)
+        assert scaled.cleared() == (b, den)
+        from_fractions = RingMatrix(naive_rows(m.entries))
+        for x, y in ((scaled, m), (scaled, from_fractions), (m * RingMatrix.identity(3), m)):
+            assert x == y and y == x and hash(x) == hash(y)
+        if not m.is_zero():
+            assert RingMatrix._cleared(b, 2 * den) == m * Fraction(1, 2) != m
+    zero = RingMatrix._cleared([[0, 0], [0, 0]], 7)
+    assert zero.cleared() == (((0, 0), (0, 0)), 1) and zero == RingMatrix.zeros(2)
+
+
+# -- memoized word images --------------------------------------------------------
+
+
+def reduced_words(gens, max_len):
+    letters = [(g, s) for g in range(1, gens + 1) for s in (1, -1)]
+    words = [()]
+    for length in range(1, max_len + 1):
+        for combo in product(letters, repeat=length):
+            if all(combo[i] != (combo[i + 1][0], -combo[i + 1][1]) for i in range(length - 1)):
+                words.append(combo)
+    return words
+
+
+@pytest.mark.parametrize("kind", ["Sp", "GSp"])
+def test_cached_rho_word_matches_the_plain_product(kind):
+    ctx = SymplecticContext(2)
+    if kind == "Sp":
+        images = [sample_symplectic(ctx, 5), sample_symplectic(ctx, 6)]
+    else:
+        images = [sample_similitude(ctx, 5, factor=2), sample_similitude(ctx, 6, factor=Fraction(3, 2))]
+    rep = InvolutiveRepresentation.from_images(images, kind=kind)
+    plain = {1: naive_rows(images[0].entries), 2: naive_rows(images[1].entries),
+             -1: naive_rows(images[0].inverse().entries), -2: naive_rows(images[1].inverse().entries)}
+    words = reduced_words(2, 4)
+    assert len(words) == 1 + 4 + 12 + 36 + 108
+    rng = random.Random(44)
+    rng.shuffle(words)  # prefixes come both before and after the words that extend them
+    for w in words + words[:20]:
+        want = naive_rows(RingMatrix.identity(4).entries)
+        for gen, sign in w:
+            want = naive_mul(want, plain[gen * sign])
+        got = rep.rho_word(w)
+        assert got.entries == tuple(map(tuple, want)), w
+        assert_normalized(got)
+        assert rep.rho_word(list(w)) is got
+
+
+def test_rho_word_cache_stays_out_of_eq_hash_and_repr():
+    ctx = SymplecticContext(1)
+    images = [sample_symplectic(ctx, 7), sample_symplectic(ctx, 8)]
+    fresh = InvolutiveRepresentation.from_images(images)
+    used = InvolutiveRepresentation.from_images(images)
+    before = repr(used)
+    used.rho_word(((1, 1), (2, -1), (1, 1)))
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == before
+
+
+def test_bad_word_with_a_cached_prefix_still_raises():
+    ctx = SymplecticContext(1)
+    rep = InvolutiveRepresentation.from_images([sample_symplectic(ctx, 9), sample_symplectic(ctx, 10)])
+    rep.rho_word(((1, 1), (2, 1)))
+    for bad in (((1, 1), (3, 1)), ((1, 1), (2, 1), (3, -1)), ((3, 1),)):
+        with pytest.raises(GeneratorError):
+            rep.rho_word(bad)
+    with pytest.raises(GeneratorError):  # nothing of a refused word was cached
+        rep.rho_word(((1, 1), (3, 1)))
+
+
+def test_rho_word_spends_one_product_per_new_letter(monkeypatch):
+    ctx = SymplecticContext(1)
+    rep = InvolutiveRepresentation.from_images([sample_symplectic(ctx, 11), sample_symplectic(ctx, 12)])
+    products = []
+    real_mul = RingMatrix.__mul__
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(RingMatrix, "__mul__", counting_mul)
+    a, b, ai = (1, 1), (2, 1), (1, -1)
+    for word, new_letters in [((a, b, a, b), 3), ((a, b, a, b, b), 1), ((a, b, a, b), 0),
+                              ((a, b, ai, b), 2), ((b,), 0), ((), 0)]:
+        products.clear()
+        rep.rho_word(word)
+        assert len(products) == new_letters, word
