@@ -1,11 +1,13 @@
 import pytest
 
+from symplaw import detlaws
 from symplaw.errors import SymplawError
 from symplaw.gma import counterexample_fixture
 from symplaw.suites import (
     SuiteConfig,
     run_suite,
     suite_gma,
+    suite_pseudochar,
     weak_law_counterexample_probe,
 )
 
@@ -49,13 +51,20 @@ def test_weak_law_probe_finds_nothing():
     assert outcome == {"found": False, "witness": None}
 
 
-# pseudochar is left out until its corrupted_cache_detected fixture stops
-# depending on the seed (it fails at some seeds for every trial count)
 @pytest.mark.parametrize(
     ("suite", "d"),
-    [(suite, d) for suite in ("pfaffian", "det-law", "gma", "invariants") for d in (1, 2)],
+    [(suite, d) for suite in ("pfaffian", "det-law", "gma", "invariants", "pseudochar")
+     for d in (1, 2)],
 )
 def test_suite_seed_sweep(suite, d):
     for seed in range(10):
         report = run_suite(SuiteConfig(suite=suite, d=d, trials=4, seed=seed))
         assert report["pass"], (seed, [c for c in report["checks"] if not c["pass"]])
+
+
+def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):
+    real_det = detlaws.mat_det
+    monkeypatch.setattr(detlaws, "mat_det", lambda m: real_det(m) + 1)
+    checks = {c["name"]: c["pass"] for c in suite_pseudochar(2, 25, 0)}
+    assert checks["comparison_agrees_with_det_laws"] is False
+    assert checks["comparison_p_squared_equals_d"] is True
