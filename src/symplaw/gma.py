@@ -208,8 +208,11 @@ class GmaSpec:
     _j_perm: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        r = self.type.r
         blocks = {}
         for (i, j), basis in dict(self.blocks).items():
+            if not (1 <= i <= r and 1 <= j <= r):
+                raise StructureError(f"block ({i}, {j}) is outside the blocks 1..{r} of the type")
             if i == j:
                 raise StructureError("diagonal blocks are implicitly Q and cannot be overridden")
             basis = tuple(self.ring.reduce(b) for b in basis)
@@ -219,6 +222,8 @@ class GmaSpec:
         signs = {}
         for key, s in dict(self.tau_signs).items():
             pair = frozenset(key)
+            if not all(1 <= i <= r for i in pair):
+                raise StructureError(f"tau sign key {sorted(pair)} is outside the blocks 1..{r}")
             if s not in (1, -1):
                 raise StructureError(f"tau sign must be +-1, got {s}")
             signs[pair] = int(s)
@@ -226,7 +231,6 @@ class GmaSpec:
         object.__setattr__(self, "tau_signs", signs)
         jd = build_J_delta(self.type)
         object.__setattr__(self, "J_delta", jd)
-        r = self.type.r
         spans = {(i, j): _span_rows(self.span(i, j), self.ring)
                  for i in range(1, r + 1) for j in range(1, r + 1) if i != j}
         object.__setattr__(self, "_spans", spans)

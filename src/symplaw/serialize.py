@@ -276,6 +276,14 @@ def _block_key(key: str) -> tuple:
     raise SchemaError(f"block key must be two comma-separated integers, got {key!r}")
 
 
+def _spec_field(obj: dict, key: str, kind: type, default=None):
+    """obj[key], or ``default`` if it is absent, after checking that it is a ``kind``."""
+    value = obj.get(key, default)
+    if not isinstance(value, kind):
+        raise SchemaError(f"GMA spec {key!r} must be a {kind.__name__}, got {value!r}")
+    return value
+
+
 def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
     """Parse a GMA spec; with ``max_dim``, refuse a total dimension above it before building J_delta."""
     if not isinstance(obj, dict):
@@ -284,17 +292,20 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
         if key not in obj:
             raise SchemaError(f"GMA spec missing {key!r}")
     try:
-        t = GmaType(
-            tuple(obj["I0"]), tuple(obj["I1"]), tuple(obj["I2"]),
-            tuple(obj["sigma"]), tuple(obj["dims"]),
-        )
+        t = GmaType(*(
+            tuple(int_from_json(x, f"GMA spec {key!r} entry") for x in _spec_field(obj, key, list))
+            for key in ("I0", "I1", "I2", "sigma", "dims")
+        ))
     except ValueError as e:
         raise SchemaError(str(e)) from e
     if max_dim is not None and t.total > max_dim:
         raise SchemaError(f"GMA dimension {t.total} exceeds SYMPLAW_MAX_DIM = {max_dim}")
-    variables = tuple(sorted(obj.get("base_vars", ())))
+    variables = _spec_field(obj, "base_vars", list, [])
+    if not all(isinstance(v, str) for v in variables):
+        raise SchemaError(f"GMA spec 'base_vars' must be a list of strings, got {variables!r}")
+    variables = tuple(sorted(variables))
     nils = []
-    for mono in obj.get("nil_monomials", ()):
+    for mono in _spec_field(obj, "nil_monomials", list, []):
         p = parse_poly_string(mono) if isinstance(mono, str) else poly_from_json(mono)
         p = p.in_vars(variables)
         if len(p.terms) != 1:
@@ -305,15 +316,17 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
         nils.append(exp)
     ring = QuotientRing(variables, tuple(nils))
     blocks = {}
-    for key, basis in obj.get("blocks", {}).items():
+    for key, basis in _spec_field(obj, "blocks", dict, {}).items():
         i, j = _block_key(key)
+        if not isinstance(basis, list):
+            raise SchemaError(f"block {key!r} must be a list of polynomials, got {basis!r}")
         parsed = []
         for p in basis:
             q = poly_from_json(p)
             parsed.append(q.in_vars(tuple(sorted(set(variables) | set(q.vars)))))
         blocks[(i, j)] = tuple(parsed)
     signs = {}
-    for key, s in obj.get("tau_signs", {}).items():
+    for key, s in _spec_field(obj, "tau_signs", dict, {}).items():
         i, j = _block_key(key)
         signs[frozenset((i, j))] = int_from_json(s, f"tau sign {key!r}")
     try:
