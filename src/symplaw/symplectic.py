@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cached_property
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
@@ -25,9 +25,8 @@ from .matrices import (
 from .multipoly import MultiPoly, Ring, fresh_var
 
 
-@cache
 def standard_j(d: int) -> RingMatrix:
-    """J = [[0, Id_d], [-Id_d, 0]]; built once per d (every context of that d shares it)."""
+    """J = [[0, Id_d], [-Id_d, 0]]."""
     n = 2 * d
     rows = []
     for i in range(n):
@@ -43,19 +42,23 @@ def standard_j(d: int) -> RingMatrix:
 @dataclass(frozen=True)
 class SymplecticContext:
     d: int
-    J: RingMatrix = field(init=False, repr=False)
     pfaffian_of_J: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DimensionError("half-dimension d must be >= 1")
-        object.__setattr__(self, "J", standard_j(self.d))
         sign = Fraction(-1) if (self.d * (self.d - 1) // 2) % 2 else Fraction(1)
         object.__setattr__(self, "pfaffian_of_J", sign)
 
     @property
     def n(self) -> int:
         return 2 * self.d
+
+    @cached_property
+    def J(self) -> RingMatrix:
+        """The standard form, built on first use: the contexts made to take a
+        symplectic transpose or a similitude never need it."""
+        return standard_j(self.d)
 
 
 def _check_size(ctx: SymplecticContext, m: RingMatrix):
