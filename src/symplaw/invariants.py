@@ -5,11 +5,14 @@ invariant under simultaneous symplectic conjugation, and such traces (more
 precisely the characteristic-polynomial coefficients of word values)
 generate the full invariant algebra.  The generation statement is tested
 empirically at desk scale: the span of multilinear trace products is
-compared against an independent brute-force oracle, the kernel of the
-linear system expressing infinitesimal invariance under a basis of the
-Lie algebra sp_2d acting by commutator derivations.  Sp is connected and
+compared against an independent oracle, the space of multilinear maps
+killed by sp_2d acting by commutator derivations.  Sp is connected and
 everything lives over Q, so infinitesimal invariance is equivalent to
-group invariance for polynomial functions.
+group invariance for polynomial functions.  Two facts shrink the oracle's
+linear system: the diagonal Cartan elements kill an invariant, so it lives
+on the coordinates of torus weight zero; and a weight-zero vector killed by
+the d simple root vectors is a highest-weight vector of weight 0, so it is
+invariant.  The oracle is the kernel of V_0 -> (+)_i V_(-alpha_i).
 """
 
 from __future__ import annotations
@@ -92,10 +95,6 @@ def word_value(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticConte
             m = symplectic_transpose(ctx, m)
         prod_m = m if prod_m is None else prod_m * m
     return prod_m
-
-
-def eval_trace_word(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext) -> Fraction:
-    return word_value(word, mats, ctx).trace()
 
 
 def word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
@@ -217,11 +216,12 @@ def hat(f: InvariantFunction) -> InvariantFunction:
     return InvariantFunction.sigma(f.sigma_index, TraceWord(tuple(letters)), m + 1)
 
 
-def check_invariance(f: InvariantFunction, mats: Sequence[RingMatrix], g: RingMatrix) -> bool:
-    """Exact equality of f on mats and on g mats g^(-1) (entrywise conjugation)."""
+def check_invariance(fs: Sequence[InvariantFunction], mats: Sequence[RingMatrix],
+                     g: RingMatrix) -> InvariantFunction | None:
+    """The first f of fs whose value on g mats g^(-1) differs from that on mats, else None."""
     gi = g.inverse()
     conj = [g * m * gi for m in mats]
-    return eval_invariant(f, conj) == eval_invariant(f, mats)
+    return next((f for f in fs if eval_invariant(f, conj) != eval_invariant(f, mats)), None)
 
 
 # -- Lie-algebra oracle ------------------------------------------------
@@ -229,66 +229,72 @@ def check_invariance(f: InvariantFunction, mats: Sequence[RingMatrix], g: RingMa
 _MAX_UNKNOWNS = 10**5
 
 
-def sp_basis(d: int) -> list:
-    """Integer basis of sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric."""
-    n = 2 * d
-    basis = []
+def _check_sizes(d: int, m: int):
+    if d < 1:
+        raise DimensionError("half-dimension d must be >= 1")
+    if m < 0:
+        raise SymplawError("arity m must be >= 0")
+    if (4 * d * d) ** m > _MAX_UNKNOWNS:
+        raise CapacityError(f"{(4 * d * d) ** m} unknowns exceed the {_MAX_UNKNOWNS} guard")
 
-    def mat():
-        return [[0] * n for _ in range(n)]
 
-    for i in range(d):
-        for j in range(d):
-            h = mat()
-            h[i][j] = 1
-            h[d + j][d + i] = -1
-            basis.append(h)
-    for i in range(d):
-        for j in range(i, d):
-            h = mat()
-            h[i][d + j] = 1
-            h[j][d + i] = 1
-            basis.append(h)
-            h = mat()
-            h[d + i][j] = 1
-            h[d + j][i] = 1
-            basis.append(h)
-    return basis
+def simple_root_vectors(d: int) -> list:
+    """The simple root vectors of sp_2d, each as ((row, col, value), ...).
+
+    With 1-based indices, e_i = E_(i,i+1) - E_(d+i+1,d+i) of root
+    eps_i - eps_(i+1) for i < d, and e_d = E_(d,2d) of root 2 eps_d.
+    """
+    short = [((i, i + 1, 1), (d + i + 1, d + i, -1)) for i in range(d - 1)]
+    return short + [((d - 1, 2 * d - 1, 1),)]
 
 
 def multilinear_invariant_dim(d: int, m: int) -> int:
     """Dimension of Sp_2d-invariant multilinear maps (M_2d)^m -> Q.
 
-    Brute force: the kernel dimension of infinitesimal invariance under a
-    basis of sp_2d acting by commutator derivations in each slot.
+    A coordinate ((r_1, c_1), ..., (r_m, c_m)) has torus weight sum_k eps(r_k) -
+    eps(c_k), with eps(i) = e_i for i < d and -e_(i-d) otherwise.  The Cartan
+    elements kill an invariant, so it lies in the weight-zero coordinates V_0,
+    and a vector of V_0 killed by the simple root vectors e_i is a highest-weight
+    vector of weight 0, hence invariant: this is the kernel dimension of
+    V_0 -> (+)_i V_(-alpha_i), v -> (e_i . v)_i, e_i acting by commutator
+    derivations in each slot.  The size guard counts all (4d^2)^m coordinates.
     """
+    _check_sizes(d, m)
     n = 2 * d
-    cell = n * n
-    unknowns = cell**m
-    if unknowns > _MAX_UNKNOWNS:
-        raise CapacityError(f"{unknowns} unknowns exceed the {_MAX_UNKNOWNS} guard")
+    eps = [tuple((k == i) - (k == i - d) for k in range(d)) for i in range(n)]
+    slots: dict = {}  # weight -> the slot entries (r, c) of that weight
+    for r, c in product(range(n), repeat=2):
+        slots.setdefault(tuple(a - b for a, b in zip(eps[r], eps[c])), []).append((r, c))
+
+    # coordinates by weight, slot by slot; a slot moves the norm by <= 2, so drop prefixes
+    # that cannot end at norm <= 2, where the targets 0 and -alpha_i lie
+    coords = {(0,) * d: [()]}
+    for left in range(m - 1, -1, -1):
+        grown: dict = {}
+        for w, prefixes in coords.items():
+            for sw, cells in slots.items():
+                key = tuple(a + b for a, b in zip(w, sw))
+                if sum(map(abs, key)) <= 2 * left + 2:
+                    grown.setdefault(key, []).extend(x + (rc,) for x in prefixes for rc in cells)
+        coords = grown
+    zero = {coord: col for col, coord in enumerate(coords.get((0,) * d, ()))}
     elim = IntegerEliminator()
-    for h in sp_basis(d):
-        by_col = [[(i, h[i][a]) for i in range(n) if h[i][a]] for a in range(n)]
-        by_row = [[(j, h[b][j]) for j in range(n) if h[b][j]] for b in range(n)]
-        for flat in range(unknowns):
-            # decode E: slot indices (r, c) from the flat column index
-            rem = flat
-            slots = []
-            for _ in range(m):
-                slots.append(divmod(rem % cell, n))
-                rem //= cell
+    for entries in simple_root_vectors(d):
+        top, bottom, _ = entries[0]
+        # e raises weight by its root eps(top) - eps(bottom): its equations on V_0 sit at -root
+        for coord in coords.get(tuple(b - a for a, b in zip(eps[top], eps[bottom])), ()):
             row: dict = {}
-            for k, (r, c) in enumerate(slots):
-                base = flat - (r * n + c) * cell**k
-                for i, hval in by_col[r]:
-                    col = base + (i * n + c) * cell**k
-                    row[col] = row.get(col, 0) + hval
-                for j, hval in by_row[c]:
-                    col = base + (r * n + j) * cell**k
-                    row[col] = row.get(col, 0) - hval
+            for k, (r, c) in enumerate(coord):
+                # the coefficient of X[r, c] in f(.., e X - X e, ..), f read at coordinates of V_0
+                for i, j, v in entries:
+                    if j == r:
+                        col = zero[coord[:k] + ((i, c),) + coord[k + 1:]]
+                        row[col] = row.get(col, 0) + v
+                    if i == c:
+                        col = zero[coord[:k] + ((r, j),) + coord[k + 1:]]
+                        row[col] = row.get(col, 0) - v
             elim.add_row(row)
-    return unknowns - elim.rank
+    return len(zero) - elim.rank
 
 
 # -- spanning side ------------------------------------------------------
@@ -333,9 +339,8 @@ def trace_word_span_dim(d: int, m: int, seed: int = 0) -> int:
     stable for three consecutive rounds.  Must equal
     multilinear_invariant_dim(d, m).
     """
+    _check_sizes(d, m)
     n = 2 * d
-    if (n * n) ** m > _MAX_UNKNOWNS:
-        raise CapacityError("size guard exceeded")
     ctx = SymplecticContext(d)
     products = multilinear_trace_products(m)
     rng = random.Random(seed)
@@ -346,7 +351,7 @@ def trace_word_span_dim(d: int, m: int, seed: int = 0) -> int:
         for prod_words in products:
             val = Fraction(1)
             for w in prod_words:
-                val *= eval_trace_word(w, mats, ctx)
+                val *= word_value(w, mats, ctx).trace()
             row.append(val)
         return row
 

@@ -26,7 +26,7 @@ from .detlaws import (
     star,
 )
 from .errors import SymplawError
-from .invariants import InvariantFunction, enumerate_trace_words, eval_invariant
+from .invariants import InvariantFunction, check_invariance, enumerate_trace_words
 from .matrices import RingMatrix, mat_det, trace_of_product
 from .symplectic import (
     SymplecticContext,
@@ -291,21 +291,16 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
     conj_counts = _spread(min(trials, 200), 2)
     for dd, count in zip((1, 2) if d >= 2 else (1, 1), conj_counts):
         cdd = SymplecticContext(dd)
+        fs = [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
         for k in range(count):
             g = sample_symplectic(cdd, seed * 53 + 100 * dd + k)
-            gi = g.inverse()
             mats = [random_matrix(2 * dd, rng, 3) for _ in range(2)]
-            conj = [g * m * gi for m in mats]
-            for w in gens:
-                for i in range(1, 2 * dd + 1):
-                    f = InvariantFunction.sigma(i, w, arity=2)
-                    if eval_invariant(f, conj) != eval_invariant(f, mats):
-                        bad = f"d={dd} f=sigma_{i}({w})"
-                        break
-                if bad:
-                    break
-            if bad:
+            f = check_invariance(fs, mats, g)
+            if f is not None:
+                bad = f"d={dd} f=sigma_{f.sigma_index}({f.word})"
                 break
+        if bad:
+            break
     checks.append(_check("generators_invariant_under_conjugation", bad is None, witness=bad))
 
     ok = True

@@ -3,10 +3,12 @@
 The digests are SHA-256 of stdout.  Those of ``suite gma`` were recorded
 before the GMA layer's hot path was rewritten; those of ``suite pfaffian``,
 ``det-law`` and ``invariants`` before rational matrices kept their cleared
-integer form.  Those of ``suite pseudochar`` were recorded once the
-relabelling check skipped comparisons of a cache key with itself; they
-equal the earlier output at seeds 1-4, and at seed 0 differ from it only
-in ``corrupted_cache_detected``, which failed there before.  Any change to
+integer form; those of ``suite invariants`` at d = 1 and d = 3 before the
+invariant-dimension oracle moved to weight-zero coordinates.  Those of
+``suite pseudochar`` were recorded once the relabelling check skipped
+comparisons of a cache key with itself; they equal the earlier output at
+seeds 1-4, and at seed 0 differ from it only in
+``corrupted_cache_detected``, which failed there before.  Any change to
 a computed value or to the report format shows here.
 """
 
@@ -25,24 +27,34 @@ GMA_DIGESTS = {
     4: "0c4a35a1abf75b0662e97652f7293f236b75fd37439f9da589b180211986988c",
 }
 
-# (suite, extra flags): {seed: stdout digest}; every run exits 0
+# (label, suite, extra flags): {seed: stdout digest}; every run exits 0
 SUITE_DIGESTS = {
-    ("pfaffian", ("--d", "2", "--trials", "25")): {
+    ("pfaffian", "pfaffian", ("--d", "2", "--trials", "25")): {
         0: "584e9eba3f4282baee03a3675f1e50c76661a681b2514740468180e8c3b85458",
         1: "15c04f1b522cec835b0ce8e1d567986bef8070ad38307d6677905803de891eec",
         2: "74a556cb2235678dd651dd81fa98efae1ec681dd6859bab6ea381f748d5b18e9",
     },
-    ("det-law", ("--d", "2", "--trials", "25")): {
+    ("det-law", "det-law", ("--d", "2", "--trials", "25")): {
         0: "0d43e8a05bcda74b307b841e401fc42ddd30f207d07cabf3d401a13b05602928",
         1: "e9f6727adad96eaf439360f386f6527c18a90ab11474f36a178c999f64fd7f6b",
         2: "d3249354cc7f6f431b70c2e123356d82ddbaa13aadcf637f064263ae24bd019e",
     },
-    ("invariants", ("--d", "2", "--trials", "4")): {
+    ("invariants", "invariants", ("--d", "2", "--trials", "4")): {
         0: "e786bc2e30c3cd5a347fcc14277e9b9767c9c3e13f279699145d6be642cdc000",
         1: "2bc94f8d05532f88b0fff9beb69044bb6233e2d6e458db709f812a9cc8126e07",
         2: "9108612d226d5d9c51e58c0aff59425b6a3b0646890f8284f8a443382a6ba785",
     },
-    ("pseudochar", ("--d", "2", "--trials", "25")): {
+    ("invariants-d1", "invariants", ("--d", "1", "--trials", "4")): {
+        0: "2c1278d48ff9fafb8d154bcb7409b9727ea6b431c9403b61a613235ece64de9d",
+        1: "b511a94aef1c073b256dc8c37970553c4c0a532232e72096e1e8f1fbaa27097b",
+        2: "c2329ed4ccd54142fcd274634460afe8bd19edeb86afa91edec0c4731d9f5830",
+    },
+    ("invariants-d3", "invariants", ("--d", "3", "--trials", "2")): {
+        0: "25264a49c67d3ddd647bd9895fb58e778204c9aa87531a3b2ab15cde5960d320",
+        1: "616f16b627638cfb350503e515964a7664c3ddaff325df98aa674c3b3f1ce384",
+        2: "d953c249703ddbbda999b91319f3a650f0da8426e3abda637c357e0a9a38b208",
+    },
+    ("pseudochar", "pseudochar", ("--d", "2", "--trials", "25")): {
         0: "c9c1ca099580bf1559b61b294d70f5b24a0535f44a5099856437532ea47d6d7d",
         1: "9f2a4a488178f63146479de566df87ffb4fe5e5b54c5d43fdadd5574271dc83f",
         2: "3490bf5def89187e0ced07857cbccd0dd2dc3ff524e9ed11775544310b1c3f5d",
@@ -50,8 +62,8 @@ SUITE_DIGESTS = {
         4: "8691dd198201c3e36d8b73446cfd56b05fd6f87c8081fdcf9c098526f0a1e259",
     },
 }
-SUITE_RUNS = [(suite, flags, seed, digest)
-              for (suite, flags), digests in SUITE_DIGESTS.items()
+SUITE_RUNS = [pytest.param(suite, flags, seed, digest, id=f"{label}-{seed}")
+              for (label, suite, flags), digests in SUITE_DIGESTS.items()
               for seed, digest in digests.items()]
 
 # gma_spec_to_json(standard_fixture())
@@ -87,8 +99,7 @@ def test_suite_gma_input_spec_output_pinned(tmp_path, capsys):
     assert _digest(args, capsys) == (0, INPUT_SPEC_DIGEST)
 
 
-@pytest.mark.parametrize(("suite", "flags", "seed", "digest"), SUITE_RUNS,
-                         ids=[f"{suite}-{seed}" for suite, _, seed, _ in SUITE_RUNS])
+@pytest.mark.parametrize(("suite", "flags", "seed", "digest"), SUITE_RUNS)
 def test_suite_output_pinned(suite, flags, seed, digest, capsys):
     args = ["suite", suite, *flags, "--seed", str(seed)]
     assert _digest(args, capsys) == (0, digest)

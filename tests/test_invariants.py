@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from symplaw.errors import ArityError, CapacityError, SymplawError
+from symplaw import invariants
+from symplaw.errors import ArityError, CapacityError, DimensionError, SymplawError
 from symplaw.invariants import (
     InvariantFunction,
     TraceWord,
@@ -11,14 +12,14 @@ from symplaw.invariants import (
     check_invariance,
     enumerate_trace_words,
     eval_invariant,
-    eval_trace_word,
     hat,
     multilinear_invariant_dim,
     relabel,
-    sp_basis,
+    simple_root_vectors,
     trace_word_span_dim,
+    word_value,
 )
-from symplaw.matrices import RingMatrix
+from symplaw.matrices import IntegerEliminator, RingMatrix
 from symplaw.symplectic import (
     SymplecticContext,
     random_matrix,
@@ -56,7 +57,7 @@ def test_canonicalization_sound_for_traces():
             if starred:
                 m = symplectic_transpose(ctx, m)
             raw = m if raw is None else raw * m
-        assert raw.trace() == eval_trace_word(TraceWord(letters), mats, ctx)
+        assert raw.trace() == word_value(TraceWord(letters), mats, ctx).trace()
 
 
 def test_eval_invariant_hand_cases():
@@ -85,13 +86,11 @@ def test_invariance_of_generators():
     rng = random.Random(42)
     for d in (1, 2):
         words = enumerate_trace_words(2, 3)
+        fs = [InvariantFunction.sigma(i, w, arity=2) for w in words for i in range(1, 2 * d + 1)]
         for trial in range(10):
             g = sample_symplectic(SymplecticContext(d), 7000 + 10 * d + trial)
             mats = [random_matrix(2 * d, rng) for _ in range(2)]
-            for w in words:
-                for i in range(1, 2 * d + 1):
-                    f = InvariantFunction.sigma(i, w, arity=2)
-                    assert check_invariance(f, mats, g)
+            assert check_invariance(fs, mats, g) is None
 
 
 def test_invariance_spot_checks_longer_words():
@@ -109,7 +108,7 @@ def test_invariance_spot_checks_longer_words():
                 f = InvariantFunction.sigma(
                     rng.randint(1, 2 * d), TraceWord(letters), arity=3
                 )
-                assert check_invariance(f, mats, g)
+                assert check_invariance([f], mats, g) is None
 
 
 def test_similitude_invariant_under_conjugation():
@@ -144,10 +143,77 @@ def test_relabel_and_hat():
     assert eval_invariant(fh, mats) == eval_invariant(f, [mats[0], mats[1] * mats[2]])
 
 
+# -- the invariant-dimension oracle against a brute-force reference ----
+
+
+def sp_basis(d: int) -> list:
+    """Integer basis of sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric."""
+    n = 2 * d
+    basis = []
+
+    def mat():
+        return [[0] * n for _ in range(n)]
+
+    for i in range(d):
+        for j in range(d):
+            h = mat()
+            h[i][j] = 1
+            h[d + j][d + i] = -1
+            basis.append(h)
+    for i in range(d):
+        for j in range(i, d):
+            h = mat()
+            h[i][d + j] = 1
+            h[j][d + i] = 1
+            basis.append(h)
+            h = mat()
+            h[d + i][j] = 1
+            h[d + j][i] = 1
+            basis.append(h)
+    return basis
+
+
+def brute_force_invariant_dim(d: int, m: int) -> int:
+    """Kernel dimension of infinitesimal invariance on all (4d^2)^m coordinates
+    under the whole basis of sp_2d, acting by commutator derivations in each slot."""
+    n = 2 * d
+    cell = n * n
+    unknowns = cell**m
+    elim = IntegerEliminator()
+    for h in sp_basis(d):
+        by_col = [[(i, h[i][a]) for i in range(n) if h[i][a]] for a in range(n)]
+        by_row = [[(j, h[b][j]) for j in range(n) if h[b][j]] for b in range(n)]
+        for flat in range(unknowns):
+            rem = flat
+            slots = []
+            for _ in range(m):
+                slots.append(divmod(rem % cell, n))
+                rem //= cell
+            row: dict = {}
+            for k, (r, c) in enumerate(slots):
+                base = flat - (r * n + c) * cell**k
+                for i, hval in by_col[r]:
+                    col = base + (i * n + c) * cell**k
+                    row[col] = row.get(col, 0) + hval
+                for j, hval in by_row[c]:
+                    col = base + (r * n + j) * cell**k
+                    row[col] = row.get(col, 0) - hval
+            elim.add_row(row)
+    return unknowns - elim.rank
+
+
+@pytest.mark.parametrize(("d", "m"), [(1, 1), (1, 2), (1, 3), (1, 4), (2, 1), (2, 2),
+                                      (3, 1), (3, 2)])
+def test_oracle_matches_brute_force(d, m):
+    assert multilinear_invariant_dim(d, m) == brute_force_invariant_dim(d, m)
+
+
 def test_oracle_dimensions_precomputed():
     assert multilinear_invariant_dim(1, 1) == 1
     assert multilinear_invariant_dim(1, 2) == 2
     assert multilinear_invariant_dim(2, 1) == 1
+    # the brute force gives 14 at (2, 3) in about 1.4 s
+    assert multilinear_invariant_dim(2, 3) == 14
 
 
 def test_span_matches_oracle_desk_scale():
@@ -160,6 +226,30 @@ def test_capacity_guard():
         multilinear_invariant_dim(3, 4)
 
 
+def _torus_weight(d: int, i: int) -> tuple:
+    """eps(i) = e_i for i < d and -e_(i-d) otherwise."""
+    return tuple((k == i) - (k == i - d) for k in range(d))
+
+
+def test_simple_root_vectors_are_the_simple_roots_of_sp():
+    for d in (1, 2, 3, 4):
+        j = SymplecticContext(d).J
+        # eps_1 - eps_2, ..., eps_(d-1) - eps_d, 2 eps_d
+        roots = [tuple((k == i) - (k == i + 1) for k in range(d)) for i in range(d - 1)]
+        roots.append(tuple(2 * (k == d - 1) for k in range(d)))
+        vectors = simple_root_vectors(d)
+        assert len(vectors) == d
+        for entries, root in zip(vectors, roots):
+            rows = [[0] * (2 * d) for _ in range(2 * d)]
+            for r, c, v in entries:
+                rows[r][c] = v
+                # E_(r,c) has weight eps(r) - eps(c) under the diagonal torus
+                weight = tuple(a - b for a, b in zip(_torus_weight(d, r), _torus_weight(d, c)))
+                assert weight == root
+            h = RingMatrix(rows)
+            assert h.transpose() * j + j * h == RingMatrix.zeros(2 * d)
+
+
 def test_sp_basis_satisfies_lie_condition():
     for d in (1, 2, 3):
         j = SymplecticContext(d).J
@@ -167,6 +257,36 @@ def test_sp_basis_satisfies_lie_condition():
             hm = RingMatrix([[Fraction(x) for x in row] for row in h])
             assert hm.transpose() * j + j * hm == RingMatrix.zeros(2 * d)
         assert len(sp_basis(d)) == d * (2 * d + 1)
+
+
+@pytest.mark.parametrize("dim", [multilinear_invariant_dim, trace_word_span_dim])
+def test_bad_sizes_raise(dim):
+    for d in (0, -1):
+        with pytest.raises(DimensionError):
+            dim(d, 1)
+    with pytest.raises(SymplawError):
+        dim(1, -1)
+    assert dim(1, 0) == 1 and dim(2, 0) == 1
+
+
+def test_capacity_guard_counts_every_coordinate():
+    # 4^9 coordinates in all, of which only C(18, 9) have weight zero
+    with pytest.raises(CapacityError):
+        multilinear_invariant_dim(1, 9)
+    with pytest.raises(CapacityError):
+        trace_word_span_dim(3, 4)
+
+
+def test_check_invariance_returns_first_non_invariant(monkeypatch):
+    # with the plain transpose in place of X^j, tr(X X^T) is no Sp-invariant
+    monkeypatch.setattr(invariants, "symplectic_transpose", lambda ctx, m: m.transpose())
+    rng = random.Random(45)
+    g = sample_symplectic(SymplecticContext(2), 9100)
+    mats = [random_matrix(4, rng, 3)]
+    plain = InvariantFunction.sigma(1, TraceWord(((1, False),)))
+    starred = [InvariantFunction.sigma(i, TraceWord(((1, False), (1, True)))) for i in (2, 1)]
+    assert check_invariance([plain], mats, g) is None
+    assert check_invariance([plain, *starred], mats, g) is starred[0]
 
 
 def test_arity_errors():

@@ -1,12 +1,15 @@
+from fnmatch import fnmatch
+
 import pytest
 
-from symplaw import detlaws
+from symplaw import detlaws, invariants, suites
 from symplaw.errors import SymplawError
 from symplaw.gma import counterexample_fixture
 from symplaw.suites import (
     SuiteConfig,
     run_suite,
     suite_gma,
+    suite_invariants,
     suite_pseudochar,
     weak_law_counterexample_probe,
 )
@@ -68,3 +71,33 @@ def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):
     checks = {c["name"]: c["pass"] for c in suite_pseudochar(2, 25, 0)}
     assert checks["comparison_agrees_with_det_laws"] is False
     assert checks["comparison_p_squared_equals_d"] is True
+
+
+# Negative controls: each row names a check of ``suite invariants`` (a glob
+# over check names) and a fault under which that check must fail at every
+# seed.  ``enumeration_desk_counts`` reads no seed, so its sweep only
+# repeats one run.
+INVARIANTS_CONTROLS = {
+    # the enumeration loses its shortest word
+    "enumeration_desk_counts": (
+        suites, "enumerate_trace_words",
+        lambda m, max_len, real=suites.enumerate_trace_words: real(m, max_len)[1:]),
+    # X^j is taken to be the plain transpose X^T
+    "generators_invariant_under_conjugation": (
+        invariants, "symplectic_transpose", lambda ctx, m: m.transpose()),
+    # the similitude factor reads entry (0, 0) instead
+    "similitude_conjugation_invariant": (suites, "similitude", lambda ctx, m: m[0, 0]),
+    # the oracle skips the long-root generator E_(d,2d)
+    "fft_desk_scale_*": (
+        invariants, "simple_root_vectors",
+        lambda d, real=invariants.simple_root_vectors: real(d)[:-1]),
+}
+
+
+@pytest.mark.parametrize("pattern", sorted(INVARIANTS_CONTROLS))
+def test_invariants_check_fails_under_its_fault(pattern, monkeypatch):
+    monkeypatch.setattr(*INVARIANTS_CONTROLS[pattern])
+    for d in (1, 2):
+        for seed in range(10):
+            named = [c for c in suite_invariants(d, 4, seed) if fnmatch(c["name"], pattern)]
+            assert named and not any(c["pass"] for c in named), (d, seed, named)
