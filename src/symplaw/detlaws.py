@@ -31,6 +31,7 @@ from .symplectic import (
     pfaffian_coeffs_of_matrix,
     reduced_pfaffian,
     similitude,
+    symplectic_transpose,
 )
 from .words import Word, format_word, max_generator, word_inv, word_mul
 
@@ -115,8 +116,7 @@ class InvolutiveRepresentation:
     generator_images: tuple
     lambda_values: tuple
     kind: str = "Sp"
-    _inverses: tuple = field(init=False, repr=False)
-    # word -> rho(word), every prefix of a cached word included; outside eq, hash and repr
+    # word -> rho(word) for each letter and each prefix of a cached word; outside eq, hash, repr
     _images: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -126,20 +126,21 @@ class InvolutiveRepresentation:
         lams = tuple(Fraction(x) for x in self.lambda_values)
         if len(images) != len(lams):
             raise DimensionError("one lambda per generator image required")
-        for m, lam in zip(images, lams):
+        cache = {(): RingMatrix.identity(self.ctx.n)}
+        for gen, (m, lam) in enumerate(zip(images, lams), 1):
+            if not m.all_rational():
+                raise StructureError("generator images must have rational entries")
             got = similitude(self.ctx, m)
             if got != lam:
                 raise StructureError(f"declared similitude {lam} but M^j M = {got} Id")
+            # M^j M = lambda Id with lambda != 0, so M^(-1) = M^j / lambda
+            mj = symplectic_transpose(self.ctx, m)
+            cache[((gen, 1),)] = m
+            cache[((gen, -1),)] = mj if lam == 1 else mj * (1 / lam)
         if self.kind == "Sp" and any(lam != 1 for lam in lams):
             raise StructureError("Sp representation must have all similitudes equal to 1")
         object.__setattr__(self, "generator_images", images)
         object.__setattr__(self, "lambda_values", lams)
-        inverses = tuple(m.inverse() for m in images)
-        object.__setattr__(self, "_inverses", inverses)
-        cache = {(): RingMatrix.identity(self.ctx.n)}
-        for gen, (m, mi) in enumerate(zip(images, inverses), 1):
-            cache[((gen, 1),)] = m
-            cache[((gen, -1),)] = mi
         object.__setattr__(self, "_images", cache)
 
     @staticmethod
@@ -175,8 +176,7 @@ class InvolutiveRepresentation:
             k -= 1
         m = cache[w[:k]]
         for i in range(k, len(w)):
-            gen, sign = w[i]
-            m = m * (self.generator_images[gen - 1] if sign > 0 else self._inverses[gen - 1])
+            m = m * cache[w[i : i + 1]]
             cache[w[: i + 1]] = m
         return m
 

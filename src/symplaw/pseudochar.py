@@ -167,7 +167,10 @@ def comparison_to_det_law(pc: Pseudocharacter):
     Lambda_2d of its characteristic polynomial, so that it does not share
     mat_det with eval_det_law; P sends a symmetric
     sum c_i (gamma_i + lambda(gamma_i) gamma_i^(-1)) to the normalized
-    Pfaffian of sum c_i (rho(gamma_i) + lambda_i rho(gamma_i)^(-1)).
+    Pfaffian of sum c_i (rho(gamma_i) + lambda_i rho(gamma_i)^(-1)).  That
+    inverse comes from Gauss-Jordan elimination, not from rho_word, whose
+    generator inverses are M^j / lambda, so that P does not share the
+    involution with eval_pf_law.
     """
     rep = pc.rep
     ctx = rep.ctx

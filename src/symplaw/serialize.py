@@ -29,6 +29,19 @@ def fraction_to_json(x: Fraction) -> str | int:
     return f"{x.numerator}/{x.denominator}"
 
 
+def _rational_literal(text: str) -> Fraction:
+    """Fraction(text.strip()), read without Fraction's parser when text is "p" or "p/q".
+
+    p and q are ASCII digits, p after at most one "-", and q is not zero.  Any
+    other text goes to Fraction, so the value or exception is the same.
+    """
+    num, slash, den = text.partition("/")
+    p, q = num[1:] if num[:1] == "-" else num, den if slash else "1"
+    if p.isascii() and p.isdigit() and q.isascii() and q.isdigit() and q.strip("0"):
+        return Fraction(int(num), int(q))
+    return Fraction(text.strip())
+
+
 def fraction_from_json(obj) -> Fraction:
     if isinstance(obj, bool):
         raise SchemaError(f"not a rational: {obj!r}")
@@ -36,7 +49,7 @@ def fraction_from_json(obj) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return Fraction(obj.strip())
+            return _rational_literal(obj)
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"bad rational literal {obj!r}") from e
     raise SchemaError(f"not a rational: {obj!r}")
@@ -145,7 +158,7 @@ def ring_value_from_json(obj):
         return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return Fraction(obj.strip())
+            return _rational_literal(obj)
         except (ValueError, ZeroDivisionError):
             return parse_poly_string(obj)
     raise SchemaError(f"unserializable value {obj!r}")

@@ -244,6 +244,25 @@ def test_malformed_poly_string_coefficient_exits_2(tmp_path, capsys, coef):
     _assert_one_line_error(code, capsys.readouterr())
 
 
+_POLY_REP = {"d": 1, "kind": "Sp", "generators": [[[1, "u"], [0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("detlaw", {"rep": _POLY_REP, "element": {"terms": [{"word": "g1^-1", "coef": 1}]}}),
+        ("theta", {"rep": _POLY_REP, "f": {"sigma_index": 1, "word": "1"}, "gammas": ["g1^-1"]}),
+    ],
+    ids=["detlaw", "theta"],
+)
+def test_polynomial_generator_entries_exit_2(tmp_path, capsys, verb, blob):
+    # M^j M = Id holds over Q[u], but a representation lives in GSp_2d(Q)
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "rational" in captured.err
+
+
 _GMA_INPUT = {
     "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1],
     "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],

@@ -8,16 +8,21 @@ invariant-dimension oracle moved to weight-zero coordinates.  Those of
 ``suite pseudochar`` were recorded once the relabelling check skipped
 comparisons of a cache key with itself; they equal the earlier output at
 seeds 1-4, and at seed 0 differ from it only in
-``corrupted_cache_detected``, which failed there before.  Any change to
-a computed value or to the report format shows here.
+``corrupted_cache_detected``, which failed there before.  Those of
+``eval detlaw`` and ``eval theta`` at 2d = 12 were recorded while a
+representation still inverted its generators by Gauss-Jordan elimination.
+Any change to a computed value or to the report format shows here.
 """
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
 from symplaw.cli import main
+from symplaw.serialize import fraction_to_json, matrix_to_json
+from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
 
 GMA_DIGESTS = {
     0: "a893ade0feedfed436930825356ee26c43dda35befdeb28286326eed01f7e890",
@@ -103,3 +108,67 @@ def test_suite_gma_input_spec_output_pinned(tmp_path, capsys):
 def test_suite_output_pinned(suite, flags, seed, digest, capsys):
     args = ["suite", suite, *flags, "--seed", str(seed)]
     assert _digest(args, capsys) == (0, digest)
+
+
+# -- eval verbs at the dimension cap -----------------------------------------------
+
+# Sp: Cayley samples; GSp: the same samples times diag(3/2 Id, Id), similitude 3/2
+EVAL_LAMBDA = {"Sp": Fraction(1), "GSp": Fraction(3, 2)}
+
+
+def _eval_rep(kind):
+    ctx = SymplecticContext(6)
+    if kind == "Sp":
+        images = [sample_symplectic(ctx, seed) for seed in (12, 13)]
+    else:
+        images = [sample_similitude(ctx, seed, factor=EVAL_LAMBDA[kind]) for seed in (12, 13)]
+    return {"d": 6, "kind": kind, "generators": [matrix_to_json(m) for m in images],
+            "lambdas": [fraction_to_json(EVAL_LAMBDA[kind])] * 2}
+
+
+def _symmetric(kind, terms):
+    """sum c (w + lambda(w) w^(-1)) over (w, inverse word, similitude degree of w, c)."""
+    lam = EVAL_LAMBDA[kind]
+    out = []
+    for word, inverse, degree, c in terms:
+        out += [{"word": word, "coef": fraction_to_json(c)},
+                {"word": inverse, "coef": fraction_to_json(c * lam ** degree)}]
+    return {"terms": out}
+
+
+def _eval_input(kind, verb):
+    rep = _eval_rep(kind)
+    if verb == "detlaw-D":
+        element = {"terms": [{"word": "g1 g2^-1", "coef": "3/2"}, {"word": "g2 g1", "coef": -2},
+                             {"word": "g1^-1", "coef": "1/3"}]}
+        return "detlaw", {"rep": rep, "element": element, "law": "D"}
+    if verb == "detlaw-P":
+        element = _symmetric(kind, [("g1 g2", "g2^-1 g1^-1", 2, Fraction(1)),
+                                    ("g2^-1", "g2", -1, Fraction(-1, 2))])
+        return "detlaw", {"rep": rep, "element": element, "law": "P"}
+    f = {"sigma_index": 5, "word": "1 2*", "arity": 2}
+    return "theta", {"rep": rep, "f": f, "gammas": ["g1 g2^-1", "g2^-1"]}
+
+
+EVAL_DIGESTS = {
+    ("Sp", "detlaw-D"):
+        "9e200709da66dfc47f940d93993ef1c7a5ef615d7cb643b4838b5e09933f9e15",
+    ("Sp", "detlaw-P"):
+        "82bcf3b2f4eaa5c3fc8804df3992316f4741986dfe3040c3a58ed4780884ed96",
+    ("Sp", "theta"):
+        "aee6505e469bffa998c4b3ead7bd49196d9a56b30db9579c62492ac92411ea27",
+    ("GSp", "detlaw-D"):
+        "c7b584e9e24a118b3752e454b124a323e39b63fd1ad65a63962b4afeb73aff5b",
+    ("GSp", "detlaw-P"):
+        "82bc5d6158910ab824d7080da220f47faada676aac0bbababb54b99eb85d5566",
+    ("GSp", "theta"):
+        "340b334f8bd8528b5e017782177af9cf16910cb1a9fd1653c3982d24fc03b5ca",
+}
+
+
+@pytest.mark.parametrize(("kind", "verb"), sorted(EVAL_DIGESTS), ids="-".join)
+def test_eval_output_pinned_at_the_dimension_cap(kind, verb, tmp_path, capsys):
+    command, blob = _eval_input(kind, verb)
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    assert _digest(["eval", command, "--input", str(path)], capsys) == (0, EVAL_DIGESTS[kind, verb])

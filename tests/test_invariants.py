@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,21 @@ def test_span_matches_oracle_desk_scale():
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         multilinear_invariant_dim(3, 4)
+
+
+def test_largest_admitted_oracle_sizes():
+    # 1860 and 924 weight-zero unknowns, under the 2000 of the second guard
+    assert multilinear_invariant_dim(3, 3) == 15
+    assert multilinear_invariant_dim(1, 6) == 132
+
+
+@pytest.mark.parametrize(("d", "m"), [(1, 7), (2, 4), (1, 8)])
+def test_weight_zero_guard_refuses_at_once(d, m):
+    # (4d^2)^m <= 10^5 admits these; their 3432, 4900 and 12870 unknowns took 5.6 s to minutes
+    start = time.perf_counter()
+    with pytest.raises(CapacityError, match="weight-zero"):
+        multilinear_invariant_dim(d, m)
+    assert time.perf_counter() - start < 1
 
 
 def _torus_weight(d: int, i: int) -> tuple:

@@ -527,22 +527,32 @@ def reduced_words(gens, max_len):
     return words
 
 
-@pytest.mark.parametrize("kind", ["Sp", "GSp"])
-def test_cached_rho_word_matches_the_plain_product(kind):
-    ctx = SymplecticContext(2)
+def _gsp_12():
+    """Two GSp_12 images of similitude 3/2, as the eval verbs meet them at the dimension cap."""
+    ctx = SymplecticContext(6)
+    return [sample_similitude(ctx, seed, factor=Fraction(3, 2)) for seed in (12, 13)]
+
+
+@pytest.mark.parametrize(("kind", "d", "max_len"), [("Sp", 2, 4), ("GSp", 2, 4), ("GSp", 6, 2)],
+                         ids=["Sp", "GSp", "GSp_12"])
+def test_cached_rho_word_matches_the_plain_product(kind, d, max_len):
+    ctx = SymplecticContext(d)
     if kind == "Sp":
         images = [sample_symplectic(ctx, 5), sample_symplectic(ctx, 6)]
-    else:
+    elif d == 2:
         images = [sample_similitude(ctx, 5, factor=2), sample_similitude(ctx, 6, factor=Fraction(3, 2))]
+    else:
+        images = _gsp_12()
     rep = InvolutiveRepresentation.from_images(images, kind=kind)
+    # the inverses of the reference come from Gauss-Jordan elimination
     plain = {1: naive_rows(images[0].entries), 2: naive_rows(images[1].entries),
              -1: naive_rows(images[0].inverse().entries), -2: naive_rows(images[1].inverse().entries)}
-    words = reduced_words(2, 4)
-    assert len(words) == 1 + 4 + 12 + 36 + 108
+    words = reduced_words(2, max_len)
+    assert len(words) == sum(4 * 3 ** (k - 1) for k in range(1, max_len + 1)) + 1
     rng = random.Random(44)
     rng.shuffle(words)  # prefixes come both before and after the words that extend them
     for w in words + words[:20]:
-        want = naive_rows(RingMatrix.identity(4).entries)
+        want = naive_rows(RingMatrix.identity(images[0].rows).entries)
         for gen, sign in w:
             want = naive_mul(want, plain[gen * sign])
         got = rep.rho_word(w)
@@ -589,3 +599,25 @@ def test_rho_word_spends_one_product_per_new_letter(monkeypatch):
         products.clear()
         rep.rho_word(word)
         assert len(products) == new_letters, word
+
+
+def test_building_a_representation_inverts_nothing(monkeypatch):
+    ctx = SymplecticContext(6)
+    sp_images = [sample_symplectic(ctx, 12), sample_symplectic(ctx, 13)]  # Cayley: inverts
+    gsp_images = _gsp_12()
+    calls = []
+    real_inverse = RingMatrix.inverse
+
+    def counting_inverse(self):
+        calls.append(1)
+        return real_inverse(self)
+
+    monkeypatch.setattr(RingMatrix, "inverse", counting_inverse)
+    sp = InvolutiveRepresentation.from_images(sp_images)
+    gsp = InvolutiveRepresentation.from_images(gsp_images, kind="GSp")
+    assert calls == []
+    for rep in (sp, gsp):
+        # rho(g1^-1 g2^-1) rho(g2 g1) = Id
+        got = rep.rho_word(((1, -1), (2, -1))) * rep.rho_word(((2, 1), (1, 1)))
+        assert got == RingMatrix.identity(12)
+    assert calls == []

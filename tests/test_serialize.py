@@ -9,6 +9,7 @@ from symplaw.gma import counterexample_fixture, standard_fixture
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
 from symplaw.serialize import (
+    _rational_literal,
     fraction_from_json,
     fraction_to_json,
     gma_spec_from_json,
@@ -22,9 +23,62 @@ from symplaw.serialize import (
     poly_to_json,
     representation_from_json,
     representation_to_json,
+    ring_value_from_json,
 )
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
 from symplaw.words import parse_word
+
+
+LITERALS = ["5", "-0", "007/010", "-3/4", "+3", " 4 ", "--5", "3/-4", "1/0", "0/0", "1_000",
+            "1.5", "1e3", "\u00b2", "\u0663/\u0664", "2/3*u"]
+
+
+def _outcome(read, text):
+    """(type, value) of read(text), or the class of the exception it raises."""
+    try:
+        value = read(text)
+    except Exception as e:
+        return type(e)
+    return type(value), value
+
+
+def _fraction_reference(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError) as e:
+        raise SchemaError(text) from e
+
+
+def _ring_value_reference(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return parse_poly_string(text)
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_rational_literal_reader_matches_fraction(text):
+    assert _outcome(_rational_literal, text) == _outcome(lambda t: Fraction(t.strip()), text)
+    assert _outcome(fraction_from_json, text) == _outcome(_fraction_reference, text)
+    assert _outcome(ring_value_from_json, text) == _outcome(_ring_value_reference, text)
+
+
+class _IntegerPairFraction(Fraction):
+    """A Fraction that refuses to parse strings."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        assert not isinstance(numerator, str), numerator
+        return Fraction(numerator, denominator)
+
+
+def test_rational_literal_reads_p_and_p_over_q_directly(monkeypatch):
+    # without Fraction's parser, the plain forms still read; the others no longer do
+    monkeypatch.setattr("symplaw.serialize.Fraction", _IntegerPairFraction)
+    assert [_rational_literal(t) for t in ("5", "-0", "007/010", "-3/4")] == [
+        5, 0, Fraction(7, 10), Fraction(-3, 4)]
+    for text in ("+3", " 4 ", "--5", "3/-4", "1/0"):
+        with pytest.raises(AssertionError):
+            _rational_literal(text)
 
 
 def test_fraction_round_trip():
