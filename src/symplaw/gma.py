@@ -8,11 +8,13 @@ J_delta^(-1) where tau rescales each off-diagonal block by a sign.
 
 Block coefficient modules live inside a polynomial ring modulo a monomial
 ideal, so products and span membership reduce to exact monomial
-bookkeeping: span membership is tested against integer echelon rows that
-each spec computes once per block, and J_delta is kept as a signed
-permutation, so the involution and M J_delta are reindexings of M.  The
-trace/determinant land in Q; the Pfaffian-type law is
-computed from MJ_delta when that matrix is alternating and otherwise from
+bookkeeping: each ring decides once per exponent tuple whether the ideal
+contains that monomial, span membership is tested against integer echelon
+rows that each spec computes once per block, and J_delta is kept as a
+signed permutation, so the involution and M J_delta are reindexings of M.
+Random elements are combinations of the reduced block bases, so they are
+built already reduced.  The trace/determinant land in Q; the Pfaffian-type
+law is computed from MJ_delta when that matrix is alternating and otherwise from
 the determinant through the coefficient recursion (the two agree whenever
 both apply, since the law of degree d with value 1 at the identity is
 unique).
@@ -41,6 +43,9 @@ class QuotientRing:
 
     vars: tuple
     nil_monomials: tuple  # exponent tuples over `vars`
+    # each exponent tuple met by `reduce` -> is it in the ideal; one memo per ring, only
+    # ever added to, each key with its one answer, so threads may share the ring
+    _divisible: dict = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(self.vars)
@@ -52,6 +57,7 @@ class QuotientRing:
                 raise DimensionError("nil monomial exponent length mismatch")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "nil_monomials", nils)
+        object.__setattr__(self, "_divisible", {})
 
     def reduce(self, x: Ring) -> Ring:
         """x without its terms divisible by a nil monomial; x itself if it has none."""
@@ -61,12 +67,16 @@ class QuotientRing:
             if not set(x.vars) <= set(self.vars):
                 raise MembershipError(f"element uses variables outside the ring: {x.vars}")
             x = x.in_vars(self.vars)
-        nils = self.nil_monomials
-        terms = {
-            exp: coef for exp, coef in x.terms.items()
-            if not any(all(e >= n for e, n in zip(exp, nil)) for nil in nils)
-        }
-        return x if len(terms) == len(x.terms) else MultiPoly._trusted(self.vars, terms)
+        divisible = self._divisible
+        for exp in x.terms:
+            if exp not in divisible:
+                divisible[exp] = any(all(e >= n for e, n in zip(exp, nil))
+                                     for nil in self.nil_monomials)
+        if not any(map(divisible.__getitem__, x.terms)):
+            return x
+        return MultiPoly._trusted(
+            self.vars, {exp: c for exp, c in x.terms.items() if not divisible[exp]}
+        )
 
     def reduce_matrix(self, m: RingMatrix) -> RingMatrix:
         return RingMatrix._trusted([[self.reduce(x) for x in row] for row in m.entries])
@@ -441,6 +451,10 @@ def _embed_at(spec: GmaSpec, i: int, j: int, x: MultiPoly) -> RingMatrix:
 
 
 def random_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) -> RingMatrix:
+    """Random integers on the diagonal blocks, random integer combinations of the bases off them.
+
+    The block bases are reduced, and so is every combination of them.
+    """
     off = spec.type.offsets()
     rows = [[Fraction(0)] * spec.n for _ in range(spec.n)]
     for i in range(1, spec.type.r + 1):
@@ -451,20 +465,24 @@ def random_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) ->
                     if i == j:
                         rows[a][b] = Fraction(rng.randint(-magnitude, magnitude))
                     elif basis:
-                        acc: Ring = Fraction(0)
+                        terms: dict = {}
                         for p in basis:
-                            acc = acc + Fraction(rng.randint(-magnitude, magnitude)) * p
-                        rows[a][b] = acc
-    return spec.ring.reduce_matrix(RingMatrix(rows))
+                            k = rng.randint(-magnitude, magnitude)
+                            for exp, c in p.terms.items():
+                                terms[exp] = terms[exp] + c * k if exp in terms else c * k
+                        rows[a][b] = MultiPoly._trusted(spec.ring.vars, terms)
+    return RingMatrix._trusted(rows)
 
 
 def random_symmetric_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) -> RingMatrix:
+    """x + x* for a random GMA element x; reduced, as x and x* are."""
     x = random_gma_element(spec, rng, magnitude)
-    return spec.ring.reduce_matrix(x + delta_involution(spec, x))
+    return x + _involution(spec, x)
 
 
 def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> bool:
     """D(1 + witness * s) = 1 for sampled s: the witness behaves as a kernel element."""
+    spec.check_membership(witness)
     rng = random.Random(seed)
     ident = RingMatrix.identity(spec.n)
     for _ in range(trials):

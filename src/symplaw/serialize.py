@@ -231,10 +231,7 @@ def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepre
     for key in ("d", "kind", "generators"):
         if key not in obj:
             raise SchemaError(f"representation missing {key!r}")
-    try:
-        d = int(obj["d"])
-    except (TypeError, ValueError) as e:
-        raise SchemaError(f"representation d must be an integer, got {obj['d']!r}") from e
+    d = int_from_json(obj["d"], "representation d")
     if max_dim is not None and 2 * d > max_dim:
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     ctx = SymplecticContext(d)

@@ -473,28 +473,6 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
     return checks
 
 
-# -- probe hook for the weak-law conjecture ------------------------------------
-
-
-def weak_law_counterexample_probe(trials: int, seed: int) -> dict:
-    """Randomized search for a weak law violating CH(P) <= ker(D); desk scale.
-
-    Samples symmetric elements of the two GMA fixtures and kernel-probes
-    their chi^P values.  No violation is expected; any hit is returned as a
-    witness.
-    """
-    rng = random.Random(seed)
-    for spec in (gma.standard_fixture(), gma.counterexample_fixture()):
-        for k in range(trials):
-            m = gma.random_symmetric_gma_element(spec, rng)
-            chi = gma.gma_chi_p(spec, m)
-            if chi.is_zero():
-                continue
-            if not gma.kernel_probe(spec, chi, 10, seed + k):
-                return {"found": True, "witness": str(chi)}
-    return {"found": False, "witness": None}
-
-
 # -- dispatch -------------------------------------------------------------------
 
 

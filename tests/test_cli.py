@@ -194,6 +194,17 @@ def test_malformed_representation_dimension_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(("d", "size"), [(2.7, 4), (True, 2)], ids=["float", "bool"])
+def test_non_integer_representation_d_exits_2(tmp_path, capsys, d, size):
+    # int() would read these as d = 2 and d = 1, which fit the identity generators
+    rep = {"d": d, "kind": "Sp", "generators": [_identity(size)]}
+    element = {"terms": [{"word": "g1", "coef": "1"}]}
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, {"rep": rep, "element": element})])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "representation d must be an integer" in captured.err
+
+
 def test_gma_spec_size_guard(tmp_path, capsys, monkeypatch):
     blob = {
         "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [2, 2],

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -25,6 +26,7 @@ from symplaw.gma import (
 )
 from symplaw.matrices import RingMatrix, mat_det, matrix_rank, trace_of_product
 from symplaw.multipoly import MultiPoly
+from symplaw.suites import suite_gma
 from symplaw.symplectic import is_alternating, pfaffian
 
 
@@ -343,7 +345,16 @@ def _with_foreign_entry(spec, m):
     raise AssertionError("every ring variable lies in span(1, 2)")
 
 
-@pytest.mark.parametrize("fn", [delta_involution, gma_pfaffian, gma_chi_p, gma_trace_det_pf])
+ENTRY_POINTS = {
+    "delta_involution": delta_involution,
+    "gma_pfaffian": gma_pfaffian,
+    "gma_chi_p": gma_chi_p,
+    "gma_trace_det_pf": gma_trace_det_pf,
+    "kernel_probe": partial(kernel_probe, trials=1, seed=0),
+}
+
+
+@pytest.mark.parametrize("fn", list(ENTRY_POINTS.values()), ids=list(ENTRY_POINTS))
 def test_every_entry_point_refuses_a_non_member(fn):
     rng = random.Random(62)
     for spec in (standard_fixture(), counterexample_fixture()):
@@ -376,3 +387,121 @@ def test_trace_of_product_matches_the_trace_of_the_product():
     wide = RingMatrix([[Fraction(1), Fraction(2), Fraction(3)]])
     tall = RingMatrix([[Fraction(4)], [Fraction(5)], [Fraction(6)]])
     assert trace_of_product(wide, tall) == (wide * tall).trace() == 32
+
+
+# -- the memoized reduction against the divisibility definition ---------------
+
+
+def brute_reduce(p, ring):
+    """p over the ring's variables, without each term that some nil monomial divides."""
+    p = p.in_vars(ring.vars)
+    return MultiPoly(ring.vars, {
+        exp: c for exp, c in p.terms.items()
+        if not any(all(e >= n for e, n in zip(exp, nil)) for nil in ring.nil_monomials)
+    })
+
+
+def _random_poly(rng, variables):
+    return MultiPoly(variables, {
+        tuple(rng.randint(0, 3) for _ in variables): Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for _ in range(rng.randint(0, 6))
+    })
+
+
+RINGS = {
+    "artinian": (("u", "v"), ((2, 0), (0, 2), (1, 1))),
+    "only_u_squared": (("u", "v"), ((2, 0),)),  # not Artinian: every v^k survives
+    "three_vars": (("u", "v", "w"), ((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 3), (1, 0, 1),
+                                     (0, 1, 1))),
+    "no_relations": (("u",), ()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RINGS))
+def test_reduce_drops_exactly_the_divisible_terms(name):
+    ring = QuotientRing(*RINGS[name])
+    rng = random.Random(71)
+    kept_all = dropped = 0
+    for _ in range(300):
+        # a third of the inputs use a subset of the ring's variables
+        k = len(ring.vars) if rng.random() < 2 / 3 else rng.randint(0, len(ring.vars))
+        p = _random_poly(rng, tuple(sorted(rng.sample(ring.vars, k))))
+        got = ring.reduce(p)
+        assert got.vars == ring.vars
+        assert got.terms == brute_reduce(p, ring).terms
+        if p.vars == ring.vars:
+            assert (got is p) == (len(got.terms) == len(p.terms))
+        kept_all += len(got.terms) == len(p.terms)
+        dropped += len(got.terms) < len(p.terms)
+    assert kept_all and (dropped or not ring.nil_monomials)
+
+
+def test_rings_with_different_ideals_reduce_differently():
+    a = QuotientRing(("u", "v"), ((2, 0),))
+    b = QuotientRing(("u", "v"), ((0, 2),))
+    u, v = a.variable("u"), a.variable("v")
+    p = u * u + u * v + v * v
+    for _ in range(2):  # the second round reads each ring's memo
+        assert a.reduce(p) == u * v + v * v
+        assert b.reduce(p) == u * u + u * v
+    assert a.reduce(u * u * v) == 0 and b.reduce(u * u * v) == u * u * v
+
+
+def test_reduce_returns_its_argument_when_nothing_drops():
+    ring = standard_fixture().ring
+    u, v = ring.variable("u"), ring.variable("v")
+    p = 3 * u - v + 2
+    assert ring.reduce(p) is p
+    q = p + u * v
+    assert ring.reduce(q) == p and q.terms[(1, 1)] == 1  # q itself is left as it was
+
+
+def test_the_memo_does_not_enter_equality_or_hash():
+    used = QuotientRing(("u", "v"), ((2, 0), (1, 1)))
+    rng = random.Random(72)
+    for _ in range(20):
+        used.reduce(_random_poly(rng, used.vars))
+    fresh = QuotientRing(["u", "v"], [[2, 0], [1, 1]])
+    assert used._divisible and not fresh._divisible
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert used != QuotientRing(("u", "v"), ((2, 0),))
+
+
+def three_variable_spec():
+    """A valid spec in Q[u, v, w] / (u^2, v^2, uv, w^3, uw, vw) with u + w^2/2 on (1,2) and (3,1)."""
+    t = GmaType(i0=(1,), i1=(2,), i2=(3,), sigma=(1, 3, 2), dims=(2, 1, 1))
+    nils = ((2, 0, 0), (0, 2, 0), (1, 1, 0), (0, 0, 3), (1, 0, 1), (0, 1, 1))
+    ring = QuotientRing(("u", "v", "w"), nils)
+    x = ring.variable("u") + Fraction(1, 2) * ring.variable("w") ** 2
+    return GmaSpec(t, ring, {(1, 2): (x,), (3, 1): (x,)}, {})
+
+
+def test_suite_gma_passes_on_a_three_variable_spec():
+    spec = three_variable_spec()
+    assert validate_standard_gma(spec)["valid"]
+    for seed in range(10):
+        checks = suite_gma(trials=25, seed=seed, spec=spec)
+        assert len(checks) == 5 and all(c["pass"] for c in checks), (seed, checks)
+
+
+# redundant_basis_spec is left out: its spans are not paired by the involution
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
+def test_random_elements_come_out_reduced(make_spec):
+    spec = make_spec()
+    for seed in range(50):
+        rng = random.Random(seed)
+        x = random_gma_element(spec, rng)
+        s = random_symmetric_gma_element(spec, rng)
+        for m in (x, s):
+            assert spec.ring.reduce_matrix(m) == m
+            spec.check_membership(m)
+        assert delta_involution(spec, s) == s
+
+
+def test_a_declared_basis_is_reduced_before_random_elements_use_it():
+    spec = redundant_basis_spec()  # block (1,3) is declared with u^2 + v
+    rng = random.Random(73)
+    for _ in range(50):
+        m = random_gma_element(spec, rng)
+        assert all(spec.ring.reduce(x) is x for row in m.entries for x in row)

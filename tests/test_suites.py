@@ -2,16 +2,15 @@ from fnmatch import fnmatch
 
 import pytest
 
-from symplaw import detlaws, invariants, suites
+from symplaw import detlaws, gma, invariants, suites
 from symplaw.errors import SymplawError
-from symplaw.gma import counterexample_fixture
+from symplaw.gma import GmaSpec, counterexample_fixture
 from symplaw.suites import (
     SuiteConfig,
     run_suite,
     suite_gma,
     suite_invariants,
     suite_pseudochar,
-    weak_law_counterexample_probe,
 )
 
 
@@ -47,11 +46,6 @@ def test_gma_suite_counterexample_expected_failure_passes():
     assert report["input_spec_sch_condition"]["pass"]  # expectation encoded, not a failure
     assert report["input_spec_chi_p_witness_nonzero"]["pass"]
     assert report["input_spec_witness_in_kernel_of_D"]["pass"]
-
-
-def test_weak_law_probe_finds_nothing():
-    outcome = weak_law_counterexample_probe(trials=5, seed=9)
-    assert outcome == {"found": False, "witness": None}
 
 
 @pytest.mark.parametrize(
@@ -101,3 +95,61 @@ def test_invariants_check_fails_under_its_fault(pattern, monkeypatch):
         for seed in range(10):
             named = [c for c in suite_invariants(d, 4, seed) if fnmatch(c["name"], pattern)]
             assert named and not any(c["pass"] for c in named), (d, seed, named)
+
+
+def _standard_with_a_symmetric_pairing_block(real=gma.standard_fixture):
+    """The standard fixture plus u on block (2,3) with tau sign -1 there, so that u* = u."""
+    spec = real()
+    u = spec.ring.variable("u")
+    return GmaSpec(spec.type, spec.ring, {**spec.blocks, (2, 3): (u,)},
+                   {**spec.tau_signs, frozenset((2, 3)): -1})
+
+
+def _counterexample_with_sign_plus(real=gma.counterexample_fixture):
+    """The counterexample fixture with tau sign +1, which makes sCH hold."""
+    spec = real()
+    return GmaSpec(spec.type, spec.ring, spec.blocks, {frozenset((1, 2)): 1})
+
+
+# Negative controls for ``suite gma``: each row names a check (a glob over
+# check names) and a fault under which that check must fail at every seed.
+# Every check has a control.  The standard fixture's sCH holds vacuously (its
+# pairing blocks are empty), so its sCH control changes the fixture itself.
+GMA_CONTROLS = {
+    # J_delta is taken not to be alternating
+    "*_valid": (gma, "is_alternating", lambda m: False),
+    # the standard fixture gains a pairing block on which x* = x
+    "standard_sch_condition": (
+        gma, "standard_fixture", _standard_with_a_symmetric_pairing_block),
+    # the counterexample fixture loses its tau sign -1
+    "counterexample_sch_condition": (
+        gma, "counterexample_fixture", _counterexample_with_sign_plus),
+    # T_d, the Pfaffian law itself, comes out one too large
+    "standard_chi_p_vanishes": (
+        gma, "gma_pf_coeffs",
+        lambda spec, m, real=gma.gma_pf_coeffs: [*real(spec, m)[:-1], real(spec, m)[-1] + 1]),
+    # chi^P loses its leading term T_0 x^d
+    "counterexample_chi_p_witness_nonzero": (
+        gma, "matrix_poly_value", lambda coeffs, m, real=gma.matrix_poly_value: real(coeffs[1:], m)),
+    # the determinant is one too large
+    "counterexample_witness_in_kernel_of_D": (gma, "mat_det", lambda m, real=gma.mat_det: real(m) + 1),
+    # the trace of a product picks up the first entry of its left factor
+    "*_trace_commutes": (
+        suites, "trace_of_product", lambda a, b, real=suites.trace_of_product: real(a, b) + a[0, 0]),
+    # the determinant is one too large
+    "*_pf_squares_to_det": (gma, "mat_det", lambda m, real=gma.mat_det: real(m) + 1),
+}
+
+
+def test_every_gma_check_has_a_control():
+    names = {c["name"] for c in suite_gma(4, 0)}
+    assert len(names) == 11
+    assert all(any(fnmatch(n, pattern) for pattern in GMA_CONTROLS) for n in names)
+
+
+@pytest.mark.parametrize("pattern", sorted(GMA_CONTROLS))
+def test_gma_check_fails_under_its_fault(pattern, monkeypatch):
+    monkeypatch.setattr(*GMA_CONTROLS[pattern])
+    for seed in range(10):
+        named = [c for c in suite_gma(4, seed) if fnmatch(c["name"], pattern)]
+        assert named and not any(c["pass"] for c in named), (seed, named)
