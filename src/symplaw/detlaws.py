@@ -110,12 +110,12 @@ class GroupAlgebraElement:
 
 @dataclass(frozen=True)
 class InvolutiveRepresentation:
-    """Generator images in GSp_2d(Q) together with their similitude factors."""
+    """Generator images in GSp_2d(Q); ``lambda_values`` holds their similitude factors."""
 
     ctx: SymplecticContext
     generator_images: tuple
-    lambda_values: tuple
     kind: str = "Sp"
+    lambda_values: tuple = field(init=False)
     # word -> rho(word) for each letter and each prefix of a cached word; outside eq, hash, repr
     _images: dict = field(init=False, repr=False, compare=False)
 
@@ -123,24 +123,21 @@ class InvolutiveRepresentation:
         if self.kind not in ("Sp", "GSp"):
             raise SymplawError(f"kind must be Sp or GSp, got {self.kind!r}")
         images = tuple(self.generator_images)
-        lams = tuple(Fraction(x) for x in self.lambda_values)
-        if len(images) != len(lams):
-            raise DimensionError("one lambda per generator image required")
+        lams = []
         cache = {(): RingMatrix.identity(self.ctx.n)}
-        for gen, (m, lam) in enumerate(zip(images, lams), 1):
+        for gen, m in enumerate(images, 1):
             if not m.all_rational():
                 raise StructureError("generator images must have rational entries")
-            got = similitude(self.ctx, m)
-            if got != lam:
-                raise StructureError(f"declared similitude {lam} but M^j M = {got} Id")
+            lam = similitude(self.ctx, m)
             # M^j M = lambda Id with lambda != 0, so M^(-1) = M^j / lambda
             mj = symplectic_transpose(self.ctx, m)
             cache[((gen, 1),)] = m
             cache[((gen, -1),)] = mj if lam == 1 else mj * (1 / lam)
+            lams.append(lam)
         if self.kind == "Sp" and any(lam != 1 for lam in lams):
             raise StructureError("Sp representation must have all similitudes equal to 1")
         object.__setattr__(self, "generator_images", images)
-        object.__setattr__(self, "lambda_values", lams)
+        object.__setattr__(self, "lambda_values", tuple(lams))
         object.__setattr__(self, "_images", cache)
 
     @staticmethod
@@ -150,9 +147,7 @@ class InvolutiveRepresentation:
         n = images[0].rows
         if n % 2:
             raise DimensionError("images must be 2d x 2d")
-        ctx = SymplecticContext(n // 2)
-        lams = tuple(similitude(ctx, m) for m in images)
-        return InvolutiveRepresentation(ctx, tuple(images), lams, kind)
+        return InvolutiveRepresentation(SymplecticContext(n // 2), tuple(images), kind)
 
     @property
     def num_generators(self) -> int:

@@ -25,7 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from math import lcm
+from operator import is_
 from typing import Mapping, Sequence
 
 from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
@@ -79,7 +81,11 @@ class QuotientRing:
         )
 
     def reduce_matrix(self, m: RingMatrix) -> RingMatrix:
-        return RingMatrix._trusted([[self.reduce(x) for x in row] for row in m.entries])
+        """m with every entry reduced; m itself if ``reduce`` keeps every entry."""
+        rows = [[self.reduce(x) for x in row] for row in m.entries]
+        if all(map(is_, chain(*rows), chain(*m.entries))):
+            return m
+        return RingMatrix._trusted(rows)
 
     def variable(self, name: str) -> MultiPoly:
         if name not in self.vars:

@@ -1,13 +1,14 @@
 """Dense matrices over exact scalars (Fraction) or MultiPoly entries.
 
-Determinants are exact: division-free cofactor expansion (dynamic
-programming over column subsets) for polynomial entries and small sizes,
-Bareiss fraction-free elimination for larger rational matrices.  The
-characteristic polynomial uses Berkowitz's division-free algorithm
-(S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
-themselves, so it serves rational, polynomial and quotient-ring entries
-alike.  Every check in this library lives at dimension <= 12, so no sparse
-or asymptotically clever machinery is needed.
+Determinants are exact: Bareiss fraction-free elimination (E. H. Bareiss,
+Math. Comp. 22, 1968) on the cleared integer rows of every rational matrix,
+and division-free cofactor expansion (dynamic programming over column
+subsets) on the entries of any other matrix.  The characteristic
+polynomial uses Berkowitz's division-free algorithm (S. J. Berkowitz,
+IPL 18, 1984): O(n^4) ring operations on the entries themselves, so it
+serves rational, polynomial and quotient-ring entries alike.  Every check
+in this library lives at dimension <= 12, so no sparse or asymptotically
+clever machinery is needed.
 
 A matrix whose entries are all Fractions keeps one cleared form (B, delta):
 B a tuple of integer rows and delta > 0 the least common denominator, so
@@ -22,24 +23,21 @@ determinant det(B) / delta^n and the inverse delta B^(-1) (integer
 Gauss-Jordan, each row divided by its content).  No Fraction is built in
 between: a result of these kernels makes its Fraction ``entries`` only when
 they are read (``entries``, ``m[i, j]``, JSON output).  The division-free
-routines (cofactor expansion, Berkowitz, and the Pfaffian recursion in
-``symplectic``) run unchanged on either B or the entries.  Matrices with
-MultiPoly entries have no cleared form and take the generic path.
+routines (Berkowitz, and the Pfaffian recursion in ``symplectic``) run
+unchanged on either B or the entries.  Matrices with MultiPoly entries have
+no cleared form and take the generic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial, reduce
 from itertools import chain
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
 from .multipoly import MultiPoly, Ring, fresh_var
-
-_BAREISS_MIN = 7  # cofactor DP below this, per the exactness/size tradeoff
 
 
 def exact_scalar(x) -> Ring:
@@ -70,9 +68,6 @@ def _integer_rows(entries) -> tuple | None:
     ratios = [list(map(Fraction.as_integer_ratio, row)) for row in entries]
     den = lcm(*[q for row in ratios for _, q in row])
     return tuple(tuple([p * (den // q) for p, q in row]) for row in ratios), den
-
-
-_sum_from_first = partial(reduce, add)  # a sum that starts from its first term, not from 0
 
 
 class RingMatrix:
@@ -198,7 +193,7 @@ class RingMatrix:
             if self.cols != other.rows:
                 raise DimensionError("shape mismatch in matrix product")
             if self._ints is None or other._ints is None:
-                return RingMatrix._trusted(_product(self.entries, other.entries, _sum_from_first))
+                return RingMatrix._trusted(_product(self.entries, other.entries))
             return RingMatrix._cleared(_product(self._ints, other._ints), self._den * other._den)
         return self._scaled(other, lambda x: x * other)
 
@@ -249,10 +244,7 @@ class RingMatrix:
             raise DimensionError("trace of a non-square matrix")
         if self._ints is not None:
             return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
-        acc = self.entries[0][0]
-        for i in range(1, self.rows):
-            acc = acc + self.entries[i][i]
-        return acc
+        return sum(row[i] for i, row in enumerate(self.entries))
 
     def is_zero(self) -> bool:
         if self._ints is not None:
@@ -341,43 +333,35 @@ class _LazyEntries(RingMatrix):
         return entries
 
 
-def _product(a: Sequence, b: Sequence, total: Callable = sum) -> list:
-    """The rows of A B for the rows of A and of B; ``total`` sums the products of each entry.
+def _product(a: Sequence, b: Sequence) -> list:
+    """The rows of A B for the rows of A and of B, integers or ring entries.
 
-    The default ``sum`` serves integer rows; ring entries use a sum that
-    starts from the first product.
+    ``sum`` starts from the int 0, and 0 + x is x for Fraction and MultiPoly.
     """
     cols = list(zip(*b))
-    return [tuple([total(map(mul, row, col)) for col in cols]) for row in a]
+    return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
 
 
 def trace_of_product(a: RingMatrix, b: RingMatrix) -> Ring:
     """tr(AB) = sum a_ik b_ki, without forming AB."""
     if a.cols != b.rows or a.rows != b.cols:
         raise DimensionError("shape mismatch in trace of a product")
-    return reduce(add, map(mul, chain(*a.entries), chain(*zip(*b.entries))))
+    return sum(map(mul, chain(*a.entries), chain(*zip(*b.entries))))
 
 
 def mat_det(m: RingMatrix) -> Ring:
     """Exact determinant of a square matrix over Fraction or MultiPoly entries."""
     if not m.is_square():
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    if m.all_rational() and m.rows >= _BAREISS_MIN:
+    if m.all_rational():
         return _det_bareiss(m)
-    return _det_cofactor(m)
-
-
-def _det_cofactor(m: RingMatrix) -> Ring:
-    """Cofactor expansion of det(M); on integer rows B for rational M, det(B) / delta^n."""
-    if m._ints is None:
-        return exact_scalar(_cofactor_expansion(m.entries))
-    return Fraction(_cofactor_expansion(m._ints), m._den ** m.rows)
+    return exact_scalar(_cofactor_expansion(m.entries))
 
 
 def _cofactor_expansion(a: Sequence) -> Ring:
     """Division-free expansion, memoized over column subsets (O(2^n * n) ring ops).
 
-    Returns the int 0 if every term vanishes, so that integer rows stay integer.
+    Returns the int 0 if every term vanishes.
     """
     n = len(a)
     full = (1 << n) - 1

@@ -70,14 +70,6 @@ def theta_eval(pc: Pseudocharacter, f: InvariantFunction, gammas) -> Fraction:
     return value
 
 
-def theta_eval_product(pc: Pseudocharacter, fs, gammas) -> Fraction:
-    """Product of generator evaluations (the maps are ring homomorphisms)."""
-    out = Fraction(1)
-    for f in fs:
-        out *= theta_eval(pc, f, gammas)
-    return out
-
-
 def _random_sigma_function(rng: random.Random, arity: int, two_d: int) -> InvariantFunction:
     length = rng.randint(1, 4)
     letters = tuple((rng.randint(1, arity), rng.choice((False, True))) for _ in range(length))
@@ -125,7 +117,7 @@ def verify_axioms(pc: Pseudocharacter, trials: int, seed: int) -> dict:
             # hat of the last-slot similitude generator is a product of two generators
             f1 = InvariantFunction.similitude_power(m, -1, m + 1)
             f2 = InvariantFunction.similitude_power(m + 1, -1, m + 1)
-            lhs = theta_eval_product(pc, [f1, f2], gammas)
+            lhs = theta_eval(pc, f1, gammas) * theta_eval(pc, f2, gammas)
         else:
             lhs = theta_eval(pc, hat(f), gammas)
         rhs = theta_eval(pc, f, merged)

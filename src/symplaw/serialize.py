@@ -1,10 +1,11 @@
-"""JSON serialization for every value the CLI reads or writes.
+"""JSON serialization for every value the CLI reads.
 
 Rationals are "p/q" strings (bare integers allowed on input); matrices are
 row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 "coef": "p/q"}]} objects, with a compact string form ("2/3*u^2*v - 1")
-accepted on input for fixtures.  Round-tripping any value re-parses to an
-equal value.
+accepted on input for fixtures.  Rationals, polynomials and matrices have
+writers whose output re-parses to an equal value; group-algebra elements,
+representations and GMA specs are only read.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .errors import SchemaError
 from .gma import GmaSpec, GmaType, QuotientRing
 from .matrices import RingMatrix
 from .multipoly import MultiPoly
-from .symplectic import SymplecticContext, similitude
-from .words import format_word, parse_word
+from .symplectic import SymplecticContext
+from .words import parse_word
 
 
 # -- rationals ----------------------------------------------------------
@@ -193,15 +194,6 @@ def matrix_from_json(obj) -> RingMatrix:
 # -- group algebra, representations ------------------------------------------
 
 
-def group_elem_to_json(x: GroupAlgebraElement) -> dict:
-    return {
-        "terms": [
-            {"word": format_word(w), "coef": ring_value_to_json(c)}
-            for w, c in sorted(x.terms.items())
-        ]
-    }
-
-
 def group_elem_from_json(obj) -> GroupAlgebraElement:
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise SchemaError("group algebra element must be {'terms': [...]}")
@@ -215,15 +207,6 @@ def group_elem_from_json(obj) -> GroupAlgebraElement:
     return GroupAlgebraElement(terms)
 
 
-def representation_to_json(rep: InvolutiveRepresentation) -> dict:
-    return {
-        "d": rep.ctx.d,
-        "kind": rep.kind,
-        "generators": [matrix_to_json(m) for m in rep.generator_images],
-        "lambdas": [fraction_to_json(x) for x in rep.lambda_values],
-    }
-
-
 def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepresentation:
     """Parse a representation; with ``max_dim``, refuse 2d > max_dim before building anything."""
     if not isinstance(obj, dict):
@@ -234,45 +217,25 @@ def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepre
     d = int_from_json(obj["d"], "representation d")
     if max_dim is not None and 2 * d > max_dim:
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
-    ctx = SymplecticContext(d)
+    if not isinstance(obj["generators"], list):
+        raise SchemaError("representation generators must be a list of matrices")
     images = tuple(matrix_from_json(m) for m in obj["generators"])
-    if "lambdas" in obj:
-        lams = tuple(fraction_from_json(x) for x in obj["lambdas"])
-    else:
-        lams = tuple(similitude(ctx, m) for m in images)
     try:
-        return InvolutiveRepresentation(ctx, images, lams, str(obj["kind"]))
+        rep = InvolutiveRepresentation(SymplecticContext(d), images, str(obj["kind"]))
     except ValueError as e:
         raise SchemaError(str(e)) from e
+    if "lambdas" in obj:
+        declared = obj["lambdas"]
+        if not isinstance(declared, list) or len(declared) != len(images):
+            raise SchemaError("one lambda per generator image required")
+        for x, got in zip(declared, rep.lambda_values):
+            lam = fraction_from_json(x)
+            if lam != got:
+                raise SchemaError(f"declared similitude {lam} but M^j M = {got} Id")
+    return rep
 
 
 # -- GMA specs --------------------------------------------------------------
-
-
-def gma_spec_to_json(spec: GmaSpec) -> dict:
-    exps_to_str = []
-    for exp in spec.ring.nil_monomials:
-        factors = [
-            f"{v}^{e}" if e > 1 else v for v, e in zip(spec.ring.vars, exp) if e
-        ]
-        exps_to_str.append("*".join(factors) if factors else "1")
-    return {
-        "I0": list(spec.type.i0),
-        "I1": list(spec.type.i1),
-        "I2": list(spec.type.i2),
-        "sigma": list(spec.type.sigma),
-        "dims": list(spec.type.dims),
-        "base_vars": list(spec.ring.vars),
-        "nil_monomials": exps_to_str,
-        "blocks": {
-            f"{i},{j}": [poly_to_json(p) for p in basis]
-            for (i, j), basis in sorted(spec.blocks.items())
-        },
-        "tau_signs": {
-            ",".join(str(k) for k in sorted(pair)): s
-            for pair, s in sorted(spec.tau_signs.items(), key=lambda kv: sorted(kv[0]))
-        },
-    }
 
 
 def _block_key(key: str) -> tuple:

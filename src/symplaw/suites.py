@@ -339,6 +339,8 @@ def _gma_checks(spec, label: str, expect_sch: bool, trials: int, seed: int) -> l
     checks = []
     report = gma.validate_standard_gma(spec)
     checks.append(_check(f"{label}_valid", report["valid"], violations=report["violations"]))
+    if not report["valid"]:  # the criterion checks assume a valid spec and may raise on others
+        return checks
 
     sch, witness = gma.check_sch_condition(spec)
     checks.append(_check(f"{label}_sch_condition", sch is expect_sch, sch_condition=sch))

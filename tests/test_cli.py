@@ -91,6 +91,32 @@ def test_suite_gma_with_counterexample_input(tmp_path, capsys):
     assert any(c["name"] == "input_spec_chi_p_witness_nonzero" and c["pass"] for c in report["checks"])
 
 
+def test_suite_gma_stops_at_an_invalid_input_spec(tmp_path, capsys):
+    # a constant in block (1,2) takes span(1,2) * span(2,1) out of Q: the kernel
+    # probe would raise on it, so the report ends at the failed validity check
+    blob = {
+        "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1],
+        "base_vars": ["u", "v"],
+        "nil_monomials": ["u^2", "v^2", "u*v"],
+        "blocks": {"1,2": ["3"], "2,1": ["v"]},
+        "tau_signs": {"1,2": -1},
+    }
+    path = tmp_path / "gma.json"
+    path.write_text(json.dumps(blob))
+    code = main(["suite", "gma", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["pass"] is False
+    (check,) = report["checks"]
+    assert check["name"] == "input_spec_valid" and check["pass"] is False
+    assert check["violations"] == [
+        "closure: span(1,2)*span(2,1) leaves Q at block (1,1)",
+        "closure: span(2,1)*span(1,2) leaves Q at block (2,2)",
+    ]
+
+
 def test_suite_reports_deterministic(capsys):
     args = ["suite", "det-law", "--d", "1", "--trials", "5", "--seed", "11"]
     _, out1 = run_cli(args, capsys)

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from symplaw import detlaws
 from symplaw.detlaws import (
     GroupAlgebraElement,
     InvolutiveRepresentation,
@@ -24,6 +25,7 @@ from symplaw.symplectic import (
     SymplecticContext,
     power_traces,
     random_j_symmetric,
+    sample_similitude,
     sample_symplectic,
 )
 from symplaw.words import parse_word
@@ -51,12 +53,25 @@ def test_star_involution_sp():
 
 def test_star_gsp_twist():
     ctx = SymplecticContext(1)
-    rep = InvolutiveRepresentation(
-        ctx, (RingMatrix([[2, 0], [0, 2]]),), (Fraction(4),), kind="GSp"
-    )
+    rep = InvolutiveRepresentation(ctx, (RingMatrix([[2, 0], [0, 2]]),), kind="GSp")
+    assert rep.lambda_values == (4,)
     x = elem({"g1": 1})
     assert star(rep, x) == elem({"g1^-1": 4})
     assert star(rep, star(rep, x)) == x
+
+
+def test_representation_computes_each_similitude_once(monkeypatch):
+    ctx = SymplecticContext(2)
+    images = [sample_similitude(ctx, 7, factor=Fraction(3)), sample_symplectic(ctx, 8)]
+    seen = []
+    monkeypatch.setattr(detlaws, "similitude", lambda c, m, real=detlaws.similitude:
+                        seen.append(m) or real(c, m))
+    rep = InvolutiveRepresentation.from_images(images, kind="GSp")
+    assert rep.lambda_values == (3, 1) and seen == images
+    with pytest.raises(StructureError, match="all similitudes equal to 1"):
+        InvolutiveRepresentation.from_images(images, kind="Sp")
+    with pytest.raises(StructureError, match="rational entries"):
+        InvolutiveRepresentation(ctx, (RingMatrix.scalar(4, MultiPoly.variable("c")),))
 
 
 def test_newton_hand_case():

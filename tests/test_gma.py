@@ -456,6 +456,21 @@ def test_reduce_returns_its_argument_when_nothing_drops():
     assert ring.reduce(q) == p and q.terms[(1, 1)] == 1  # q itself is left as it was
 
 
+def test_reduce_matrix_returns_its_argument_when_no_entry_changes():
+    ring = standard_fixture().ring
+    u, v = ring.variable("u"), ring.variable("v")
+    m = RingMatrix([[3 * u - v + 2, Fraction(1, 2)], [v, u]])
+    assert ring.reduce_matrix(m) is m
+    rational = RingMatrix([[1, 2], [3, Fraction(4, 5)]])
+    assert ring.reduce_matrix(rational) is rational
+    dropped = RingMatrix([[3 * u - v + 2 + u * v, Fraction(1, 2)], [v, u]])
+    assert ring.reduce_matrix(dropped) == m and dropped[0, 0].terms[(1, 1)] == 1
+    # an entry over fewer variables is rewritten over the ring's, so the matrix is new
+    narrow = RingMatrix([[MultiPoly.variable("u"), 0], [0, 1]])
+    again = ring.reduce_matrix(narrow)
+    assert again is not narrow and again == narrow and again[0, 0].vars == ring.vars
+
+
 def test_the_memo_does_not_enter_equality_or_hash():
     used = QuotientRing(("u", "v"), ((2, 0), (1, 1)))
     rng = random.Random(72)

@@ -71,7 +71,7 @@ SUITE_RUNS = [pytest.param(suite, flags, seed, digest, id=f"{label}-{seed}")
               for (label, suite, flags), digests in SUITE_DIGESTS.items()
               for seed, digest in digests.items()]
 
-# gma_spec_to_json(standard_fixture())
+# standard_fixture() as a JSON spec
 STANDARD_SPEC = {
     "I0": [1], "I1": [2], "I2": [3], "sigma": [1, 3, 2], "dims": [2, 1, 1],
     "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],

@@ -1,12 +1,17 @@
-"""The package layout: standard library only, imports at module level, a sound __all__."""
+"""The package layout: standard library only, imports at module level, a sound __all__,
+and every function the benchmark's tracer wraps still in place."""
 
 import ast
+import importlib.util
 import sys
 from pathlib import Path
 
 import symplaw
+import symplaw.cli  # the tracer resolves boundaries in every module, the CLI too
+from symplaw.matrices import RingMatrix
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "symplaw").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "symplaw").glob("*.py"))
 
 
 def _parse(path):
@@ -50,3 +55,22 @@ def test_all_names_resolve_without_duplicates():
     assert len(names) == len(set(names))
     missing = [name for name in names if not hasattr(symplaw, name)]
     assert not missing, missing
+
+
+def test_every_traced_boundary_resolves(monkeypatch):
+    """A renamed or deleted function that ``bench/run.py --trace 1`` wraps fails here."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
+    spec = importlib.util.spec_from_file_location("symplaw_bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    unresolved = []
+    for boundary in tracing.TIMED + tracing.COUNTED:
+        try:
+            fn = tracing._resolve(boundary)
+        except (KeyError, AttributeError):
+            unresolved.append(boundary)
+        else:
+            assert callable(fn), boundary
+    assert not unresolved, unresolved
+    # the mat_det hook splits its calls by this method
+    assert callable(getattr(RingMatrix, "all_rational", None))

@@ -165,9 +165,9 @@ def test_similitude_character():
 def test_similitude_character_hand_values():
     ctx = SymplecticContext(1)
     rep = InvolutiveRepresentation(
-        ctx, (RingMatrix([[2, 0], [0, 2]]), RingMatrix([[2, 0], [0, 3]])),
-        (Fraction(4), Fraction(6)), kind="GSp",
+        ctx, (RingMatrix([[2, 0], [0, 2]]), RingMatrix([[2, 0], [0, 3]])), kind="GSp"
     )
+    assert rep.lambda_values == (4, 6)
     pc = Pseudocharacter(rep)
     assert similitude_character(pc, parse_word("g1")) == 4
     assert similitude_character(pc, parse_word("g2")) == 6

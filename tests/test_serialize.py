@@ -13,16 +13,13 @@ from symplaw.serialize import (
     fraction_from_json,
     fraction_to_json,
     gma_spec_from_json,
-    gma_spec_to_json,
     group_elem_from_json,
-    group_elem_to_json,
     matrix_from_json,
     matrix_to_json,
     parse_poly_string,
     poly_from_json,
     poly_to_json,
     representation_from_json,
-    representation_to_json,
     ring_value_from_json,
 )
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
@@ -125,7 +122,11 @@ def test_group_elem_round_trip():
     x = GroupAlgebraElement(
         {parse_word("g1 g2^-1"): Fraction(-1, 2), (): MultiPoly.variable("c")}
     )
-    assert group_elem_from_json(group_elem_to_json(x)) == x
+    blob = {"terms": [
+        {"word": "1", "coef": {"vars": ["c"], "terms": [{"exp": [1], "coef": 1}]}},
+        {"word": "g1 g2^-1", "coef": "-1/2"},
+    ]}
+    assert group_elem_from_json(json.loads(json.dumps(blob))) == x
 
 
 def test_representation_round_trip():
@@ -134,10 +135,15 @@ def test_representation_round_trip():
         [sample_similitude(ctx, 5, factor=Fraction(4)), sample_symplectic(ctx, 6)],
         kind="GSp",
     )
-    blob = representation_to_json(rep)
-    rep2 = representation_from_json(blob)
+    blob = {
+        "d": 2,
+        "kind": "GSp",
+        "generators": [matrix_to_json(m) for m in rep.generator_images],
+        "lambdas": [4, "1"],
+    }
+    rep2 = representation_from_json(json.loads(json.dumps(blob)))
     assert rep2.generator_images == rep.generator_images
-    assert rep2.lambda_values == rep.lambda_values
+    assert rep2.lambda_values == rep.lambda_values == (4, 1)
     assert rep2.kind == "GSp"
     # lambdas are recomputed when omitted
     del blob["lambdas"]
@@ -150,11 +156,50 @@ def test_representation_schema_errors():
         representation_from_json({"d": 1, "generators": []})
     with pytest.raises(SchemaError):
         representation_from_json({"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]})
+    with pytest.raises(SchemaError, match="generators must be a list"):
+        representation_from_json({"d": 1, "kind": "Sp", "generators": 5})
+
+
+@pytest.mark.parametrize(("lambdas", "message"), [
+    (["4", "1"], "one lambda per generator image"),
+    ([], "one lambda per generator image"),
+    (5, "one lambda per generator image"),
+    (["2"], r"declared similitude 2 but M\^j M = 4 Id"),
+    (["x"], "bad rational literal"),
+])
+def test_declared_lambdas_are_checked(lambdas, message):
+    blob = {"d": 1, "kind": "GSp", "generators": [[[2, 0], [0, 2]]], "lambdas": lambdas}
+    with pytest.raises(SchemaError, match=message):
+        representation_from_json(blob)
+    blob["lambdas"] = ["4"]
+    assert representation_from_json(blob).lambda_values == (4,)
+
+
+def _basis(exp):
+    return [{"vars": ["u", "v"], "terms": [{"exp": exp, "coef": 1}]}]
+
+
+# the two fixtures as JSON, written out by hand
+FIXTURE_SPECS = [
+    (standard_fixture, {
+        "I0": [1], "I1": [2], "I2": [3], "sigma": [1, 3, 2], "dims": [2, 1, 1],
+        "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],
+        "blocks": {"1,2": _basis([1, 0]), "1,3": _basis([0, 1]),
+                   "2,1": _basis([0, 1]), "3,1": _basis([1, 0])},
+        "tau_signs": {"1,2": 1, "1,3": 1, "2,3": 1},
+    }),
+    (counterexample_fixture, {
+        "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1],
+        "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],
+        "blocks": {"1,2": _basis([1, 0]), "2,1": _basis([0, 1])},
+        "tau_signs": {"1,2": -1},
+    }),
+]
 
 
 def test_gma_spec_round_trip():
-    for spec in (standard_fixture(), counterexample_fixture()):
-        blob = gma_spec_to_json(spec)
+    for fixture, blob in FIXTURE_SPECS:
+        spec = fixture()
         again = gma_spec_from_json(json.loads(json.dumps(blob)))
         assert again.type == spec.type
         assert again.ring == spec.ring

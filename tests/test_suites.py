@@ -2,14 +2,16 @@ from fnmatch import fnmatch
 
 import pytest
 
-from symplaw import detlaws, gma, invariants, suites
+from symplaw import detlaws, gma, invariants, matrices, suites
 from symplaw.errors import SymplawError
 from symplaw.gma import GmaSpec, counterexample_fixture
+from symplaw.matrices import RingMatrix
 from symplaw.suites import (
     SuiteConfig,
     run_suite,
     suite_gma,
     suite_invariants,
+    suite_pfaffian,
     suite_pseudochar,
 )
 
@@ -65,6 +67,63 @@ def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):
     checks = {c["name"]: c["pass"] for c in suite_pseudochar(2, 25, 0)}
     assert checks["comparison_agrees_with_det_laws"] is False
     assert checks["comparison_p_squared_equals_d"] is True
+
+
+def _bareiss_with_entry_01_one_larger(m, real=matrices._det_bareiss):
+    """Bareiss on m with entry (0, 1) one larger; m is at least 2 x 2 in ``suite pfaffian``."""
+    rows = [list(r) for r in m.entries]
+    rows[0][1] += 1
+    return real(RingMatrix(rows))
+
+
+# Negative controls for ``suite pfaffian``: each row names a check (a glob
+# over check names) and a fault under which that check must fail at every
+# seed.  Every check has a control.  The first row breaks Bareiss itself,
+# which ``mat_det`` runs on every rational matrix, the 2 x 2 and 4 x 4
+# alternating ones too.
+PFAFFIAN_CONTROLS = {
+    # Bareiss reads entry (0, 1) one too large
+    "pfaffian_squared_equals_det": (matrices, "_det_bareiss", _bareiss_with_entry_01_one_larger),
+    # X^j comes out doubled
+    "symplectic_transpose_involutive": (
+        suites, "symplectic_transpose",
+        lambda ctx, m, real=suites.symplectic_transpose: real(ctx, m) * 2),
+    # the Pfaffian is one too large
+    "pfaffian_conjugation_covariance": (
+        suites, "pfaffian", lambda a, real=suites.pfaffian: real(a) + 1),
+    # the reduced Pfaffian forgets to divide by Pf(J), which is -1 at d = 2, 3
+    "reduced_pfaffian_normalization": (
+        suites, "reduced_pfaffian", lambda ctx, m: suites.pfaffian(m * ctx.J)),
+    # chi^P loses its leading term T_0 x^d
+    "pfaffian_cayley_hamilton": (
+        suites, "matrix_poly_value",
+        lambda coeffs, m, real=suites.matrix_poly_value: real(coeffs[1:], m)),
+    # the Lambda-vector is read off 2M instead of M
+    "recursion_matches_pfaffian_char_poly": (
+        suites, "lambda_vector_of_matrix",
+        lambda m, real=suites.lambda_vector_of_matrix: real(m * 2)),
+    # the determinant is one too large
+    "transfer_identity": (suites, "mat_det", lambda m, real=suites.mat_det: real(m) + 1),
+    # the reduced Pfaffian is one too large
+    "commuting_multiplicativity": (
+        suites, "reduced_pfaffian",
+        lambda ctx, m, real=suites.reduced_pfaffian: real(ctx, m) + 1),
+}
+
+
+def test_every_pfaffian_check_has_a_control():
+    names = {c["name"] for c in suite_pfaffian(2, 4, 0)}
+    assert len(names) == 8
+    assert all(any(fnmatch(n, pattern) for pattern in PFAFFIAN_CONTROLS) for n in names)
+
+
+@pytest.mark.parametrize("pattern", sorted(PFAFFIAN_CONTROLS))
+def test_pfaffian_check_fails_under_its_fault(pattern, monkeypatch):
+    monkeypatch.setattr(*PFAFFIAN_CONTROLS[pattern])
+    for d in (1, 2):
+        for seed in range(10):
+            named = [c for c in suite_pfaffian(d, 4, seed) if fnmatch(c["name"], pattern)]
+            assert named and not any(c["pass"] for c in named), (d, seed, named)
 
 
 # Negative controls: each row names a check of ``suite invariants`` (a glob
