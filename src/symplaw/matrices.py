@@ -83,7 +83,7 @@ class RingMatrix:
 
     def __init__(self, entries: Sequence[Sequence]):
         rows = tuple(tuple(exact_scalar(x) for x in row) for row in entries)
-        if not rows:
+        if not rows or not rows[0]:
             raise DimensionError("empty matrix")
         ncols = len(rows[0])
         if any(len(r) != ncols for r in rows):

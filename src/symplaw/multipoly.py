@@ -2,10 +2,13 @@
 
 A polynomial stores an ordered tuple of variable names (kept sorted, so the
 ordering is canonical) and a dict mapping exponent tuples to nonzero
-``Fraction`` coefficients.  All arithmetic is exact; there is no floating
-point anywhere.  Polynomials interoperate with ``Fraction`` and ``int``
-scalars, which act on the coefficients directly, so matrix code can stay
-agnostic about whether an entry is a scalar or a polynomial.
+coefficients in one canonical form: an ``int`` when the value is integral, a
+``Fraction`` otherwise, so arithmetic on integral polynomials stays in
+``int``.  ``constant_value`` and ``coefficient`` return a ``Fraction``.  All
+arithmetic is exact; there is no floating point anywhere.  Polynomials
+interoperate with ``Fraction`` and ``int`` scalars, which act on the
+coefficients directly, so matrix code can stay agnostic about whether an
+entry is a scalar or a polynomial.
 
 The public constructor validates its input; arithmetic results are built
 from validated operands by the private ``MultiPoly._trusted``, unchecked.
@@ -25,11 +28,14 @@ Scalar = Union[int, Fraction]
 Ring = Union[Fraction, "MultiPoly"]
 
 
-def _as_fraction(c) -> Fraction:
-    if isinstance(c, Fraction):
+def _canonical(c) -> Scalar:
+    """c as a coefficient: an int if it is integral, else a Fraction with denominator > 1."""
+    if type(c) is int:
         return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
     if isinstance(c, int):
-        return Fraction(c)
+        return int(c)
     raise TypeError(f"not an exact scalar: {c!r}")
 
 
@@ -47,18 +53,20 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != len(vs) or not all(type(e) is int and e >= 0 for e in exp):
                 raise VariableError(f"exponent {exp} is not {len(vs)} non-negative ints for {vs}")
-            c = _as_fraction(coef)
-            if c != 0:
+            c = _canonical(coef)
+            if c:
                 clean[exp] = c
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "terms", clean)
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Unchecked: sorted distinct variables, Fraction coefficients; zeros are dropped."""
+        """Unchecked: sorted distinct variables, int or Fraction coefficients; zeros are
+        dropped and the rest made canonical."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", {e: c for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", {e: c if type(c) is int else _canonical(c)
+                                        for e, c in terms.items() if c})
         return p
 
     def __setattr__(self, name, value):
@@ -69,11 +77,11 @@ class MultiPoly:
     @staticmethod
     def constant(c: Scalar, variables: Iterable[str] = ()) -> "MultiPoly":
         vs = tuple(sorted(variables))
-        return MultiPoly(vs, {(0,) * len(vs): _as_fraction(c)})
+        return MultiPoly(vs, {(0,) * len(vs): c})
 
     @staticmethod
     def variable(name: str) -> "MultiPoly":
-        return MultiPoly((name,), {(1,): Fraction(1)})
+        return MultiPoly((name,), {(1,): 1})
 
     @staticmethod
     def zero(variables: Iterable[str] = ()) -> "MultiPoly":
@@ -93,7 +101,7 @@ class MultiPoly:
             return Fraction(0)
         if not self.is_constant():
             raise VariableError(f"not a constant polynomial: {self}")
-        return next(iter(self.terms.values()))
+        return Fraction(next(iter(self.terms.values())))
 
     def in_vars(self, variables: Iterable[str]) -> "MultiPoly":
         """Rewrite over a larger (sorted) variable tuple."""
@@ -132,9 +140,10 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self
+            other = _canonical(other)
             one = (0,) * len(self.vars)
             terms = dict(self.terms)
-            terms[one] = terms[one] + other if one in terms else _as_fraction(other)
+            terms[one] = terms[one] + other if one in terms else other
             return MultiPoly._trusted(self.vars, terms)
         return NotImplemented
 
@@ -160,6 +169,7 @@ class MultiPoly:
                     terms[exp] = terms[exp] + c if exp in terms else c
             return MultiPoly._trusted(a.vars, terms)
         if isinstance(other, (int, Fraction)):
+            other = _canonical(other)
             return MultiPoly._trusted(self.vars, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 
@@ -203,7 +213,7 @@ class MultiPoly:
             if v not in self.vars:
                 raise VariableError(f"unknown variable {v!r} (have {self.vars})")
         target = tuple(monomial.get(v, 0) for v in self.vars)
-        return self.terms.get(target, Fraction(0))
+        return Fraction(self.terms.get(target, 0))
 
     def coefficients_in(self, var: str) -> dict:
         """Split into {degree in var: polynomial in the remaining variables}."""
@@ -218,7 +228,7 @@ class MultiPoly:
             deg = exp[i]
             rexp = exp[:i] + exp[i + 1:]
             bucket = out.setdefault(deg, {})
-            bucket[rexp] = bucket.get(rexp, Fraction(0)) + coef
+            bucket[rexp] = bucket.get(rexp, 0) + coef
         return {deg: MultiPoly(rest, terms) for deg, terms in out.items()}
 
     def substitute(self, values: Mapping[str, Ring]) -> Ring:

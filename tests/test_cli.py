@@ -281,6 +281,23 @@ def test_malformed_poly_string_coefficient_exits_2(tmp_path, capsys, coef):
     _assert_one_line_error(code, capsys.readouterr())
 
 
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("pfaffian", {"matrix": [[]]}),
+        ("invariant", {"matrices": [[[]]], "sigma_index": 1, "word": "1"}),
+        ("detlaw", {"rep": {"d": 1, "kind": "Sp", "generators": [[[]]]},
+                    "element": {"terms": [{"word": "g1", "coef": 1}]}, "law": "D"}),
+    ],
+    ids=["pfaffian", "invariant", "detlaw"],
+)
+def test_empty_row_matrix_exits_2(tmp_path, capsys, verb, blob):
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "empty matrix" in captured.err
+
+
 _POLY_REP = {"d": 1, "kind": "Sp", "generators": [[[1, "u"], [0, 1]]]}
 
 

@@ -51,6 +51,13 @@ def test_det_nonsquare_rejected():
         mat_det(RingMatrix([[1, 2, 3], [4, 5, 6]]))
 
 
+@pytest.mark.parametrize("rows", [[], [[]], [[], []], [[], [1]], [[1], []]],
+                         ids=["no_rows", "empty_row", "empty_rows", "empty_first", "ragged"])
+def test_empty_or_ragged_rows_rejected(rows):
+    with pytest.raises(DimensionError):
+        RingMatrix(rows)
+
+
 def test_det_matches_leibniz_oracle():
     rng = random.Random(11)
     for n in (2, 3, 4, 5):

@@ -7,6 +7,12 @@ from hypothesis import given, strategies as st
 from symplaw.errors import VariableError
 from symplaw.gma import QuotientRing
 from symplaw.multipoly import MultiPoly, fresh_var, poly_coefficient
+from symplaw.serialize import poly_to_json
+
+
+def is_canonical(c):
+    """The one stored form of a coefficient: an int, or a Fraction that is not integral."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
 
 
 def rand_poly(rng, variables=("x", "y"), max_terms=4, max_exp=3):
@@ -121,7 +127,7 @@ def _assert_trusted(result, expected):
     assert result == expected == _rebuilt(result)
     assert result.terms == expected.terms
     assert hash(result) == hash(expected)
-    assert all(type(c) is Fraction and c != 0 for c in result.terms.values())
+    assert all(is_canonical(c) and c != 0 for c in result.terms.values())
 
 
 def test_trusted_arithmetic_matches_validated_construction():
@@ -164,12 +170,15 @@ def test_trusted_arithmetic_matches_validated_construction():
         _assert_trusted(c - p, MultiPoly(p.vars, negated))
 
 
-def test_scalar_results_store_fractions():
+def test_scalar_results_store_canonical_coefficients():
     x = MultiPoly.variable("x")
     assert (x + 1).terms == {(1,): Fraction(1), (0,): Fraction(1)}
-    assert type((x + 1).terms[(0,)]) is Fraction
-    assert type((1 - x).terms[(0,)]) is Fraction
-    assert all(type(c) is Fraction for c in (x * 3).terms.values())
+    assert type((x + 1).terms[(0,)]) is int
+    assert type((1 - x).terms[(0,)]) is int
+    assert type((x + Fraction(4, 2)).terms[(0,)]) is int
+    assert type((x + Fraction(1, 2)).terms[(0,)]) is Fraction
+    assert all(type(c) is int for c in (x * Fraction(3)).terms.values())
+    assert all(type(c) is int for c in ((x * Fraction(1, 2)) * 2).terms.values())
     assert (x * 0).is_zero() and (x * 0).vars == ("x",)
     assert x + 0 is x
 
@@ -185,5 +194,74 @@ def test_quotient_reduce_drops_exactly_the_nil_divisible_terms():
         assert r.vars == ring.vars
         assert r == MultiPoly(ring.vars, kept)
         assert r.terms == kept
-        assert all(type(c) is Fraction for c in r.terms.values())
+        assert all(is_canonical(c) for c in r.terms.values())
         assert ring.reduce(r) is r
+
+
+def _fraction_only(variables, terms):
+    """A MultiPoly whose coefficients are all stored as Fraction, bypassing canonicalization."""
+    p = object.__new__(MultiPoly)
+    object.__setattr__(p, "vars", variables)
+    object.__setattr__(p, "terms", {e: Fraction(c) for e, c in terms.items() if c})
+    return p
+
+
+def _mixed_scalar(rng):
+    k = rng.randint(-6, 6)
+    return rng.choice((k, Fraction(k), Fraction(k, rng.randint(1, 4))))
+
+
+def _mixed_poly(rng, variables, max_terms=4, max_exp=2):
+    terms = {tuple(rng.randint(0, max_exp) for _ in variables): _mixed_scalar(rng)
+             for _ in range(rng.randint(0, max_terms))}
+    return MultiPoly(variables, terms), _fraction_only(variables, terms)
+
+
+def _assert_matches_reference(result, reference):
+    assert result == reference and reference == result
+    assert result.terms == reference.terms
+    assert hash(result) == hash(reference)
+    assert str(result) == str(reference)
+    assert poly_to_json(result) == poly_to_json(reference)
+    assert all(is_canonical(c) for c in result.terms.values())
+    for exp, c in reference.terms.items():
+        got = result.coefficient(dict(zip(result.vars, exp)))
+        assert type(got) is Fraction and got == c
+    assert type(result.coefficient({})) is Fraction
+    if result.is_constant():
+        value = result.constant_value()
+        assert type(value) is Fraction and value == reference.coefficient({})
+
+
+def test_canonical_coefficients_match_a_fraction_only_reference():
+    rng = random.Random(11)
+    ring = QuotientRing(("u", "v"), ((2, 0), (1, 1), (0, 2)))
+    for _ in range(400):
+        variables = rng.choice((("u", "v"), ("u",), ()))
+        p, p_ref = _mixed_poly(rng, variables)
+        q, q_ref = _mixed_poly(rng, variables, max_terms=rng.choice((0, 1, 4)))
+        c = _mixed_scalar(rng)
+        one = (0,) * len(variables)
+
+        total = dict(p_ref.terms)
+        for e, v in q_ref.terms.items():
+            total[e] = total.get(e, Fraction(0)) + v
+        product: dict = {}
+        for e1, v1 in p_ref.terms.items():
+            for e2, v2 in q_ref.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                product[e] = product.get(e, Fraction(0)) + v1 * v2
+        shifted = dict(p_ref.terms)
+        shifted[one] = shifted.get(one, Fraction(0)) + c
+        scaled = {e: v * c for e, v in p_ref.terms.items()}
+
+        _assert_matches_reference(p, p_ref)
+        _assert_matches_reference(p + q, _fraction_only(variables, total))
+        _assert_matches_reference(p * q, _fraction_only(variables, product))
+        for result in (p + c, c + p):
+            _assert_matches_reference(result, _fraction_only(variables, shifted))
+        for result in (p * c, c * p):
+            _assert_matches_reference(result, _fraction_only(variables, scaled))
+        if variables == ring.vars:
+            kept = {e: v for e, v in product.items() if e[0] + e[1] < 2}
+            _assert_matches_reference(ring.reduce(p * q), _fraction_only(variables, kept))
