@@ -2,16 +2,18 @@
 
 A GMA type partitions the block indices into I0 (self-paired blocks
 carrying an internal standard form), and I1/I2 (blocks swapped in pairs).
-The associated form J_delta assembles J on I0 diagonal blocks and -Id/+Id
-on the I1/I2 pairings; the involution is M -> J_delta tau(M)^T
-J_delta^(-1) where tau rescales each off-diagonal block by a sign.
+The associated form J_delta, J on I0 diagonal blocks and -Id/+Id on the
+I1/I2 pairings, is built from the type as a ``symplectic.SignedPermutation``,
+the same signed-permutation form as J.  The involution M -> J_delta tau(M)^T J_delta^(-1),
+where tau rescales each off-diagonal block by a sign, is that form's
+adjoint with the tau signs tabled once per spec, and M J_delta its right
+product: the kernels behind M^j and M J, reindexings of M.
 
 Block coefficient modules live inside a polynomial ring modulo a monomial
 ideal, so products and span membership reduce to exact monomial
 bookkeeping: each ring decides once per exponent tuple whether the ideal
-contains that monomial, span membership is tested against integer echelon
-rows that each spec computes once per block, and J_delta is kept as a
-signed permutation, so the involution and M J_delta are reindexings of M.
+contains that monomial, and span membership is tested against integer
+echelon rows that each spec computes once per block.
 Random elements are combinations of the reduced block bases, so they are
 built already reduced.  The trace/determinant land in Q; the Pfaffian-type
 law is computed from MJ_delta when that matrix is alternating and otherwise from
@@ -34,7 +36,7 @@ from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring
-from .symplectic import is_alternating, matrix_poly_value, pfaffian, standard_j
+from .symplectic import SignedPermutation, is_alternating, matrix_poly_value, pfaffian
 
 # -- quotient ring ------------------------------------------------------
 
@@ -184,28 +186,24 @@ class GmaType:
         return out
 
 
+def _j_delta_perm(t: GmaType) -> tuple:
+    """(perm, sign) of J_delta: J on each I0 diagonal block, -Id/(+Id) on the I1/I2 pairings."""
+    off = t.offsets()
+    perm, sign = [], []
+    for i, dim in enumerate(t.dims, 1):
+        if i in t.i0:
+            form = SignedPermutation.standard(dim // 2)
+            perm += [off[i - 1] + p for p in form.perm]
+            sign += form.sign
+        else:
+            perm += range(off[t.apply(i) - 1], off[t.apply(i) - 1] + dim)
+            sign += [-1 if i in t.i1 else 1] * dim
+    return perm, sign
+
+
 def build_J_delta(t: GmaType) -> RingMatrix:
     """The block form: J on I0 diagonal blocks, -Id/(+Id) on the I1/I2 pairings."""
-    n = t.total
-    off = t.offsets()
-    rows = [[Fraction(0)] * n for _ in range(n)]
-
-    def put(i, j, block):
-        for a in range(t.dims[i - 1]):
-            for b in range(t.dims[j - 1]):
-                rows[off[i - 1] + a][off[j - 1] + b] = block[a][b]
-
-    for i in range(1, t.r + 1):
-        di = t.dims[i - 1]
-        if i in t.i0:
-            put(i, i, standard_j(di // 2).entries)
-        elif i in t.i1:
-            put(i, t.apply(i), [[Fraction(-1) if a == b else Fraction(0) for b in range(di)]
-                                for a in range(di)])
-        else:
-            put(i, t.apply(i), [[Fraction(1) if a == b else Fraction(0) for b in range(di)]
-                                for a in range(di)])
-    return RingMatrix(rows)
+    return SignedPermutation(*_j_delta_perm(t)).matrix
 
 
 # -- GMA spec -----------------------------------------------------------
@@ -220,8 +218,8 @@ class GmaSpec:
     J_delta: RingMatrix = field(init=False, repr=False)
     # (i, j) -> (monomial columns, integer echelon rows) of span(i, j), i != j
     _spans: dict = field(init=False, repr=False, compare=False)
-    # (perm, sign, inverse of perm): J_delta[a][perm[a]] = sign[a] is the one nonzero in row a
-    _j_perm: tuple = field(init=False, repr=False, compare=False)
+    # J_delta as a signed permutation, its adjoint twisted by the tau signs
+    _form: SignedPermutation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         r = self.type.r
@@ -245,15 +243,14 @@ class GmaSpec:
             signs[pair] = int(s)
         object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "tau_signs", signs)
-        jd = build_J_delta(self.type)
-        object.__setattr__(self, "J_delta", jd)
+        block = [k for k, dim in enumerate(self.type.dims, 1) for _ in range(dim)]
+        form = SignedPermutation(*_j_delta_perm(self.type),
+                                 twist=lambda p, q: self.sign(block[p], block[q]))
+        object.__setattr__(self, "_form", form)
+        object.__setattr__(self, "J_delta", form.matrix)
         spans = {(i, j): _span_rows(self.span(i, j), self.ring)
                  for i in range(1, r + 1) for j in range(1, r + 1) if i != j}
         object.__setattr__(self, "_spans", spans)
-        perm = tuple(next(b for b, x in enumerate(row) if x) for row in jd.entries)
-        sign = tuple(int(row[b]) for row, b in zip(jd.entries, perm))
-        inv = tuple(sorted(range(len(perm)), key=perm.__getitem__))
-        object.__setattr__(self, "_j_perm", (perm, sign, inv))
 
     @property
     def n(self) -> int:
@@ -299,22 +296,7 @@ def delta_involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
 
 def _involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """``delta_involution`` of a matrix already known to lie in the GMA."""
-    n = spec.n
-    perm, sign, inv = spec._j_perm
-    block = [k for k, dim in enumerate(spec.type.dims, 1) for _ in range(dim)]
-    # With J_delta^(-1) = -J_delta, entry (a, b) of J_delta tau(M)^T J_delta^(-1)
-    # is -sign[a] * sign[c] * tau(M)[c][perm[a]] for c = inv[b].
-    rows = []
-    for a in range(n):
-        p = perm[a]
-        row = []
-        for b in range(n):
-            c = inv[b]
-            x = m.entries[c][p]
-            s = -sign[a] * sign[c] * spec.sign(block[c], block[p])
-            row.append(x if s == 1 else -x)
-        rows.append(row)
-    return spec.ring.reduce_matrix(RingMatrix._trusted(rows))
+    return spec.ring.reduce_matrix(spec._form.adjoint(m))
 
 
 def validate_standard_gma(spec: GmaSpec) -> dict:
@@ -393,17 +375,9 @@ def gma_pfaffian(spec: GmaSpec, m: RingMatrix) -> Fraction:
     return _pfaffian_law(spec, m)
 
 
-def _times_j_delta(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
-    """M J_delta: column perm[c] of the product is sign[c] times column c of M."""
-    perm, sign, inv = spec._j_perm
-    return RingMatrix._trusted(
-        [[row[c] if sign[c] == 1 else -row[c] for c in inv] for row in m.entries]
-    )
-
-
 def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
     """``gma_pfaffian`` of a matrix already known to be a symmetric GMA element."""
-    mj = spec.ring.reduce_matrix(_times_j_delta(spec, m))
+    mj = spec.ring.reduce_matrix(spec._form.right_product(m))
     if is_alternating(mj):
         pf_jd = pfaffian(spec.J_delta)
         return _constant_or_raise(

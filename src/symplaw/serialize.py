@@ -85,7 +85,7 @@ def poly_to_json(p: MultiPoly) -> dict:
 def poly_from_json(obj) -> MultiPoly:
     if isinstance(obj, str):
         return parse_poly_string(obj)
-    if isinstance(obj, (int,)):
+    if isinstance(obj, int) and not isinstance(obj, bool):
         return MultiPoly.constant(obj)
     if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
         raise SchemaError(f"bad polynomial object: {obj!r}")
@@ -279,8 +279,7 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
     variables = tuple(sorted(variables))
     nils = []
     for mono in _spec_field(obj, "nil_monomials", list, []):
-        p = parse_poly_string(mono) if isinstance(mono, str) else poly_from_json(mono)
-        p = p.in_vars(variables)
+        p = poly_from_json(mono).in_vars(variables)
         if len(p.terms) != 1:
             raise SchemaError(f"nil monomial {mono!r} is not a monomial")
         ((exp, coef),) = p.terms.items()

@@ -5,6 +5,12 @@ symplectic transpose is M^j = J M^T J^(-1); matrices fixed by it are
 "j-symmetric" and M J is then alternating, so Pf(MJ) makes sense.  Pf(J)
 itself is (-1)^(d(d-1)/2), which is -1 for d = 2, 3 (mod 4); the reduced
 Pfaffian divides by it so that the identity always maps to 1.
+
+J, and the block form J_delta of a generalized matrix algebra (``gma``),
+are each held as a ``SignedPermutation``: one +-1 per row.  Its two kernels,
+the adjoint J tau(M)^T J^(-1) and the right product M J, move entries of M
+and negate some, so they cost no ring products and keep the cleared form of
+a rational M.
 """
 
 from __future__ import annotations
@@ -12,7 +18,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable, Sequence
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
@@ -25,18 +32,53 @@ from .matrices import (
 from .multipoly import MultiPoly, Ring, fresh_var
 
 
-def standard_j(d: int) -> RingMatrix:
-    """J = [[0, Id_d], [-Id_d, 0]]."""
-    n = 2 * d
-    rows = []
-    for i in range(n):
-        row = [Fraction(0)] * n
-        if i < d:
-            row[i + d] = Fraction(1)
-        else:
-            row[i - d] = Fraction(-1)
-        rows.append(row)
-    return RingMatrix(rows)
+class SignedPermutation:
+    """The form whose row a holds sign[a] = +-1 in column perm[a] and is zero elsewhere.
+
+    Such a form is orthogonal, J^(-1) = J^T.  ``twist(p, q)`` is the +-1 by
+    which tau scales entry (p, q) of M before the adjoint; it is 1 for J.
+    """
+
+    def __init__(self, perm: Sequence[int], sign: Sequence[int],
+                 twist: Callable[[int, int], int] = lambda p, q: 1):
+        self.perm, self.sign = tuple(perm), tuple(sign)
+        # entry (a, b) of J tau(M)^T J^T is sign[a] sign[b] tau(M)[perm[b]][perm[a]]
+        self._adjoint_signs = tuple(
+            tuple(sa * sb * twist(pb, pa) for pb, sb in zip(self.perm, self.sign))
+            for pa, sa in zip(self.perm, self.sign)
+        )
+        # column perm[c] of M J is sign[c] times column c of M
+        self._columns = tuple(sorted(zip(self.perm, range(len(perm)), self.sign)))
+
+    @staticmethod
+    @cache
+    def standard(d: int) -> "SignedPermutation":
+        """J = [[0, Id_d], [-Id_d, 0]], built once per d: row k < d holds +1 in column k + d."""
+        return SignedPermutation([*range(d, 2 * d), *range(d)], [1] * d + [-1] * d)
+
+    @cached_property
+    def matrix(self) -> RingMatrix:
+        n = len(self.perm)
+        return RingMatrix([[s if b == p else 0 for b in range(n)]
+                           for p, s in zip(self.perm, self.sign)])
+
+    def adjoint(self, m: RingMatrix) -> RingMatrix:
+        """J tau(M)^T J^(-1): entry (a, b) is the tabled sign times M[perm[b]][perm[a]]."""
+        perm, signs = self.perm, self._adjoint_signs
+
+        def flip(e):
+            rows = [e[p] for p in perm]
+            return [[r[q] if s > 0 else -r[q] for r, s in zip(rows, row_signs)]
+                    for q, row_signs in zip(perm, signs)]
+
+        return m.rearranged(flip)
+
+    def right_product(self, m: RingMatrix) -> RingMatrix:
+        """M J: column perm[c] is sign[c] times column c of M."""
+        cols = self._columns
+        return m.rearranged(
+            lambda e: [[row[c] if s > 0 else -row[c] for _, c, s in cols] for row in e]
+        )
 
 
 @dataclass(frozen=True)
@@ -54,11 +96,14 @@ class SymplecticContext:
     def n(self) -> int:
         return 2 * self.d
 
-    @cached_property
+    @property
+    def form(self) -> SignedPermutation:
+        """The standard form as a signed permutation, one per d."""
+        return SignedPermutation.standard(self.d)
+
+    @property
     def J(self) -> RingMatrix:
-        """The standard form, built on first use: the contexts made to take a
-        symplectic transpose or a similitude never need it."""
-        return standard_j(self.d)
+        return self.form.matrix
 
 
 def _check_size(ctx: SymplecticContext, m: RingMatrix):
@@ -69,18 +114,11 @@ def _check_size(ctx: SymplecticContext, m: RingMatrix):
 def symplectic_transpose(ctx: SymplecticContext, m: RingMatrix) -> RingMatrix:
     """M^j = J M^T J^(-1).  An involutive anti-homomorphism.
 
-    J is a signed permutation, so no products are needed: for
+    The adjoint of the standard form, a reindexing of M: for
     M = [[A, B], [C, D]] in d x d blocks, M^j = [[D^T, -B^T], [-C^T, A^T]].
     """
     _check_size(ctx, m)
-    d, n = ctx.d, ctx.n
-    swap = list(range(d, n)) + list(range(d))  # J sends coordinate k to swap[k]
-
-    def flip(e):
-        return [[e[swap[j]][swap[i]] if (i < d) == (j < d) else -e[swap[j]][swap[i]]
-                 for j in range(n)] for i in range(n)]
-
-    return m.rearranged(flip)
+    return ctx.form.adjoint(m)
 
 
 def is_alternating(a: RingMatrix) -> bool:
@@ -143,7 +181,7 @@ def reduced_pfaffian(ctx: SymplecticContext, m: RingMatrix) -> Ring:
     _check_size(ctx, m)
     if not is_j_symmetric(ctx, m):
         raise StructureError("reduced Pfaffian requires M^j = M")
-    return pfaffian(m * ctx.J) * ctx.pfaffian_of_J  # Pf(J) = +-1, so * == /
+    return pfaffian(ctx.form.right_product(m)) * ctx.pfaffian_of_J  # Pf(J) = +-1, so * == /
 
 
 def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = None) -> MultiPoly:
@@ -211,61 +249,37 @@ def random_matrix(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
 
 
 def random_alternating(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            x = _rand_fraction(rng, magnitude)
-            rows[i][j] = x
-            rows[j][i] = -x
-    return RingMatrix(rows)
+    return RingMatrix(_rand_paired_block(n, rng, magnitude, -1))
 
 
-def _rand_symmetric_block(d: int, rng: random.Random, magnitude: int) -> list:
+def _rand_paired_block(d: int, rng: random.Random, magnitude: int, sign: int) -> list:
+    """Random rows with rows[j][i] = sign * rows[i][j]: symmetric for +1, alternating for -1."""
     rows = [[Fraction(0)] * d for _ in range(d)]
     for i in range(d):
-        for j in range(i, d):
+        for j in range(i if sign > 0 else i + 1, d):
             x = _rand_fraction(rng, magnitude)
             rows[i][j] = x
-            rows[j][i] = x
+            rows[j][i] = sign * x
     return rows
 
 
-def _rand_antisymmetric_block(d: int, rng: random.Random, magnitude: int) -> list:
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i + 1, d):
-            x = _rand_fraction(rng, magnitude)
-            rows[i][j] = x
-            rows[j][i] = -x
-    return rows
+def _rand_block_matrix(d: int, rng: random.Random, magnitude: int, sign: int) -> RingMatrix:
+    """[[A, B], [C, sign A^T]] in d x d blocks, A random and B, C drawn with X^T = -sign X."""
+    a = [[_rand_fraction(rng, magnitude) for _ in range(d)] for _ in range(d)]
+    b = _rand_paired_block(d, rng, magnitude, -sign)
+    c = _rand_paired_block(d, rng, magnitude, -sign)
+    return RingMatrix([a[i] + b[i] for i in range(d)]
+                      + [c[i] + [sign * a[j][i] for j in range(d)] for i in range(d)])
 
 
 def random_j_symmetric(ctx: SymplecticContext, rng: random.Random, magnitude: int = 5) -> RingMatrix:
     """Random M with M^j = M: blocks [[D, B], [C, D^T]] with B, C antisymmetric."""
-    d = ctx.d
-    dblock = [[_rand_fraction(rng, magnitude) for _ in range(d)] for _ in range(d)]
-    b = _rand_antisymmetric_block(d, rng, magnitude)
-    c = _rand_antisymmetric_block(d, rng, magnitude)
-    rows = []
-    for i in range(d):
-        rows.append(dblock[i] + b[i])
-    for i in range(d):
-        rows.append(c[i] + [dblock[j][i] for j in range(d)])
-    return RingMatrix(rows)
+    return _rand_block_matrix(ctx.d, rng, magnitude, 1)
 
 
 def random_sp_lie(ctx: SymplecticContext, rng: random.Random, magnitude: int = 3) -> RingMatrix:
     """Random H in sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric."""
-    d = ctx.d
-    a = [[_rand_fraction(rng, magnitude) for _ in range(d)] for _ in range(d)]
-    b = _rand_symmetric_block(d, rng, magnitude)
-    c = _rand_symmetric_block(d, rng, magnitude)
-    rows = []
-    for i in range(d):
-        rows.append(a[i] + b[i])
-    for i in range(d):
-        rows.append(c[i] + [-a[j][i] for j in range(d)])
-    return RingMatrix(rows)
+    return _rand_block_matrix(ctx.d, rng, magnitude, -1)
 
 
 def sample_symplectic(ctx: SymplecticContext, seed: int, magnitude: int = 3) -> RingMatrix:

@@ -338,10 +338,13 @@ _GMA_INPUT = {
         ("blocks", {"1,2": ["u"], "2,1": ["v"], "1,5": ["u"]}),
         ("blocks", {"1,2": "u", "2,1": ["v"]}),
         ("tau_signs", {"1,5": 1}),
+        ("nil_monomials", [True]),
+        ("blocks", {"1,2": [True], "2,1": ["v"]}),
     ],
     ids=["block_key_semicolon", "block_key_three_parts", "sign_not_integer", "sign_key",
          "I0_not_a_list", "base_vars_not_a_list", "I0_entry_not_integer", "blocks_not_an_object",
-         "block_outside_the_type", "block_basis_not_a_list", "sign_outside_the_type"],
+         "block_outside_the_type", "block_basis_not_a_list", "sign_outside_the_type",
+         "nil_monomial_bool", "block_basis_bool"],
 )
 def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
     path = _write(tmp_path, {**_GMA_INPUT, field: value})

@@ -22,7 +22,6 @@ from symplaw.gma import (
     random_symmetric_gma_element,
     standard_fixture,
     validate_standard_gma,
-    _times_j_delta,
 )
 from symplaw.matrices import RingMatrix, mat_det, matrix_rank, trace_of_product
 from symplaw.multipoly import MultiPoly
@@ -53,21 +52,80 @@ def test_build_j_delta_hand_cases():
     assert build_J_delta(t) == expected
 
 
+J_DELTA_TYPES = [
+    GmaType(i0=(1,), i1=(), i2=(), sigma=(1,), dims=(4,)),
+    GmaType(i0=(1, 2), i1=(), i2=(), sigma=(1, 2), dims=(2, 2)),
+    GmaType(i0=(), i1=(1,), i2=(2,), sigma=(2, 1), dims=(2, 2)),
+    GmaType(i0=(1,), i1=(2,), i2=(3,), sigma=(1, 3, 2), dims=(2, 2, 2)),
+    GmaType(i0=(1,), i1=(), i2=(), sigma=(1,), dims=(8,)),
+    GmaType(i0=(1, 4), i1=(2,), i2=(3,), sigma=(1, 3, 2, 4), dims=(4, 1, 1, 2)),
+    GmaType(i0=(), i1=(1, 2), i2=(3, 4), sigma=(3, 4, 1, 2), dims=(2, 2, 2, 2)),
+]
+
+
 def test_j_delta_alternating_unit_pfaffian():
-    types = [
-        GmaType(i0=(1,), i1=(), i2=(), sigma=(1,), dims=(4,)),
-        GmaType(i0=(1, 2), i1=(), i2=(), sigma=(1, 2), dims=(2, 2)),
-        GmaType(i0=(), i1=(1,), i2=(2,), sigma=(2, 1), dims=(2, 2)),
-        GmaType(i0=(1,), i1=(2,), i2=(3,), sigma=(1, 3, 2), dims=(2, 2, 2)),
-        GmaType(i0=(1,), i1=(), i2=(), sigma=(1,), dims=(8,)),
-        GmaType(i0=(1, 4), i1=(2,), i2=(3,), sigma=(1, 3, 2, 4), dims=(4, 1, 1, 2)),
-        GmaType(i0=(), i1=(1, 2), i2=(3, 4), sigma=(3, 4, 1, 2), dims=(2, 2, 2, 2)),
-    ]
-    for t in types:
+    for t in J_DELTA_TYPES:
         jd = build_J_delta(t)
         assert jd.rows == t.total <= 8
         assert is_alternating(jd)
         assert pfaffian(jd) in (Fraction(1), Fraction(-1))
+
+
+def dense_j_delta(t):
+    """J_delta assembled block by block: [[0, Id], [-Id, 0]] on each I0 diagonal block,
+    -Id on block (i, sigma(i)) for i in I1 and +Id on it for i in I2."""
+    off = t.offsets()
+    rows = [[0] * t.total for _ in range(t.total)]
+    for i, dim in enumerate(t.dims, 1):
+        for a in range(dim):
+            if i in t.i0:
+                half = dim // 2
+                b, s = (a + half, 1) if a < half else (a - half, -1)
+            else:
+                b, s = a, -1 if i in t.i1 else 1
+            rows[off[i - 1] + a][off[t.apply(i) - 1] + b] = s
+    return RingMatrix(rows)
+
+
+def _mixed_sign_spec(t):
+    """Type t over Q[u, v] / (u^2, uv, v^2), every off-diagonal block spanned by u and v,
+    tau signs -1, +1, -1, ... over the pairs of blocks."""
+    ring = QuotientRing(("u", "v"), ((2, 0), (0, 2), (1, 1)))
+    pairs = [(i, j) for i in range(1, t.r + 1) for j in range(1, t.r + 1) if i != j]
+    basis = (ring.variable("u"), ring.variable("v"))
+    signs = {frozenset(p): (-1) ** (k + 1) for k, p in enumerate(p for p in pairs if p[0] < p[1])}
+    return GmaSpec(t, ring, dict.fromkeys(pairs, basis), signs)
+
+
+def test_build_j_delta_matches_the_dense_assembly():
+    for t in J_DELTA_TYPES:
+        assert build_J_delta(t) == dense_j_delta(t)
+        assert _mixed_sign_spec(t).J_delta == dense_j_delta(t)
+
+
+def test_involution_and_product_match_the_dense_form_under_mixed_tau_signs():
+    rng = random.Random(65)
+    for t in J_DELTA_TYPES:
+        spec = _mixed_sign_spec(t)
+        n = spec.n
+        jd = dense_j_delta(t)
+        block = [k for k, dim in enumerate(t.dims, 1) for _ in range(dim)]
+
+        def dense_involution(m):
+            """J_delta tau(M)^T J_delta^(-1), with the inverse computed, not assumed."""
+            tau = RingMatrix([[m[a, b] * spec.sign(block[a], block[b]) for b in range(n)]
+                              for a in range(n)])
+            return jd * tau.transpose() * jd.inverse()
+
+        for _ in range(4):
+            m = random_gma_element(spec, rng)
+            assert delta_involution(spec, m) == spec.ring.reduce_matrix(dense_involution(m))
+            assert spec._form.right_product(m) == m * spec.J_delta
+        # the rational path, on the cleared form
+        q = RingMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                        for _ in range(n)])
+        assert spec._form.adjoint(q) == dense_involution(q)
+        assert spec._form.right_product(q) == q * spec.J_delta
 
 
 def test_quotient_ring_reduction_and_span():
@@ -368,10 +426,10 @@ def test_times_j_delta_matches_the_dense_product():
     for spec in (standard_fixture(), counterexample_fixture(), redundant_basis_spec()):
         for _ in range(10):
             m = random_gma_element(spec, rng)
-            assert _times_j_delta(spec, m) == m * spec.J_delta
+            assert spec._form.right_product(m) == m * spec.J_delta
         q = RingMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(spec.n)]
                         for _ in range(spec.n)])
-        assert _times_j_delta(spec, q) == q * spec.J_delta
+        assert spec._form.right_product(q) == q * spec.J_delta
 
 
 def test_trace_of_product_matches_the_trace_of_the_product():

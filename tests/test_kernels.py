@@ -1,8 +1,8 @@
 """Cross-checks of the fast kernels against their dense definitions.
 
 char_poly (Berkowitz) against the cofactor determinant of tI - M, the
-signed-permutation symplectic transpose and GMA involution against the
-products with J and J_delta, the memoized Lambda-vector behind
+signed-permutation symplectic transpose, GMA involution and right product
+with J against the products with J and J_delta, the memoized Lambda-vector behind
 eval_invariant against a fresh computation, the integer kernels for
 rational matrices (product, inverse, determinant, Pfaffian, char_poly,
 rank) against plain Fraction references kept in this file, the cleared
@@ -123,17 +123,28 @@ def test_symplectic_transpose_matches_dense_rational():
             assert symplectic_transpose(ctx, m) == dense_symplectic_transpose(ctx, m)
 
 
+def _random_poly_matrix(n, rng):
+    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
+    return RingMatrix(
+        [[Fraction(rng.randint(-3, 3)) * x + Fraction(rng.randint(-3, 3)) * y * y
+          + Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
+    )
+
+
 def test_symplectic_transpose_matches_dense_polynomial():
     rng = random.Random(25)
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
     for d in range(1, 7):
         ctx = SymplecticContext(d)
-        n = 2 * d
-        m = RingMatrix(
-            [[Fraction(rng.randint(-3, 3)) * x + Fraction(rng.randint(-3, 3)) * y * y
-              + Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
-        )
+        m = _random_poly_matrix(2 * d, rng)
         assert symplectic_transpose(ctx, m) == dense_symplectic_transpose(ctx, m)
+
+
+def test_right_product_matches_the_dense_product_with_j():
+    rng = random.Random(29)
+    for d in range(1, 7):
+        ctx = SymplecticContext(d)
+        for m in (random_matrix(2 * d, rng), _random_poly_matrix(2 * d, rng)):
+            assert ctx.form.right_product(m) == m * ctx.J
 
 
 def dense_delta_involution(spec, m):

@@ -3,17 +3,20 @@ from fnmatch import fnmatch
 import pytest
 
 from symplaw import detlaws, gma, invariants, matrices, suites
+from symplaw.detlaws import PfaffianCoeffVector
 from symplaw.errors import SymplawError
 from symplaw.gma import GmaSpec, counterexample_fixture
 from symplaw.matrices import RingMatrix
 from symplaw.suites import (
     SuiteConfig,
     run_suite,
+    suite_det_law,
     suite_gma,
     suite_invariants,
     suite_pfaffian,
     suite_pseudochar,
 )
+from symplaw.symplectic import SignedPermutation
 
 
 def test_config_validation():
@@ -124,6 +127,64 @@ def test_pfaffian_check_fails_under_its_fault(pattern, monkeypatch):
         for seed in range(10):
             named = [c for c in suite_pfaffian(d, 4, seed) if fnmatch(c["name"], pattern)]
             assert named and not any(c["pass"] for c in named), (d, seed, named)
+
+
+def _first_trace_one_larger(m, upto, real=suites.power_traces):
+    traces = real(m, upto)
+    return [traces[0] + 1, *traces[1:]]
+
+
+def _last_pf_coeff_one_larger(lv, real=suites.pfaffian_coeffs_from_lambdas):
+    *head, last = real(lv).coeffs
+    return PfaffianCoeffVector(lv.dim // 2, [*head, last + 1])
+
+
+# Negative controls for ``suite det-law``: each row names a check and a fault
+# under which that check must fail at every seed.  Every check has a control.
+# ``binomial_values_at_identity`` and ``d4_closed_forms`` read no d, and the
+# first reads no seed either, so their sweeps repeat runs.  The Pfaffian law
+# and chi^P both take the Pfaffian of M J; the right product is the fault for
+# the first.  chi^P is checked at the coefficient of t^d, where any fault of
+# M J that rescales or shifts the Pfaffian polynomial cancels, so its fault
+# is in the evaluation instead.
+DET_LAW_CONTROLS = {
+    # the Lambda-vector is read off 2M instead of M
+    "newton_matches_char_poly": (
+        suites, "lambda_vector_of_matrix",
+        lambda m, real=suites.lambda_vector_of_matrix: real(m * 2)),
+    # the recursion returns T_d one too large
+    "binomial_values_at_identity": (
+        suites, "pfaffian_coeffs_from_lambdas", _last_pf_coeff_one_larger),
+    # tr M comes out one too large
+    "d4_closed_forms": (suites, "power_traces", _first_trace_one_larger),
+    # g^2 is taken to be g
+    "sl2_trace_identities": (suites, "word_mul", lambda a, b: a),
+    # the determinant is one too large
+    "det_law_multiplicative_star_invariant": (
+        detlaws, "mat_det", lambda m, real=detlaws.mat_det: real(m) + 1),
+    # M J comes out doubled
+    "pf_law_squares_to_det": (
+        SignedPermutation, "right_product",
+        lambda self, m, real=SignedPermutation.right_product: real(self, m) * 2),
+    # chi^P loses its leading term T_0 x^d
+    "chi_alpha_vanishes_on_matrix_models": (
+        detlaws, "matrix_poly_value",
+        lambda coeffs, m, real=detlaws.matrix_poly_value: real(coeffs[1:], m)),
+}
+
+
+def test_every_det_law_check_has_a_control():
+    names = {c["name"] for c in suite_det_law(2, 4, 0)}
+    assert names == set(DET_LAW_CONTROLS)
+
+
+@pytest.mark.parametrize("name", sorted(DET_LAW_CONTROLS))
+def test_det_law_check_fails_under_its_fault(name, monkeypatch):
+    monkeypatch.setattr(*DET_LAW_CONTROLS[name])
+    for d in (1, 2):
+        for seed in range(10):
+            (check,) = [c for c in suite_det_law(d, 4, seed) if c["name"] == name]
+            assert not check["pass"], (d, seed)
 
 
 # Negative controls: each row names a check of ``suite invariants`` (a glob
