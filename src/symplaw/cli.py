@@ -48,7 +48,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int over the digit limit
         raise SchemaError(f"cannot read JSON from {path}: {e}") from e
 
 

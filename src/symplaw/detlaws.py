@@ -29,7 +29,6 @@ from .symplectic import (
     SymplecticContext,
     matrix_poly_value,
     pfaffian_coeffs_of_matrix,
-    reduced_pfaffian,
     similitude,
     symplectic_transpose,
 )
@@ -208,7 +207,8 @@ def eval_pf_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
     """P(x) = reduced Pfaffian of rho(x); requires star(x) = x."""
     if star(rep, x) != x:
         raise StructureError("Pfaffian law is only defined on symmetric elements")
-    return reduced_pfaffian(rep.ctx, rep.rho(x))
+    # rho(x*) = rho(x)^j since every generator's similitude is verified, so rho(x) is j-symmetric
+    return rep.ctx.form.reduced_pfaffian(rep.rho(x))
 
 
 # -- coefficient vectors ----------------------------------------------

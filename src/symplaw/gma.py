@@ -15,11 +15,13 @@ bookkeeping: each ring decides once per exponent tuple whether the ideal
 contains that monomial, and span membership is tested against integer
 echelon rows that each spec computes once per block.
 Random elements are combinations of the reduced block bases, so they are
-built already reduced.  The trace/determinant land in Q; the Pfaffian-type
-law is computed from MJ_delta when that matrix is alternating and otherwise from
-the determinant through the coefficient recursion (the two agree whenever
-both apply, since the law of degree d with value 1 at the identity is
-unique).
+built already reduced; a matrix given to a public entry point is reduced
+once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
+traces of reduced matrices are reduced, so only products are reduced again.
+The trace/determinant land in Q; the Pfaffian-type law is the form's reduced
+Pfaffian Pf(MJ_delta) / Pf(J_delta) when MJ_delta is alternating and
+otherwise comes from the determinant through the coefficient recursion (the
+two agree whenever both apply: the degree-d law with value 1 at 1 is unique).
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring
-from .symplectic import SignedPermutation, is_alternating, matrix_poly_value, pfaffian
+from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
 # -- quotient ring ------------------------------------------------------
 
@@ -95,10 +97,6 @@ class QuotientRing:
         return MultiPoly.variable(name).in_vars(self.vars)
 
 
-def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
-    return ring.reduce(x if isinstance(x, MultiPoly) else MultiPoly.constant(x, ring.vars))
-
-
 def _integer_row(p: MultiPoly, columns: dict) -> dict:
     """The coefficients of p, scaled by their common denominator, keyed by monomial column."""
     den = lcm(*[c.denominator for c in p.terms.values()])
@@ -107,7 +105,8 @@ def _integer_row(p: MultiPoly, columns: dict) -> dict:
 
 def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
     """(monomial columns, integer echelon rows) of the span of the reduced basis elements."""
-    polys = [_reduced_poly(b, ring) for b in basis]
+    polys = [ring.reduce(b if isinstance(b, MultiPoly) else MultiPoly.constant(b, ring.vars))
+             for b in basis]
     columns = {exp: k for k, exp in enumerate(sorted({exp for p in polys for exp in p.terms}))}
     rows = IntegerEliminator()
     for p in polys:
@@ -116,14 +115,16 @@ def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
 
 
 def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
+    """Is the reduced element p in the span?"""
     columns, rows = span
-    p = _reduced_poly(p, ring)
+    if isinstance(p, Fraction):
+        p = MultiPoly.constant(p, ring.vars)
     return all(exp in columns for exp in p.terms) and rows.spans(_integer_row(p, columns))
 
 
 def in_span(p: Ring, basis: Sequence[Ring], ring: QuotientRing) -> bool:
     """Is p a Q-linear combination of the basis elements, inside the quotient?"""
-    return _in_span_rows(p, _span_rows(basis, ring), ring)
+    return _in_span_rows(ring.reduce(p), _span_rows(basis, ring), ring)
 
 
 # -- GMA type -----------------------------------------------------------
@@ -268,35 +269,33 @@ class GmaSpec:
             return 1
         return self.tau_signs.get(frozenset((i, j)), 1)
 
-    def check_membership(self, m: RingMatrix):
+    def check_membership(self, m: RingMatrix) -> RingMatrix:
+        """m with every entry reduced, m itself if none changes; MembershipError outside the GMA."""
         if m.rows != self.n or m.cols != self.n:
             raise DimensionError(f"expected {self.n}x{self.n} matrix")
+        reduced = self.ring.reduce_matrix(m)
+        entries = reduced.entries
         off = self.type.offsets()
         for i in range(1, self.type.r + 1):
             for j in range(1, self.type.r + 1):
                 span = self._spans.get((i, j))
                 for a in range(off[i - 1], off[i]):
                     for b in range(off[j - 1], off[j]):
-                        x = m[a, b]
+                        x = entries[a][b]
                         if i == j:
-                            ok = isinstance(x, Fraction) or self.ring.reduce(x).is_constant()
+                            ok = isinstance(x, Fraction) or x.is_constant()
                         else:
                             ok = _in_span_rows(x, span, self.ring)
                         if not ok:
                             raise MembershipError(
                                 f"entry ({a},{b}) = {x} outside the declared span of block ({i},{j})"
                             )
+        return reduced
 
 
 def delta_involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """M -> J_delta tau(M)^T J_delta^(-1) with tau the per-block sign rescaling."""
-    spec.check_membership(m)
-    return _involution(spec, m)
-
-
-def _involution(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
-    """``delta_involution`` of a matrix already known to lie in the GMA."""
-    return spec.ring.reduce_matrix(spec._form.adjoint(m))
+    return spec._form.adjoint(spec.check_membership(m))
 
 
 def validate_standard_gma(spec: GmaSpec) -> dict:
@@ -340,7 +339,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
     jd = spec.J_delta
     if not is_alternating(jd):
         violations.append("J_delta is not alternating")
-    if pfaffian(jd) not in (Fraction(1), Fraction(-1)):
+    if spec._form.pfaffian not in (Fraction(1), Fraction(-1)):
         violations.append("Pf(J_delta) is not a unit sign")
     return {"valid": not violations, "violations": sorted(set(violations))}
 
@@ -359,47 +358,36 @@ def _constant_or_raise(x: Ring, what: str) -> Fraction:
 def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
     """(trace, determinant, Pfaffian-law value) of a GMA element.
 
-    The Pfaffian entry is None unless m is fixed by the involution.
+    The Pfaffian entry, the degree-d law with square det and value 1 at the
+    identity, is None unless m is fixed by the involution.
     """
-    spec.check_membership(m)
-    trace = _constant_or_raise(spec.ring.reduce(m.trace()), "GMA trace")
+    m = spec.check_membership(m)
+    trace = _constant_or_raise(m.trace(), "GMA trace")
     det = _constant_or_raise(spec.ring.reduce(mat_det(m)), "GMA determinant")
-    pf = _pfaffian_law(spec, m) if _involution(spec, m) == m else None
+    pf = _pfaffian_law(spec, m) if spec._form.adjoint(m) == m else None
     return trace, det, pf
 
 
-def gma_pfaffian(spec: GmaSpec, m: RingMatrix) -> Fraction:
-    """The degree-d law with square det and value 1 at the identity."""
-    if delta_involution(spec, m) != m:
-        raise StructureError("Pfaffian law requires a symmetric GMA element")
-    return _pfaffian_law(spec, m)
-
-
 def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
-    """``gma_pfaffian`` of a matrix already known to be a symmetric GMA element."""
-    mj = spec.ring.reduce_matrix(spec._form.right_product(m))
-    if is_alternating(mj):
-        pf_jd = pfaffian(spec.J_delta)
-        return _constant_or_raise(
-            spec.ring.reduce(pfaffian(mj)) * pf_jd, "GMA Pfaffian"
-        )
+    """The Pfaffian law of a reduced symmetric GMA element."""
+    if is_alternating(spec._form.right_product(m)):
+        pf = spec.ring.reduce(spec._form.reduced_pfaffian(m))
+        return _constant_or_raise(pf, "GMA Pfaffian")
     return gma_pf_coeffs(spec, m)[-1]
 
 
 def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> list:
     """[T_0..T_d] for a symmetric GMA element, from the Lambda recursion."""
-    consts = []
-    for i, lam in enumerate(lambdas_of_matrix(m)):
-        if isinstance(lam, MultiPoly):
-            lam = spec.ring.reduce(lam)
-        consts.append(_constant_or_raise(lam, f"Lambda_{i} of a GMA element"))
+    consts = [_constant_or_raise(spec.ring.reduce(lam), f"Lambda_{i} of a GMA element")
+              for i, lam in enumerate(lambdas_of_matrix(m))]
     lv = LambdaVector(spec.n, consts)
     return list(pfaffian_coeffs_from_lambdas(lv).coeffs)
 
 
 def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """chi^P(m, m) = sum (-1)^i T_i m^(d-i): zero iff the Pfaffian CH identity holds at m."""
-    if delta_involution(spec, m) != m:
+    m = spec.check_membership(m)
+    if spec._form.adjoint(m) != m:
         raise StructureError("chi^P is evaluated at symmetric elements")
     # reduction modulo a monomial ideal is a ring homomorphism, so reducing once is exact
     return spec.ring.reduce_matrix(matrix_poly_value(gma_pf_coeffs(spec, m), m))
@@ -430,8 +418,8 @@ def _embed_at(spec: GmaSpec, i: int, j: int, x: MultiPoly) -> RingMatrix:
 # -- random elements and kernel probes ----------------------------------
 
 
-def random_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) -> RingMatrix:
-    """Random integers on the diagonal blocks, random integer combinations of the bases off them.
+def random_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatrix:
+    """Random integers in [-4, 4] on the diagonal blocks, and as the coefficients of the bases off them.
 
     The block bases are reduced, and so is every combination of them.
     """
@@ -443,26 +431,26 @@ def random_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) ->
             for a in range(off[i - 1], off[i]):
                 for b in range(off[j - 1], off[j]):
                     if i == j:
-                        rows[a][b] = Fraction(rng.randint(-magnitude, magnitude))
+                        rows[a][b] = Fraction(rng.randint(-4, 4))
                     elif basis:
                         terms: dict = {}
                         for p in basis:
-                            k = rng.randint(-magnitude, magnitude)
+                            k = rng.randint(-4, 4)
                             for exp, c in p.terms.items():
                                 terms[exp] = terms[exp] + c * k if exp in terms else c * k
                         rows[a][b] = MultiPoly._trusted(spec.ring.vars, terms)
     return RingMatrix._trusted(rows)
 
 
-def random_symmetric_gma_element(spec: GmaSpec, rng: random.Random, magnitude: int = 4) -> RingMatrix:
+def random_symmetric_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatrix:
     """x + x* for a random GMA element x; reduced, as x and x* are."""
-    x = random_gma_element(spec, rng, magnitude)
-    return x + _involution(spec, x)
+    x = random_gma_element(spec, rng)
+    return x + spec._form.adjoint(x)
 
 
 def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> bool:
     """D(1 + witness * s) = 1 for sampled s: the witness behaves as a kernel element."""
-    spec.check_membership(witness)
+    witness = spec.check_membership(witness)
     rng = random.Random(seed)
     ident = RingMatrix.identity(spec.n)
     for _ in range(trials):

@@ -168,6 +168,10 @@ def _cached_word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
     return lams
 
 
+# bounds the size of lambda^k: |k| times the longer bit length of lambda's numerator and denominator
+_MAX_POWER_BITS = 1 << 20
+
+
 def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix]) -> Fraction:
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
@@ -176,6 +180,9 @@ def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix]) -> Fraction
         raise DimensionError("matrices must be 2d x 2d")
     if f.kind == "similitude":
         lam = similitude(SymplecticContext(n // 2), mats[f.var_index - 1])
+        bits = abs(f.power) * max(map(int.bit_length, lam.as_integer_ratio()))
+        if abs(lam) != 1 and bits > _MAX_POWER_BITS:
+            raise CapacityError(f"lambda^{f.power} is over the {_MAX_POWER_BITS}-bit guard")
         return lam**f.power
     if not 1 <= f.sigma_index <= n:
         raise DimensionError(f"sigma index {f.sigma_index} out of range for 2d = {n}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation
-from .errors import SchemaError
+from .errors import CapacityError, SchemaError
 from .gma import GmaSpec, GmaType, QuotientRing
 from .matrices import RingMatrix
 from .multipoly import MultiPoly
@@ -166,13 +166,13 @@ def ring_value_from_json(obj):
 
 
 def ring_value_to_string(x) -> str:
-    """Canonical human-readable form for CLI output."""
-    if isinstance(x, MultiPoly):
-        if x.is_constant():
-            x = x.constant_value()
-        else:
-            return str(x)
-    return str(x)
+    """Canonical human-readable form for CLI output; CapacityError past the int-to-string digit limit."""
+    if isinstance(x, MultiPoly) and x.is_constant():
+        x = x.constant_value()
+    try:
+        return str(x)
+    except ValueError as e:
+        raise CapacityError(f"value too long to print: {e}") from e
 
 
 # -- matrices -------------------------------------------------------------

@@ -3,20 +3,21 @@
 The standard form on 2d coordinates is J = [[0, Id], [-Id, 0]].  The
 symplectic transpose is M^j = J M^T J^(-1); matrices fixed by it are
 "j-symmetric" and M J is then alternating, so Pf(MJ) makes sense.  Pf(J)
-itself is (-1)^(d(d-1)/2), which is -1 for d = 2, 3 (mod 4); the reduced
-Pfaffian divides by it so that the identity always maps to 1.
+itself is -1 for d = 2, 3 (mod 4); the reduced Pfaffian Pf(MJ) / Pf(J)
+divides by it so that the identity always maps to 1.
 
 J, and the block form J_delta of a generalized matrix algebra (``gma``),
 are each held as a ``SignedPermutation``: one +-1 per row.  Its two kernels,
 the adjoint J tau(M)^T J^(-1) and the right product M J, move entries of M
 and negate some, so they cost no ring products and keep the cleared form of
-a rational M.
+a rational M.  The form computes its own Pfaffian once; its unchecked
+``reduced_pfaffian`` is the Pfaffian law of both forms.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from typing import Callable, Sequence
@@ -80,21 +81,31 @@ class SignedPermutation:
             lambda e: [[row[c] if s > 0 else -row[c] for _, c, s in cols] for row in e]
         )
 
+    @cached_property
+    def pfaffian(self) -> Fraction:
+        """Pf(J), +-1 since Pf(J)^2 = det(J) = 1 for an alternating signed permutation."""
+        return pfaffian(self.matrix)
+
+    def reduced_pfaffian(self, m: RingMatrix) -> Ring:
+        """Pf(M J) / Pf(J) for an M that makes M J alternating; Pf(J) = +-1, so * equals /."""
+        return pfaffian(self.right_product(m)) * self.pfaffian
+
 
 @dataclass(frozen=True)
 class SymplecticContext:
     d: int
-    pfaffian_of_J: Fraction = field(init=False)
 
     def __post_init__(self):
         if self.d < 1:
             raise DimensionError("half-dimension d must be >= 1")
-        sign = Fraction(-1) if (self.d * (self.d - 1) // 2) % 2 else Fraction(1)
-        object.__setattr__(self, "pfaffian_of_J", sign)
 
     @property
     def n(self) -> int:
         return 2 * self.d
+
+    @property
+    def pfaffian_of_J(self) -> Fraction:
+        return self.form.pfaffian
 
     @property
     def form(self) -> SignedPermutation:
@@ -181,7 +192,7 @@ def reduced_pfaffian(ctx: SymplecticContext, m: RingMatrix) -> Ring:
     _check_size(ctx, m)
     if not is_j_symmetric(ctx, m):
         raise StructureError("reduced Pfaffian requires M^j = M")
-    return pfaffian(ctx.form.right_product(m)) * ctx.pfaffian_of_J  # Pf(J) = +-1, so * == /
+    return ctx.form.reduced_pfaffian(m)
 
 
 def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = None) -> MultiPoly:
@@ -194,18 +205,13 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
         var = fresh_var("t", taken)
     elif var in taken:
         raise VariableError(f"matrix entries already use variable {var!r}")
-    t = MultiPoly.variable(var)
-    shifted = RingMatrix.scalar(ctx.n, t) - m
-    p = reduced_pfaffian(ctx, shifted)
-    if isinstance(p, Fraction):
-        p = MultiPoly.constant(p, (var,))
-    return p
+    # t Id - M is j-symmetric with M, and its reduced Pfaffian has the term t^d
+    return ctx.form.reduced_pfaffian(RingMatrix.scalar(ctx.n, MultiPoly.variable(var)) - m)
 
 
-def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix, var: str | None = None) -> list:
+def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> list:
     """[T_0..T_d] with Pf char poly = sum (-1)^i T_i t^(d-i)."""
-    if var is None:
-        var = fresh_var("t", entry_vars(m))
+    var = fresh_var("t", entry_vars(m))
     return lambdas_from_char_poly(pfaffian_char_poly(ctx, m, var), ctx.d, var)
 
 
@@ -248,8 +254,8 @@ def random_matrix(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
     return RingMatrix([[_rand_fraction(rng, magnitude) for _ in range(n)] for _ in range(n)])
 
 
-def random_alternating(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
-    return RingMatrix(_rand_paired_block(n, rng, magnitude, -1))
+def random_alternating(n: int, rng: random.Random) -> RingMatrix:
+    return RingMatrix(_rand_paired_block(n, rng, 5, -1))
 
 
 def _rand_paired_block(d: int, rng: random.Random, magnitude: int, sign: int) -> list:
@@ -304,14 +310,12 @@ def sample_symplectic(ctx: SymplecticContext, seed: int, magnitude: int = 3) -> 
     raise StructureError("could not sample a symplectic matrix (singular Id - H persisted)")
 
 
-def sample_similitude(
-    ctx: SymplecticContext, seed: int, magnitude: int = 3, factor: Fraction | int = 1
-) -> RingMatrix:
+def sample_similitude(ctx: SymplecticContext, seed: int, factor: Fraction | int = 1) -> RingMatrix:
     """A GSp_2d element with similitude exactly ``factor``: Sp sample * diag(factor*Id, Id)."""
     factor = Fraction(factor)
     if factor == 0:
         raise NotASimilitudeError("similitude factor must be nonzero")
-    s = sample_symplectic(ctx, seed, magnitude)
+    s = sample_symplectic(ctx, seed)
     d = ctx.d
     scale = RingMatrix(
         [[(factor if i == j and i < d else Fraction(1) if i == j else Fraction(0))

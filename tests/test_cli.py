@@ -379,3 +379,42 @@ def test_polynomial_object_with_string_exponent_is_read(tmp_path, capsys):
     code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
     assert code == 0
     assert json.loads(capsys.readouterr().out) == {"D": "u^8"}
+
+
+_GSP_REP = {"d": 1, "kind": "GSp", "generators": [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]}
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("invariant", {"matrices": [[[2, 0], [0, 1]]], "similitude_power": 10**6, "var_index": 1}),
+        ("invariant", {"matrices": [[[2, 0], [0, 1]]], "similitude_power": 10**30, "var_index": 1}),
+        ("theta", {"rep": _GSP_REP, "gammas": ["g1 g2"],
+                   "f": {"similitude_power": 10**30, "var_index": 1}}),
+    ],
+    ids=["invariant_power_10e6", "invariant_power_10e30", "theta_power_10e30"],
+)
+def test_a_similitude_power_over_the_guard_exits_2(tmp_path, capsys, verb, blob):
+    # 2^(10^6) has more digits than Python prints; 2^(10^30) does not fit in memory
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "bit guard" in captured.err
+
+
+def test_a_value_too_long_to_print_exits_2(tmp_path, capsys):
+    a = "1" * 3000
+    matrix = [[0, a, 0, 0], ["-" + a, 0, 0, 0], [0, 0, 0, a], [0, 0, "-" + a, 0]]  # Pf = a^2
+    code = main(["eval", "pfaffian", "--input", _write(tmp_path, {"matrix": matrix})])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "too long to print" in captured.err
+
+
+def test_an_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "in.json"
+    path.write_text('{"matrix": [[0, ' + "1" * 5000 + '], [-1, 0]]}')
+    code = main(["eval", "pfaffian", "--input", str(path)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "cannot read JSON" in captured.err

@@ -1,0 +1,145 @@
+"""A fixed-seed mutation fuzzer over every CLI input.
+
+Each case starts from one valid input: one per ``eval`` verb (the P law of
+``eval detlaw`` as its own case) and the standard GMA spec for
+``suite gma --input``.  A mutation replaces one or two leaves with a value
+from ``VALUES``, deletes a key, or puts a matrix one size above
+``SYMPLAW_MAX_DIM`` in place of one; ``cli.main`` then runs in process.  It
+must return 0, 1 or 2, and no exception may escape it.  Every input this has
+flagged is pinned as a named case in ``tests/test_cli.py``.
+"""
+
+import contextlib
+import copy
+import io
+import json
+import random
+
+import pytest
+
+from symplaw.cli import main
+
+MAX_DIM = 4  # small, so that matrices above the cap stay cheap
+
+VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3", "u^-1", "g3",
+          [], {}, [[]], [1], {"a": 1})
+
+
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+_SL2 = [[[1, 1], [0, 1]], [[2, 1], [1, 1]]]
+_REP = {"d": 1, "kind": "Sp", "generators": _SL2}
+_GSP_REP = {"d": 1, "kind": "GSp", "generators": [[[2, 0], [0, 1]], [[1, 1], [0, 1]]]}
+
+CASES = {
+    "pfaffian": (["eval", "pfaffian"], {
+        "matrix": [[0, 1, "2/3", 0], [-1, 0, 0, 3], ["-2/3", 0, 0, -1], [0, -3, 1, 0]]}),
+    "detlaw_D": (["eval", "detlaw"], {
+        "rep": _REP, "law": "D",
+        "element": {"terms": [{"word": "g1 g2^-1", "coef": "1/2"}, {"word": "g2", "coef": 3}]}}),
+    "detlaw_P": (["eval", "detlaw"], {
+        "rep": _GSP_REP, "law": "P",
+        "element": {"terms": [{"word": "g1", "coef": 1}, {"word": "g1^-1", "coef": 2}]}}),
+    "invariant": (["eval", "invariant"], {
+        "matrices": [[[1, 2], [3, "1/2"]], [[0, 1], [-1, 0]]], "sigma_index": 1, "word": "1 2*"}),
+    "theta": (["eval", "theta"], {
+        "rep": _GSP_REP, "gammas": ["g1", "g2 g1"],
+        "f": {"sigma_index": 2, "word": "1 2*", "arity": 2}}),
+    "invariant_similitude": (["eval", "invariant"], {
+        "matrices": [[[2, 0], [0, 1]], [[1, 1], [0, 1]]], "similitude_power": -1, "var_index": 1}),
+    "theta_similitude": (["eval", "theta"], {
+        "rep": _GSP_REP, "gammas": ["g1 g2"], "f": {"similitude_power": 2, "var_index": 1}}),
+    "gma_spec": (["suite", "gma", "--trials", "2"], {
+        "I0": [1], "I1": [2], "I2": [3], "sigma": [1, 3, 2], "dims": [2, 1, 1],
+        "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],
+        "blocks": {"1,2": ["u"], "3,1": ["u"], "2,1": ["v"], "1,3": ["v"]},
+        "tau_signs": {"1,2": 1, "1,3": 1, "2,3": 1}}),
+}
+
+
+def _paths(node, path=()):
+    """The path of every node below ``node``: a tuple of dict keys and list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _get(blob, path):
+    for key in path:
+        blob = blob[key]
+    return blob
+
+
+def _is_matrix(node):
+    return (isinstance(node, list) and node and all(isinstance(r, list) and r for r in node)
+            and not any(isinstance(x, list) for r in node for x in r))
+
+
+def mutations(blob, rng, count):
+    """``count`` pairs (mutated copy of ``blob``, what changed), drawn from ``rng``."""
+    paths = list(_paths(blob))
+    keys = [p for p in paths if isinstance(_get(blob, p[:-1]), dict)]
+    matrices = [p for p in paths if _is_matrix(_get(blob, p))]
+    for _ in range(count):
+        out = copy.deepcopy(blob)
+        kind = rng.random()
+        if kind < 0.15:
+            path = rng.choice(keys)
+            del _get(out, path[:-1])[path[-1]]
+            yield out, f"delete {path}"
+        elif kind < 0.25 and matrices:
+            path = rng.choice(matrices)
+            size = MAX_DIM + rng.choice((1, 2))
+            _get(out, path[:-1])[path[-1]] = _identity(size)
+            yield out, f"{path} = identity({size})"
+        else:
+            said = []
+            for path in rng.sample(paths, rng.choice((1, 2))):
+                value = copy.deepcopy(rng.choice(VALUES))
+                try:
+                    _get(out, path[:-1])[path[-1]] = value
+                except (KeyError, IndexError, TypeError):
+                    continue  # the other replacement took this path away
+                said.append(f"{path} = {value!r}")
+            yield out, "; ".join(said)
+
+
+def run(argv, blob, tmp_path):
+    """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob))
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            return main([*argv, "--input", str(path)])
+    except Exception as e:  # anything escaping main is the finding
+        return e
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_mutated_inputs_exit_0_1_or_2(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
+    argv, blob = CASES[name]
+    assert run(argv, blob, tmp_path) == 0
+    flagged = []
+    for mutated, what in mutations(blob, random.Random(f"fuzz:{name}"), 300):
+        code = run(argv, mutated, tmp_path)
+        if code not in (0, 1, 2):
+            flagged.append((what, repr(code)))
+    assert not flagged, flagged
+
+
+@pytest.mark.parametrize("raw", ["3", "5", "2.5", "4.0", "1e1"])
+def test_every_input_runs_under_an_odd_or_non_integer_cap(raw, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", raw)
+    for argv, blob in CASES.values():
+        code = run(argv, blob, tmp_path)
+        assert code in (0, 2) if raw.isdigit() else code == 2, (raw, argv, code)

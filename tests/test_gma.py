@@ -14,7 +14,6 @@ from symplaw.gma import (
     counterexample_fixture,
     delta_involution,
     gma_chi_p,
-    gma_pfaffian,
     gma_trace_det_pf,
     in_span,
     kernel_probe,
@@ -26,7 +25,7 @@ from symplaw.gma import (
 from symplaw.matrices import RingMatrix, mat_det, matrix_rank, trace_of_product
 from symplaw.multipoly import MultiPoly
 from symplaw.suites import suite_gma
-from symplaw.symplectic import is_alternating, pfaffian
+from symplaw.symplectic import SignedPermutation, is_alternating, pfaffian
 
 
 def test_gma_type_validation():
@@ -248,7 +247,7 @@ def test_pfaffian_routes_agree_when_alternating():
         assert is_alternating(mj)
         direct = spec.ring.reduce(pfaffian(mj)) * pfaffian(spec.J_delta)
         assert direct == gma_pf_coeffs(spec, m)[-1]
-        assert gma_pfaffian(spec, m) == direct
+        assert gma_trace_det_pf(spec, m)[2] == direct
 
 
 def test_pfaffian_squares_to_det_on_symmetric():
@@ -405,7 +404,6 @@ def _with_foreign_entry(spec, m):
 
 ENTRY_POINTS = {
     "delta_involution": delta_involution,
-    "gma_pfaffian": gma_pfaffian,
     "gma_chi_p": gma_chi_p,
     "gma_trace_det_pf": gma_trace_det_pf,
     "kernel_probe": partial(kernel_probe, trials=1, seed=0),
@@ -578,3 +576,63 @@ def test_a_declared_basis_is_reduced_before_random_elements_use_it():
     for _ in range(50):
         m = random_gma_element(spec, rng)
         assert all(spec.ring.reduce(x) is x for row in m.entries for x in row)
+
+
+# -- a GMA input is reduced once, at check_membership --------------------------
+
+
+def _with_nil_terms(spec, m):
+    """m with a nil monomial of the ring added to entry (0, 0) and to entry (0, n - 1)."""
+    nil = MultiPoly(spec.ring.vars, {spec.ring.nil_monomials[-1]: 1})
+    rows = [list(r) for r in m.entries]
+    rows[0][0] = rows[0][0] + nil
+    rows[0][-1] = rows[0][-1] + nil
+    return RingMatrix(rows)
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
+def test_check_membership_returns_the_reduced_element(make_spec):
+    spec = make_spec()
+    rng = random.Random(1)
+    for _ in range(5):
+        m = random_symmetric_gma_element(spec, rng)
+        unreduced = _with_nil_terms(spec, m)
+        assert unreduced != m
+        assert spec.check_membership(m) is m
+        assert spec.check_membership(unreduced) == m
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
+def test_an_unreduced_member_gives_the_results_of_its_reduction(make_spec):
+    spec = make_spec()
+    rng = random.Random(1)
+    for _ in range(5):
+        m = random_symmetric_gma_element(spec, rng)
+        unreduced = _with_nil_terms(spec, m)
+        assert delta_involution(spec, unreduced) == delta_involution(spec, m)
+        assert gma_trace_det_pf(spec, unreduced) == gma_trace_det_pf(spec, m)
+        assert gma_trace_det_pf(spec, m)[2] is not None
+        assert gma_chi_p(spec, unreduced) == gma_chi_p(spec, m)
+        for witness in (m, gma_chi_p(spec, m)):
+            assert (kernel_probe(spec, _with_nil_terms(spec, witness), trials=3, seed=2)
+                    == kernel_probe(spec, witness, trials=3, seed=2))
+
+
+def test_the_standard_fixture_member_with_uv_added_keeps_its_pfaffian():
+    spec = standard_fixture()
+    m = random_symmetric_gma_element(spec, random.Random(1))
+    rows = [list(r) for r in m.entries]
+    rows[0][0] = rows[0][0] + spec.ring.variable("u") * spec.ring.variable("v")
+    _, _, pf = gma_trace_det_pf(spec, RingMatrix(rows))
+    assert pf == gma_trace_det_pf(spec, m)[2] == -25
+    gma_chi_p(spec, RingMatrix(rows))  # symmetric once reduced, so no StructureError
+
+
+def test_a_form_computes_its_pfaffian_once_and_it_matches_the_expansion():
+    forms = [SignedPermutation.standard(d) for d in range(1, 7)]
+    forms += [_mixed_sign_spec(t)._form for t in J_DELTA_TYPES]
+    for form in forms:
+        assert form.pfaffian == pfaffian(form.matrix)
+        assert form.pfaffian is form.pfaffian

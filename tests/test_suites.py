@@ -2,7 +2,7 @@ from fnmatch import fnmatch
 
 import pytest
 
-from symplaw import detlaws, gma, invariants, matrices, suites
+from symplaw import detlaws, gma, invariants, matrices, pseudochar, suites
 from symplaw.detlaws import PfaffianCoeffVector
 from symplaw.errors import SymplawError
 from symplaw.gma import GmaSpec, counterexample_fixture
@@ -273,3 +273,56 @@ def test_gma_check_fails_under_its_fault(pattern, monkeypatch):
     for seed in range(10):
         named = [c for c in suite_gma(4, seed) if fnmatch(c["name"], pattern)]
         assert named and not any(c["pass"] for c in named), (seed, named)
+
+
+def _theta_cache_never_read(pc, f, gammas, real=pseudochar.theta_eval):
+    """theta_eval that drops the cached value of its key first, so it always recomputes."""
+    pc.cache.pop(pc.cache_key(f, tuple(tuple(w) for w in gammas)), None)
+    return real(pc, f, gammas)
+
+
+def _empty_word_not_halved(pc, x, real=pseudochar._symmetric_decomposition):
+    """The decomposition with the empty word's coefficient not halved: 1 = (1 + 1*) / 2."""
+    return [(c * 2 if w == () else c, w) for c, w in real(pc, x)]
+
+
+# Negative controls for ``suite pseudochar``: each row names a check (a glob
+# over check names) and a fault under which that check must fail at every
+# seed.  Every check has a control.  At ``--trials 4`` each representation
+# gets one axiom trial at d = 2, so the axiom fault breaks the product axiom
+# on every trial: the two sides have arities m + 1 and m.
+PSEUDOCHAR_CONTROLS = {
+    # each invariant value comes out larger by the arity of its function
+    "axioms_*": (
+        pseudochar, "eval_invariant", lambda f, mats, real=pseudochar.eval_invariant:
+        real(f, mats) + f.arity),
+    # theta_eval never reads its cache, so a corrupted entry goes unseen
+    "corrupted_cache_detected": (pseudochar, "theta_eval", _theta_cache_never_read),
+    # the determinant is one too large
+    "comparison_agrees_with_det_laws": (
+        detlaws, "mat_det", lambda m, real=detlaws.mat_det: real(m) + 1),
+    # the comparison D reads its Lambda-vector off 2M instead of M
+    "comparison_p_squared_equals_d": (
+        pseudochar, "lambda_vector_of_matrix",
+        lambda m, real=pseudochar.lambda_vector_of_matrix: real(m * 2)),
+    # the comparison P takes the empty word at twice its coefficient
+    "comparison_p_at_identity": (pseudochar, "_symmetric_decomposition", _empty_word_not_halved),
+    # the recovered similitude is one too large
+    "similitude_recovery_multiplicative": (
+        pseudochar, "similitude", lambda ctx, m, real=pseudochar.similitude: real(ctx, m) + 1),
+}
+
+
+def test_every_pseudochar_check_has_a_control():
+    names = {c["name"] for c in suite_pseudochar(2, 4, 0)}
+    assert len(names) == 9
+    assert all(any(fnmatch(n, pattern) for pattern in PSEUDOCHAR_CONTROLS) for n in names)
+
+
+@pytest.mark.parametrize("pattern", sorted(PSEUDOCHAR_CONTROLS))
+def test_pseudochar_check_fails_under_its_fault(pattern, monkeypatch):
+    monkeypatch.setattr(*PSEUDOCHAR_CONTROLS[pattern])
+    for d in (1, 2):
+        for seed in range(10):
+            named = [c for c in suite_pseudochar(d, 4, seed) if fnmatch(c["name"], pattern)]
+            assert named and not any(c["pass"] for c in named), (d, seed, named)
