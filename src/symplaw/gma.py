@@ -66,8 +66,8 @@ class QuotientRing:
         object.__setattr__(self, "_divisible", {})
 
     def reduce(self, x: Ring) -> Ring:
-        """x without its terms divisible by a nil monomial; x itself if it has none."""
-        if isinstance(x, Fraction):
+        """x without its terms divisible by a nil monomial; x itself if it has none or is scalar."""
+        if isinstance(x, (int, Fraction)):
             return x
         if x.vars != self.vars:
             if not set(x.vars) <= set(self.vars):
@@ -117,7 +117,7 @@ def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
 def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
     """Is the reduced element p in the span?"""
     columns, rows = span
-    if isinstance(p, Fraction):
+    if not isinstance(p, MultiPoly):
         p = MultiPoly.constant(p, ring.vars)
     return all(exp in columns for exp in p.terms) and rows.spans(_integer_row(p, columns))
 
@@ -283,7 +283,7 @@ class GmaSpec:
                     for b in range(off[j - 1], off[j]):
                         x = entries[a][b]
                         if i == j:
-                            ok = isinstance(x, Fraction) or x.is_constant()
+                            ok = not isinstance(x, MultiPoly) or x.is_constant()
                         else:
                             ok = _in_span_rows(x, span, self.ring)
                         if not ok:
@@ -348,8 +348,8 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
 
 
 def _constant_or_raise(x: Ring, what: str) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
+    if not isinstance(x, MultiPoly):
+        return Fraction(x)
     if x.is_constant():
         return x.constant_value()
     raise StructureError(f"{what} did not land in Q: {x}")
@@ -410,7 +410,7 @@ def check_sch_condition(spec: GmaSpec) -> tuple:
 
 def _embed_at(spec: GmaSpec, i: int, j: int, x: MultiPoly) -> RingMatrix:
     off = spec.type.offsets()
-    rows = [[Fraction(0)] * spec.n for _ in range(spec.n)]
+    rows = [[0] * spec.n for _ in range(spec.n)]
     rows[off[i - 1]][off[j - 1]] = x
     return RingMatrix(rows)
 
@@ -424,14 +424,14 @@ def random_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatrix:
     The block bases are reduced, and so is every combination of them.
     """
     off = spec.type.offsets()
-    rows = [[Fraction(0)] * spec.n for _ in range(spec.n)]
+    rows = [[0] * spec.n for _ in range(spec.n)]
     for i in range(1, spec.type.r + 1):
         for j in range(1, spec.type.r + 1):
             basis = None if i == j else spec.span(i, j)
             for a in range(off[i - 1], off[i]):
                 for b in range(off[j - 1], off[j]):
                     if i == j:
-                        rows[a][b] = Fraction(rng.randint(-4, 4))
+                        rows[a][b] = rng.randint(-4, 4)
                     elif basis:
                         terms: dict = {}
                         for p in basis:

@@ -1,4 +1,4 @@
-"""Dense matrices over exact scalars (Fraction) or MultiPoly entries.
+"""Dense matrices over exact scalars or MultiPoly entries.
 
 Determinants are exact: Bareiss fraction-free elimination (E. H. Bareiss,
 Math. Comp. 22, 1968) on the cleared integer rows of every rational matrix,
@@ -10,7 +10,20 @@ serves rational, polynomial and quotient-ring entries alike.  Every check
 in this library lives at dimension <= 12, so no sparse or asymptotically
 clever machinery is needed.
 
-A matrix whose entries are all Fractions keeps one cleared form (B, delta):
+Every matrix holds one of two entry forms, fixed when it is built (in
+``_fill``, the one place that sets entries):
+
+- a rational matrix, with no MultiPoly entry, has Fraction entries and its
+  cleared form, even when it is built from int rows;
+- a polynomial matrix, with at least one MultiPoly entry, holds each scalar
+  entry in MultiPoly's canonical coefficient form: an int when the value is
+  integral, a Fraction with denominator > 1 otherwise.  So ``m[i, j]`` of a
+  polynomial matrix may be an int, and the scalar arithmetic of a matrix
+  such as a GMA element, rational diagonal blocks around polynomial ones,
+  runs on ints.  Values that leave a kernel (``mat_det``, ``trace``, the
+  Pfaffian) are a Fraction or a MultiPoly.
+
+The cleared form of a rational matrix is one pair (B, delta):
 B a tuple of integer rows and delta > 0 the least common denominator, so
 that A = B / delta and gcd(delta, content of B) = 1.  That pair is unique
 for each rational matrix.  It is fixed when the matrix is built, and the
@@ -24,8 +37,8 @@ Gauss-Jordan, each row divided by its content).  No Fraction is built in
 between: a result of these kernels makes its Fraction ``entries`` only when
 they are read (``entries``, ``m[i, j]``, JSON output).  The division-free
 routines (Berkowitz, and the Pfaffian recursion in ``symplectic``) run
-unchanged on either B or the entries.  Matrices with MultiPoly entries have
-no cleared form and take the generic path.
+unchanged on either B or the entries.  Polynomial matrices have no cleared
+form and take the generic path.
 """
 
 from __future__ import annotations
@@ -37,16 +50,23 @@ from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
-from .multipoly import MultiPoly, Ring, fresh_var
+from .multipoly import MultiPoly, Ring, canonical_scalar, fresh_var
+
+_EXACT = (int, Fraction, MultiPoly)
+_POLY_ENTRY_TYPES = frozenset((int, MultiPoly))  # a polynomial matrix of these needs no rewrite
+_FRACTION_ONLY = frozenset((Fraction,))
+
+
+def _exact(x) -> Ring:
+    """x itself if it is an int, a Fraction or a MultiPoly; TypeError otherwise."""
+    if not isinstance(x, _EXACT):
+        raise TypeError(f"scalar must be exact (int, Fraction or MultiPoly): {x!r}")
+    return x
 
 
 def exact_scalar(x) -> Ring:
-    """``x`` as a ring element: Fraction and MultiPoly pass through, int becomes Fraction."""
-    if isinstance(x, (Fraction, MultiPoly)):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    raise TypeError(f"scalar must be exact (int, Fraction or MultiPoly): {x!r}")
+    """x as a value leaving a kernel: an int becomes a Fraction, the rest pass through."""
+    return Fraction(x) if isinstance(_exact(x), int) else x
 
 
 def entry_is_zero(x: Ring) -> bool:
@@ -55,34 +75,32 @@ def entry_is_zero(x: Ring) -> bool:
     return x == 0
 
 
-def _integer_rows(entries) -> tuple | None:
-    """(B, delta) in normalized form with entries = B / delta, if every entry is a Fraction.
+def _integer_rows(entries) -> tuple:
+    """(B, delta) in normalized form with entries = B / delta, for rows of Fractions.
 
     B is a tuple of integer rows and delta > 0 the least common denominator,
-    so gcd(delta, content of B) = 1.  None if some entry is not a Fraction.
+    so gcd(delta, content of B) = 1.
     """
-    for row in entries:
-        for x in row:
-            if not isinstance(x, Fraction):
-                return None
     ratios = [list(map(Fraction.as_integer_ratio, row)) for row in entries]
     den = lcm(*[q for row in ratios for _, q in row])
     return tuple(tuple([p * (den // q) for p, q in row]) for row in ratios), den
 
 
 class RingMatrix:
-    """An immutable matrix over Fraction or MultiPoly entries.
+    """An immutable matrix over exact scalars or MultiPoly entries.
 
-    A matrix whose entries are all Fractions also holds its cleared form
-    (``_ints``, ``_den``) and the kernels run on it; a result they build is a
-    ``_LazyEntries`` matrix, which makes its Fraction ``entries`` on first
-    read.  Any other matrix has ``_ints = None`` and works on ``entries``.
+    A rational matrix (no MultiPoly entry) has Fraction entries, even when
+    built from ints, and holds its cleared form (``_ints``, ``_den``); the
+    kernels run on it, and a result they build is a ``_LazyEntries`` matrix,
+    which makes its Fraction ``entries`` on first read.  A polynomial matrix
+    has ``_ints = None``, works on ``entries``, and holds each scalar entry
+    as an int when it is integral and as a Fraction otherwise.
     """
 
     __slots__ = ("rows", "cols", "entries", "_ints", "_den")
 
     def __init__(self, entries: Sequence[Sequence]):
-        rows = tuple(tuple(exact_scalar(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(_exact, row)) for row in entries)
         if not rows or not rows[0]:
             raise DimensionError("empty matrix")
         ncols = len(rows[0])
@@ -92,7 +110,10 @@ class RingMatrix:
 
     @classmethod
     def _trusted(cls, rows) -> "RingMatrix":
-        """A matrix on nonempty rectangular rows of Fraction or MultiPoly entries, unchecked."""
+        """A matrix on nonempty rectangular rows of int, Fraction or MultiPoly entries, unchecked.
+
+        ``_fill`` brings the entries to the form of their matrix kind.
+        """
         m = object.__new__(cls)
         _fill(m, tuple(map(tuple, rows)))
         return m
@@ -135,8 +156,7 @@ class RingMatrix:
         if isinstance(c, Fraction):
             p, q = c.as_integer_ratio()
             return RingMatrix._cleared([[p if i == j else 0 for j in range(n)] for i in range(n)], q)
-        z = Fraction(0)
-        return RingMatrix([[c if i == j else z for j in range(n)] for i in range(n)])
+        return RingMatrix._trusted([[c if i == j else 0 for j in range(n)] for i in range(n)])
 
     # -- shape --------------------------------------------------------
 
@@ -185,7 +205,7 @@ class RingMatrix:
 
     def __neg__(self) -> "RingMatrix":
         if self._ints is None:
-            return self.map_entries(lambda x: -x)
+            return RingMatrix._trusted([[-x for x in row] for row in self.entries])
         return RingMatrix._cleared([[-x for x in row] for row in self._ints], self._den)
 
     def __mul__(self, other):
@@ -202,10 +222,26 @@ class RingMatrix:
 
     def _scaled(self, c, generic: Callable) -> "RingMatrix":
         """c times the matrix: on B for a rational matrix and an int or Fraction c, else ``generic`` on each entry."""
-        if self._ints is None or not isinstance(c, (int, Fraction)):
-            return self.map_entries(generic)
+        if self._ints is None or isinstance(_exact(c), MultiPoly):
+            return RingMatrix._trusted([[generic(x) for x in row] for row in self.entries])
         p, q = c.as_integer_ratio()
         return RingMatrix._cleared([[p * x for x in row] for row in self._ints], self._den * q)
+
+    def _shifted(self, c) -> "RingMatrix":
+        """self + c * Id for a square matrix, by adding c to the diagonal entries only."""
+        if not self.is_square():
+            raise DimensionError("shift of a non-square matrix")
+        if self._ints is not None and isinstance(c, (int, Fraction)):
+            # B / delta + (p / q) Id = (q B + p delta Id) / (q delta)
+            p, q = c.as_integer_ratio()
+            rows = [[x * q for x in row] for row in self._ints]
+            for i, row in enumerate(rows):
+                row[i] += p * self._den
+            return RingMatrix._cleared(rows, self._den * q)
+        rows = list(map(list, self.entries))
+        for i, row in enumerate(rows):
+            row[i] = row[i] + c
+        return RingMatrix._trusted(rows)
 
     def __pow__(self, n: int) -> "RingMatrix":
         if not self.is_square():
@@ -244,7 +280,7 @@ class RingMatrix:
             raise DimensionError("trace of a non-square matrix")
         if self._ints is not None:
             return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
-        return sum(row[i] for i, row in enumerate(self.entries))
+        return exact_scalar(sum(row[i] for i, row in enumerate(self.entries)))
 
     def is_zero(self) -> bool:
         if self._ints is not None:
@@ -303,11 +339,22 @@ _set_rows, _set_cols, _set_entries, _set_ints, _set_den = (
 
 
 def _fill(m: RingMatrix, entries: tuple):
-    """Set the shape, the entries and, if every entry is a Fraction, the cleared form of ``m``."""
-    if isinstance(entries[0][0], MultiPoly):  # the usual polynomial matrix, decided at once
+    """Set the shape, the entries and, for a rational matrix, the cleared form of ``m``.
+
+    The one place that sets entries, so the one place that holds their form:
+    with a MultiPoly entry every scalar entry is made canonical (an int if it
+    is integral), and without one every entry is made a Fraction.
+    """
+    types = set(map(type, chain.from_iterable(entries)))
+    if MultiPoly in types:
+        if not types <= _POLY_ENTRY_TYPES:
+            entries = tuple(tuple([x if type(x) is MultiPoly else canonical_scalar(x) for x in row])
+                            for row in entries)
         ints = den = None
     else:
-        ints, den = _integer_rows(entries) or (None, None)
+        if types != _FRACTION_ONLY:
+            entries = tuple(tuple([Fraction(x) for x in row]) for row in entries)
+        ints, den = _integer_rows(entries)
     _set_rows(m, len(entries))
     _set_cols(m, len(entries[0]))
     _set_entries(m, entries)
@@ -350,7 +397,7 @@ def trace_of_product(a: RingMatrix, b: RingMatrix) -> Ring:
 
 
 def mat_det(m: RingMatrix) -> Ring:
-    """Exact determinant of a square matrix over Fraction or MultiPoly entries."""
+    """Exact determinant of a square matrix, a Fraction or a MultiPoly."""
     if not m.is_square():
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m.all_rational():

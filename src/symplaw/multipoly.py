@@ -25,10 +25,14 @@ from typing import Iterable, Mapping, Union
 from .errors import VariableError
 
 Scalar = Union[int, Fraction]
-Ring = Union[Fraction, "MultiPoly"]
+# A matrix entry or a value computed from one.  Values that leave a kernel
+# (determinants, traces, Pfaffians, law values) are a Fraction or a
+# MultiPoly; inside a matrix with a MultiPoly entry every scalar entry is
+# held in canonical form (``canonical_scalar``), so it may be an int.
+Ring = Union[int, Fraction, "MultiPoly"]
 
 
-def _canonical(c) -> Scalar:
+def canonical_scalar(c) -> Scalar:
     """c as a coefficient: an int if it is integral, else a Fraction with denominator > 1."""
     if type(c) is int:
         return c
@@ -53,7 +57,7 @@ class MultiPoly:
             exp = tuple(exp)
             if len(exp) != len(vs) or not all(type(e) is int and e >= 0 for e in exp):
                 raise VariableError(f"exponent {exp} is not {len(vs)} non-negative ints for {vs}")
-            c = _canonical(coef)
+            c = canonical_scalar(coef)
             if c:
                 clean[exp] = c
         object.__setattr__(self, "vars", vs)
@@ -65,7 +69,7 @@ class MultiPoly:
         dropped and the rest made canonical."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", {e: c if type(c) is int else _canonical(c)
+        object.__setattr__(p, "terms", {e: c if type(c) is int else canonical_scalar(c)
                                         for e, c in terms.items() if c})
         return p
 
@@ -140,7 +144,7 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            other = _canonical(other)
+            other = canonical_scalar(other)
             one = (0,) * len(self.vars)
             terms = dict(self.terms)
             terms[one] = terms[one] + other if one in terms else other
@@ -169,7 +173,7 @@ class MultiPoly:
                     terms[exp] = terms[exp] + c if exp in terms else c
             return MultiPoly._trusted(a.vars, terms)
         if isinstance(other, (int, Fraction)):
-            other = _canonical(other)
+            other = canonical_scalar(other)
             return MultiPoly._trusted(self.vars, {e: c * other for e, c in self.terms.items()})
         return NotImplemented
 

@@ -24,7 +24,7 @@ from .words import parse_word
 # -- rationals ----------------------------------------------------------
 
 
-def fraction_to_json(x: Fraction) -> str | int:
+def fraction_to_json(x: Fraction | int) -> str | int:
     if x.denominator == 1:
         return int(x)
     return f"{x.numerator}/{x.denominator}"
@@ -141,7 +141,8 @@ def parse_poly_string(text: str) -> MultiPoly:
 
 
 def ring_value_to_json(x):
-    if isinstance(x, Fraction):
+    """A Fraction, int (not bool) or MultiPoly as JSON; a constant polynomial as its value."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return fraction_to_json(x)
     if isinstance(x, MultiPoly):
         if x.is_constant():

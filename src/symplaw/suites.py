@@ -258,9 +258,7 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     for trial in range(min(trials, 10)):
         dd = min(d, 2)
         cdd = SymplecticContext(dd)
-        rep = InvolutiveRepresentation.from_images(
-            [sample_symplectic(cdd, seed * 47 + trial) for _ in range(2)]
-        )
+        rep = InvolutiveRepresentation.from_images([sample_symplectic(cdd, seed * 47 + trial)])
         g1 = GroupAlgebraElement.from_word(((1, 1),))
         r1 = g1 + star(rep, g1)
         if not chi_alpha(rep, [r1], [dd]).is_zero():

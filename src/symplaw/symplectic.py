@@ -216,17 +216,20 @@ def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> list:
 
 
 def matrix_poly_value(coeffs: list, m: RingMatrix) -> RingMatrix:
-    """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = [c_0..c_deg]."""
-    deg = len(coeffs) - 1
-    acc = RingMatrix.zeros(m.rows, m.cols)
-    # powers M^0..M^deg; M^1 is M itself, so no product starts from the identity
-    powers = [RingMatrix.identity(m.rows), m]
-    for _ in range(deg - 1):
-        powers.append(powers[-1] * m)
-    for i, c in enumerate(coeffs):
-        term = powers[deg - i] * c
-        acc = acc + term if i % 2 == 0 else acc - term
-    return acc
+    """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = [c_0..c_deg], by Horner's rule.
+
+    Each step multiplies by M and adds the next signed coefficient on the
+    diagonal, so it makes deg - 1 matrix products.
+    """
+    if not m.is_square():
+        raise DimensionError("polynomial value at a non-square matrix")
+    signed = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
+    if len(signed) < 2:  # a constant, or the empty sum
+        return RingMatrix.scalar(m.rows, sum(signed))
+    acc = m if signed[0] == 1 else m * signed[0]
+    for c in signed[1:-1]:
+        acc = acc._shifted(c) * m
+    return acc._shifted(signed[-1])
 
 
 def similitude(ctx: SymplecticContext, m: RingMatrix) -> Fraction:

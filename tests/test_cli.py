@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -418,3 +419,26 @@ def test_an_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     _assert_one_line_error(code, captured)
     assert "cannot read JSON" in captured.err
+
+
+# every random element of a spec with no off-diagonal block is integral, so rational
+_ALL_SCALAR_GMA = {
+    "I0": [1], "I1": [2], "I2": [3], "sigma": [1, 3, 2], "dims": [2, 1, 1],
+    "base_vars": ["u", "v"], "nil_monomials": ["u^2", "v^2", "u*v"],
+    "blocks": {}, "tau_signs": {"1,2": 1, "1,3": 1, "2,3": 1},
+}
+
+# stdout digests recorded while the diagonal blocks of a GMA element were Fractions
+_ALL_SCALAR_GMA_DIGESTS = {
+    0: "2affb489643e08cb41001171bdafa36d1c71904a57632e510fb904543e342886",
+    1: "83cae67db877cf59c83b48cfd92f3c43623f86705a8779f30b4a7c1ae6b7f0ee",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_ALL_SCALAR_GMA_DIGESTS))
+def test_suite_gma_on_a_spec_with_no_blocks(tmp_path, capsys, seed):
+    path = _write(tmp_path, _ALL_SCALAR_GMA)
+    code, out = run_cli(["suite", "gma", "--trials", "5", "--seed", str(seed), "--input", path],
+                        capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+    assert hashlib.sha256(out.encode()).hexdigest() == _ALL_SCALAR_GMA_DIGESTS[seed]

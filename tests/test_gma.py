@@ -9,6 +9,7 @@ from symplaw.gma import (
     GmaSpec,
     GmaType,
     QuotientRing,
+    _constant_or_raise,
     build_J_delta,
     check_sch_condition,
     counterexample_fixture,
@@ -636,3 +637,56 @@ def test_a_form_computes_its_pfaffian_once_and_it_matches_the_expansion():
     for form in forms:
         assert form.pfaffian == pfaffian(form.matrix)
         assert form.pfaffian is form.pfaffian
+
+
+# -- integral scalars: ints inside polynomial matrices, Fractions in every value --
+
+
+def test_quotient_ring_and_span_accept_int_scalars():
+    spec = standard_fixture()
+    ring, u = spec.ring, spec.ring.variable("u")
+    assert type(ring.reduce(3)) is int and ring.reduce(3) == 3
+    assert ring.reduce(Fraction(1, 2)) == Fraction(1, 2)
+    assert in_span(3, [1], ring) and in_span(3, [Fraction(1, 2)], ring)
+    assert not in_span(3, [u], ring) and in_span(0, [u], ring)
+    assert in_span(2 * u, [u], ring) and not in_span(u + 1, [u], ring)
+    value = _constant_or_raise(3, "an int")
+    assert type(value) is Fraction and value == 3
+    # a member whose diagonal blocks are ints passes the diagonal test
+    m = RingMatrix([[1, 2, 3 * u, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    assert type(m[0, 0]) is int and spec.check_membership(m) is m
+
+
+def test_an_element_of_a_spec_with_no_blocks_is_rational():
+    base = standard_fixture()
+    spec = GmaSpec(base.type, base.ring, {}, base.tau_signs)
+    rng = random.Random(5)
+    for _ in range(10):
+        for m in (random_gma_element(spec, rng), random_symmetric_gma_element(spec, rng)):
+            assert m.cleared() is not None
+            assert all(type(x) is Fraction for row in m.entries for x in row)
+
+
+def _with_fraction_scalars(m):
+    """m through the public constructor, with every scalar entry given as a Fraction."""
+    return RingMatrix([[x if isinstance(x, MultiPoly) else Fraction(x) for x in row]
+                       for row in m.entries])
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
+def test_int_scalars_give_the_values_of_fraction_scalars(make_spec):
+    spec = make_spec()
+    for seed in range(20):
+        rng = random.Random(seed)
+        x, y = random_gma_element(spec, rng), random_gma_element(spec, rng)
+        s = random_symmetric_gma_element(spec, rng)
+        ref_x, ref_y, ref_s = map(_with_fraction_scalars, (x, y, s))
+        assert ref_s == s and any(type(e) is int for row in s.entries for e in row)
+        laws = gma_trace_det_pf(spec, s)
+        assert laws == gma_trace_det_pf(spec, ref_s)
+        assert all(type(v) is Fraction for v in laws)
+        assert gma_chi_p(spec, s) == gma_chi_p(spec, ref_s)
+        assert (kernel_probe(spec, x, trials=2, seed=seed)
+                == kernel_probe(spec, ref_x, trials=2, seed=seed))
+        assert trace_of_product(x, y) == trace_of_product(ref_x, ref_y)

@@ -13,6 +13,7 @@ from symplaw.matrices import (
     lambdas_from_char_poly,
     mat_det,
     matrix_rank,
+    trace_of_product,
 )
 from symplaw.multipoly import MultiPoly
 
@@ -123,3 +124,64 @@ def test_matrix_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert matrix_rank([[Fraction(x) for x in r] for r in rows]) == 2
     assert matrix_rank([[Fraction(0)] * 3]) == 0
+
+
+# -- the entry form: Fractions in a rational matrix, canonical scalars in a polynomial one ---
+
+
+def scalar_types(m):
+    return {type(x) for row in m.entries for x in row if not isinstance(x, MultiPoly)}
+
+
+def test_a_rational_matrix_holds_fractions_even_from_ints():
+    for m in (RingMatrix([[1, 2], [3, True]]), RingMatrix._trusted([[1, 2], [3, 4]]),
+              RingMatrix._trusted([[1, Fraction(1, 2)], [Fraction(4, 2), 0]])):
+        assert m.cleared() is not None and scalar_types(m) == {Fraction}
+    assert RingMatrix([[1, 2], [3, 1]]) == RingMatrix([[Fraction(1), 2], [3, 1]])
+
+
+def test_a_polynomial_matrix_holds_canonical_scalars():
+    u = MultiPoly.variable("u")
+    m = RingMatrix([[Fraction(4, 2), u], [Fraction(1, 3), True]])
+    assert m.cleared() is None
+    assert [type(x) for row in m.entries for x in row] == [int, MultiPoly, Fraction, int]
+    assert m[0, 0] == 2 and m[1, 1] == 1
+    # every generic kernel result is brought to the same form
+    half = Fraction(1, 2)
+    results = [-m, m * half, half * m, m * 2, m + m, m - m, m * m, m.transpose(),
+               RingMatrix._trusted([[Fraction(3), u], [half, Fraction(-2)]])]
+    for r in results:
+        assert r.cleared() is None
+        for x in (x for row in r.entries for x in row):
+            assert isinstance(x, MultiPoly) or type(x) is int or (
+                type(x) is Fraction and x.denominator > 1)
+    assert (m * 2)[0, 0] == 4 and type((m * 2)[0, 0]) is int
+    assert (m * half)[1, 0] == Fraction(1, 6)
+
+
+def test_a_matrix_built_with_no_polynomial_entry_is_rational():
+    m = RingMatrix([[1, MultiPoly.constant(2, ("u",))], [0, 2]])
+    r = m.map_entries(lambda x: x.constant_value() if isinstance(x, MultiPoly) else x)
+    assert m.cleared() is None
+    assert r.cleared() == (((1, 2), (0, 2)), 1) and scalar_types(r) == {Fraction}
+
+
+def test_values_leaving_a_kernel_stay_fraction_or_multipoly():
+    u = MultiPoly.variable("u")
+    m = RingMatrix([[2, 0], [u, 3]])  # the expansion skips the zero entry, so u never enters
+    assert type(m.trace()) is Fraction and m.trace() == 5
+    assert type(mat_det(m)) is Fraction and mat_det(m) == 6
+    assert isinstance(RingMatrix([[u, 1], [1, u]]).trace(), MultiPoly)
+    # every entry of both factors enters tr(AB), so a polynomial factor gives a MultiPoly
+    assert isinstance(trace_of_product(m, m), MultiPoly) and trace_of_product(m, m) == 13
+
+
+def test_inexact_entries_and_scalars_are_refused():
+    with pytest.raises(TypeError):
+        RingMatrix([[1, 1.5]])
+    u = MultiPoly.variable("u")
+    for m in (RingMatrix([[1, 2], [3, 4]]), RingMatrix([[1, u], [0, 1]])):
+        with pytest.raises(TypeError):
+            m * 1.5
+        with pytest.raises(TypeError):
+            1.5 * m

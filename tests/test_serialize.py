@@ -21,6 +21,7 @@ from symplaw.serialize import (
     poly_to_json,
     representation_from_json,
     ring_value_from_json,
+    ring_value_to_json,
 )
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
 from symplaw.words import parse_word
@@ -116,6 +117,24 @@ def test_matrix_round_trip():
         matrix_from_json([])
     with pytest.raises(SchemaError):
         matrix_from_json([[1, 2], [3]])
+
+
+def test_ring_value_to_json_takes_an_int_but_not_a_bool():
+    assert ring_value_to_json(3) == 3 and ring_value_to_json(-7) == -7
+    assert ring_value_to_json(Fraction(6, 2)) == 3
+    for x in (True, False, 1.5):
+        with pytest.raises(SchemaError):
+            ring_value_to_json(x)
+
+
+def test_round_trip_of_a_polynomial_matrix_with_int_entries():
+    u = MultiPoly.variable("u")
+    m = RingMatrix([[Fraction(4, 2), 2 * u + 1], [Fraction(1, 3), -5]])
+    assert [type(x) for row in m.entries for x in row] == [int, MultiPoly, Fraction, int]
+    blob = matrix_to_json(m)
+    assert blob[0][0] == 2 and blob[1] == ["1/3", -5]
+    back = matrix_from_json(json.loads(json.dumps(blob)))
+    assert back == m and matrix_to_json(back) == blob
 
 
 def test_group_elem_round_trip():

@@ -180,6 +180,39 @@ def test_pfaffian_cayley_hamilton():
             assert matrix_poly_value(coeffs, m).is_zero()
 
 
+def _power_sum(coeffs, m):
+    """sum (-1)^i c_i M^(deg-i), each power taken with ** and each term added in turn."""
+    deg = len(coeffs) - 1
+    total = RingMatrix.zeros(m.rows)
+    for i, c in enumerate(coeffs):
+        total = total + (-1) ** i * (m ** (deg - i) * c)
+    return total
+
+
+def _coefficient(rng, u):
+    return rng.choice([Fraction(rng.randint(-3, 3), rng.randint(1, 3)), rng.randint(-3, 3),
+                       u * rng.randint(-2, 2) + Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("deg", range(5))
+def test_matrix_poly_value_is_the_power_sum(deg):
+    rng = random.Random(40 + deg)
+    u = MultiPoly.variable("u")
+    for _ in range(6):
+        rational = random_matrix(3, rng, 3)
+        polynomial = RingMatrix([[rng.randint(-2, 2), u * rng.randint(-2, 2), Fraction(1, 2)],
+                                 [Fraction(rng.randint(-2, 2), 3), u * u, 1],
+                                 [0, rng.randint(-2, 2), u + rng.randint(-2, 2)]])
+        for m in (rational, polynomial):
+            scalar = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(deg + 1)]
+            mixed = [_coefficient(rng, u) for _ in range(deg + 1)]
+            for coeffs in (scalar, [1] + scalar[1:], mixed):
+                assert matrix_poly_value(coeffs, m) == _power_sum(coeffs, m)
+    assert matrix_poly_value([], RingMatrix.identity(2)).is_zero()
+    with pytest.raises(DimensionError):
+        matrix_poly_value([1, 2], RingMatrix([[1, 2, 3], [4, 5, 6]]))
+
+
 def test_multiplicative_transfer():
     rng = random.Random(28)
     for d in (1, 2):
