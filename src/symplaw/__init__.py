@@ -58,7 +58,7 @@ from .invariants import (
     trace_word_span_dim,
 )
 from .matrices import RingMatrix, char_poly, mat_det
-from .multipoly import MultiPoly, poly_coefficient
+from .multipoly import MultiPoly
 from .pseudochar import (
     Pseudocharacter,
     comparison_to_det_law,
@@ -126,7 +126,6 @@ __all__ = [
     "pfaffian",
     "pfaffian_char_poly",
     "pfaffian_coeffs_from_lambdas",
-    "poly_coefficient",
     "reduced_pfaffian",
     "run_suite",
     "sample_symplectic",

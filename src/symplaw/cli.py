@@ -28,7 +28,7 @@ from .serialize import (
     representation_from_json,
     ring_value_to_string,
 )
-from .suites import SuiteConfig, run_suite
+from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symplectic import pfaffian
 from .words import parse_word
 
@@ -117,9 +117,7 @@ def _cmd_eval(args) -> int:
     if args.command == "pfaffian":
         if not isinstance(blob, dict) or "matrix" not in blob:
             raise SchemaError("pfaffian input must be {'matrix': [[..]]}")
-        m = matrix_from_json(blob["matrix"])
-        if m.rows > _max_dim():
-            raise SchemaError("matrix exceeds SYMPLAW_MAX_DIM")
+        m = matrix_from_json(blob["matrix"], _max_dim())
         values = {"pfaffian": ring_value_to_string(pfaffian(m))}
     elif args.command == "detlaw":
         if not isinstance(blob, dict) or "rep" not in blob or "element" not in blob:
@@ -136,9 +134,8 @@ def _cmd_eval(args) -> int:
     elif args.command == "invariant":
         if not isinstance(blob, dict) or not isinstance(blob.get("matrices"), list):
             raise SchemaError("invariant input needs 'matrices', a list of matrices")
-        mats = [matrix_from_json(m) for m in blob["matrices"]]
-        if any(max(m.rows, m.cols) > _max_dim() for m in mats):
-            raise SchemaError("matrix exceeds SYMPLAW_MAX_DIM")
+        cap = _max_dim()
+        mats = [matrix_from_json(m, cap) for m in blob["matrices"]]
         f = _invariant_from_json(blob, arity=len(mats))
         values = {"value": ring_value_to_string(eval_invariant(f, mats))}
     elif args.command == "theta":
@@ -165,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
 
     ps = sub.add_parser("suite", help="run a named property suite")
-    ps.add_argument("name", choices=("pfaffian", "det-law", "invariants", "gma", "pseudochar", "all"))
+    ps.add_argument("name", choices=SUITE_NAMES)
     ps.add_argument("--d", type=int, default=2)
     ps.add_argument("--trials", type=int, default=100)
     ps.add_argument("--seed", type=int, default=0)

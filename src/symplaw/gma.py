@@ -103,10 +103,14 @@ def _integer_row(p: MultiPoly, columns: dict) -> dict:
     return {columns[exp]: c.numerator * (den // c.denominator) for exp, c in p.terms.items()}
 
 
+def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
+    """x reduced in the ring, a scalar first lifted to a constant polynomial."""
+    return ring.reduce(x if isinstance(x, MultiPoly) else MultiPoly.constant(x, ring.vars))
+
+
 def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
     """(monomial columns, integer echelon rows) of the span of the reduced basis elements."""
-    polys = [ring.reduce(b if isinstance(b, MultiPoly) else MultiPoly.constant(b, ring.vars))
-             for b in basis]
+    polys = [_reduced_poly(b, ring) for b in basis]
     columns = {exp: k for k, exp in enumerate(sorted({exp for p in polys for exp in p.terms}))}
     rows = IntegerEliminator()
     for p in polys:
@@ -214,7 +218,7 @@ def build_J_delta(t: GmaType) -> RingMatrix:
 class GmaSpec:
     type: GmaType
     ring: QuotientRing
-    blocks: Mapping  # (i, j) -> tuple of MultiPoly spanning A_(i,j), i != j
+    blocks: Mapping  # (i, j) -> tuple of MultiPoly (or scalars) spanning A_(i,j), i != j
     tau_signs: Mapping  # frozenset({i, j}) -> +-1
     J_delta: RingMatrix = field(init=False, repr=False)
     # (i, j) -> (monomial columns, integer echelon rows) of span(i, j), i != j
@@ -230,7 +234,7 @@ class GmaSpec:
                 raise StructureError(f"block ({i}, {j}) is outside the blocks 1..{r} of the type")
             if i == j:
                 raise StructureError("diagonal blocks are implicitly Q and cannot be overridden")
-            basis = tuple(self.ring.reduce(b) for b in basis)
+            basis = tuple(_reduced_poly(b, self.ring) for b in basis)
             basis = tuple(b for b in basis if not b.is_zero())
             if basis:
                 blocks[(i, j)] = basis
@@ -452,10 +456,9 @@ def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> 
     """D(1 + witness * s) = 1 for sampled s: the witness behaves as a kernel element."""
     witness = spec.check_membership(witness)
     rng = random.Random(seed)
-    ident = RingMatrix.identity(spec.n)
     for _ in range(trials):
         s = random_gma_element(spec, rng)
-        probe = spec.ring.reduce_matrix(ident + witness * s)
+        probe = spec.ring.reduce_matrix((witness * s)._shifted(1))
         if _constant_or_raise(spec.ring.reduce(mat_det(probe)), "kernel probe") != 1:
             return False
     return True

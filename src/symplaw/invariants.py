@@ -29,14 +29,12 @@ from .symplectic import SymplecticContext, random_matrix, similitude, symplectic
 
 # -- trace words -------------------------------------------------------
 
-Letter = tuple  # (index >= 1, starred: bool)
-
 
 @dataclass(frozen=True)
 class TraceWord:
     """Canonical representative of a cyclic word in X_i / (X_i)^j letters."""
 
-    letters: tuple
+    letters: tuple  # of (index >= 1, starred: bool)
 
     def __post_init__(self):
         if not self.letters:

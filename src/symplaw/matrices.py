@@ -215,15 +215,18 @@ class RingMatrix:
             if self._ints is None or other._ints is None:
                 return RingMatrix._trusted(_product(self.entries, other.entries))
             return RingMatrix._cleared(_product(self._ints, other._ints), self._den * other._den)
-        return self._scaled(other, lambda x: x * other)
+        return self._scaled(other)
 
     def __rmul__(self, other):
-        return self._scaled(other, lambda x: other * x)
+        return self._scaled(other)
 
-    def _scaled(self, c, generic: Callable) -> "RingMatrix":
-        """c times the matrix: on B for a rational matrix and an int or Fraction c, else ``generic`` on each entry."""
+    def _scaled(self, c) -> "RingMatrix":
+        """c times the matrix: on B for a rational matrix and an int or Fraction c, else on each entry.
+
+        Every entry commutes with every scalar, so one side serves both products.
+        """
         if self._ints is None or isinstance(_exact(c), MultiPoly):
-            return RingMatrix._trusted([[generic(x) for x in row] for row in self.entries])
+            return RingMatrix._trusted([[x * c for x in row] for row in self.entries])
         p, q = c.as_integer_ratio()
         return RingMatrix._cleared([[p * x for x in row] for row in self._ints], self._den * q)
 
@@ -231,13 +234,6 @@ class RingMatrix:
         """self + c * Id for a square matrix, by adding c to the diagonal entries only."""
         if not self.is_square():
             raise DimensionError("shift of a non-square matrix")
-        if self._ints is not None and isinstance(c, (int, Fraction)):
-            # B / delta + (p / q) Id = (q B + p delta Id) / (q delta)
-            p, q = c.as_integer_ratio()
-            rows = [[x * q for x in row] for row in self._ints]
-            for i, row in enumerate(rows):
-                row[i] += p * self._den
-            return RingMatrix._cleared(rows, self._den * q)
         rows = list(map(list, self.entries))
         for i, row in enumerate(rows):
             row[i] = row[i] + c

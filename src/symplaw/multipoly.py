@@ -284,11 +284,6 @@ class MultiPoly:
         return f"MultiPoly({self})"
 
 
-def poly_coefficient(p: MultiPoly, monomial: Mapping[str, int]) -> Fraction:
-    """Exact coefficient of a monomial of ``p``; zero if the monomial is absent."""
-    return p.coefficient(monomial)
-
-
 def fresh_var(base: str, taken: Iterable[str]) -> str:
     """A variable name starting with ``base`` that avoids every name in ``taken``."""
     taken = set(taken)

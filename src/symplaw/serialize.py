@@ -183,9 +183,12 @@ def matrix_to_json(m: RingMatrix) -> list:
     return [[ring_value_to_json(x) for x in row] for row in m.entries]
 
 
-def matrix_from_json(obj) -> RingMatrix:
+def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
+    """Parse a matrix; with ``max_dim``, refuse more rows or a longer row before reading any entry."""
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix must be a nonempty array of arrays")
+    if max_dim is not None and max(len(obj), *map(len, obj)) > max_dim:
+        raise SchemaError(f"matrix exceeds SYMPLAW_MAX_DIM = {max_dim}")
     try:
         return RingMatrix([[ring_value_from_json(x) for x in row] for row in obj])
     except ValueError as e:
@@ -220,7 +223,7 @@ def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepre
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     if not isinstance(obj["generators"], list):
         raise SchemaError("representation generators must be a list of matrices")
-    images = tuple(matrix_from_json(m) for m in obj["generators"])
+    images = tuple(matrix_from_json(m, max_dim) for m in obj["generators"])
     try:
         rep = InvolutiveRepresentation(SymplecticContext(d), images, str(obj["kind"]))
     except ValueError as e:

@@ -104,10 +104,6 @@ class SymplecticContext:
         return 2 * self.d
 
     @property
-    def pfaffian_of_J(self) -> Fraction:
-        return self.form.pfaffian
-
-    @property
     def form(self) -> SignedPermutation:
         """The standard form as a signed permutation, one per d."""
         return SignedPermutation.standard(self.d)
@@ -286,12 +282,12 @@ def random_j_symmetric(ctx: SymplecticContext, rng: random.Random, magnitude: in
     return _rand_block_matrix(ctx.d, rng, magnitude, 1)
 
 
-def random_sp_lie(ctx: SymplecticContext, rng: random.Random, magnitude: int = 3) -> RingMatrix:
-    """Random H in sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric."""
-    return _rand_block_matrix(ctx.d, rng, magnitude, -1)
+def random_sp_lie(ctx: SymplecticContext, rng: random.Random) -> RingMatrix:
+    """Random H in sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric, entries p/q, |p| <= 3."""
+    return _rand_block_matrix(ctx.d, rng, 3, -1)
 
 
-def sample_symplectic(ctx: SymplecticContext, seed: int, magnitude: int = 3) -> RingMatrix:
+def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
     """Cayley transform S = (Id - H)^(-1)(Id + H) of a seeded H in sp_2d.
 
     Deterministic in the seed; retries with a perturbed seed if Id - H is
@@ -302,7 +298,7 @@ def sample_symplectic(ctx: SymplecticContext, seed: int, magnitude: int = 3) -> 
     ident = RingMatrix.identity(n)
     for attempt in range(64):
         rng = random.Random(seed * 1000003 + attempt)
-        h = random_sp_lie(ctx, rng, magnitude)
+        h = random_sp_lie(ctx, rng)
         try:
             s = (ident - h).inverse() * (ident + h)
         except ZeroDivisionError:

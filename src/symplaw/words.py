@@ -36,21 +36,6 @@ def word_inv(a: Word) -> Word:
     return tuple((gen, -sign) for gen, sign in reversed(a))
 
 
-def word_pow(a: Word, n: int) -> Word:
-    if n < 0:
-        return word_pow(word_inv(a), -n)
-    out: Word = IDENTITY
-    for _ in range(n):
-        out = word_mul(out, a)
-    return out
-
-
-def generator(index: int) -> Word:
-    if index < 1:
-        raise GeneratorError(f"generator index must be >= 1, got {index}")
-    return ((index, 1),)
-
-
 def max_generator(w: Word) -> int:
     return max((gen for gen, _ in w), default=0)
 

@@ -213,6 +213,24 @@ def test_representation_size_checked_before_it_is_built(tmp_path, capsys):
     assert "2d = 14 exceeds SYMPLAW_MAX_DIM = 12" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("pfaffian", {"matrix": [[0] * 13]}),
+        ("invariant", {"matrices": [[[0] * 13]], "sigma_index": 1, "word": "1"}),
+        ("detlaw", {"rep": {"d": 1, "kind": "Sp", "generators": [_identity(13)]},
+                    "element": {"terms": [{"word": "g1", "coef": "1"}]}}),
+    ],
+    ids=["pfaffian_1x13", "invariant_1x13", "detlaw_13x13_generator_at_d_1"],
+)
+def test_matrix_over_the_cap_exits_2_before_it_is_built(tmp_path, capsys, verb, blob):
+    # each would fail a later shape check; the message shows the size guard refused it
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "SYMPLAW_MAX_DIM = 12" in captured.err
+
+
 def test_malformed_representation_dimension_exits_2(tmp_path, capsys):
     rep = {"d": "abc", "kind": "Sp", "generators": [_identity(2)]}
     element = {"terms": [{"word": "g1", "coef": "1"}]}

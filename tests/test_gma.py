@@ -657,6 +657,16 @@ def test_quotient_ring_and_span_accept_int_scalars():
     assert type(m[0, 0]) is int and spec.check_membership(m) is m
 
 
+@pytest.mark.parametrize("scalar", [3, Fraction(3, 2)], ids=["int", "Fraction"])
+def test_a_scalar_block_basis_element_is_the_constant_polynomial(scalar):
+    base = standard_fixture()
+    const = MultiPoly.constant(scalar, base.ring.vars)
+    spec, ref = (GmaSpec(base.type, base.ring, {(1, 2): (b,)}, {}) for b in (scalar, const))
+    assert spec.blocks == ref.blocks
+    assert validate_standard_gma(spec) == validate_standard_gma(ref)
+    assert random_gma_element(spec, random.Random(7)) == random_gma_element(ref, random.Random(7))
+
+
 def test_an_element_of_a_spec_with_no_blocks_is_rational():
     base = standard_fixture()
     spec = GmaSpec(base.type, base.ring, {}, base.tau_signs)

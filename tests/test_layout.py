@@ -1,8 +1,9 @@
 """The package layout: standard library only, imports at module level, a sound __all__,
-and every function the benchmark's tracer wraps still in place."""
+every function the benchmark's tracer wraps still in place, and no name nothing reads."""
 
 import ast
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -12,6 +13,8 @@ from symplaw.matrices import RingMatrix
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "symplaw").glob("*.py"))
+# where a name of the package may be read: the package, the benchmark and the tests
+READERS = [p for top in ("src", "bench", "tests") for p in sorted((ROOT / top).rglob("*.py"))]
 
 
 def _parse(path):
@@ -74,3 +77,55 @@ def test_every_traced_boundary_resolves(monkeypatch):
     assert not unresolved, unresolved
     # the mat_det hook splits its calls by this method
     assert callable(getattr(RingMatrix, "all_rational", None))
+
+
+def _defined_names(tree):
+    """(name, line) of each function, class, method and module-level name a module defines."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield item.name, item.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name):
+                        yield name.id, node.lineno
+
+
+def _read_names(tree):
+    """Names a module reads: loads, attribute reads, imports and identifiers in strings.
+
+    Strings count because the tracer and the tests name functions in them
+    ("matrices.RingMatrix.__mul__", ``monkeypatch.setattr(mod, "name", ..)``);
+    docstrings do not, since mentioning a name in prose is not using it.
+    """
+    docstrings = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            first = node.body[0] if node.body else None
+            if isinstance(first, ast.Expr) and isinstance(first.value, ast.Constant):
+                docstrings.add(id(first.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield from node.name.split(".")
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+
+
+def test_every_defined_name_is_read_somewhere():
+    """A function, class, method or module-level name of the package that nothing reads fails here."""
+    read = set()
+    for path in READERS:
+        read.update(_read_names(_parse(path)))
+    dead = [f"{path.name}:{line}: {name}"
+            for path in SOURCES for name, line in _defined_names(_parse(path))
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+    assert not dead, dead

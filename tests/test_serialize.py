@@ -119,6 +119,16 @@ def test_matrix_round_trip():
         matrix_from_json([[1, 2], [3]])
 
 
+def test_matrix_size_is_checked_before_any_entry_is_read():
+    # a bool entry is refused when it is read, so these errors come from the size check
+    for rows in ([[True] * 5], [[True]] * 5):
+        with pytest.raises(SchemaError, match="SYMPLAW_MAX_DIM = 4"):
+            matrix_from_json(rows, 4)
+        with pytest.raises(SchemaError, match="not a rational|unserializable"):
+            matrix_from_json(rows)
+    assert matrix_from_json([[1] * 4] * 4, 4) == RingMatrix([[1] * 4] * 4)
+
+
 def test_ring_value_to_json_takes_an_int_but_not_a_bool():
     assert ring_value_to_json(3) == 3 and ring_value_to_json(-7) == -7
     assert ring_value_to_json(Fraction(6, 2)) == 3

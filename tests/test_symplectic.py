@@ -88,14 +88,14 @@ def test_pfaffian_2x2_symbolic():
 
 
 def test_pfaffian_of_standard_j():
-    assert SymplecticContext(1).pfaffian_of_J == 1
+    assert SymplecticContext(1).form.pfaffian == 1
     ctx = SymplecticContext(2)
     assert pfaffian(ctx.J) == -1
-    assert ctx.pfaffian_of_J == -1
+    assert ctx.form.pfaffian == -1
     # sign pattern (-1)^(d(d-1)/2)
-    assert [SymplecticContext(d).pfaffian_of_J for d in (1, 2, 3, 4)] == [1, -1, -1, 1]
+    assert [SymplecticContext(d).form.pfaffian for d in (1, 2, 3, 4)] == [1, -1, -1, 1]
     for d in (1, 2, 3, 4):
-        assert pfaffian(SymplecticContext(d).J) == SymplecticContext(d).pfaffian_of_J
+        assert pfaffian(SymplecticContext(d).J) == SymplecticContext(d).form.pfaffian
 
 
 def test_pfaffian_matches_leibniz_oracle():
