@@ -11,13 +11,10 @@ determinant laws.
 from .detlaws import (
     GroupAlgebraElement,
     InvolutiveRepresentation,
-    LambdaVector,
-    PfaffianCoeffVector,
     chi_alpha,
     closed_form_check_d4,
     eval_det_law,
     eval_pf_law,
-    lambda_vector_of_matrix,
     newton_lambdas_from_traces,
     pf_law_from_det,
     pfaffian_coeffs_from_lambdas,
@@ -57,7 +54,7 @@ from .invariants import (
     multilinear_invariant_dim,
     trace_word_span_dim,
 )
-from .matrices import RingMatrix, char_poly, mat_det
+from .matrices import RingMatrix, char_poly, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly
 from .pseudochar import (
     Pseudocharacter,
@@ -87,11 +84,9 @@ __all__ = [
     "GroupAlgebraElement",
     "InvariantFunction",
     "InvolutiveRepresentation",
-    "LambdaVector",
     "MembershipError",
     "MultiPoly",
     "NotASimilitudeError",
-    "PfaffianCoeffVector",
     "Pseudocharacter",
     "QuotientRing",
     "RingMatrix",
@@ -118,7 +113,7 @@ __all__ = [
     "eval_pf_law",
     "gma_chi_p",
     "gma_trace_det_pf",
-    "lambda_vector_of_matrix",
+    "lambdas_of_matrix",
     "mat_det",
     "multilinear_invariant_dim",
     "newton_lambdas_from_traces",

@@ -30,7 +30,7 @@ from .serialize import (
 )
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symplectic import pfaffian
-from .words import parse_word
+from .words import check_word_length, parse_word
 
 
 def _max_dim() -> int:
@@ -78,8 +78,10 @@ def _cmd_suite(args) -> int:
 
 
 def _parse_trace_word(text: str) -> TraceWord:
+    tokens = str(text).split()
+    check_word_length(len(tokens))
     letters = []
-    for token in str(text).split():
+    for token in tokens:
         starred = token.endswith("*")
         idx = token[:-1] if starred else token
         if not idx.isdigit():

@@ -212,71 +212,41 @@ def eval_pf_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
 
 
 # -- coefficient vectors ----------------------------------------------
+#
+# A Lambda-vector (L_0..L_2d), with D(t - r) = sum (-1)^i L_i t^(2d-i), and a
+# T-vector (T_0..T_d), with P(t - r) = sum (-1)^i T_i t^(d-i), are plain
+# tuples; L_0 = T_0 = 1.
 
 
-@dataclass(frozen=True)
-class LambdaVector:
-    """[L_0..L_2d] from D(t - r) = sum (-1)^i L_i t^(2d-i); L_0 = 1."""
-
-    dim: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.dim + 1:
-            raise DimensionError(f"need {self.dim + 1} coefficients, got {len(self.coeffs)}")
-        if self.coeffs[0] != 1:
-            raise StructureError("Lambda_0 must be 1")
-
-
-@dataclass(frozen=True)
-class PfaffianCoeffVector:
-    """[T_0..T_d] from P(t - r) = sum (-1)^i T_i t^(d-i); T_0 = 1."""
-
-    dim: int
-    coeffs: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if len(self.coeffs) != self.dim + 1:
-            raise DimensionError(f"need {self.dim + 1} coefficients, got {len(self.coeffs)}")
-        if self.coeffs[0] != 1:
-            raise StructureError("T_0 must be 1")
-
-
-def lambda_vector_of_matrix(m: RingMatrix) -> LambdaVector:
-    return LambdaVector(m.rows, lambdas_of_matrix(m))
-
-
-def newton_lambdas_from_traces(traces: Sequence, n: int) -> LambdaVector:
-    """Newton's identities: i*L_i = sum_(k=1..i) (-1)^(k-1) L_(i-k) s_k."""
-    if n < 1:
-        raise SymplawError("degree must be >= 1")
-    if len(traces) < n:
-        raise DimensionError(f"need {n} power traces, got {len(traces)}")
+def newton_lambdas_from_traces(traces: Sequence) -> tuple:
+    """Newton's identities: i*L_i = sum_(k=1..i) (-1)^(k-1) L_(i-k) s_k for i = 1..len(traces)."""
+    if not traces:
+        raise SymplawError("need at least one power trace")
     lams: list = [Fraction(1)]
-    for i in range(1, n + 1):
+    for i in range(1, len(traces) + 1):
         acc: Ring = Fraction(0)
         for k in range(1, i + 1):
             term = lams[i - k] * traces[k - 1]
             acc = acc + term if (k - 1) % 2 == 0 else acc - term
         lams.append(acc * Fraction(1, i))
-    return LambdaVector(n, lams)
+    return tuple(lams)
 
 
-def pfaffian_coeffs_from_lambdas(lv: LambdaVector) -> PfaffianCoeffVector:
+def pfaffian_coeffs_from_lambdas(lams: Sequence) -> tuple:
     """Solve Lambda_i = sum_j T_j T_(i-j) with T_0 = 1 and T_i = 0 for i > d.
 
     The residual rows i = d+1..2d must hold as well; if they fail the
     Lambda spectrum is not a doubled (symmetric) spectrum.
     """
-    if lv.dim % 2:
-        raise DimensionError("LambdaVector dimension must be even (2d)")
-    d = lv.dim // 2
+    if len(lams) % 2 == 0:
+        raise DimensionError(f"{len(lams)} Lambda coefficients: the dimension must be even (2d)")
+    if lams[0] != 1:
+        raise StructureError("Lambda_0 must be 1")
+    d = len(lams) // 2
     half = Fraction(1, 2)
     ts: list = [Fraction(1)]
     for i in range(1, d + 1):
-        acc: Ring = lv.coeffs[i]
+        acc: Ring = lams[i]
         for j in range(1, i):
             acc = acc - ts[j] * ts[i - j]
         ts.append(acc * half)
@@ -284,11 +254,11 @@ def pfaffian_coeffs_from_lambdas(lv: LambdaVector) -> PfaffianCoeffVector:
         acc = Fraction(0)
         for j in range(max(0, i - d), min(i, d) + 1):
             acc = acc + ts[j] * ts[i - j]
-        if not acc == lv.coeffs[i]:
+        if not acc == lams[i]:
             raise SpectrumError(
                 f"Lambda_{i} inconsistent with a squared degree-{d} polynomial"
             )
-    return PfaffianCoeffVector(d, ts)
+    return tuple(ts)
 
 
 def pf_law_from_det(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
@@ -297,8 +267,7 @@ def pf_law_from_det(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ri
     On symmetric elements this agrees with eval_pf_law; elsewhere it is the
     canonical degree-d law determined by D alone.
     """
-    lv = lambda_vector_of_matrix(rep.rho(x))
-    return pfaffian_coeffs_from_lambdas(lv).coeffs[-1]
+    return pfaffian_coeffs_from_lambdas(lambdas_of_matrix(rep.rho(x)))[-1]
 
 
 # -- d = 4 closed forms ------------------------------------------------
@@ -324,16 +293,16 @@ _D4_TRACE_COEFFS = (
 )
 
 
-def closed_form_check_d4(lv: LambdaVector, traces: Sequence) -> tuple:
+def closed_form_check_d4(lams: Sequence, traces: Sequence) -> tuple:
     """The two degree-4 closed forms for T_4: from Lambda's and from traces.
 
-    Both must equal pfaffian_coeffs_from_lambdas(lv).coeffs[4].
+    Both must equal pfaffian_coeffs_from_lambdas(lams)[4].
     """
-    if lv.dim != 8:
+    if len(lams) != 9:
         raise DimensionError("closed forms are specific to 2d = 8")
     if len(traces) < 4:
         raise DimensionError("need the first four power traces")
-    l1, l2, l3, l4 = lv.coeffs[1], lv.coeffs[2], lv.coeffs[3], lv.coeffs[4]
+    l1, l2, l3, l4 = lams[1], lams[2], lams[3], lams[4]
     a = _D4_LAMBDA_COEFFS
     from_lambdas = a[0] * l4 + a[1] * (l1 * l3) + a[2] * (l1**2 * l2) + a[3] * l2**2 + a[4] * l1**4
     s1, s2, s3, s4 = traces[0], traces[1], traces[2], traces[3]

@@ -34,7 +34,7 @@ from math import lcm
 from operator import is_
 from typing import Mapping, Sequence
 
-from .detlaws import LambdaVector, pfaffian_coeffs_from_lambdas
+from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring
@@ -380,12 +380,11 @@ def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
     return gma_pf_coeffs(spec, m)[-1]
 
 
-def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> list:
-    """[T_0..T_d] for a symmetric GMA element, from the Lambda recursion."""
-    consts = [_constant_or_raise(spec.ring.reduce(lam), f"Lambda_{i} of a GMA element")
-              for i, lam in enumerate(lambdas_of_matrix(m))]
-    lv = LambdaVector(spec.n, consts)
-    return list(pfaffian_coeffs_from_lambdas(lv).coeffs)
+def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> tuple:
+    """(T_0..T_d) for a symmetric GMA element, from the Lambda recursion."""
+    return pfaffian_coeffs_from_lambdas(
+        [_constant_or_raise(spec.ring.reduce(lam), f"Lambda_{i} of a GMA element")
+         for i, lam in enumerate(lambdas_of_matrix(m))])
 
 
 def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:

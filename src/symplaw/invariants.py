@@ -95,8 +95,8 @@ def word_value(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticConte
     return prod_m
 
 
-def word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
-    """[L_0..L_2d] of the word value: sigma_i(word) evaluated at mats is entry i."""
+def word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> tuple:
+    """(L_0..L_2d) of the word value: sigma_i(word) evaluated at mats is entry i."""
     n = mats[0].rows
     if n % 2:
         raise DimensionError("matrices must be 2d x 2d")
@@ -153,7 +153,7 @@ class InvariantFunction:
 _recent_lambdas: tuple = ()
 
 
-def _cached_word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> list:
+def _cached_word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> tuple:
     global _recent_lambdas
     mats = tuple(mats)
     for letters, cached_mats, lams in _recent_lambdas:

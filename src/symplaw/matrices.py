@@ -534,14 +534,14 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     return p
 
 
-def lambdas_of_matrix(m: RingMatrix) -> list:
-    """[L_0..L_n] with det(tI - M) = sum (-1)^i L_i t^(n-i), in a variable the entries do not use."""
+def lambdas_of_matrix(m: RingMatrix) -> tuple:
+    """(L_0..L_n) with det(tI - M) = sum (-1)^i L_i t^(n-i), in a variable the entries do not use."""
     var = fresh_var("t", entry_vars(m))
     return lambdas_from_char_poly(char_poly(m, var), m.rows, var)
 
 
-def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> list:
-    """Coefficients [L_0..L_n] with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M)."""
+def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> tuple:
+    """Coefficients (L_0..L_n) with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M)."""
     buckets = p.coefficients_in(var)
     out = []
     for i in range(n + 1):
@@ -551,7 +551,7 @@ def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> list:
         else:
             val = coef.constant_value() if coef.is_constant() else coef
             out.append(val if i % 2 == 0 else -val)
-    return out
+    return tuple(out)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -20,15 +20,10 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .detlaws import (
-    GroupAlgebraElement,
-    InvolutiveRepresentation,
-    lambda_vector_of_matrix,
-    star,
-)
+from .detlaws import GroupAlgebraElement, InvolutiveRepresentation, star
 from .errors import ArityError, StructureError, UnsupportedKindError
 from .invariants import InvariantFunction, TraceWord, eval_invariant, hat, relabel
-from .matrices import RingMatrix
+from .matrices import RingMatrix, lambdas_of_matrix
 from .multipoly import Ring
 from .symplectic import reduced_pfaffian, similitude
 from .words import Word, format_word, random_word, word_inv, word_mul
@@ -168,7 +163,7 @@ def comparison_to_det_law(pc: Pseudocharacter):
     ctx = rep.ctx
 
     def d_law(x: GroupAlgebraElement) -> Ring:
-        return lambda_vector_of_matrix(rep.rho(x)).coeffs[-1]
+        return lambdas_of_matrix(rep.rho(x))[-1]
 
     def p_law(x: GroupAlgebraElement) -> Ring:
         acc = RingMatrix.zeros(ctx.n)

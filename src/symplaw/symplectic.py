@@ -205,14 +205,14 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
     return ctx.form.reduced_pfaffian(RingMatrix.scalar(ctx.n, MultiPoly.variable(var)) - m)
 
 
-def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> list:
-    """[T_0..T_d] with Pf char poly = sum (-1)^i T_i t^(d-i)."""
+def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> tuple:
+    """(T_0..T_d) with Pf char poly = sum (-1)^i T_i t^(d-i)."""
     var = fresh_var("t", entry_vars(m))
     return lambdas_from_char_poly(pfaffian_char_poly(ctx, m, var), ctx.d, var)
 
 
-def matrix_poly_value(coeffs: list, m: RingMatrix) -> RingMatrix:
-    """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = [c_0..c_deg], by Horner's rule.
+def matrix_poly_value(coeffs: Sequence, m: RingMatrix) -> RingMatrix:
+    """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = (c_0..c_deg), by Horner's rule.
 
     Each step multiplies by M and adds the next signed coefficient on the
     diagonal, so it makes deg - 1 matrix products.

@@ -14,7 +14,6 @@ from symplaw.detlaws import (
     closed_form_check_d4,
     eval_det_law,
     eval_pf_law,
-    lambda_vector_of_matrix,
     newton_lambdas_from_traces,
     pfaffian_coeffs_from_lambdas,
     star,
@@ -35,7 +34,7 @@ from symplaw.invariants import (
     multilinear_invariant_dim,
     trace_word_span_dim,
 )
-from symplaw.matrices import RingMatrix, mat_det
+from symplaw.matrices import RingMatrix, lambdas_of_matrix, mat_det
 from symplaw.pseudochar import (
     Pseudocharacter,
     comparison_to_det_law,
@@ -94,8 +93,7 @@ def test_c03_recursion_fidelity():
         d = rng.randint(1, 3)
         ctx = SymplecticContext(d)
         m = random_j_symmetric(ctx, rng, 3)
-        lv = lambda_vector_of_matrix(m)
-        if pfaffian_coeffs_from_lambdas(lv).coeffs != tuple(pfaffian_coeffs_of_matrix(ctx, m)):
+        if pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m)) != pfaffian_coeffs_of_matrix(ctx, m):
             ok = False
     report(3, ok, "coefficient recursion reproduces the Pfaffian characteristic polynomial")
 
@@ -106,9 +104,9 @@ def test_c04_d4_closed_forms():
     ok = True
     for _ in range(50):
         m = random_j_symmetric(ctx, rng, 2)
-        lv = lambda_vector_of_matrix(m)
-        expected = pfaffian_coeffs_from_lambdas(lv).coeffs[4]
-        a, b = closed_form_check_d4(lv, power_traces(m, 4))
+        lams = lambdas_of_matrix(m)
+        expected = pfaffian_coeffs_from_lambdas(lams)[4]
+        a, b = closed_form_check_d4(lams, power_traces(m, 4))
         if a != expected or b != expected:
             ok = False
     report(4, ok, "both d=4 closed forms equal the computed T_4 on 50 random 8x8")
@@ -119,10 +117,10 @@ def test_c05_binomial_values():
     for d in (1, 2, 3, 4):
         ctx = SymplecticContext(d)
         direct = pfaffian_coeffs_of_matrix(ctx, RingMatrix.identity(2 * d))
-        lv = newton_lambdas_from_traces([Fraction(2 * d)] * (2 * d), 2 * d)
-        via_recursion = pfaffian_coeffs_from_lambdas(lv).coeffs
+        lams = newton_lambdas_from_traces([Fraction(2 * d)] * (2 * d))
+        via_recursion = pfaffian_coeffs_from_lambdas(lams)
         binomials = tuple(math.comb(d, i) for i in range(d + 1))
-        if tuple(direct) != binomials or via_recursion != binomials:
+        if direct != binomials or via_recursion != binomials:
             ok = False
     report(5, ok, "T_i(Id) = C(d,i) for d <= 4, all i")
 

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 from symplaw.cli import main
+from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
 
@@ -265,6 +266,14 @@ def test_gma_spec_size_guard(tmp_path, capsys, monkeypatch):
 _REP_4 = {"d": 2, "kind": "Sp", "generators": [_identity(4)]}
 
 
+def _detlaw_blob(word):
+    return {"rep": _REP_4, "element": {"terms": [{"word": word, "coef": "1"}]}}
+
+
+def _invariant_blob(word):
+    return {"matrices": [_identity(2)], "sigma_index": 1, "word": word}
+
+
 @pytest.mark.parametrize(
     ("verb", "blob"),
     [
@@ -275,9 +284,16 @@ _REP_4 = {"d": 2, "kind": "Sp", "generators": [_identity(4)]}
         ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1"}, "gammas": ["g1^x"]}),
         ("detlaw", {"rep": _REP_4, "element": {"terms": [{"word": 1, "coef": "1"}]}}),
         ("invariant", {"matrices": [[[1, 2], [3, 4]]], "sigma_index": 1, "word": "0"}),
+        ("detlaw", _detlaw_blob("g1^100000")),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1"},
+                   "gammas": ["g1^-99999999999999999999"]}),
+        ("detlaw", _detlaw_blob(" ".join(["g1"] * (MAX_WORD_LETTERS + 1)))),
+        ("detlaw", _detlaw_blob(f"g1^{MAX_WORD_LETTERS} g1^-1")),
+        ("invariant", _invariant_blob(" ".join(["1"] * (MAX_WORD_LETTERS + 1)))),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
-         "letter_0"],
+         "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
+         "trace_word_over_cap"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
@@ -285,6 +301,21 @@ def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        ("detlaw", _detlaw_blob(f"g1^{MAX_WORD_LETTERS}")),
+        ("detlaw", _detlaw_blob(" ".join(["g1"] * MAX_WORD_LETTERS))),
+        ("invariant", _invariant_blob(" ".join(["1"] * MAX_WORD_LETTERS))),
+    ],
+    ids=["exponent", "letters", "trace_word"],
+)
+def test_word_at_the_letter_cap_is_accepted(tmp_path, capsys, verb, blob):
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
 
 
 def _assert_one_line_error(code, captured):

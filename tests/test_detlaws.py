@@ -7,19 +7,17 @@ from symplaw import detlaws
 from symplaw.detlaws import (
     GroupAlgebraElement,
     InvolutiveRepresentation,
-    LambdaVector,
     chi_alpha,
     closed_form_check_d4,
     eval_det_law,
     eval_pf_law,
-    lambda_vector_of_matrix,
     newton_lambdas_from_traces,
     pf_law_from_det,
     pfaffian_coeffs_from_lambdas,
     star,
 )
-from symplaw.errors import SpectrumError, StructureError
-from symplaw.matrices import RingMatrix, mat_det
+from symplaw.errors import DimensionError, SpectrumError, StructureError, SymplawError
+from symplaw.matrices import RingMatrix, lambdas_of_matrix, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
     SymplecticContext,
@@ -75,53 +73,65 @@ def test_representation_computes_each_similitude_once(monkeypatch):
 
 
 def test_newton_hand_case():
-    lv = newton_lambdas_from_traces([Fraction(5), Fraction(29)], 2)
-    assert lv.coeffs == (1, 5, -2)
+    assert newton_lambdas_from_traces([Fraction(5), Fraction(29)]) == (1, 5, -2)
 
 
 def test_newton_identity_matrix():
     import math
 
     for n in (2, 3, 4, 8):
-        lv = newton_lambdas_from_traces([Fraction(n)] * n, n)
-        assert lv.coeffs == tuple(math.comb(n, i) for i in range(n + 1))
+        lams = newton_lambdas_from_traces([Fraction(n)] * n)
+        assert lams == tuple(math.comb(n, i) for i in range(n + 1))
 
 
 def test_newton_zero_traces():
-    lv = newton_lambdas_from_traces([Fraction(0)] * 4, 4)
-    assert lv.coeffs == (1, 0, 0, 0, 0)
+    assert newton_lambdas_from_traces([Fraction(0)] * 4) == (1, 0, 0, 0, 0)
+
+
+def test_newton_needs_a_trace():
+    with pytest.raises(SymplawError):
+        newton_lambdas_from_traces([])
 
 
 def test_newton_matches_char_poly():
     rng = random.Random(31)
     for _ in range(20):
         m = RingMatrix([[Fraction(rng.randint(-5, 5)) for _ in range(4)] for _ in range(4)])
-        lv = newton_lambdas_from_traces(power_traces(m, 4), 4)
-        assert lv.coeffs == lambda_vector_of_matrix(m).coeffs
+        assert newton_lambdas_from_traces(power_traces(m, 4)) == lambdas_of_matrix(m)
 
 
 def test_recursion_hand_cases():
     a = MultiPoly.variable("a")
-    lv = LambdaVector(2, (Fraction(1), 2 * a, a**2))
-    assert pfaffian_coeffs_from_lambdas(lv).coeffs == (1, a)
-    lv = LambdaVector(4, tuple(Fraction(x) for x in (1, 6, 13, 12, 4)))
-    assert pfaffian_coeffs_from_lambdas(lv).coeffs == (1, 3, 2)
+    assert pfaffian_coeffs_from_lambdas((Fraction(1), 2 * a, a**2)) == (1, a)
+    lams = tuple(Fraction(x) for x in (1, 6, 13, 12, 4))
+    assert pfaffian_coeffs_from_lambdas(lams) == (1, 3, 2)
 
 
 def test_recursion_binomial_values():
     import math
 
     for d in (1, 2, 3, 4):
-        lv = newton_lambdas_from_traces([Fraction(2 * d)] * (2 * d), 2 * d)
-        ts = pfaffian_coeffs_from_lambdas(lv)
-        assert ts.coeffs == tuple(math.comb(d, i) for i in range(d + 1))
+        ts = pfaffian_coeffs_from_lambdas(newton_lambdas_from_traces([Fraction(2 * d)] * (2 * d)))
+        assert ts == tuple(math.comb(d, i) for i in range(d + 1))
 
 
 def test_recursion_rejects_unsymmetric_spectrum():
     # eigenvalues {1, 2} are not doubled
-    lv = LambdaVector(2, (Fraction(1), Fraction(3), Fraction(2)))
     with pytest.raises(SpectrumError):
-        pfaffian_coeffs_from_lambdas(lv)
+        pfaffian_coeffs_from_lambdas((Fraction(1), Fraction(3), Fraction(2)))
+
+
+def test_recursion_rejects_an_odd_dimension():
+    # four coefficients L_0..L_3 belong to a 3 x 3 matrix
+    with pytest.raises(DimensionError):
+        pfaffian_coeffs_from_lambdas((Fraction(1), Fraction(3), Fraction(3), Fraction(1)))
+    with pytest.raises(DimensionError):
+        pfaffian_coeffs_from_lambdas(())
+
+
+def test_recursion_rejects_lambda_0_other_than_1():
+    with pytest.raises(StructureError):
+        pfaffian_coeffs_from_lambdas((Fraction(2), Fraction(2), Fraction(1, 2)))
 
 
 def test_recursion_matches_pfaffian_char_poly():
@@ -132,11 +142,8 @@ def test_recursion_matches_pfaffian_char_poly():
         ctx = SymplecticContext(d)
         for _ in range(10):
             m = random_j_symmetric(ctx, rng)
-            lv = lambda_vector_of_matrix(m)
-            assert (
-                pfaffian_coeffs_from_lambdas(lv).coeffs
-                == tuple(pfaffian_coeffs_of_matrix(ctx, m))
-            )
+            ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
+            assert ts == pfaffian_coeffs_of_matrix(ctx, m)
 
 
 def diag_double(half):
@@ -151,15 +158,15 @@ def diag_double(half):
 
 def test_closed_form_d4_frozen_values():
     ident = RingMatrix.identity(8)
-    a, b = closed_form_check_d4(lambda_vector_of_matrix(ident), power_traces(ident, 4))
+    a, b = closed_form_check_d4(lambdas_of_matrix(ident), power_traces(ident, 4))
     assert a == 1 and b == 1
 
     zero = RingMatrix.zeros(8)
-    a, b = closed_form_check_d4(lambda_vector_of_matrix(zero), power_traces(zero, 4))
+    a, b = closed_form_check_d4(lambdas_of_matrix(zero), power_traces(zero, 4))
     assert a == 0 and b == 0
 
     m = diag_double([1, 2, 3, 4])
-    a, b = closed_form_check_d4(lambda_vector_of_matrix(m), power_traces(m, 4))
+    a, b = closed_form_check_d4(lambdas_of_matrix(m), power_traces(m, 4))
     assert a == 24 and b == 24
 
 
@@ -168,9 +175,9 @@ def test_closed_form_d4_equals_recursion():
     ctx = SymplecticContext(4)
     for _ in range(10):
         m = random_j_symmetric(ctx, rng, magnitude=3)
-        lv = lambda_vector_of_matrix(m)
-        expected = pfaffian_coeffs_from_lambdas(lv).coeffs[4]
-        a, b = closed_form_check_d4(lv, power_traces(m, 4))
+        lams = lambdas_of_matrix(m)
+        expected = pfaffian_coeffs_from_lambdas(lams)[4]
+        a, b = closed_form_check_d4(lams, power_traces(m, 4))
         assert a == expected
         assert b == expected
 

@@ -107,7 +107,7 @@ def test_char_poly_evaluation_matches_det():
 def test_lambdas_sign_convention():
     m = RingMatrix([[1, 2], [3, 4]])
     lams = lambdas_from_char_poly(char_poly(m), 2)
-    assert lams == [Fraction(1), Fraction(5), Fraction(-2)]
+    assert lams == (Fraction(1), Fraction(5), Fraction(-2))
 
 
 def test_inverse_and_pow():

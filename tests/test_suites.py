@@ -3,7 +3,6 @@ from fnmatch import fnmatch
 import pytest
 
 from symplaw import detlaws, gma, invariants, matrices, pseudochar, suites
-from symplaw.detlaws import PfaffianCoeffVector
 from symplaw.errors import SymplawError
 from symplaw.gma import GmaSpec, counterexample_fixture
 from symplaw.matrices import RingMatrix
@@ -103,8 +102,7 @@ PFAFFIAN_CONTROLS = {
         lambda coeffs, m, real=suites.matrix_poly_value: real(coeffs[1:], m)),
     # the Lambda-vector is read off 2M instead of M
     "recursion_matches_pfaffian_char_poly": (
-        suites, "lambda_vector_of_matrix",
-        lambda m, real=suites.lambda_vector_of_matrix: real(m * 2)),
+        suites, "lambdas_of_matrix", lambda m, real=suites.lambdas_of_matrix: real(m * 2)),
     # the determinant is one too large
     "transfer_identity": (suites, "mat_det", lambda m, real=suites.mat_det: real(m) + 1),
     # the reduced Pfaffian is one too large
@@ -134,9 +132,9 @@ def _first_trace_one_larger(m, upto, real=suites.power_traces):
     return [traces[0] + 1, *traces[1:]]
 
 
-def _last_pf_coeff_one_larger(lv, real=suites.pfaffian_coeffs_from_lambdas):
-    *head, last = real(lv).coeffs
-    return PfaffianCoeffVector(lv.dim // 2, [*head, last + 1])
+def _last_pf_coeff_one_larger(lams, real=suites.pfaffian_coeffs_from_lambdas):
+    *head, last = real(lams)
+    return (*head, last + 1)
 
 
 # Negative controls for ``suite det-law``: each row names a check and a fault
@@ -144,14 +142,12 @@ def _last_pf_coeff_one_larger(lv, real=suites.pfaffian_coeffs_from_lambdas):
 # ``binomial_values_at_identity`` and ``d4_closed_forms`` read no d, and the
 # first reads no seed either, so their sweeps repeat runs.  The Pfaffian law
 # and chi^P both take the Pfaffian of M J; the right product is the fault for
-# the first.  chi^P is checked at the coefficient of t^d, where any fault of
-# M J that rescales or shifts the Pfaffian polynomial cancels, so its fault
-# is in the evaluation instead.
+# the first.  The chi^P check's fault is in the evaluation;
+# ``test_chi_alpha_check_fails_under_m_j_faults`` covers its M J faults.
 DET_LAW_CONTROLS = {
     # the Lambda-vector is read off 2M instead of M
     "newton_matches_char_poly": (
-        suites, "lambda_vector_of_matrix",
-        lambda m, real=suites.lambda_vector_of_matrix: real(m * 2)),
+        suites, "lambdas_of_matrix", lambda m, real=suites.lambdas_of_matrix: real(m * 2)),
     # the recursion returns T_d one too large
     "binomial_values_at_identity": (
         suites, "pfaffian_coeffs_from_lambdas", _last_pf_coeff_one_larger),
@@ -184,6 +180,26 @@ def test_det_law_check_fails_under_its_fault(name, monkeypatch):
     for d in (1, 2):
         for seed in range(10):
             (check,) = [c for c in suite_det_law(d, 4, seed) if c["name"] == name]
+            assert not check["pass"], (d, seed)
+
+
+# Faults of M J that chi^P's coefficient of t^d cancels: one rescales the
+# Pfaffian polynomial by 2^d, the other shifts it by t -> t - 1.  The chi^P
+# check also compares the T_i with the Lambda recursion, which sees both.
+M_J_FAULTS = {
+    "doubled": lambda self, m, real=SignedPermutation.right_product: real(self, m) * 2,
+    "shifted": lambda self, m, real=SignedPermutation.right_product: real(
+        self, m + RingMatrix.identity(m.rows)),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(M_J_FAULTS))
+def test_chi_alpha_check_fails_under_m_j_faults(fault, monkeypatch):
+    monkeypatch.setattr(SignedPermutation, "right_product", M_J_FAULTS[fault])
+    for d in (1, 2):
+        for seed in range(10):
+            (check,) = [c for c in suite_det_law(d, 4, seed)
+                        if c["name"] == "chi_alpha_vanishes_on_matrix_models"]
             assert not check["pass"], (d, seed)
 
 
@@ -303,8 +319,7 @@ PSEUDOCHAR_CONTROLS = {
         detlaws, "mat_det", lambda m, real=detlaws.mat_det: real(m) + 1),
     # the comparison D reads its Lambda-vector off 2M instead of M
     "comparison_p_squared_equals_d": (
-        pseudochar, "lambda_vector_of_matrix",
-        lambda m, real=pseudochar.lambda_vector_of_matrix: real(m * 2)),
+        pseudochar, "lambdas_of_matrix", lambda m, real=pseudochar.lambdas_of_matrix: real(m * 2)),
     # the comparison P takes the empty word at twice its coefficient
     "comparison_p_at_identity": (pseudochar, "_symmetric_decomposition", _empty_word_not_halved),
     # the recovered similitude is one too large
