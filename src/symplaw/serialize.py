@@ -11,6 +11,7 @@ representations and GMA specs are only read.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation
 from .errors import CapacityError, SchemaError
@@ -30,17 +31,29 @@ def fraction_to_json(x: Fraction | int) -> str | int:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _rational_literal(text: str) -> Fraction:
-    """Fraction(text.strip()), read without Fraction's parser when text is "p" or "p/q".
+def _ratio_literal(text: str) -> tuple | None:
+    """(p, q) with q > 0 for text "p" or "p/q", or None for any other text.
 
-    p and q are ASCII digits, p after at most one "-", and q is not zero.  Any
-    other text goes to Fraction, so the value or exception is the same.
+    p and q are ASCII digits, p after at most one "-", and q is not zero.
+    The pair is not reduced.  A p or q past the int digit limit gives None.
     """
     num, slash, den = text.partition("/")
     p, q = num[1:] if num[:1] == "-" else num, den if slash else "1"
     if p.isascii() and p.isdigit() and q.isascii() and q.isdigit() and q.strip("0"):
-        return Fraction(int(num), int(q))
-    return Fraction(text.strip())
+        try:
+            return int(num), int(q)
+        except ValueError:  # past the digit limit; Fraction's parser refuses it too
+            return None
+    return None
+
+
+def _rational_literal(text: str) -> Fraction:
+    """Fraction(text.strip()), read without Fraction's parser when text is "p" or "p/q".
+
+    Any other text goes to Fraction, so the value or exception is the same.
+    """
+    pair = _ratio_literal(text)
+    return Fraction(text.strip()) if pair is None else Fraction(*pair)
 
 
 def fraction_from_json(obj) -> Fraction:
@@ -184,23 +197,57 @@ def matrix_to_json(m: RingMatrix) -> list:
 
 
 def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
-    """Parse a matrix; with ``max_dim``, refuse more rows or a longer row before reading any entry."""
+    """Parse a matrix; check its shape, and with ``max_dim`` its size, before reading any entry.
+
+    Integers and "p"/"p/q" literals are read as integer pairs, so a rational
+    matrix goes straight into its cleared form (B, delta) without a Fraction
+    per entry.  Every other entry is read by ``ring_value_from_json``; a
+    MultiPoly among them makes a polynomial matrix.
+    """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix must be a nonempty array of arrays")
     if max_dim is not None and max(len(obj), *map(len, obj)) > max_dim:
         raise SchemaError(f"matrix exceeds SYMPLAW_MAX_DIM = {max_dim}")
-    try:
-        return RingMatrix([[ring_value_from_json(x) for x in row] for row in obj])
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    ncols = len(obj[0])
+    if not ncols:
+        raise SchemaError("empty matrix")
+    if any(len(r) != ncols for r in obj):
+        raise SchemaError("ragged rows")
+    rows, poly = [], False
+    for raw in obj:
+        row = []
+        for x in raw:
+            entry = (x, 1) if type(x) is int else _ratio_literal(x) if type(x) is str else None
+            if entry is None:
+                entry = ring_value_from_json(x)
+                if isinstance(entry, MultiPoly):
+                    poly = True
+                else:
+                    entry = entry.as_integer_ratio()
+            row.append(entry)
+        rows.append(row)
+    if poly:
+        return RingMatrix([[x if isinstance(x, MultiPoly) else Fraction(*x) for x in row]
+                           for row in rows])
+    den = lcm(*{q for row in rows for _, q in row})
+    return RingMatrix._cleared([[p * (den // q) for p, q in row] for row in rows], den)
 
 
 # -- group algebra, representations ------------------------------------------
 
 
+# Terms a group-algebra element may have.  ``rho_word`` builds the image of
+# each term's word, so time grows with the count: at 2d = 12 an element of 24
+# random 100-letter terms takes about 2.8 s (Python 3.11, 2-core x86-64 VM).
+MAX_ELEMENT_TERMS = 24
+
+
 def group_elem_from_json(obj) -> GroupAlgebraElement:
+    """Parse an element; CapacityError on more than ``MAX_ELEMENT_TERMS`` terms, before any is read."""
     if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
         raise SchemaError("group algebra element must be {'terms': [...]}")
+    if len(obj["terms"]) > MAX_ELEMENT_TERMS:
+        raise CapacityError(f"group algebra element has more than the {MAX_ELEMENT_TERMS}-term guard")
     terms: dict = {}
     for t in obj["terms"]:
         if not isinstance(t, dict) or not isinstance(t.get("word"), str) or "coef" not in t:

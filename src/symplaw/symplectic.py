@@ -141,7 +141,7 @@ def is_j_symmetric(ctx: SymplecticContext, m: RingMatrix) -> bool:
 
 
 def pfaffian(a: RingMatrix) -> Ring:
-    """Pfaffian of an alternating matrix, by first-row expansion with memoization.
+    """Pfaffian of an alternating matrix, by first-row expansion memoized on bitmasks.
 
     Division-free, so it works for polynomial entries; equals the Leibniz
     sum (1/(2^n n!)) sum_sigma sgn(sigma) prod a_(sigma(2i-1),sigma(2i)),
@@ -159,28 +159,35 @@ def pfaffian(a: RingMatrix) -> Ring:
 
 
 def _pfaffian_expansion(a) -> Ring:
-    """Pf of the alternating rows ``a``; the int 0 if every term vanishes."""
-    memo: dict = {(): 1}
+    """Pf of the alternating rows ``a``; the int 0 if every term vanishes.
 
-    def pf(indices: tuple) -> Ring:
-        if indices in memo:
-            return memo[indices]
-        i0 = indices[0]
-        rest = indices[1:]
+    The memo is keyed on the bitmask of the indices still to be paired.
+    """
+    memo: dict = {0: 1}
+
+    def pf(mask: int) -> Ring:
+        if mask in memo:
+            return memo[mask]
+        low = mask & -mask
+        row = a[low.bit_length() - 1]
+        rest = mask ^ low
         acc = None
         sign = 1
-        for pos, k in enumerate(rest):
-            entry = a[i0][k]
+        left = rest
+        while left:
+            low = left & -left
+            entry = row[low.bit_length() - 1]
             if not entry_is_zero(entry):
-                term = entry * pf(rest[:pos] + rest[pos + 1:])
+                term = entry * pf(rest ^ low)
                 if sign < 0:
                     term = -term
                 acc = term if acc is None else acc + term
             sign = -sign
-        memo[indices] = 0 if acc is None else acc
-        return memo[indices]
+            left ^= low
+        memo[mask] = 0 if acc is None else acc
+        return memo[mask]
 
-    return pf(tuple(range(len(a))))
+    return pf((1 << len(a)) - 1)
 
 
 def reduced_pfaffian(ctx: SymplecticContext, m: RingMatrix) -> Ring:

@@ -1,14 +1,18 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from symplaw.cli import main
+from symplaw.serialize import MAX_ELEMENT_TERMS
 from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run_cli(args, capsys):
@@ -133,10 +137,13 @@ def test_max_dim_guard(tmp_path, capsys, monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child process imports symplaw from this checkout, with or without PYTHONPATH set
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         RUN + ["suite", "pfaffian", "--d", "1", "--trials", "3", "--seed", "1"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
@@ -274,6 +281,11 @@ def _invariant_blob(word):
     return {"matrices": [_identity(2)], "sigma_index": 1, "word": word}
 
 
+def _element_blob(terms):
+    return {"rep": _REP_4, "element": {"terms": [{"word": f"g1^{k}", "coef": 1}
+                                                 for k in range(terms)]}}
+
+
 @pytest.mark.parametrize(
     ("verb", "blob"),
     [
@@ -290,10 +302,11 @@ def _invariant_blob(word):
         ("detlaw", _detlaw_blob(" ".join(["g1"] * (MAX_WORD_LETTERS + 1)))),
         ("detlaw", _detlaw_blob(f"g1^{MAX_WORD_LETTERS} g1^-1")),
         ("invariant", _invariant_blob(" ".join(["1"] * (MAX_WORD_LETTERS + 1)))),
+        ("detlaw", _element_blob(MAX_ELEMENT_TERMS + 1)),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
-         "trace_word_over_cap"],
+         "trace_word_over_cap", "element_terms_over_cap"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
@@ -316,6 +329,13 @@ def test_word_at_the_letter_cap_is_accepted(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
     captured = capsys.readouterr()
     assert code == 0, captured.err
+
+
+def test_element_at_the_term_cap_is_accepted(tmp_path, capsys):
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, _element_blob(MAX_ELEMENT_TERMS))])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out) == {"D": str(MAX_ELEMENT_TERMS ** 4)}
 
 
 def _assert_one_line_error(code, captured):

@@ -1,8 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
+from symplaw.cli import main
 from symplaw.detlaws import GroupAlgebraElement, InvolutiveRepresentation
 from symplaw.errors import SchemaError
 from symplaw.gma import counterexample_fixture, standard_fixture
@@ -120,13 +122,97 @@ def test_matrix_round_trip():
 
 
 def test_matrix_size_is_checked_before_any_entry_is_read():
-    # a bool entry is refused when it is read, so these errors come from the size check
-    for rows in ([[True] * 5], [[True]] * 5):
+    # a bool or "1/0" entry is refused when it is read, so these errors come from the size check
+    for rows in ([[True] * 5], [[True]] * 5, [["1/0"] * 5] * 5):
         with pytest.raises(SchemaError, match="SYMPLAW_MAX_DIM = 4"):
             matrix_from_json(rows, 4)
-        with pytest.raises(SchemaError, match="not a rational|unserializable"):
+        with pytest.raises(SchemaError, match="not a rational|unserializable|bad rational"):
             matrix_from_json(rows)
     assert matrix_from_json([[1] * 4] * 4, 4) == RingMatrix([[1] * 4] * 4)
+
+
+def _random_rational_entry(rng):
+    """An int, a big int, or a "p"/"p/q" literal, often unreduced, zero-padded or signed."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.getrandbits(rng.choice((64, 200)))
+    if kind == 2:
+        return rng.choice(("-0", "0/7", "007", "-3/06", "2/4", "0", "-00/010"))
+    g = rng.randint(1, 12)
+    p, q = rng.randint(-50, 50) * g, rng.randint(1, 30) * g
+    pad = "0" * rng.randint(0, 2)
+    return f"{pad}{p}/{pad}{q}" if p >= 0 else f"-{pad}{-p}/{pad}{q}"
+
+
+def test_rational_matrix_reads_as_the_matrix_of_its_fraction_values():
+    rng = random.Random(31)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        blob = [[_random_rational_entry(rng) for _ in range(cols)] for _ in range(rows)]
+        expected = RingMatrix([[Fraction(x) for x in row] for row in blob])
+        got = matrix_from_json(json.loads(json.dumps(blob)))
+        assert got == expected
+        assert got.cleared() == expected.cleared()
+        assert got.entries == expected.entries
+
+
+def _det_of_json_matrix(tmp_path, capsys, rows):
+    """(exit code, stdout value or "", stderr) of `eval invariant` sigma_2, the determinant of 2 x 2 rows."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps({"matrices": [rows], "sigma_index": 2, "word": "1"}))
+    code = main(["eval", "invariant", "--input", str(path)])
+    captured = capsys.readouterr()
+    return code, json.loads(captured.out)["value"] if captured.out else "", captured.err
+
+
+LONG_LITERAL = "7" * 4301  # past the int digit limit
+
+# (entry, determinant of [[entry, 0], [0, 1]] or the one-line error) as the CLI reads them
+EDGE_ENTRIES = [
+    ("+3", "3"), (" 3", "3"), ("3.5", "7/2"), ("1e2", "100"), ("\u0661\u0662", "12"),
+    ({"vars": ["u"], "terms": [{"exp": [1], "coef": "1/2"}]}, "1/2*u"),
+    ("1/0", "input error: bad rational literal '1/0'\n"),
+    ("1/-2", "input error: bad rational literal '1/'\n"),
+    ("-", "input error: empty factor in '-'\n"),
+    ("--1", "input error: empty factor in '-+-1'\n"),
+    ("\u00b2", "input error: bad rational literal '\u00b2'\n"),
+    (LONG_LITERAL, f"input error: bad rational literal '{LONG_LITERAL}'\n"),
+    (True, "input error: unserializable value True\n"),
+    (None, "input error: unserializable value None\n"),
+    ([1], "input error: unserializable value [1]\n"),
+]
+
+
+@pytest.mark.parametrize(("entry", "expected"), EDGE_ENTRIES, ids=[
+    "plus", "space", "decimal", "exponent", "arabic_indic", "poly_object", "zero_den",
+    "negative_den", "minus", "minus_minus", "superscript", "past_digit_limit", "true", "null",
+    "list"])
+def test_edge_matrix_entries_read_as_before(tmp_path, capsys, entry, expected):
+    code, value, err = _det_of_json_matrix(tmp_path, capsys, [[entry, 0], [0, 1]])
+    assert (value if code == 0 else err) == expected
+    assert code == (0 if expected[-1:] != "\n" else 2)
+
+
+def test_row_mixing_a_polynomial_string_with_rationals():
+    rows = [["u", "2/4"], ["+3", "-3/06"]]
+    u = MultiPoly.variable("u")
+    m = matrix_from_json(rows)
+    assert m == RingMatrix([[u, Fraction(1, 2)], [3, Fraction(-1, 2)]])
+    assert m.cleared() is None and [type(x) for row in m.entries for x in row] == [
+        MultiPoly, Fraction, int, Fraction]
+
+
+def test_matrix_shape_is_checked_before_any_entry_is_read():
+    # every entry here is refused when it is read, so these errors come from the shape checks
+    bad = "1/0"
+    with pytest.raises(SchemaError, match="ragged rows"):
+        matrix_from_json([[bad, bad], [bad]], 12)
+    with pytest.raises(SchemaError, match="empty matrix"):
+        matrix_from_json([[], [bad]], 12)
+    with pytest.raises(SchemaError, match="bad rational literal"):
+        matrix_from_json([[bad, bad], [bad, bad]], 12)
 
 
 def test_ring_value_to_json_takes_an_int_but_not_a_bool():

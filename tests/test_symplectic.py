@@ -39,9 +39,9 @@ def pfaffian_leibniz(a):
                     sign = -sign
         prod = Fraction(1)
         for i in range(n):
-            prod *= a[perm[2 * i], perm[2 * i + 1]]
-        total += sign * prod
-    return total / (2**n * math.factorial(n))
+            prod = prod * a[perm[2 * i], perm[2 * i + 1]]
+        total = total + sign * prod
+    return total * Fraction(1, 2**n * math.factorial(n))
 
 
 def diag(*values):
@@ -104,6 +104,41 @@ def test_pfaffian_matches_leibniz_oracle():
         for _ in range(5):
             a = random_alternating(n, rng)
             assert pfaffian(a) == pfaffian_leibniz(a)
+
+
+def _random_alternating_poly(n, rng):
+    """An alternating n x n matrix of random linear polynomials in u and v."""
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    rows = [[MultiPoly.zero()] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = rng.randint(-3, 3) * u + Fraction(rng.randint(-3, 3), 2) * v + rng.randint(-2, 2)
+            rows[i][j], rows[j][i] = x, -x
+    return RingMatrix(rows)
+
+
+def test_pfaffian_of_polynomial_entries_matches_leibniz_oracle():
+    rng = random.Random(24)
+    for n in (2, 4, 6):
+        for _ in range(3):
+            a = _random_alternating_poly(n, rng)
+            assert pfaffian(a) == pfaffian_leibniz(a)
+
+
+def test_pfaffian_with_an_all_zero_row_is_the_fraction_zero():
+    rng = random.Random(25)
+    for zero in (0, 3):
+        rows = [list(row) for row in random_alternating(6, rng).entries]
+        for k in range(6):
+            rows[zero][k] = rows[k][zero] = Fraction(0)
+        value = pfaffian(RingMatrix(rows))
+        assert type(value) is Fraction and value == 0
+    rows = [list(row) for row in _random_alternating_poly(4, rng).entries]
+    rows[0] = [0] * 4
+    for k in range(4):
+        rows[k][0] = 0
+    value = pfaffian(RingMatrix(rows))
+    assert type(value) is Fraction and value == 0
 
 
 def test_pfaffian_squared_is_det():
