@@ -17,10 +17,11 @@ import os
 import sys
 
 from .detlaws import eval_det_law, eval_pf_law
-from .errors import SchemaError, SymplawError
+from .errors import CapacityError, SchemaError, SymplawError
 from .invariants import InvariantFunction, TraceWord, eval_invariant
 from .pseudochar import Pseudocharacter, theta_eval
 from .serialize import (
+    MAX_EVAL_ARGUMENTS,
     gma_spec_from_json,
     group_elem_from_json,
     int_from_json,
@@ -114,6 +115,12 @@ def _invariant_from_json(obj, arity: int) -> InvariantFunction:
     raise SchemaError("invariant function needs sigma_index or similitude_power")
 
 
+def _check_argument_count(items: list, what: str):
+    """CapacityError on more than ``MAX_EVAL_ARGUMENTS`` items, checked before any is read."""
+    if len(items) > MAX_EVAL_ARGUMENTS:
+        raise CapacityError(f"{what}: more than the {MAX_EVAL_ARGUMENTS}-argument guard")
+
+
 def _cmd_eval(args) -> int:
     blob = _load_json(args.input)
     if args.command == "pfaffian":
@@ -136,6 +143,7 @@ def _cmd_eval(args) -> int:
     elif args.command == "invariant":
         if not isinstance(blob, dict) or not isinstance(blob.get("matrices"), list):
             raise SchemaError("invariant input needs 'matrices', a list of matrices")
+        _check_argument_count(blob["matrices"], "invariant matrices")
         cap = _max_dim()
         mats = [matrix_from_json(m, cap) for m in blob["matrices"]]
         f = _invariant_from_json(blob, arity=len(mats))
@@ -144,11 +152,12 @@ def _cmd_eval(args) -> int:
         for key in ("rep", "f", "gammas"):
             if not isinstance(blob, dict) or key not in blob:
                 raise SchemaError(f"theta input missing {key!r}")
-        rep = representation_from_json(blob["rep"], _max_dim())
         if not isinstance(blob["gammas"], list) or not all(
             isinstance(w, str) for w in blob["gammas"]
         ):
             raise SchemaError("theta gammas must be a list of word strings")
+        _check_argument_count(blob["gammas"], "theta gammas")
+        rep = representation_from_json(blob["rep"], _max_dim())
         gammas = [parse_word(w) for w in blob["gammas"]]
         f = _invariant_from_json(blob["f"], arity=len(gammas))
         pc = Pseudocharacter(rep)

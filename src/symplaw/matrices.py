@@ -541,16 +541,30 @@ def lambdas_of_matrix(m: RingMatrix) -> tuple:
 
 
 def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> tuple:
-    """Coefficients (L_0..L_n) with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M)."""
-    buckets = p.coefficients_in(var)
+    """Coefficients (L_0..L_n) with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M).
+
+    One pass over the terms of p files each, signed, under its i = n - (degree
+    in var).  A constant L_i is a Fraction, Fraction(0) where p has no term of
+    that degree; any other L_i is a MultiPoly in the remaining variables.
+    """
+    if var not in p.vars:
+        p = p.in_vars(tuple(sorted((*p.vars, var))))
+    k = p.vars.index(var)
+    rest = p.vars[:k] + p.vars[k + 1:]
+    signed: dict = {}
+    for exp, c in p.terms.items():
+        i = n - exp[k]
+        signed.setdefault(i, {})[exp[:k] + exp[k + 1:]] = -c if i % 2 else c
+    one = (0,) * len(rest)
     out = []
     for i in range(n + 1):
-        coef = buckets.get(n - i)
-        if coef is None:
+        terms = signed.get(i)
+        if terms is None:
             out.append(Fraction(0))
+        elif len(terms) == 1 and one in terms:
+            out.append(Fraction(terms[one]))
         else:
-            val = coef.constant_value() if coef.is_constant() else coef
-            out.append(val if i % 2 == 0 else -val)
+            out.append(MultiPoly._canonical(rest, terms))
     return tuple(out)
 
 

@@ -11,7 +11,9 @@ coefficients directly, so matrix code can stay agnostic about whether an
 entry is a scalar or a polynomial.
 
 The public constructor validates its input; arithmetic results are built
-from validated operands by the private ``MultiPoly._trusted``, unchecked.
+from validated operands by the private ``MultiPoly._trusted``, unchecked, and
+results whose coefficients are canonical already (a negation, a bucket of
+``coefficients_in``) by ``MultiPoly._canonical``, which stores them as given.
 
 Values are immutable after construction and safe to share between threads.
 """
@@ -67,10 +69,15 @@ class MultiPoly:
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
         """Unchecked: sorted distinct variables, int or Fraction coefficients; zeros are
         dropped and the rest made canonical."""
+        return cls._canonical(variables, {e: c if type(c) is int else canonical_scalar(c)
+                                          for e, c in terms.items() if c})
+
+    @classmethod
+    def _canonical(cls, variables: tuple, terms: dict) -> "MultiPoly":
+        """Unchecked: sorted distinct variables and nonzero canonical coefficients, stored as given."""
         p = object.__new__(cls)
         object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", {e: c if type(c) is int else canonical_scalar(c)
-                                        for e, c in terms.items() if c})
+        object.__setattr__(p, "terms", terms)
         return p
 
     def __setattr__(self, name, value):
@@ -144,17 +151,21 @@ class MultiPoly:
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            other = canonical_scalar(other)
+            # only the constant term changes, so only it is made canonical
             one = (0,) * len(self.vars)
             terms = dict(self.terms)
-            terms[one] = terms[one] + other if one in terms else other
-            return MultiPoly._trusted(self.vars, terms)
+            c = canonical_scalar(terms[one] + other if one in terms else other)
+            if c:
+                terms[one] = c
+            else:  # other is nonzero, so a zero sum cancelled a constant term
+                del terms[one]
+            return MultiPoly._canonical(self.vars, terms)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (MultiPoly, int, Fraction)) else NotImplemented
@@ -220,7 +231,11 @@ class MultiPoly:
         return Fraction(self.terms.get(target, 0))
 
     def coefficients_in(self, var: str) -> dict:
-        """Split into {degree in var: polynomial in the remaining variables}."""
+        """Split into {degree in var: nonzero polynomial in the remaining variables}.
+
+        Each term lands in its own bucket slot, so every coefficient is kept as
+        it is stored and the buckets are built without a canonicalizing pass.
+        """
         if var not in self.vars:
             if self.is_zero():
                 return {}
@@ -229,11 +244,8 @@ class MultiPoly:
         rest = self.vars[:i] + self.vars[i + 1:]
         out: dict = {}
         for exp, coef in self.terms.items():
-            deg = exp[i]
-            rexp = exp[:i] + exp[i + 1:]
-            bucket = out.setdefault(deg, {})
-            bucket[rexp] = bucket.get(rexp, 0) + coef
-        return {deg: MultiPoly(rest, terms) for deg, terms in out.items()}
+            out.setdefault(exp[i], {})[exp[:i] + exp[i + 1:]] = coef
+        return {deg: MultiPoly._canonical(rest, terms) for deg, terms in out.items()}
 
     def substitute(self, values: Mapping[str, Ring]) -> Ring:
         """Evaluate at the given values (every variable must be assigned)."""

@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from math import lcm
 from typing import Callable, Sequence
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
@@ -252,36 +253,53 @@ def similitude(ctx: SymplecticContext, m: RingMatrix) -> Fraction:
 # -- exact random sampling -------------------------------------------
 
 
-def _rand_fraction(rng: random.Random, magnitude: int) -> Fraction:
-    return Fraction(rng.randint(-magnitude, magnitude), rng.choice((1, 2)))
+def _rand_ratio(rng: random.Random, magnitude: int) -> tuple:
+    """(p, q) for the rational p/q: p drawn uniformly from [-magnitude, magnitude], then q from {1, 2}."""
+    return rng.randint(-magnitude, magnitude), rng.choice((1, 2))
+
+
+def _from_ratios(rows) -> RingMatrix:
+    """The matrix of entries p/q for rows of integer pairs (p, q), q > 0, built in cleared form.
+
+    delta is the lcm of the q's and row entry p/q becomes p * (delta / q), so
+    no Fraction is made until the entries are read.
+    """
+    den = lcm(*{q for row in rows for _, q in row})
+    return RingMatrix._cleared([[p * (den // q) for p, q in row] for row in rows], den)
 
 
 def random_matrix(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
-    return RingMatrix([[_rand_fraction(rng, magnitude) for _ in range(n)] for _ in range(n)])
+    """An n x n matrix of entries p/q, |p| <= magnitude and q in {1, 2}, drawn row by row.
+
+    Each entry draws p and then q from ``rng``; the matrix is built straight
+    from the integer pairs in cleared form.
+    """
+    return _from_ratios([[_rand_ratio(rng, magnitude) for _ in range(n)] for _ in range(n)])
 
 
 def random_alternating(n: int, rng: random.Random) -> RingMatrix:
-    return RingMatrix(_rand_paired_block(n, rng, 5, -1))
+    return _from_ratios(_rand_paired_block(n, rng, 5, -1))
 
 
 def _rand_paired_block(d: int, rng: random.Random, magnitude: int, sign: int) -> list:
-    """Random rows with rows[j][i] = sign * rows[i][j]: symmetric for +1, alternating for -1."""
-    rows = [[Fraction(0)] * d for _ in range(d)]
+    """Random rows of pairs (p, q) with entry (j, i) = sign * entry (i, j): symmetric for +1,
+    alternating for -1."""
+    rows = [[(0, 1)] * d for _ in range(d)]
     for i in range(d):
         for j in range(i if sign > 0 else i + 1, d):
-            x = _rand_fraction(rng, magnitude)
-            rows[i][j] = x
-            rows[j][i] = sign * x
+            p, q = _rand_ratio(rng, magnitude)
+            rows[i][j] = (p, q)
+            rows[j][i] = (sign * p, q)
     return rows
 
 
 def _rand_block_matrix(d: int, rng: random.Random, magnitude: int, sign: int) -> RingMatrix:
     """[[A, B], [C, sign A^T]] in d x d blocks, A random and B, C drawn with X^T = -sign X."""
-    a = [[_rand_fraction(rng, magnitude) for _ in range(d)] for _ in range(d)]
+    a = [[_rand_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
     b = _rand_paired_block(d, rng, magnitude, -sign)
     c = _rand_paired_block(d, rng, magnitude, -sign)
-    return RingMatrix([a[i] + b[i] for i in range(d)]
-                      + [c[i] + [sign * a[j][i] for j in range(d)] for i in range(d)])
+    return _from_ratios([a[i] + b[i] for i in range(d)]
+                        + [c[i] + [(sign * p, q) for p, q in col] for i, col in enumerate(zip(*a))])
 
 
 def random_j_symmetric(ctx: SymplecticContext, rng: random.Random, magnitude: int = 5) -> RingMatrix:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from symplaw.cli import main
-from symplaw.serialize import MAX_ELEMENT_TERMS
+from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
 from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
@@ -286,6 +286,14 @@ def _element_blob(terms):
                                                  for k in range(terms)]}}
 
 
+def _theta_blob(gammas, rep=_REP_4):
+    return {"rep": rep, "f": {"sigma_index": 1, "word": "1"}, "gammas": ["g1"] * gammas}
+
+
+def _matrices_blob(count, matrix=_identity(2)):
+    return {"matrices": [matrix] * count, "sigma_index": 1, "word": "1"}
+
+
 @pytest.mark.parametrize(
     ("verb", "blob"),
     [
@@ -303,10 +311,13 @@ def _element_blob(terms):
         ("detlaw", _detlaw_blob(f"g1^{MAX_WORD_LETTERS} g1^-1")),
         ("invariant", _invariant_blob(" ".join(["1"] * (MAX_WORD_LETTERS + 1)))),
         ("detlaw", _element_blob(MAX_ELEMENT_TERMS + 1)),
+        ("theta", _theta_blob(MAX_EVAL_ARGUMENTS + 1)),
+        ("invariant", _matrices_blob(MAX_EVAL_ARGUMENTS + 1)),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
-         "trace_word_over_cap", "element_terms_over_cap"],
+         "trace_word_over_cap", "element_terms_over_cap", "theta_gammas_over_cap",
+         "invariant_matrices_over_cap"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
@@ -336,6 +347,40 @@ def test_element_at_the_term_cap_is_accepted(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 0, captured.err
     assert json.loads(captured.out) == {"D": str(MAX_ELEMENT_TERMS ** 4)}
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob", "expected"),
+    [
+        ("theta", _theta_blob(MAX_EVAL_ARGUMENTS), {"theta": "4"}),
+        ("invariant", _matrices_blob(MAX_EVAL_ARGUMENTS), {"value": "2"}),
+    ],
+    ids=["theta_gammas", "invariant_matrices"],
+)
+def test_arguments_at_the_cap_are_accepted(tmp_path, capsys, verb, blob, expected):
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert json.loads(captured.out) == expected
+
+
+@pytest.mark.parametrize(
+    ("verb", "blob"),
+    [
+        # past the cap, an unreadable representation or matrix is never reached
+        ("theta", _theta_blob(MAX_EVAL_ARGUMENTS + 1, rep={"d": "x"})),
+        ("invariant", _matrices_blob(MAX_EVAL_ARGUMENTS + 1, matrix=[["1/0"]])),
+        ("invariant", _matrices_blob(MAX_EVAL_ARGUMENTS + 1, matrix=_identity(99))),
+    ],
+    ids=["theta_bad_rep", "invariant_bad_entry", "invariant_over_max_dim"],
+)
+def test_argument_count_is_checked_before_anything_is_read(tmp_path, capsys, verb, blob):
+    code = main(["eval", verb, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"{MAX_EVAL_ARGUMENTS}-argument guard" in captured.err
+    assert captured.err.count("\n") == 1
 
 
 def _assert_one_line_error(code, captured):

@@ -18,11 +18,13 @@ import random
 import pytest
 
 from symplaw.cli import main
+from symplaw.serialize import MAX_EVAL_ARGUMENTS
 
 MAX_DIM = 4  # small, so that matrices above the cap stay cheap
 
 VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3", "u^-1", "g3",
-          [], {}, [[]], [1], {"a": 1})
+          [], {}, [[]], [1], {"a": 1},
+          ["g1"] * (MAX_EVAL_ARGUMENTS + 1))  # one past the argument cap, as gammas or matrices
 
 
 def _identity(n):

@@ -10,12 +10,20 @@ from symplaw.matrices import (
     _cofactor_expansion,
     _det_bareiss,
     char_poly,
+    entry_vars,
     lambdas_from_char_poly,
+    lambdas_of_matrix,
     mat_det,
     matrix_rank,
     trace_of_product,
 )
-from symplaw.multipoly import MultiPoly
+from symplaw.multipoly import MultiPoly, fresh_var
+from symplaw.symplectic import (
+    SymplecticContext,
+    pfaffian_char_poly,
+    pfaffian_coeffs_of_matrix,
+    random_j_symmetric,
+)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):
@@ -108,6 +116,87 @@ def test_lambdas_sign_convention():
     m = RingMatrix([[1, 2], [3, 4]])
     lams = lambdas_from_char_poly(char_poly(m), 2)
     assert lams == (Fraction(1), Fraction(5), Fraction(-2))
+
+
+def lambdas_reference(p, n, var):
+    """(L_0..L_n) of p = sum (-1)^i L_i var^(n-i) through ``coefficients_in``, bucket by bucket."""
+    buckets = p.coefficients_in(var)
+    out = []
+    for i in range(n + 1):
+        coef = buckets.get(n - i)
+        if coef is None:
+            out.append(Fraction(0))
+        else:
+            val = coef.constant_value() if coef.is_constant() else coef
+            out.append(val if i % 2 == 0 else -val)
+    return tuple(out)
+
+
+def assert_same_lambdas(got, expected):
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        assert type(x) is type(y) and x == y
+        if isinstance(x, MultiPoly):
+            assert x.vars == y.vars and x.terms == y.terms
+
+
+def test_lambdas_of_a_rational_matrix_are_fractions():
+    rng = random.Random(16)
+    samples = [RingMatrix.zeros(3), RingMatrix.identity(4), RingMatrix([[7]])]
+    samples += [rand_matrix(rng, n) for n in range(1, 7)]  # integer entries: int coefficients
+    samples += [rand_matrix(rng, n) * Fraction(1, rng.randint(2, 5)) for n in range(1, 7)]
+    for m in samples:
+        lams = lambdas_of_matrix(m)
+        assert len(lams) == m.rows + 1 and lams[0] == 1
+        assert all(type(x) is Fraction for x in lams), lams
+        assert_same_lambdas(lams, lambdas_reference(char_poly(m), m.rows, "t"))
+
+
+def test_lambdas_of_a_nilpotent_matrix_vanish():
+    m = RingMatrix([[0, 1, 2, 3], [0, 0, 4, 5], [0, 0, 0, 6], [0, 0, 0, 0]])
+    lams = lambdas_of_matrix(m)
+    assert lams == (1, 0, 0, 0, 0)
+    assert all(type(x) is Fraction for x in lams)
+
+
+def _poly_matrix(rng, n, variables):
+    """An n x n matrix mixing MultiPoly entries in ``variables`` with rational ones."""
+    def entry():
+        if rng.random() < 0.5:
+            return Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        terms = {tuple(rng.randint(0, 2) for _ in variables): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                 for _ in range(rng.randint(1, 3))}
+        return MultiPoly(variables, terms)
+
+    return RingMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_lambdas_of_a_polynomial_matrix_match_the_bucket_reference():
+    rng = random.Random(17)
+    # ("a", "z") puts the fresh t between the entry variables; ("t",) makes it t0
+    for variables in (("a",), ("a", "z"), ("t",), ("u", "v")):
+        for n in (1, 2, 3, 4):
+            m = _poly_matrix(rng, n, variables)
+            var = fresh_var("t", entry_vars(m))
+            assert_same_lambdas(lambdas_of_matrix(m), lambdas_reference(char_poly(m, var), n, var))
+
+
+def test_lambdas_read_a_polynomial_without_the_variable_as_degree_0():
+    u = MultiPoly.variable("u")
+    assert_same_lambdas(lambdas_from_char_poly(u + 1, 0, "t"), (u + 1,))
+    assert_same_lambdas(lambdas_from_char_poly(u * 0 + 3, 1, "t"), (Fraction(0), Fraction(-3)))
+
+
+def test_pfaffian_coefficients_match_the_bucket_reference():
+    rng = random.Random(18)
+    for d in (1, 2, 3):
+        ctx = SymplecticContext(d)
+        for _ in range(5):
+            m = random_j_symmetric(ctx, rng, 3)
+            expected = lambdas_reference(pfaffian_char_poly(ctx, m, "t"), d, "t")
+            got = pfaffian_coeffs_of_matrix(ctx, m)
+            assert_same_lambdas(got, expected)
+            assert all(type(x) is Fraction for x in got)
 
 
 def test_inverse_and_pow():

@@ -169,6 +169,32 @@ def test_trusted_arithmetic_matches_validated_construction():
         negated[one] = negated.get(one, 0) + c
         _assert_trusted(c - p, MultiPoly(p.vars, negated))
 
+        # a scalar that cancels the constant term removes it, also as a Fraction
+        const = p.terms.get(one, 0)
+        no_constant = MultiPoly(p.vars, {e: v for e, v in p.terms.items() if e != one})
+        for cancel in (-const, Fraction(-const)):
+            for result in (p + cancel, cancel + p, p - (-cancel)):
+                _assert_trusted(result, no_constant)
+                assert one not in result.terms
+        # a Fraction sum that is integral is stored as an int
+        thirds = (p + Fraction(1, 3)) + Fraction(2, 3)
+        shifted = dict(p.terms)
+        shifted[one] = shifted.get(one, 0) + 1
+        _assert_trusted(thirds, MultiPoly(p.vars, shifted))
+        if const + 1 and Fraction(const).denominator == 1:
+            assert type(thirds.terms[one]) is int
+        # negation and the buckets of coefficients_in skip the canonicalizing pass, and still
+        # equal the validated construction
+        _assert_trusted(-(-p), p)
+        for var in (*p.vars, "w"):
+            buckets = p.coefficients_in(var)
+            rebuilt = MultiPoly.zero(p.vars)
+            for deg, bucket in buckets.items():
+                _assert_trusted(bucket, _rebuilt(bucket))
+                assert not bucket.is_zero() and var not in bucket.vars
+                rebuilt = rebuilt + bucket * MultiPoly.variable(var) ** deg
+            assert rebuilt == p
+
 
 def test_scalar_results_store_canonical_coefficients():
     x = MultiPoly.variable("x")

@@ -18,6 +18,7 @@ from symplaw.symplectic import (
     random_alternating,
     random_j_symmetric,
     random_matrix,
+    random_sp_lie,
     reduced_pfaffian,
     sample_similitude,
     sample_symplectic,
@@ -292,3 +293,58 @@ def test_j_symmetric_generator_shape():
         ctx = SymplecticContext(d)
         for _ in range(10):
             assert is_j_symmetric(ctx, random_j_symmetric(ctx, rng))
+
+
+# -- the samplers, against the Fraction-built construction they replace -------
+
+
+def _ref_ratio(rng, magnitude):
+    return Fraction(rng.randint(-magnitude, magnitude), rng.choice((1, 2)))
+
+
+def _ref_random_matrix(n, rng, magnitude=5):
+    return RingMatrix([[_ref_ratio(rng, magnitude) for _ in range(n)] for _ in range(n)])
+
+
+def _ref_paired_block(d, rng, magnitude, sign):
+    rows = [[Fraction(0)] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(i if sign > 0 else i + 1, d):
+            x = _ref_ratio(rng, magnitude)
+            rows[i][j] = x
+            rows[j][i] = sign * x
+    return rows
+
+
+def _ref_block_matrix(d, rng, magnitude, sign):
+    a = [[_ref_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
+    b = _ref_paired_block(d, rng, magnitude, -sign)
+    c = _ref_paired_block(d, rng, magnitude, -sign)
+    return RingMatrix([a[i] + b[i] for i in range(d)]
+                      + [c[i] + [sign * a[j][i] for j in range(d)] for i in range(d)])
+
+
+_SAMPLERS = {
+    "random_matrix": (lambda n, rng: random_matrix(n, rng),
+                      lambda n, rng: _ref_random_matrix(n, rng)),
+    "random_matrix_3": (lambda n, rng: random_matrix(n, rng, 3),
+                        lambda n, rng: _ref_random_matrix(n, rng, 3)),
+    "random_alternating": (random_alternating,
+                           lambda n, rng: RingMatrix(_ref_paired_block(n, rng, 5, -1))),
+    "random_j_symmetric": (lambda n, rng: random_j_symmetric(SymplecticContext(n // 2), rng, 3),
+                           lambda n, rng: _ref_block_matrix(n // 2, rng, 3, 1)),
+    "random_sp_lie": (lambda n, rng: random_sp_lie(SymplecticContext(n // 2), rng),
+                      lambda n, rng: _ref_block_matrix(n // 2, rng, 3, -1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SAMPLERS))
+def test_samplers_match_the_fraction_built_reference(name):
+    sampler, reference = _SAMPLERS[name]
+    for n in (2, 4, 12):
+        for seed in range(20):
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            m, expected = sampler(n, rng), reference(n, ref_rng)
+            assert m == expected and m.cleared() == expected.cleared()
+            assert m.entries == expected.entries
+            assert rng.random() == ref_rng.random()  # the same draws, in the same order
