@@ -75,15 +75,19 @@ def entry_is_zero(x: Ring) -> bool:
     return x == 0
 
 
-def _integer_rows(entries) -> tuple:
-    """(B, delta) in normalized form with entries = B / delta, for rows of Fractions.
+def _integer_rows(ratios) -> tuple:
+    """(B, delta) with entries p/q = B / delta, for rows of integer pairs (p, q), q > 0.
 
-    B is a tuple of integer rows and delta > 0 the least common denominator,
-    so gcd(delta, content of B) = 1.
+    B is a tuple of integer rows and delta > 0 the lcm of the q's.  For pairs
+    in lowest terms, such as those of Fractions, gcd(delta, content of B) = 1.
     """
-    ratios = [list(map(Fraction.as_integer_ratio, row)) for row in entries]
-    den = lcm(*[q for row in ratios for _, q in row])
+    den = lcm(*{q for row in ratios for _, q in row})
     return tuple(tuple([p * (den // q) for p, q in row]) for row in ratios), den
+
+
+def matrix_from_ratios(rows) -> "RingMatrix":
+    """The matrix of entries p/q for rows of integer pairs (p, q), q > 0, in cleared form."""
+    return RingMatrix._cleared(*_integer_rows(rows))
 
 
 class RingMatrix:
@@ -350,7 +354,7 @@ def _fill(m: RingMatrix, entries: tuple):
     else:
         if types != _FRACTION_ONLY:
             entries = tuple(tuple([Fraction(x) for x in row]) for row in entries)
-        ints, den = _integer_rows(entries)
+        ints, den = _integer_rows([list(map(Fraction.as_integer_ratio, row)) for row in entries])
     _set_rows(m, len(entries))
     _set_cols(m, len(entries[0]))
     _set_entries(m, entries)

@@ -11,12 +11,11 @@ representations and GMA specs are only read.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation
 from .errors import CapacityError, SchemaError
 from .gma import GmaSpec, GmaType, QuotientRing
-from .matrices import RingMatrix
+from .matrices import RingMatrix, matrix_from_ratios
 from .multipoly import MultiPoly
 from .symplectic import SymplecticContext
 from .words import parse_word
@@ -229,8 +228,7 @@ def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
     if poly:
         return RingMatrix([[x if isinstance(x, MultiPoly) else Fraction(*x) for x in row]
                            for row in rows])
-    den = lcm(*{q for row in rows for _, q in row})
-    return RingMatrix._cleared([[p * (den // q) for p, q in row] for row in rows], den)
+    return matrix_from_ratios(rows)
 
 
 # -- group algebra, representations ------------------------------------------

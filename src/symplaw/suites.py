@@ -11,6 +11,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import gma, invariants, pseudochar
 from .detlaws import (
@@ -69,9 +70,19 @@ def _check(name: str, ok: bool, **extra) -> dict:
     return out
 
 
-def _spread(trials: int, buckets: int) -> list:
-    base, rem = divmod(trials, buckets)
-    return [base + (1 if i < rem else 0) for i in range(buckets)]
+def _first_failure(schedule, trial: Callable):
+    """The first failure of ``trial`` over the items of ``schedule``, or None if all pass.
+
+    A trial draws its inputs and returns a falsy value on a pass, and True or a witness
+    string on a failure; no trial runs after the first failure, so its input is the witness.
+    """
+    return next(filter(None, map(trial, schedule)), None)
+
+
+def _spread(values, trials: int) -> list:
+    """``trials`` spread evenly over ``values``, earlier ones first: (value, j) for its j-th trial."""
+    base, rem = divmod(trials, len(values))
+    return [(v, j) for i, v in enumerate(values) for j in range(base + (i < rem))]
 
 
 # -- pfaffian suite ------------------------------------------------------
@@ -81,34 +92,34 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
     rng = random.Random(seed)
     checks = []
 
-    sizes = [2 * k for k in range(1, d + 1)] or [2]
-    bad = None
-    for size, count in zip(sizes, _spread(trials, len(sizes))):
-        for _ in range(count):
-            a = random_alternating(size, rng)
-            if pfaffian(a) ** 2 != mat_det(a):
-                bad = f"size {size}: {a}"
-                break
+    sizes = [2 * k for k in range(1, d + 1)]
+
+    def squares_to_det(item):
+        size, _ = item
+        a = random_alternating(size, rng)
+        if pfaffian(a) ** 2 != mat_det(a):
+            return f"size {size}: {a}"
+
+    bad = _first_failure(_spread(sizes, trials), squares_to_det)
     checks.append(_check("pfaffian_squared_equals_det", bad is None, witness=bad))
 
     ctx = SymplecticContext(d)
-    ok = True
-    for _ in range(min(trials, 200)):
-        m = random_matrix(2 * d, rng)
-        if symplectic_transpose(ctx, symplectic_transpose(ctx, m)) != m:
-            ok = False
-            break
-    checks.append(_check("symplectic_transpose_involutive", ok))
 
-    ok = True
-    for _ in range(min(trials, 50)):
-        n = rng.choice([s for s in sizes if s <= 6] or [2])
+    def transpose_involutive(_):
+        m = random_matrix(2 * d, rng)
+        return symplectic_transpose(ctx, symplectic_transpose(ctx, m)) != m
+
+    bad = _first_failure(range(min(trials, 200)), transpose_involutive)
+    checks.append(_check("symplectic_transpose_involutive", bad is None))
+
+    def conjugation_covariance(_):
+        n = rng.choice([s for s in sizes if s <= 6])
         a = random_alternating(n, rng)
         g = random_matrix(n, rng)
-        if pfaffian(g * a * g.transpose()) != mat_det(g) * pfaffian(a):
-            ok = False
-            break
-    checks.append(_check("pfaffian_conjugation_covariance", ok))
+        return pfaffian(g * a * g.transpose()) != mat_det(g) * pfaffian(a)
+
+    bad = _first_failure(range(min(trials, 50)), conjugation_covariance)
+    checks.append(_check("pfaffian_conjugation_covariance", bad is None))
 
     ok = all(
         reduced_pfaffian(SymplecticContext(k), RingMatrix.identity(2 * k)) == 1
@@ -116,43 +127,41 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
     )
     checks.append(_check("reduced_pfaffian_normalization", ok))
 
-    bad = None
-    for dd in range(1, min(d, 3) + 1):
-        cdd = SymplecticContext(dd)
-        for _ in range(_spread(min(trials, 60), min(d, 3))[dd - 1]):
-            m = random_j_symmetric(cdd, rng, 3)
-            coeffs = pfaffian_coeffs_of_matrix(cdd, m)
-            if not matrix_poly_value(coeffs, m).is_zero():
-                bad = f"d={dd}: {m}"
-                break
+    by_dd = _spread([SymplecticContext(dd) for dd in range(1, min(d, 3) + 1)], min(trials, 60))
+
+    def cayley_hamilton(item):
+        cdd, _ = item
+        m = random_j_symmetric(cdd, rng, 3)
+        coeffs = pfaffian_coeffs_of_matrix(cdd, m)
+        if not matrix_poly_value(coeffs, m).is_zero():
+            return f"d={cdd.d}: {m}"
+
+    bad = _first_failure(by_dd, cayley_hamilton)
     checks.append(_check("pfaffian_cayley_hamilton", bad is None, witness=bad))
 
-    bad = None
-    for dd in range(1, min(d, 3) + 1):
-        cdd = SymplecticContext(dd)
-        for _ in range(_spread(min(trials, 60), min(d, 3))[dd - 1]):
-            m = random_j_symmetric(cdd, rng, 3)
-            ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
-            if ts != pfaffian_coeffs_of_matrix(cdd, m):
-                bad = f"d={dd}: {m}"
-                break
+    def recursion_matches(item):
+        cdd, _ = item
+        m = random_j_symmetric(cdd, rng, 3)
+        ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
+        if ts != pfaffian_coeffs_of_matrix(cdd, m):
+            return f"d={cdd.d}: {m}"
+
+    bad = _first_failure(by_dd, recursion_matches)
     checks.append(_check("recursion_matches_pfaffian_char_poly", bad is None, witness=bad))
 
-    ok = True
-    for _ in range(min(trials, 50)):
+    def transfer(_):
         dd = rng.randint(1, min(d, 2))
         cdd = SymplecticContext(dd)
         m = random_j_symmetric(cdd, rng, 3)
         x = random_matrix(2 * dd, rng, 3)
-        if reduced_pfaffian(cdd, x * m * symplectic_transpose(cdd, x)) != mat_det(
+        return reduced_pfaffian(cdd, x * m * symplectic_transpose(cdd, x)) != mat_det(
             x
-        ) * reduced_pfaffian(cdd, m):
-            ok = False
-            break
-    checks.append(_check("transfer_identity", ok))
+        ) * reduced_pfaffian(cdd, m)
 
-    ok = True
-    for _ in range(min(trials, 50)):
+    bad = _first_failure(range(min(trials, 50)), transfer)
+    checks.append(_check("transfer_identity", bad is None))
+
+    def commuting_multiplicative(_):
         dd = rng.randint(1, min(d, 2))
         cdd = SymplecticContext(dd)
         m = random_j_symmetric(cdd, rng, 3)
@@ -162,10 +171,10 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
         y = RingMatrix.scalar(2 * dd, Fraction(rng.randint(-3, 3))) + (m * m) * Fraction(
             rng.randint(-3, 3)
         )
-        if reduced_pfaffian(cdd, x * y) != reduced_pfaffian(cdd, x) * reduced_pfaffian(cdd, y):
-            ok = False
-            break
-    checks.append(_check("commuting_multiplicativity", ok))
+        return reduced_pfaffian(cdd, x * y) != reduced_pfaffian(cdd, x) * reduced_pfaffian(cdd, y)
+
+    bad = _first_failure(range(min(trials, 50)), commuting_multiplicative)
+    checks.append(_check("commuting_multiplicativity", bad is None))
     return checks
 
 
@@ -176,51 +185,51 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     rng = random.Random(seed)
     checks = []
 
-    ok = True
-    for _ in range(min(trials, 50)):
+    def newton(_):
         m = random_matrix(2 * d, rng, 4)
-        if newton_lambdas_from_traces(power_traces(m, 2 * d)) != lambdas_of_matrix(m):
-            ok = False
-            break
-    checks.append(_check("newton_matches_char_poly", ok))
+        return newton_lambdas_from_traces(power_traces(m, 2 * d)) != lambdas_of_matrix(m)
 
-    ok = True
-    for dd in range(1, 5):
+    bad = _first_failure(range(min(trials, 50)), newton)
+    checks.append(_check("newton_matches_char_poly", bad is None))
+
+    def binomial(dd):
         ts = pfaffian_coeffs_from_lambdas(newton_lambdas_from_traces([Fraction(2 * dd)] * (2 * dd)))
-        if ts != tuple(math.comb(dd, i) for i in range(dd + 1)):
-            ok = False
-    checks.append(_check("binomial_values_at_identity", ok))
+        return ts != tuple(math.comb(dd, i) for i in range(dd + 1))
+
+    bad = _first_failure(range(1, 5), binomial)
+    checks.append(_check("binomial_values_at_identity", bad is None))
 
     ctx4 = SymplecticContext(4)
-    bad = None
-    for _ in range(min(trials, 50)):
+
+    def d4_closed_forms(_):
         m = random_j_symmetric(ctx4, rng, 2)
         lams = lambdas_of_matrix(m)
         expected = pfaffian_coeffs_from_lambdas(lams)[4]
         a, b = closed_form_check_d4(lams, power_traces(m, 4))
         if a != expected or b != expected:
-            bad = str(m)
-            break
+            return str(m)
+
+    bad = _first_failure(range(min(trials, 50)), d4_closed_forms)
     checks.append(_check("d4_closed_forms", bad is None, witness=bad))
 
     ctx1 = SymplecticContext(1)
-    ok = True
-    for trial in range(min(trials, 100)):
+
+    def sl2_traces(trial):
         rep = InvolutiveRepresentation.from_images(
             [sample_symplectic(ctx1, seed * 31 + trial),
              sample_symplectic(ctx1, seed * 37 + trial + 1)]
         )
         w = random_word(rng, 2, 4)
         if not w:
-            continue
+            return None
         t = lambda word: rep.rho_word(word).trace()  # noqa: E731
         g, gi = w, word_inv(w)
         g2 = word_mul(w, w)
         lhs = t(g) ** 2 + 2 * t(g) * t(gi) + t(gi) ** 2 - 2 * t(g2) - 2 * t(word_inv(g2)) - 8
-        if lhs != 0 or 4 * t(g) ** 2 - 4 * t(g2) - 8 != 0:
-            ok = False
-            break
-    checks.append(_check("sl2_trace_identities", ok))
+        return lhs != 0 or 4 * t(g) ** 2 - 4 * t(g2) - 8 != 0
+
+    bad = _first_failure(range(min(trials, 100)), sl2_traces)
+    checks.append(_check("sl2_trace_identities", bad is None))
 
     ctx = SymplecticContext(min(d, 2))
     ok = True
@@ -249,10 +258,10 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     checks.append(_check("det_law_multiplicative_star_invariant", ok))
     checks.append(_check("pf_law_squares_to_det", sym_ok))
 
-    ok = True
-    for trial in range(min(trials, 10)):
-        dd = min(d, 2)
-        cdd = SymplecticContext(dd)
+    dd = min(d, 2)
+    cdd = SymplecticContext(dd)
+
+    def chi_alpha_vanishes(trial):
         rep = InvolutiveRepresentation.from_images([sample_symplectic(cdd, seed * 47 + trial)])
         g1 = GroupAlgebraElement.from_word(((1, 1),))
         r1 = g1 + star(rep, g1)
@@ -260,10 +269,10 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
         # Pfaffian polynomial; the T_i compared with the Lambda recursion do not
         m = rep.rho(r1)
         ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
-        if not chi_alpha(rep, [r1], [dd]).is_zero() or pfaffian_coeffs_of_matrix(cdd, m) != ts:
-            ok = False
-            break
-    checks.append(_check("chi_alpha_vanishes_on_matrix_models", ok))
+        return not chi_alpha(rep, [r1], [dd]).is_zero() or pfaffian_coeffs_of_matrix(cdd, m) != ts
+
+    bad = _first_failure(range(min(trials, 10)), chi_alpha_vanishes)
+    checks.append(_check("chi_alpha_vanishes_on_matrix_models", bad is None))
     return checks
 
 
@@ -284,31 +293,30 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
     )
 
     gens = enumerate_trace_words(2, 3)
-    bad = None
-    conj_counts = _spread(min(trials, 200), 2)
-    for dd, count in zip((1, 2) if d >= 2 else (1, 1), conj_counts):
-        cdd = SymplecticContext(dd)
-        fs = [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
-        for k in range(count):
-            g = sample_symplectic(cdd, seed * 53 + 100 * dd + k)
-            mats = [random_matrix(2 * dd, rng, 3) for _ in range(2)]
-            f = check_invariance(fs, mats, g)
-            if f is not None:
-                bad = f"d={dd} f=sigma_{f.sigma_index}({f.word})"
-                break
-        if bad:
-            break
+    by_dd = _spread((1, 2) if d >= 2 else (1, 1), min(trials, 200))
+    fs = {dd: [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
+          for dd, _ in by_dd}
+
+    def generators_invariant(item):
+        dd, j = item
+        g = sample_symplectic(SymplecticContext(dd), seed * 53 + 100 * dd + j)
+        mats = [random_matrix(2 * dd, rng, 3) for _ in range(2)]
+        f = check_invariance(fs[dd], mats, g)
+        if f is not None:
+            return f"d={dd} f=sigma_{f.sigma_index}({f.word})"
+
+    bad = _first_failure(by_dd, generators_invariant)
     checks.append(_check("generators_invariant_under_conjugation", bad is None, witness=bad))
 
-    ok = True
-    for k in range(min(trials, 20)):
-        cdd = SymplecticContext(min(d, 2))
+    cdd = SymplecticContext(min(d, 2))
+
+    def similitude_invariant(k):
         h = sample_similitude(cdd, seed * 59 + k, factor=Fraction(k % 5 + 2))
         g = sample_symplectic(cdd, seed * 61 + k)
-        if similitude(cdd, g * h * g.inverse()) != similitude(cdd, h):
-            ok = False
-            break
-    checks.append(_check("similitude_conjugation_invariant", ok))
+        return similitude(cdd, g * h * g.inverse()) != similitude(cdd, h)
+
+    bad = _first_failure(range(min(trials, 20)), similitude_invariant)
+    checks.append(_check("similitude_conjugation_invariant", bad is None))
 
     pairs = [(d, m) for m in range(1, 4 if d == 1 else 3)]
     for dd, m in pairs:
@@ -343,13 +351,12 @@ def _gma_checks(spec, label: str, expect_sch: bool, trials: int, seed: int) -> l
     checks.append(_check(f"{label}_sch_condition", sch is expect_sch, sch_condition=sch))
 
     if sch:
-        ok = True
-        for _ in range(min(trials, 50)):
+        def chi_p_vanishes(_):
             m = gma.random_symmetric_gma_element(spec, rng)
-            if not gma.gma_chi_p(spec, m).is_zero():
-                ok = False
-                break
-        checks.append(_check(f"{label}_chi_p_vanishes", ok))
+            return not gma.gma_chi_p(spec, m).is_zero()
+
+        bad = _first_failure(range(min(trials, 50)), chi_p_vanishes)
+        checks.append(_check(f"{label}_chi_p_vanishes", bad is None))
     else:
         i, j, wit = witness
         chi = gma.gma_chi_p(spec, wit)
@@ -364,24 +371,22 @@ def _gma_checks(spec, label: str, expect_sch: bool, trials: int, seed: int) -> l
         in_kernel = nonzero and gma.kernel_probe(spec, chi, min(trials, 25), seed + 1)
         checks.append(_check(f"{label}_witness_in_kernel_of_D", in_kernel))
 
-    ok = True
-    for _ in range(min(trials, 50)):
+    def trace_commutes(_):
         x = gma.random_gma_element(spec, rng)
         y = gma.random_gma_element(spec, rng)
         # reduction modulo a monomial ideal is a ring homomorphism, so reducing the traces suffices
-        if spec.ring.reduce(trace_of_product(x, y)) != spec.ring.reduce(trace_of_product(y, x)):
-            ok = False
-            break
-    checks.append(_check(f"{label}_trace_commutes", ok))
+        return spec.ring.reduce(trace_of_product(x, y)) != spec.ring.reduce(trace_of_product(y, x))
 
-    ok = True
-    for _ in range(min(trials, 50)):
+    bad = _first_failure(range(min(trials, 50)), trace_commutes)
+    checks.append(_check(f"{label}_trace_commutes", bad is None))
+
+    def pf_squares_to_det(_):
         m = gma.random_symmetric_gma_element(spec, rng)
         _, det, pf = gma.gma_trace_det_pf(spec, m)
-        if pf is None or pf * pf != det:
-            ok = False
-            break
-    checks.append(_check(f"{label}_pf_squares_to_det", ok))
+        return pf is None or pf * pf != det
+
+    bad = _first_failure(range(min(trials, 50)), pf_squares_to_det)
+    checks.append(_check(f"{label}_pf_squares_to_det", bad is None))
     return checks
 
 
@@ -459,16 +464,15 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
     checks.append(_check("comparison_p_at_identity", ok_one))
 
     gsp = pseudochar.Pseudocharacter(reps[f"GSp_{2 * min(d, 2)}"])
-    ok = True
-    for _ in range(min(trials, 25)):
+    def similitude_multiplicative(_):
         a = random_word(rng, 2, 3)
         b = random_word(rng, 2, 3)
         lhs = pseudochar.similitude_character(gsp, word_mul(a, b))
         rhs = pseudochar.similitude_character(gsp, a) * pseudochar.similitude_character(gsp, b)
-        if lhs != rhs:
-            ok = False
-            break
-    checks.append(_check("similitude_recovery_multiplicative", ok))
+        return lhs != rhs
+
+    bad = _first_failure(range(min(trials, 25)), similitude_multiplicative)
+    checks.append(_check("similitude_recovery_multiplicative", bad is None))
     return checks
 
 

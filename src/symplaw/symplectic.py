@@ -20,7 +20,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from math import lcm
 from typing import Callable, Sequence
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
@@ -30,6 +29,7 @@ from .matrices import (
     entry_vars,
     exact_scalar,
     lambdas_from_char_poly,
+    matrix_from_ratios,
 )
 from .multipoly import MultiPoly, Ring, fresh_var
 
@@ -258,27 +258,17 @@ def _rand_ratio(rng: random.Random, magnitude: int) -> tuple:
     return rng.randint(-magnitude, magnitude), rng.choice((1, 2))
 
 
-def _from_ratios(rows) -> RingMatrix:
-    """The matrix of entries p/q for rows of integer pairs (p, q), q > 0, built in cleared form.
-
-    delta is the lcm of the q's and row entry p/q becomes p * (delta / q), so
-    no Fraction is made until the entries are read.
-    """
-    den = lcm(*{q for row in rows for _, q in row})
-    return RingMatrix._cleared([[p * (den // q) for p, q in row] for row in rows], den)
-
-
 def random_matrix(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
     """An n x n matrix of entries p/q, |p| <= magnitude and q in {1, 2}, drawn row by row.
 
     Each entry draws p and then q from ``rng``; the matrix is built straight
     from the integer pairs in cleared form.
     """
-    return _from_ratios([[_rand_ratio(rng, magnitude) for _ in range(n)] for _ in range(n)])
+    return matrix_from_ratios([[_rand_ratio(rng, magnitude) for _ in range(n)] for _ in range(n)])
 
 
 def random_alternating(n: int, rng: random.Random) -> RingMatrix:
-    return _from_ratios(_rand_paired_block(n, rng, 5, -1))
+    return matrix_from_ratios(_rand_paired_block(n, rng, 5, -1))
 
 
 def _rand_paired_block(d: int, rng: random.Random, magnitude: int, sign: int) -> list:
@@ -298,8 +288,8 @@ def _rand_block_matrix(d: int, rng: random.Random, magnitude: int, sign: int) ->
     a = [[_rand_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
     b = _rand_paired_block(d, rng, magnitude, -sign)
     c = _rand_paired_block(d, rng, magnitude, -sign)
-    return _from_ratios([a[i] + b[i] for i in range(d)]
-                        + [c[i] + [(sign * p, q) for p, q in col] for i, col in enumerate(zip(*a))])
+    return matrix_from_ratios([a[i] + b[i] for i in range(d)]
+                              + [c[i] + [(sign * p, q) for p, q in col] for i, col in enumerate(zip(*a))])
 
 
 def random_j_symmetric(ctx: SymplecticContext, rng: random.Random, magnitude: int = 5) -> RingMatrix:

@@ -11,6 +11,9 @@ seeds 1-4, and at seed 0 differ from it only in
 ``corrupted_cache_detected``, which failed there before.  Those of
 ``eval detlaw`` and ``eval theta`` at 2d = 12 were recorded while a
 representation still inverted its generators by Gauss-Jordan elimination.
+Those of ``suite pfaffian`` at d = 3 and ``det-law`` at d = 1 were recorded
+while some checks still kept drawing after their first failure; they pin the
+spread of trials over d = 1..3 and the d = 1 schedules.
 Any change to a computed value or to the report format shows here.
 """
 
@@ -58,6 +61,16 @@ SUITE_DIGESTS = {
         0: "25264a49c67d3ddd647bd9895fb58e778204c9aa87531a3b2ab15cde5960d320",
         1: "616f16b627638cfb350503e515964a7664c3ddaff325df98aa674c3b3f1ce384",
         2: "d953c249703ddbbda999b91319f3a650f0da8426e3abda637c357e0a9a38b208",
+    },
+    ("pfaffian-d3", "pfaffian", ("--d", "3", "--trials", "25")): {
+        0: "2f637f24183c10d3d5887de6299ec73b3b115a1cc6bb77d3ed92603f41937ff8",
+        1: "2243a5ebfe7e652b17944217b06b5b6aca12066c25678feeae710b8da6034b29",
+        2: "42f23ea72810bf5bda3dcdb57c5b9870539958e11a77cdeec897e7b35bb343ce",
+    },
+    ("det-law-d1", "det-law", ("--d", "1", "--trials", "25")): {
+        0: "13ed7e62bed3d731e1f652d1bbc5bddd15f09bc91ce8c5f9ab485d5b3e4dcd2e",
+        1: "511f87bfb1e7a4d9236cac7f7cc34bdb58f33022792af0c072ece9a0e5321885",
+        2: "9934d9119d1c2c45ccfcdcab8aacfa77422cee6adb05d93a2d14021c3e85d18b",
     },
     ("pseudochar", "pseudochar", ("--d", "2", "--trials", "25")): {
         0: "c9c1ca099580bf1559b61b294d70f5b24a0535f44a5099856437532ea47d6d7d",

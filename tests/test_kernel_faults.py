@@ -1,11 +1,13 @@
 """Kernel faults against the suites: can a suite tell that a kernel it rests on is broken?
 
 This is mutation testing of the kernels (DeMillo, Lipton and Sayward, "Hints on
-test data selection", 1978).  Each fault replaces one kernel by a wrong one in
-every module that bound it, then runs ``suite invariants``, ``pseudochar`` and
-``det-law`` at d in {1, 2} and seeds 0-4.
+test data selection", 1978).  Each fault replaces one kernel, a function or a
+method, by a wrong one in every module or class that bound it, then runs
+``suite invariants``, ``pseudochar``, ``det-law``, ``pfaffian`` and ``gma`` at
+d in {1, 2} and seeds 0-4.
 
-- A fault in ``SEEN`` must fail at least one check at every (d, seed).
+- A fault in ``SEEN`` must, at every (d, seed), fail at least one check or stop
+  a suite with a ``SymplawError``, which the CLI reports with exit code 2.
 - A fault in ``UNSEEN`` is one that no suite sees yet, listed with the reason.
   Its test fails as soon as a suite starts to see it, so that the fault moves
   to ``SEEN``.
@@ -14,11 +16,22 @@ every module that bound it, then runs ``suite invariants``, ``pseudochar`` and
 import pytest
 
 from symplaw import detlaws, gma, invariants, matrices, pseudochar, suites, symplectic
+from symplaw.detlaws import InvolutiveRepresentation
+from symplaw.errors import SymplawError
+from symplaw.gma import QuotientRing
 from symplaw.matrices import RingMatrix
-from symplaw.suites import suite_det_law, suite_invariants, suite_pseudochar
+from symplaw.suites import (
+    suite_det_law,
+    suite_gma,
+    suite_invariants,
+    suite_pfaffian,
+    suite_pseudochar,
+)
+from symplaw.symplectic import SignedPermutation
 
 MODULES = (matrices, symplectic, detlaws, invariants, pseudochar, gma, suites)
-SUITES = (suite_invariants, suite_pseudochar, suite_det_law)
+SUITES = (suite_invariants, suite_pseudochar, suite_det_law, suite_pfaffian,
+          lambda d, trials, seed: suite_gma(trials, seed))
 TRIALS = 4
 
 
@@ -40,17 +53,56 @@ def _identity_sample(original):
     return lambda ctx, seed: RingMatrix.identity(ctx.n)
 
 
-# fault name: (kernel, the wrong kernel made from it)
+def _sign_flip_from_6(original):
+    return lambda m: -original(m) if m.rows >= 6 else original(m)
+
+
+def _negated(original):
+    return lambda *args: -original(*args)
+
+
+def _plain_transpose(original):
+    return lambda self, m: m.transpose()
+
+
+def _unreduced(original):
+    return lambda self, x: x
+
+
+def _inverse_letters_as_generators(original):
+    return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
+
+
+# fault name: (module or class, kernel name, the wrong kernel made from the kernel)
 FAULTS = {
-    "lambdas_odd_sign_flip": (matrices.lambdas_from_char_poly, _odd_lambdas_negated),
-    "random_matrix_scalar": (symplectic.random_matrix, _scalar_random_matrix),
-    "sample_symplectic_identity": (symplectic.sample_symplectic, _identity_sample),
+    "lambdas_odd_sign_flip": (matrices, "lambdas_from_char_poly", _odd_lambdas_negated),
+    "random_matrix_scalar": (symplectic, "random_matrix", _scalar_random_matrix),
+    "sample_symplectic_identity": (symplectic, "sample_symplectic", _identity_sample),
+    "bareiss_sign_flip_from_6": (matrices, "_det_bareiss", _sign_flip_from_6),
+    "pfaffian_expansion_negated": (symplectic, "_pfaffian_expansion", _negated),
+    "right_product_negated": (SignedPermutation, "right_product", _negated),
+    "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
+    "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
+    "rho_word_inverse_letters_as_generators": (
+        InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
 SEEN = {
     "lambdas_odd_sign_flip": "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models",
     "random_matrix_scalar": "invariants: fft_desk_scale_* (scalar samples span too few trace words)",
+    "right_product_negated": (
+        "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4);"
+        " pseudochar: comparison_p_at_identity"),
+    "adjoint_plain_transpose": (
+        "every suite stops with an error: samples fail the similitude, j-symmetry and"
+        " alternating checks, and GMA elements their block membership"),
+    "reduce_keeps_every_term": (
+        "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"
+        " survive)"),
+    "rho_word_inverse_letters_as_generators": (
+        "det-law and pseudochar stop with an error: the image of x + x* is no longer"
+        " j-symmetric, so its M J is not alternating"),
 }
 UNSEEN = {
     "sample_symplectic_identity": (
@@ -58,22 +110,42 @@ UNSEEN = {
         " identity matrix included; no check asks that a sample be non-scalar or that two"
         " samples not commute"
     ),
+    "bareiss_sign_flip_from_6": (
+        "at d <= 2 no suite takes the determinant of a rational matrix larger than 4 x 4;"
+        " suite pfaffian at d = 3 sees it"
+    ),
+    "pfaffian_expansion_negated": (
+        "every Pfaffian a check compares enters squared, as Pf(M J) Pf(J), or on both sides"
+        " of Pf(g A g^T) = det(g) Pf(A), so a global sign cancels"
+    ),
 }
 
 
+def _failures(suite, d: int, seed: int) -> list:
+    """The names of the checks ``suite`` fails, or the error that stopped it."""
+    try:
+        return [c["name"] for c in suite(d, TRIALS, seed) if not c["pass"]]
+    except SymplawError as e:
+        return [f"{type(e).__name__}: {e}"]
+
+
 def _failed_checks(monkeypatch, fault: str) -> dict:
-    """{(d, seed): names of the failed checks} with ``fault`` in place of its kernel."""
-    original, make = FAULTS[fault]
+    """{(d, seed): failures of every suite} with ``fault`` in place of its kernel."""
+    owner, name, make = FAULTS[fault]
+    original = getattr(owner, name)
     wrong = make(original)
+    monkeypatch.setattr(owner, name, wrong)
     for module in MODULES:
-        for name, value in list(vars(module).items()):
+        for alias, value in list(vars(module).items()):
             if value is original:
-                monkeypatch.setattr(module, name, wrong)
-    return {
-        (d, seed): [c["name"] for suite in SUITES for c in suite(d, TRIALS, seed) if not c["pass"]]
-        for d in (1, 2)
-        for seed in range(5)
-    }
+                monkeypatch.setattr(module, alias, wrong)
+    # the standard forms cache Pf(J), which a fault may compute; none outlives the test
+    SignedPermutation.standard.cache_clear()
+    try:
+        return {(d, seed): [f for suite in SUITES for f in _failures(suite, d, seed)]
+                for d in (1, 2) for seed in range(5)}
+    finally:
+        SignedPermutation.standard.cache_clear()
 
 
 def test_every_fault_is_listed_once():

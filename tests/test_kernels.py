@@ -393,7 +393,7 @@ def assert_normalized(m):
     assert all(type(x) is int for x in chain.from_iterable(b))
     assert (m.rows, m.cols) == (len(b), len(b[0]))
     # lcm-clearing of the entries gives the same pair, so it is the one normalized form
-    assert _integer_rows(m.entries) == (b, den)
+    assert _integer_rows([[x.as_integer_ratio() for x in row] for row in m.entries]) == (b, den)
 
 
 def entries_unset(m):

@@ -79,6 +79,17 @@ def test_every_traced_boundary_resolves(monkeypatch):
     assert callable(getattr(RingMatrix, "all_rational", None))
 
 
+def test_cleared_form_stays_inside_matrices():
+    """Outside ``matrices.py`` no module builds with ``RingMatrix._cleared`` or reads ``_ints``
+    or ``_den``; they go through ``matrix_from_ratios`` and ``cleared()``."""
+    private = {"_cleared", "_ints", "_den"}
+    found = [f"{path.name}:{node.lineno}: {node.attr}"
+             for path in SOURCES if path.name != "matrices.py"
+             for node in ast.walk(_parse(path))
+             if isinstance(node, ast.Attribute) and node.attr in private]
+    assert not found, found
+
+
 def _defined_names(tree):
     """(name, line) of each function, class, method and module-level name a module defines."""
     for node in tree.body:

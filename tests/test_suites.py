@@ -127,6 +127,41 @@ def test_pfaffian_check_fails_under_its_fault(pattern, monkeypatch):
             assert named and not any(c["pass"] for c in named), (d, seed, named)
 
 
+# A check stops at its first failure, and that input is its witness: at d = 3
+# the first failing draw is at the smallest size or half-dimension.
+FIRST_WITNESSES = {
+    "transfer_identity": ("pfaffian_squared_equals_det", "size 2:"),  # mat_det one too large
+    "pfaffian_cayley_hamilton": ("pfaffian_cayley_hamilton", "d=1:"),
+    "recursion_matches_pfaffian_char_poly": ("recursion_matches_pfaffian_char_poly", "d=1:"),
+}
+
+
+@pytest.mark.parametrize("control", sorted(FIRST_WITNESSES))
+def test_a_check_stops_at_its_first_failure(control, monkeypatch):
+    monkeypatch.setattr(*PFAFFIAN_CONTROLS[control])
+    name, prefix = FIRST_WITNESSES[control]
+    (check,) = [c for c in suite_pfaffian(3, 30, 0) if c["name"] == name]
+    assert not check["pass"] and check["witness"].startswith(prefix), check["witness"][:40]
+
+
+def test_pfaffian_squared_check_draws_once_under_a_det_fault(monkeypatch):
+    """Under a wrong ``mat_det`` the first trial fails, so the check draws one matrix."""
+    monkeypatch.setattr(*PFAFFIAN_CONTROLS["transfer_identity"])
+    draws = []
+
+    def logged(name, real):
+        def draw(*args):
+            draws.append(name)
+            return real(*args)
+        return draw
+
+    for name in ("random_alternating", "random_matrix"):
+        monkeypatch.setattr(suites, name, logged(name, getattr(suites, name)))
+    suite_pfaffian(3, 30, 0)
+    # the check after it, symplectic_transpose_involutive, draws with random_matrix
+    assert draws.index("random_matrix") == 1
+
+
 def _first_trace_one_larger(m, upto, real=suites.power_traces):
     traces = real(m, upto)
     return [traces[0] + 1, *traces[1:]]
