@@ -31,7 +31,7 @@ from .serialize import (
 )
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symplectic import pfaffian
-from .words import check_word_length, parse_word
+from .words import check_word_length, decimal_value, parse_word
 
 
 def _max_dim() -> int:
@@ -85,9 +85,10 @@ def _parse_trace_word(text: str) -> TraceWord:
     for token in tokens:
         starred = token.endswith("*")
         idx = token[:-1] if starred else token
-        if not idx.isdigit():
+        index = decimal_value(idx)
+        if index is None:
             raise SchemaError(f"bad trace-word token {token!r}")
-        letters.append((int(idx), starred))
+        letters.append((index, starred))
     if not letters:
         raise SchemaError("empty trace word")
     return TraceWord(tuple(letters))

@@ -23,7 +23,7 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, entry_is_zero, exact_scalar, lambdas_of_matrix, mat_det
+from .matrices import RingMatrix, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, fresh_var
 from .symplectic import (
     SymplecticContext,
@@ -46,7 +46,7 @@ class GroupAlgebraElement:
         clean = {}
         for w, c in terms.items():
             c = exact_scalar(c)
-            if not entry_is_zero(c):
+            if c:
                 clean[tuple(w)] = c
         object.__setattr__(self, "terms", clean)
 

@@ -235,7 +235,7 @@ class GmaSpec:
             if i == j:
                 raise StructureError("diagonal blocks are implicitly Q and cannot be overridden")
             basis = tuple(_reduced_poly(b, self.ring) for b in basis)
-            basis = tuple(b for b in basis if not b.is_zero())
+            basis = tuple(b for b in basis if b)
             if basis:
                 blocks[(i, j)] = basis
         signs = {}
@@ -324,7 +324,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
                 for x in spec.span(i, j):
                     for y in spec.span(j, k) if j != k else (MultiPoly.constant(1, ring.vars),):
                         prod = ring.reduce(x * y)
-                        if prod.is_zero():
+                        if not prod:
                             continue
                         if i == k:
                             if not prod.is_constant():

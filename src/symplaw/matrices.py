@@ -69,12 +69,6 @@ def exact_scalar(x) -> Ring:
     return Fraction(x) if isinstance(_exact(x), int) else x
 
 
-def entry_is_zero(x: Ring) -> bool:
-    if isinstance(x, MultiPoly):
-        return x.is_zero()
-    return x == 0
-
-
 def _integer_rows(ratios) -> tuple:
     """(B, delta) with entries p/q = B / delta, for rows of integer pairs (p, q), q > 0.
 
@@ -283,9 +277,7 @@ class RingMatrix:
         return exact_scalar(sum(row[i] for i, row in enumerate(self.entries)))
 
     def is_zero(self) -> bool:
-        if self._ints is not None:
-            return not any(map(any, self._ints))
-        return all(entry_is_zero(x) for row in self.entries for x in row)
+        return not any(map(any, self.entries if self._ints is None else self._ints))
 
     def all_rational(self) -> bool:
         return self._ints is not None
@@ -426,7 +418,7 @@ def _cofactor_expansion(a: Sequence) -> Ring:
             low = rest & (-rest)
             j = low.bit_length() - 1
             entry = a[row][j]
-            if not entry_is_zero(entry):
+            if entry:
                 term = entry * det_of(mask ^ low)
                 if sign < 0:
                     term = -term
@@ -479,7 +471,7 @@ def _dot(u, v) -> Ring:
     """sum u_k * v_k over the pairs with no zero factor; the int 0 if there are none."""
     acc = None
     for a, b in zip(u, v):
-        if not (entry_is_zero(a) or entry_is_zero(b)):
+        if a and b:
             acc = a * b if acc is None else acc + a * b
     return 0 if acc is None else acc
 

@@ -103,6 +103,10 @@ class MultiPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self) -> bool:
+        """False exactly for the zero polynomial, as for int and Fraction zeros."""
+        return bool(self.terms)
+
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
@@ -237,7 +241,7 @@ class MultiPoly:
         it is stored and the buckets are built without a canonicalizing pass.
         """
         if var not in self.vars:
-            if self.is_zero():
+            if not self:
                 return {}
             return {0: self}
         i = self.vars.index(var)

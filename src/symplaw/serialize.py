@@ -18,7 +18,7 @@ from .gma import GmaSpec, GmaType, QuotientRing
 from .matrices import RingMatrix, matrix_from_ratios
 from .multipoly import MultiPoly
 from .symplectic import SymplecticContext
-from .words import parse_word
+from .words import decimal_value, parse_word
 
 
 # -- rationals ----------------------------------------------------------
@@ -26,7 +26,7 @@ from .words import parse_word
 
 def fraction_to_json(x: Fraction | int) -> str | int:
     if x.denominator == 1:
-        return int(x)
+        return x.numerator
     return f"{x.numerator}/{x.denominator}"
 
 
@@ -46,15 +46,6 @@ def _ratio_literal(text: str) -> tuple | None:
     return None
 
 
-def _rational_literal(text: str) -> Fraction:
-    """Fraction(text.strip()), read without Fraction's parser when text is "p" or "p/q".
-
-    Any other text goes to Fraction, so the value or exception is the same.
-    """
-    pair = _ratio_literal(text)
-    return Fraction(text.strip()) if pair is None else Fraction(*pair)
-
-
 def fraction_from_json(obj) -> Fraction:
     if isinstance(obj, bool):
         raise SchemaError(f"not a rational: {obj!r}")
@@ -62,7 +53,7 @@ def fraction_from_json(obj) -> Fraction:
         return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return _rational_literal(obj)
+            return Fraction(obj)
         except (ValueError, ZeroDivisionError) as e:
             raise SchemaError(f"bad rational literal {obj!r}") from e
     raise SchemaError(f"not a rational: {obj!r}")
@@ -141,9 +132,10 @@ def parse_poly_string(text: str) -> MultiPoly:
                 name, caret, exp = factor.partition("^")
                 if not name.isidentifier():
                     raise SchemaError(f"bad variable {name!r} in {text!r}")
-                if caret and not exp.isdecimal():
+                power = decimal_value(exp) if caret else 1
+                if power is None:
                     raise SchemaError(f"bad exponent {exp!r} in {text!r}")
-                factors[name] = factors.get(name, 0) + (int(exp) if caret else 1)
+                factors[name] = factors.get(name, 0) + power
         vs = tuple(sorted(factors))
         term = MultiPoly(vs, {tuple(factors[v] for v in vs): coef})
         total = term if total is None else total + term
@@ -172,7 +164,7 @@ def ring_value_from_json(obj):
         return Fraction(obj)
     if isinstance(obj, str):
         try:
-            return _rational_literal(obj)
+            return Fraction(obj)
         except (ValueError, ZeroDivisionError):
             return parse_poly_string(obj)
     raise SchemaError(f"unserializable value {obj!r}")

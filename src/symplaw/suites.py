@@ -85,6 +85,19 @@ def _spread(values, trials: int) -> list:
     return [(v, j) for i, v in enumerate(values) for j in range(base + (i < rem))]
 
 
+def _sp_pair(ctx: SymplecticContext, seed_a: int, seed_b: int) -> InvolutiveRepresentation:
+    """The Sp representation sending g1 and g2 to the samples drawn at ``seed_a`` and ``seed_b``."""
+    images = [sample_symplectic(ctx, seed_a), sample_symplectic(ctx, seed_b)]
+    return InvolutiveRepresentation.from_images(images)
+
+
+def _random_element(rng: random.Random) -> GroupAlgebraElement:
+    """Three terms: a word of at most 3 letters in g1, g2 times a / b, -3 <= a <= 3, b in {1, 2}."""
+    return GroupAlgebraElement({
+        random_word(rng, 2, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(3)
+    })
+
+
 # -- pfaffian suite ------------------------------------------------------
 
 
@@ -215,10 +228,7 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     ctx1 = SymplecticContext(1)
 
     def sl2_traces(trial):
-        rep = InvolutiveRepresentation.from_images(
-            [sample_symplectic(ctx1, seed * 31 + trial),
-             sample_symplectic(ctx1, seed * 37 + trial + 1)]
-        )
+        rep = _sp_pair(ctx1, seed * 31 + trial, seed * 37 + trial + 1)
         w = random_word(rng, 2, 4)
         if not w:
             return None
@@ -235,18 +245,8 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     ok = True
     sym_ok = True
     for trial in range(min(trials, 30)):
-        rep = InvolutiveRepresentation.from_images(
-            [sample_symplectic(ctx, seed * 41 + trial),
-             sample_symplectic(ctx, seed * 43 + trial + 1)]
-        )
-        xs = []
-        for _ in range(2):
-            terms = {
-                random_word(rng, 2, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                for _ in range(3)
-            }
-            xs.append(GroupAlgebraElement(terms))
-        x, y = xs
+        rep = _sp_pair(ctx, seed * 41 + trial, seed * 43 + trial + 1)
+        x, y = _random_element(rng), _random_element(rng)
         if eval_det_law(rep, x * y) != eval_det_law(rep, x) * eval_det_law(rep, y):
             ok = False
         if eval_det_law(rep, star(rep, x)) != eval_det_law(rep, x):
@@ -409,10 +409,7 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
     reps = {}
     for dd in sorted({1, min(d, 2)}):
         ctx = SymplecticContext(dd)
-        reps[f"Sp_{2 * dd}"] = InvolutiveRepresentation.from_images(
-            [sample_symplectic(ctx, seed * 67 + dd), sample_symplectic(ctx, seed * 71 + dd)],
-            kind="Sp",
-        )
+        reps[f"Sp_{2 * dd}"] = _sp_pair(ctx, seed * 67 + dd, seed * 71 + dd)
         reps[f"GSp_{2 * dd}"] = InvolutiveRepresentation.from_images(
             [
                 sample_similitude(ctx, seed * 73 + dd, factor=Fraction(2)),
@@ -446,11 +443,7 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
         if p_law(GroupAlgebraElement.one()) != 1:
             ok_one = False
         for _ in range(max(1, min(trials, 100) // max(len(reps), 1))):
-            terms = {
-                random_word(rng, 2, 3): Fraction(rng.randint(-3, 3), rng.randint(1, 2))
-                for _ in range(3)
-            }
-            x = GroupAlgebraElement(terms)
+            x = _random_element(rng)
             if d_law(x) != eval_det_law(rep, x):
                 ok_agree = False
             sym = x + star(rep, x)

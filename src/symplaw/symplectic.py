@@ -25,7 +25,6 @@ from typing import Callable, Sequence
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
     RingMatrix,
-    entry_is_zero,
     entry_vars,
     exact_scalar,
     lambdas_from_char_poly,
@@ -178,7 +177,7 @@ def _pfaffian_expansion(a) -> Ring:
         while left:
             low = left & -left
             entry = row[low.bit_length() - 1]
-            if not entry_is_zero(entry):
+            if entry:
                 term = entry * pf(rest ^ low)
                 if sign < 0:
                     term = -term

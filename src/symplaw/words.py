@@ -26,6 +26,16 @@ def check_word_length(letters: int) -> None:
         raise CapacityError(f"word longer than the {MAX_WORD_LETTERS}-letter guard")
 
 
+def decimal_value(text: str) -> int | None:
+    """int(text) if text is one or more decimal digits within the int digit limit, else None."""
+    if text.isdecimal():
+        try:
+            return int(text)
+        except ValueError:  # past the int digit limit
+            pass
+    return None
+
+
 def reduce_letters(letters) -> Word:
     out: list = []
     for gen, sign in letters:

@@ -313,11 +313,19 @@ def _matrices_blob(count, matrix=_identity(2)):
         ("detlaw", _element_blob(MAX_ELEMENT_TERMS + 1)),
         ("theta", _theta_blob(MAX_EVAL_ARGUMENTS + 1)),
         ("invariant", _matrices_blob(MAX_EVAL_ARGUMENTS + 1)),
+        ("invariant", _invariant_blob("\u00b2")),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1\u00b9"}, "gammas": ["g1"]}),
+        ("invariant", _invariant_blob("1" * 5000)),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1" * 5000 + "*"},
+                   "gammas": ["g1"]}),
+        ("detlaw", {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": "u^" + "1" * 5000}]}}),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
          "trace_word_over_cap", "element_terms_over_cap", "theta_gammas_over_cap",
-         "invariant_matrices_over_cap"],
+         "invariant_matrices_over_cap", "trace_word_superscript", "trace_word_superscript_index",
+         "trace_word_index_past_digit_limit", "trace_word_starred_index_past_digit_limit",
+         "coefficient_exponent_past_digit_limit"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])

@@ -24,7 +24,9 @@ MAX_DIM = 4  # small, so that matrices above the cap stay cheap
 
 VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3", "u^-1", "g3",
           [], {}, [[]], [1], {"a": 1},
-          ["g1"] * (MAX_EVAL_ARGUMENTS + 1))  # one past the argument cap, as gammas or matrices
+          ["g1"] * (MAX_EVAL_ARGUMENTS + 1),  # one past the argument cap, as gammas or matrices
+          "\u00b2",  # a digit to isdigit, but not to int
+          "1" * 4301)  # one digit past CPython's default int digit limit
 
 
 def _identity(n):

@@ -61,6 +61,14 @@ def _negated(original):
     return lambda *args: -original(*args)
 
 
+def _last_coefficient_negated(original):
+    def fault(a, *dot):
+        coeffs = original(a, *dot)
+        return coeffs[:-1] + [-coeffs[-1]]
+
+    return fault
+
+
 def _plain_transpose(original):
     return lambda self, m: m.transpose()
 
@@ -80,6 +88,8 @@ FAULTS = {
     "sample_symplectic_identity": (symplectic, "sample_symplectic", _identity_sample),
     "bareiss_sign_flip_from_6": (matrices, "_det_bareiss", _sign_flip_from_6),
     "pfaffian_expansion_negated": (symplectic, "_pfaffian_expansion", _negated),
+    "berkowitz_last_coefficient_negated": (matrices, "_berkowitz", _last_coefficient_negated),
+    "cofactor_expansion_negated": (matrices, "_cofactor_expansion", _negated),
     "right_product_negated": (SignedPermutation, "right_product", _negated),
     "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
     "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
@@ -103,6 +113,13 @@ SEEN = {
     "rho_word_inverse_letters_as_generators": (
         "det-law and pseudochar stop with an error: the image of x + x* is no longer"
         " j-symmetric, so its M J is not alternating"),
+    "berkowitz_last_coefficient_negated": (
+        "det-law, pfaffian and gma stop with an error: Lambda_2d = det changes sign, so the"
+        " Lambda-vector of a j-symmetric matrix is no longer a square; pseudochar:"
+        " comparison_agrees_with_det_laws, comparison_p_squared_equals_d"),
+    "cofactor_expansion_negated": (
+        "gma: *_pf_squares_to_det and counterexample_witness_in_kernel_of_D, which compare"
+        " with the determinant of a GMA element, a polynomial matrix"),
 }
 UNSEEN = {
     "sample_symplectic_identity": (

@@ -90,6 +90,29 @@ def test_cleared_form_stays_inside_matrices():
     assert not found, found
 
 
+def _catches_value_error(handler) -> bool:
+    names = ast.walk(handler.type) if handler.type is not None else ()
+    return any(isinstance(n, ast.Name) and n.id == "ValueError" for n in names)
+
+
+def test_every_int_call_of_a_parser_catches_value_error():
+    """In the modules that read input text, every ``int()`` call sits in the body of a ``try``
+    that catches ``ValueError``: ``int`` refuses some digit strings (superscripts, more digits
+    than the int digit limit) that ``isdigit`` and ``isdecimal`` let through."""
+    found = []
+    for path in SOURCES:
+        if path.name not in ("cli.py", "serialize.py", "words.py"):
+            continue
+        tree = _parse(path)
+        guarded = {id(node) for tried in ast.walk(tree)
+                   if isinstance(tried, ast.Try) and any(map(_catches_value_error, tried.handlers))
+                   for stmt in tried.body for node in ast.walk(stmt)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id == "int" and id(node) not in guarded]
+    assert not found, found
+
+
 def _defined_names(tree):
     """(name, line) of each function, class, method and module-level name a module defines."""
     for node in tree.body:

@@ -248,6 +248,13 @@ def test_a_polynomial_matrix_holds_canonical_scalars():
     assert (m * half)[1, 0] == Fraction(1, 6)
 
 
+def test_a_polynomial_matrix_of_zeros_is_zero():
+    u = MultiPoly.variable("u")
+    m = RingMatrix([[MultiPoly.zero(("u",)), 0], [u - u, Fraction(0)]])
+    assert m.cleared() is None and m.is_zero()
+    assert not RingMatrix([[MultiPoly.zero(("u",)), 0], [0, u]]).is_zero()
+
+
 def test_a_matrix_built_with_no_polynomial_entry_is_rational():
     m = RingMatrix([[1, MultiPoly.constant(2, ("u",))], [0, 2]])
     r = m.map_entries(lambda x: x.constant_value() if isinstance(x, MultiPoly) else x)

@@ -50,6 +50,16 @@ def test_scalar_interop():
     assert x - x == 0
 
 
+def test_bool_is_false_exactly_for_the_zero_polynomial():
+    assert not bool(MultiPoly.zero(("u",)))
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    values = [0, 3, -1, Fraction(0), Fraction(1, 2), MultiPoly.zero(), MultiPoly.zero(("u",)),
+              MultiPoly.constant(3), MultiPoly.constant(0, ("u",)), u, u - v,
+              (u + v) * (u - v) - u**2 + v**2, u * Fraction(1, 3) * 3 - u]
+    for x in values:
+        assert (not x) == (x == 0), x
+
+
 def test_alignment_across_variable_sets():
     x = MultiPoly.variable("x")
     y = MultiPoly.variable("y")

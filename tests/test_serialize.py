@@ -11,7 +11,6 @@ from symplaw.gma import counterexample_fixture, standard_fixture
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
 from symplaw.serialize import (
-    _rational_literal,
     fraction_from_json,
     fraction_to_json,
     gma_spec_from_json,
@@ -58,27 +57,8 @@ def _ring_value_reference(text):
 
 @pytest.mark.parametrize("text", LITERALS)
 def test_rational_literal_reader_matches_fraction(text):
-    assert _outcome(_rational_literal, text) == _outcome(lambda t: Fraction(t.strip()), text)
     assert _outcome(fraction_from_json, text) == _outcome(_fraction_reference, text)
     assert _outcome(ring_value_from_json, text) == _outcome(_ring_value_reference, text)
-
-
-class _IntegerPairFraction(Fraction):
-    """A Fraction that refuses to parse strings."""
-
-    def __new__(cls, numerator=0, denominator=None):
-        assert not isinstance(numerator, str), numerator
-        return Fraction(numerator, denominator)
-
-
-def test_rational_literal_reads_p_and_p_over_q_directly(monkeypatch):
-    # without Fraction's parser, the plain forms still read; the others no longer do
-    monkeypatch.setattr("symplaw.serialize.Fraction", _IntegerPairFraction)
-    assert [_rational_literal(t) for t in ("5", "-0", "007/010", "-3/4")] == [
-        5, 0, Fraction(7, 10), Fraction(-3, 4)]
-    for text in ("+3", " 4 ", "--5", "3/-4", "1/0"):
-        with pytest.raises(AssertionError):
-            _rational_literal(text)
 
 
 def test_fraction_round_trip():
