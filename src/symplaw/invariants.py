@@ -145,32 +145,19 @@ class InvariantFunction:
         return ("similitude", self.arity, self.var_index, self.power)
 
 
-# The two most recent (word letters, matrices, Lambda-vector) triples.  Loops
-# that compare sigma_1..sigma_2d of one word on a tuple and on its conjugate
-# alternate between two tuples, so two entries serve every index after the
-# first.  Matrices are matched by identity: each entry holds its matrices, so
-# their ids cannot be reused while cached, and RingMatrix is immutable.
-_recent_lambdas: tuple = ()
-
-
-def _cached_word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> tuple:
-    global _recent_lambdas
-    mats = tuple(mats)
-    for letters, cached_mats, lams in _recent_lambdas:
-        if letters == word.letters and len(cached_mats) == len(mats) and all(
-            a is b for a, b in zip(cached_mats, mats)
-        ):
-            return lams
-    lams = word_lambdas(word, mats)
-    _recent_lambdas = ((word.letters, mats, lams),) + _recent_lambdas[:1]
-    return lams
-
-
 # bounds the size of lambda^k: |k| times the longer bit length of lambda's numerator and denominator
 _MAX_POWER_BITS = 1 << 20
 
 
-def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix]) -> Fraction:
+def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
+                   lambdas: dict | None = None) -> Fraction:
+    """f at mats.  ``lambdas``, a dict the caller keeps, memoizes the Lambda-vectors of word values.
+
+    ("word", letters, cleared arguments) keys form a word value once for every sigma_i, and
+    ("value", B, delta) keys let equal word values share one Lambda-vector; the tags keep the
+    kinds apart, since a row (1, 0) of B equals the letter (1, False).  Arguments without a
+    cleared form bypass the memo.
+    """
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
     n = mats[0].rows
@@ -184,7 +171,19 @@ def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix]) -> Fraction
         return lam**f.power
     if not 1 <= f.sigma_index <= n:
         raise DimensionError(f"sigma index {f.sigma_index} out of range for 2d = {n}")
-    return _cached_word_lambdas(f.word, mats)[f.sigma_index]
+    args = tuple(m.cleared() for m in mats)
+    if lambdas is None or None in args:
+        return word_lambdas(f.word, mats)[f.sigma_index]
+    key = ("word", f.word.letters, args)
+    lams = lambdas.get(key)
+    if lams is None:
+        value = word_value(f.word, mats, SymplecticContext(n // 2))
+        value_key = ("value", *value.cleared())
+        lams = lambdas.get(value_key)
+        if lams is None:
+            lams = lambdas[value_key] = lambdas_of_matrix(value)
+        lambdas[key] = lams
+    return lams[f.sigma_index]
 
 
 def relabel(f: InvariantFunction, zeta: Sequence[int], arity: int) -> InvariantFunction:
@@ -226,7 +225,8 @@ def check_invariance(fs: Sequence[InvariantFunction], mats: Sequence[RingMatrix]
     """The first f of fs whose value on g mats g^(-1) differs from that on mats, else None."""
     gi = g.inverse()
     conj = [g * m * gi for m in mats]
-    return next((f for f in fs if eval_invariant(f, conj) != eval_invariant(f, mats)), None)
+    memo: dict = {}  # sigma_1..sigma_2d of one word on one tuple form its value once
+    return next((f for f in fs if eval_invariant(f, conj, memo) != eval_invariant(f, mats, memo)), None)
 
 
 # -- Lie-algebra oracle ------------------------------------------------

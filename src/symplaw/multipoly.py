@@ -100,9 +100,6 @@ class MultiPoly:
 
     # -- structure ----------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         """False exactly for the zero polynomial, as for int and Fraction zeros."""
         return bool(self.terms)

@@ -35,11 +35,13 @@ class Pseudocharacter:
 
     The cache maps (function key, word tuple) to the exact value; entries
     are always re-derivable from the representation, and tests may corrupt
-    one deliberately to exercise axiom-failure detection.
+    one deliberately to exercise axiom-failure detection.  ``lambdas`` is the
+    Lambda-vector memo of eval_invariant, which holds no value of f.
     """
 
     rep: InvolutiveRepresentation
     cache: dict = field(default_factory=dict)
+    lambdas: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def kind(self) -> str:
@@ -60,7 +62,7 @@ def theta_eval(pc: Pseudocharacter, f: InvariantFunction, gammas) -> Fraction:
     if key in pc.cache:
         return pc.cache[key]
     mats = [pc.rep.rho_word(w) for w in gammas]
-    value = eval_invariant(f, mats)
+    value = eval_invariant(f, mats, pc.lambdas)
     pc.cache[key] = value
     return value
 

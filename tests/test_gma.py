@@ -131,8 +131,8 @@ def test_involution_and_product_match_the_dense_form_under_mixed_tau_signs():
 def test_quotient_ring_reduction_and_span():
     ring = QuotientRing(("u", "v"), ((2, 0), (1, 1)))
     u, v = ring.variable("u"), ring.variable("v")
-    assert ring.reduce(u * u).is_zero()
-    assert ring.reduce(u * v).is_zero()
+    assert not ring.reduce(u * u)
+    assert not ring.reduce(u * v)
     assert ring.reduce(v * v) == v * v
     assert in_span(2 * u, (u,), ring)
     assert not in_span(v, (u,), ring)
@@ -320,7 +320,7 @@ def reference_in_span(p, basis, ring):
         return ring.reduce(x if isinstance(x, MultiPoly) else MultiPoly.constant(x, ring.vars))
 
     p = reduced(p)
-    if p.is_zero():
+    if not p:
         return True
     polys = [reduced(b) for b in basis] + [p]
     monos = sorted({exp for q in polys for exp in q.terms})

@@ -2,7 +2,7 @@
 
 char_poly (Berkowitz) against the cofactor determinant of tI - M, the
 signed-permutation symplectic transpose, GMA involution and right product
-with J against the products with J and J_delta, the memoized Lambda-vector behind
+with J against the products with J and J_delta, the Lambda-vector memo of
 eval_invariant against a fresh computation, the integer kernels for
 rational matrices (product, inverse, determinant, Pfaffian, char_poly,
 rank) against plain Fraction references kept in this file, the cleared
@@ -189,6 +189,7 @@ def test_word_lambdas_agree_with_eval_invariant():
 def test_eval_invariant_memo_never_returns_a_stale_value():
     rng = random.Random(28)
     w = TraceWord(((1, False), (2, True), (1, False)))
+    lambdas = {}  # one memo through every call below
     for d in (1, 2):
         n = 2 * d
         fs = [InvariantFunction.sigma(i, w, arity=2) for i in range(1, n + 1)]
@@ -198,17 +199,29 @@ def test_eval_invariant_memo_never_returns_a_stale_value():
         expected = {id(base): word_lambdas(w, base), id(other): word_lambdas(w, other)}
         expected[id(copies)] = expected[id(base)]
         for f in fs:
-            # three tuples interleaved, more than the memo holds
+            for mats in (base, other):
+                assert eval_invariant(f, mats, lambdas) == expected[id(mats)][f.sigma_index]
+        size = len(lambdas)
+        for f in fs:
             for mats in (base, other, copies, base, other):
-                assert eval_invariant(f, mats) == expected[id(mats)][f.sigma_index]
+                assert eval_invariant(f, mats, lambdas) == expected[id(mats)][f.sigma_index]
+        assert len(lambdas) == size  # the copies are found by value
         # Temporaries built from ready entries, so that CPython hands a new
         # matrix the memory, and so the id, of one just freed: a memo keyed on
         # ids alone would answer with the values of the freed matrices.
         tuples = [[random_matrix(n, rng, 3).entries for _ in range(2)] for _ in range(20)]
         for k, rows in enumerate(tuples):
             f = fs[k % n]
-            got = eval_invariant(f, [RingMatrix(r) for r in rows])
+            got = eval_invariant(f, [RingMatrix(r) for r in rows], lambdas)
             assert got == word_lambdas(w, [RingMatrix(r) for r in rows])[f.sigma_index]
+        # a polynomial entry leaves no cleared form to key on, so the memo is bypassed
+        size = len(lambdas)
+        rows = [list(row) for row in base[0].entries]
+        rows[0][0] += MultiPoly.variable("u")
+        poly = [RingMatrix(rows), base[1]]
+        for f in fs:
+            assert eval_invariant(f, poly, lambdas) == word_lambdas(w, poly)[f.sigma_index]
+        assert len(lambdas) == size
 
 
 # -- integer kernels for rational matrices -----------------------------------

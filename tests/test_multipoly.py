@@ -201,7 +201,7 @@ def test_trusted_arithmetic_matches_validated_construction():
             rebuilt = MultiPoly.zero(p.vars)
             for deg, bucket in buckets.items():
                 _assert_trusted(bucket, _rebuilt(bucket))
-                assert not bucket.is_zero() and var not in bucket.vars
+                assert bucket and var not in bucket.vars
                 rebuilt = rebuilt + bucket * MultiPoly.variable(var) ** deg
             assert rebuilt == p
 
@@ -215,7 +215,7 @@ def test_scalar_results_store_canonical_coefficients():
     assert type((x + Fraction(1, 2)).terms[(0,)]) is Fraction
     assert all(type(c) is int for c in (x * Fraction(3)).terms.values())
     assert all(type(c) is int for c in ((x * Fraction(1, 2)) * 2).terms.values())
-    assert (x * 0).is_zero() and (x * 0).vars == ("x",)
+    assert not x * 0 and (x * 0).vars == ("x",)
     assert x + 0 is x
 
 

@@ -12,7 +12,7 @@ from symplaw.detlaws import (
     star,
 )
 from symplaw.errors import ArityError, UnsupportedKindError
-from symplaw.invariants import InvariantFunction, TraceWord
+from symplaw.invariants import InvariantFunction, TraceWord, eval_invariant
 from symplaw.matrices import RingMatrix
 from symplaw.pseudochar import (
     Pseudocharacter,
@@ -105,6 +105,25 @@ def test_corrupted_cache_detected():
     corrupted = verify_axioms(pc, trials=25, seed=7)
     assert not corrupted["passed"]
     assert corrupted["failures"]
+
+
+def test_lambda_memo_holds_no_value_of_f():
+    pc = gsp_pc(2, [37, 38], [Fraction(4), Fraction(1, 2)])
+    assert verify_axioms(pc, trials=25, seed=7)["passed"]
+    for (key, gammas), value in pc.cache.items():
+        if key[0] == "sigma":
+            f = InvariantFunction.sigma(key[2], TraceWord(key[3]), key[1])
+        else:
+            f = InvariantFunction.similitude_power(key[2], key[3], key[1])
+        assert eval_invariant(f, [pc.rep.rho_word(w) for w in gammas]) == value
+    # the two routes of an axiom form equal word values, which share one Lambda-vector
+    kinds = [k[0] for k in pc.lambdas]
+    assert 0 < kinds.count("value") < kinds.count("word")
+    memo = dict(pc.lambdas)
+    key = sorted(pc.cache, key=repr)[0]
+    pc.cache[key] = pc.cache[key] + 1
+    assert not verify_axioms(pc, trials=25, seed=7)["passed"]
+    assert pc.lambdas == memo
 
 
 def test_comparison_matches_det_laws():

@@ -345,8 +345,8 @@ def _empty_word_not_halved(pc, x, real=pseudochar._symmetric_decomposition):
 PSEUDOCHAR_CONTROLS = {
     # each invariant value comes out larger by the arity of its function
     "axioms_*": (
-        pseudochar, "eval_invariant", lambda f, mats, real=pseudochar.eval_invariant:
-        real(f, mats) + f.arity),
+        pseudochar, "eval_invariant", lambda f, mats, lambdas=None, real=pseudochar.eval_invariant:
+        real(f, mats, lambdas) + f.arity),
     # theta_eval never reads its cache, so a corrupted entry goes unseen
     "corrupted_cache_detected": (pseudochar, "theta_eval", _theta_cache_never_read),
     # the determinant is one too large
