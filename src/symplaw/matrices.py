@@ -3,12 +3,13 @@
 Determinants are exact: Bareiss fraction-free elimination (E. H. Bareiss,
 Math. Comp. 22, 1968) on the cleared integer rows of every rational matrix,
 and division-free cofactor expansion (dynamic programming over column
-subsets) on the entries of any other matrix.  The characteristic
-polynomial uses Berkowitz's division-free algorithm (S. J. Berkowitz,
-IPL 18, 1984): O(n^4) ring operations on the entries themselves, so it
-serves rational, polynomial and quotient-ring entries alike.  Every check
-in this library lives at dimension <= 12, so no sparse or asymptotically
-clever machinery is needed.
+subsets) on the entries of any other matrix, because at the sizes checked
+here it beats both Bareiss over polynomials and interpolation at points.
+The characteristic polynomial uses Berkowitz's division-free algorithm
+(S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
+themselves, so it serves rational, polynomial and quotient-ring entries
+alike.  Every check in this library lives at dimension <= 12, so no sparse
+or asymptotically clever machinery is needed.
 
 Every matrix holds one of two entry forms, fixed when it is built (in
 ``_fill``, the one place that sets entries):
@@ -32,13 +33,13 @@ product is B1 B2 / (delta1 delta2), sums, negation, scalar multiples,
 transposes and the signed reindexing of ``RingMatrix.rearranged`` keep or
 rescale delta, equality compares the pairs, the trace is tr(B) / delta,
 the k-th characteristic-polynomial coefficient c_k(B) / delta^k, the
-determinant det(B) / delta^n and the inverse delta B^(-1) (integer
-Gauss-Jordan, each row divided by its content).  No Fraction is built in
-between: a result of these kernels makes its Fraction ``entries`` only when
-they are read (``entries``, ``m[i, j]``, JSON output).  The division-free
-routines (Berkowitz, and the Pfaffian recursion in ``symplectic``) run
-unchanged on either B or the entries.  Polynomial matrices have no cleared
-form and take the generic path.
+determinant det(B) / delta^n and the inverse delta B^(-1) (the same
+Bareiss elimination on [B | I], continued above each pivot).  No Fraction
+is built in between: a result of these kernels makes its Fraction
+``entries`` only when they are read (``entries``, ``m[i, j]``, JSON
+output).  The division-free routines (Berkowitz, and the Pfaffian
+recursion in ``symplectic``) run unchanged on either B or the entries.
+Polynomial matrices have no cleared form and take the generic path.
 """
 
 from __future__ import annotations
@@ -287,10 +288,9 @@ class RingMatrix:
     def inverse(self) -> "RingMatrix":
         """Exact inverse delta * B^(-1) of A = B / delta; raises on singular input.
 
-        B^(-1) comes from Gauss-Jordan elimination over the integers on
-        [B | I]: each cleared row is divided by its content, so that the
-        entries stay small, and row i ends as (d_i e_i | v_i) with
-        B^(-1) row i = v_i / d_i.
+        Bareiss elimination on [B | I], continued above each pivot, ends in
+        [D Id | D B^(-1)] for the last pivot D, which is det(B) up to the
+        sign of the row swaps; A^(-1) is delta (D B^(-1)) / D.
         """
         if not self.is_square():
             raise DimensionError("inverse of a non-square matrix")
@@ -298,25 +298,11 @@ class RingMatrix:
             raise TypeError("inverse requires rational entries")
         n = self.rows
         aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._ints)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if aug[r][col]), None)
-            if pivot is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            prow = aug[col]
-            pv = prow[col]
-            for r in range(n):
-                f = aug[r][col]
-                if r != col and f:
-                    row = [pv * x - f * y for x, y in zip(aug[r], prow)]
-                    g = gcd(*row)
-                    aug[r] = [x // g for x in row] if g > 1 else row
-        # row i of the inverse is delta v_i / d_i; over the common denominator L = lcm |d_i|
-        # it is delta v_i (L / d_i) / L
-        den = lcm(*[row[i] for i, row in enumerate(aug)])
-        return RingMatrix._cleared(
-            [[self._den * (den // row[i]) * x for x in row[n:]] for i, row in enumerate(aug)], den
-        )
+        if not _bareiss(aug, n, above=True):
+            raise ZeroDivisionError("singular matrix")
+        last = aug[-1][n - 1]
+        scale = self._den if last > 0 else -self._den
+        return RingMatrix._cleared([[scale * x for x in row[n:]] for row in aug], abs(last))
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -432,27 +418,37 @@ def _cofactor_expansion(a: Sequence) -> Ring:
 
 
 def _det_bareiss(m: RingMatrix) -> Fraction:
-    """det(B) / delta^n for rational M = B / delta, by Bareiss's exact-division elimination on B."""
-    a = list(map(list, m._ints))
-    n = m.rows
+    """det(B) / delta^n for rational M = B / delta, by Bareiss elimination on B."""
+    return Fraction(_bareiss(list(map(list, m._ints)), m.rows), m._den ** m.rows)
+
+
+def _bareiss(a: list, n: int, above: bool = False) -> int:
+    """Bareiss elimination in place on integer rows [B | C], B n x n; det(B), 0 if singular.
+
+    Step k clears column k below its pivot, and above it too when ``above``,
+    dividing every update exactly by the previous pivot.  With ``above``, C
+    ends as D B^(-1) C for the last pivot D = a[n - 1][n - 1].
+    """
+    width = len(a[0])
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n if above else n - 1):  # the last step only clears above
         if not a[k][k]:
             pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
             if pivot is None:
-                return Fraction(0)
+                return 0
             a[k], a[pivot] = a[pivot], a[k]
             sign = -sign
         pk, rk = a[k][k], a[k]
-        for i in range(k + 1, n):
+        # a row whose entry in column k is 0 is still rescaled by pk / prev
+        for i in chain(range(k), range(k + 1, n)) if above else range(k + 1, n):
             ri = a[i]
             f = ri[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 ri[j] = (ri[j] * pk - f * rk[j]) // prev
             ri[k] = 0
         prev = pk
-    return Fraction(sign * a[n - 1][n - 1], m._den ** n)
+    return sign * a[n - 1][n - 1]
 
 
 def entry_vars(m: RingMatrix) -> set:

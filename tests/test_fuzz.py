@@ -5,8 +5,12 @@ Each case starts from one valid input: one per ``eval`` verb (the P law of
 ``suite gma --input``.  A mutation replaces one or two leaves with a value
 from ``VALUES``, deletes a key, or puts a matrix one size above
 ``SYMPLAW_MAX_DIM`` in place of one; ``cli.main`` then runs in process.  It
-must return 0, 1 or 2, and no exception may escape it.  Every input this has
-flagged is pinned as a named case in ``tests/test_cli.py``.
+must return 0, 1 or 2, and no exception may escape it.  The splices, all of
+them and in order, put each string of ``VALUES`` in place of each token of
+each string leaf (a letter or index of a word, a numeral, a variable or a
+``^`` exponent) and of each whole term, so that a malformed token reaches
+the parsers inside an otherwise valid field.  Every input this has flagged
+is pinned as a named case in ``tests/test_cli.py``.
 """
 
 import contextlib
@@ -14,6 +18,7 @@ import copy
 import io
 import json
 import random
+import re
 
 import pytest
 
@@ -82,6 +87,21 @@ def _get(blob, path):
     return blob
 
 
+def _string_leaves(blob) -> list:
+    return [p for p in _paths(blob) if isinstance(_get(blob, p), str)]
+
+
+# the splice cases: every case above with a string leaf, and a polynomial coefficient with "^"
+SPLICE_CASES = {name: case for name, case in CASES.items() if _string_leaves(case[1])}
+SPLICE_CASES["detlaw_poly"] = (["eval", "detlaw"], {
+    "rep": _REP, "law": "D",
+    "element": {"terms": [{"word": "g1 g2^-1", "coef": "u^2 - 1/2*u*v + 3"},
+                          {"word": "g2", "coef": "v"}]}})
+SPLICES = tuple(v for v in VALUES if isinstance(v, str))
+TOKEN = re.compile(r"\w+")
+TERM = re.compile(r"[^\s+-](?:[^+-]*[^\s+-])?")  # a term of a polynomial string, or a whole word
+
+
 def _is_matrix(node):
     return (isinstance(node, list) and node and all(isinstance(r, list) and r for r in node)
             and not any(isinstance(x, list) for r in node for x in r))
@@ -116,6 +136,17 @@ def mutations(blob, rng, count):
             yield out, "; ".join(said)
 
 
+def splices(blob):
+    """Every pair (copy of ``blob`` with a string of ``SPLICES`` spliced into a leaf, what changed)."""
+    for path in _string_leaves(blob):
+        text = _get(blob, path)
+        for start, end in sorted({m.span() for r in (TOKEN, TERM) for m in r.finditer(text)}):
+            for value in SPLICES:
+                out = copy.deepcopy(blob)
+                _get(out, path[:-1])[path[-1]] = text[:start] + value + text[end:]
+                yield out, f"{path}: {text[start:end]!r} -> {value[:20]!r} ({len(value)} chars)"
+
+
 def run(argv, blob, tmp_path):
     """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped."""
     path = tmp_path / "in.json"
@@ -128,16 +159,31 @@ def run(argv, blob, tmp_path):
         return e
 
 
+def _flagged(argv, variants, tmp_path) -> list:
+    """(what changed, outcome) for each variant on which ``main`` does not return 0, 1 or 2."""
+    flagged = []
+    for blob, what in variants:
+        code = run(argv, blob, tmp_path)
+        if code not in (0, 1, 2):
+            flagged.append((what, repr(code)))
+    return flagged
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_mutated_inputs_exit_0_1_or_2(name, tmp_path, monkeypatch):
     monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
     argv, blob = CASES[name]
     assert run(argv, blob, tmp_path) == 0
-    flagged = []
-    for mutated, what in mutations(blob, random.Random(f"fuzz:{name}"), 300):
-        code = run(argv, mutated, tmp_path)
-        if code not in (0, 1, 2):
-            flagged.append((what, repr(code)))
+    flagged = _flagged(argv, mutations(blob, random.Random(f"fuzz:{name}"), 300), tmp_path)
+    assert not flagged, flagged
+
+
+@pytest.mark.parametrize("name", sorted(SPLICE_CASES))
+def test_spliced_inputs_exit_0_1_or_2(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
+    argv, blob = SPLICE_CASES[name]
+    assert run(argv, blob, tmp_path) == 0
+    flagged = _flagged(argv, splices(blob), tmp_path)
     assert not flagged, flagged
 
 

@@ -95,6 +95,7 @@ FAULTS = {
     "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
     "rho_word_inverse_letters_as_generators": (
         InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
+    "inverse_negated": (RingMatrix, "inverse", _negated),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
@@ -120,6 +121,10 @@ SEEN = {
     "cofactor_expansion_negated": (
         "gma: *_pf_squares_to_det and counterexample_witness_in_kernel_of_D, which compare"
         " with the determinant of a GMA element, a polynomial matrix"),
+    "inverse_negated": (
+        "invariants: generators_invariant_under_conjugation; pseudochar stops with an error:"
+        " the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1), which is not"
+        " j-symmetric, so its reduced Pfaffian is refused"),
 }
 UNSEEN = {
     "sample_symplectic_identity": (

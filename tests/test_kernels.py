@@ -12,7 +12,7 @@ of a representation against plain products.
 
 import random
 from fractions import Fraction
-from itertools import chain, product
+from itertools import chain, permutations, product
 from math import gcd
 
 import pytest
@@ -279,6 +279,19 @@ def _zero_first_pivot(rng, n):
     return RingMatrix(rows)
 
 
+def _permuted_diagonal(rng, perm):
+    """P D, for P with ones at (i, perm[i]) and D a random rational diagonal matrix.
+
+    Most entries above each pivot are 0, and odd permutations swap rows an odd
+    number of times in elimination.
+    """
+    n = len(perm)
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i, j in enumerate(perm):
+        rows[i][j] = Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 97)))
+    return RingMatrix(rows)
+
+
 def _kernel_inputs():
     rng = random.Random(31)
     for n in (1, 2, 3, 4, 7, 12):
@@ -288,6 +301,9 @@ def _kernel_inputs():
         yield f"singular n={n}", _singular(rng, n)
         if n > 1:
             yield f"zero pivot n={n}", _zero_first_pivot(rng, n)
+    for n in (3, 4):
+        for perm in permutations(range(n)):
+            yield f"permuted diagonal {''.join(map(str, perm))}", _permuted_diagonal(rng, perm)
 
 
 KERNEL_INPUTS = list(_kernel_inputs())
