@@ -17,7 +17,10 @@ echelon rows that each spec computes once per block.
 Random elements are combinations of the reduced block bases, so they are
 built already reduced; a matrix given to a public entry point is reduced
 once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
-traces of reduced matrices are reduced, so only products are reduced again.
+traces of reduced matrices are reduced.  Products reduce as they form:
+``QuotientRing.dot`` reduces each inner product, so the Berkowitz inner
+products behind the Lambda-vector and the matrix products of chi^P and of
+the kernel probe never carry a nil term.
 The trace/determinant land in Q; the Pfaffian-type law is the form's reduced
 Pfaffian Pf(MJ_delta) / Pf(J_delta) when MJ_delta is alternating and
 otherwise comes from the determinant through the coefficient recursion (the
@@ -36,7 +39,7 @@ from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
+from .matrices import IntegerEliminator, RingMatrix, _berkowitz_lambdas, _dot, mat_det
 from .multipoly import MultiPoly, Ring
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
@@ -83,6 +86,18 @@ class QuotientRing:
         return MultiPoly._trusted(
             self.vars, {exp: c for exp, c in x.terms.items() if not divisible[exp]}
         )
+
+    def dot(self, u, v) -> Ring:
+        """The inner product of two sequences of ring entries, reduced."""
+        return self.reduce(_dot(u, v))
+
+    def product(self, a: RingMatrix, b: RingMatrix) -> RingMatrix:
+        """a b with every entry reduced as it forms: one ``dot`` of a row of a and a column of b."""
+        if a.cols != b.rows:
+            raise DimensionError("shape mismatch in matrix product")
+        dot = self.dot
+        cols = list(zip(*b.entries))
+        return RingMatrix._trusted([[dot(row, col) for col in cols] for row in a.entries])
 
     def reduce_matrix(self, m: RingMatrix) -> RingMatrix:
         """m with every entry reduced; m itself if ``reduce`` keeps every entry."""
@@ -381,10 +396,14 @@ def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
 
 
 def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> tuple:
-    """(T_0..T_d) for a symmetric GMA element, from the Lambda recursion."""
+    """(T_0..T_d) for a symmetric GMA element, from the Lambda recursion.
+
+    The Lambda-vector comes from Berkowitz run in the quotient ring, every
+    inner product reduced as it forms.
+    """
     return pfaffian_coeffs_from_lambdas(
-        [_constant_or_raise(spec.ring.reduce(lam), f"Lambda_{i} of a GMA element")
-         for i, lam in enumerate(lambdas_of_matrix(m))])
+        [_constant_or_raise(lam, f"Lambda_{i} of a GMA element")
+         for i, lam in enumerate(_berkowitz_lambdas(m.entries, spec.ring.dot))])
 
 
 def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
@@ -392,8 +411,8 @@ def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     m = spec.check_membership(m)
     if spec._form.adjoint(m) != m:
         raise StructureError("chi^P is evaluated at symmetric elements")
-    # reduction modulo a monomial ideal is a ring homomorphism, so reducing once is exact
-    return spec.ring.reduce_matrix(matrix_poly_value(gma_pf_coeffs(spec, m), m))
+    # reduction modulo a monomial ideal is a ring homomorphism, so reducing each product is exact
+    return matrix_poly_value(gma_pf_coeffs(spec, m), m, spec.ring.product)
 
 
 def check_sch_condition(spec: GmaSpec) -> tuple:
@@ -457,7 +476,7 @@ def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> 
     rng = random.Random(seed)
     for _ in range(trials):
         s = random_gma_element(spec, rng)
-        probe = spec.ring.reduce_matrix((witness * s)._shifted(1))
+        probe = spec.ring.product(witness, s)._shifted(1)
         if _constant_or_raise(spec.ring.reduce(mat_det(probe)), "kernel probe") != 1:
             return False
     return True

@@ -33,12 +33,13 @@ product is B1 B2 / (delta1 delta2), sums, negation, scalar multiples,
 transposes and the signed reindexing of ``RingMatrix.rearranged`` keep or
 rescale delta, equality compares the pairs, the trace is tr(B) / delta,
 the k-th characteristic-polynomial coefficient c_k(B) / delta^k, the
-determinant det(B) / delta^n and the inverse delta B^(-1) (the same
-Bareiss elimination on [B | I], continued above each pivot).  No Fraction
-is built in between: a result of these kernels makes its Fraction
-``entries`` only when they are read (``entries``, ``m[i, j]``, JSON
-output).  The division-free routines (Berkowitz, and the Pfaffian
-recursion in ``symplectic``) run unchanged on either B or the entries.
+determinant det(B) / delta^n, and A^(-1) C = delta B^(-1) E / epsilon for
+C = E / epsilon (the same Bareiss elimination on [B | E], continued above
+each pivot; the inverse takes C = Id).  No Fraction is built in between:
+a result of these kernels makes its Fraction ``entries`` only when they
+are read (``entries``, ``m[i, j]``, JSON output).  The division-free
+routines (Berkowitz, and the Pfaffian recursion in ``symplectic``) run
+unchanged on either B or the entries.
 Polynomial matrices have no cleared form and take the generic path.
 """
 
@@ -286,23 +287,9 @@ class RingMatrix:
     # -- solving (rational entries only) -------------------------------
 
     def inverse(self) -> "RingMatrix":
-        """Exact inverse delta * B^(-1) of A = B / delta; raises on singular input.
-
-        Bareiss elimination on [B | I], continued above each pivot, ends in
-        [D Id | D B^(-1)] for the last pivot D, which is det(B) up to the
-        sign of the row swaps; A^(-1) is delta (D B^(-1)) / D.
-        """
-        if not self.is_square():
-            raise DimensionError("inverse of a non-square matrix")
-        if self._ints is None:
-            raise TypeError("inverse requires rational entries")
+        """Exact inverse delta * B^(-1) of A = B / delta, the solve against Id; raises on singular input."""
         n = self.rows
-        aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self._ints)]
-        if not _bareiss(aug, n, above=True):
-            raise ZeroDivisionError("singular matrix")
-        last = aug[-1][n - 1]
-        scale = self._den if last > 0 else -self._den
-        return RingMatrix._cleared([[scale * x for x in row[n:]] for row in aug], abs(last))
+        return _solve(self, [[int(i == j) for j in range(n)] for i in range(n)], 1)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -451,6 +438,27 @@ def _bareiss(a: list, n: int, above: bool = False) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _solve(a: RingMatrix, e, epsilon: int) -> RingMatrix:
+    """A^(-1) C for a square rational A and C = E / epsilon, E integer rows as many as A has.
+
+    Bareiss elimination on [B | E] for A = B / delta, continued above each
+    pivot, ends in [D Id | D B^(-1) E] for the last pivot D, which is det(B)
+    up to the sign of the row swaps; A^(-1) C is delta (D B^(-1) E) / (D epsilon).
+    Raises ZeroDivisionError on a singular A.
+    """
+    if not a.is_square():
+        raise DimensionError("inverse of a non-square matrix")
+    if a._ints is None:
+        raise TypeError("inverse requires rational entries")
+    n = a.rows
+    aug = [[*row, *rhs] for row, rhs in zip(a._ints, e)]
+    if not _bareiss(aug, n, above=True):
+        raise ZeroDivisionError("singular matrix")
+    last = aug[-1][n - 1]
+    scale = a._den if last > 0 else -a._den
+    return RingMatrix._cleared([[scale * x for x in row[n:]] for row in aug], abs(last) * epsilon)
+
+
 def entry_vars(m: RingMatrix) -> set:
     """The variable names carried by the MultiPoly entries of ``m``."""
     taken: set = set()
@@ -497,6 +505,15 @@ def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
                 x = [dot(lead_row, x) for lead_row in lead]
         coeffs = [dot(toeplitz[i::-1], coeffs) for i in range(r + 2)]
     return coeffs
+
+
+def _berkowitz_lambdas(a: tuple, dot: Callable = _dot) -> list:
+    """[L_0..L_n] with det(tI - A) = sum (-1)^i L_i t^(n-i): the Berkowitz coefficients, signed.
+
+    Every L_i is a ring expression in the entries, so a quotient ring's
+    reducing ``dot`` gives the reduced L_i.
+    """
+    return [c if i % 2 == 0 else -c for i, c in enumerate(_berkowitz(a, dot))]
 
 
 def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:

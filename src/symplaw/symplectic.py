@@ -20,11 +20,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
+from operator import mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
     RingMatrix,
+    _solve,
     entry_vars,
     exact_scalar,
     lambdas_from_char_poly,
@@ -218,11 +220,13 @@ def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> tuple:
     return lambdas_from_char_poly(pfaffian_char_poly(ctx, m, var), ctx.d, var)
 
 
-def matrix_poly_value(coeffs: Sequence, m: RingMatrix) -> RingMatrix:
+def matrix_poly_value(coeffs: Sequence, m: RingMatrix, product: Callable = mul) -> RingMatrix:
     """Evaluate sum (-1)^i coeffs[i] * M^(deg-i) for coeffs = (c_0..c_deg), by Horner's rule.
 
     Each step multiplies by M and adds the next signed coefficient on the
-    diagonal, so it makes deg - 1 matrix products.
+    diagonal, so it makes deg - 1 matrix products, each ``product(acc, M)``:
+    the plain matrix product unless a caller, such as a quotient ring that
+    reduces each entry as it forms, passes its own.
     """
     if not m.is_square():
         raise DimensionError("polynomial value at a non-square matrix")
@@ -231,7 +235,7 @@ def matrix_poly_value(coeffs: Sequence, m: RingMatrix) -> RingMatrix:
         return RingMatrix.scalar(m.rows, sum(signed))
     acc = m if signed[0] == 1 else m * signed[0]
     for c in signed[1:-1]:
-        acc = acc._shifted(c) * m
+        acc = product(acc._shifted(c), m)
     return acc._shifted(signed[-1])
 
 
@@ -302,7 +306,7 @@ def random_sp_lie(ctx: SymplecticContext, rng: random.Random) -> RingMatrix:
 
 
 def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
-    """Cayley transform S = (Id - H)^(-1)(Id + H) of a seeded H in sp_2d.
+    """Cayley transform S = (Id - H)^(-1)(Id + H) of a seeded H in sp_2d, by one solve.
 
     Deterministic in the seed; retries with a perturbed seed if Id - H is
     singular.  The defining relation S^T J S = J is checked exactly before
@@ -314,7 +318,7 @@ def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
         rng = random.Random(seed * 1000003 + attempt)
         h = random_sp_lie(ctx, rng)
         try:
-            s = (ident - h).inverse() * (ident + h)
+            s = _solve(ident - h, *(ident + h).cleared())
         except ZeroDivisionError:
             continue
         if s.transpose() * ctx.J * s != ctx.J:

@@ -9,8 +9,12 @@ must return 0, 1 or 2, and no exception may escape it.  The splices, all of
 them and in order, put each string of ``VALUES`` in place of each token of
 each string leaf (a letter or index of a word, a numeral, a variable or a
 ``^`` exponent) and of each whole term, so that a malformed token reaches
-the parsers inside an otherwise valid field.  Every input this has flagged
-is pinned as a named case in ``tests/test_cli.py``.
+the parsers inside an otherwise valid field.  The two values one past a
+work guard (a word of ``MAX_WORD_LETTERS`` + 1 letters, an element of
+``MAX_ELEMENT_TERMS`` + 1 terms) also go in place of every node of every
+case, since random draws seldom put them where their guard reads them.
+Every input this has flagged is pinned as a named case in
+``tests/test_cli.py``.
 """
 
 import contextlib
@@ -23,15 +27,21 @@ import re
 import pytest
 
 from symplaw.cli import main
-from symplaw.serialize import MAX_EVAL_ARGUMENTS
+from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
+from symplaw.words import MAX_WORD_LETTERS
 
 MAX_DIM = 4  # small, so that matrices above the cap stay cheap
+
+# one past a work guard: a word of one letter too many, an element of one term too many
+LONG_WORD = " ".join(["g1"] * (MAX_WORD_LETTERS + 1))
+LONG_ELEMENT = {"terms": [{"word": "g1", "coef": 1}] * (MAX_ELEMENT_TERMS + 1)}
 
 VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3", "u^-1", "g3",
           [], {}, [[]], [1], {"a": 1},
           ["g1"] * (MAX_EVAL_ARGUMENTS + 1),  # one past the argument cap, as gammas or matrices
           "\u00b2",  # a digit to isdigit, but not to int
-          "1" * 4301)  # one digit past CPython's default int digit limit
+          "1" * 4301,  # one digit past CPython's default int digit limit
+          LONG_WORD, LONG_ELEMENT)
 
 
 def _identity(n):
@@ -147,11 +157,14 @@ def splices(blob):
                 yield out, f"{path}: {text[start:end]!r} -> {value[:20]!r} ({len(value)} chars)"
 
 
-def run(argv, blob, tmp_path):
-    """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped."""
+def run(argv, blob, tmp_path, err=None):
+    """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped.
+
+    What ``main`` writes to stderr goes to ``err`` if one is given.
+    """
     path = tmp_path / "in.json"
     path.write_text(json.dumps(blob))
-    out, err = io.StringIO(), io.StringIO()
+    out, err = io.StringIO(), io.StringIO() if err is None else err
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             return main([*argv, "--input", str(path)])
@@ -185,6 +198,24 @@ def test_spliced_inputs_exit_0_1_or_2(name, tmp_path, monkeypatch):
     assert run(argv, blob, tmp_path) == 0
     flagged = _flagged(argv, splices(blob), tmp_path)
     assert not flagged, flagged
+
+
+@pytest.mark.parametrize("value", [LONG_WORD, LONG_ELEMENT], ids=["word", "element"])
+def test_a_value_past_a_work_guard_in_place_of_every_node(value, tmp_path, monkeypatch):
+    """The value in place of each node of each case exits 0, 1 or 2, and the guard refuses
+    it where it lands as a word or an element; random draws seldom put it there."""
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
+    flagged, refused = [], 0
+    for argv, blob in CASES.values():
+        for path in _paths(blob):
+            out, err = copy.deepcopy(blob), io.StringIO()
+            _get(out, path[:-1])[path[-1]] = copy.deepcopy(value)
+            code = run(argv, out, tmp_path, err)
+            if code not in (0, 1, 2):
+                flagged.append((argv, path, repr(code)))
+            refused += code == 2 and "guard" in err.getvalue()
+    assert not flagged, flagged
+    assert refused
 
 
 @pytest.mark.parametrize("raw", ["3", "5", "2.5", "4.0", "1e1"])

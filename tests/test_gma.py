@@ -1,10 +1,11 @@
 import random
 from fractions import Fraction
 from functools import partial
+from operator import mul
 
 import pytest
 
-from symplaw.errors import MembershipError, StructureError
+from symplaw.errors import DimensionError, MembershipError, StructureError
 from symplaw.gma import (
     GmaSpec,
     GmaType,
@@ -15,6 +16,7 @@ from symplaw.gma import (
     counterexample_fixture,
     delta_involution,
     gma_chi_p,
+    gma_pf_coeffs,
     gma_trace_det_pf,
     in_span,
     kernel_probe,
@@ -23,10 +25,17 @@ from symplaw.gma import (
     standard_fixture,
     validate_standard_gma,
 )
-from symplaw.matrices import RingMatrix, mat_det, matrix_rank, trace_of_product
+from symplaw.matrices import (
+    RingMatrix,
+    _berkowitz_lambdas,
+    lambdas_of_matrix,
+    mat_det,
+    matrix_rank,
+    trace_of_product,
+)
 from symplaw.multipoly import MultiPoly
 from symplaw.suites import suite_gma
-from symplaw.symplectic import SignedPermutation, is_alternating, pfaffian
+from symplaw.symplectic import SignedPermutation, is_alternating, matrix_poly_value, pfaffian
 
 
 def test_gma_type_validation():
@@ -700,3 +709,66 @@ def test_int_scalars_give_the_values_of_fraction_scalars(make_spec):
         assert (kernel_probe(spec, x, trials=2, seed=seed)
                 == kernel_probe(spec, ref_x, trials=2, seed=seed))
         assert trace_of_product(x, y) == trace_of_product(ref_x, ref_y)
+
+
+# -- the quotient route: every Berkowitz and Horner product reduced as it forms ---
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture])
+def test_lambdas_in_the_quotient_are_the_reduced_lambdas(make_spec):
+    spec = make_spec()
+    ring = spec.ring
+    nil_terms = 0  # Lambda_i over Q[u, v] that reduction changes
+    for seed in range(20):
+        rng = random.Random(seed)
+        for m in (random_gma_element(spec, rng), random_symmetric_gma_element(spec, rng)):
+            full = lambdas_of_matrix(m)
+            got = _berkowitz_lambdas(m.entries, ring.dot)
+            assert len(got) == len(full) == spec.n + 1
+            assert all(g == ring.reduce(lam) for g, lam in zip(got, full)), (seed, m)
+            assert all(not isinstance(g, MultiPoly) or g.vars == ring.vars for g in got)
+            nil_terms += sum(ring.reduce(lam) is not lam for lam in full)
+    assert nil_terms  # the test meets Lambda_i that carry nil terms before reduction
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
+def test_chi_p_in_the_quotient_is_the_reduced_horner_value(make_spec):
+    spec = make_spec()
+    ring = spec.ring
+    for seed in range(20):
+        rng = random.Random(seed)
+        m = random_symmetric_gma_element(spec, rng)
+        coeffs = gma_pf_coeffs(spec, m)
+        assert gma_chi_p(spec, m) == ring.reduce_matrix(matrix_poly_value(coeffs, m))
+        # a polynomial that does not vanish at m, so the products leave nonzero entries
+        x = random_gma_element(spec, rng)
+        coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(4)]
+        assert (matrix_poly_value(coeffs, x, ring.product)
+                == ring.reduce_matrix(matrix_poly_value(coeffs, x)))
+
+
+def test_dot_and_product_reduce_what_the_plain_kernels_give():
+    ring = QuotientRing(*RINGS["three_vars"])
+    u, v, w = (ring.variable(x) for x in ring.vars)
+    # polynomials over the ring's variables and over sub-tuples of them: ("u",) and ("v", "w")
+    nu, nv, nw = (MultiPoly.variable(x) for x in ring.vars)
+    pool = [0, 1, -2, Fraction(1, 2), Fraction(-3, 4), u, v, w, 2 * u - v + 1, w * w + u,
+            MultiPoly.zero(ring.vars), nu, nu * nu + 3, nv * nw - nw, nw * nw + Fraction(1, 3)]
+    rng = random.Random(74)
+    for _ in range(200):
+        n = rng.randint(1, 4)
+        x, y = ([rng.choice(pool) for _ in range(n)] for _ in range(2))
+        got = ring.dot(x, y)
+        assert got == ring.reduce(sum(map(mul, x, y))), (x, y)
+        assert not isinstance(got, MultiPoly) or got.vars == ring.vars
+    for _ in range(50):
+        a = RingMatrix([[rng.choice(pool) for _ in range(3)] for _ in range(2)])
+        b = RingMatrix([[rng.choice(pool) for _ in range(4)] for _ in range(3)])
+        got = ring.product(a, b)
+        assert (got.rows, got.cols) == (2, 4)
+        assert got == ring.reduce_matrix(a * b), (a, b)
+    rational = RingMatrix([[1, Fraction(1, 2)], [3, -1]])
+    assert ring.product(rational, rational) == rational * rational
+    with pytest.raises(DimensionError):
+        ring.product(RingMatrix([[u, 1]]), RingMatrix([[u, 1]]))

@@ -77,6 +77,10 @@ def _unreduced(original):
     return lambda self, x: x
 
 
+def _plain_dot(original):
+    return lambda self, u, v: matrices._dot(u, v)
+
+
 def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
@@ -93,6 +97,7 @@ FAULTS = {
     "right_product_negated": (SignedPermutation, "right_product", _negated),
     "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
     "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
+    "quotient_dot_unreduced": (QuotientRing, "dot", _plain_dot),
     "rho_word_inverse_letters_as_generators": (
         InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
     "inverse_negated": (RingMatrix, "inverse", _negated),
@@ -111,6 +116,9 @@ SEEN = {
     "reduce_keeps_every_term": (
         "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"
         " survive)"),
+    "quotient_dot_unreduced": (
+        "gma stops with an error: the Lambda_i of a GMA element keep their nil terms, so"
+        " they no longer land in Q"),
     "rho_word_inverse_letters_as_generators": (
         "det-law and pseudochar stop with an error: the image of x + x* is no longer"
         " j-symmetric, so its M J is not alternating"),

@@ -209,6 +209,16 @@ def test_inverse_and_pow():
         assert m**-2 == (m.inverse()) ** 2
 
 
+def test_inverse_refuses_polynomial_and_non_square_matrices():
+    u = MultiPoly.variable("u")
+    with pytest.raises(TypeError, match="inverse requires rational entries"):
+        RingMatrix([[1, u], [0, 1]]).inverse()
+    with pytest.raises(DimensionError, match="non-square"):
+        RingMatrix([[1, 2, 3], [4, 5, 6]]).inverse()
+    with pytest.raises(ZeroDivisionError, match="singular matrix"):
+        RingMatrix([[1, 2], [2, 4]]).inverse()
+
+
 def test_matrix_rank():
     rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
     assert matrix_rank([[Fraction(x) for x in r] for r in rows]) == 2

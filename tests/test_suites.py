@@ -299,9 +299,10 @@ GMA_CONTROLS = {
     "standard_chi_p_vanishes": (
         gma, "gma_pf_coeffs",
         lambda spec, m, real=gma.gma_pf_coeffs: [*real(spec, m)[:-1], real(spec, m)[-1] + 1]),
-    # chi^P loses its leading term T_0 x^d
+    # chi^P loses its leading term T_0 x^d; the product of the quotient ring is passed on
     "counterexample_chi_p_witness_nonzero": (
-        gma, "matrix_poly_value", lambda coeffs, m, real=gma.matrix_poly_value: real(coeffs[1:], m)),
+        gma, "matrix_poly_value",
+        lambda coeffs, m, *rest, real=gma.matrix_poly_value: real(coeffs[1:], m, *rest)),
     # the determinant is one too large
     "counterexample_witness_in_kernel_of_D": (gma, "mat_det", lambda m, real=gma.mat_det: real(m) + 1),
     # the trace of a product picks up the first entry of its left factor
