@@ -18,9 +18,13 @@ Random elements are combinations of the reduced block bases, so they are
 built already reduced; a matrix given to a public entry point is reduced
 once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
 traces of reduced matrices are reduced.  Products reduce as they form:
-``QuotientRing.dot`` reduces each inner product, so the Berkowitz inner
-products behind the Lambda-vector and the matrix products of chi^P and of
-the kernel probe never carry a nil term.
+``QuotientRing.dot`` takes each inner product in one pass that never forms
+a term in the ideal, so the Berkowitz inner products behind the
+Lambda-vector, the cofactor minors behind the determinants, the traces of
+products and the matrix products of chi^P and of the kernel probe never
+carry a nil term.  The reduced Pfaffian alone multiplies in Q[vars] and
+reduces its result: it is the route, independent of the determinant's,
+that the suite compares with the determinant.
 The trace/determinant land in Q; the Pfaffian-type law is the form's reduced
 Pfaffian Pf(MJ_delta) / Pf(J_delta) when MJ_delta is alternating and
 otherwise comes from the determinant through the coefficient recursion (the
@@ -34,27 +38,46 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import is_
+from operator import add, is_
 from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import IntegerEliminator, RingMatrix, _berkowitz_lambdas, _dot, mat_det
+from .matrices import IntegerEliminator, RingMatrix, _berkowitz_lambdas, mat_det
 from .multipoly import MultiPoly, Ring
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
 # -- quotient ring ------------------------------------------------------
 
 
+class _IdealMemo(dict):
+    """Exponent tuple -> is that monomial in the ideal, decided on the first lookup of the tuple.
+
+    Only ever added to, each key with its one answer, so threads may share it.
+    """
+
+    __slots__ = ("nils",)
+
+    def __init__(self, nils: tuple):
+        super().__init__()
+        self.nils = nils
+
+    def __missing__(self, exp: tuple) -> bool:
+        hit = self[exp] = any(all(e >= n for e, n in zip(exp, nil)) for nil in self.nils)
+        return hit
+
+
 @dataclass(frozen=True)
 class QuotientRing:
-    """Q[vars] / (monomial ideal); reduction drops divisible terms."""
+    """Q[vars] / (monomial ideal); reduction drops divisible terms.
+
+    The ideal must not contain 1: the diagonal blocks of a GMA are Q.
+    """
 
     vars: tuple
     nil_monomials: tuple  # exponent tuples over `vars`
-    # each exponent tuple met by `reduce` -> is it in the ideal; one memo per ring, only
-    # ever added to, each key with its one answer, so threads may share the ring
-    _divisible: dict = field(init=False, compare=False, hash=False, repr=False)
+    # each exponent tuple met by `reduce` or `dot` -> is it in the ideal; one memo per ring
+    _divisible: _IdealMemo = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
         vs = tuple(self.vars)
@@ -64,23 +87,26 @@ class QuotientRing:
         for e in nils:
             if len(e) != len(vs):
                 raise DimensionError("nil monomial exponent length mismatch")
+            if not any(e):
+                raise StructureError("the ideal contains 1, but the diagonal blocks are Q")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "nil_monomials", nils)
-        object.__setattr__(self, "_divisible", {})
+        object.__setattr__(self, "_divisible", _IdealMemo(nils))
+
+    def _lift(self, x: MultiPoly) -> MultiPoly:
+        """x over the ring's variables; MembershipError if it uses another."""
+        if x.vars == self.vars:
+            return x
+        if not set(x.vars) <= set(self.vars):
+            raise MembershipError(f"element uses variables outside the ring: {x.vars}")
+        return x.in_vars(self.vars)
 
     def reduce(self, x: Ring) -> Ring:
         """x without its terms divisible by a nil monomial; x itself if it has none or is scalar."""
         if isinstance(x, (int, Fraction)):
             return x
-        if x.vars != self.vars:
-            if not set(x.vars) <= set(self.vars):
-                raise MembershipError(f"element uses variables outside the ring: {x.vars}")
-            x = x.in_vars(self.vars)
+        x = self._lift(x)
         divisible = self._divisible
-        for exp in x.terms:
-            if exp not in divisible:
-                divisible[exp] = any(all(e >= n for e, n in zip(exp, nil))
-                                     for nil in self.nil_monomials)
         if not any(map(divisible.__getitem__, x.terms)):
             return x
         return MultiPoly._trusted(
@@ -88,8 +114,47 @@ class QuotientRing:
         )
 
     def dot(self, u, v) -> Ring:
-        """The inner product of two sequences of ring entries, reduced."""
-        return self.reduce(_dot(u, v))
+        """The inner product of two sequences of ring entries, reduced, in one pass.
+
+        A product of two terms whose exponents sum into the ideal is never
+        formed, and one MultiPoly is built per call.  A pair with a zero
+        factor is skipped; the result is a scalar if no MultiPoly meets a
+        nonzero partner, and otherwise a MultiPoly over the ring's variables.
+        The scalar part needs no ideal test, as 1 is not in the ideal.
+        """
+        scalar = 0
+        terms = None
+        divisible = self._divisible
+        for a, b in zip(u, v):
+            if not (a and b):
+                continue
+            if not isinstance(a, MultiPoly):
+                if not isinstance(b, MultiPoly):
+                    scalar += a * b
+                    continue
+                a, b = b, a
+            if terms is None:
+                terms = {}
+            left = self._lift(a).terms.items()
+            if isinstance(b, MultiPoly):
+                right = self._lift(b).terms.items()
+                for e1, c1 in left:
+                    for e2, c2 in right:
+                        exp = tuple(map(add, e1, e2))
+                        if not divisible[exp]:
+                            c = c1 * c2
+                            terms[exp] = terms[exp] + c if exp in terms else c
+            else:
+                for exp, c in left:
+                    if not divisible[exp]:
+                        c = c * b
+                        terms[exp] = terms[exp] + c if exp in terms else c
+        if terms is None:
+            return scalar
+        if scalar:
+            one = (0,) * len(self.vars)
+            terms[one] = terms[one] + scalar if one in terms else scalar
+        return MultiPoly._trusted(self.vars, terms)
 
     def product(self, a: RingMatrix, b: RingMatrix) -> RingMatrix:
         """a b with every entry reduced as it forms: one ``dot`` of a row of a and a column of b."""
@@ -382,7 +447,7 @@ def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
     """
     m = spec.check_membership(m)
     trace = _constant_or_raise(m.trace(), "GMA trace")
-    det = _constant_or_raise(spec.ring.reduce(mat_det(m)), "GMA determinant")
+    det = _constant_or_raise(mat_det(m, spec.ring.dot), "GMA determinant")
     pf = _pfaffian_law(spec, m) if spec._form.adjoint(m) == m else None
     return trace, det, pf
 
@@ -477,7 +542,7 @@ def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> 
     for _ in range(trials):
         s = random_gma_element(spec, rng)
         probe = spec.ring.product(witness, s)._shifted(1)
-        if _constant_or_raise(spec.ring.reduce(mat_det(probe)), "kernel probe") != 1:
+        if _constant_or_raise(mat_det(probe, spec.ring.dot), "kernel probe") != 1:
             return False
     return True
 

@@ -8,8 +8,12 @@ here it beats both Bareiss over polynomials and interpolation at points.
 The characteristic polynomial uses Berkowitz's division-free algorithm
 (S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
 themselves, so it serves rational, polynomial and quotient-ring entries
-alike.  Every check in this library lives at dimension <= 12, so no sparse
-or asymptotically clever machinery is needed.
+alike.  Berkowitz, the cofactor DP (one inner product of a row's signed
+entries with their minors per minor) and ``trace_of_product`` take their
+inner product of two sequences of entries as a parameter, ``dot``; a
+quotient ring passes its own, ``gma.QuotientRing.dot``, which never forms
+a term that lies in its ideal.  Every check in this library lives at
+dimension <= 12, so no sparse or asymptotically clever machinery is needed.
 
 Every matrix holds one of two entry forms, fixed when it is built (in
 ``_fill``, the one place that sets entries):
@@ -354,54 +358,75 @@ def _product(a: Sequence, b: Sequence) -> list:
     return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
 
 
-def trace_of_product(a: RingMatrix, b: RingMatrix) -> Ring:
-    """tr(AB) = sum a_ik b_ki, without forming AB."""
+def _dot(u, v) -> Ring:
+    """sum u_k * v_k over the pairs with no zero factor; the int 0 if there are none."""
+    acc = None
+    for a, b in zip(u, v):
+        if a and b:
+            acc = a * b if acc is None else acc + a * b
+    return 0 if acc is None else acc
+
+
+def _sum_of_products(u, v) -> Ring:
+    """sum u_k * v_k with every product formed: the plain inner product, of ints or ring entries."""
+    return sum(map(mul, u, v))
+
+
+def trace_of_product(a: RingMatrix, b: RingMatrix, dot: Callable = _sum_of_products) -> Ring:
+    """tr(AB) = sum a_ik b_ki, one inner product without forming AB; a Fraction or a MultiPoly.
+
+    ``dot`` is the inner product of two sequences of entries, as in ``mat_det``.
+    """
     if a.cols != b.rows or a.rows != b.cols:
         raise DimensionError("shape mismatch in trace of a product")
-    return sum(map(mul, chain(*a.entries), chain(*zip(*b.entries))))
+    return exact_scalar(dot(chain(*a.entries), chain(*zip(*b.entries))))
 
 
-def mat_det(m: RingMatrix) -> Ring:
-    """Exact determinant of a square matrix, a Fraction or a MultiPoly."""
+def mat_det(m: RingMatrix, dot: Callable = _sum_of_products) -> Ring:
+    """Exact determinant of a square matrix, a Fraction or a MultiPoly.
+
+    A rational matrix goes to Bareiss.  Any other goes to the cofactor DP,
+    which takes each minor as one inner product ``dot`` of two sequences of
+    entries: the plain one unless a caller, such as a quotient ring that
+    reduces each inner product, passes its own.
+    """
     if not m.is_square():
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m.all_rational():
         return _det_bareiss(m)
-    return exact_scalar(_cofactor_expansion(m.entries))
+    return exact_scalar(_cofactor_expansion(m.entries, dot))
 
 
-def _cofactor_expansion(a: Sequence) -> Ring:
+def _cofactor_expansion(a: Sequence, dot: Callable = _sum_of_products) -> Ring:
     """Division-free expansion, memoized over column subsets (O(2^n * n) ring ops).
 
-    Returns the int 0 if every term vanishes.
+    The minor on the columns of a mask, taken along its first row, is one
+    inner product: ``dot`` of the signed nonzero entries of that row and their
+    minors.  Returns the int 0 if every term vanishes.
     """
     n = len(a)
-    full = (1 << n) - 1
     memo: dict = {0: 1}
 
     def det_of(mask: int) -> Ring:
         # mask = remaining columns; row index is n - popcount(mask)
         if mask in memo:
             return memo[mask]
-        row = n - bin(mask).count("1")
-        acc = None
+        row = a[n - bin(mask).count("1")]
+        entries, minors = [], []
         sign = 1
         rest = mask
         while rest:
             low = rest & (-rest)
-            j = low.bit_length() - 1
-            entry = a[row][j]
+            entry = row[low.bit_length() - 1]
             if entry:
-                term = entry * det_of(mask ^ low)
-                if sign < 0:
-                    term = -term
-                acc = term if acc is None else acc + term
+                entries.append(entry if sign > 0 else -entry)
+                minors.append(det_of(mask ^ low))
             sign = -sign
             rest ^= low
-        memo[mask] = 0 if acc is None else acc
-        return memo[mask]
+        memo[mask] = value = dot(entries, minors)
+        return value
 
-    return det_of(full)
+    return det_of((1 << n) - 1)
 
 
 def _det_bareiss(m: RingMatrix) -> Fraction:
@@ -471,19 +496,6 @@ def entry_vars(m: RingMatrix) -> set:
     return taken
 
 
-def _dot(u, v) -> Ring:
-    """sum u_k * v_k over the pairs with no zero factor; the int 0 if there are none."""
-    acc = None
-    for a, b in zip(u, v):
-        if a and b:
-            acc = a * b if acc is None else acc + a * b
-    return 0 if acc is None else acc
-
-
-def _int_dot(u, v) -> int:
-    return sum(map(mul, u, v))
-
-
 def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     """[c_0..c_n] with det(tI - A) = sum c_k t^(n-k), for the rows ``a`` of A.
 
@@ -534,8 +546,8 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
                         raise VariableError(f"entry already uses variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
-        den = m._den
-        coeffs = [Fraction(c, den**k) for k, c in enumerate(_berkowitz(m._ints, _int_dot)[1:], 1)]
+        den, ints = m._den, _berkowitz(m._ints, _sum_of_products)
+        coeffs = [Fraction(c, den**k) for k, c in enumerate(ints[1:], 1)]
     t = MultiPoly.variable(var)
     p = MultiPoly.constant(1, (var,))
     for c in coeffs:

@@ -334,7 +334,10 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
         if coef != 1:
             raise SchemaError(f"nil monomial {mono!r} must have coefficient 1")
         nils.append(exp)
-    ring = QuotientRing(variables, tuple(nils))
+    try:
+        ring = QuotientRing(variables, tuple(nils))
+    except ValueError as e:
+        raise SchemaError(str(e)) from e
     blocks = {}
     for key, basis in _spec_field(obj, "blocks", dict, {}).items():
         i, j = _block_key(key)

@@ -475,6 +475,16 @@ def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
     _assert_one_line_error(code, capsys.readouterr())
 
 
+def test_gma_spec_whose_ideal_contains_1_exits_2(tmp_path, capsys):
+    # in Q[u, v] / (1) every check would pass vacuously
+    for nils in (["1"], ["u^2", "1"]):
+        path = _write(tmp_path, {**_GMA_INPUT, "nil_monomials": nils})
+        code = main(["suite", "gma", "--trials", "2", "--input", path])
+        captured = capsys.readouterr()
+        _assert_one_line_error(code, captured)
+        assert "the ideal contains 1" in captured.err
+
+
 @pytest.mark.parametrize(
     "coef",
     [

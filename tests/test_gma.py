@@ -148,6 +148,17 @@ def test_quotient_ring_reduction_and_span():
     assert in_span(u * u, (v,), ring)  # reduces to zero
 
 
+@pytest.mark.parametrize(("variables", "nils"), [
+    (("u",), ((0,),)),
+    (("u", "v"), ((2, 0), (0, 0))),
+    ((), ((),)),
+])
+def test_an_ideal_that_contains_1_is_refused(variables, nils):
+    # in such a ring reduce(MultiPoly.constant(3)) would be 0 while reduce(3) is 3
+    with pytest.raises(StructureError, match="contains 1"):
+        QuotientRing(variables, nils)
+
+
 def test_delta_involution_sign_cases():
     # epsilon = +1: the off-diagonal slot is antisymmetric
     spec = GmaSpec(
@@ -733,6 +744,61 @@ def test_lambdas_in_the_quotient_are_the_reduced_lambdas(make_spec):
 
 @pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
                                        three_variable_spec])
+def test_det_and_trace_in_the_quotient_are_the_reduced_values(make_spec):
+    spec = make_spec()
+    ring = spec.ring
+    nil_terms = 0  # determinants over Q[vars] that reduction changes
+    for seed in range(20):
+        rng = random.Random(seed)
+        x, y = random_gma_element(spec, rng), random_gma_element(spec, rng)
+        # a general element, a symmetric one and a kernel-probe matrix 1 + x y
+        for m in (x, random_symmetric_gma_element(spec, rng), ring.product(x, y)._shifted(1)):
+            full = mat_det(m)
+            got = mat_det(m, ring.dot)
+            assert got == ring.reduce(full), (seed, m)
+            assert type(got) is Fraction or (type(got) is MultiPoly and got.vars == ring.vars)
+            nil_terms += ring.reduce(full) is not full
+        full = trace_of_product(x, y)
+        got = trace_of_product(x, y, ring.dot)
+        assert got == ring.reduce(full), (seed, x, y)
+        assert type(got) is Fraction or (type(got) is MultiPoly and got.vars == ring.vars)
+    # the test meets determinants that carry nil terms before reduction, except in the
+    # three-variable spec: its blocks (1,2) and (3,1) lie on no cycle of blocks, as a
+    # block entry in a term of a determinant or of tr(xy) must
+    assert nil_terms or make_spec is three_variable_spec
+
+
+def test_expansions_that_cancel_keep_their_values_on_both_routes():
+    ring = standard_fixture().ring
+    u, v = ring.variable("u"), ring.variable("v")
+    dets = [  # (rows, determinant)
+        ([[u, u], [u, u]], 0),
+        ([[u, v], [u, v]], 0),
+        ([[u + 1, u + 1], [v, v]], 0),
+        ([[u, 0], [0, 0]], 0),
+        ([[1, u], [0, 1]], 1),  # the product u * 0 enters the expansion
+        ([[u, v, 1], [u, v, 1], [1, 2, 3]], 0),
+        ([[u, 1, 0], [0, u, 1], [1, 0, u]], u * u * u + 1),
+    ]
+    for rows, det in dets:
+        m = RingMatrix(rows)
+        got = mat_det(m)
+        assert got == det and type(got) in (Fraction, MultiPoly), rows
+        assert mat_det(m, ring.dot) == ring.reduce(got), rows
+    traces = [  # (a, b, tr(ab))
+        ([[u, 1]], [[1], [-u]], 0),
+        ([[u, v], [1, 0]], [[v, 0], [-u, 0]], 0),
+        ([[u, 0], [0, 1]], [[0, 1], [1, 0]], 0),
+    ]
+    for a, b, trace in traces:
+        a, b = RingMatrix(a), RingMatrix(b)
+        got = trace_of_product(a, b)
+        assert got == trace and type(got) in (Fraction, MultiPoly), (a, b)
+        assert trace_of_product(a, b, ring.dot) == ring.reduce(got), (a, b)
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       three_variable_spec])
 def test_chi_p_in_the_quotient_is_the_reduced_horner_value(make_spec):
     spec = make_spec()
     ring = spec.ring
@@ -761,13 +827,20 @@ def test_dot_and_product_reduce_what_the_plain_kernels_give():
         x, y = ([rng.choice(pool) for _ in range(n)] for _ in range(2))
         got = ring.dot(x, y)
         assert got == ring.reduce(sum(map(mul, x, y))), (x, y)
-        assert not isinstance(got, MultiPoly) or got.vars == ring.vars
+        # a scalar unless a MultiPoly meets a nonzero partner, then a MultiPoly over the ring
+        poly = any(a and b and MultiPoly in (type(a), type(b)) for a, b in zip(x, y))
+        assert isinstance(got, MultiPoly) is poly, (x, y)
+        assert not poly or got.vars == ring.vars
     for _ in range(50):
         a = RingMatrix([[rng.choice(pool) for _ in range(3)] for _ in range(2)])
         b = RingMatrix([[rng.choice(pool) for _ in range(4)] for _ in range(3)])
         got = ring.product(a, b)
         assert (got.rows, got.cols) == (2, 4)
         assert got == ring.reduce_matrix(a * b), (a, b)
+    # unreduced entries: the ideal terms of each factor are dropped too
+    assert ring.dot([u * u + v, nw * nw * nw], [3, u + 1]) == 3 * v
+    with pytest.raises(MembershipError):
+        ring.dot([u, MultiPoly.variable("z")], [1, 2])
     rational = RingMatrix([[1, Fraction(1, 2)], [3, -1]])
     assert ring.product(rational, rational) == rational * rational
     with pytest.raises(DimensionError):

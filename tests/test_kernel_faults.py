@@ -20,6 +20,7 @@ from symplaw.detlaws import InvolutiveRepresentation
 from symplaw.errors import SymplawError
 from symplaw.gma import QuotientRing
 from symplaw.matrices import RingMatrix
+from symplaw.multipoly import MultiPoly
 from symplaw.suites import (
     suite_det_law,
     suite_gma,
@@ -81,6 +82,18 @@ def _plain_dot(original):
     return lambda self, u, v: matrices._dot(u, v)
 
 
+def _first_variable_term_dropped(original):
+    """dot without its term in the ring's first variable u, a degree-1 monomial outside the ideal."""
+    def fault(self, u, v):
+        x = original(self, u, v)
+        if not isinstance(x, MultiPoly):
+            return x
+        first = (1,) + (0,) * (len(self.vars) - 1)
+        return MultiPoly._trusted(x.vars, {e: c for e, c in x.terms.items() if e != first})
+
+    return fault
+
+
 def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
@@ -98,6 +111,7 @@ FAULTS = {
     "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
     "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
     "quotient_dot_unreduced": (QuotientRing, "dot", _plain_dot),
+    "quotient_dot_drops_a_degree_1_term": (QuotientRing, "dot", _first_variable_term_dropped),
     "rho_word_inverse_letters_as_generators": (
         InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
     "inverse_negated": (RingMatrix, "inverse", _negated),
@@ -147,6 +161,14 @@ UNSEEN = {
     "pfaffian_expansion_negated": (
         "every Pfaffian a check compares enters squared, as Pf(M J) Pf(J), or on both sides"
         " of Pf(g A g^T) = det(g) Pf(A), so a global sign cancels"
+    ),
+    "quotient_dot_drops_a_degree_1_term": (
+        "the constant term of a product in the quotient depends only on the constant terms"
+        " of its factors, which the fault keeps; the trace, determinant, Pfaffian and"
+        " Lambda_i of an element and det(1 + chi^P s) in the kernel probe are constants, both"
+        " sides of tr(xy) = tr(yx) lose the same term, the one product of chi^P on the"
+        " standard fixture is a scalar matrix with no u term, and chi^P on the counterexample"
+        " (d = 1) takes no matrix product"
     ),
 }
 

@@ -303,13 +303,15 @@ GMA_CONTROLS = {
     "counterexample_chi_p_witness_nonzero": (
         gma, "matrix_poly_value",
         lambda coeffs, m, *rest, real=gma.matrix_poly_value: real(coeffs[1:], m, *rest)),
-    # the determinant is one too large
-    "counterexample_witness_in_kernel_of_D": (gma, "mat_det", lambda m, real=gma.mat_det: real(m) + 1),
+    # the determinant is one too large; the inner product of the quotient ring is passed on
+    "counterexample_witness_in_kernel_of_D": (
+        gma, "mat_det", lambda m, *rest, real=gma.mat_det: real(m, *rest) + 1),
     # the trace of a product picks up the first entry of its left factor
     "*_trace_commutes": (
-        suites, "trace_of_product", lambda a, b, real=suites.trace_of_product: real(a, b) + a[0, 0]),
+        suites, "trace_of_product",
+        lambda a, b, *rest, real=suites.trace_of_product: real(a, b, *rest) + a[0, 0]),
     # the determinant is one too large
-    "*_pf_squares_to_det": (gma, "mat_det", lambda m, real=gma.mat_det: real(m) + 1),
+    "*_pf_squares_to_det": (gma, "mat_det", lambda m, *rest, real=gma.mat_det: real(m, *rest) + 1),
 }
 
 
