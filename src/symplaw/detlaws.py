@@ -23,7 +23,7 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, exact_scalar, lambdas_of_matrix, mat_det
+from .matrices import RingMatrix, entry_vars, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, fresh_var
 from .symplectic import (
     SymplecticContext,
@@ -85,15 +85,10 @@ class GroupAlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, GroupAlgebraElement):
             return NotImplemented
-        keys = set(self.terms) | set(other.terms)
-        z = Fraction(0)
-        return all(self.terms.get(k, z) == other.terms.get(k, z) for k in keys)
+        return self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms))
-
-    def max_generator(self) -> int:
-        return max((max_generator(w) for w in self.terms), default=0)
 
     def __str__(self):
         if not self.terms:
@@ -125,7 +120,7 @@ class InvolutiveRepresentation:
         lams = []
         cache = {(): RingMatrix.identity(self.ctx.n)}
         for gen, m in enumerate(images, 1):
-            if not m.all_rational():
+            if m.cleared() is None:
                 raise StructureError("generator images must have rational entries")
             lam = similitude(self.ctx, m)
             # M^j M = lambda Id with lambda != 0, so M^(-1) = M^j / lambda
@@ -332,16 +327,12 @@ def chi_alpha(
     for r in elems:
         if star(rep, r) != r:
             raise StructureError("chi_alpha arguments must be symmetric elements")
-    n = len(elems)
-    taken: set = set()
-    for r in elems:
-        for c in r.terms.values():
-            if isinstance(c, MultiPoly):
-                taken.update(c.vars)
-    tvars = [fresh_var(f"t{i + 1}", taken) for i in range(n)]
+    images = [rep.rho(r) for r in elems]
+    taken = set().union(*map(entry_vars, images))
+    tvars = [fresh_var(f"t{i + 1}", taken) for i in range(len(elems))]
     s = RingMatrix.zeros(rep.ctx.n)
-    for tv, r in zip(tvars, elems):
-        s = s + rep.rho(r) * MultiPoly.variable(tv)
+    for tv, image in zip(tvars, images):
+        s = s + image * MultiPoly.variable(tv)
     # s is j-symmetric: every r_i is symmetric and every generator's similitude
     # is verified, so rho(r*) = rho(r)^j
     acc = matrix_poly_value(pfaffian_coeffs_of_matrix(rep.ctx, s), s)

@@ -341,10 +341,6 @@ class GmaSpec:
     def n(self) -> int:
         return self.type.total
 
-    @property
-    def d(self) -> int:
-        return self.type.total // 2
-
     def span(self, i: int, j: int) -> tuple:
         return self.blocks.get((i, j), ())
 

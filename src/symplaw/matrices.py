@@ -392,7 +392,7 @@ def mat_det(m: RingMatrix, dot: Callable = _sum_of_products) -> Ring:
     """
     if not m.is_square():
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
-    if m.all_rational():
+    if m._ints is not None:
         return _det_bareiss(m)
     return exact_scalar(_cofactor_expansion(m.entries, dot))
 
@@ -487,7 +487,7 @@ def _solve(a: RingMatrix, e, epsilon: int) -> RingMatrix:
 def entry_vars(m: RingMatrix) -> set:
     """The variable names carried by the MultiPoly entries of ``m``."""
     taken: set = set()
-    if m.all_rational():
+    if m._ints is not None:
         return taken
     for row in m.entries:
         for x in row:
@@ -519,7 +519,7 @@ def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     return coeffs
 
 
-def _berkowitz_lambdas(a: tuple, dot: Callable = _dot) -> list:
+def _berkowitz_lambdas(a: tuple, dot: Callable) -> list:
     """[L_0..L_n] with det(tI - A) = sum (-1)^i L_i t^(n-i): the Berkowitz coefficients, signed.
 
     Every L_i is a ring expression in the entries, so a quotient ring's

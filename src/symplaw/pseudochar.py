@@ -128,38 +128,17 @@ def verify_axioms(pc: Pseudocharacter, trials: int, seed: int) -> dict:
 # -- comparison with the determinant-law side ---------------------------
 
 
-def _symmetric_decomposition(pc: Pseudocharacter, x: GroupAlgebraElement) -> list:
-    """Write symmetric x as sum c_i (w_i + lambda(w_i) w_i^(-1)); returns [(c_i, w_i)]."""
-    rep = pc.rep
-    if star(rep, x) != x:
-        raise StructureError("comparison P is defined on symmetric elements")
-    out = []
-    seen = set()
-    for w, c in x.terms.items():
-        if w in seen:
-            continue
-        wi = word_inv(w)
-        if wi == w:  # only the empty word in a free group
-            out.append((c * Fraction(1, 2), w))
-            seen.add(w)
-        else:
-            out.append((c, w))
-            seen.add(w)
-            seen.add(wi)
-    return out
-
-
 def comparison_to_det_law(pc: Pseudocharacter):
     """The determinant-law pair induced by the pseudocharacter.
 
     D sends sum c_i gamma_i to det(sum c_i rho(gamma_i)), read off as
     Lambda_2d of its characteristic polynomial, so that it does not share
-    mat_det with eval_det_law; P sends a symmetric
-    sum c_i (gamma_i + lambda(gamma_i) gamma_i^(-1)) to the normalized
-    Pfaffian of sum c_i (rho(gamma_i) + lambda_i rho(gamma_i)^(-1)).  That
-    inverse comes from Gauss-Jordan elimination, not from rho_word, whose
-    generator inverses are M^j / lambda, so that P does not share the
-    involution with eval_pf_law.
+    mat_det with eval_det_law; P sends a symmetric sum c_w w to the
+    normalized Pfaffian of sum c_w rho(w).  Of each pair w, w^(-1) only the
+    lexicographically smaller word goes through rho_word, and the other's
+    image is that matrix's inverse by elimination, not rho_word's M^j /
+    lambda generator inverses, so that P does not share the involution with
+    eval_pf_law.
     """
     rep = pc.rep
     ctx = rep.ctx
@@ -168,11 +147,13 @@ def comparison_to_det_law(pc: Pseudocharacter):
         return lambdas_of_matrix(rep.rho(x))[-1]
 
     def p_law(x: GroupAlgebraElement) -> Ring:
+        if star(rep, x) != x:
+            raise StructureError("comparison P is defined on symmetric elements")
         acc = RingMatrix.zeros(ctx.n)
-        for c, w in _symmetric_decomposition(pc, x):
-            m = rep.rho_word(w)
-            lam = rep.lambda_of_word(w)
-            acc = acc + (m + m.inverse() * lam) * c
+        for w, c in x.terms.items():
+            wi = word_inv(w)
+            m = rep.rho_word(min(w, wi))
+            acc = acc + (m if w <= wi else m.inverse()) * c
         return reduced_pfaffian(ctx, acc)
 
     return d_law, p_law

@@ -158,16 +158,12 @@ def ring_value_to_json(x):
 def ring_value_from_json(obj):
     if isinstance(obj, dict):
         return poly_from_json(obj)
-    if isinstance(obj, bool):
+    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
         raise SchemaError(f"unserializable value {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError):
-            return parse_poly_string(obj)
-    raise SchemaError(f"unserializable value {obj!r}")
+    try:
+        return fraction_from_json(obj)
+    except SchemaError:
+        return parse_poly_string(obj)
 
 
 def ring_value_to_string(x) -> str:

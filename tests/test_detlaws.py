@@ -17,7 +17,7 @@ from symplaw.detlaws import (
     star,
 )
 from symplaw.errors import DimensionError, SpectrumError, StructureError, SymplawError
-from symplaw.matrices import RingMatrix, lambdas_of_matrix, mat_det
+from symplaw.matrices import RingMatrix, entry_vars, lambdas_of_matrix, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
     SymplecticContext,
@@ -306,6 +306,24 @@ def test_chi_alpha_vanishes_on_matrix_models():
             # full polarization for d = 2
             if d == 2:
                 assert chi_alpha(rep, [r1, r2], [1, 1]).is_zero()
+
+
+def test_chi_alpha_names_its_variables_past_the_coefficients(monkeypatch):
+    """Coefficients in t1 push chi_alpha's own variables to other names, and the result is
+    still the zero matrix of a matrix model."""
+    seen = []
+    monkeypatch.setattr(
+        detlaws, "pfaffian_coeffs_of_matrix",
+        lambda ctx, s, real=detlaws.pfaffian_coeffs_of_matrix: seen.append(entry_vars(s)) or real(ctx, s))
+    ctx = SymplecticContext(2)
+    rep = InvolutiveRepresentation.from_images([sample_symplectic(ctx, 4100 + k) for k in range(2)])
+    t1 = MultiPoly.variable("t1")
+    g1 = GroupAlgebraElement.from_word(parse_word("g1"), t1 + 1)
+    g2 = GroupAlgebraElement.from_word(parse_word("g2 g1"), t1 * 2)
+    r1, r2 = g1 + star(rep, g1), g2 + star(rep, g2)
+    assert chi_alpha(rep, [r1, r2], [1, 1]).is_zero()
+    assert chi_alpha(rep, [r1, r2], [2, 0]).is_zero()
+    assert seen == [{"t1", "t10", "t2"}] * 2
 
 
 def test_chi_alpha_validates_input():

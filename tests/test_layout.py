@@ -114,23 +114,25 @@ def test_every_int_call_of_a_parser_catches_value_error():
 
 
 def _defined_names(tree):
-    """(name, line) of each function, class, method and module-level name a module defines."""
+    """(name, line, is_method) of each function, class, method and module-level name a module defines."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name, node.lineno, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name, item.lineno
+                        yield item.name, item.lineno, True
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id, node.lineno
+                        yield name.id, node.lineno, False
 
 
 def _read_names(tree):
-    """Names a module reads: loads, attribute reads, imports and identifiers in strings.
+    """(name, by_attribute) for each name a module reads: loads, attribute reads, imports and
+    identifiers in strings.  ``by_attribute`` is true for attribute reads and strings, the only
+    ways a method is read.
 
     Strings count because the tracer and the tests name functions in them
     ("matrices.RingMatrix.__mul__", ``monkeypatch.setattr(mod, "name", ..)``);
@@ -144,22 +146,30 @@ def _read_names(tree):
                 docstrings.add(id(first.value))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id
+            yield node.id, False
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr
+            yield node.attr, True
         elif isinstance(node, ast.alias):
-            yield from node.name.split(".")
+            for name in node.name.split("."):
+                yield name, False
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            yield from re.findall(r"[A-Za-z_]\w*", node.value)
+            for name in re.findall(r"[A-Za-z_]\w*", node.value):
+                yield name, True
 
 
 def test_every_defined_name_is_read_somewhere():
-    """A function, class, method or module-level name of the package that nothing reads fails here."""
-    read = set()
+    """A function, class, method or module-level name of the package that nothing reads fails here.
+
+    A method counts as read only through an attribute or a string: a bare name
+    that spells it reads a function of the same name, not the method.
+    """
+    read, read_by_attribute = set(), set()
     for path in READERS:
-        read.update(_read_names(_parse(path)))
+        for name, by_attribute in _read_names(_parse(path)):
+            (read_by_attribute if by_attribute else read).add(name)
     dead = [f"{path.name}:{line}: {name}"
-            for path in SOURCES for name, line in _defined_names(_parse(path))
-            if name not in read and not (name.startswith("__") and name.endswith("__"))]
+            for path in SOURCES for name, line, is_method in _defined_names(_parse(path))
+            if name not in read_by_attribute and (is_method or name not in read)
+            and not (name.startswith("__") and name.endswith("__"))]
     assert not dead, dead

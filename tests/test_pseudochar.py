@@ -11,9 +11,10 @@ from symplaw.detlaws import (
     eval_pf_law,
     star,
 )
-from symplaw.errors import ArityError, UnsupportedKindError
+from symplaw.errors import ArityError, StructureError, UnsupportedKindError
 from symplaw.invariants import InvariantFunction, TraceWord, eval_invariant
 from symplaw.matrices import RingMatrix
+from symplaw.multipoly import MultiPoly
 from symplaw.pseudochar import (
     Pseudocharacter,
     comparison_to_det_law,
@@ -22,7 +23,7 @@ from symplaw.pseudochar import (
     verify_axioms,
 )
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
-from symplaw.words import parse_word, random_word
+from symplaw.words import parse_word, random_word, word_inv
 
 
 def sp_pc(d, seeds):
@@ -153,6 +154,42 @@ def test_comparison_normalization():
         assert d_law(one) == 1
         c = Fraction(3)
         assert d_law(GroupAlgebraElement.one(c)) == c ** (2 * d)
+
+
+@pytest.mark.parametrize("coefficients", ["rational", "polynomial"])
+def test_comparison_p_takes_each_pair_in_either_order(coefficients):
+    """P equals eval_pf_law whether w or w^(-1) comes first among the terms, for words
+    below and above their inverses and for the empty word."""
+    pc = gsp_pc(2, [31, 32], [Fraction(2), Fraction(3, 5)])
+    rep = pc.rep
+    _, p_law = comparison_to_det_law(pc)
+    words = [parse_word(t) for t in ("g1", "g2 g1 g1", "g1 g2^-1", "g1^-1 g2")]
+    assert [w < word_inv(w) for w in words] == [False, False, True, True]
+    u = MultiPoly.variable("u")
+    if coefficients == "rational":
+        identity_coef, coefs = Fraction(7, 2), [Fraction(k, 3) for k in (1, -2, 4, 5)]
+    else:
+        identity_coef, coefs = u - 1, [u * k + 1 for k in (1, -2, 4, 5)]
+    for w_first in (True, False):
+        terms = {(): identity_coef}
+        for c, w in zip(coefs, words):
+            pair = [(w, c), (word_inv(w), c * rep.lambda_of_word(w))]
+            terms.update(pair if w_first else pair[::-1])
+        x = GroupAlgebraElement(terms)
+        order = list(x.terms)
+        assert all((order.index(w) < order.index(word_inv(w))) == w_first for w in words)
+        assert star(rep, x) == x
+        assert p_law(x) == eval_pf_law(rep, x)
+    assert p_law(GroupAlgebraElement.one(identity_coef)) == identity_coef**2
+
+
+def test_comparison_p_refuses_a_non_symmetric_element():
+    pc = gsp_pc(1, [33], [Fraction(2)])
+    _, p_law = comparison_to_det_law(pc)
+    g1 = parse_word("g1")
+    for x in (GroupAlgebraElement({g1: 1}), GroupAlgebraElement({g1: 1, word_inv(g1): 1})):
+        with pytest.raises(StructureError, match="comparison P is defined on symmetric elements"):
+            p_law(x)
 
 
 def test_comparison_hand_case_unipotent():

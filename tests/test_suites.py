@@ -335,11 +335,6 @@ def _theta_cache_never_read(pc, f, gammas, real=pseudochar.theta_eval):
     return real(pc, f, gammas)
 
 
-def _empty_word_not_halved(pc, x, real=pseudochar._symmetric_decomposition):
-    """The decomposition with the empty word's coefficient not halved: 1 = (1 + 1*) / 2."""
-    return [(c * 2 if w == () else c, w) for c, w in real(pc, x)]
-
-
 # Negative controls for ``suite pseudochar``: each row names a check (a glob
 # over check names) and a fault under which that check must fail at every
 # seed.  Every check has a control.  At ``--trials 4`` each representation
@@ -358,8 +353,9 @@ PSEUDOCHAR_CONTROLS = {
     # the comparison D reads its Lambda-vector off 2M instead of M
     "comparison_p_squared_equals_d": (
         pseudochar, "lambdas_of_matrix", lambda m, real=pseudochar.lambdas_of_matrix: real(m * 2)),
-    # the comparison P takes the empty word at twice its coefficient
-    "comparison_p_at_identity": (pseudochar, "_symmetric_decomposition", _empty_word_not_halved),
+    # the comparison P takes the reduced Pfaffian of 2M instead of M
+    "comparison_p_at_identity": (
+        pseudochar, "reduced_pfaffian", lambda ctx, m, real=pseudochar.reduced_pfaffian: real(ctx, m * 2)),
     # the recovered similitude is one too large
     "similitude_recovery_multiplicative": (
         pseudochar, "similitude", lambda ctx, m, real=pseudochar.similitude: real(ctx, m) + 1),
