@@ -41,9 +41,10 @@ determinant det(B) / delta^n, and A^(-1) C = delta B^(-1) E / epsilon for
 C = E / epsilon (the same Bareiss elimination on [B | E], continued above
 each pivot; the inverse takes C = Id).  No Fraction is built in between:
 a result of these kernels makes its Fraction ``entries`` only when they
-are read (``entries``, ``m[i, j]``, JSON output).  The division-free
-routines (Berkowitz, and the Pfaffian recursion in ``symplectic``) run
-unchanged on either B or the entries.
+are read (``entries``, ``m[i, j]``, JSON output).  Berkowitz, division-free,
+runs unchanged on either B or the entries.  The Pfaffian in ``symplectic``
+splits as the determinant does: a fraction-free elimination on B, and a
+division-free expansion on the entries of a polynomial matrix.
 Polynomial matrices have no cleared form and take the generic path.
 """
 

@@ -6,6 +6,13 @@ symplectic transpose is M^j = J M^T J^(-1); matrices fixed by it are
 itself is -1 for d = 2, 3 (mod 4); the reduced Pfaffian Pf(MJ) / Pf(J)
 divides by it so that the identity always maps to 1.
 
+Pfaffians split as ``matrices.mat_det`` does: a rational matrix goes to a
+fraction-free skew elimination on its cleared integer rows (J. R. Bunch,
+Math. Comp. 38, 1982), O(n^3), and a polynomial one to the division-free
+first-row expansion, memoized on bitmasks.  The similitude lambda of
+M^j M = lambda Id is read off the upper triangle of the alternating
+M^T J M = lambda J, without forming a matrix product.
+
 J, and the block form J_delta of a generalized matrix algebra (``gma``),
 are each held as a ``SignedPermutation``: one +-1 per row.  Its two kernels,
 the adjoint J tau(M)^T J^(-1) and the right product M J, move entries of M
@@ -143,11 +150,12 @@ def is_j_symmetric(ctx: SymplecticContext, m: RingMatrix) -> bool:
 
 
 def pfaffian(a: RingMatrix) -> Ring:
-    """Pfaffian of an alternating matrix, by first-row expansion memoized on bitmasks.
+    """Pfaffian of an alternating matrix; Pf(A)^2 = det(A).
 
-    Division-free, so it works for polynomial entries; equals the Leibniz
-    sum (1/(2^n n!)) sum_sigma sgn(sigma) prod a_(sigma(2i-1),sigma(2i)),
-    and Pf(A)^2 = det(A).  For rational A = B / delta it is Pf(B) / delta^(n/2).
+    Equals the Leibniz sum (1/(2^n n!)) sum_sigma sgn(sigma) prod
+    a_(sigma(2i-1),sigma(2i)).  A rational A = B / delta goes to the
+    fraction-free skew elimination on B, and Pf(A) = Pf(B) / delta^(n/2);
+    any other A to the division-free first-row expansion on its entries.
     """
     if not a.is_square() or a.rows % 2 != 0:
         raise StructureError(f"Pfaffian needs an even square matrix, got {a.rows}x{a.cols}")
@@ -157,13 +165,48 @@ def pfaffian(a: RingMatrix) -> Ring:
     if form is None:
         return exact_scalar(_pfaffian_expansion(a.entries))
     b, den = form
-    return Fraction(_pfaffian_expansion(b), den ** (a.rows // 2))
+    return Fraction(_pfaffian_elimination(b), den ** (a.rows // 2))
+
+
+def _pfaffian_elimination(b) -> int:
+    """Pf of the alternating integer rows ``b``, by fraction-free skew elimination, O(n^3).
+
+    Step k (k even) pivots on a[k][k+1], after which a[i][j] for k+1 < i < j
+    holds the Pfaffian of the indices 0..k+1, i, j; each update divides
+    exactly by the previous pivot, by the overlapping-Pfaffian identity
+    (Knuth, "Overlapping Pfaffians", 1996), as in Bareiss elimination.
+    A zero pivot swaps index k+1 with the first j that row k reaches,
+    which negates the Pfaffian; if row k reaches none, Pf = 0.
+    """
+    a = [list(row) for row in b]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(0, n, 2):
+        rk = a[k]
+        if not rk[k + 1]:
+            j = next((j for j in range(k + 2, n) if rk[j]), None)
+            if j is None:
+                return 0
+            a[k + 1], a[j] = a[j], a[k + 1]
+            for row in a[k:]:
+                row[k + 1], row[j] = row[j], row[k + 1]
+            sign = -sign
+        p, rl = rk[k + 1], a[k + 1]
+        for i in range(k + 2, n):
+            ri, ki, li = a[i], rk[i], rl[i]
+            for j in range(i + 1, n):
+                ri[j] = x = (p * ri[j] - ki * rl[j] + rk[j] * li) // prev
+                a[j][i] = -x
+        prev = p
+    return sign * prev
 
 
 def _pfaffian_expansion(a) -> Ring:
-    """Pf of the alternating rows ``a``; the int 0 if every term vanishes.
+    """Pf of the alternating rows ``a`` of a polynomial matrix; the int 0 if every term vanishes.
 
-    The memo is keyed on the bitmask of the indices still to be paired.
+    Division-free first-row expansion, O(2^n n) ring operations; the memo is
+    keyed on the bitmask of the indices still to be paired.
     """
     memo: dict = {0: 1}
 
@@ -240,17 +283,32 @@ def matrix_poly_value(coeffs: Sequence, m: RingMatrix, product: Callable = mul) 
 
 
 def similitude(ctx: SymplecticContext, m: RingMatrix) -> Fraction:
-    """The scalar lambda with M^j M = lambda * Id (the GSp similitude character)."""
+    """The scalar lambda with M^j M = lambda * Id (the GSp similitude character).
+
+    M^j M = lambda Id exactly when M^T J M = lambda J, and M^T J M is
+    alternating, so only its upper triangle is formed: entry (a, b) is
+    omega(col a, col b) = sum_i (x_i y_(i+d) - x_(i+d) y_i), on the cleared
+    rows B of a rational M = B / delta, where lambda = omega(col 0, col d) / delta^2.
+    """
     _check_size(ctx, m)
-    prod = symplectic_transpose(ctx, m) * m
-    lam = prod.trace() * Fraction(1, ctx.n)  # the diagonal entry, if M^j M is scalar
-    if RingMatrix.scalar(ctx.n, lam) != prod:
+    d, n = ctx.d, ctx.n
+    form = m.cleared()
+    halves = [(c[:d], c[d:]) for c in zip(*(m.entries if form is None else form[0]))]
+
+    def omega(a: int, b: int) -> Ring:
+        (xt, xb), (yt, yb) = halves[a], halves[b]
+        return sum(map(mul, xt, yb)) - sum(map(mul, xb, yt))
+
+    lam = omega(0, d)
+    if any(omega(a, b) != (lam if b == a + d else 0) for a in range(n) for b in range(a + 1, n)):
         raise NotASimilitudeError("M^j M is not scalar")
-    if isinstance(lam, MultiPoly):
+    if form is not None:
+        lam = Fraction(lam, form[1] ** 2)
+    elif isinstance(lam, MultiPoly):
         lam = lam.constant_value()
     if lam == 0:
         raise NotASimilitudeError("similitude factor is zero (singular matrix)")
-    return lam
+    return Fraction(lam)
 
 
 # -- exact random sampling -------------------------------------------
@@ -309,8 +367,8 @@ def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
     """Cayley transform S = (Id - H)^(-1)(Id + H) of a seeded H in sp_2d, by one solve.
 
     Deterministic in the seed; retries with a perturbed seed if Id - H is
-    singular.  The defining relation S^T J S = J is checked exactly before
-    returning.
+    singular.  The defining relation S^T J S = J, similitude 1, is checked
+    exactly before returning.
     """
     n = ctx.n
     ident = RingMatrix.identity(n)
@@ -321,7 +379,7 @@ def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
             s = _solve(ident - h, *(ident + h).cleared())
         except ZeroDivisionError:
             continue
-        if s.transpose() * ctx.J * s != ctx.J:
+        if similitude(ctx, s) != 1:
             raise StructureError("Cayley transform left the symplectic group")  # unreachable
         return s
     raise StructureError("could not sample a symplectic matrix (singular Id - H persisted)")

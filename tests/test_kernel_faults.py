@@ -105,6 +105,7 @@ FAULTS = {
     "sample_symplectic_identity": (symplectic, "sample_symplectic", _identity_sample),
     "bareiss_sign_flip_from_6": (matrices, "_det_bareiss", _sign_flip_from_6),
     "pfaffian_expansion_negated": (symplectic, "_pfaffian_expansion", _negated),
+    "pfaffian_elimination_negated": (symplectic, "_pfaffian_elimination", _negated),
     "berkowitz_last_coefficient_negated": (matrices, "_berkowitz", _last_coefficient_negated),
     "cofactor_expansion_negated": (matrices, "_cofactor_expansion", _negated),
     "right_product_negated": (SignedPermutation, "right_product", _negated),
@@ -125,8 +126,17 @@ SEEN = {
         "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4);"
         " pseudochar: comparison_p_at_identity"),
     "adjoint_plain_transpose": (
-        "every suite stops with an error: samples fail the similitude, j-symmetry and"
-        " alternating checks, and GMA elements their block membership"),
+        "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
+        " is wrong); every other suite stops with an error: images of x + x* fail the"
+        " j-symmetry and alternating checks, and GMA elements their block membership"),
+    "pfaffian_expansion_negated": (
+        "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
+        " recursion_matches_pfaffian_char_poly (Pf((t Id - M) J) comes from the expansion on a"
+        " polynomial matrix and Pf(J) from the elimination, so the sign no longer cancels)"),
+    "pfaffian_elimination_negated": (
+        "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
+        " recursion_matches_pfaffian_char_poly (Pf(J), a rational Pfaffian, changes sign while"
+        " the Pfaffian of the polynomial (t Id - M) J does not)"),
     "reduce_keeps_every_term": (
         "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"
         " survive)"),
@@ -157,10 +167,6 @@ UNSEEN = {
     "bareiss_sign_flip_from_6": (
         "at d <= 2 no suite takes the determinant of a rational matrix larger than 4 x 4;"
         " suite pfaffian at d = 3 sees it"
-    ),
-    "pfaffian_expansion_negated": (
-        "every Pfaffian a check compares enters squared, as Pf(M J) Pf(J), or on both sides"
-        " of Pf(g A g^T) = det(g) Pf(A), so a global sign cancels"
     ),
     "quotient_dot_drops_a_degree_1_term": (
         "the constant term of a product in the quotient depends only on the constant terms"

@@ -6,8 +6,10 @@ with J against the products with J and J_delta, the Lambda-vector memo of
 eval_invariant against a fresh computation, the integer kernels for
 rational matrices (product, inverse, determinant, Pfaffian, char_poly,
 rank) against plain Fraction references kept in this file, the cleared
-form (B, delta) every rational matrix keeps, and the memoized word images
-of a representation against plain products.
+form (B, delta) every rational matrix keeps, the skew elimination behind
+rational Pfaffians against the expansion, the similitude against the
+scalar of M^j M, and the memoized word images of a representation against
+plain products.
 """
 
 import random
@@ -17,8 +19,9 @@ from math import gcd
 
 import pytest
 
+from symplaw import symplectic
 from symplaw.detlaws import InvolutiveRepresentation
-from symplaw.errors import GeneratorError, VariableError
+from symplaw.errors import GeneratorError, NotASimilitudeError, VariableError
 from symplaw.gma import (
     counterexample_fixture,
     delta_involution,
@@ -45,12 +48,18 @@ from symplaw.matrices import (
 )
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
+    SignedPermutation,
     SymplecticContext,
+    _pfaffian_elimination,
+    _pfaffian_expansion,
     pfaffian,
     random_alternating,
+    random_j_symmetric,
     random_matrix,
+    reduced_pfaffian,
     sample_similitude,
     sample_symplectic,
+    similitude,
     symplectic_transpose,
 )
 
@@ -670,3 +679,180 @@ def test_building_a_representation_inverts_nothing(monkeypatch):
         got = rep.rho_word(((1, -1), (2, -1))) * rep.rho_word(((2, 1), (1, 1)))
         assert got == RingMatrix.identity(12)
     assert calls == []
+
+
+# -- rational Pfaffians by skew elimination, and the similitude -----------------
+
+
+def _alternating_ints(rng, n, density):
+    """Alternating integer rows whose upper entries are nonzero with probability ``density``."""
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                a[i][j] = rng.randint(-4, 4)
+                a[j][i] = -a[i][j]
+    return a
+
+
+def _integer_j(d):
+    return [[int(x) for x in row] for row in naive_j(d)]
+
+
+def _direct_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(r) + [0] * m for r in a] + [[0] * n + list(r) for r in b]
+
+
+def _hand_alternating(rng, n):
+    """(rows, Pf) for inputs that make the elimination swap, or stop on a row with no pivot."""
+    d = n // 2
+    yield _integer_j(d), (-1) ** (d * (d - 1) // 2)  # a[0][1] = 0 for d >= 2: swaps
+    yield [[0] * n for _ in range(n)], 0
+    zero_row = _alternating_ints(rng, n, 1.0)
+    k = rng.randrange(n)
+    for i in range(n):
+        zero_row[k][i] = zero_row[i][k] = 0
+    yield zero_row, 0
+    if n >= 4:
+        # step 0 leaves J_(d-1), whose first pivot is 0: the swap comes after an update
+        yield _direct_sum([[0, 3], [-3, 0]], _integer_j(d - 1)), 3 * (-1) ** ((d - 1) * (d - 2) // 2)
+        # v w^T - w v^T has rank 2: step 0 leaves only zeros, so step 2 finds no pivot
+        v = [rng.randint(1, 5) for _ in range(n)]
+        w = [rng.randint(-5, -1) for _ in range(n)]
+        yield [[v[i] * w[k] - w[i] * v[k] for k in range(n)] for i in range(n)], 0
+
+
+@pytest.mark.parametrize("n", range(2, 17, 2))
+def test_skew_elimination_matches_the_expansion_and_the_naive_pfaffian(n):
+    rng = random.Random(60 + n)
+    cases = [(_alternating_ints(rng, n, density), None)
+             for density in (1.0, 0.5, 0.25, 0.1) for _ in range(8)]
+    cases += list(_hand_alternating(rng, n))
+    singular = 0
+    for a, want in cases:
+        got = _pfaffian_elimination(tuple(map(tuple, a)))  # tuples: the input is not written to
+        assert type(got) is int
+        assert got == _pfaffian_expansion(a), a
+        if want is not None:
+            assert got == want, a
+        if n <= 10:
+            assert got == naive_pfaffian(a), a
+        singular += got == 0
+    assert 2 <= singular < len(cases)
+
+
+def test_a_rational_pfaffian_never_runs_the_expansion(monkeypatch):
+    def refuse(a):
+        raise AssertionError("the expansion ran on a rational matrix")
+
+    monkeypatch.setattr(symplectic, "_pfaffian_expansion", refuse)
+    rng = random.Random(61)
+    for d in (1, 2, 3, 6):
+        ctx = SymplecticContext(d)
+        assert pfaffian(ctx.J) == (-1) ** (d * (d - 1) // 2)
+        a = random_alternating(ctx.n, rng)
+        assert pfaffian(a) ** 2 == mat_det(a)
+        m = random_j_symmetric(ctx, rng)
+        assert reduced_pfaffian(ctx, m) ** 2 == mat_det(m)
+
+
+def test_a_polynomial_pfaffian_runs_the_expansion(monkeypatch):
+    calls = []
+    real = symplectic._pfaffian_expansion
+
+    def counting(a):
+        calls.append(len(a))
+        return real(a)
+
+    monkeypatch.setattr(symplectic, "_pfaffian_expansion", counting)
+    monkeypatch.setattr(symplectic, "_pfaffian_elimination", None)  # a call would fail
+    x = MultiPoly.variable("x")
+    rng = random.Random(62)
+    for n in (2, 4, 8):
+        rows = [list(r) for r in random_alternating(n, rng).entries]
+        rest = [[rows[i][j] for j in range(2, n)] for i in range(2, n)]
+        at_zero = naive_rows(rows)
+        rows[0][1], rows[1][0] = rows[0][1] + x, -rows[0][1] - x
+        a = RingMatrix(rows)
+        pf = pfaffian(a)
+        assert isinstance(pf, MultiPoly) and pf * pf == mat_det(a)
+        # Pf is linear in the entry (0, 1), with the Pfaffian of rows and columns 2.. as its slope
+        assert pf == naive_pfaffian(at_zero) + x * naive_pfaffian(rest)
+    assert calls == [2, 4, 8]
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_similitude_is_the_scalar_of_mj_m(d):
+    ctx = SymplecticContext(d)
+    samples = [(sample_symplectic(ctx, d), 1)]
+    samples += [(sample_similitude(ctx, d + k, factor), factor)
+                for k, factor in enumerate((2, Fraction(3, 2), Fraction(-5, 7)), 1)]
+    for m, factor in samples:
+        prod = symplectic_transpose(ctx, m) * m
+        lam = prod.trace() / ctx.n
+        assert prod == RingMatrix.scalar(ctx.n, lam)
+        got = similitude(ctx, m)
+        assert got == lam == factor and type(got) is Fraction
+
+
+def _blocks(top_left, top_right, bottom_left, bottom_right):
+    return RingMatrix([a + b for a, b in zip(top_left, top_right)]
+                      + [a + b for a, b in zip(bottom_left, bottom_right)])
+
+
+def test_similitude_refuses_a_non_scalar_or_singular_matrix():
+    rng = random.Random(63)
+    for d in (1, 2, 3, 6):
+        ctx = SymplecticContext(d)
+        n = ctx.n
+        if d > 1:  # at d = 1 every M^j M is det(M) Id
+            m = random_matrix(n, rng)
+            prod = symplectic_transpose(ctx, m) * m
+            assert prod != RingMatrix.scalar(n, prod.trace() / n)
+            with pytest.raises(NotASimilitudeError, match=r"^M\^j M is not scalar$"):
+                similitude(ctx, m)
+        # [[A, 0], [0, 0]]: its columns span an isotropic space, so M^j M = 0 Id
+        a = naive_rows(random_matrix(d, rng).entries)
+        zero = [[0] * d for _ in range(d)]
+        for m in (RingMatrix.zeros(n), _blocks(a, zero, zero, zero)):
+            assert symplectic_transpose(ctx, m) * m == RingMatrix.zeros(n)
+            with pytest.raises(NotASimilitudeError,
+                               match=r"^similitude factor is zero \(singular matrix\)$"):
+                similitude(ctx, m)
+
+
+def test_similitude_of_polynomial_entries():
+    t = MultiPoly.variable("t")
+    for d in (1, 2, 3):
+        ctx = SymplecticContext(d)
+        ident = [[int(i == j) for j in range(d)] for i in range(d)]
+        zero = [[0] * d for _ in range(d)]
+        sym = [[t * (i + j + 1) for j in range(d)] for i in range(d)]
+        for c in (1, Fraction(-3, 2)):
+            # [[c Id, B], [0, Id]] with B symmetric has similitude c
+            m = _blocks([[c * x for x in r] for r in ident], sym, zero, ident)
+            assert m.cleared() is None
+            got = similitude(ctx, m)
+            assert got == c and type(got) is Fraction
+            assert symplectic_transpose(ctx, m) * m == RingMatrix.scalar(ctx.n, c)
+        with pytest.raises(VariableError):  # M^j M = t Id: no constant similitude
+            similitude(ctx, _blocks([[t * x for x in r] for r in ident], zero, zero, ident))
+        if d > 1:  # B not symmetric
+            b = [[t * (i + 2 * j + 1) for j in range(d)] for i in range(d)]
+            with pytest.raises(NotASimilitudeError, match="not scalar"):
+                similitude(ctx, _blocks(ident, b, zero, ident))
+
+
+def test_building_a_representation_transposes_each_generator_once(monkeypatch):
+    calls = []
+    real = SignedPermutation.adjoint
+
+    def counting(self, m):
+        calls.append(m.rows)
+        return real(self, m)
+
+    images = _gsp_12()
+    monkeypatch.setattr(SignedPermutation, "adjoint", counting)
+    rep = InvolutiveRepresentation.from_images(images, kind="GSp")
+    assert calls == [12, 12] and rep.lambda_values == (Fraction(3, 2), Fraction(3, 2))
