@@ -12,8 +12,11 @@ product: the kernels behind M^j and M J, reindexings of M.
 Block coefficient modules live inside a polynomial ring modulo a monomial
 ideal, so products and span membership reduce to exact monomial
 bookkeeping: each ring decides once per exponent tuple whether the ideal
-contains that monomial, and span membership is tested against integer
-echelon rows that each spec computes once per block.
+contains that monomial, and each spec computes once per block the monomial
+columns and integer echelon rows of its span.  A full-rank block holds the
+entries whose monomials are columns; only a rank-deficient one clears an
+entry against its rows.  Membership checks and random elements walk one
+per-spec table of cells, one per entry in block order.
 Random elements are combinations of the reduced block bases, so they are
 built already reduced; a matrix given to a public entry point is reduced
 once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
@@ -189,21 +192,21 @@ def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
 
 
 def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
-    """(monomial columns, integer echelon rows) of the span of the reduced basis elements."""
+    """(monomial columns, integer echelon rows, full: a pivot in every column) of the reduced basis."""
     polys = [_reduced_poly(b, ring) for b in basis]
     columns = {exp: k for k, exp in enumerate(sorted({exp for p in polys for exp in p.terms}))}
     rows = IntegerEliminator()
     for p in polys:
         rows.add_row(_integer_row(p, columns))
-    return columns, rows
+    return columns, rows, rows.rank == len(columns)
 
 
 def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
-    """Is the reduced element p in the span?"""
-    columns, rows = span
+    """Is the reduced element p in the span?  In a full span, exactly when its monomials are columns."""
+    columns, rows, full = span
     if not isinstance(p, MultiPoly):
         p = MultiPoly.constant(p, ring.vars)
-    return all(exp in columns for exp in p.terms) and rows.spans(_integer_row(p, columns))
+    return columns.keys() >= p.terms.keys() and (full or rows.spans(_integer_row(p, columns)))
 
 
 def in_span(p: Ring, basis: Sequence[Ring], ring: QuotientRing) -> bool:
@@ -301,8 +304,10 @@ class GmaSpec:
     blocks: Mapping  # (i, j) -> tuple of MultiPoly (or scalars) spanning A_(i,j), i != j
     tau_signs: Mapping  # frozenset({i, j}) -> +-1
     J_delta: RingMatrix = field(init=False, repr=False)
-    # (i, j) -> (monomial columns, integer echelon rows) of span(i, j), i != j
+    # (i, j) -> (monomial columns, integer echelon rows, full) of span(i, j), i != j
     _spans: dict = field(init=False, repr=False, compare=False)
+    # one (a, b, i, j, span, basis) per entry, in block order (i, j, a, b); None, None if i == j
+    _cells: tuple = field(init=False, repr=False, compare=False)
     # J_delta as a signed permutation, its adjoint twisted by the tau signs
     _form: SignedPermutation = field(init=False, repr=False, compare=False)
 
@@ -336,6 +341,11 @@ class GmaSpec:
         spans = {(i, j): _span_rows(self.span(i, j), self.ring)
                  for i in range(1, r + 1) for j in range(1, r + 1) if i != j}
         object.__setattr__(self, "_spans", spans)
+        off = self.type.offsets()
+        cells = tuple((a, b, i, j, spans.get((i, j)), None if i == j else self.span(i, j))
+                      for i in range(1, r + 1) for j in range(1, r + 1)
+                      for a in range(off[i - 1], off[i]) for b in range(off[j - 1], off[j]))
+        object.__setattr__(self, "_cells", cells)
 
     @property
     def n(self) -> int:
@@ -355,21 +365,16 @@ class GmaSpec:
             raise DimensionError(f"expected {self.n}x{self.n} matrix")
         reduced = self.ring.reduce_matrix(m)
         entries = reduced.entries
-        off = self.type.offsets()
-        for i in range(1, self.type.r + 1):
-            for j in range(1, self.type.r + 1):
-                span = self._spans.get((i, j))
-                for a in range(off[i - 1], off[i]):
-                    for b in range(off[j - 1], off[j]):
-                        x = entries[a][b]
-                        if i == j:
-                            ok = not isinstance(x, MultiPoly) or x.is_constant()
-                        else:
-                            ok = _in_span_rows(x, span, self.ring)
-                        if not ok:
-                            raise MembershipError(
-                                f"entry ({a},{b}) = {x} outside the declared span of block ({i},{j})"
-                            )
+        for a, b, i, j, span, _ in self._cells:
+            x = entries[a][b]
+            if span is None:
+                ok = not isinstance(x, MultiPoly) or x.is_constant()
+            else:
+                ok = _in_span_rows(x, span, self.ring)
+            if not ok:
+                raise MembershipError(
+                    f"entry ({a},{b}) = {x} outside the declared span of block ({i},{j})"
+                )
         return reduced
 
 
@@ -504,24 +509,22 @@ def _embed_at(spec: GmaSpec, i: int, j: int, x: MultiPoly) -> RingMatrix:
 def random_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatrix:
     """Random integers in [-4, 4] on the diagonal blocks, and as the coefficients of the bases off them.
 
-    The block bases are reduced, and so is every combination of them.
+    The block bases are reduced, and so is every combination of them.  Each
+    integer is ``randrange(9) - 4``, the value ``randint(-4, 4)`` takes from
+    the same step of the generator.
     """
-    off = spec.type.offsets()
     rows = [[0] * spec.n for _ in range(spec.n)]
-    for i in range(1, spec.type.r + 1):
-        for j in range(1, spec.type.r + 1):
-            basis = None if i == j else spec.span(i, j)
-            for a in range(off[i - 1], off[i]):
-                for b in range(off[j - 1], off[j]):
-                    if i == j:
-                        rows[a][b] = rng.randint(-4, 4)
-                    elif basis:
-                        terms: dict = {}
-                        for p in basis:
-                            k = rng.randint(-4, 4)
-                            for exp, c in p.terms.items():
-                                terms[exp] = terms[exp] + c * k if exp in terms else c * k
-                        rows[a][b] = MultiPoly._trusted(spec.ring.vars, terms)
+    draw = rng.randrange
+    for a, b, _, _, span, basis in spec._cells:
+        if span is None:
+            rows[a][b] = draw(9) - 4
+        elif basis:
+            terms: dict = {}
+            for p in basis:
+                k = draw(9) - 4
+                for exp, c in p.terms.items():
+                    terms[exp] = terms[exp] + c * k if exp in terms else c * k
+            rows[a][b] = MultiPoly._trusted(spec.ring.vars, terms)
     return RingMatrix._trusted(rows)
 
 

@@ -26,6 +26,7 @@ from symplaw.gma import (
     validate_standard_gma,
 )
 from symplaw.matrices import (
+    IntegerEliminator,
     RingMatrix,
     _berkowitz_lambdas,
     lambdas_of_matrix,
@@ -410,6 +411,77 @@ def test_in_span_of_a_redundant_non_monomial_basis():
     assert in_span(Fraction(-1, 3) * u - Fraction(1, 3) * w, spec.span(2, 1), spec.ring)
     assert not in_span(u - w, spec.span(2, 1), spec.ring)  # in the coordinates, not the span
     assert not in_span(u, spec.span(2, 1), spec.ring)
+
+
+def test_only_a_rank_deficient_span_clears_against_its_rows(monkeypatch):
+    spec = redundant_basis_spec()
+    full = set()
+    for block, basis in spec.blocks.items():
+        columns, _, is_full = spec._spans[block]
+        coordinates = [[p.terms.get(exp, Fraction(0)) for exp in columns] for p in basis]
+        assert is_full == (matrix_rank(coordinates) == len(columns))
+        if is_full:
+            full.add(block)
+    assert full == {(1, 2), (1, 3)}
+
+    cleared = []
+    spans = IntegerEliminator.spans
+    monkeypatch.setattr(IntegerEliminator, "spans",
+                        lambda self, row: cleared.append(row) or spans(self, row))
+    u, v, w = (spec.ring.variable(x) for x in ("u", "v", "w"))
+    off = spec.type.offsets()
+    cases = [((1, 2), 3 * u - v, True), ((1, 3), u + v + w, True), ((1, 2), w, False),
+             ((2, 1), u + w, True), ((2, 1), u - w, False)]
+    for (i, j), x, member in cases:
+        cleared.clear()
+        rows = [[0] * spec.n for _ in range(spec.n)]
+        rows[off[i - 1]][off[j - 1]] = x
+        if member:
+            spec.check_membership(RingMatrix(rows))
+        else:
+            with pytest.raises(MembershipError):
+                spec.check_membership(RingMatrix(rows))
+        # the zero entries of block (2, 1) clear as empty rows
+        assert sum(map(bool, cleared)) == ((i, j) == (2, 1)), ((i, j), x)
+
+
+def reference_random_gma_element(spec, rng):
+    """Random integers in [-4, 4] on the diagonal blocks and as basis coefficients, block by block."""
+    off = spec.type.offsets()
+    rows = [[0] * spec.n for _ in range(spec.n)]
+    for i in range(1, spec.type.r + 1):
+        for j in range(1, spec.type.r + 1):
+            for a in range(off[i - 1], off[i]):
+                for b in range(off[j - 1], off[j]):
+                    if i == j:
+                        rows[a][b] = rng.randint(-4, 4)
+                    elif spec.span(i, j):
+                        acc = MultiPoly.zero(spec.ring.vars)
+                        for p in spec.span(i, j):
+                            acc = acc + rng.randint(-4, 4) * p
+                        rows[a][b] = acc
+    return RingMatrix(rows)
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture,
+                                       redundant_basis_spec])
+def test_random_elements_take_the_draws_of_the_block_by_block_builder(make_spec):
+    spec = make_spec()
+    for seed in range(50):
+        rng, reference = random.Random(seed), random.Random(seed)
+        assert random_gma_element(spec, rng) == reference_random_gma_element(spec, reference)
+        assert rng.getstate() == reference.getstate()
+
+
+def test_check_membership_reports_the_first_foreign_entry_in_block_order():
+    spec = standard_fixture()  # span(1,2) = <u>, span(1,3) = <v>
+    u, v = spec.ring.variable("u"), spec.ring.variable("v")
+    rows = [list(r) for r in random_gma_element(spec, random.Random(74)).entries]
+    rows[0][3] = u  # block (1,3), first in row-major order
+    rows[1][2] = v  # block (1,2), first in block order
+    with pytest.raises(MembershipError) as err:
+        spec.check_membership(RingMatrix(rows))
+    assert str(err.value) == f"entry (1,2) = {v} outside the declared span of block (1,2)"
 
 
 def _with_foreign_entry(spec, m):
