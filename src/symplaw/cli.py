@@ -6,7 +6,8 @@
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or
 environment.  SYMPLAW_MAX_DIM caps 2d (default 12) on every path; it must be
-a positive integer.
+a positive integer.  Every integer read from text, in argv, the environment
+or JSON, follows ``words.integer_literal``: an optional "-" and ASCII digits.
 """
 
 from __future__ import annotations
@@ -31,18 +32,23 @@ from .serialize import (
 )
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symplectic import pfaffian
-from .words import check_word_length, decimal_value, parse_word
+from .words import check_word_length, integer_literal, parse_word
 
 
 def _max_dim() -> int:
     raw = os.environ.get("SYMPLAW_MAX_DIM", "12")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
+    cap = integer_literal(raw)
+    if cap is None or cap < 1:
         raise SymplawError(f"SYMPLAW_MAX_DIM must be a positive integer, got {raw!r}")
     return cap
+
+
+def integer(text: str) -> int:
+    """An argv integer by ``integer_literal``; argparse reports the ValueError."""
+    value = integer_literal(text)
+    if value is None:
+        raise ValueError(text)
+    return value
 
 
 def _load_json(path: str):
@@ -61,9 +67,9 @@ def _emit(report: dict, out_path: str | None):
             fh.write(text)
 
 
-def _cmd_suite(args) -> int:
-    if 2 * args.d > _max_dim():
-        sys.stderr.write(f"2d = {2 * args.d} exceeds SYMPLAW_MAX_DIM = {_max_dim()}\n")
+def _cmd_suite(args, cap: int) -> int:
+    if 2 * args.d > cap:
+        sys.stderr.write(f"2d = {2 * args.d} exceeds SYMPLAW_MAX_DIM = {cap}\n")
         return 2
     cfg = SuiteConfig(suite=args.name, d=args.d, trials=args.trials, seed=args.seed)
     spec = None
@@ -72,7 +78,7 @@ def _cmd_suite(args) -> int:
             sys.stderr.write("--input provides a GMA spec; only the gma/all suites accept one\n")
             return 2
         blob = _load_json(args.input)
-        spec = gma_spec_from_json(blob, _max_dim())
+        spec = gma_spec_from_json(blob, cap)
     report = run_suite(cfg, gma_spec=spec)
     _emit(report, args.out)
     return 0 if report["pass"] else 1
@@ -85,7 +91,7 @@ def _parse_trace_word(text: str) -> TraceWord:
     for token in tokens:
         starred = token.endswith("*")
         idx = token[:-1] if starred else token
-        index = decimal_value(idx)
+        index = integer_literal(idx)
         if index is None:
             raise SchemaError(f"bad trace-word token {token!r}")
         letters.append((index, starred))
@@ -122,17 +128,17 @@ def _check_argument_count(items: list, what: str):
         raise CapacityError(f"{what}: more than the {MAX_EVAL_ARGUMENTS}-argument guard")
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args, cap: int) -> int:
     blob = _load_json(args.input)
     if args.command == "pfaffian":
         if not isinstance(blob, dict) or "matrix" not in blob:
             raise SchemaError("pfaffian input must be {'matrix': [[..]]}")
-        m = matrix_from_json(blob["matrix"], _max_dim())
+        m = matrix_from_json(blob["matrix"], cap)
         values = {"pfaffian": ring_value_to_string(pfaffian(m))}
     elif args.command == "detlaw":
         if not isinstance(blob, dict) or "rep" not in blob or "element" not in blob:
             raise SchemaError("detlaw input must be {'rep':.., 'element':.., 'law': 'D'|'P'}")
-        rep = representation_from_json(blob["rep"], _max_dim())
+        rep = representation_from_json(blob["rep"], cap)
         x = group_elem_from_json(blob["element"])
         law = blob.get("law", "D")
         if law == "D":
@@ -145,7 +151,6 @@ def _cmd_eval(args) -> int:
         if not isinstance(blob, dict) or not isinstance(blob.get("matrices"), list):
             raise SchemaError("invariant input needs 'matrices', a list of matrices")
         _check_argument_count(blob["matrices"], "invariant matrices")
-        cap = _max_dim()
         mats = [matrix_from_json(m, cap) for m in blob["matrices"]]
         f = _invariant_from_json(blob, arity=len(mats))
         values = {"value": ring_value_to_string(eval_invariant(f, mats))}
@@ -158,7 +163,7 @@ def _cmd_eval(args) -> int:
         ):
             raise SchemaError("theta gammas must be a list of word strings")
         _check_argument_count(blob["gammas"], "theta gammas")
-        rep = representation_from_json(blob["rep"], _max_dim())
+        rep = representation_from_json(blob["rep"], cap)
         gammas = [parse_word(w) for w in blob["gammas"]]
         f = _invariant_from_json(blob["f"], arity=len(gammas))
         pc = Pseudocharacter(rep)
@@ -175,9 +180,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     ps = sub.add_parser("suite", help="run a named property suite")
     ps.add_argument("name", choices=SUITE_NAMES)
-    ps.add_argument("--d", type=int, default=2)
-    ps.add_argument("--trials", type=int, default=100)
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--d", type=integer, default=2)
+    ps.add_argument("--trials", type=integer, default=100)
+    ps.add_argument("--seed", type=integer, default=0)
     ps.add_argument("--input", default=None, help="GMA spec JSON (gma suite only)")
     ps.add_argument("--out", default=None, help="also write the JSON report here")
     ps.set_defaults(func=_cmd_suite)
@@ -194,7 +199,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _max_dim())
     except SchemaError as e:
         sys.stderr.write(f"input error: {e}\n")
         return 2

@@ -3,9 +3,10 @@
 Rationals are "p/q" strings (bare integers allowed on input); matrices are
 row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 "coef": "p/q"}]} objects, with a compact string form ("2/3*u^2*v - 1")
-accepted on input for fixtures.  Rationals, polynomials and matrices have
-writers whose output re-parses to an equal value; group-algebra elements,
-representations and GMA specs are only read.
+accepted on input for fixtures.  Every integer read from text, block keys and
+"p/q" halves included, is a ``words.integer_literal``.  Rationals, polynomials
+and matrices have writers whose output re-parses to an equal value;
+group-algebra elements, representations and GMA specs are only read.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .gma import GmaSpec, GmaType, QuotientRing
 from .matrices import RingMatrix, matrix_from_ratios
 from .multipoly import MultiPoly
 from .symplectic import SymplecticContext
-from .words import decimal_value, parse_word
+from .words import integer_literal, parse_word
 
 
 # -- rationals ----------------------------------------------------------
@@ -31,19 +32,10 @@ def fraction_to_json(x: Fraction | int) -> str | int:
 
 
 def _ratio_literal(text: str) -> tuple | None:
-    """(p, q) with q > 0 for text "p" or "p/q", or None for any other text.
-
-    p and q are ASCII digits, p after at most one "-", and q is not zero.
-    The pair is not reduced.  A p or q past the int digit limit gives None.
-    """
+    """(p, q) for text "p" or "p/q" of ``integer_literal``s with q > 0, else None; not reduced."""
     num, slash, den = text.partition("/")
-    p, q = num[1:] if num[:1] == "-" else num, den if slash else "1"
-    if p.isascii() and p.isdigit() and q.isascii() and q.isdigit() and q.strip("0"):
-        try:
-            return int(num), int(q)
-        except ValueError:  # past the digit limit; Fraction's parser refuses it too
-            return None
-    return None
+    p, q = integer_literal(num), integer_literal(den) if slash else 1
+    return (p, q) if p is not None and q is not None and q > 0 else None
 
 
 def fraction_from_json(obj) -> Fraction:
@@ -60,15 +52,11 @@ def fraction_from_json(obj) -> Fraction:
 
 
 def int_from_json(value, what: str) -> int:
-    """An integer, or a string of one, as an int; ``what`` names the field in the error."""
-    if not isinstance(value, bool):
-        if isinstance(value, int):
-            return value
-        if isinstance(value, str):
-            try:
-                return int(value)
-            except ValueError:
-                pass
+    """An integer, or an ``integer_literal`` string, as an int; ``what`` names the field in the error."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and (n := integer_literal(value)) is not None:
+        return n
     raise SchemaError(f"{what} must be an integer, got {value!r}")
 
 
@@ -132,7 +120,7 @@ def parse_poly_string(text: str) -> MultiPoly:
                 name, caret, exp = factor.partition("^")
                 if not name.isidentifier():
                     raise SchemaError(f"bad variable {name!r} in {text!r}")
-                power = decimal_value(exp) if caret else 1
+                power = integer_literal(exp) if caret else 1
                 if power is None:
                     raise SchemaError(f"bad exponent {exp!r} in {text!r}")
                 factors[name] = factors.get(name, 0) + power
@@ -283,13 +271,10 @@ def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepre
 
 
 def _block_key(key: str) -> tuple:
-    """A block key "i,j" as the pair of ints (i, j)."""
-    parts = key.split(",")
-    if len(parts) == 2:
-        try:
-            return int(parts[0]), int(parts[1])
-        except ValueError:
-            pass
+    """A block key "i,j" of two ``integer_literal``s as the pair of ints (i, j)."""
+    pair = tuple(map(integer_literal, key.split(",")))
+    if len(pair) == 2 and None not in pair:
+        return pair
     raise SchemaError(f"block key must be two comma-separated integers, got {key!r}")
 
 

@@ -26,9 +26,11 @@ def check_word_length(letters: int) -> None:
         raise CapacityError(f"word longer than the {MAX_WORD_LETTERS}-letter guard")
 
 
-def decimal_value(text: str) -> int | None:
-    """int(text) if text is one or more decimal digits within the int digit limit, else None."""
-    if text.isdecimal():
+def integer_literal(text: str) -> int | None:
+    """int(text) if text is an optional "-" and one or more ASCII digits within the int
+    digit limit, else None: the one integer grammar of every numeral the CLI reads."""
+    digits = text.removeprefix("-")
+    if digits.isascii() and digits.isdigit():
         try:
             return int(text)
         except ValueError:  # past the int digit limit
@@ -75,19 +77,17 @@ def parse_word(text: str) -> Word:
         return IDENTITY
     letters = []
     for token in text.split():
-        body, _, exp = token.partition("^")
+        body, caret, exp = token.partition("^")
         if not body.startswith("g"):
             raise GeneratorError(f"bad word token {token!r}")
-        try:
-            gen = int(body[1:])
-        except ValueError:
-            raise GeneratorError(f"bad word token {token!r}") from None
+        gen = integer_literal(body[1:])
+        if gen is None:
+            raise GeneratorError(f"bad word token {token!r}")
         if gen < 1:
             raise GeneratorError(f"bad generator index in {token!r}")
-        try:
-            n = int(exp) if exp else 1
-        except ValueError:
-            raise GeneratorError(f"bad exponent in {token!r}") from None
+        n = integer_literal(exp) if caret else 1
+        if n is None:
+            raise GeneratorError(f"bad exponent in {token!r}")
         check_word_length(len(letters) + abs(n))
         sign = 1 if n > 0 else -1
         letters.extend([(gen, sign)] * abs(n))

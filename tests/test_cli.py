@@ -319,13 +319,14 @@ def _matrices_blob(count, matrix=_identity(2)):
         ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": "1" * 5000 + "*"},
                    "gammas": ["g1"]}),
         ("detlaw", {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": "u^" + "1" * 5000}]}}),
+        ("detlaw", _detlaw_blob("g1^")),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
          "trace_word_over_cap", "element_terms_over_cap", "theta_gammas_over_cap",
          "invariant_matrices_over_cap", "trace_word_superscript", "trace_word_superscript_index",
          "trace_word_index_past_digit_limit", "trace_word_starred_index_past_digit_limit",
-         "coefficient_exponent_past_digit_limit"],
+         "coefficient_exponent_past_digit_limit", "word_exponent_empty"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
@@ -574,3 +575,123 @@ def test_suite_gma_on_a_spec_with_no_blocks(tmp_path, capsys, seed):
                         capsys)
     assert code == 0 and json.loads(out)["pass"] is True
     assert hashlib.sha256(out.encode()).hexdigest() == _ALL_SCALAR_GMA_DIGESTS[seed]
+
+
+
+# Every integer-bearing field the CLI reads, as a builder from a numeral to (argv, JSON input or
+# None, SYMPLAW_MAX_DIM); the numeral "1" gives a plain input.  One grammar, an optional "-" and
+# ASCII digits (``words.integer_literal``), covers them all.
+_INTEGER_FIELDS = {
+    "argv_d": lambda n: (["suite", "pfaffian", "--d", n, "--trials", "2"], None, "12"),
+    "argv_trials": lambda n: (["suite", "pfaffian", "--d", "1", "--trials", n], None, "12"),
+    "argv_seed": lambda n: (["suite", "pfaffian", "--d", "1", "--trials", "2", "--seed", n],
+                            None, "12"),
+    "max_dim": lambda n: (["eval", "pfaffian"], {"matrix": [[0, 1], [-1, 0]]}, n + "2"),
+    "generator_index": lambda n: (["eval", "detlaw"], {
+        "rep": _GSP_REP, "element": {"terms": [{"word": f"g{n}", "coef": 1}]}}, "12"),
+    "word_exponent": lambda n: (["eval", "detlaw"], {
+        "rep": _GSP_REP, "element": {"terms": [{"word": f"g1^{n}", "coef": 1}]}}, "12"),
+    "gamma_exponent": lambda n: (["eval", "theta"], {
+        "rep": _GSP_REP, "f": {"sigma_index": 1, "word": "1"}, "gammas": [f"g2^{n}"]}, "12"),
+    "trace_word_index": lambda n: (["eval", "invariant"], {
+        "matrices": [[[1, 2], [3, 4]]], "sigma_index": 1, "word": f"{n} {n}*"}, "12"),
+    "poly_string_exponent": lambda n: (["eval", "detlaw"], {
+        "rep": _REP_4, "element": {"terms": [{"word": "1", "coef": f"2*u^{n}"}]}}, "12"),
+    "poly_object_exponent": lambda n: (["eval", "detlaw"], {
+        "rep": _REP_4, "element": {"terms": [{"word": "1", "coef": {
+            "vars": ["u"], "terms": [{"exp": [n], "coef": 2}]}}]}}, "12"),
+    "rep_d": lambda n: (["eval", "detlaw"], {
+        "rep": {"d": n, "kind": "GSp", "generators": [[[2, 0], [0, 1]]]},
+        "element": {"terms": [{"word": "g1", "coef": 1}]}}, "12"),
+    "sigma_index": lambda n: (["eval", "invariant"], {
+        "matrices": [[[1, 2], [3, 4]]], "sigma_index": n, "word": "1"}, "12"),
+    "arity": lambda n: (["eval", "invariant"], {
+        "matrices": [[[1, 2], [3, 4]]], "sigma_index": 2, "word": "1", "arity": n}, "12"),
+    "var_index": lambda n: (["eval", "invariant"], {
+        "matrices": [[[2, 0], [0, 1]]], "similitude_power": 3, "var_index": n}, "12"),
+    "similitude_power": lambda n: (["eval", "theta"], {
+        "rep": _GSP_REP, "gammas": ["g1"], "f": {"similitude_power": n, "var_index": 1}}, "12"),
+    "gma_type_entry": lambda n: (["suite", "gma", "--trials", "2"],
+                                 {**_GMA_INPUT, "dims": [n, 1]}, "12"),
+    "block_key": lambda n: (["suite", "gma", "--trials", "2"],
+                            {**_GMA_INPUT, "blocks": {f"{n},2": ["u"], "2,1": ["v"]}}, "12"),
+    "tau_sign": lambda n: (["suite", "gma", "--trials", "2"],
+                           {**_GMA_INPUT, "tau_signs": {"1,2": f"-{n}"}}, "12"),
+}
+
+# What each plain input prints: the JSON value of an eval, the sha256 of a suite report.
+_PLAIN_OUTPUTS = {
+    "argv_d": "cbbabe89bce67d61aa6c0cda3461d1317adf11e79853b9a690f825c059ef6558",
+    "argv_trials": "4f800f686ff71fc6caab2ba6093703ae46ba9b6f4f4f4a9516f352bb43628d68",
+    "argv_seed": "01f36dca659e512285721098c40004ef178df6d5410c0dd5f9ea4beed635bc3e",
+    "max_dim": {"pfaffian": "1"},
+    "generator_index": {"D": "2"},
+    "word_exponent": {"D": "2"},
+    "gamma_exponent": {"theta": "2"},
+    "trace_word_index": {"value": "-4"},
+    "poly_string_exponent": {"D": "16*u^4"},
+    "poly_object_exponent": {"D": "16*u^4"},
+    "rep_d": {"D": "2"},
+    "sigma_index": {"value": "5"},
+    "arity": {"value": "-2"},
+    "var_index": {"value": "8"},
+    "similitude_power": {"theta": "2"},
+    "gma_type_entry": "7f0d2a425b1afcf5ed49516a6a1d72bb9603622951716a3e1e154a3c1b4c3b2d",
+    "block_key": "7f0d2a425b1afcf5ed49516a6a1d72bb9603622951716a3e1e154a3c1b4c3b2d",
+    "tau_sign": "7f0d2a425b1afcf5ed49516a6a1d72bb9603622951716a3e1e154a3c1b4c3b2d",
+}
+
+_MALFORMED_NUMERALS = {"plus": "+1", "underscore": "1_0", "arabic_indic": "\u0661",
+                       "superscript": "\u00b2", "past_digit_limit": "1" * 4301}
+# In a word, a trace word or a polynomial string, white space separates tokens or is
+# dropped, so a numeral with a space next to it is malformed only in the other fields.
+_SPACED_NUMERALS = {"space_before": " 1", "space_after": "1 "}
+_TOKEN_FIELDS = {"generator_index", "word_exponent", "gamma_exponent", "trace_word_index",
+                 "poly_string_exponent"}
+
+# Rows that fail while int() and str.isdecimal read these fields, all but one by exiting 0:
+# - plus, arabic_indic: every field but trace_word_index and poly_string_exponent (arabic_indic
+#   there too) and tau_sign (arabic_indic only);
+# - underscore, read as 10: argv_trials, argv_seed, max_dim, word_exponent, gamma_exponent,
+#   poly_object_exponent and similitude_power; argv_d exits 2, but on the cap (2d = 20 > 12);
+# - space_before, space_after: every field that takes them but tau_sign (space_after only)
+#   and max_dim (space_before only).
+_MALFORMED_ROWS = [(field, name) for field in _INTEGER_FIELDS
+                   for name in [*_MALFORMED_NUMERALS,
+                                *(() if field in _TOKEN_FIELDS else _SPACED_NUMERALS)]]
+
+
+def _run_integer_field(tmp_path, monkeypatch, field, numeral):
+    """The exit code of cli.main on the field's input; argparse's SystemExit gives its code."""
+    argv, blob, cap = _INTEGER_FIELDS[field](numeral)
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", cap)
+    if blob is not None:
+        argv = [*argv, "--input", _write(tmp_path, blob)]
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
+@pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
+def test_a_plain_integer_field_reads_as_before(tmp_path, capsys, monkeypatch, field):
+    code = _run_integer_field(tmp_path, monkeypatch, field, "1")
+    out = capsys.readouterr().out
+    assert code == 0
+    expected = _PLAIN_OUTPUTS[field]
+    assert (json.loads(out) if isinstance(expected, dict)
+            else hashlib.sha256(out.encode()).hexdigest()) == expected
+
+
+@pytest.mark.parametrize(("field", "name"), _MALFORMED_ROWS,
+                         ids=[f"{field}-{name}" for field, name in _MALFORMED_ROWS])
+def test_a_malformed_integer_field_exits_2(tmp_path, capsys, monkeypatch, field, name):
+    numeral = {**_MALFORMED_NUMERALS, **_SPACED_NUMERALS}[name]
+    code = _run_integer_field(tmp_path, monkeypatch, field, numeral)
+    captured = capsys.readouterr()
+    if field.startswith("argv_"):  # argparse prints its usage above the one error line
+        option = field.removeprefix("argv_")
+        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
+        assert f"error: argument --{option}: invalid" in captured.err.splitlines()[-1]
+    else:
+        _assert_one_line_error(code, captured)

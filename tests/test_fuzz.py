@@ -40,6 +40,7 @@ VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3"
           [], {}, [[]], [1], {"a": 1},
           ["g1"] * (MAX_EVAL_ARGUMENTS + 1),  # one past the argument cap, as gammas or matrices
           "\u00b2",  # a digit to isdigit, but not to int
+          "1_0", "+1", "\u0661",  # numerals int reads but the integer grammar refuses
           "1" * 4301,  # one digit past CPython's default int digit limit
           LONG_WORD, LONG_ELEMENT)
 

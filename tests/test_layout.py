@@ -96,20 +96,27 @@ def _catches_value_error(handler) -> bool:
 
 
 def test_every_int_call_of_a_parser_catches_value_error():
-    """In the modules that read input text, every ``int()`` call sits in the body of a ``try``
-    that catches ``ValueError``: ``int`` refuses some digit strings (superscripts, more digits
-    than the int digit limit) that ``isdigit`` and ``isdecimal`` let through."""
+    """In the modules that read input text, ``int()`` is called only inside
+    ``words.integer_literal``, in the body of a ``try`` that catches ``ValueError``, and no
+    argparse option reads with ``type=int``: one grammar decides what an integer is.  ``int``
+    alone accepts "+1", " 1", "1_0" and non-ASCII digits, and refuses more digits than the
+    int digit limit."""
     found = []
     for path in SOURCES:
         if path.name not in ("cli.py", "serialize.py", "words.py"):
             continue
         tree = _parse(path)
-        guarded = {id(node) for tried in ast.walk(tree)
-                   if isinstance(tried, ast.Try) and any(map(_catches_value_error, tried.handlers))
-                   for stmt in tried.body for node in ast.walk(stmt)}
-        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+        reader = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "integer_literal"
+                  for tried in ast.walk(fn)
+                  if isinstance(tried, ast.Try) and any(map(_catches_value_error, tried.handlers))
+                  for stmt in tried.body for node in ast.walk(stmt)}
+        found += [f"{path.name}:{node.lineno}: int()" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                  and node.func.id == "int" and id(node) not in guarded]
+                  and node.func.id == "int" and id(node) not in reader]
+        found += [f"{path.name}:{node.value.lineno}: type=int" for node in ast.walk(tree)
+                  if isinstance(node, ast.keyword) and node.arg == "type"
+                  and isinstance(node.value, ast.Name) and node.value.id == "int"]
     assert not found, found
 
 

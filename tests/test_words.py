@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from symplaw.errors import GeneratorError
 from symplaw.words import (
     format_word,
+    integer_literal,
     parse_word,
     random_word,
     reduce_letters,
@@ -33,10 +34,22 @@ def test_parse_format_round_trip():
         assert parse_word(format_word(w)) == w
     assert parse_word("g1^2") == ((1, 1), (1, 1))
     assert format_word(parse_word("g1 g1")) == "g1 g1"
-    with pytest.raises(GeneratorError):
-        parse_word("h1")
-    with pytest.raises(GeneratorError):
-        parse_word("g0")
+    assert parse_word("g02^-2") == ((2, -1), (2, -1))
+    for text in ("h1", "g0", "g+1", "g1_0", "g\u0661", "g1^", "g1^+1", "g1^1_0",
+                 "g1^\u0661"):
+        with pytest.raises(GeneratorError):
+            parse_word(text)
+
+
+@pytest.mark.parametrize(("text", "value"), [
+    ("0", 0), ("007", 7), ("-0", 0), ("-12", -12), ("1" * 4300, int("1" * 4300)),
+    ("", None), ("-", None), ("--1", None), ("+1", None), (" 1", None), ("1 ", None),
+    ("1_0", None), ("\u00b2", None), ("\u0661", None), ("1.0", None), ("1" * 4301, None),
+], ids=["zero", "leading_zeros", "minus_zero", "negative", "at_digit_limit", "empty", "minus",
+        "minus_minus", "plus", "space_before", "space_after", "underscore", "superscript",
+        "arabic_indic", "decimal_point", "past_digit_limit"])
+def test_integer_literal_is_a_minus_and_ascii_digits_within_the_digit_limit(text, value):
+    assert integer_literal(text) == value
 
 
 letters = st.lists(
