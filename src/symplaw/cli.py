@@ -174,8 +174,15 @@ def _cmd_eval(args, cap: int) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a malformed command line raised as a SchemaError (one line, exit 2)."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="symplaw", description=__doc__)
+    parser = _Parser(prog="symplaw", description=__doc__)
     sub = parser.add_subparsers(dest="mode", required=True)
 
     ps = sub.add_parser("suite", help="run a named property suite")
@@ -196,9 +203,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args, _max_dim())
     except SchemaError as e:
         sys.stderr.write(f"input error: {e}\n")

@@ -23,7 +23,7 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, entry_vars, exact_scalar, lambdas_of_matrix, mat_det
+from .matrices import RingMatrix, _linear_combination, entry_vars, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, fresh_var
 from .symplectic import (
     SymplecticContext,
@@ -178,10 +178,8 @@ class InvolutiveRepresentation:
 
     def rho(self, x: GroupAlgebraElement) -> RingMatrix:
         """Linear extension of the word map over Fraction or MultiPoly coefficients."""
-        acc = RingMatrix.zeros(self.ctx.n)
-        for w, c in x.terms.items():
-            acc = acc + self.rho_word(w) * c
-        return acc
+        n = self.ctx.n
+        return _linear_combination([(c, self.rho_word(w)) for w, c in x.terms.items()], n, n)
 
 
 def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraElement:
@@ -330,9 +328,7 @@ def chi_alpha(
     images = [rep.rho(r) for r in elems]
     taken = set().union(*map(entry_vars, images))
     tvars = [fresh_var(f"t{i + 1}", taken) for i in range(len(elems))]
-    s = RingMatrix.zeros(rep.ctx.n)
-    for tv, image in zip(tvars, images):
-        s = s + image * MultiPoly.variable(tv)
+    s = _linear_combination(list(zip(map(MultiPoly.variable, tvars), images)), rep.ctx.n, rep.ctx.n)
     # s is j-symmetric: every r_i is symmetric and every generator's similitude
     # is verified, so rho(r*) = rho(r)^j
     acc = matrix_poly_value(pfaffian_coeffs_of_matrix(rep.ctx, s), s)

@@ -28,32 +28,32 @@ Every matrix holds one of two entry forms, fixed when it is built (in
   runs on ints.  Values that leave a kernel (``mat_det``, ``trace``, the
   Pfaffian) are a Fraction or a MultiPoly.
 
-The cleared form of a rational matrix is one pair (B, delta):
-B a tuple of integer rows and delta > 0 the least common denominator, so
-that A = B / delta and gcd(delta, content of B) = 1.  That pair is unique
-for each rational matrix.  It is fixed when the matrix is built, and the
-kernels run on Python ints and normalize their results the same way: the
-product is B1 B2 / (delta1 delta2), sums, negation, scalar multiples,
-transposes and the signed reindexing of ``RingMatrix.rearranged`` keep or
-rescale delta, equality compares the pairs, the trace is tr(B) / delta,
-the k-th characteristic-polynomial coefficient c_k(B) / delta^k, the
-determinant det(B) / delta^n, and A^(-1) C = delta B^(-1) E / epsilon for
-C = E / epsilon (the same Bareiss elimination on [B | E], continued above
-each pivot; the inverse takes C = Id).  No Fraction is built in between:
-a result of these kernels makes its Fraction ``entries`` only when they
-are read (``entries``, ``m[i, j]``, JSON output).  Berkowitz, division-free,
-runs unchanged on either B or the entries.  The Pfaffian in ``symplectic``
-splits as the determinant does: a fraction-free elimination on B, and a
-division-free expansion on the entries of a polynomial matrix.
+The cleared form of a rational matrix is one pair (B, delta): B a tuple of
+integer rows and delta > 0 the least common denominator, so that A = B / delta
+and gcd(delta, content of B) = 1.  That pair is unique for each rational
+matrix.  It is fixed when the matrix is built, and the kernels run on Python
+ints and normalize their results the same way: the product is B1 B2 /
+(delta1 delta2), a sum c_1 M_1 + ... + c_k M_k of c_i = p_i / q_i is one pass
+over the B_i over lcm(q_i delta_i) (``_linear_combination``), transposes and
+the signed reindexing of ``RingMatrix.rearranged`` keep delta, equality
+compares the pairs, the trace is tr(B) / delta, the k-th characteristic-
+polynomial coefficient c_k(B) / delta^k, the determinant det(B) / delta^n,
+and A^(-1) C = delta B^(-1) E / epsilon for C = E / epsilon (the same Bareiss
+elimination on [B | E], continued above each pivot; the inverse takes C = Id).
+No Fraction is built in between: a result makes its Fraction ``entries`` only
+when they are read (``entries``, ``m[i, j]``, JSON output).  Berkowitz,
+division-free, runs unchanged on either B or the entries.  The Pfaffian in
+``symplectic`` splits as the determinant does: a fraction-free elimination on
+B, and a division-free expansion on the entries of a polynomial matrix.
 Polynomial matrices have no cleared form and take the generic path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
@@ -192,26 +192,23 @@ class RingMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
+        if self._ints is not None and other._ints is not None:
+            return _linear_combination(((1, self), (1, other)), self.rows, self.cols)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise DimensionError("shape mismatch in matrix addition")
-        if self._ints is None or other._ints is None:
-            return RingMatrix._trusted(
-                [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-            )
-        den = lcm(self._den, other._den)
-        f1, f2 = den // self._den, den // other._den
-        return RingMatrix._cleared(
-            [[a * f1 + b * f2 for a, b in zip(r1, r2)] for r1, r2 in zip(self._ints, other._ints)],
-            den,
+        return RingMatrix._trusted(
+            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
         )
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
+        if self._ints is not None and other._ints is not None:
+            return _linear_combination(((1, self), (-1, other)), self.rows, self.cols)
         return self + (-other)
 
     def __neg__(self) -> "RingMatrix":
-        if self._ints is None:
-            return RingMatrix._trusted([[-x for x in row] for row in self.entries])
-        return RingMatrix._cleared([[-x for x in row] for row in self._ints], self._den)
+        if self._ints is not None:
+            return _linear_combination(((-1, self),), self.rows, self.cols)
+        return RingMatrix._trusted([[-x for x in row] for row in self.entries])
 
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
@@ -222,18 +219,14 @@ class RingMatrix:
             return RingMatrix._cleared(_product(self._ints, other._ints), self._den * other._den)
         return self._scaled(other)
 
-    def __rmul__(self, other):
-        return self._scaled(other)
-
     def _scaled(self, c) -> "RingMatrix":
-        """c times the matrix: on B for a rational matrix and an int or Fraction c, else on each entry.
+        """c M = M c, as every entry commutes with every scalar; one kernel term if M is rational."""
+        if self._ints is not None:
+            return _linear_combination(((c, self),), self.rows, self.cols)
+        c = _exact(c)
+        return RingMatrix._trusted([[x * c for x in row] for row in self.entries])
 
-        Every entry commutes with every scalar, so one side serves both products.
-        """
-        if self._ints is None or isinstance(_exact(c), MultiPoly):
-            return RingMatrix._trusted([[x * c for x in row] for row in self.entries])
-        p, q = c.as_integer_ratio()
-        return RingMatrix._cleared([[p * x for x in row] for row in self._ints], self._den * q)
+    __rmul__ = _scaled
 
     def _shifted(self, c) -> "RingMatrix":
         """self + c * Id for a square matrix, by adding c to the diagonal entries only."""
@@ -357,6 +350,31 @@ def _product(a: Sequence, b: Sequence) -> list:
     """
     cols = list(zip(*b))
     return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
+
+
+def _linear_combination(terms, rows: int, cols: int) -> RingMatrix:
+    """sum c_i M_i for pairs (c_i, M_i) of exact scalars and rows x cols matrices; 0 for no pair.
+
+    With every M_i = B_i / delta_i rational and every c_i = p_i / q_i a scalar, it is
+    (sum p_i (L / (q_i delta_i)) B_i) / L for L = lcm(q_i delta_i), normalized once by
+    ``_cleared``; otherwise it is taken entry by entry, in the entries' own arithmetic.
+    """
+    terms = [(_exact(c), m) for c, m in terms]
+    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
+        raise DimensionError("shape mismatch in a linear combination")
+    if any(m._ints is None or isinstance(c, MultiPoly) for c, m in terms):
+        return RingMatrix._trusted(_combined([(c, m.entries) for c, m in terms], rows, cols))
+    den = lcm(*[c.denominator * m._den for c, m in terms])
+    scaled = [(c.numerator * (den // (c.denominator * m._den)), m._ints) for c, m in terms]
+    return RingMatrix._cleared(_combined(scaled, rows, cols), den)
+
+
+def _combined(terms, rows: int, cols: int) -> list:
+    """The rows of 0 + sum c_i A_i for pairs (c_i, rows A_i), one ``map`` pass per term, in C."""
+    flat = [0] * (rows * cols)
+    for c, a in terms:  # each pass is a list, so many terms nest no iterators
+        flat = list(map(add, flat, map(mul, repeat(c), chain.from_iterable(a))))
+    return list(zip(*[iter(flat)] * cols))  # cols entries at a time from one iterator: the rows
 
 
 def _dot(u, v) -> Ring:

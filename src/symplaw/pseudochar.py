@@ -23,7 +23,7 @@ from fractions import Fraction
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation, star
 from .errors import ArityError, StructureError, UnsupportedKindError
 from .invariants import InvariantFunction, TraceWord, eval_invariant, hat, relabel
-from .matrices import RingMatrix, lambdas_of_matrix
+from .matrices import _linear_combination, lambdas_of_matrix
 from .multipoly import Ring
 from .symplectic import reduced_pfaffian, similitude
 from .words import Word, format_word, random_word, word_inv, word_mul
@@ -149,12 +149,12 @@ def comparison_to_det_law(pc: Pseudocharacter):
     def p_law(x: GroupAlgebraElement) -> Ring:
         if star(rep, x) != x:
             raise StructureError("comparison P is defined on symmetric elements")
-        acc = RingMatrix.zeros(ctx.n)
+        terms = []
         for w, c in x.terms.items():
             wi = word_inv(w)
             m = rep.rho_word(min(w, wi))
-            acc = acc + (m if w <= wi else m.inverse()) * c
-        return reduced_pfaffian(ctx, acc)
+            terms.append((c, m if w <= wi else m.inverse()))
+        return reduced_pfaffian(ctx, _linear_combination(terms, ctx.n, ctx.n))
 
     return d_law, p_law
 

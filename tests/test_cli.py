@@ -662,15 +662,12 @@ _MALFORMED_ROWS = [(field, name) for field in _INTEGER_FIELDS
 
 
 def _run_integer_field(tmp_path, monkeypatch, field, numeral):
-    """The exit code of cli.main on the field's input; argparse's SystemExit gives its code."""
+    """The exit code cli.main returns on the field's input."""
     argv, blob, cap = _INTEGER_FIELDS[field](numeral)
     monkeypatch.setenv("SYMPLAW_MAX_DIM", cap)
     if blob is not None:
         argv = [*argv, "--input", _write(tmp_path, blob)]
-    try:
-        return main(argv)
-    except SystemExit as e:
-        return e.code
+    return main(argv)
 
 
 @pytest.mark.parametrize("field", sorted(_INTEGER_FIELDS))
@@ -689,9 +686,18 @@ def test_a_malformed_integer_field_exits_2(tmp_path, capsys, monkeypatch, field,
     numeral = {**_MALFORMED_NUMERALS, **_SPACED_NUMERALS}[name]
     code = _run_integer_field(tmp_path, monkeypatch, field, numeral)
     captured = capsys.readouterr()
-    if field.startswith("argv_"):  # argparse prints its usage above the one error line
+    _assert_one_line_error(code, captured)
+    if field.startswith("argv_"):
         option = field.removeprefix("argv_")
-        assert code == 2 and captured.out == "" and "Traceback" not in captured.err
-        assert f"error: argument --{option}: invalid" in captured.err.splitlines()[-1]
-    else:
-        _assert_one_line_error(code, captured)
+        assert captured.err.startswith(f"input error: argument --{option}: invalid integer value")
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["suite"], ["suite", "nosuch"], ["suite", "pfaffian", "--bogus"],
+    ["eval", "pfaffian"], ["eval", "pfaffian", "--input"],
+])
+def test_a_malformed_command_line_returns_2_with_one_line(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert captured.err.startswith("input error: ")

@@ -94,6 +94,15 @@ def _first_variable_term_dropped(original):
     return fault
 
 
+def _last_term_dropped(original):
+    """A sum of two or more terms without its last one; a single scaled term is kept."""
+    def fault(terms, rows, cols):
+        terms = list(terms)
+        return original(terms[:-1] if len(terms) > 1 else terms, rows, cols)
+
+    return fault
+
+
 def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
@@ -116,6 +125,8 @@ FAULTS = {
     "rho_word_inverse_letters_as_generators": (
         InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
     "inverse_negated": (RingMatrix, "inverse", _negated),
+    "linear_combination_drops_the_last_term": (
+        matrices, "_linear_combination", _last_term_dropped),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
@@ -157,6 +168,10 @@ SEEN = {
         "invariants: generators_invariant_under_conjugation; pseudochar stops with an error:"
         " the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1), which is not"
         " j-symmetric, so its reduced Pfaffian is refused"),
+    "linear_combination_drops_the_last_term": (
+        "pseudochar stops with an error: the comparison P's image of x + x* loses a term, so it"
+        " is no longer j-symmetric and its reduced Pfaffian is refused; det-law:"
+        " det_law_multiplicative_star_invariant (rho(xy) and rho(x) rho(y) lose different terms)"),
 }
 UNSEEN = {
     "sample_symplectic_identity": (

@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -9,6 +10,7 @@ from symplaw.matrices import (
     RingMatrix,
     _cofactor_expansion,
     _det_bareiss,
+    _linear_combination,
     char_poly,
     entry_vars,
     lambdas_from_char_poly,
@@ -291,3 +293,102 @@ def test_inexact_entries_and_scalars_are_refused():
             m * 1.5
         with pytest.raises(TypeError):
             1.5 * m
+
+
+# -- the linear-combination kernel: sum c_i M_i against Fraction-entry sums ------------------
+
+# denominators of a matrix's entries: small, large (past 64 bits) and mixed in one matrix
+_DENOMINATORS = ([1], [2, 3], [7, 2**40], [10**30 + 1, 6], [1, 2**64, 3**41])
+
+
+def _rational_matrix(rng, rows, cols):
+    dens = rng.choice(_DENOMINATORS)
+    return RingMatrix([[Fraction(rng.randint(-10**20, 10**20), rng.choice(dens))
+                        for _ in range(cols)] for _ in range(rows)])
+
+
+def _coefficient(rng):
+    return rng.choice((0, 1, -1, rng.randint(-9, 9),
+                       Fraction(rng.randint(-9, 9), rng.randint(1, 10**12))))
+
+
+def _reference_rows(terms, rows, cols):
+    """sum c_i M_i, one entry at a time in the entries' own arithmetic, from Fraction(0)."""
+    out = [[Fraction(0)] * cols for _ in range(rows)]
+    for c, m in terms:
+        for i in range(rows):
+            for j in range(cols):
+                out[i][j] = out[i][j] + c * m[i, j]
+    return out
+
+
+def _normalized_pair(rows):
+    """The unique (B, delta) of rows of Fractions: delta the lcm of the denominators."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows), den
+
+
+def test_a_rational_combination_is_the_normalized_fraction_sum():
+    rng = random.Random(29)
+    for _ in range(200):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        terms = [(_coefficient(rng), _rational_matrix(rng, rows, cols))
+                 for _ in range(rng.randint(1, 6))]
+        got = _linear_combination(terms, rows, cols)
+        assert got.cleared() == _normalized_pair(_reference_rows(terms, rows, cols))
+        assert scalar_types(got) == {Fraction}
+
+
+def test_a_combination_that_cancels_is_the_zero_matrix_with_delta_1():
+    rng = random.Random(30)
+    for _ in range(50):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        m = _rational_matrix(rng, rows, cols)
+        c = Fraction(rng.randint(1, 9), rng.randint(2, 10**12))
+        for terms in ([(c, m), (-c, m)], [(c, m), (-c / 2, m * 2)], [(0, m)], []):
+            got = _linear_combination(terms, rows, cols)
+            assert got.cleared() == (((0,) * cols,) * rows, 1) and got.is_zero()
+
+
+def test_a_combination_with_a_polynomial_term_matches_the_entrywise_sum():
+    rng = random.Random(31)
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    for _ in range(50):
+        rows, cols = rng.randint(1, 3), rng.randint(1, 3)
+        poly = RingMatrix([[rng.choice((u, v * 2, u * v - 1, Fraction(1, 3), 0)) if i or j else u
+                            for j in range(cols)] for i in range(rows)])
+        terms = [(_coefficient(rng), _rational_matrix(rng, rows, cols)),
+                 (rng.choice((u, v + Fraction(1, 2), 2)), _rational_matrix(rng, rows, cols)),
+                 (_coefficient(rng), poly)]
+        got = _linear_combination(terms, rows, cols)
+        expected = RingMatrix(_reference_rows(terms, rows, cols))
+        assert got.cleared() is None and got == expected
+        assert [[type(x) for x in row] for row in got.entries] == [
+            [type(x) for x in row] for row in expected.entries]
+
+
+def test_a_combination_of_different_shapes_is_refused():
+    a, b = RingMatrix([[1, 2]]), RingMatrix([[1], [2]])
+    for terms, shape in (([(1, a), (1, b)], (1, 2)), ([(1, a)], (2, 1)),
+                         ([(MultiPoly.variable("u"), b)], (1, 2))):
+        with pytest.raises(DimensionError):
+            _linear_combination(terms, *shape)
+    with pytest.raises(DimensionError):
+        a + RingMatrix([[1, 2, 3]])
+    with pytest.raises(DimensionError):
+        a - RingMatrix([[1], [2]])
+
+
+def test_matrix_arithmetic_gives_the_normalized_fraction_pair():
+    """+, -, unary - and scalar * on rational matrices: the pair and entry types of the
+    entry-by-entry Fraction result."""
+    rng = random.Random(32)
+    for _ in range(100):
+        rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+        a, b = _rational_matrix(rng, rows, cols), _rational_matrix(rng, rows, cols)
+        c = _coefficient(rng)
+        cases = [(a + b, [(1, a), (1, b)]), (a - b, [(1, a), (-1, b)]), (-a, [(-1, a)]),
+                 (a * c, [(c, a)]), (c * a, [(c, a)]), (a - a, [])]
+        for got, terms in cases:
+            assert got.cleared() == _normalized_pair(_reference_rows(terms, rows, cols))
+            assert scalar_types(got) == {Fraction}
