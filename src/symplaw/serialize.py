@@ -4,13 +4,15 @@ Rationals are "p/q" strings (bare integers allowed on input); matrices are
 row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 "coef": "p/q"}]} objects, with a compact string form ("2/3*u^2*v - 1")
 accepted on input for fixtures.  Every integer read from text, block keys and
-"p/q" halves included, is a ``words.integer_literal``.  Rationals, polynomials
-and matrices have writers whose output re-parses to an equal value;
+"p/q" halves included, is a ``words.integer_literal``, every rational a
+``_ratio_literal``, and ``parse_poly_string`` builds on both.  Rationals,
+polynomials and matrices have writers whose output re-parses to an equal value;
 group-algebra elements, representations and GMA specs are only read.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation
@@ -31,24 +33,21 @@ def fraction_to_json(x: Fraction | int) -> str | int:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _ratio_literal(text: str) -> tuple | None:
-    """(p, q) for text "p" or "p/q" of ``integer_literal``s with q > 0, else None; not reduced."""
-    num, slash, den = text.partition("/")
+def _ratio_literal(obj) -> tuple | None:
+    """(p, q) for an int p (not a bool), or for text "p" or "p/q" of ``integer_literal``s
+    with q > 0, else None; not reduced.  The one reader of a rational in text."""
+    if type(obj) is not str:
+        return (obj, 1) if type(obj) is int else None
+    num, slash, den = obj.partition("/")
     p, q = integer_literal(num), integer_literal(den) if slash else 1
     return (p, q) if p is not None and q is not None and q > 0 else None
 
 
 def fraction_from_json(obj) -> Fraction:
-    if isinstance(obj, bool):
-        raise SchemaError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
-        try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as e:
-            raise SchemaError(f"bad rational literal {obj!r}") from e
-    raise SchemaError(f"not a rational: {obj!r}")
+    if (ratio := _ratio_literal(obj)) is None:
+        raise SchemaError(f"bad rational literal {obj!r}" if isinstance(obj, str)
+                          else f"not a rational: {obj!r}")
+    return Fraction(*ratio)
 
 
 def int_from_json(value, what: str) -> int:
@@ -96,39 +95,44 @@ def poly_from_json(obj) -> MultiPoly:
         raise SchemaError(str(e)) from e
 
 
+_SIGN = re.compile(r"\s*([+-])\s*")
+_TIMES = re.compile(r"\s*\*\s*")
+
+
+def _bad(what: str, part: str, text: str) -> SchemaError:
+    """The error for a bad ``part`` of the polynomial string ``text``, quoted as written."""
+    return SchemaError(f"bad {what} {part!r}" + (f" in {text!r}" if part != text else ""))
+
+
 def parse_poly_string(text: str) -> MultiPoly:
-    """Compact input form: sums of terms like "2/3*u^2*v", "-u", "5"."""
-    text = text.replace("-", "+-").replace(" ", "")
-    if text.startswith("+-"):
-        text = text[1:]
+    """Compact input form: sums of terms like "2/3*u^2*v", "-u", "5".
+
+    Terms are joined by "+" or "-", the first may carry a "-", and factors by
+    "*"; white space may stand only around these, not at either end.  A factor is a
+    ``_ratio_literal``, or a variable with an optional "^" and ``integer_literal``.
+    """
+    parts = ["+", *_SIGN.split(text)]  # sign, term, sign, term, ...
+    if text.startswith("-"):
+        del parts[:2]  # the empty term before a leading "-"
     total = None
-    for chunk in text.split("+"):
-        if not chunk:
-            continue
-        sign = Fraction(1)
-        if chunk.startswith("-"):
-            sign = Fraction(-1)
-            chunk = chunk[1:]
-        coef = sign
-        factors: dict = {}
-        for factor in chunk.split("*"):
+    for sign, term in zip(parts[::2], parts[1::2]):
+        coef, factors = Fraction(-1 if sign == "-" else 1), {}
+        for factor in _TIMES.split(term):
+            if (ratio := _ratio_literal(factor)) is not None:
+                coef *= Fraction(*ratio)
+                continue
             if not factor:
                 raise SchemaError(f"empty factor in {text!r}")
-            if factor[0].isdigit():
-                coef *= fraction_from_json(factor)
-            else:
-                name, caret, exp = factor.partition("^")
-                if not name.isidentifier():
-                    raise SchemaError(f"bad variable {name!r} in {text!r}")
-                power = integer_literal(exp) if caret else 1
-                if power is None:
-                    raise SchemaError(f"bad exponent {exp!r} in {text!r}")
-                factors[name] = factors.get(name, 0) + power
+            name, caret, exp = factor.partition("^")
+            if not name.isidentifier():
+                raise _bad("variable" if name[:1].isidentifier() else "rational literal", factor, text)
+            power = integer_literal(exp) if caret else 1
+            if power is None:
+                raise _bad("exponent", exp, text)
+            factors[name] = factors.get(name, 0) + power
         vs = tuple(sorted(factors))
         term = MultiPoly(vs, {tuple(factors[v] for v in vs): coef})
         total = term if total is None else total + term
-    if total is None:
-        raise SchemaError(f"empty polynomial string {text!r}")
     return total
 
 
@@ -144,14 +148,12 @@ def ring_value_to_json(x):
 
 
 def ring_value_from_json(obj):
-    if isinstance(obj, dict):
+    """A ``_ratio_literal`` as a Fraction; any other string, or an object, as a polynomial."""
+    if (ratio := _ratio_literal(obj)) is not None:
+        return Fraction(*ratio)
+    if isinstance(obj, (str, dict)):
         return poly_from_json(obj)
-    if isinstance(obj, bool) or not isinstance(obj, (int, str)):
-        raise SchemaError(f"unserializable value {obj!r}")
-    try:
-        return fraction_from_json(obj)
-    except SchemaError:
-        return parse_poly_string(obj)
+    raise SchemaError(f"unserializable value {obj!r}")
 
 
 def ring_value_to_string(x) -> str:
@@ -174,10 +176,10 @@ def matrix_to_json(m: RingMatrix) -> list:
 def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
     """Parse a matrix; check its shape, and with ``max_dim`` its size, before reading any entry.
 
-    Integers and "p"/"p/q" literals are read as integer pairs, so a rational
+    Integers and ``_ratio_literal``s are read as integer pairs, so a rational
     matrix goes straight into its cleared form (B, delta) without a Fraction
-    per entry.  Every other entry is read by ``ring_value_from_json``; a
-    MultiPoly among them makes a polynomial matrix.
+    per entry.  Every other entry is a polynomial, read by ``ring_value_from_json``,
+    and makes a polynomial matrix.
     """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix must be a nonempty array of arrays")
@@ -192,13 +194,8 @@ def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
     for raw in obj:
         row = []
         for x in raw:
-            entry = (x, 1) if type(x) is int else _ratio_literal(x) if type(x) is str else None
-            if entry is None:
-                entry = ring_value_from_json(x)
-                if isinstance(entry, MultiPoly):
-                    poly = True
-                else:
-                    entry = entry.as_integer_ratio()
+            if (entry := _ratio_literal(x)) is None:
+                entry, poly = ring_value_from_json(x), True
             row.append(entry)
         rows.append(row)
     if poly:

@@ -12,7 +12,9 @@ each string leaf (a letter or index of a word, a numeral, a variable or a
 the parsers inside an otherwise valid field.  The two values one past a
 work guard (a word of ``MAX_WORD_LETTERS`` + 1 letters, an element of
 ``MAX_ELEMENT_TERMS`` + 1 terms) also go in place of every node of every
-case, since random draws seldom put them where their guard reads them.
+case, since random draws seldom put them where their guard reads them, and
+so do four malformed numbers, which must exit 2 wherever they stand, except
+"1 2" where it is read as a trace word.
 Every input this has flagged is pinned as a named case in
 ``tests/test_cli.py``.
 """
@@ -36,12 +38,16 @@ MAX_DIM = 4  # small, so that matrices above the cap stay cheap
 LONG_WORD = " ".join(["g1"] * (MAX_WORD_LETTERS + 1))
 LONG_ELEMENT = {"terms": [{"word": "g1", "coef": 1}] * (MAX_ELEMENT_TERMS + 1)}
 
+# text that a reader which strips spaces, or takes Fraction's grammar, reads as 12, u^10, 7/2, 3
+MALFORMED_NUMERALS = ("1 2", "u^1 0", "3.5", " 3")
+
 VALUES = (None, True, False, 0, 2, 1.5, -1, 10**6, 10**30, "", "x", "1/0", "1/3", "u^-1", "g3",
           [], {}, [[]], [1], {"a": 1},
           ["g1"] * (MAX_EVAL_ARGUMENTS + 1),  # one past the argument cap, as gammas or matrices
           "\u00b2",  # a digit to isdigit, but not to int
           "1_0", "+1", "\u0661",  # numerals int reads but the integer grammar refuses
           "1" * 4301,  # one digit past CPython's default int digit limit
+          *MALFORMED_NUMERALS,
           LONG_WORD, LONG_ELEMENT)
 
 
@@ -217,6 +223,24 @@ def test_a_value_past_a_work_guard_in_place_of_every_node(value, tmp_path, monke
             refused += code == 2 and "guard" in err.getvalue()
     assert not flagged, flagged
     assert refused
+
+
+# the two trace words, where "1 2" is the valid word of letters 1 and 2
+TRACE_WORDS = {("invariant", ("word",)), ("theta", ("f", "word"))}
+
+
+@pytest.mark.parametrize("value", MALFORMED_NUMERALS)
+def test_a_malformed_numeral_in_place_of_every_node_exits_2(value, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
+    wrong = []
+    for name, (argv, blob) in CASES.items():
+        for path in _paths(blob):
+            out = copy.deepcopy(blob)
+            _get(out, path[:-1])[path[-1]] = value
+            code = run(argv, out, tmp_path)
+            if code != (0 if value == "1 2" and (name, path) in TRACE_WORDS else 2):
+                wrong.append((name, path, repr(code)))
+    assert not wrong, wrong
 
 
 @pytest.mark.parametrize("raw", ["3", "5", "2.5", "4.0", "1e1"])

@@ -11,7 +11,12 @@ d in {1, 2} and seeds 0-4.
 - A fault in ``UNSEEN`` is one that no suite sees yet, listed with the reason.
   Its test fails as soon as a suite starts to see it, so that the fault moves
   to ``SEEN``.
+- A fault in ``PARTLY_SEEN`` is seen at some (d, seed) and not at others,
+  listed with the reason.  Its test fails once every (d, seed) sees it, or
+  none does, so that the fault moves to ``SEEN`` or ``UNSEEN``.
 """
+
+from types import SimpleNamespace
 
 import pytest
 
@@ -103,6 +108,16 @@ def _last_term_dropped(original):
     return fault
 
 
+def _last_coefficient_dropped(original):
+    """Horner's rule without its last step: the constant term is never added."""
+    return lambda coeffs, m, *product: original([*coeffs[:-1], 0], m, *product)
+
+
+def _letters_reversed(original):
+    """The product of a trace word's letters taken right to left."""
+    return lambda word, mats, ctx: original(SimpleNamespace(letters=word.letters[::-1]), mats, ctx)
+
+
 def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
@@ -127,6 +142,9 @@ FAULTS = {
     "inverse_negated": (RingMatrix, "inverse", _negated),
     "linear_combination_drops_the_last_term": (
         matrices, "_linear_combination", _last_term_dropped),
+    "matrix_poly_value_drops_the_last_coefficient": (
+        symplectic, "matrix_poly_value", _last_coefficient_dropped),
+    "word_value_reversed": (invariants, "word_value", _letters_reversed),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
@@ -168,6 +186,10 @@ SEEN = {
         "invariants: generators_invariant_under_conjugation; pseudochar stops with an error:"
         " the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1), which is not"
         " j-symmetric, so its reduced Pfaffian is refused"),
+    "matrix_poly_value_drops_the_last_coefficient": (
+        "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
+        " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"
+        " matrix, and the value misses the constant term times Id)"),
     "linear_combination_drops_the_last_term": (
         "pseudochar stops with an error: the comparison P's image of x + x* loses a term, so it"
         " is no longer j-symmetric and its reduced Pfaffian is refused; det-law:"
@@ -190,6 +212,15 @@ UNSEEN = {
         " sides of tr(xy) = tr(yx) lose the same term, the one product of chi^P on the"
         " standard fixture is a scalar matrix with no u term, and chi^P on the counterexample"
         " (d = 1) takes no matrix product"
+    ),
+}
+PARTLY_SEEN = {
+    "word_value_reversed": (
+        "the reversal of a trace word W is W with every star toggled, then transposed by j,"
+        " and M^j has the characteristic polynomial of M; so the fault reads each invariant"
+        " function f as X -> f(X_1^j, .., X_m^j), again an invariant function, which no"
+        " invariance check can tell from f; only pseudochar's axioms of a GSp representation"
+        " (X^j = lambda X^-1) see it, at 3 of the 10 (d, seed): (1, 0), (2, 0) and (2, 4)"
     ),
 }
 
@@ -222,8 +253,9 @@ def _failed_checks(monkeypatch, fault: str) -> dict:
 
 
 def test_every_fault_is_listed_once():
-    assert set(SEEN) | set(UNSEEN) == set(FAULTS)
-    assert not set(SEEN) & set(UNSEEN)
+    lists = (SEEN, UNSEEN, PARTLY_SEEN)
+    assert set().union(*lists) == set(FAULTS)
+    assert sum(map(len, lists)) == len(FAULTS)
 
 
 def test_suites_pass_without_a_fault():
@@ -242,3 +274,11 @@ def test_a_suite_sees_the_fault_at_every_seed(monkeypatch, fault):
 def test_an_unseen_fault_is_still_unseen(monkeypatch, fault):
     seen = {key: failed for key, failed in _failed_checks(monkeypatch, fault).items() if failed}
     assert not seen, f"{fault} is now seen; move it to SEEN: {seen}"
+
+
+@pytest.mark.parametrize("fault", sorted(PARTLY_SEEN))
+def test_a_partly_seen_fault_is_still_partly_seen(monkeypatch, fault):
+    failed = _failed_checks(monkeypatch, fault)
+    seen = sorted(key for key, checks in failed.items() if checks)
+    assert seen, f"{fault} is now unseen; move it to UNSEEN"
+    assert len(seen) < len(failed), f"{fault} is now seen at every (d, seed); move it to SEEN"

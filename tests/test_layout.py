@@ -120,6 +120,26 @@ def test_every_int_call_of_a_parser_catches_value_error():
     assert not found, found
 
 
+def test_digit_tests_only_inside_the_integer_reader():
+    """In the modules that read input text, ``isdigit``, ``isdecimal`` and ``isnumeric`` are
+    called only inside ``words.integer_literal``: each is true for digits that are not ASCII
+    ("\u0661", and "\u00b2" for two of them), so a parser that dispatches on one reads a
+    second grammar."""
+    tests = {"isdigit", "isdecimal", "isnumeric"}
+    found = []
+    for path in SOURCES:
+        if path.name not in ("cli.py", "serialize.py", "words.py"):
+            continue
+        tree = _parse(path)
+        reader = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "integer_literal"
+                  for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}: {node.func.attr}()" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in tests and id(node) not in reader]
+    assert not found, found
+
+
 def _defined_names(tree):
     """(name, line, is_method) of each function, class, method and module-level name a module defines."""
     for node in tree.body:

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -41,18 +42,19 @@ def _outcome(read, text):
     return type(value), value
 
 
+# the rational grammar spelled out: an optional "-", ASCII digits, and an optional "/" with
+# ASCII digits of a positive value
+RATIONAL = re.compile(r"-?[0-9]+(/0*[1-9][0-9]*)?")
+
+
 def _fraction_reference(text):
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as e:
-        raise SchemaError(text) from e
+    if not RATIONAL.fullmatch(text):
+        raise SchemaError(text)
+    return Fraction(text)
 
 
 def _ring_value_reference(text):
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError):
-        return parse_poly_string(text)
+    return Fraction(text) if RATIONAL.fullmatch(text) else parse_poly_string(text)
 
 
 @pytest.mark.parametrize("text", LITERALS)
@@ -89,6 +91,76 @@ def test_parse_poly_string():
     assert parse_poly_string("7") == MultiPoly.constant(7)
     with pytest.raises(SchemaError):
         parse_poly_string("")
+
+
+# text that no reader takes: each reader's error quotes it as written
+REFUSED = ["1 2", "u^1 0", "u*v w", "+3", " 3", "3.5", "1e2", "\u0661\u0662", "1_0", "1/-2",
+           "u+-v"]
+_x, _y, _u, _v = (MultiPoly.variable(name) for name in "xyuv")
+# (text, value): a rational is read as such by every reader, a polynomial by all but the first
+ACCEPTED = [("5", 5), ("-0", 0), ("007/010", Fraction(7, 10)), ("-3/4", Fraction(-3, 4)),
+            ("2/3*x^2*y - y + 5", Fraction(2, 3) * _x**2 * _y - _y + 5), ("u - v", _u - _v),
+            ("2 * u", 2 * _u), ("-x", -_x)]
+READERS = {
+    "fraction_from_json": fraction_from_json,
+    "ring_value_from_json": ring_value_from_json,
+    "parse_poly_string": parse_poly_string,
+    "matrix_from_json": lambda text: matrix_from_json([[text, 0]])[0, 0],
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("text", REFUSED)
+def test_every_reader_refuses_text_outside_the_grammar_and_quotes_it(reader, text):
+    with pytest.raises(SchemaError) as caught:
+        READERS[reader](text)
+    assert repr(text) in str(caught.value)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize(("text", "value"), ACCEPTED, ids=[text for text, _ in ACCEPTED])
+def test_every_reader_keeps_the_value_of_text_in_the_grammar(reader, text, value):
+    if reader == "fraction_from_json" and isinstance(value, MultiPoly):
+        with pytest.raises(SchemaError, match=re.escape(repr(text))):
+            fraction_from_json(text)
+        return
+    got = READERS[reader](text)
+    assert got == value
+    if reader != "parse_poly_string":  # a rational stays a Fraction, outside any polynomial
+        assert isinstance(got, MultiPoly) == isinstance(value, MultiPoly)
+
+
+_SL2 = {"d": 1, "kind": "Sp", "generators": [[[1, 1], [0, 1]]]}
+_NILS = {"I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1], "base_vars": ["u", "v"],
+         "blocks": {"1,2": ["u"], "2,1": ["v"]}, "tau_signs": {"1,2": -1}}
+# where the CLI reads a rational or a polynomial from text: (argv, input with the text in place)
+PLACES = {
+    "matrix_entry": (["eval", "invariant"], lambda t: {
+        "matrices": [[[t, 0], [0, 1]]], "sigma_index": 2, "word": "1"}),
+    "element_coef": (["eval", "detlaw"], lambda t: {
+        "rep": _SL2, "law": "D", "element": {"terms": [{"word": "g1", "coef": t}]}}),
+    "polynomial_coef": (["eval", "detlaw"], lambda t: {
+        "rep": _SL2, "law": "D", "element": {"terms": [
+            {"word": "g1", "coef": {"vars": ["u"], "terms": [{"exp": [1], "coef": t}]}}]}}),
+    "lambdas": (["eval", "detlaw"], lambda t: {
+        "rep": {**_SL2, "lambdas": [t]}, "law": "D",
+        "element": {"terms": [{"word": "g1", "coef": 1}]}}),
+    "nil_monomials": (["suite", "gma", "--trials", "1"], lambda t: {
+        **_NILS, "nil_monomials": ["u^2", "v^2", t]}),
+}
+
+
+@pytest.mark.parametrize("place", sorted(PLACES))
+@pytest.mark.parametrize("text", REFUSED)
+def test_the_cli_refuses_text_outside_the_grammar_in_one_line(tmp_path, capsys, place, text):
+    argv, blob = PLACES[place]
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(blob(text)))
+    assert main([*argv, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("input error: ") and repr(text) in line
 
 
 def test_matrix_round_trip():
@@ -151,12 +223,16 @@ LONG_LITERAL = "7" * 4301  # past the int digit limit
 
 # (entry, determinant of [[entry, 0], [0, 1]] or the one-line error) as the CLI reads them
 EDGE_ENTRIES = [
-    ("+3", "3"), (" 3", "3"), ("3.5", "7/2"), ("1e2", "100"), ("\u0661\u0662", "12"),
+    ("+3", "input error: empty factor in '+3'\n"),
+    (" 3", "input error: bad rational literal ' 3'\n"),
+    ("3.5", "input error: bad rational literal '3.5'\n"),
+    ("1e2", "input error: bad rational literal '1e2'\n"),
+    ("\u0661\u0662", "input error: bad rational literal '\u0661\u0662'\n"),
     ({"vars": ["u"], "terms": [{"exp": [1], "coef": "1/2"}]}, "1/2*u"),
     ("1/0", "input error: bad rational literal '1/0'\n"),
-    ("1/-2", "input error: bad rational literal '1/'\n"),
+    ("1/-2", "input error: bad rational literal '1/' in '1/-2'\n"),
     ("-", "input error: empty factor in '-'\n"),
-    ("--1", "input error: empty factor in '-+-1'\n"),
+    ("--1", "input error: empty factor in '--1'\n"),
     ("\u00b2", "input error: bad rational literal '\u00b2'\n"),
     (LONG_LITERAL, f"input error: bad rational literal '{LONG_LITERAL}'\n"),
     (True, "input error: unserializable value True\n"),
@@ -176,7 +252,7 @@ def test_edge_matrix_entries_read_as_before(tmp_path, capsys, entry, expected):
 
 
 def test_row_mixing_a_polynomial_string_with_rationals():
-    rows = [["u", "2/4"], ["+3", "-3/06"]]
+    rows = [["u", "2/4"], ["3", "-3/06"]]
     u = MultiPoly.variable("u")
     m = matrix_from_json(rows)
     assert m == RingMatrix([[u, Fraction(1, 2)], [3, Fraction(-1, 2)]])
