@@ -18,21 +18,22 @@ import os
 import sys
 
 from .detlaws import eval_det_law, eval_pf_law
-from .errors import CapacityError, SchemaError, SymplawError
-from .invariants import InvariantFunction, TraceWord, eval_invariant
+from .errors import SchemaError, SymplawError
+from .invariants import eval_invariant
 from .pseudochar import Pseudocharacter, theta_eval
 from .serialize import (
-    MAX_EVAL_ARGUMENTS,
+    eval_arguments,
     gma_spec_from_json,
     group_elem_from_json,
-    int_from_json,
+    invariant_from_json,
+    json_fields,
     matrix_from_json,
     representation_from_json,
     ring_value_to_string,
 )
 from .suites import SUITE_NAMES, SuiteConfig, run_suite
 from .symplectic import pfaffian
-from .words import check_word_length, integer_literal, parse_word
+from .words import integer_literal, parse_word
 
 
 def _max_dim() -> int:
@@ -84,90 +85,30 @@ def _cmd_suite(args, cap: int) -> int:
     return 0 if report["pass"] else 1
 
 
-def _parse_trace_word(text: str) -> TraceWord:
-    tokens = str(text).split()
-    check_word_length(len(tokens))
-    letters = []
-    for token in tokens:
-        starred = token.endswith("*")
-        idx = token[:-1] if starred else token
-        index = integer_literal(idx)
-        if index is None:
-            raise SchemaError(f"bad trace-word token {token!r}")
-        letters.append((index, starred))
-    if not letters:
-        raise SchemaError("empty trace word")
-    return TraceWord(tuple(letters))
-
-
-def _int_field(obj: dict, key: str, default: int) -> int:
-    """obj[key] (or ``default`` if absent) as an int; an integer or a string of one."""
-    return int_from_json(obj.get(key, default), key)
-
-
-def _invariant_from_json(obj, arity: int) -> InvariantFunction:
-    if not isinstance(obj, dict):
-        raise SchemaError("invariant function must be an object")
-    if "sigma_index" in obj:
-        word = _parse_trace_word(obj.get("word", ""))
-        return InvariantFunction.sigma(
-            _int_field(obj, "sigma_index", 0), word, _int_field(obj, "arity", arity)
-        )
-    if "similitude_power" in obj:
-        return InvariantFunction.similitude_power(
-            _int_field(obj, "var_index", 1),
-            _int_field(obj, "similitude_power", 0),
-            _int_field(obj, "arity", arity),
-        )
-    raise SchemaError("invariant function needs sigma_index or similitude_power")
-
-
-def _check_argument_count(items: list, what: str):
-    """CapacityError on more than ``MAX_EVAL_ARGUMENTS`` items, checked before any is read."""
-    if len(items) > MAX_EVAL_ARGUMENTS:
-        raise CapacityError(f"{what}: more than the {MAX_EVAL_ARGUMENTS}-argument guard")
-
-
 def _cmd_eval(args, cap: int) -> int:
     blob = _load_json(args.input)
     if args.command == "pfaffian":
-        if not isinstance(blob, dict) or "matrix" not in blob:
-            raise SchemaError("pfaffian input must be {'matrix': [[..]]}")
-        m = matrix_from_json(blob["matrix"], cap)
-        values = {"pfaffian": ring_value_to_string(pfaffian(m))}
+        (m,) = json_fields(blob, "pfaffian input", ("matrix",))
+        values = {"pfaffian": ring_value_to_string(pfaffian(matrix_from_json(m, cap)))}
     elif args.command == "detlaw":
-        if not isinstance(blob, dict) or "rep" not in blob or "element" not in blob:
-            raise SchemaError("detlaw input must be {'rep':.., 'element':.., 'law': 'D'|'P'}")
-        rep = representation_from_json(blob["rep"], cap)
-        x = group_elem_from_json(blob["element"])
-        law = blob.get("law", "D")
-        if law == "D":
-            values = {"D": ring_value_to_string(eval_det_law(rep, x))}
-        elif law == "P":
-            values = {"P": ring_value_to_string(eval_pf_law(rep, x))}
-        else:
+        rep, x, law = json_fields(blob, "detlaw input", ("rep", "element"), {"law": "D"})
+        rep, x = representation_from_json(rep, cap), group_elem_from_json(x)
+        if law not in ("D", "P"):
             raise SchemaError(f"law must be 'D' or 'P', got {law!r}")
+        values = {law: ring_value_to_string((eval_det_law if law == "D" else eval_pf_law)(rep, x))}
     elif args.command == "invariant":
-        if not isinstance(blob, dict) or not isinstance(blob.get("matrices"), list):
-            raise SchemaError("invariant input needs 'matrices', a list of matrices")
-        _check_argument_count(blob["matrices"], "invariant matrices")
-        mats = [matrix_from_json(m, cap) for m in blob["matrices"]]
-        f = _invariant_from_json(blob, arity=len(mats))
-        values = {"value": ring_value_to_string(eval_invariant(f, mats))}
+        make, raw = invariant_from_json(blob, "matrices")
+        mats = [matrix_from_json(m, cap) for m in eval_arguments(raw, "invariant matrices")]
+        values = {"value": ring_value_to_string(eval_invariant(make(len(mats)), mats))}
     elif args.command == "theta":
-        for key in ("rep", "f", "gammas"):
-            if not isinstance(blob, dict) or key not in blob:
-                raise SchemaError(f"theta input missing {key!r}")
-        if not isinstance(blob["gammas"], list) or not all(
-            isinstance(w, str) for w in blob["gammas"]
-        ):
+        rep, f, raw = json_fields(blob, "theta input", ("rep", "f", "gammas"))
+        if not all(isinstance(w, str) for w in eval_arguments(raw, "theta gammas")):
             raise SchemaError("theta gammas must be a list of word strings")
-        _check_argument_count(blob["gammas"], "theta gammas")
-        rep = representation_from_json(blob["rep"], cap)
-        gammas = [parse_word(w) for w in blob["gammas"]]
-        f = _invariant_from_json(blob["f"], arity=len(gammas))
-        pc = Pseudocharacter(rep)
-        values = {"theta": ring_value_to_string(theta_eval(pc, f, gammas))}
+        rep = representation_from_json(rep, cap)
+        gammas = [parse_word(w) for w in raw]
+        (make,) = invariant_from_json(f)
+        theta = theta_eval(Pseudocharacter(rep), make(len(gammas)), gammas)
+        values = {"theta": ring_value_to_string(theta)}
     else:  # pragma: no cover - argparse restricts choices
         raise SchemaError(f"unknown eval command {args.command!r}")
     _emit(values, args.out)

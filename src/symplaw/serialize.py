@@ -5,7 +5,8 @@ row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 "coef": "p/q"}]} objects, with a compact string form ("2/3*u^2*v - 1")
 accepted on input for fixtures.  Every integer read from text, block keys and
 "p/q" halves included, is a ``words.integer_literal``, every rational a
-``_ratio_literal``, and ``parse_poly_string`` builds on both.  Rationals,
+``_ratio_literal``, and ``parse_poly_string`` builds on both.  Every JSON object
+is read by ``json_fields``, which refuses a key it was not told of.  Rationals,
 polynomials and matrices have writers whose output re-parses to an equal value;
 group-algebra elements, representations and GMA specs are only read.
 """
@@ -14,14 +15,41 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from functools import partial
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation
 from .errors import CapacityError, SchemaError
 from .gma import GmaSpec, GmaType, QuotientRing
+from .invariants import InvariantFunction, TraceWord
 from .matrices import RingMatrix, matrix_from_ratios
 from .multipoly import MultiPoly
 from .symplectic import SymplecticContext
-from .words import integer_literal, parse_word
+from .words import check_word_length, integer_literal, parse_word
+
+
+_ABSENT = object()  # the default of an optional key whose absence is not a value
+
+
+def json_fields(obj, what: str, required: tuple, optional: dict = {}) -> list:
+    """The values of ``obj``'s ``required`` keys, then of its ``optional`` ones, each absent
+    one read as its default; a SchemaError on a non-object, on a missing required key and on
+    any other key.  ``what`` names the object in the error.  The one reader of JSON keys."""
+    if not isinstance(obj, dict):
+        raise SchemaError(f"{what} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in required and key not in optional:
+            raise SchemaError(f"unknown key {key!r} in {what}")
+    for key in required:
+        if key not in obj:
+            raise SchemaError(f"{what} missing {key!r}")
+    return [obj[key] for key in required] + [obj.get(key, v) for key, v in optional.items()]
+
+
+def _typed(value, kind: type, what: str):
+    """``value`` after checking that it is a ``kind``; ``what`` names it in the error."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{what} must be a {kind.__name__}, got {value!r}")
+    return value
 
 
 # -- rationals ----------------------------------------------------------
@@ -77,18 +105,16 @@ def poly_from_json(obj) -> MultiPoly:
         return parse_poly_string(obj)
     if isinstance(obj, int) and not isinstance(obj, bool):
         return MultiPoly.constant(obj)
-    if not isinstance(obj, dict) or "vars" not in obj or "terms" not in obj:
-        raise SchemaError(f"bad polynomial object: {obj!r}")
-    variables, raw_terms = obj["vars"], obj["terms"]
+    variables, raw_terms = json_fields(obj, "polynomial", ("vars", "terms"))
     if not (isinstance(variables, list) and all(isinstance(v, str) for v in variables)
             and isinstance(raw_terms, list)):
         raise SchemaError(f"polynomial needs a list of variable names and a list of terms: {obj!r}")
     terms = {}
     for t in raw_terms:
-        if not isinstance(t, dict) or not isinstance(t.get("exp"), list) or "coef" not in t:
-            raise SchemaError(f"polynomial term must be {{'exp': [..], 'coef': ..}}, got {t!r}")
-        exp = tuple(int_from_json(e, "exponent") for e in t["exp"])  # MultiPoly refuses e < 0
-        terms[exp] = terms.get(exp, Fraction(0)) + fraction_from_json(t["coef"])
+        exp, coef = json_fields(t, "polynomial term", ("exp", "coef"))
+        # MultiPoly refuses e < 0
+        exp = tuple(int_from_json(e, "exponent") for e in _typed(exp, list, "polynomial term exp"))
+        terms[exp] = terms.get(exp, Fraction(0)) + fraction_from_json(coef)
     try:
         return MultiPoly(variables, terms)
     except ValueError as e:
@@ -220,41 +246,40 @@ MAX_ELEMENT_TERMS = 24
 MAX_EVAL_ARGUMENTS = 24
 
 
+def eval_arguments(items, what: str) -> list:
+    """The list ``items``; CapacityError on more than ``MAX_EVAL_ARGUMENTS``, before any is read."""
+    if len(_typed(items, list, what)) > MAX_EVAL_ARGUMENTS:
+        raise CapacityError(f"{what}: more than the {MAX_EVAL_ARGUMENTS}-argument guard")
+    return items
+
+
 def group_elem_from_json(obj) -> GroupAlgebraElement:
     """Parse an element; CapacityError on more than ``MAX_ELEMENT_TERMS`` terms, before any is read."""
-    if not isinstance(obj, dict) or not isinstance(obj.get("terms"), list):
-        raise SchemaError("group algebra element must be {'terms': [...]}")
-    if len(obj["terms"]) > MAX_ELEMENT_TERMS:
+    (raw_terms,) = json_fields(obj, "group algebra element", ("terms",))
+    if len(_typed(raw_terms, list, "group algebra element terms")) > MAX_ELEMENT_TERMS:
         raise CapacityError(f"group algebra element has more than the {MAX_ELEMENT_TERMS}-term guard")
     terms: dict = {}
-    for t in obj["terms"]:
-        if not isinstance(t, dict) or not isinstance(t.get("word"), str) or "coef" not in t:
-            raise SchemaError(f"group algebra term must be {{'word': str, 'coef': ..}}, got {t!r}")
-        w = parse_word(t["word"])
-        c = ring_value_from_json(t["coef"])
-        terms[w] = terms.get(w, Fraction(0)) + c
+    for t in raw_terms:
+        word, coef = json_fields(t, "group algebra term", ("word", "coef"))
+        w = parse_word(_typed(word, str, "group algebra term word"))
+        terms[w] = terms.get(w, Fraction(0)) + ring_value_from_json(coef)
     return GroupAlgebraElement(terms)
 
 
 def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepresentation:
     """Parse a representation; with ``max_dim``, refuse 2d > max_dim before building anything."""
-    if not isinstance(obj, dict):
-        raise SchemaError("representation must be an object")
-    for key in ("d", "kind", "generators"):
-        if key not in obj:
-            raise SchemaError(f"representation missing {key!r}")
-    d = int_from_json(obj["d"], "representation d")
+    d, kind, generators, declared = json_fields(
+        obj, "representation", ("d", "kind", "generators"), {"lambdas": _ABSENT})
+    d = int_from_json(d, "representation d")
     if max_dim is not None and 2 * d > max_dim:
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
-    if not isinstance(obj["generators"], list):
-        raise SchemaError("representation generators must be a list of matrices")
-    images = tuple(matrix_from_json(m, max_dim) for m in obj["generators"])
+    images = tuple(matrix_from_json(m, max_dim)
+                   for m in _typed(generators, list, "representation generators"))
     try:
-        rep = InvolutiveRepresentation(SymplecticContext(d), images, str(obj["kind"]))
+        rep = InvolutiveRepresentation(SymplecticContext(d), images, str(kind))
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    if "lambdas" in obj:
-        declared = obj["lambdas"]
+    if declared is not _ABSENT:
         if not isinstance(declared, list) or len(declared) != len(images):
             raise SchemaError("one lambda per generator image required")
         for x, got in zip(declared, rep.lambda_values):
@@ -275,36 +300,24 @@ def _block_key(key: str) -> tuple:
     raise SchemaError(f"block key must be two comma-separated integers, got {key!r}")
 
 
-def _spec_field(obj: dict, key: str, kind: type, default=None):
-    """obj[key], or ``default`` if it is absent, after checking that it is a ``kind``."""
-    value = obj.get(key, default)
-    if not isinstance(value, kind):
-        raise SchemaError(f"GMA spec {key!r} must be a {kind.__name__}, got {value!r}")
-    return value
-
-
 def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
     """Parse a GMA spec; with ``max_dim``, refuse a total dimension above it before building J_delta."""
-    if not isinstance(obj, dict):
-        raise SchemaError("GMA spec must be an object")
-    for key in ("I0", "I1", "I2", "sigma", "dims"):
-        if key not in obj:
-            raise SchemaError(f"GMA spec missing {key!r}")
+    type_keys = ("I0", "I1", "I2", "sigma", "dims")
+    *type_lists, variables, nil_monomials, raw_blocks, raw_signs = json_fields(
+        obj, "GMA spec", type_keys, {"base_vars": [], "nil_monomials": [], "blocks": {}, "tau_signs": {}})
     try:
-        t = GmaType(*(
-            tuple(int_from_json(x, f"GMA spec {key!r} entry") for x in _spec_field(obj, key, list))
-            for key in ("I0", "I1", "I2", "sigma", "dims")
-        ))
+        t = GmaType(*(tuple(int_from_json(x, f"GMA spec {key!r} entry")
+                            for x in _typed(value, list, f"GMA spec {key!r}"))
+                      for key, value in zip(type_keys, type_lists)))
     except ValueError as e:
         raise SchemaError(str(e)) from e
     if max_dim is not None and t.total > max_dim:
         raise SchemaError(f"GMA dimension {t.total} exceeds SYMPLAW_MAX_DIM = {max_dim}")
-    variables = _spec_field(obj, "base_vars", list, [])
-    if not all(isinstance(v, str) for v in variables):
+    if not all(isinstance(v, str) for v in _typed(variables, list, "GMA spec 'base_vars'")):
         raise SchemaError(f"GMA spec 'base_vars' must be a list of strings, got {variables!r}")
     variables = tuple(sorted(variables))
     nils = []
-    for mono in _spec_field(obj, "nil_monomials", list, []):
+    for mono in _typed(nil_monomials, list, "GMA spec 'nil_monomials'"):
         p = poly_from_json(mono).in_vars(variables)
         if len(p.terms) != 1:
             raise SchemaError(f"nil monomial {mono!r} is not a monomial")
@@ -316,21 +329,52 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
         ring = QuotientRing(variables, tuple(nils))
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    blocks = {}
-    for key, basis in _spec_field(obj, "blocks", dict, {}).items():
-        i, j = _block_key(key)
-        if not isinstance(basis, list):
-            raise SchemaError(f"block {key!r} must be a list of polynomials, got {basis!r}")
-        parsed = []
-        for p in basis:
-            q = poly_from_json(p)
-            parsed.append(q.in_vars(tuple(sorted(set(variables) | set(q.vars)))))
-        blocks[(i, j)] = tuple(parsed)
-    signs = {}
-    for key, s in _spec_field(obj, "tau_signs", dict, {}).items():
-        i, j = _block_key(key)
-        signs[frozenset((i, j))] = int_from_json(s, f"tau sign {key!r}")
+    blocks = {_block_key(key): tuple(q.in_vars(tuple(sorted(set(variables) | set(q.vars))))
+                                     for q in map(poly_from_json, _typed(basis, list, f"block {key!r}")))
+              for key, basis in _typed(raw_blocks, dict, "GMA spec 'blocks'").items()}
+    signs = {frozenset(_block_key(key)): int_from_json(s, f"tau sign {key!r}")
+             for key, s in _typed(raw_signs, dict, "GMA spec 'tau_signs'").items()}
     try:
         return GmaSpec(t, ring, blocks, signs)
     except ValueError as e:
         raise SchemaError(str(e)) from e
+
+
+# -- invariant functions ------------------------------------------------------
+
+
+def _parse_trace_word(text) -> TraceWord:
+    """A trace word such as "1 2*": 1-based argument indices, "*" for the symplectic transpose."""
+    tokens = str(text).split()
+    check_word_length(len(tokens))
+    if not tokens:
+        raise SchemaError("empty trace word")
+    letters = []
+    for token in tokens:
+        if (index := integer_literal(token.removesuffix("*"))) is None:
+            raise SchemaError(f"bad trace-word token {token!r}")
+        letters.append((index, token.endswith("*")))
+    return TraceWord(tuple(letters))
+
+
+def invariant_from_json(obj, *shared: str) -> list:
+    """[make, *the values of the ``shared`` keys]: ``make(n)`` is the invariant function that
+    ``obj`` holds, of the kind its "sigma_index" or "similitude_power" key picks, with arity n
+    unless an "arity" key gives it.  ``shared`` names the required keys of an object that holds
+    a function beside other fields."""
+    kinds = [key for key in ("sigma_index", "similitude_power") if isinstance(obj, dict) and key in obj]
+    if not kinds:  # a non-object, or a key outside every kind, is named first
+        json_fields(obj, "invariant function", shared, dict.fromkeys(("word", "var_index", "arity")))
+        raise SchemaError("invariant function needs sigma_index or similitude_power")
+    if kinds[0] == "sigma_index":
+        index, word, *values, arity = json_fields(
+            obj, "sigma function", ("sigma_index", "word", *shared), {"arity": _ABSENT})
+        word, index = _parse_trace_word(word), int_from_json(index, "sigma_index")
+        make = partial(InvariantFunction.sigma, index, word)
+    else:
+        power, *values, var, arity = json_fields(
+            obj, "similitude function", ("similitude_power", *shared), {"var_index": 1, "arity": _ABSENT})
+        make = partial(InvariantFunction.similitude_power,
+                       int_from_json(var, "var_index"), int_from_json(power, "similitude_power"))
+    arity = None if arity is _ABSENT else int_from_json(arity, "arity")
+    return [lambda n: make(n if arity is None else arity), *values]

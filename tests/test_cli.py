@@ -536,6 +536,52 @@ def test_a_similitude_power_over_the_guard_exits_2(tmp_path, capsys, verb, blob)
     assert "bit guard" in captured.err
 
 
+def _renamed(blob, old, new):
+    return {(new if key == old else key): value for key, value in blob.items()}
+
+
+_GSP_ELEMENT = {"terms": [{"word": "g1", "coef": 1}]}
+_SIGMA_BLOB = {"matrices": [[[2, 0], [0, 1]]], "sigma_index": 1, "word": "1"}
+
+
+@pytest.mark.parametrize(
+    ("argv", "blob", "key"),
+    [
+        (["suite", "gma", "--trials", "10", "--seed", "3"],
+         _renamed(_GMA_INPUT, "tau_signs", "tau_sign"), "tau_sign"),
+        (["suite", "gma", "--trials", "10", "--seed", "3"],
+         _renamed(_GMA_INPUT, "blocks", "block"), "block"),
+        (["eval", "detlaw"], {"rep": _GSP_REP, "element": _GSP_ELEMENT, "Law": "P"}, "Law"),
+        (["eval", "invariant"], {**_SIGMA_BLOB, "similitude_power": 1}, "similitude_power"),
+        (["eval", "invariant"], {"matrices": [[[2, 0], [0, 1]]], "similitude_power": 1, "word": "1"},
+         "word"),
+        (["eval", "invariant"], {**_SIGMA_BLOB, "var_index": 1}, "var_index"),
+        (["eval", "invariant"], {**_SIGMA_BLOB, "aritty": 1}, "aritty"),
+        (["eval", "detlaw"], {"rep": {**_GSP_REP, "kinds": "Sp"}, "element": _GSP_ELEMENT}, "kinds"),
+        (["eval", "detlaw"],
+         {"rep": _GSP_REP, "element": {"terms": [{"word": "g1", "coef": 1, "coeff": 2}]}}, "coeff"),
+    ],
+    ids=["counterexample_tau_sign", "counterexample_block", "Law", "both_kinds",
+         "word_on_a_similitude_power", "var_index_on_a_sigma_function", "aritty", "kinds", "coeff"],
+)
+def test_a_misspelt_or_unknown_key_exits_2(tmp_path, capsys, argv, blob, key):
+    # a reader that ignores unknown keys exits 0 on each: a dropped field reads as its default
+    # (the counterexample then reports sch_condition true, and "Law" gives law D), an extra
+    # field is ignored, and both kinds read as a sigma function
+    code = main([*argv, "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert captured.err.startswith("input error: ") and repr(key) in captured.err
+
+
+def test_a_sigma_function_needs_its_word(tmp_path, capsys):
+    blob = {"matrices": [[[2, 0], [0, 1]]], "sigma_index": 1}
+    code = main(["eval", "invariant", "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert captured.err == "input error: sigma function missing 'word'\n"
+
+
 def test_a_value_too_long_to_print_exits_2(tmp_path, capsys):
     a = "1" * 3000
     matrix = [[0, a, 0, 0], ["-" + a, 0, 0, 0], [0, 0, 0, a], [0, 0, "-" + a, 0]]  # Pf = a^2

@@ -15,6 +15,9 @@ work guard (a word of ``MAX_WORD_LETTERS`` + 1 letters, an element of
 case, since random draws seldom put them where their guard reads them, and
 so do four malformed numbers, which must exit 2 wherever they stand, except
 "1 2" where it is read as a trace word.
+At every key of every object of every case, a copy with that key renamed by
+one letter, and one with an unknown key added, must exit 2 with one
+``input error:`` line that names the key.
 Every input this has flagged is pinned as a named case in
 ``tests/test_cli.py``.
 """
@@ -240,6 +243,50 @@ def test_a_malformed_numeral_in_place_of_every_node_exits_2(value, tmp_path, mon
             code = run(argv, out, tmp_path)
             if code != (0 if value == "1 2" and (name, path) in TRACE_WORDS else 2):
                 wrong.append((name, path, repr(code)))
+    assert not wrong, wrong
+
+
+# every case, and one whose element holds a polynomial object, so that its two objects are read
+KEY_CASES = {**CASES, "detlaw_poly_object": (["eval", "detlaw"], {
+    "rep": _REP, "element": {"terms": [
+        {"word": "g1", "coef": {"vars": ["u", "v"], "terms": [{"exp": [1, 2], "coef": "1/2"}]}}]}})}
+UNKNOWN_KEY = "zz"
+
+
+def _renamed(key: str) -> str:
+    """``key`` with its last letter changed."""
+    return key[:-1] + ("y" if key.endswith("x") else "x")
+
+
+def key_mutations(blob):
+    """Every pair (copy of ``blob`` with a key renamed or an unknown key added, that key), at
+    every key of every object: each is a key no reader was told of."""
+    objects = [()] + [p for p in _paths(blob) if isinstance(_get(blob, p), dict)]
+    for path in objects:
+        for key in _get(blob, path):
+            out = copy.deepcopy(blob)
+            obj = _get(out, path)
+            renamed = {(_renamed(k) if k == key else k): v for k, v in obj.items()}
+            obj.clear()
+            obj.update(renamed)
+            yield out, _renamed(key)
+        out = copy.deepcopy(blob)
+        _get(out, path)[UNKNOWN_KEY] = 1
+        yield out, UNKNOWN_KEY
+
+
+@pytest.mark.parametrize("name", sorted(KEY_CASES))
+def test_a_misspelt_or_unknown_key_exits_2_naming_it(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("SYMPLAW_MAX_DIM", str(MAX_DIM))
+    argv, blob = KEY_CASES[name]
+    assert run(argv, blob, tmp_path) == 0
+    wrong = []
+    for out, key in key_mutations(blob):
+        err = io.StringIO()
+        code, line = run(argv, out, tmp_path, err), err.getvalue()
+        if not (code == 2 and line.startswith("input error: ") and line.count("\n") == 1
+                and repr(key) in line):
+            wrong.append((key, code, line))
     assert not wrong, wrong
 
 

@@ -118,6 +118,11 @@ def _letters_reversed(original):
     return lambda word, mats, ctx: original(SimpleNamespace(letters=word.letters[::-1]), mats, ctx)
 
 
+def _factors_swapped(original):
+    """The matrix product B A in place of A B; a product with a scalar is left as it is."""
+    return lambda self, other: original(other, self) if isinstance(other, RingMatrix) else original(self, other)
+
+
 def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
@@ -145,6 +150,8 @@ FAULTS = {
     "matrix_poly_value_drops_the_last_coefficient": (
         symplectic, "matrix_poly_value", _last_coefficient_dropped),
     "word_value_reversed": (invariants, "word_value", _letters_reversed),
+    "pf_law_negated": (detlaws, "eval_pf_law", _negated),
+    "matrix_product_factors_swapped": (RingMatrix, "__mul__", _factors_swapped),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
@@ -194,6 +201,10 @@ SEEN = {
         "pseudochar stops with an error: the comparison P's image of x + x* loses a term, so it"
         " is no longer j-symmetric and its reduced Pfaffian is refused; det-law:"
         " det_law_multiplicative_star_invariant (rho(xy) and rho(x) rho(y) lose different terms)"),
+    "pf_law_negated": (
+        "pseudochar: comparison_agrees_with_det_laws (the comparison P, a reduced Pfaffian of its"
+        " own, is compared with eval_pf_law); det-law's pf_law_squares_to_det squares P, so the"
+        " sign cancels there"),
 }
 UNSEEN = {
     "sample_symplectic_identity": (
@@ -212,6 +223,14 @@ UNSEEN = {
         " sides of tr(xy) = tr(yx) lose the same term, the one product of chi^P on the"
         " standard fixture is a scalar matrix with no u term, and chi^P on the counterexample"
         " (d = 1) takes no matrix product"
+    ),
+    "matrix_product_factors_swapped": (
+        "with AB read as BA, a word's image is the transpose of its image under the"
+        " representation whose generator images are transposed, again a GSp representation with"
+        " the same similitudes, and a trace word's value is that of the transposed arguments;"
+        " every identity a suite checks holds for any such input, and the determinants, traces,"
+        " Lambda-vectors and reduced Pfaffians it compares do not change under transposition;"
+        " no suite compares a product with one formed entry by entry"
     ),
 }
 PARTLY_SEEN = {

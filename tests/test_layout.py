@@ -200,3 +200,36 @@ def test_every_defined_name_is_read_somewhere():
             if name not in read_by_attribute and (is_method or name not in read)
             and not (name.startswith("__") and name.endswith("__"))]
     assert not dead, dead
+
+
+def _is_os_environ(node) -> bool:
+    return (isinstance(node, ast.Attribute) and node.attr == "environ"
+            and isinstance(node.value, ast.Name) and node.value.id == "os")
+
+
+def test_json_keys_read_only_by_the_key_reader():
+    """In the modules that read input, no call ``.get("<key>", ..)`` and no test
+    ``"<key>" in ..`` stands outside ``serialize.json_fields``, which refuses a key it was not
+    told of; ``os.environ`` is no JSON object.  A second reader of keys would take a misspelt
+    key as an absent one and read its default."""
+    found = []
+    for path in SOURCES:
+        if path.name not in ("cli.py", "serialize.py"):
+            continue
+        tree = _parse(path)
+        reader = {id(node) for fn in ast.walk(tree)
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "json_fields"
+                  for node in ast.walk(fn)}
+        for node in ast.walk(tree):
+            if id(node) in reader:
+                continue
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "get" and not _is_os_environ(node.func.value)
+                    and node.args and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)):
+                found.append(f"{path.name}:{node.lineno}: .get({node.args[0].value!r})")
+            elif (isinstance(node, ast.Compare) and isinstance(node.left, ast.Constant)
+                  and isinstance(node.left.value, str)
+                  and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)):
+                found.append(f"{path.name}:{node.lineno}: {node.left.value!r} in")
+    assert not found, found
