@@ -328,6 +328,8 @@ class GmaSpec:
             pair = frozenset(key)
             if not all(1 <= i <= r for i in pair):
                 raise StructureError(f"tau sign key {sorted(pair)} is outside the blocks 1..{r}")
+            if len(pair) != 2:
+                raise StructureError("diagonal blocks are implicitly Q and take no tau sign")
             if s not in (1, -1):
                 raise StructureError(f"tau sign must be +-1, got {s}")
             signs[pair] = int(s)

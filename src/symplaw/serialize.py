@@ -276,7 +276,8 @@ def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepre
     images = tuple(matrix_from_json(m, max_dim)
                    for m in _typed(generators, list, "representation generators"))
     try:
-        rep = InvolutiveRepresentation(SymplecticContext(d), images, str(kind))
+        rep = InvolutiveRepresentation(SymplecticContext(d), images,
+                                       _typed(kind, str, "representation kind"))
     except ValueError as e:
         raise SchemaError(str(e)) from e
     if declared is not _ABSENT:
@@ -334,6 +335,9 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
               for key, basis in _typed(raw_blocks, dict, "GMA spec 'blocks'").items()}
     signs = {frozenset(_block_key(key)): int_from_json(s, f"tau sign {key!r}")
              for key, s in _typed(raw_signs, dict, "GMA spec 'tau_signs'").items()}
+    for what, read, raw in (("blocks", blocks, raw_blocks), ("tau_signs", signs, raw_signs)):
+        if len(read) < len(raw):  # "1,2" and "01,2", or tau signs "1,2" and "2,1"
+            raise SchemaError(f"GMA spec {what!r} gives one pair twice: {sorted(raw)}")
     try:
         return GmaSpec(t, ring, blocks, signs)
     except ValueError as e:
@@ -345,7 +349,7 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
 
 def _parse_trace_word(text) -> TraceWord:
     """A trace word such as "1 2*": 1-based argument indices, "*" for the symplectic transpose."""
-    tokens = str(text).split()
+    tokens = _typed(text, str, "trace word").split()
     check_word_length(len(tokens))
     if not tokens:
         raise SchemaError("empty trace word")

@@ -3,6 +3,12 @@
 Every suite is deterministic in (d, trials, seed) and returns a list of
 check dicts {"name", "pass", ...}; witnesses for failures are included as
 strings.  All equalities are exact, with no tolerances anywhere.
+
+A randomized check is declared as drawn inputs and two sides, and ``_run`` runs
+it: a ``draw`` makes every random draw of a trial, and each (name, left, right)
+fails at its first inputs where the two sides differ.  Trials stop once every
+check of the call has failed, so a call with one check stops at its first
+failure.  One-shot checks are made by ``_check``.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from typing import Callable
 
 from . import gma, invariants, pseudochar
@@ -64,19 +71,33 @@ class SuiteConfig:
             raise SymplawError("d must be >= 1")
 
 
-def _check(name: str, ok: bool, **extra) -> dict:
-    out = {"name": name, "pass": bool(ok)}
-    out.update(extra)
-    return out
+def _check(name: str, passed: bool, **extra) -> dict:
+    return {"name": name, "pass": bool(passed), **extra}
 
 
-def _first_failure(schedule, trial: Callable):
-    """The first failure of ``trial`` over the items of ``schedule``, or None if all pass.
+def _run(schedule, draw: Callable, *checks, witness: Callable | None = None) -> list:
+    """One check dict per (name, left, right) of ``checks``, over the trials of ``schedule``.
 
-    A trial draws its inputs and returns a falsy value on a pass, and True or a witness
-    string on a failure; no trial runs after the first failure, so its input is the witness.
+    ``draw(item)`` makes every random draw of the trial at ``item`` and returns its inputs,
+    or None to skip the trial.  A check fails at the first inputs where ``left(*inputs)``
+    and ``right(*inputs)`` differ (``right`` may be a constant) and is not evaluated again;
+    no trial is drawn once every check has failed.  With ``witness``, each dict gets a
+    "witness": ``witness(*inputs)`` at its failing inputs, called only then, or None.
     """
-    return next(filter(None, map(trial, schedule)), None)
+    failed = {}
+    for item in schedule:
+        if len(failed) == len(checks):
+            break
+        if (inputs := draw(item)) is None:
+            continue
+        for name, left, right in checks:
+            if name not in failed and left(*inputs) != (right(*inputs) if callable(right) else right):
+                failed[name] = inputs
+    out = [_check(name, name not in failed) for name, _, _ in checks]
+    if witness is not None:
+        for check in out:
+            check["witness"] = witness(*failed[check["name"]]) if check["name"] in failed else None
+    return out
 
 
 def _spread(values, trials: int) -> list:
@@ -106,75 +127,54 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
     checks = []
 
     sizes = [2 * k for k in range(1, d + 1)]
-
-    def squares_to_det(item):
-        size, _ = item
-        a = random_alternating(size, rng)
-        if pfaffian(a) ** 2 != mat_det(a):
-            return f"size {size}: {a}"
-
-    bad = _first_failure(_spread(sizes, trials), squares_to_det)
-    checks.append(_check("pfaffian_squared_equals_det", bad is None, witness=bad))
+    checks += _run(_spread(sizes, trials), lambda item: (random_alternating(item[0], rng),),
+                   ("pfaffian_squared_equals_det", lambda a: pfaffian(a) ** 2, mat_det),
+                   witness=lambda a: f"size {a.rows}: {a}")
 
     ctx = SymplecticContext(d)
+    checks += _run(range(min(trials, 200)), lambda _: (random_matrix(2 * d, rng),),
+                   ("symplectic_transpose_involutive",
+                    lambda m: symplectic_transpose(ctx, symplectic_transpose(ctx, m)), lambda m: m))
 
-    def transpose_involutive(_):
-        m = random_matrix(2 * d, rng)
-        return symplectic_transpose(ctx, symplectic_transpose(ctx, m)) != m
-
-    bad = _first_failure(range(min(trials, 200)), transpose_involutive)
-    checks.append(_check("symplectic_transpose_involutive", bad is None))
-
-    def conjugation_covariance(_):
+    def alternating_and_matrix(_):
         n = rng.choice([s for s in sizes if s <= 6])
-        a = random_alternating(n, rng)
-        g = random_matrix(n, rng)
-        return pfaffian(g * a * g.transpose()) != mat_det(g) * pfaffian(a)
+        return random_alternating(n, rng), random_matrix(n, rng)
 
-    bad = _first_failure(range(min(trials, 50)), conjugation_covariance)
-    checks.append(_check("pfaffian_conjugation_covariance", bad is None))
+    checks += _run(range(min(trials, 50)), alternating_and_matrix,
+                   ("pfaffian_conjugation_covariance",
+                    lambda a, g: pfaffian(g * a * g.transpose()),
+                    lambda a, g: mat_det(g) * pfaffian(a)))
 
-    ok = all(
+    checks.append(_check("reduced_pfaffian_normalization", all(
         reduced_pfaffian(SymplecticContext(k), RingMatrix.identity(2 * k)) == 1
         for k in range(1, max(d, 4) + 1)
-    )
-    checks.append(_check("reduced_pfaffian_normalization", ok))
+    )))
 
     by_dd = _spread([SymplecticContext(dd) for dd in range(1, min(d, 3) + 1)], min(trials, 60))
 
-    def cayley_hamilton(item):
-        cdd, _ = item
-        m = random_j_symmetric(cdd, rng, 3)
-        coeffs = pfaffian_coeffs_of_matrix(cdd, m)
-        if not matrix_poly_value(coeffs, m).is_zero():
-            return f"d={cdd.d}: {m}"
+    def j_symmetric(item):
+        return item[0], random_j_symmetric(item[0], rng, 3)
 
-    bad = _first_failure(by_dd, cayley_hamilton)
-    checks.append(_check("pfaffian_cayley_hamilton", bad is None, witness=bad))
+    # one call per check, so that each draws its own matrices
+    for check in (("pfaffian_cayley_hamilton",
+                   lambda cdd, m: matrix_poly_value(pfaffian_coeffs_of_matrix(cdd, m), m).is_zero(),
+                   True),
+                  ("recursion_matches_pfaffian_char_poly",
+                   lambda cdd, m: pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m)),
+                   pfaffian_coeffs_of_matrix)):
+        checks += _run(by_dd, j_symmetric, check, witness=lambda cdd, m: f"d={cdd.d}: {m}")
 
-    def recursion_matches(item):
-        cdd, _ = item
-        m = random_j_symmetric(cdd, rng, 3)
-        ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
-        if ts != pfaffian_coeffs_of_matrix(cdd, m):
-            return f"d={cdd.d}: {m}"
-
-    bad = _first_failure(by_dd, recursion_matches)
-    checks.append(_check("recursion_matches_pfaffian_char_poly", bad is None, witness=bad))
-
-    def transfer(_):
+    def transfer_inputs(_):
         dd = rng.randint(1, min(d, 2))
         cdd = SymplecticContext(dd)
-        m = random_j_symmetric(cdd, rng, 3)
-        x = random_matrix(2 * dd, rng, 3)
-        return reduced_pfaffian(cdd, x * m * symplectic_transpose(cdd, x)) != mat_det(
-            x
-        ) * reduced_pfaffian(cdd, m)
+        return cdd, random_j_symmetric(cdd, rng, 3), random_matrix(2 * dd, rng, 3)
 
-    bad = _first_failure(range(min(trials, 50)), transfer)
-    checks.append(_check("transfer_identity", bad is None))
+    checks += _run(range(min(trials, 50)), transfer_inputs,
+                   ("transfer_identity",
+                    lambda cdd, m, x: reduced_pfaffian(cdd, x * m * symplectic_transpose(cdd, x)),
+                    lambda cdd, m, x: mat_det(x) * reduced_pfaffian(cdd, m)))
 
-    def commuting_multiplicative(_):
+    def commuting_pair(_):
         dd = rng.randint(1, min(d, 2))
         cdd = SymplecticContext(dd)
         m = random_j_symmetric(cdd, rng, 3)
@@ -184,10 +184,12 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
         y = RingMatrix.scalar(2 * dd, Fraction(rng.randint(-3, 3))) + (m * m) * Fraction(
             rng.randint(-3, 3)
         )
-        return reduced_pfaffian(cdd, x * y) != reduced_pfaffian(cdd, x) * reduced_pfaffian(cdd, y)
+        return cdd, x, y
 
-    bad = _first_failure(range(min(trials, 50)), commuting_multiplicative)
-    checks.append(_check("commuting_multiplicativity", bad is None))
+    checks += _run(range(min(trials, 50)), commuting_pair,
+                   ("commuting_multiplicativity",
+                    lambda cdd, x, y: reduced_pfaffian(cdd, x * y),
+                    lambda cdd, x, y: reduced_pfaffian(cdd, x) * reduced_pfaffian(cdd, y)))
     return checks
 
 
@@ -198,81 +200,78 @@ def suite_det_law(d: int, trials: int, seed: int) -> list:
     rng = random.Random(seed)
     checks = []
 
-    def newton(_):
-        m = random_matrix(2 * d, rng, 4)
-        return newton_lambdas_from_traces(power_traces(m, 2 * d)) != lambdas_of_matrix(m)
-
-    bad = _first_failure(range(min(trials, 50)), newton)
-    checks.append(_check("newton_matches_char_poly", bad is None))
+    checks += _run(range(min(trials, 50)), lambda _: (random_matrix(2 * d, rng, 4),),
+                   ("newton_matches_char_poly",
+                    lambda m: newton_lambdas_from_traces(power_traces(m, 2 * d)), lambdas_of_matrix))
 
     def binomial(dd):
-        ts = pfaffian_coeffs_from_lambdas(newton_lambdas_from_traces([Fraction(2 * dd)] * (2 * dd)))
-        return ts != tuple(math.comb(dd, i) for i in range(dd + 1))
+        return pfaffian_coeffs_from_lambdas(newton_lambdas_from_traces([Fraction(2 * dd)] * (2 * dd)))
 
-    bad = _first_failure(range(1, 5), binomial)
-    checks.append(_check("binomial_values_at_identity", bad is None))
+    checks += _run(range(1, 5), lambda dd: (dd,),
+                   ("binomial_values_at_identity",
+                    binomial, lambda dd: tuple(math.comb(dd, i) for i in range(dd + 1))))
 
     ctx4 = SymplecticContext(4)
 
-    def d4_closed_forms(_):
+    def d4_matrix(_):
         m = random_j_symmetric(ctx4, rng, 2)
-        lams = lambdas_of_matrix(m)
-        expected = pfaffian_coeffs_from_lambdas(lams)[4]
-        a, b = closed_form_check_d4(lams, power_traces(m, 4))
-        if a != expected or b != expected:
-            return str(m)
+        return m, lambdas_of_matrix(m)
 
-    bad = _first_failure(range(min(trials, 50)), d4_closed_forms)
-    checks.append(_check("d4_closed_forms", bad is None, witness=bad))
+    checks += _run(range(min(trials, 50)), d4_matrix,
+                   ("d4_closed_forms",
+                    lambda m, lams: closed_form_check_d4(lams, power_traces(m, 4)),
+                    lambda m, lams: (pfaffian_coeffs_from_lambdas(lams)[4],) * 2),
+                   witness=lambda m, lams: str(m))
 
     ctx1 = SymplecticContext(1)
 
-    def sl2_traces(trial):
+    def sl2_pair_and_word(trial):
         rep = _sp_pair(ctx1, seed * 31 + trial, seed * 37 + trial + 1)
         w = random_word(rng, 2, 4)
-        if not w:
-            return None
+        return (rep, w) if w else None
+
+    def sl2_traces(rep, w):
         t = lambda word: rep.rho_word(word).trace()  # noqa: E731
         g, gi = w, word_inv(w)
         g2 = word_mul(w, w)
         lhs = t(g) ** 2 + 2 * t(g) * t(gi) + t(gi) ** 2 - 2 * t(g2) - 2 * t(word_inv(g2)) - 8
-        return lhs != 0 or 4 * t(g) ** 2 - 4 * t(g2) - 8 != 0
+        return lhs, 4 * t(g) ** 2 - 4 * t(g2) - 8
 
-    bad = _first_failure(range(min(trials, 100)), sl2_traces)
-    checks.append(_check("sl2_trace_identities", bad is None))
+    checks += _run(range(min(trials, 100)), sl2_pair_and_word,
+                   ("sl2_trace_identities", sl2_traces, (0, 0)))
 
     ctx = SymplecticContext(min(d, 2))
-    ok = True
-    sym_ok = True
-    for trial in range(min(trials, 30)):
+
+    def pair_and_elements(trial):
         rep = _sp_pair(ctx, seed * 41 + trial, seed * 43 + trial + 1)
         x, y = _random_element(rng), _random_element(rng)
-        if eval_det_law(rep, x * y) != eval_det_law(rep, x) * eval_det_law(rep, y):
-            ok = False
-        if eval_det_law(rep, star(rep, x)) != eval_det_law(rep, x):
-            ok = False
-        sym = x + star(rep, x)
-        p = eval_pf_law(rep, sym)
-        if p * p != eval_det_law(rep, sym):
-            sym_ok = False
-    checks.append(_check("det_law_multiplicative_star_invariant", ok))
-    checks.append(_check("pf_law_squares_to_det", sym_ok))
+        return rep, x, y, x + star(rep, x)
+
+    checks += _run(range(min(trials, 30)), pair_and_elements,
+                   ("det_law_multiplicative_star_invariant",
+                    lambda rep, x, y, sym: (eval_det_law(rep, x * y), eval_det_law(rep, star(rep, x))),
+                    lambda rep, x, y, sym: (eval_det_law(rep, x) * eval_det_law(rep, y),
+                                            eval_det_law(rep, x))),
+                   ("pf_law_squares_to_det",
+                    lambda rep, x, y, sym: eval_pf_law(rep, sym) ** 2,
+                    lambda rep, x, y, sym: eval_det_law(rep, sym)))
 
     dd = min(d, 2)
     cdd = SymplecticContext(dd)
+    g1 = GroupAlgebraElement.from_word(((1, 1),))
 
-    def chi_alpha_vanishes(trial):
+    def matrix_model(trial):
         rep = InvolutiveRepresentation.from_images([sample_symplectic(cdd, seed * 47 + trial)])
-        g1 = GroupAlgebraElement.from_word(((1, 1),))
         r1 = g1 + star(rep, g1)
-        # the t_1^d coefficient cancels a fault of M J that rescales or shifts the
-        # Pfaffian polynomial; the T_i compared with the Lambda recursion do not
-        m = rep.rho(r1)
-        ts = pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m))
-        return not chi_alpha(rep, [r1], [dd]).is_zero() or pfaffian_coeffs_of_matrix(cdd, m) != ts
+        return rep, r1, rep.rho(r1)
 
-    bad = _first_failure(range(min(trials, 10)), chi_alpha_vanishes)
-    checks.append(_check("chi_alpha_vanishes_on_matrix_models", bad is None))
+    # the t_1^d coefficient cancels a fault of M J that rescales or shifts the
+    # Pfaffian polynomial; the T_i compared with the Lambda recursion do not
+    checks += _run(range(min(trials, 10)), matrix_model,
+                   ("chi_alpha_vanishes_on_matrix_models",
+                    lambda rep, r1, m: (pfaffian_coeffs_from_lambdas(lambdas_of_matrix(m)),
+                                        chi_alpha(rep, [r1], [dd]).is_zero()),
+                    lambda rep, r1, m: (pfaffian_coeffs_of_matrix(cdd, m), True)))
     return checks
 
 
@@ -297,26 +296,28 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
     fs = {dd: [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
           for dd, _ in by_dd}
 
-    def generators_invariant(item):
+    def conjugator_and_pair(item):
         dd, j = item
         g = sample_symplectic(SymplecticContext(dd), seed * 53 + 100 * dd + j)
-        mats = [random_matrix(2 * dd, rng, 3) for _ in range(2)]
-        f = check_invariance(fs[dd], mats, g)
-        if f is not None:
-            return f"d={dd} f=sigma_{f.sigma_index}({f.word})"
+        return dd, g, [random_matrix(2 * dd, rng, 3) for _ in range(2)]
 
-    bad = _first_failure(by_dd, generators_invariant)
-    checks.append(_check("generators_invariant_under_conjugation", bad is None, witness=bad))
+    def non_invariant(dd, g, mats):
+        f = check_invariance(fs[dd], mats, g)
+        return None if f is None else f"d={dd} f=sigma_{f.sigma_index}({f.word})"
+
+    checks += _run(by_dd, conjugator_and_pair,
+                   ("generators_invariant_under_conjugation", non_invariant, None),
+                   witness=non_invariant)
 
     cdd = SymplecticContext(min(d, 2))
 
-    def similitude_invariant(k):
+    def similitude_and_conjugator(k):
         h = sample_similitude(cdd, seed * 59 + k, factor=Fraction(k % 5 + 2))
-        g = sample_symplectic(cdd, seed * 61 + k)
-        return similitude(cdd, g * h * g.inverse()) != similitude(cdd, h)
+        return h, sample_symplectic(cdd, seed * 61 + k)
 
-    bad = _first_failure(range(min(trials, 20)), similitude_invariant)
-    checks.append(_check("similitude_conjugation_invariant", bad is None))
+    checks += _run(range(min(trials, 20)), similitude_and_conjugator,
+                   ("similitude_conjugation_invariant",
+                    lambda h, g: similitude(cdd, g * h * g.inverse()), lambda h, g: similitude(cdd, h)))
 
     pairs = [(d, m) for m in range(1, 4 if d == 1 else 3)]
     for dd, m in pairs:
@@ -350,13 +351,10 @@ def _gma_checks(spec, label: str, expect_sch: bool, trials: int, seed: int) -> l
     sch, witness = gma.check_sch_condition(spec)
     checks.append(_check(f"{label}_sch_condition", sch is expect_sch, sch_condition=sch))
 
+    symmetric = lambda _: (gma.random_symmetric_gma_element(spec, rng),)  # noqa: E731
     if sch:
-        def chi_p_vanishes(_):
-            m = gma.random_symmetric_gma_element(spec, rng)
-            return not gma.gma_chi_p(spec, m).is_zero()
-
-        bad = _first_failure(range(min(trials, 50)), chi_p_vanishes)
-        checks.append(_check(f"{label}_chi_p_vanishes", bad is None))
+        checks += _run(range(min(trials, 50)), symmetric,
+                       (f"{label}_chi_p_vanishes", lambda m: gma.gma_chi_p(spec, m).is_zero(), True))
     else:
         i, j, wit = witness
         chi = gma.gma_chi_p(spec, wit)
@@ -371,22 +369,18 @@ def _gma_checks(spec, label: str, expect_sch: bool, trials: int, seed: int) -> l
         in_kernel = nonzero and gma.kernel_probe(spec, chi, min(trials, 25), seed + 1)
         checks.append(_check(f"{label}_witness_in_kernel_of_D", in_kernel))
 
-    def trace_commutes(_):
-        x = gma.random_gma_element(spec, rng)
-        y = gma.random_gma_element(spec, rng)
-        # each trace is one inner product in the quotient ring, reduced as it forms
-        return trace_of_product(x, y, spec.ring.dot) != trace_of_product(y, x, spec.ring.dot)
+    # each trace is one inner product in the quotient ring, reduced as it forms
+    checks += _run(range(min(trials, 50)),
+                   lambda _: (gma.random_gma_element(spec, rng), gma.random_gma_element(spec, rng)),
+                   (f"{label}_trace_commutes", lambda x, y: trace_of_product(x, y, spec.ring.dot),
+                    lambda x, y: trace_of_product(y, x, spec.ring.dot)))
 
-    bad = _first_failure(range(min(trials, 50)), trace_commutes)
-    checks.append(_check(f"{label}_trace_commutes", bad is None))
-
-    def pf_squares_to_det(_):
-        m = gma.random_symmetric_gma_element(spec, rng)
+    def pf_squares_to_det(m):
         _, det, pf = gma.gma_trace_det_pf(spec, m)
-        return pf is None or pf * pf != det
+        return pf is not None and pf * pf == det
 
-    bad = _first_failure(range(min(trials, 50)), pf_squares_to_det)
-    checks.append(_check(f"{label}_pf_squares_to_det", bad is None))
+    checks += _run(range(min(trials, 50)), symmetric,
+                   (f"{label}_pf_squares_to_det", pf_squares_to_det, True))
     return checks
 
 
@@ -434,38 +428,31 @@ def suite_pseudochar(d: int, trials: int, seed: int) -> list:
         detected = not pseudochar.verify_axioms(pc, min(trials, 25), seed)["passed"]
     checks.append(_check("corrupted_cache_detected", clean["passed"] and detected))
 
-    ok_agree = True
-    ok_square = True
-    ok_one = True
-    for name, rep in reps.items():
-        pc = pseudochar.Pseudocharacter(rep)
-        d_law, p_law = pseudochar.comparison_to_det_law(pc)
-        if p_law(GroupAlgebraElement.one()) != 1:
-            ok_one = False
-        for _ in range(max(1, min(trials, 100) // max(len(reps), 1))):
-            x = _random_element(rng)
-            if d_law(x) != eval_det_law(rep, x):
-                ok_agree = False
-            sym = x + star(rep, x)
-            p = p_law(sym)
-            if p != eval_pf_law(rep, sym):
-                ok_agree = False
-            if p * p != d_law(sym):
-                ok_square = False
-    checks.append(_check("comparison_agrees_with_det_laws", ok_agree))
-    checks.append(_check("comparison_p_squared_equals_d", ok_square))
-    checks.append(_check("comparison_p_at_identity", ok_one))
+    laws = [(rep, *pseudochar.comparison_to_det_law(pseudochar.Pseudocharacter(rep)))
+            for rep in reps.values()]
+    at_identity = [p_law(GroupAlgebraElement.one()) for _, _, p_law in laws]
+
+    def element(law):
+        rep, d_law, p_law = law
+        x = _random_element(rng)
+        sym = x + star(rep, x)
+        return rep, d_law, x, sym, p_law(sym)  # both checks read P(sym), so it is evaluated once
+
+    schedule = [law for law in laws for _ in range(max(1, min(trials, 100) // max(len(reps), 1)))]
+    checks += _run(schedule, element,
+                   ("comparison_agrees_with_det_laws",
+                    lambda rep, d_law, x, sym, p: (d_law(x), p),
+                    lambda rep, d_law, x, sym, p: (eval_det_law(rep, x), eval_pf_law(rep, sym))),
+                   ("comparison_p_squared_equals_d",
+                    lambda rep, d_law, x, sym, p: p ** 2, lambda rep, d_law, x, sym, p: d_law(sym)))
+    checks.append(_check("comparison_p_at_identity", all(p == 1 for p in at_identity)))
 
     gsp = pseudochar.Pseudocharacter(reps[f"GSp_{2 * min(d, 2)}"])
-    def similitude_multiplicative(_):
-        a = random_word(rng, 2, 3)
-        b = random_word(rng, 2, 3)
-        lhs = pseudochar.similitude_character(gsp, word_mul(a, b))
-        rhs = pseudochar.similitude_character(gsp, a) * pseudochar.similitude_character(gsp, b)
-        return lhs != rhs
-
-    bad = _first_failure(range(min(trials, 25)), similitude_multiplicative)
-    checks.append(_check("similitude_recovery_multiplicative", bad is None))
+    similitude_character = partial(pseudochar.similitude_character, gsp)
+    checks += _run(range(min(trials, 25)), lambda _: (random_word(rng, 2, 3), random_word(rng, 2, 3)),
+                   ("similitude_recovery_multiplicative",
+                    lambda a, b: similitude_character(word_mul(a, b)),
+                    lambda a, b: similitude_character(a) * similitude_character(b)))
     return checks
 
 

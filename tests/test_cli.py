@@ -320,13 +320,17 @@ def _matrices_blob(count, matrix=_identity(2)):
                    "gammas": ["g1"]}),
         ("detlaw", {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": "u^" + "1" * 5000}]}}),
         ("detlaw", _detlaw_blob("g1^")),
+        ("invariant", _invariant_blob(1)),
+        ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": 1}, "gammas": ["g1"]}),
+        ("detlaw", {**_detlaw_blob("g1"), "rep": {**_REP_4, "kind": 5}}),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
          "trace_word_over_cap", "element_terms_over_cap", "theta_gammas_over_cap",
          "invariant_matrices_over_cap", "trace_word_superscript", "trace_word_superscript_index",
          "trace_word_index_past_digit_limit", "trace_word_starred_index_past_digit_limit",
-         "coefficient_exponent_past_digit_limit", "word_exponent_empty"],
+         "coefficient_exponent_past_digit_limit", "word_exponent_empty", "trace_word_number",
+         "theta_trace_word_number", "representation_kind_number"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])
@@ -464,11 +468,16 @@ _GMA_INPUT = {
         ("tau_signs", {"1,5": 1}),
         ("nil_monomials", [True]),
         ("blocks", {"1,2": [True], "2,1": ["v"]}),
+        ("tau_signs", {"1,2": -1, "2,1": -1}),
+        ("tau_signs", {"1,2": -1, "01,2": 1}),
+        ("blocks", {"1,2": ["u"], "01,2": ["v"], "2,1": ["v"]}),
+        ("tau_signs", {"1,2": -1, "1,1": 1}),
     ],
     ids=["block_key_semicolon", "block_key_three_parts", "sign_not_integer", "sign_key",
          "I0_not_a_list", "base_vars_not_a_list", "I0_entry_not_integer", "blocks_not_an_object",
          "block_outside_the_type", "block_basis_not_a_list", "sign_outside_the_type",
-         "nil_monomial_bool", "block_basis_bool"],
+         "nil_monomial_bool", "block_basis_bool", "sign_pair_given_twice",
+         "sign_key_given_twice", "block_key_given_twice", "sign_on_a_diagonal_block"],
 )
 def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
     path = _write(tmp_path, {**_GMA_INPUT, field: value})

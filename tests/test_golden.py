@@ -23,8 +23,10 @@ from fractions import Fraction
 
 import pytest
 
+from symplaw import detlaws, suites
 from symplaw.cli import main
 from symplaw.serialize import fraction_to_json, matrix_to_json
+from symplaw.suites import suite_det_law, suite_pfaffian, suite_pseudochar
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
 
 GMA_DIGESTS = {
@@ -185,3 +187,48 @@ def test_eval_output_pinned_at_the_dimension_cap(kind, verb, tmp_path, capsys):
     path = tmp_path / "in.json"
     path.write_text(json.dumps(blob))
     assert _digest(["eval", command, "--input", str(path)], capsys) == (0, EVAL_DIGESTS[kind, verb])
+
+
+# -- failing reports -----------------------------------------------------------------
+
+# (label, suite, d, trials, fault, the checks it fails): {seed: digest of the check list}.
+# Each fault is one kernel of the ``suites`` or ``detlaws`` namespace made one too large.
+# The digests pin the first failing inputs of each check, the witnesses among them, and
+# that a loop shared by two checks keeps drawing while one of them has not failed.
+FAULTS = {
+    "suites.mat_det": (suites, "mat_det"),
+    "suites.eval_pf_law": (suites, "eval_pf_law"),
+    "detlaws.mat_det": (detlaws, "mat_det"),
+}
+FAILING_DIGESTS = {
+    ("pfaffian-d3", suite_pfaffian, 3, 30, "suites.mat_det",
+     ("pfaffian_squared_equals_det", "pfaffian_conjugation_covariance", "transfer_identity")): {
+        0: "15c9f23061c51b002beec400a5b25583e9e7349b6599b2d6c54eb7f85d04bd36",
+        1: "3a9003da0712ebe053c6a3f81dc84ff723337c735c9c2fede9431c7ca90a8f9f",
+        2: "b54b0527bbe2e5d915ec0b72f5c8785e42c6d19770f1f6af90d1b5e0b336bca3",
+    },
+    ("det-law-d2", suite_det_law, 2, 30, "suites.eval_pf_law", ("pf_law_squares_to_det",)): {
+        0: "e28471010f6c50b9424a6f0f83d6c02fd61982dab53040fb3e483fd5dc69cb34",
+        1: "e28471010f6c50b9424a6f0f83d6c02fd61982dab53040fb3e483fd5dc69cb34",
+        2: "e28471010f6c50b9424a6f0f83d6c02fd61982dab53040fb3e483fd5dc69cb34",
+    },
+    ("pseudochar-d2", suite_pseudochar, 2, 25, "detlaws.mat_det",
+     ("comparison_agrees_with_det_laws",)): {
+        0: "79ba294ac938669b09e786023e346679a61ec22fc15d4d15ff1fac65e3babe56",
+        1: "79ba294ac938669b09e786023e346679a61ec22fc15d4d15ff1fac65e3babe56",
+        2: "79ba294ac938669b09e786023e346679a61ec22fc15d4d15ff1fac65e3babe56",
+    },
+}
+FAILING_RUNS = [pytest.param(suite, d, trials, fault, failing, seed, digest, id=f"{label}-{seed}")
+                for (label, suite, d, trials, fault, failing), digests in FAILING_DIGESTS.items()
+                for seed, digest in digests.items()]
+
+
+@pytest.mark.parametrize(("suite", "d", "trials", "fault", "failing", "seed", "digest"),
+                         FAILING_RUNS)
+def test_failing_report_pinned(suite, d, trials, fault, failing, seed, digest, monkeypatch):
+    owner, name = FAULTS[fault]
+    monkeypatch.setattr(owner, name, lambda *args, real=getattr(owner, name): real(*args) + 1)
+    checks = suite(d, trials, seed)
+    assert tuple(c["name"] for c in checks if not c["pass"]) == failing
+    assert hashlib.sha256(json.dumps(checks).encode()).hexdigest() == digest

@@ -63,6 +63,56 @@ def test_suite_seed_sweep(suite, d):
         assert report["pass"], (seed, [c for c in report["checks"] if not c["pass"]])
 
 
+# -- the runner every randomized check goes through ----------------------------------
+
+
+def _logged(drawn, skip=()):
+    """A draw that logs each item of the schedule and returns it as the trial's one input."""
+    def draw(item):
+        drawn.append(item)
+        return None if item in skip else (item,)
+    return draw
+
+
+def test_a_none_draw_skips_its_trial():
+    drawn, seen = [], []
+    checks = suites._run(range(4), _logged(drawn, skip=(1, 2)),
+                         ("below_1", lambda x: seen.append(x) or x < 1, True))
+    assert drawn == [0, 1, 2, 3] and seen == [0, 3]
+    assert checks == [{"name": "below_1", "pass": False}]
+
+
+def test_a_constant_right_side_is_compared_as_it_is():
+    checks = suites._run(range(3), _logged([]), ("small", lambda x: x < 3, True),
+                         ("zero", lambda x: x * 0, 0), ("none", lambda x: None, 0))
+    assert [c["pass"] for c in checks] == [True, True, False]
+
+
+def test_a_witness_is_made_once_for_a_failing_check_and_never_for_a_passing_one():
+    calls = []
+
+    def witness(x):
+        calls.append(x)
+        return f"x={x}"
+
+    checks = suites._run(range(5), _logged([]), ("from_2", lambda x: x < 2, True),
+                         ("always", lambda x: x, lambda x: x), witness=witness)
+    assert calls == [2]
+    assert checks == [{"name": "from_2", "pass": False, "witness": "x=2"},
+                      {"name": "always", "pass": True, "witness": None}]
+
+
+def test_a_group_draws_until_every_check_has_failed():
+    drawn = []
+    checks = suites._run(range(10), _logged(drawn), ("from_2", lambda x: x < 2, True),
+                         ("from_5", lambda x: x < 5, True))
+    assert drawn == [0, 1, 2, 3, 4, 5]
+    assert not any(c["pass"] for c in checks)
+    drawn.clear()
+    suites._run(range(10), _logged(drawn), ("from_2", lambda x: x < 2, True))
+    assert drawn == [0, 1, 2]
+
+
 def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):
     real_det = detlaws.mat_det
     monkeypatch.setattr(detlaws, "mat_det", lambda m: real_det(m) + 1)
