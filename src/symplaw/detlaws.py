@@ -183,11 +183,19 @@ class InvolutiveRepresentation:
 
 
 def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Linear extension of w -> lambda(w) w^(-1); an involution."""
+    """Linear extension of w -> lambda(w) w^(-1); an involution.
+
+    Every lambda(w) of an Sp representation is 1, so there each word is only checked.
+    """
+    sp = rep.kind == "Sp"
     terms: dict = {}
     for w, c in x.terms.items():
+        if sp:
+            rep._check_word(w)
+        else:
+            c = rep.lambda_of_word(w) * c
         wi = word_inv(w)
-        terms[wi] = terms.get(wi, Fraction(0)) + rep.lambda_of_word(w) * c
+        terms[wi] = terms.get(wi, Fraction(0)) + c
     return GroupAlgebraElement(terms)
 
 

@@ -11,12 +11,13 @@ product: the kernels behind M^j and M J, reindexings of M.
 
 Block coefficient modules live inside a polynomial ring modulo a monomial
 ideal, so products and span membership reduce to exact monomial
-bookkeeping: each ring decides once per exponent tuple whether the ideal
-contains that monomial, and each spec computes once per block the monomial
-columns and integer echelon rows of its span.  A full-rank block holds the
-entries whose monomials are columns; only a rank-deficient one clears an
-entry against its rows.  Membership checks and random elements walk one
-per-spec table of cells, one per entry in block order.
+bookkeeping on packed exponent keys (``symplaw.multipoly``): each ring
+decides once per key whether the ideal contains that monomial, with one
+subtraction and a mask over the guard bits per nil monomial, and each spec
+computes once per block the monomial columns and integer echelon rows of its
+span.  A full-rank block holds the entries whose monomials are columns; only
+a rank-deficient one clears an entry against its rows.  Membership checks and
+random elements walk one per-spec table of cells, one per entry in block order.
 Random elements are combinations of the reduced block bases, so they are
 built already reduced; a matrix given to a public entry point is reduced
 once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
@@ -41,32 +42,40 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 from math import lcm
-from operator import add, is_
+from operator import is_
 from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, _berkowitz_lambdas, mat_det
-from .multipoly import MultiPoly, Ring
+from .multipoly import MultiPoly, Ring, _guard, _over_cap, _unpack
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
 # -- quotient ring ------------------------------------------------------
 
 
 class _IdealMemo(dict):
-    """Exponent tuple -> is that monomial in the ideal, decided on the first lookup of the tuple.
+    """Packed exponent key -> is that monomial in the ideal, decided on the first lookup of the key.
 
-    Only ever added to, each key with its one answer, so threads may share it.
+    The key e is divisible by the nil key n when (e | guard) - n keeps every
+    guard bit: no field of e is below its field of n.  The first lookup of a
+    key also refuses a guard bit set in it, an exponent sum past the cap:
+    ``QuotientRing.dot`` adds keys without a test of its own and looks up
+    every sum here.  Only ever added to, each key with its one answer, so
+    threads may share it.
     """
 
-    __slots__ = ("nils",)
+    __slots__ = ("nils", "guard", "k")
 
-    def __init__(self, nils: tuple):
+    def __init__(self, nils: tuple, k: int):
         super().__init__()
-        self.nils = nils
+        self.nils, self.guard, self.k = nils, _guard(k), k
 
-    def __missing__(self, exp: tuple) -> bool:
-        hit = self[exp] = any(all(e >= n for e, n in zip(exp, nil)) for nil in self.nils)
+    def __missing__(self, key: int) -> bool:
+        guard = self.guard
+        if key & guard:
+            raise _over_cap(max(_unpack(key, self.k)))
+        hit = self[key] = any((key | guard) - n & guard == guard for n in self.nils)
         return hit
 
 
@@ -79,7 +88,7 @@ class QuotientRing:
 
     vars: tuple
     nil_monomials: tuple  # exponent tuples over `vars`
-    # each exponent tuple met by `reduce` or `dot` -> is it in the ideal; one memo per ring
+    # each packed key met by `reduce` or `dot` -> is it in the ideal; one memo per ring
     _divisible: _IdealMemo = field(init=False, compare=False, hash=False, repr=False)
 
     def __post_init__(self):
@@ -94,7 +103,8 @@ class QuotientRing:
                 raise StructureError("the ideal contains 1, but the diagonal blocks are Q")
         object.__setattr__(self, "vars", vs)
         object.__setattr__(self, "nil_monomials", nils)
-        object.__setattr__(self, "_divisible", _IdealMemo(nils))
+        ideal = MultiPoly(vs, dict.fromkeys(nils, 1))  # exponents checked as any polynomial's
+        object.__setattr__(self, "_divisible", _IdealMemo(tuple(ideal._packed), len(vs)))
 
     def _lift(self, x: MultiPoly) -> MultiPoly:
         """x over the ring's variables; MembershipError if it uses another."""
@@ -110,10 +120,10 @@ class QuotientRing:
             return x
         x = self._lift(x)
         divisible = self._divisible
-        if not any(map(divisible.__getitem__, x.terms)):
+        if not any(map(divisible.__getitem__, x._packed)):
             return x
-        return MultiPoly._trusted(
-            self.vars, {exp: c for exp, c in x.terms.items() if not divisible[exp]}
+        return MultiPoly._canonical(
+            self.vars, {key: c for key, c in x._packed.items() if not divisible[key]}
         )
 
     def dot(self, u, v) -> Ring:
@@ -138,12 +148,12 @@ class QuotientRing:
                 a, b = b, a
             if terms is None:
                 terms = {}
-            left = self._lift(a).terms.items()
+            left = self._lift(a)._packed.items()
             if isinstance(b, MultiPoly):
-                right = self._lift(b).terms.items()
+                right = self._lift(b)._packed.items()
                 for e1, c1 in left:
                     for e2, c2 in right:
-                        exp = tuple(map(add, e1, e2))
+                        exp = e1 + e2
                         if not divisible[exp]:
                             c = c1 * c2
                             terms[exp] = terms[exp] + c if exp in terms else c
@@ -154,9 +164,8 @@ class QuotientRing:
                         terms[exp] = terms[exp] + c if exp in terms else c
         if terms is None:
             return scalar
-        if scalar:
-            one = (0,) * len(self.vars)
-            terms[one] = terms[one] + scalar if one in terms else scalar
+        if scalar:  # the constant term has key 0
+            terms[0] = terms[0] + scalar if 0 in terms else scalar
         return MultiPoly._trusted(self.vars, terms)
 
     def product(self, a: RingMatrix, b: RingMatrix) -> RingMatrix:
@@ -182,8 +191,8 @@ class QuotientRing:
 
 def _integer_row(p: MultiPoly, columns: dict) -> dict:
     """The coefficients of p, scaled by their common denominator, keyed by monomial column."""
-    den = lcm(*[c.denominator for c in p.terms.values()])
-    return {columns[exp]: c.numerator * (den // c.denominator) for exp, c in p.terms.items()}
+    den = lcm(*[c.denominator for c in p._packed.values()])
+    return {columns[key]: c.numerator * (den // c.denominator) for key, c in p._packed.items()}
 
 
 def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
@@ -194,7 +203,7 @@ def _reduced_poly(x: Ring, ring: QuotientRing) -> MultiPoly:
 def _span_rows(basis: Sequence[Ring], ring: QuotientRing) -> tuple:
     """(monomial columns, integer echelon rows, full: a pivot in every column) of the reduced basis."""
     polys = [_reduced_poly(b, ring) for b in basis]
-    columns = {exp: k for k, exp in enumerate(sorted({exp for p in polys for exp in p.terms}))}
+    columns = {key: k for k, key in enumerate(sorted({key for p in polys for key in p._packed}))}
     rows = IntegerEliminator()
     for p in polys:
         rows.add_row(_integer_row(p, columns))
@@ -206,7 +215,7 @@ def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
     columns, rows, full = span
     if not isinstance(p, MultiPoly):
         p = MultiPoly.constant(p, ring.vars)
-    return columns.keys() >= p.terms.keys() and (full or rows.spans(_integer_row(p, columns)))
+    return columns.keys() >= p._packed.keys() and (full or rows.spans(_integer_row(p, columns)))
 
 
 def in_span(p: Ring, basis: Sequence[Ring], ring: QuotientRing) -> bool:
@@ -524,8 +533,8 @@ def random_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatrix:
             terms: dict = {}
             for p in basis:
                 k = draw(9) - 4
-                for exp, c in p.terms.items():
-                    terms[exp] = terms[exp] + c * k if exp in terms else c * k
+                for key, c in p._packed.items():
+                    terms[key] = terms[key] + c * k if key in terms else c * k
             rows[a][b] = MultiPoly._trusted(spec.ring.vars, terms)
     return RingMatrix._trusted(rows)
 

@@ -57,7 +57,7 @@ from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
-from .multipoly import MultiPoly, Ring, canonical_scalar, fresh_var
+from .multipoly import _FIELD, _MASK, MultiPoly, Ring, _shift, canonical_scalar, fresh_var
 
 _EXACT = (int, Fraction, MultiPoly)
 _POLY_ENTRY_TYPES = frozenset((int, MultiPoly))  # a polynomial matrix of these needs no rewrite
@@ -560,8 +560,8 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
         for row in m.entries:
             for x in row:
                 if isinstance(x, MultiPoly) and var in x.vars:
-                    i = x.vars.index(var)
-                    if any(exp[i] for exp in x.terms):
+                    s = _shift(len(x.vars), x.vars.index(var))
+                    if any(key >> s & _MASK for key in x._packed):
                         raise VariableError(f"entry already uses variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
@@ -591,18 +591,20 @@ def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> tuple:
         p = p.in_vars(tuple(sorted((*p.vars, var))))
     k = p.vars.index(var)
     rest = p.vars[:k] + p.vars[k + 1:]
+    s = _shift(len(p.vars), k)
+    low = (1 << s) - 1
     signed: dict = {}
-    for exp, c in p.terms.items():
-        i = n - exp[k]
-        signed.setdefault(i, {})[exp[:k] + exp[k + 1:]] = -c if i % 2 else c
-    one = (0,) * len(rest)
+    for key, c in p._packed.items():  # the field of var out of each key, the fields below it moved up
+        i = n - (key >> s & _MASK)
+        signed.setdefault(i, {})[key >> s + _FIELD << s | key & low] = -c if i % 2 else c
     out = []
     for i in range(n + 1):
         terms = signed.get(i)
         if terms is None:
             out.append(Fraction(0))
-        elif len(terms) == 1 and one in terms:
-            out.append(Fraction(terms[one]))
+        elif len(terms) == 1 and 0 in terms:  # a constant: only key 0, a canonical coefficient
+            c = terms[0]
+            out.append(Fraction(c) if type(c) is int else c)
         else:
             out.append(MultiPoly._canonical(rest, terms))
     return tuple(out)

@@ -1,7 +1,7 @@
 """Sparse multivariate polynomials with exact rational coefficients.
 
 A polynomial stores an ordered tuple of variable names (kept sorted, so the
-ordering is canonical) and a dict mapping exponent tuples to nonzero
+ordering is canonical) and a dict mapping packed exponent keys to nonzero
 coefficients in one canonical form: an ``int`` when the value is integral, a
 ``Fraction`` otherwise, so arithmetic on integral polynomials stays in
 ``int``.  ``constant_value`` and ``coefficient`` return a ``Fraction``.  All
@@ -9,6 +9,17 @@ arithmetic is exact; there is no floating point anywhere.  Polynomials
 interoperate with ``Fraction`` and ``int`` scalars, which act on the
 coefficients directly, so matrix code can stay agnostic about whether an
 entry is a scalar or a polynomial.
+
+A packed key holds the exponent vector in one int, after Monagan and Pearce
+("Polynomial division using dynamic arrays, heaps, and packed exponent
+vectors", 2007): each variable has a ``_FIELD``-bit field, the first variable
+the highest, so integer order is lexicographic order.  The top bit of each
+field is a guard: exponents are at most ``MAX_EXPONENT`` = 2^31 - 1, a
+monomial product is one integer addition, and a product that carries an
+exponent into a guard bit raises ``CapacityError`` instead of wrapping.  A
+product by a one-term polynomial adds one key to every key and needs no
+accumulation; with coefficient 1 it also keeps the coefficients as they are.
+``terms`` is the exponent-tuple view, a new dict built on each read.
 
 The public constructor validates its input; arithmetic results are built
 from validated operands by the private ``MultiPoly._trusted``, unchecked, and
@@ -21,10 +32,12 @@ Values are immutable after construction and safe to share between threads.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
+from functools import lru_cache, reduce
+from operator import or_
+from struct import unpack
 from typing import Iterable, Mapping, Union
 
-from .errors import VariableError
+from .errors import CapacityError, VariableError
 
 Scalar = Union[int, Fraction]
 # A matrix entry or a value computed from one.  Values that leave a kernel
@@ -32,6 +45,61 @@ Scalar = Union[int, Fraction]
 # MultiPoly; inside a matrix with a MultiPoly entry every scalar entry is
 # held in canonical form (``canonical_scalar``), so it may be an int.
 Ring = Union[int, Fraction, "MultiPoly"]
+
+_FIELD = 32  # bits per variable in a packed key, the guard bit included
+_MASK = (1 << _FIELD) - 1
+MAX_EXPONENT = (1 << (_FIELD - 1)) - 1  # the largest exponent below a field's guard bit
+
+
+def _pack(exp) -> int:
+    """The packed key of an exponent vector of ints in [0, MAX_EXPONENT], the first the highest field."""
+    key = 0
+    for e in exp:
+        key = key << _FIELD | e
+    return key
+
+
+def _shift(k: int, i: int) -> int:
+    """The bit offset of the field of variable i of k."""
+    return _FIELD * (k - 1 - i)
+
+
+def _unpack(key: int, k: int) -> tuple:
+    """The exponent tuple of a packed key over k variables: its k big-endian 32-bit fields."""
+    return unpack(f">{k}I", key.to_bytes(4 * k, "big"))
+
+
+@lru_cache(maxsize=None)
+def _guard(k: int) -> int:
+    """The guard bits of k fields: a key sum with one of them set has an exponent past the cap."""
+    return sum(1 << _shift(k, i) + _FIELD - 1 for i in range(k))
+
+
+def _over_cap(exp: int) -> CapacityError:
+    return CapacityError(f"exponent {exp} is past the cap {MAX_EXPONENT}")
+
+
+def _check_guard(terms: dict, k: int) -> None:
+    """CapacityError if a key of ``terms``, a sum of two packed keys over k variables, sets a guard bit."""
+    if terms and reduce(or_, terms) & _guard(k):
+        raise _over_cap(max(max(_unpack(key, k)) for key in terms))
+
+
+def _repacked(terms: dict, source: tuple, target: tuple) -> dict:
+    """``terms`` over the variables ``source`` moved to the fields of ``target``; a variable of
+    ``source`` missing from ``target`` must have exponent 0 in every key."""
+    moves = [(_shift(len(source), i), _shift(len(target), target.index(v)))
+             for i, v in enumerate(source) if v in target]
+    return {sum((key >> s & _MASK) << t for s, t in moves): c for key, c in terms.items()}
+
+
+def _checked_vars(variables: Iterable[str]) -> tuple:
+    vs = tuple(variables)
+    if list(vs) != sorted(vs):
+        raise VariableError(f"variables must be sorted: {vs}")
+    if len(set(vs)) != len(vs):
+        raise VariableError(f"duplicate variable: {vs}")
+    return vs
 
 
 def canonical_scalar(c) -> Scalar:
@@ -46,42 +114,47 @@ def canonical_scalar(c) -> Scalar:
 
 
 class MultiPoly:
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_packed")
 
     def __init__(self, variables: Iterable[str], terms: Mapping[tuple, Scalar]):
-        vs = tuple(variables)
-        if list(vs) != sorted(vs):
-            raise VariableError(f"variables must be sorted: {vs}")
-        if len(set(vs)) != len(vs):
-            raise VariableError(f"duplicate variable: {vs}")
+        vs = _checked_vars(variables)
         clean = {}
         for exp, coef in terms.items():
             exp = tuple(exp)
-            if len(exp) != len(vs) or not all(type(e) is int and e >= 0 for e in exp):
+            if len(exp) != len(vs) or not all(type(e) is int and 0 <= e <= MAX_EXPONENT for e in exp):
+                if len(exp) == len(vs) and all(type(e) is int and e >= 0 for e in exp):
+                    raise _over_cap(max(exp))
                 raise VariableError(f"exponent {exp} is not {len(vs)} non-negative ints for {vs}")
             c = canonical_scalar(coef)
             if c:
-                clean[exp] = c
-        object.__setattr__(self, "vars", vs)
-        object.__setattr__(self, "terms", clean)
+                clean[_pack(exp)] = c
+        _set_vars(self, vs)
+        _set_packed(self, clean)
 
     @classmethod
     def _trusted(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Unchecked: sorted distinct variables, int or Fraction coefficients; zeros are
-        dropped and the rest made canonical."""
+        """Unchecked: sorted distinct variables, packed keys, int or Fraction coefficients; zeros
+        are dropped and the rest made canonical."""
         return cls._canonical(variables, {e: c if type(c) is int else canonical_scalar(c)
                                           for e, c in terms.items() if c})
 
     @classmethod
     def _canonical(cls, variables: tuple, terms: dict) -> "MultiPoly":
-        """Unchecked: sorted distinct variables and nonzero canonical coefficients, stored as given."""
+        """Unchecked: sorted distinct variables, packed keys and nonzero canonical coefficients,
+        stored as given."""
         p = object.__new__(cls)
-        object.__setattr__(p, "vars", variables)
-        object.__setattr__(p, "terms", terms)
+        _set_vars(p, variables)
+        _set_packed(p, terms)
         return p
 
     def __setattr__(self, name, value):
         raise AttributeError("MultiPoly is immutable")
+
+    @property
+    def terms(self) -> dict:
+        """The terms as {exponent tuple: coefficient}, a new dict on each read."""
+        k = len(self.vars)
+        return {_unpack(key, k): c for key, c in self._packed.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -102,36 +175,28 @@ class MultiPoly:
 
     def __bool__(self) -> bool:
         """False exactly for the zero polynomial, as for int and Fraction zeros."""
-        return bool(self.terms)
+        return bool(self._packed)
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exp) for exp in self.terms)
+        return not any(self._packed)
 
     def constant_value(self) -> Fraction:
         """The value of a constant polynomial, as a Fraction."""
-        if not self.terms:
+        if not self._packed:
             return Fraction(0)
         if not self.is_constant():
             raise VariableError(f"not a constant polynomial: {self}")
-        return Fraction(next(iter(self.terms.values())))
+        return Fraction(self._packed[0])
 
     def in_vars(self, variables: Iterable[str]) -> "MultiPoly":
         """Rewrite over a larger (sorted) variable tuple."""
-        target = tuple(variables)
+        target = _checked_vars(variables)
         if target == self.vars:
             return self
-        pos = {}
         for v in self.vars:
             if v not in target:
                 raise VariableError(f"variable {v} missing from target {target}")
-            pos[v] = target.index(v)
-        terms = {}
-        for exp, coef in self.terms.items():
-            new = [0] * len(target)
-            for v, e in zip(self.vars, exp):
-                new[pos[v]] = e
-            terms[tuple(new)] = coef
-        return MultiPoly(target, terms)
+        return MultiPoly._canonical(target, _repacked(self._packed, self.vars, target))
 
     @staticmethod
     def _aligned(a: "MultiPoly", b: "MultiPoly"):
@@ -145,28 +210,27 @@ class MultiPoly:
     def __add__(self, other):
         if isinstance(other, MultiPoly):
             a, b = MultiPoly._aligned(self, other)
-            terms = dict(a.terms)
-            for exp, coef in b.terms.items():
+            terms = dict(a._packed)
+            for exp, coef in b._packed.items():
                 terms[exp] = terms[exp] + coef if exp in terms else coef
             return MultiPoly._trusted(a.vars, terms)
         if isinstance(other, (int, Fraction)):
             if not other:
                 return self
-            # only the constant term changes, so only it is made canonical
-            one = (0,) * len(self.vars)
-            terms = dict(self.terms)
-            c = canonical_scalar(terms[one] + other if one in terms else other)
+            # only the constant term, key 0, changes, so only it is made canonical
+            terms = dict(self._packed)
+            c = canonical_scalar(terms[0] + other if 0 in terms else other)
             if c:
-                terms[one] = c
+                terms[0] = c
             else:  # other is nonzero, so a zero sum cancelled a constant term
-                del terms[one]
+                del terms[0]
             return MultiPoly._canonical(self.vars, terms)
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly._canonical(self.vars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._canonical(self.vars, {e: -c for e, c in self._packed.items()})
 
     def __sub__(self, other):
         return self + (-other) if isinstance(other, (MultiPoly, int, Fraction)) else NotImplemented
@@ -177,16 +241,30 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, MultiPoly):
             a, b = MultiPoly._aligned(self, other)
+            left, right = a._packed, b._packed
+            if len(left) == 1 and len(right) != 1:
+                left, right = right, left
+            if len(right) == 1:
+                # one key added to every key: the keys stay distinct, so nothing accumulates,
+                # and a coefficient 1 keeps every coefficient as it is stored
+                ((shift, k),) = right.items()
+                if k == 1:
+                    terms = {e + shift: c for e, c in left.items()}
+                else:
+                    terms = {e + shift: c * k for e, c in left.items()}
+                _check_guard(terms, len(a.vars))
+                return (MultiPoly._canonical if k == 1 else MultiPoly._trusted)(a.vars, terms)
             terms: dict = {}
-            for e1, c1 in a.terms.items():
-                for e2, c2 in b.terms.items():
-                    exp = tuple(map(add, e1, e2))
+            for e1, c1 in left.items():
+                for e2, c2 in right.items():
+                    exp = e1 + e2
                     c = c1 * c2
                     terms[exp] = terms[exp] + c if exp in terms else c
+            _check_guard(terms, len(a.vars))
             return MultiPoly._trusted(a.vars, terms)
         if isinstance(other, (int, Fraction)):
             other = canonical_scalar(other)
-            return MultiPoly._trusted(self.vars, {e: c * other for e, c in self.terms.items()})
+            return MultiPoly._trusted(self.vars, {e: c * other for e, c in self._packed.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -199,27 +277,26 @@ class MultiPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # a square past the last bit could pass the cap that the power keeps
+                base = base * base
         return result
 
     def __eq__(self, other):
         if isinstance(other, MultiPoly):
             a, b = MultiPoly._aligned(self, other)
-            return a.terms == b.terms
+            return a._packed == b._packed
         if isinstance(other, (int, Fraction)):
-            return self.terms == ({(0,) * len(self.vars): other} if other else {})
+            return self._packed == ({0: other} if other else {})
         return NotImplemented
 
     def __hash__(self):
         # Hash ignores unused variables so that equal values hash equally.
-        core = frozenset(
-            (tuple(v for v, e in zip(self.vars, exp) if e),
-             tuple(e for e in exp if e),
-             coef)
-            for exp, coef in self.terms.items()
-        )
-        return hash(core)
+        used_fields = reduce(or_, self._packed, 0)
+        k = len(self.vars)
+        used = tuple(v for i, v in enumerate(self.vars) if used_fields >> _shift(k, i) & _MASK)
+        terms = self._packed if len(used) == k else _repacked(self._packed, self.vars, used)
+        return hash((used, frozenset(terms.items())))
 
     # -- extraction ---------------------------------------------------
 
@@ -229,7 +306,9 @@ class MultiPoly:
             if v not in self.vars:
                 raise VariableError(f"unknown variable {v!r} (have {self.vars})")
         target = tuple(monomial.get(v, 0) for v in self.vars)
-        return Fraction(self.terms.get(target, 0))
+        if not all(isinstance(e, int) and 0 <= e <= MAX_EXPONENT for e in target):
+            return Fraction(0)
+        return Fraction(self._packed.get(_pack(target), 0))
 
     def coefficients_in(self, var: str) -> dict:
         """Split into {degree in var: nonzero polynomial in the remaining variables}.
@@ -243,9 +322,11 @@ class MultiPoly:
             return {0: self}
         i = self.vars.index(var)
         rest = self.vars[:i] + self.vars[i + 1:]
+        s = _shift(len(self.vars), i)
+        low = (1 << s) - 1
         out: dict = {}
-        for exp, coef in self.terms.items():
-            out.setdefault(exp[i], {})[exp[:i] + exp[i + 1:]] = coef
+        for key, coef in self._packed.items():
+            out.setdefault(key >> s & _MASK, {})[key >> s + _FIELD << s | key & low] = coef
         return {deg: MultiPoly._canonical(rest, terms) for deg, terms in out.items()}
 
     def substitute(self, values: Mapping[str, Ring]) -> Ring:
@@ -265,11 +346,12 @@ class MultiPoly:
     # -- rendering ----------------------------------------------------
 
     def sorted_terms(self):
-        """Terms in descending lexicographic order of exponents."""
-        return sorted(self.terms.items(), key=lambda kv: kv[0], reverse=True)
+        """Terms in descending lexicographic order of exponents: descending order of packed keys."""
+        k, packed = len(self.vars), self._packed
+        return [(_unpack(key, k), packed[key]) for key in sorted(packed, reverse=True)]
 
     def __str__(self):
-        if not self.terms:
+        if not self._packed:
             return "0"
         parts = []
         for exp, coef in self.sorted_terms():
@@ -295,6 +377,10 @@ class MultiPoly:
 
     def __repr__(self):
         return f"MultiPoly({self})"
+
+
+# the slots' own setters, which the refusing __setattr__ does not see
+_set_vars, _set_packed = MultiPoly.vars.__set__, MultiPoly._packed.__set__
 
 
 def fresh_var(base: str, taken: Iterable[str]) -> str:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from symplaw.cli import main
+from symplaw.multipoly import MAX_EXPONENT
 from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
 from symplaw.words import MAX_WORD_LETTERS
 
@@ -514,6 +515,39 @@ def test_malformed_polynomial_object_exits_2(tmp_path, capsys, coef):
     blob = {"rep": _REP_4, "element": {"terms": [{"word": "g1", "coef": coef}]}, "law": "D"}
     code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
     _assert_one_line_error(code, capsys.readouterr())
+
+
+_REP_2 = {"d": 1, "kind": "Sp", "generators": [_identity(2)]}
+
+
+def _scalar_blob(coef, law):
+    """The element coef * 1 at d = 1: its D is coef^2 and its P is coef."""
+    return {"rep": _REP_2, "element": {"terms": [{"word": "1", "coef": coef}]}, "law": law}
+
+
+@pytest.mark.parametrize(
+    "blob",
+    [
+        _scalar_blob(f"u^{MAX_EXPONENT + 1}", "P"),
+        _scalar_blob({"vars": ["u", "v"], "terms": [{"exp": [1, MAX_EXPONENT + 1], "coef": 1}]}, "P"),
+        _scalar_blob(f"u^{2**30}", "D"),
+        _scalar_blob(f"2*u*v^{2**30} + 1", "D"),
+    ],
+    ids=["string_exponent", "json_exp", "determinant_degree", "determinant_degree_in_v"],
+)
+def test_an_exponent_past_the_cap_exits_2(tmp_path, capsys, blob):
+    code = main(["eval", "detlaw", "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert f"past the cap {MAX_EXPONENT}" in captured.err
+
+
+def test_an_exponent_at_the_cap_is_read(tmp_path, capsys):
+    for coef, law, value in ((f"u^{MAX_EXPONENT}", "P", f"u^{MAX_EXPONENT}"),
+                             (f"u^{2**30 - 1}", "D", f"u^{MAX_EXPONENT - 1}")):
+        code = main(["eval", "detlaw", "--input", _write(tmp_path, _scalar_blob(coef, law))])
+        assert code == 0
+        assert json.loads(capsys.readouterr().out) == {law: value}
 
 
 def test_polynomial_object_with_string_exponent_is_read(tmp_path, capsys):

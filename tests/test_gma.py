@@ -418,7 +418,8 @@ def test_only_a_rank_deficient_span_clears_against_its_rows(monkeypatch):
     full = set()
     for block, basis in spec.blocks.items():
         columns, _, is_full = spec._spans[block]
-        coordinates = [[p.terms.get(exp, Fraction(0)) for exp in columns] for p in basis]
+        monomials = sorted({exp for p in basis for exp in p.terms})  # the columns, as exponents
+        coordinates = [[p.terms.get(exp, Fraction(0)) for exp in monomials] for p in basis]
         assert is_full == (matrix_rank(coordinates) == len(columns))
         if is_full:
             full.add(block)

@@ -93,8 +93,8 @@ def _first_variable_term_dropped(original):
         x = original(self, u, v)
         if not isinstance(x, MultiPoly):
             return x
-        first = (1,) + (0,) * (len(self.vars) - 1)
-        return MultiPoly._trusted(x.vars, {e: c for e, c in x.terms.items() if e != first})
+        first = self.vars[0]
+        return x - x.coefficient({first: 1}) * self.variable(first)
 
     return fault
 
@@ -190,9 +190,11 @@ SEEN = {
         "gma: *_pf_squares_to_det and counterexample_witness_in_kernel_of_D, which compare"
         " with the determinant of a GMA element, a polynomial matrix"),
     "inverse_negated": (
-        "invariants: generators_invariant_under_conjugation; pseudochar stops with an error:"
-        " the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1), which is not"
-        " j-symmetric, so its reduced Pfaffian is refused"),
+        "invariants: generators_invariant_under_conjugation; pseudochar stops with an error"
+        " (seeds 1-4): the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1),"
+        " which is not j-symmetric, so its reduced Pfaffian is refused; or (seed 0, d = 1-3)"
+        " fails comparison_agrees_with_det_laws and comparison_p_squared_equals_d on earlier"
+        " trials and stops drawing before one whose Pfaffian is refused"),
     "matrix_poly_value_drops_the_last_coefficient": (
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
         " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"

@@ -90,6 +90,20 @@ def test_cleared_form_stays_inside_matrices():
     assert not found, found
 
 
+def test_packed_keys_stay_inside_multipoly_gma_and_matrices():
+    """Outside ``multipoly.py``, ``gma.py`` and ``matrices.py`` no module reads ``MultiPoly._packed``
+    or names a pack helper; they read terms through ``MultiPoly.terms`` and the arithmetic."""
+    helpers = {"_pack", "_unpack", "_shift", "_guard", "_repacked", "_check_guard", "_over_cap",
+               "_FIELD", "_MASK"}
+    found = [f"{path.name}:{node.lineno}"
+             for path in SOURCES if path.name not in ("multipoly.py", "gma.py", "matrices.py")
+             for node in ast.walk(_parse(path))
+             if (isinstance(node, ast.Attribute) and (node.attr == "_packed" or node.attr in helpers))
+             or (isinstance(node, ast.Name) and node.id in helpers)
+             or (isinstance(node, ast.ImportFrom) and any(a.name in helpers for a in node.names))]
+    assert not found, found
+
+
 def _catches_value_error(handler) -> bool:
     names = ast.walk(handler.type) if handler.type is not None else ()
     return any(isinstance(n, ast.Name) and n.id == "ValueError" for n in names)

@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from symplaw.errors import VariableError
+from symplaw.errors import CapacityError, VariableError
 from symplaw.gma import QuotientRing
-from symplaw.multipoly import MultiPoly, fresh_var
+from symplaw.multipoly import MAX_EXPONENT, MultiPoly, fresh_var
 from symplaw.serialize import poly_to_json
 
 
@@ -235,11 +235,9 @@ def test_quotient_reduce_drops_exactly_the_nil_divisible_terms():
 
 
 def _fraction_only(variables, terms):
-    """A MultiPoly whose coefficients are all stored as Fraction, bypassing canonicalization."""
-    p = object.__new__(MultiPoly)
-    object.__setattr__(p, "vars", variables)
-    object.__setattr__(p, "terms", {e: Fraction(c) for e, c in terms.items() if c})
-    return p
+    """The reference for terms summed in Fraction arithmetic, given to the validating constructor
+    as Fractions."""
+    return MultiPoly(variables, {e: Fraction(c) for e, c in terms.items() if c})
 
 
 def _mixed_scalar(rng):
@@ -301,3 +299,170 @@ def test_canonical_coefficients_match_a_fraction_only_reference():
         if variables == ring.vars:
             kept = {e: v for e, v in product.items() if e[0] + e[1] < 2}
             _assert_matches_reference(ring.reduce(p * q), _fraction_only(variables, kept))
+
+
+# -- packed exponent keys: the cap and a tuple-keyed reference ------------------
+
+
+def test_an_exponent_at_the_cap_is_accepted_and_one_past_it_refused():
+    p = MultiPoly(("u", "v"), {(MAX_EXPONENT, 0): 1, (1, MAX_EXPONENT): 2})
+    assert MAX_EXPONENT == 2**31 - 1
+    assert p.terms == {(MAX_EXPONENT, 0): 1, (1, MAX_EXPONENT): 2}
+    assert str(p) == f"u^{MAX_EXPONENT} + 2*u*v^{MAX_EXPONENT}"
+    for exp in ((MAX_EXPONENT + 1, 0), (0, MAX_EXPONENT + 1), (0, 2**64)):
+        with pytest.raises(CapacityError, match="past the cap"):
+            MultiPoly(("u", "v"), {exp: 1})
+    with pytest.raises(VariableError):  # a negative exponent is still malformed, not too large
+        MultiPoly(("u", "v"), {(MAX_EXPONENT + 1, -1): 1})
+
+
+def test_a_product_into_a_guard_bit_raises():
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    half = 2**30
+    at_cap = u**half * u ** (half - 1)  # one-term products up to the cap
+    assert at_cap.terms == {(MAX_EXPONENT,): 1} and u**MAX_EXPONENT == at_cap
+    overflowing = [
+        lambda: at_cap * u,  # one-term by one-term
+        lambda: (at_cap + 1) * u,  # many-term by one-term
+        lambda: -u * (at_cap + v),  # one-term with coefficient -1, the low field of (u, v)
+        lambda: Fraction(2, 3) * v * (v**MAX_EXPONENT + u),  # a Fraction one-term, the v field
+        lambda: (u**half + 1) * (u**half + v),  # many-term by many-term
+        lambda: (u * v) ** (MAX_EXPONENT + 1),
+        lambda: (v**half + u) ** 2,
+    ]
+    for product in overflowing:
+        with pytest.raises(CapacityError, match="past the cap"):
+            product()
+    # the field below the guard bit does not carry into the next variable's field
+    assert ((v**MAX_EXPONENT + u) * u).terms == {(1, MAX_EXPONENT): 1, (2, 0): 1}
+
+
+def test_a_ring_dot_whose_exponent_sum_passes_the_cap_raises():
+    ring = QuotientRing(("u", "v"), ((0, 2),))
+    u, v = ring.variable("u"), ring.variable("v")
+    half = 2**30
+    assert ring.dot([u**half, v], [u ** (half - 1), v]) == u**MAX_EXPONENT
+    with pytest.raises(CapacityError, match="past the cap"):
+        ring.dot([u**half], [u**half + 1])
+    with pytest.raises(CapacityError, match="past the cap"):
+        ring.dot([3, u * v], [1, u**MAX_EXPONENT])
+
+
+_VARIABLE_SETS = [(), ("u",), ("v",), ("w",), ("u", "v"), ("u", "w"), ("v", "w"), ("u", "v", "w")]
+# exponents at and past 10 and 2^16 put a wrong field order into the printed order
+_EXPONENTS = (0, 0, 1, 1, 2, 3, 10, 11, 2**16, 2**16 + 1, 2**20)
+
+
+def _tuple_terms(rng, variables, max_terms=4):
+    return {tuple(rng.choice(_EXPONENTS) for _ in variables): _mixed_scalar(rng)
+            for _ in range(rng.randint(0, max_terms))}
+
+
+def _ref(terms):
+    """The nonzero terms as Fractions, keyed by exponent tuple."""
+    return {e: Fraction(c) for e, c in terms.items() if c}
+
+
+def _ref_lift(variables, terms, target):
+    out = {}
+    for e, c in terms.items():
+        new = dict.fromkeys(target, 0)
+        new.update(zip(variables, e))
+        out[tuple(new.values())] = c
+    return out
+
+
+def _ref_sum(*parts):
+    out: dict = {}
+    for terms in parts:
+        for e, c in terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+    return _ref(out)
+
+
+def _ref_product(a, b):
+    out: dict = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return _ref(out)
+
+
+def _ref_str(variables, terms):
+    """The printed form of the terms, in descending order of exponent tuples."""
+    if not terms:
+        return "0"
+    out = ""
+    for e, c in sorted(terms.items(), reverse=True):
+        factors = "*".join(v if k == 1 else f"{v}^{k}" for v, k in zip(variables, e) if k)
+        body = str(c) if not factors else {1: factors, -1: "-" + factors}.get(c, f"{c}*{factors}")
+        out += body if not out else (" - " + body[1:] if body.startswith("-") else " + " + body)
+    return out
+
+
+def _assert_is(result, variables, terms):
+    assert result.vars == variables
+    assert result.terms == terms
+    assert all(is_canonical(c) for c in result.terms.values())
+    assert result.sorted_terms() == sorted(terms.items(), reverse=True)
+    assert str(result) == _ref_str(variables, terms)
+
+
+def test_packed_operations_match_a_tuple_keyed_reference():
+    rng = random.Random(33)
+    for _ in range(400):
+        pv, qv = rng.choice(_VARIABLE_SETS), rng.choice(_VARIABLE_SETS)
+        p_terms, q_terms = _tuple_terms(rng, pv), _tuple_terms(rng, qv)
+        p, q = MultiPoly(pv, p_terms), MultiPoly(qv, q_terms)
+        union = tuple(sorted(set(pv) | set(qv)))
+        pr, qr = _ref_lift(pv, _ref(p_terms), union), _ref_lift(qv, _ref(q_terms), union)
+        c = _mixed_scalar(rng)
+        const = {(0,) * len(pv): Fraction(c)}
+
+        _assert_is(p, pv, _ref(p_terms))
+        _assert_is(p + q, union, _ref_sum(pr, qr))
+        _assert_is(p - q, union, _ref_sum(pr, {e: -x for e, x in qr.items()}))
+        _assert_is(-p, pv, {e: -x for e, x in _ref(p_terms).items()})
+        _assert_is(p * q, union, _ref_product(pr, qr))
+        for result in (p + c, c + p):
+            _assert_is(result, pv, _ref_sum(_ref(p_terms), const))
+        _assert_is(c - p, pv, _ref_sum({e: -x for e, x in _ref(p_terms).items()}, const))
+        for result in (p * c, c * p):
+            _assert_is(result, pv, _ref_product(_ref(p_terms), const))
+
+        # one-term by many-term and by one-term, with coefficient 1, -1 and a Fraction
+        for k in (1, -1, Fraction(rng.randint(-5, 5) or 1, rng.randint(2, 4))):
+            t_terms = {tuple(rng.choice(_EXPONENTS) for _ in qv): k}
+            t, tr = MultiPoly(qv, t_terms), _ref_lift(qv, _ref(t_terms), union)
+            for result in (p * t, t * p):
+                _assert_is(result, union, _ref_product(pr, tr))
+            s_terms = {tuple(rng.choice(_EXPONENTS) for _ in pv): _mixed_scalar(rng) or 1}
+            s, sr = MultiPoly(pv, s_terms), _ref_lift(pv, _ref(s_terms), union)
+            _assert_is(s * t, union, _ref_product(sr, tr))
+
+        # in_vars into each variable set that holds p's, equality and hash across them
+        for target in _VARIABLE_SETS:
+            if set(pv) <= set(target):
+                lifted = p.in_vars(target)
+                _assert_is(lifted, target, _ref_lift(pv, _ref(p_terms), target))
+                assert lifted == p and hash(lifted) == hash(p)
+        used = tuple(v for i, v in enumerate(pv) if any(e[i] for e in _ref(p_terms)))
+        bare = MultiPoly(used, {tuple(e[pv.index(v)] for v in used): x
+                                for e, x in _ref(p_terms).items()})
+        assert bare == p and hash(bare) == hash(p)
+        assert (p == q) == (pr == qr)
+        assert (p == c) == (_ref(p_terms) == _ref(const))
+
+        # coefficients_in splits off each variable, or none
+        for var in (*union, "z"):
+            buckets = (p * q).coefficients_in(var)
+            i = union.index(var) if var in union else None
+            rest = tuple(v for v in union if v != var)
+            expected: dict = {}
+            for e, x in _ref_product(pr, qr).items():
+                deg, key = (0, e) if i is None else (e[i], e[:i] + e[i + 1:])
+                expected.setdefault(deg, {})[key] = x
+            assert buckets.keys() == expected.keys()
+            for deg, bucket in buckets.items():
+                _assert_is(bucket, union if i is None else rest, expected[deg])
