@@ -343,8 +343,12 @@ def multilinear_trace_products(m: int) -> list:
 def trace_word_span_dim(d: int, m: int, seed: int = 0) -> int:
     """Rank of the evaluation matrix of all multilinear trace products.
 
-    Random rational tuples, with the sample count grown until the rank is
-    stable for three consecutive rounds.  Must equal
+    One row per random rational tuple.  The search stops at once if the
+    first len(products) rows already have rank len(products), the column
+    count, which no further row can pass; otherwise it draws two more rows
+    and grows the sample count until the rank is stable for three
+    consecutive rounds.  The rank of a growing set of rows never falls, so
+    the early stop returns the rank that the rounds would.  Must equal
     multilinear_invariant_dim(d, m).
     """
     _check_sizes(d, m)
@@ -363,7 +367,11 @@ def trace_word_span_dim(d: int, m: int, seed: int = 0) -> int:
             row.append(val)
         return row
 
-    rows = [sample_row() for _ in range(len(products) + 2)]
+    rows = [sample_row() for _ in products]
+    rank = matrix_rank(rows)
+    if rank == len(products):
+        return rank
+    rows += [sample_row(), sample_row()]
     rank = matrix_rank(rows)
     stable = 0
     while stable < 3:

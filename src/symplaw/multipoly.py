@@ -272,6 +272,12 @@ class MultiPoly:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
+        # the part of top degree e in a variable has a nonzero n-th power, so the result carries
+        # the exponent n * e: refuse it before forming any product
+        k = len(self.vars)
+        top = max((e for key in self._packed for e in _unpack(key, k)), default=0)
+        if n * top > MAX_EXPONENT:
+            raise _over_cap(n * top)
         result = MultiPoly.constant(1, self.vars)
         base = self
         while n:

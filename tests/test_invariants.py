@@ -218,8 +218,34 @@ def test_oracle_dimensions_precomputed():
 
 
 def test_span_matches_oracle_desk_scale():
-    for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2)):
-        assert trace_word_span_dim(d, m, seed=5) == multilinear_invariant_dim(d, m)
+    for d, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 1), (3, 2)):
+        # the m = 3 pairs take most of the time, so they sweep half the seeds
+        seeds = range(10) if m == 3 else range(20)
+        oracle = multilinear_invariant_dim(d, m)
+        assert [trace_word_span_dim(d, m, seed=s) for s in seeds] == [oracle] * len(seeds), (d, m)
+
+
+def _counted(monkeypatch, name):
+    calls = []
+    original = getattr(invariants, name)
+    monkeypatch.setattr(invariants, name, lambda *a: calls.append(1) or original(*a))
+    return calls
+
+
+@pytest.mark.parametrize(("d", "m", "full"), [(2, 1, True), (2, 2, True), (3, 2, True),
+                                              (1, 2, False), (1, 3, False), (2, 3, False)])
+def test_span_search_draws_only_what_its_rank_needs(monkeypatch, d, m, full):
+    """At full rank the first len(products) rows and one rank end the search; a rank-deficient
+    pair draws two rows more and three stable rounds of three, as before the early stop."""
+    columns = len(invariants.multilinear_trace_products(m))
+    for seed in range(10):
+        draws, ranks = _counted(monkeypatch, "random_matrix"), _counted(monkeypatch, "matrix_rank")
+        trace_word_span_dim(d, m, seed=seed)
+        if full:
+            assert (len(draws), len(ranks)) == (m * columns, 1)
+        else:
+            assert (len(draws), len(ranks)) == (m * (columns + 11), 5)
+        monkeypatch.undo()
 
 
 def test_capacity_guard():

@@ -104,6 +104,18 @@ def test_packed_keys_stay_inside_multipoly_gma_and_matrices():
     assert not found, found
 
 
+def test_the_spanning_side_never_reads_the_oracle():
+    """``trace_word_span_dim`` must reach its rank without the Lie-algebra oracle, or the FFT
+    check that compares the two would hold by construction."""
+    tree = _parse(ROOT / "src" / "symplaw" / "invariants.py")
+    (fn,) = [node for node in tree.body
+             if isinstance(node, ast.FunctionDef) and node.name == "trace_word_span_dim"]
+    oracle = {"multilinear_invariant_dim", "simple_root_vectors"}
+    found = [f"invariants.py:{node.lineno}: {name}" for node in ast.walk(fn)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None)) if name in oracle]
+    assert not found, found
+
+
 def _catches_value_error(handler) -> bool:
     names = ast.walk(handler.type) if handler.type is not None else ()
     return any(isinstance(n, ast.Name) and n.id == "ValueError" for n in names)

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -335,6 +336,23 @@ def test_a_product_into_a_guard_bit_raises():
             product()
     # the field below the guard bit does not carry into the next variable's field
     assert ((v**MAX_EXPONENT + u) * u).terms == {(1, MAX_EXPONENT): 1, (2, 0): 1}
+
+
+def test_a_power_past_the_cap_raises_before_any_product():
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    # squaring first would build (u + v)^(2^30), about 2^30 terms, before a guard bit fired
+    start = time.perf_counter()
+    for power, exp in [(lambda: (u + v) ** 2**31, 2**31),
+                       (lambda: (u + v**3 + 1) ** (MAX_EXPONENT // 3 + 1), MAX_EXPONENT + 2),
+                       (lambda: (u * v**2) ** 2**30, 2**31)]:
+        with pytest.raises(CapacityError, match=f"exponent {exp} is past the cap"):
+            power()
+    assert time.perf_counter() - start < 1
+    # one-term powers up to the cap, and the exponent-free zero and constants at any power
+    half = MAX_EXPONENT // 2
+    assert (u * v**2) ** half == MultiPoly(("u", "v"), {(half, MAX_EXPONENT - 1): 1})
+    assert MultiPoly.zero(("u",)) ** 2**40 == 0 and MultiPoly.constant(1, ("u",)) ** 2**40 == 1
+    assert MultiPoly.constant(2) ** 5 == 32 and (u + v) ** 0 == 1
 
 
 def test_a_ring_dot_whose_exponent_sum_passes_the_cap_raises():
