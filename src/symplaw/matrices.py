@@ -192,23 +192,13 @@ class RingMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
-        if self._ints is not None and other._ints is not None:
-            return _linear_combination(((1, self), (1, other)), self.rows, self.cols)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionError("shape mismatch in matrix addition")
-        return RingMatrix._trusted(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)]
-        )
+        return _linear_combination(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
-        if self._ints is not None and other._ints is not None:
-            return _linear_combination(((1, self), (-1, other)), self.rows, self.cols)
-        return self + (-other)
+        return _linear_combination(((1, self), (-1, other)), self.rows, self.cols)
 
     def __neg__(self) -> "RingMatrix":
-        if self._ints is not None:
-            return _linear_combination(((-1, self),), self.rows, self.cols)
-        return RingMatrix._trusted([[-x for x in row] for row in self.entries])
+        return _linear_combination(((-1, self),), self.rows, self.cols)
 
     def __mul__(self, other):
         if isinstance(other, RingMatrix):
@@ -220,11 +210,8 @@ class RingMatrix:
         return self._scaled(other)
 
     def _scaled(self, c) -> "RingMatrix":
-        """c M = M c, as every entry commutes with every scalar; one kernel term if M is rational."""
-        if self._ints is not None:
-            return _linear_combination(((c, self),), self.rows, self.cols)
-        c = _exact(c)
-        return RingMatrix._trusted([[x * c for x in row] for row in self.entries])
+        """c M = M c, as every entry commutes with every scalar."""
+        return _linear_combination(((c, self),), self.rows, self.cols)
 
     __rmul__ = _scaled
 
@@ -360,9 +347,12 @@ def _linear_combination(terms, rows: int, cols: int) -> RingMatrix:
     ``_cleared``; otherwise it is taken entry by entry, in the entries' own arithmetic.
     """
     terms = [(_exact(c), m) for c, m in terms]
-    if any((m.rows, m.cols) != (rows, cols) for _, m in terms):
-        raise DimensionError("shape mismatch in a linear combination")
-    if any(m._ints is None or isinstance(c, MultiPoly) for c, m in terms):
+    polynomial = False
+    for c, m in terms:  # a plain loop: any() over a generator costs more than these few terms
+        if m.rows != rows or m.cols != cols:
+            raise DimensionError("shape mismatch in a linear combination")
+        polynomial = polynomial or m._ints is None or isinstance(c, MultiPoly)
+    if polynomial:
         return RingMatrix._trusted(_combined([(c, m.entries) for c, m in terms], rows, cols))
     den = lcm(*[c.denominator * m._den for c, m in terms])
     scaled = [(c.numerator * (den // (c.denominator * m._den)), m._ints) for c, m in terms]
@@ -370,11 +360,15 @@ def _linear_combination(terms, rows: int, cols: int) -> RingMatrix:
 
 
 def _combined(terms, rows: int, cols: int) -> list:
-    """The rows of 0 + sum c_i A_i for pairs (c_i, rows A_i), one ``map`` pass per term, in C."""
-    flat = [0] * (rows * cols)
+    """The rows of sum c_i A_i for pairs (c_i, rows A_i), one ``map`` pass per term, in C;
+    the sum starts from the first term, not from 0, and a scalar 1 multiplies nothing."""
+    flat = []
     for c, a in terms:  # each pass is a list, so many terms nest no iterators
-        flat = list(map(add, flat, map(mul, repeat(c), chain.from_iterable(a))))
-    return list(zip(*[iter(flat)] * cols))  # cols entries at a time from one iterator: the rows
+        entries = chain.from_iterable(a)
+        if type(c) is MultiPoly or c != 1:
+            entries = map(mul, repeat(c), entries)
+        flat = list(map(add, flat, entries)) if flat else list(entries)
+    return list(zip(*[iter(flat or [0] * (rows * cols))] * cols))  # cols at a time: the rows
 
 
 def _dot(u, v) -> Ring:

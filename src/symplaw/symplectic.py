@@ -36,7 +36,6 @@ from .matrices import (
     _solve,
     entry_vars,
     exact_scalar,
-    lambdas_from_char_poly,
     matrix_from_ratios,
 )
 from .multipoly import MultiPoly, Ring, fresh_var
@@ -258,9 +257,13 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
 
 
 def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> tuple:
-    """(T_0..T_d) with Pf char poly = sum (-1)^i T_i t^(d-i)."""
+    """(T_0..T_d) with Pf char poly = sum (-1)^i T_i t^(d-i), split by ``coefficients_in`` t;
+    a constant T_i is a Fraction, any other a MultiPoly in the entries' variables."""
     var = fresh_var("t", entry_vars(m))
-    return lambdas_from_char_poly(pfaffian_char_poly(ctx, m, var), ctx.d, var)
+    buckets = pfaffian_char_poly(ctx, m, var).coefficients_in(var)
+    coeffs = [buckets.get(ctx.d - i, MultiPoly.zero()) for i in range(ctx.d + 1)]
+    coeffs = [c.constant_value() if c.is_constant() else c for c in coeffs]
+    return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
 
 
 def matrix_poly_value(coeffs: Sequence, m: RingMatrix, product: Callable = mul) -> RingMatrix:

@@ -156,7 +156,10 @@ FAULTS = {
 
 # what sees each fault at d in {1, 2}, seeds 0-4
 SEEN = {
-    "lambdas_odd_sign_flip": "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models",
+    "lambdas_odd_sign_flip": (
+        "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
+        " recursion_matches_pfaffian_char_poly (its Lambda side reads the fault, its T side"
+        " splits the Pfaffian characteristic polynomial with coefficients_in)"),
     "random_matrix_scalar": "invariants: fft_desk_scale_* (scalar samples span too few trace words)",
     "right_product_negated": (
         "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4);"
@@ -200,9 +203,15 @@ SEEN = {
         " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"
         " matrix, and the value misses the constant term times Id)"),
     "linear_combination_drops_the_last_term": (
-        "pseudochar stops with an error: the comparison P's image of x + x* loses a term, so it"
-        " is no longer j-symmetric and its reduced Pfaffian is refused; det-law:"
-        " det_law_multiplicative_star_invariant (rho(xy) and rho(x) rho(y) lose different terms)"),
+        "every matrix sum loses its last term, so Id - H and Id + H of a Cayley sample are Id"
+        " (an identity sample, which invariants does not see) and t Id - M is t Id;"
+        " pseudochar stops with an error: the comparison P's image of x + x* is no longer"
+        " j-symmetric, so its reduced Pfaffian is refused; det-law:"
+        " det_law_multiplicative_star_invariant (rho(xy) and rho(x) rho(y) lose different"
+        " terms), chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton,"
+        " recursion_matches_pfaffian_char_poly (the Pfaffian characteristic polynomial is t^d);"
+        " gma stops with an error: x + x* of a random symmetric element is x, which chi^P"
+        " refuses as not symmetric"),
     "pf_law_negated": (
         "pseudochar: comparison_agrees_with_det_laws (the comparison P, a reduced Pfaffian of its"
         " own, is compared with eval_pf_law); det-law's pf_law_squares_to_det squares P, so the"
@@ -289,6 +298,15 @@ def test_suites_pass_without_a_fault():
 def test_a_suite_sees_the_fault_at_every_seed(monkeypatch, fault):
     unseen = [key for key, failed in _failed_checks(monkeypatch, fault).items() if not failed]
     assert not unseen, f"{fault} passes every check at (d, seed) = {unseen}"
+
+
+def test_the_pfaffian_recursion_sees_a_fault_in_the_lambda_extractor(monkeypatch):
+    """Of the two routes of ``recursion_matches_pfaffian_char_poly`` only the Lambda side reads
+    ``lambdas_from_char_poly``, so the check fails wherever that extractor is wrong."""
+    failed = _failed_checks(monkeypatch, "lambdas_odd_sign_flip")
+    missed = [key for key, checks in failed.items()
+              if "recursion_matches_pfaffian_char_poly" not in checks]
+    assert not missed, f"recursion_matches_pfaffian_char_poly passes at (d, seed) = {missed}"
 
 
 @pytest.mark.parametrize("fault", sorted(UNSEEN))

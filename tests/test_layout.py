@@ -90,6 +90,28 @@ def test_cleared_form_stays_inside_matrices():
     assert not found, found
 
 
+def test_matrix_sums_are_one_linear_combination():
+    """``RingMatrix.__add__``, ``__sub__``, ``__neg__`` and ``_scaled`` are each one
+    ``return _linear_combination(..)`` and name neither entry form, ``entries`` nor ``_ints``:
+    both forms are that kernel's business, so every sum of matrices takes one path."""
+    tree = _parse(ROOT / "src" / "symplaw" / "matrices.py")
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "RingMatrix"]
+    sums = {"__add__", "__sub__", "__neg__", "_scaled"}
+    methods = [fn for fn in cls.body if isinstance(fn, ast.FunctionDef) and fn.name in sums]
+    assert {fn.name for fn in methods} == sums
+    found = [f"matrices.py:{node.lineno}: {fn.name} names {name}" for fn in methods
+             for node in ast.walk(fn)
+             for name in (getattr(node, "id", None), getattr(node, "attr", None))
+             if name in ("entries", "_ints")]
+    for fn in methods:
+        body = fn.body[1:] if ast.get_docstring(fn) is not None else fn.body
+        if not (len(body) == 1 and isinstance(body[0], ast.Return)
+                and isinstance(body[0].value, ast.Call)
+                and getattr(body[0].value.func, "id", None) == "_linear_combination"):
+            found.append(f"matrices.py:{fn.lineno}: {fn.name} is not one _linear_combination call")
+    assert not found, found
+
+
 def test_packed_keys_stay_inside_multipoly_gma_and_matrices():
     """Outside ``multipoly.py``, ``gma.py`` and ``matrices.py`` no module reads ``MultiPoly._packed``
     or names a pack helper; they read terms through ``MultiPoly.terms`` and the arithmetic."""

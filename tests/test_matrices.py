@@ -6,6 +6,7 @@ from math import lcm
 import pytest
 
 from symplaw.errors import DimensionError
+from symplaw.gma import random_gma_element, standard_fixture
 from symplaw.matrices import (
     RingMatrix,
     _cofactor_expansion,
@@ -195,7 +196,7 @@ def test_pfaffian_coefficients_match_the_bucket_reference():
         ctx = SymplecticContext(d)
         for _ in range(5):
             m = random_j_symmetric(ctx, rng, 3)
-            expected = lambdas_reference(pfaffian_char_poly(ctx, m, "t"), d, "t")
+            expected = lambdas_from_char_poly(pfaffian_char_poly(ctx, m, "t"), d, "t")
             got = pfaffian_coeffs_of_matrix(ctx, m)
             assert_same_lambdas(got, expected)
             assert all(type(x) is Fraction for x in got)
@@ -392,3 +393,72 @@ def test_matrix_arithmetic_gives_the_normalized_fraction_pair():
         for got, terms in cases:
             assert got.cleared() == _normalized_pair(_reference_rows(terms, rows, cols))
             assert scalar_types(got) == {Fraction}
+
+
+# -- one sum path: +, -, unary - and scalar * of every entry kind against entry-by-entry sums ---
+
+def _polynomial_matrix(rng, rows, cols):
+    """int, Fraction and MultiPoly entries, with at least one MultiPoly."""
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    choices = (0, 1, -3, Fraction(1, 3), Fraction(-7, 2), u, v * 2, u * v - Fraction(1, 2), u - u + 4)
+    entries = [[rng.choice(choices) for _ in range(cols)] for _ in range(rows)]
+    entries[rng.randrange(rows)][rng.randrange(cols)] = u + Fraction(2, 5)
+    return RingMatrix(entries)
+
+
+def _gma_element(rng, rows, cols):
+    return random_gma_element(standard_fixture(), rng)
+
+
+_MAKERS = {"rational": _rational_matrix, "polynomial": _polynomial_matrix, "gma": _gma_element}
+
+
+def _holds_its_entry_form(m):
+    """``_fill``'s forms: Fractions and the normalized pair of a rational matrix, and in a
+    polynomial matrix an int for each integral scalar and a Fraction for any other."""
+    if m.cleared() is not None:
+        return scalar_types(m) == {Fraction} and m.cleared() == _normalized_pair(m.entries)
+    return all(type(x) is (int if Fraction(x).denominator == 1 else Fraction)
+               for row in m.entries for x in row if not isinstance(x, MultiPoly))
+
+
+def _entrywise(op, *operands):
+    return RingMatrix([list(map(op, *rows)) for rows in zip(*(m.entries for m in operands))])
+
+
+@pytest.mark.parametrize("left,right", list(itertools.product(_MAKERS, repeat=2)))
+def test_every_sum_difference_negation_and_scalar_multiple_is_the_entrywise_one(left, right):
+    rng = random.Random(33)
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+    for _ in range(20):
+        rows, cols = (4, 4) if "gma" in (left, right) else (rng.randint(1, 3), rng.randint(1, 3))
+        a, b = _MAKERS[left](rng, rows, cols), _MAKERS[right](rng, rows, cols)
+        c = rng.choice((rng.randint(-9, 9), 1, -1, Fraction(rng.randint(-9, 9), rng.randint(2, 9)),
+                        u - 2, u * v + Fraction(1, 3)))
+        cases = [(a + b, _entrywise(lambda x, y: x + y, a, b)),
+                 (a - b, _entrywise(lambda x, y: x - y, a, b)),
+                 (-a, _entrywise(lambda x: -x, a)),
+                 (c * a, _entrywise(lambda x: c * x, a)),
+                 (a * c, _entrywise(lambda x: x * c, a))]
+        for got, expected in cases:
+            assert got == expected and str(got) == str(expected)
+            assert (got.cleared() is None) == (expected.cleared() is None)
+            assert _holds_its_entry_form(got), got
+
+
+@pytest.mark.parametrize("kind", sorted(_MAKERS))
+def test_a_sum_of_different_shapes_is_refused_for_every_entry_kind(kind):
+    rng = random.Random(34)
+    a = _MAKERS[kind](rng, 4, 4)
+    for other in (_rational_matrix(rng, 4, 3), _polynomial_matrix(rng, 3, 4)):
+        for op in (lambda x, y: x + y, lambda x, y: x - y):
+            with pytest.raises(DimensionError):
+                op(a, other)
+            with pytest.raises(DimensionError):
+                op(other, a)
+
+
+def test_an_empty_combination_is_the_zero_matrix():
+    for rows, cols in ((1, 1), (2, 3), (4, 4)):
+        got = _linear_combination([], rows, cols)
+        assert got == RingMatrix.zeros(rows, cols) and got.cleared() == (((0,) * cols,) * rows, 1)
