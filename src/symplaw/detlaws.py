@@ -32,7 +32,7 @@ from .symplectic import (
     similitude,
     symplectic_transpose,
 )
-from .words import Word, format_word, max_generator, word_inv, word_mul
+from .words import Word, evaluate, format_word, max_generator, word_inv, word_mul
 
 # -- group algebra ----------------------------------------------------
 
@@ -154,20 +154,12 @@ class InvolutiveRepresentation:
 
     def rho_word(self, w: Word) -> RingMatrix:
         """rho(w), memoized: a new word extends its longest cached prefix, one product per letter."""
-        cache = self._images
         w = tuple(w)
-        m = cache.get(w)
+        m = self._images.get(w)
         if m is not None:
             return m
         self._check_word(w)
-        k = len(w) - 1
-        while w[:k] not in cache:
-            k -= 1
-        m = cache[w[:k]]
-        for i in range(k, len(w)):
-            m = m * cache[w[i : i + 1]]
-            cache[w[: i + 1]] = m
-        return m
+        return evaluate(w, self._images)
 
     def lambda_of_word(self, w: Word) -> Fraction:
         self._check_word(w)

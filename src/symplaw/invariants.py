@@ -26,6 +26,7 @@ from typing import Sequence
 from .errors import ArityError, CapacityError, DimensionError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, matrix_rank
 from .symplectic import SymplecticContext, random_matrix, similitude, symplectic_transpose
+from .words import evaluate
 
 # -- trace words -------------------------------------------------------
 
@@ -82,25 +83,18 @@ def enumerate_trace_words(m: int, max_len: int) -> list:
     return [TraceWord(w) for w in sorted(seen, key=lambda w: (len(w), w))]
 
 
-def word_value(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext) -> RingMatrix:
-    """The product of the word's letters, X_i -> mats[i-1] and X_i* -> its symplectic transpose."""
-    prod_m = None
-    for i, starred in word.letters:
+def word_value(word: TraceWord, mats: Sequence[RingMatrix], ctx: SymplecticContext,
+               images: dict | None = None) -> RingMatrix:
+    """The product of the word's letters, X_i -> mats[i-1] and X_i* -> its symplectic transpose;
+    ``images``, a dict the caller keeps for this one tuple ``mats``, memoizes letters and prefixes."""
+    images = {} if images is None else images
+    for letter in word.letters:
+        i, starred = letter
         if i > len(mats):
             raise ArityError(f"word uses X_{i} but only {len(mats)} matrices given")
-        m = mats[i - 1]
-        if starred:
-            m = symplectic_transpose(ctx, m)
-        prod_m = m if prod_m is None else prod_m * m
-    return prod_m
-
-
-def word_lambdas(word: TraceWord, mats: Sequence[RingMatrix]) -> tuple:
-    """(L_0..L_2d) of the word value: sigma_i(word) evaluated at mats is entry i."""
-    n = mats[0].rows
-    if n % 2:
-        raise DimensionError("matrices must be 2d x 2d")
-    return lambdas_of_matrix(word_value(word, mats, SymplecticContext(n // 2)))
+        if (letter,) not in images:
+            images[letter,] = symplectic_transpose(ctx, mats[i - 1]) if starred else mats[i - 1]
+    return evaluate(word.letters, images)
 
 
 # -- invariant functions ----------------------------------------------
@@ -150,13 +144,13 @@ _MAX_POWER_BITS = 1 << 20
 
 
 def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
-                   lambdas: dict | None = None) -> Fraction:
+                   lambdas: dict | None = None, images: dict | None = None) -> Fraction:
     """f at mats.  ``lambdas``, a dict the caller keeps, memoizes the Lambda-vectors of word values.
 
     ("word", letters, cleared arguments) keys form a word value once for every sigma_i, and
     ("value", B, delta) keys let equal word values share one Lambda-vector; the tags keep the
     kinds apart, since a row (1, 0) of B equals the letter (1, False).  Arguments without a
-    cleared form bypass the memo.
+    cleared form bypass the memo.  ``images`` is word_value's prefix memo for this one tuple.
     """
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
@@ -173,11 +167,11 @@ def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
         raise DimensionError(f"sigma index {f.sigma_index} out of range for 2d = {n}")
     args = tuple(m.cleared() for m in mats)
     if lambdas is None or None in args:
-        return word_lambdas(f.word, mats)[f.sigma_index]
+        return lambdas_of_matrix(word_value(f.word, mats, SymplecticContext(n // 2), images))[f.sigma_index]
     key = ("word", f.word.letters, args)
     lams = lambdas.get(key)
     if lams is None:
-        value = word_value(f.word, mats, SymplecticContext(n // 2))
+        value = word_value(f.word, mats, SymplecticContext(n // 2), images)
         value_key = ("value", *value.cleared())
         lams = lambdas.get(value_key)
         if lams is None:
@@ -225,8 +219,9 @@ def check_invariance(fs: Sequence[InvariantFunction], mats: Sequence[RingMatrix]
     """The first f of fs whose value on g mats g^(-1) differs from that on mats, else None."""
     gi = g.inverse()
     conj = [g * m * gi for m in mats]
-    memo: dict = {}  # sigma_1..sigma_2d of one word on one tuple form its value once
-    return next((f for f in fs if eval_invariant(f, conj, memo) != eval_invariant(f, mats, memo)), None)
+    memo, images, conj_images = {}, {}, {}  # the Lambda-vector memo; a prefix memo per tuple
+    return next((f for f in fs if eval_invariant(f, conj, memo, conj_images)
+                 != eval_invariant(f, mats, memo, images)), None)
 
 
 # -- Lie-algebra oracle ------------------------------------------------
@@ -359,11 +354,11 @@ def trace_word_span_dim(d: int, m: int, seed: int = 0) -> int:
 
     def sample_row():
         mats = [random_matrix(n, rng, 5) for _ in range(m)]
-        row = []
+        row, images = [], {}  # one prefix memo per tuple
         for prod_words in products:
             val = Fraction(1)
             for w in prod_words:
-                val *= word_value(w, mats, ctx).trace()
+                val *= word_value(w, mats, ctx, images).trace()
             row.append(val)
         return row
 

@@ -192,9 +192,13 @@ class RingMatrix:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "RingMatrix") -> "RingMatrix":
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
         return _linear_combination(((1, self), (1, other)), self.rows, self.cols)
 
     def __sub__(self, other: "RingMatrix") -> "RingMatrix":
+        if not isinstance(other, RingMatrix):
+            return NotImplemented
         return _linear_combination(((1, self), (-1, other)), self.rows, self.cols)
 
     def __neg__(self) -> "RingMatrix":

@@ -270,6 +270,8 @@ class MultiPoly:
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        if not isinstance(n, int):
+            raise TypeError(f"polynomial exponent must be an int, got {type(n).__name__}")
         if n < 0:
             raise ValueError("negative power of a polynomial")
         # the part of top degree e in a variable has a nonzero n-th power, so the result carries

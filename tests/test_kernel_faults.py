@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from symplaw import detlaws, gma, invariants, matrices, pseudochar, suites, symplectic
+from symplaw import detlaws, gma, invariants, matrices, pseudochar, suites, symplectic, words
 from symplaw.detlaws import InvolutiveRepresentation
 from symplaw.errors import SymplawError
 from symplaw.gma import QuotientRing
@@ -115,7 +115,16 @@ def _last_coefficient_dropped(original):
 
 def _letters_reversed(original):
     """The product of a trace word's letters taken right to left."""
-    return lambda word, mats, ctx: original(SimpleNamespace(letters=word.letters[::-1]), mats, ctx)
+    def fault(word, mats, ctx, *images):
+        return original(SimpleNamespace(letters=word.letters[::-1]), mats, ctx, *images)
+
+    return fault
+
+
+def _word_reversed(original):
+    """A word's letter images multiplied right to left; the memo keeps true images of the prefixes
+    of the reversal, so a word found in it still reads its own image."""
+    return lambda word, images: original(word[::-1], images)
 
 
 def _factors_swapped(original):
@@ -150,6 +159,7 @@ FAULTS = {
     "matrix_poly_value_drops_the_last_coefficient": (
         symplectic, "matrix_poly_value", _last_coefficient_dropped),
     "word_value_reversed": (invariants, "word_value", _letters_reversed),
+    "evaluate_word_reversed": (words, "evaluate", _word_reversed),
     "pf_law_negated": (detlaws, "eval_pf_law", _negated),
     "matrix_product_factors_swapped": (RingMatrix, "__mul__", _factors_swapped),
 }
@@ -212,6 +222,12 @@ SEEN = {
         " recursion_matches_pfaffian_char_poly (the Pfaffian characteristic polynomial is t^d);"
         " gma stops with an error: x + x* of a random symmetric element is x, which chi^P"
         " refuses as not symmetric"),
+    "evaluate_word_reversed": (
+        "det-law: det_law_multiplicative_star_invariant, or it stops with an error, as does"
+        " pseudochar at some seeds: rho_word, the evaluator's other caller, reads a new word"
+        " as its reversal, so rho(xy) and rho(x) rho(y) differ, and the image of x + x* is no"
+        " longer j-symmetric, so its M J is not alternating; invariants does not see it, for"
+        " the reason given for word_value_reversed"),
     "pf_law_negated": (
         "pseudochar: comparison_agrees_with_det_laws (the comparison P, a reduced Pfaffian of its"
         " own, is compared with eval_pf_law); det-law's pf_law_squares_to_det squares P, so the"

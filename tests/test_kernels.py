@@ -8,8 +8,8 @@ rational matrices (product, inverse, determinant, Pfaffian, char_poly,
 rank) against plain Fraction references kept in this file, the cleared
 form (B, delta) every rational matrix keeps, the skew elimination behind
 rational Pfaffians against the expansion, the similitude against the
-scalar of M^j M, and the memoized word images of a representation against
-plain products.
+scalar of M^j M, and the memoized word images of a representation and the
+prefix memo of word_value against plain products.
 """
 
 import random
@@ -19,9 +19,9 @@ from math import gcd
 
 import pytest
 
-from symplaw import symplectic
+from symplaw import invariants, symplectic
 from symplaw.detlaws import InvolutiveRepresentation
-from symplaw.errors import GeneratorError, NotASimilitudeError, VariableError
+from symplaw.errors import ArityError, GeneratorError, NotASimilitudeError, VariableError
 from symplaw.gma import (
     counterexample_fixture,
     delta_involution,
@@ -32,9 +32,10 @@ from symplaw.gma import (
 from symplaw.invariants import (
     InvariantFunction,
     TraceWord,
+    check_invariance,
     enumerate_trace_words,
     eval_invariant,
-    word_lambdas,
+    word_value,
 )
 from symplaw.matrices import (
     RingMatrix,
@@ -43,6 +44,7 @@ from symplaw.matrices import (
     _integer_rows,
     _solve,
     char_poly,
+    lambdas_of_matrix,
     mat_det,
     matrix_rank,
 )
@@ -182,6 +184,11 @@ def test_delta_involution_matches_dense():
             assert delta_involution(spec, m) == dense_delta_involution(spec, m)
 
 
+def word_lambdas(word, mats):
+    """(L_0..L_2d) of the word value formed afresh: sigma_i(word) at mats is entry i."""
+    return lambdas_of_matrix(word_value(word, mats, SymplecticContext(mats[0].rows // 2)))
+
+
 def test_word_lambdas_agree_with_eval_invariant():
     rng = random.Random(27)
     words = enumerate_trace_words(2, 3)
@@ -232,6 +239,71 @@ def test_eval_invariant_memo_never_returns_a_stale_value():
         for f in fs:
             assert eval_invariant(f, poly, lambdas) == word_lambdas(w, poly)[f.sigma_index]
         assert len(lambdas) == size
+
+
+def _plain_word_value(word, mats, ctx):
+    """The letter images of a trace word multiplied left to right, with no memo."""
+    images = [symplectic_transpose(ctx, mats[i - 1]) if s else mats[i - 1] for i, s in word.letters]
+    value = images[0]
+    for m in images[1:]:
+        value = value * m
+    return value
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_a_shared_prefix_memo_gives_the_fresh_word_value(d):
+    ctx = SymplecticContext(d)
+    rng = random.Random(29)
+    mats = [random_matrix(2 * d, rng, 3) for _ in range(2)]
+    words = enumerate_trace_words(2, 3)
+    rng.shuffle(words)  # prefixes come both before and after the words that extend them
+    shared = {}
+    for w in words + words[:5]:
+        got = word_value(w, mats, ctx, shared)
+        assert got == word_value(w, mats, ctx) == _plain_word_value(w, mats, ctx), w
+        assert shared[w.letters] is got
+    # one image per letter and per prefix of a word, nothing else
+    letters = {(letter,) for w in words for letter in w.letters}
+    assert set(shared) == letters | {w.letters[:k] for w in words for k in range(1, len(w) + 1)}
+
+
+def test_word_value_with_a_shared_memo_still_checks_the_arity():
+    ctx = SymplecticContext(1)
+    mats = [random_matrix(2, random.Random(30), 3) for _ in range(2)]
+    shared = {}
+    both = TraceWord(((1, False), (2, True)))
+    word_value(both, mats, ctx, shared)
+    for w in (both, TraceWord(((2, True),)), TraceWord(((1, False), (3, False)))):
+        with pytest.raises(ArityError):  # the memo holds X_2* and the whole word, not X_3
+            word_value(w, mats[:1], ctx, shared)
+
+
+def test_check_invariance_forms_each_letter_and_prefix_once_per_tuple(monkeypatch):
+    products, transposes = [], []
+    real_mul, real_transpose = RingMatrix.__mul__, invariants.symplectic_transpose
+
+    def counting_mul(self, other):
+        products.append(1)
+        return real_mul(self, other)
+
+    def counting_transpose(ctx, m):
+        transposes.append(1)
+        return real_transpose(ctx, m)
+
+    for d in (1, 2):
+        ctx = SymplecticContext(d)
+        g = sample_symplectic(ctx, 31)
+        mats = [random_matrix(2 * d, random.Random(32), 3) for _ in range(2)]
+        fs = [InvariantFunction.sigma(i, w, arity=2)
+              for w in enumerate_trace_words(2, 3) for i in range(1, 2 * d + 1)]
+        with monkeypatch.context() as patch:
+            patch.setattr(RingMatrix, "__mul__", counting_mul)
+            patch.setattr(invariants, "symplectic_transpose", counting_transpose)
+            products.clear(), transposes.clear()
+            assert check_invariance(fs, mats, g) is None
+        # g X g^-1 of two arguments takes 4 products; then on each of the two tuples the 20
+        # words take 18 products, one per prefix of two or more letters, and X_1*, X_2* once
+        assert (len(products), len(transposes)) == (4 + 2 * 18, 2 * 2)
 
 
 # -- integer kernels for rational matrices -----------------------------------

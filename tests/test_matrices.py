@@ -296,6 +296,14 @@ def test_inexact_entries_and_scalars_are_refused():
             1.5 * m
 
 
+@pytest.mark.parametrize("other", [1, 1.5, Fraction(1, 2), "1"])
+def test_a_sum_or_difference_with_a_non_matrix_is_a_type_error(other):
+    m = RingMatrix([[1, 2], [3, 4]])
+    for op in (lambda: m + other, lambda: m - other, lambda: other + m, lambda: other - m):
+        with pytest.raises(TypeError):
+            op()
+
+
 # -- the linear-combination kernel: sum c_i M_i against Fraction-entry sums ------------------
 
 # denominators of a matrix's entries: small, large (past 64 bits) and mixed in one matrix

@@ -355,6 +355,13 @@ def test_a_power_past_the_cap_raises_before_any_product():
     assert MultiPoly.constant(2) ** 5 == 32 and (u + v) ** 0 == 1
 
 
+@pytest.mark.parametrize("exponent", [1.5, 2.0, Fraction(2), "2", None])
+def test_a_power_with_a_non_int_exponent_is_a_type_error(exponent):
+    u = MultiPoly.variable("u")
+    with pytest.raises(TypeError, match="exponent must be an int"):
+        u**exponent
+
+
 def test_a_ring_dot_whose_exponent_sum_passes_the_cap_raises():
     ring = QuotientRing(("u", "v"), ((0, 2),))
     u, v = ring.variable("u"), ring.variable("v")
