@@ -32,7 +32,7 @@ from .symplectic import (
     similitude,
     symplectic_transpose,
 )
-from .words import Word, evaluate, format_word, max_generator, word_inv, word_mul
+from .words import Word, check_word, evaluate, format_word, word_inv, word_mul
 
 # -- group algebra ----------------------------------------------------
 
@@ -45,9 +45,10 @@ class GroupAlgebraElement:
     def __init__(self, terms: Mapping[Word, Ring]):
         clean = {}
         for w, c in terms.items():
+            w = check_word(w)
             c = exact_scalar(c)
             if c:
-                clean[tuple(w)] = c
+                clean[w] = c
         object.__setattr__(self, "terms", clean)
 
     def __setattr__(self, name, value):
@@ -62,12 +63,16 @@ class GroupAlgebraElement:
         return GroupAlgebraElement({(): coef})
 
     def __add__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         terms = dict(self.terms)
         for w, c in other.terms.items():
             terms[w] = terms.get(w, Fraction(0)) + c
         return GroupAlgebraElement(terms)
 
     def __sub__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         return self + other.scale(-1)
 
     def scale(self, c) -> "GroupAlgebraElement":
@@ -75,6 +80,8 @@ class GroupAlgebraElement:
         return GroupAlgebraElement({w: c * x for w, x in self.terms.items()})
 
     def __mul__(self, other: "GroupAlgebraElement") -> "GroupAlgebraElement":
+        if not isinstance(other, GroupAlgebraElement):
+            return NotImplemented
         terms: dict = {}
         for w1, c1 in self.terms.items():
             for w2, c2 in other.terms.items():
@@ -148,7 +155,7 @@ class InvolutiveRepresentation:
         return len(self.generator_images)
 
     def _check_word(self, w: Word):
-        top = max_generator(w)
+        top = max((gen for gen, _ in check_word(w)), default=0)
         if top > self.num_generators:
             raise GeneratorError(f"word uses g{top} but only {self.num_generators} generators exist")
 

@@ -38,12 +38,12 @@ class TraceWord:
     letters: tuple  # of (index >= 1, starred: bool)
 
     def __post_init__(self):
-        if not self.letters:
-            raise SymplawError("trace word must be nonempty")
-        letters = canonical_letters(self.letters)
-        if min(i for i, _ in letters) < 1:
-            raise SymplawError(f"trace-word letter indices start at 1: {letters}")
-        object.__setattr__(self, "letters", letters)
+        letters = tuple(self.letters)
+        if not all(type(x) is tuple and len(x) == 2 and isinstance(x[0], int) for x in letters):
+            raise TypeError(f"a trace-word letter is a pair (index, starred), got {letters!r}")
+        if not letters or min(i for i, _ in letters) < 1:
+            raise SymplawError(f"a trace word is nonempty, with letter indices from 1: {letters}")
+        object.__setattr__(self, "letters", canonical_letters(letters))
 
     def __len__(self):
         return len(self.letters)
@@ -145,38 +145,31 @@ _MAX_POWER_BITS = 1 << 20
 
 def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
                    lambdas: dict | None = None, images: dict | None = None) -> Fraction:
-    """f at mats.  ``lambdas``, a dict the caller keeps, memoizes the Lambda-vectors of word values.
-
-    ("word", letters, cleared arguments) keys form a word value once for every sigma_i, and
-    ("value", B, delta) keys let equal word values share one Lambda-vector; the tags keep the
-    kinds apart, since a row (1, 0) of B equals the letter (1, False).  Arguments without a
-    cleared form bypass the memo.  ``images`` is word_value's prefix memo for this one tuple.
+    """f at mats.  ``lambdas``, a dict the caller keeps, memoizes the Lambda-vector of each
+    word value by its cleared form (B, delta); a value without one, or a call without
+    ``lambdas``, is not memoized.  ``images`` is word_value's prefix memo for this one tuple.
     """
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
     n = mats[0].rows
     if n % 2:
         raise DimensionError("matrices must be 2d x 2d")
+    ctx = SymplecticContext(n // 2)
     if f.kind == "similitude":
-        lam = similitude(SymplecticContext(n // 2), mats[f.var_index - 1])
+        lam = similitude(ctx, mats[f.var_index - 1])
         bits = abs(f.power) * max(map(int.bit_length, lam.as_integer_ratio()))
         if abs(lam) != 1 and bits > _MAX_POWER_BITS:
             raise CapacityError(f"lambda^{f.power} is over the {_MAX_POWER_BITS}-bit guard")
         return lam**f.power
     if not 1 <= f.sigma_index <= n:
         raise DimensionError(f"sigma index {f.sigma_index} out of range for 2d = {n}")
-    args = tuple(m.cleared() for m in mats)
-    if lambdas is None or None in args:
-        return lambdas_of_matrix(word_value(f.word, mats, SymplecticContext(n // 2), images))[f.sigma_index]
-    key = ("word", f.word.letters, args)
+    value = word_value(f.word, mats, ctx, images)
+    key = value.cleared()
+    if lambdas is None or key is None:
+        return lambdas_of_matrix(value)[f.sigma_index]
     lams = lambdas.get(key)
     if lams is None:
-        value = word_value(f.word, mats, SymplecticContext(n // 2), images)
-        value_key = ("value", *value.cleared())
-        lams = lambdas.get(value_key)
-        if lams is None:
-            lams = lambdas[value_key] = lambdas_of_matrix(value)
-        lambdas[key] = lams
+        lams = lambdas[key] = lambdas_of_matrix(value)
     return lams[f.sigma_index]
 
 

@@ -50,11 +50,22 @@ def evaluate(word: tuple, images: dict):
     return m
 
 
+def check_word(w) -> Word:
+    """``w`` as a tuple: TypeError unless every letter is a pair of ints, GeneratorError unless
+    ``w`` is a reduced word of letters (generator >= 1, +-1)."""
+    w = tuple(w)
+    for k, letter in enumerate(w):
+        if not (type(letter) is tuple and len(letter) == 2 and isinstance(letter[0], int)
+                and isinstance(letter[1], int)):
+            raise TypeError(f"a word letter is a pair (generator, +-1) of ints, got {letter!r}")
+        if letter[0] < 1 or letter[1] not in (1, -1) or k and w[k - 1] == (letter[0], -letter[1]):
+            raise GeneratorError(f"{w} is not a reduced word of letters (generator >= 1, +-1)")
+    return w
+
+
 def reduce_letters(letters) -> Word:
     out: list = []
     for gen, sign in letters:
-        if sign not in (1, -1):
-            raise GeneratorError(f"letter exponent must be +-1, got {sign}")
         if out and out[-1][0] == gen and out[-1][1] == -sign:
             out.pop()
         else:
@@ -70,17 +81,8 @@ def word_inv(a: Word) -> Word:
     return tuple((gen, -sign) for gen, sign in reversed(a))
 
 
-def max_generator(w: Word) -> int:
-    return max((gen for gen, _ in w), default=0)
-
-
 def format_word(w: Word) -> str:
-    if not w:
-        return "1"
-    parts = []
-    for gen, sign in w:
-        parts.append(f"g{gen}" if sign == 1 else f"g{gen}^-1")
-    return " ".join(parts)
+    return " ".join(f"g{gen}" if sign == 1 else f"g{gen}^-1" for gen, sign in w) or "1"
 
 
 def parse_word(text: str) -> Word:
@@ -90,13 +92,9 @@ def parse_word(text: str) -> Word:
     letters = []
     for token in text.split():
         body, caret, exp = token.partition("^")
-        if not body.startswith("g"):
+        gen = integer_literal(body[1:]) if body.startswith("g") else None
+        if gen is None or gen < 1:
             raise GeneratorError(f"bad word token {token!r}")
-        gen = integer_literal(body[1:])
-        if gen is None:
-            raise GeneratorError(f"bad word token {token!r}")
-        if gen < 1:
-            raise GeneratorError(f"bad generator index in {token!r}")
         n = integer_literal(exp) if caret else 1
         if n is None:
             raise GeneratorError(f"bad exponent in {token!r}")

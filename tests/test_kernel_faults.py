@@ -16,6 +16,7 @@ d in {1, 2} and seeds 0-4.
   none does, so that the fault moves to ``SEEN`` or ``UNSEEN``.
 """
 
+from functools import cache
 from types import SimpleNamespace
 
 import pytest
@@ -71,6 +72,22 @@ def _last_coefficient_negated(original):
     def fault(a, *dot):
         coeffs = original(a, *dot)
         return coeffs[:-1] + [-coeffs[-1]]
+
+    return fault
+
+
+def _signs_dropped(original):
+    """The expansion along the first row with every alternating sign dropped: a permanent."""
+    def fault(a, dot=matrices._sum_of_products):
+        @cache
+        def minor(cols):  # on the columns cols and the last len(cols) rows of a
+            if not cols:
+                return 1
+            row = a[len(a) - len(cols)]
+            live = [c for c in cols if row[c]]
+            return dot([row[c] for c in live], [minor(cols - {c}) for c in live])
+
+        return minor(frozenset(range(len(a))))
 
     return fault
 
@@ -146,6 +163,7 @@ FAULTS = {
     "pfaffian_elimination_negated": (symplectic, "_pfaffian_elimination", _negated),
     "berkowitz_last_coefficient_negated": (matrices, "_berkowitz", _last_coefficient_negated),
     "cofactor_expansion_negated": (matrices, "_cofactor_expansion", _negated),
+    "cofactor_expansion_without_signs": (matrices, "_cofactor_expansion", _signs_dropped),
     "right_product_negated": (SignedPermutation, "right_product", _negated),
     "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
     "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
@@ -234,6 +252,11 @@ SEEN = {
         " sign cancels there"),
 }
 UNSEEN = {
+    "cofactor_expansion_without_signs": (
+        "only gma takes polynomial determinants, of 2 x 2 and 4 x 4 GMA elements over"
+        " Q[u, v]/(u^2, uv, v^2), and on each of them the terms of the odd permutations sum to"
+        " zero, so the permanent equals the determinant"
+    ),
     "sample_symplectic_identity": (
         "every check that draws an Sp sample tests an identity that holds on all of Sp, the"
         " identity matrix included; no check asks that a sample be non-scalar or that two"

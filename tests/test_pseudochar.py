@@ -12,7 +12,7 @@ from symplaw.detlaws import (
     star,
 )
 from symplaw.errors import ArityError, StructureError, UnsupportedKindError
-from symplaw.invariants import InvariantFunction, TraceWord, eval_invariant
+from symplaw.invariants import InvariantFunction, TraceWord, eval_invariant, word_value
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
 from symplaw.pseudochar import (
@@ -117,9 +117,13 @@ def test_lambda_memo_holds_no_value_of_f():
         else:
             f = InvariantFunction.similitude_power(key[2], key[3], key[1])
         assert eval_invariant(f, [pc.rep.rho_word(w) for w in gammas]) == value
-    # the two routes of an axiom form equal word values, which share one Lambda-vector
-    kinds = [k[0] for k in pc.lambdas]
-    assert 0 < kinds.count("value") < kinds.count("word")
+    # the memo is keyed by word value alone: the sigma_i of one word on one tuple, and the two
+    # routes of an axiom to an equal value, share one Lambda-vector
+    sigmas = [(key, gammas) for key, gammas in pc.cache if key[0] == "sigma"]
+    values = {word_value(TraceWord(key[3]), [pc.rep.rho_word(w) for w in gammas], pc.rep.ctx).cleared()
+              for key, gammas in sigmas}
+    assert set(pc.lambdas) == values
+    assert len(pc.lambdas) < len(sigmas)
     memo = dict(pc.lambdas)
     key = sorted(pc.cache, key=repr)[0]
     pc.cache[key] = pc.cache[key] + 1

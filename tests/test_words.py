@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from symplaw.errors import GeneratorError
 from symplaw.words import (
+    check_word,
     format_word,
     integer_literal,
     parse_word,
@@ -19,6 +20,29 @@ def test_reduction_cancels_adjacent_inverses():
     assert reduce_letters([(1, 1), (1, -1)]) == ()
     assert reduce_letters([(1, 1), (2, 1), (2, -1), (1, -1)]) == ()
     assert reduce_letters([(1, 1), (1, 1), (1, -1)]) == ((1, 1),)
+
+
+def test_check_word_returns_a_reduced_word_as_a_tuple():
+    assert check_word([]) == ()
+    assert check_word([(1, 1), (2, -1), (1, 1)]) == ((1, 1), (2, -1), (1, 1))
+    assert check_word(parse_word("g3^2 g1^-1")) == parse_word("g3^2 g1^-1")
+
+
+@pytest.mark.parametrize("word, error", [
+    (((1, 2),), GeneratorError),
+    (((0, 1),), GeneratorError),
+    (((-1, 1),), GeneratorError),
+    (((1, 1), (1, -1)), GeneratorError),
+    (((2, 1), (1, -1), (1, 1)), GeneratorError),
+    ("g1", TypeError),
+    (((1, 1, 1),), TypeError),
+    (((1.0, 1),), TypeError),
+    (((1, "1"),), TypeError),
+    ([[1, 1]], TypeError),
+])
+def test_check_word_refuses_a_malformed_word(word, error):
+    with pytest.raises(error):
+        check_word(word)
 
 
 def test_mul_inverse_identity():

@@ -1,0 +1,59 @@
+"""Wrong-typed and malformed arguments to public calls: each is refused with ``TypeError`` or a
+``SymplawError``, never with an ``AttributeError``, a ``KeyError`` or a bare ``ValueError`` from
+deep inside the library.  ``RingMatrix`` and ``MultiPoly`` operands are tested with their
+kernels, in ``test_matrices.py`` and ``test_multipoly.py``."""
+
+import pytest
+
+from symplaw import (
+    GroupAlgebraElement,
+    InvariantFunction,
+    InvolutiveRepresentation,
+    Pseudocharacter,
+    SymplawError,
+    SymplecticContext,
+    TraceWord,
+    eval_det_law,
+    sample_symplectic,
+    theta_eval,
+)
+from symplaw.errors import GeneratorError
+
+
+def _pc():
+    rep = InvolutiveRepresentation.from_images([sample_symplectic(SymplecticContext(1), 3)])
+    return Pseudocharacter(rep)
+
+
+_TRACE = InvariantFunction.sigma(1, TraceWord(((1, False),)))
+
+# name: (the call, the exception it must raise)
+CALLS = {
+    # a letter with exponent 2 once printed as g1^-1 and failed later with KeyError
+    "element_with_exponent_2": (
+        lambda: eval_det_law(_pc().rep, GroupAlgebraElement({((1, 2),): 1})), GeneratorError),
+    "element_with_generator_0": (lambda: GroupAlgebraElement({((0, 1),): 1}), GeneratorError),
+    # once accepted, and unequal to GroupAlgebraElement.one()
+    "element_with_unreduced_word": (
+        lambda: GroupAlgebraElement({((1, 1), (1, -1)): 1}), GeneratorError),
+    "element_with_text_word": (lambda: GroupAlgebraElement({"g1": 1}), TypeError),
+    "element_with_a_bare_letter": (lambda: GroupAlgebraElement({(1, 1): 1}), TypeError),
+    "element_with_inexact_coefficient": (lambda: GroupAlgebraElement({(): 1.5}), TypeError),
+    "element_plus_int": (lambda: GroupAlgebraElement.one() + 1, TypeError),
+    "element_minus_int": (lambda: GroupAlgebraElement.one() - 1, TypeError),
+    "element_times_int": (lambda: GroupAlgebraElement.one() * 2, TypeError),
+    "int_plus_element": (lambda: 1 + GroupAlgebraElement.one(), TypeError),
+    "theta_with_exponent_2": (lambda: theta_eval(_pc(), _TRACE, [((1, 2),)]), GeneratorError),
+    "theta_with_text_word": (lambda: theta_eval(_pc(), _TRACE, ["g1"]), TypeError),
+    "rho_of_unreduced_word": (lambda: _pc().rep.rho_word(((1, -1), (1, 1))), GeneratorError),
+    "trace_word_from_text": (lambda: TraceWord("12"), TypeError),
+    "trace_word_with_text_index": (lambda: TraceWord((("1", False),)), TypeError),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_a_wrong_typed_call_is_refused_by_type_or_library_error(name):
+    call, expected = CALLS[name]
+    assert issubclass(expected, (TypeError, SymplawError))
+    with pytest.raises(expected):
+        call()
