@@ -154,8 +154,9 @@ class InvolutiveRepresentation:
     def num_generators(self) -> int:
         return len(self.generator_images)
 
-    def _check_word(self, w: Word):
-        top = max((gen for gen, _ in check_word(w)), default=0)
+    def _check_generators(self, w: Word):
+        """GeneratorError if the reduced word ``w`` uses a generator past the representation's."""
+        top = max((gen for gen, _ in w), default=0)
         if top > self.num_generators:
             raise GeneratorError(f"word uses g{top} but only {self.num_generators} generators exist")
 
@@ -165,11 +166,15 @@ class InvolutiveRepresentation:
         m = self._images.get(w)
         if m is not None:
             return m
-        self._check_word(w)
+        self._check_generators(check_word(w))
         return evaluate(w, self._images)
 
     def lambda_of_word(self, w: Word) -> Fraction:
-        self._check_word(w)
+        return self._lambda(check_word(w))
+
+    def _lambda(self, w: Word) -> Fraction:
+        """lambda(w) of a reduced word: the product of its letters', after the generator bound."""
+        self._check_generators(w)
         lam = Fraction(1)
         for gen, sign in w:
             lam *= self.lambda_values[gen - 1] if sign > 0 else 1 / self.lambda_values[gen - 1]
@@ -182,20 +187,14 @@ class InvolutiveRepresentation:
 
 
 def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraElement:
-    """Linear extension of w -> lambda(w) w^(-1); an involution.
-
-    Every lambda(w) of an Sp representation is 1, so there each word is only checked.
-    """
-    sp = rep.kind == "Sp"
-    terms: dict = {}
-    for w, c in x.terms.items():
-        if sp:
-            rep._check_word(w)
-        else:
-            c = rep.lambda_of_word(w) * c
-        wi = word_inv(w)
-        terms[wi] = terms.get(wi, Fraction(0)) + c
-    return GroupAlgebraElement(terms)
+    """Linear extension of w -> lambda(w) w^(-1), an involution.  The words of ``x`` were checked
+    when it was built and inversion is one-to-one on reduced words, so each term only moves,
+    scaled by lambda(w) (1 under Sp); only the generator bound is left to check."""
+    if rep.kind == "GSp":
+        return GroupAlgebraElement({word_inv(w): rep._lambda(w) * c for w, c in x.terms.items()})
+    for w in x.terms:
+        rep._check_generators(w)
+    return GroupAlgebraElement({word_inv(w): c for w, c in x.terms.items()})
 
 
 def eval_det_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:

@@ -38,14 +38,14 @@ over the B_i over lcm(q_i delta_i) (``_linear_combination``), transposes and
 the signed reindexing of ``RingMatrix.rearranged`` keep delta, equality
 compares the pairs, the trace is tr(B) / delta, the k-th characteristic-
 polynomial coefficient c_k(B) / delta^k, the determinant det(B) / delta^n,
-and A^(-1) C = delta B^(-1) E / epsilon for C = E / epsilon (the same Bareiss
-elimination on [B | E], continued above each pivot; the inverse takes C = Id).
-No Fraction is built in between: a result makes its Fraction ``entries`` only
-when they are read (``entries``, ``m[i, j]``, JSON output).  Berkowitz,
-division-free, runs unchanged on either B or the entries.  The Pfaffian in
-``symplectic`` splits as the determinant does: a fraction-free elimination on
-B, and a division-free expansion on the entries of a polynomial matrix.
-Polynomial matrices have no cleared form and take the generic path.
+and the inverse delta B^(-1) (Bareiss on [B | Id], continued above each
+pivot).  No Fraction is built in between: a result makes its Fraction
+``entries`` only when they are read (``entries``, ``m[i, j]``, JSON output).
+Berkowitz, division-free, runs unchanged on either B or the entries.  The
+Pfaffian in ``symplectic`` splits as the determinant does: a fraction-free
+elimination on B, and a division-free expansion on the entries of a
+polynomial matrix.  Polynomial matrices have no cleared form and take the
+generic path.
 """
 
 from __future__ import annotations
@@ -276,9 +276,22 @@ class RingMatrix:
     # -- solving (rational entries only) -------------------------------
 
     def inverse(self) -> "RingMatrix":
-        """Exact inverse delta * B^(-1) of A = B / delta, the solve against Id; raises on singular input."""
+        """Exact inverse delta B^(-1) of A = B / delta; ZeroDivisionError on a singular A.
+
+        Bareiss elimination on [B | Id], continued above each pivot, ends in [D Id | D B^(-1)]
+        for the last pivot D, det(B) up to the sign of the row swaps; A^(-1) is delta D B^(-1) / D.
+        """
+        if not self.is_square():
+            raise DimensionError("inverse of a non-square matrix")
+        if self._ints is None:
+            raise TypeError("inverse requires rational entries")
         n = self.rows
-        return _solve(self, [[int(i == j) for j in range(n)] for i in range(n)], 1)
+        aug = [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(self._ints)]
+        if not _bareiss(aug, n, above=True):
+            raise ZeroDivisionError("singular matrix")
+        last = aug[-1][n - 1]
+        scale = self._den if last > 0 else -self._den
+        return RingMatrix._cleared([[scale * x for x in row[n:]] for row in aug], abs(last))
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(x) for x in row) for row in self.entries) + "]"
@@ -332,6 +345,13 @@ class _LazyEntries(RingMatrix):
         entries = tuple(tuple([Fraction(x, den) for x in row]) for row in self._ints)
         _set_entries(self, entries)
         return entries
+
+
+def _is_square(m) -> bool:
+    """Whether ``m`` is square; TypeError unless it is a RingMatrix."""
+    if not isinstance(m, RingMatrix):
+        raise TypeError(f"expected a RingMatrix, got {type(m).__name__}")
+    return m.rows == m.cols
 
 
 def _product(a: Sequence, b: Sequence) -> list:
@@ -407,7 +427,7 @@ def mat_det(m: RingMatrix, dot: Callable = _sum_of_products) -> Ring:
     entries: the plain one unless a caller, such as a quotient ring that
     reduces each inner product, passes its own.
     """
-    if not m.is_square():
+    if not _is_square(m):
         raise DimensionError(f"determinant of a {m.rows}x{m.cols} matrix")
     if m._ints is not None:
         return _det_bareiss(m)
@@ -480,27 +500,6 @@ def _bareiss(a: list, n: int, above: bool = False) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def _solve(a: RingMatrix, e, epsilon: int) -> RingMatrix:
-    """A^(-1) C for a square rational A and C = E / epsilon, E integer rows as many as A has.
-
-    Bareiss elimination on [B | E] for A = B / delta, continued above each
-    pivot, ends in [D Id | D B^(-1) E] for the last pivot D, which is det(B)
-    up to the sign of the row swaps; A^(-1) C is delta (D B^(-1) E) / (D epsilon).
-    Raises ZeroDivisionError on a singular A.
-    """
-    if not a.is_square():
-        raise DimensionError("inverse of a non-square matrix")
-    if a._ints is None:
-        raise TypeError("inverse requires rational entries")
-    n = a.rows
-    aug = [[*row, *rhs] for row, rhs in zip(a._ints, e)]
-    if not _bareiss(aug, n, above=True):
-        raise ZeroDivisionError("singular matrix")
-    last = aug[-1][n - 1]
-    scale = a._den if last > 0 else -a._den
-    return RingMatrix._cleared([[scale * x for x in row[n:]] for row in aug], abs(last) * epsilon)
-
-
 def entry_vars(m: RingMatrix) -> set:
     """The variable names carried by the MultiPoly entries of ``m``."""
     taken: set = set()
@@ -552,7 +551,7 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     The Berkowitz coefficients are assembled by Horner's rule; for rational
     M = B / delta they are c_k(B) / delta^k.
     """
-    if not m.is_square():
+    if not _is_square(m):
         raise DimensionError("characteristic polynomial of a non-square matrix")
     if m._ints is None:
         for row in m.entries:

@@ -337,20 +337,6 @@ class MultiPoly:
             out.setdefault(key >> s & _MASK, {})[key >> s + _FIELD << s | key & low] = coef
         return {deg: MultiPoly._canonical(rest, terms) for deg, terms in out.items()}
 
-    def substitute(self, values: Mapping[str, Ring]) -> Ring:
-        """Evaluate at the given values (every variable must be assigned)."""
-        missing = [v for v in self.vars if v not in values]
-        if missing:
-            raise VariableError(f"no value for variables {missing}")
-        total: Ring = Fraction(0)
-        for exp, coef in self.terms.items():
-            term: Ring = coef
-            for v, e in zip(self.vars, exp):
-                for _ in range(e):
-                    term = term * values[v]
-            total = total + term
-        return total
-
     # -- rendering ----------------------------------------------------
 
     def sorted_terms(self):

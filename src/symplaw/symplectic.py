@@ -33,7 +33,8 @@ from typing import Callable, Sequence
 from .errors import DimensionError, NotASimilitudeError, StructureError, VariableError
 from .matrices import (
     RingMatrix,
-    _solve,
+    _is_square,
+    _linear_combination,
     entry_vars,
     exact_scalar,
     matrix_from_ratios,
@@ -122,7 +123,7 @@ class SymplecticContext:
 
 
 def _check_size(ctx: SymplecticContext, m: RingMatrix):
-    if m.rows != ctx.n or m.cols != ctx.n:
+    if not _is_square(m) or m.rows != ctx.n:
         raise DimensionError(f"expected a {ctx.n}x{ctx.n} matrix, got {m.rows}x{m.cols}")
 
 
@@ -144,10 +145,6 @@ def is_alternating(a: RingMatrix) -> bool:
     return all(e[i][k] == -e[k][i] for i in range(a.rows) for k in range(i, a.cols))
 
 
-def is_j_symmetric(ctx: SymplecticContext, m: RingMatrix) -> bool:
-    return symplectic_transpose(ctx, m) == m
-
-
 def pfaffian(a: RingMatrix) -> Ring:
     """Pfaffian of an alternating matrix; Pf(A)^2 = det(A).
 
@@ -156,7 +153,7 @@ def pfaffian(a: RingMatrix) -> Ring:
     fraction-free skew elimination on B, and Pf(A) = Pf(B) / delta^(n/2);
     any other A to the division-free first-row expansion on its entries.
     """
-    if not a.is_square() or a.rows % 2 != 0:
+    if not _is_square(a) or a.rows % 2 != 0:
         raise StructureError(f"Pfaffian needs an even square matrix, got {a.rows}x{a.cols}")
     if not is_alternating(a):
         raise StructureError("Pfaffian of a non-alternating matrix")
@@ -235,18 +232,16 @@ def _pfaffian_expansion(a) -> Ring:
 
 
 def reduced_pfaffian(ctx: SymplecticContext, m: RingMatrix) -> Ring:
-    """Pf(MJ) / Pf(J) for j-symmetric M; satisfies value 1 at the identity."""
+    """Pf(MJ) / Pf(J) for j-symmetric M, 1 at the identity; M J is alternating exactly when
+    J M^T = M J, that is M^j = M, so ``pfaffian`` refuses any other M with StructureError."""
     _check_size(ctx, m)
-    if not is_j_symmetric(ctx, m):
-        raise StructureError("reduced Pfaffian requires M^j = M")
     return ctx.form.reduced_pfaffian(m)
 
 
 def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = None) -> MultiPoly:
-    """Reduced Pfaffian of (t*Id - M): monic of degree d, its square is char_poly(M)."""
+    """Reduced Pfaffian of (t*Id - M): monic of degree d, its square is char_poly(M); as
+    (t Id - M) J = t J - M J, an M with M^j != M is refused as in ``reduced_pfaffian``."""
     _check_size(ctx, m)
-    if not is_j_symmetric(ctx, m):
-        raise StructureError("Pfaffian characteristic polynomial requires M^j = M")
     taken = entry_vars(m)
     if var is None:
         var = fresh_var("t", taken)
@@ -274,7 +269,7 @@ def matrix_poly_value(coeffs: Sequence, m: RingMatrix, product: Callable = mul) 
     the plain matrix product unless a caller, such as a quotient ring that
     reduces each entry as it forms, passes its own.
     """
-    if not m.is_square():
+    if not _is_square(m):
         raise DimensionError("polynomial value at a non-square matrix")
     signed = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
     if len(signed) < 2:  # a constant, or the empty sum
@@ -367,7 +362,7 @@ def random_sp_lie(ctx: SymplecticContext, rng: random.Random) -> RingMatrix:
 
 
 def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
-    """Cayley transform S = (Id - H)^(-1)(Id + H) of a seeded H in sp_2d, by one solve.
+    """Cayley transform S = (Id - H)^(-1)(Id + H) = 2 (Id - H)^(-1) - Id of a seeded H in sp_2d.
 
     Deterministic in the seed; retries with a perturbed seed if Id - H is
     singular.  The defining relation S^T J S = J, similitude 1, is checked
@@ -379,11 +374,11 @@ def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
         rng = random.Random(seed * 1000003 + attempt)
         h = random_sp_lie(ctx, rng)
         try:
-            s = _solve(ident - h, *(ident + h).cleared())
+            s = _linear_combination(((2, (ident - h).inverse()), (-1, ident)), n, n)
         except ZeroDivisionError:
             continue
-        if similitude(ctx, s) != 1:
-            raise StructureError("Cayley transform left the symplectic group")  # unreachable
+        if similitude(ctx, s) != 1:  # reached only through a faulty kernel
+            raise StructureError("Cayley transform left the symplectic group")
         return s
     raise StructureError("could not sample a symplectic matrix (singular Id - H persisted)")
 

@@ -16,7 +16,13 @@ from symplaw.detlaws import (
     pfaffian_coeffs_from_lambdas,
     star,
 )
-from symplaw.errors import DimensionError, SpectrumError, StructureError, SymplawError
+from symplaw.errors import (
+    DimensionError,
+    GeneratorError,
+    SpectrumError,
+    StructureError,
+    SymplawError,
+)
 from symplaw.matrices import RingMatrix, entry_vars, lambdas_of_matrix, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
@@ -26,7 +32,7 @@ from symplaw.symplectic import (
     sample_similitude,
     sample_symplectic,
 )
-from symplaw.words import parse_word
+from symplaw.words import parse_word, word_inv
 
 
 def sl2_rep(*matrices):
@@ -56,6 +62,32 @@ def test_star_gsp_twist():
     x = elem({"g1": 1})
     assert star(rep, x) == elem({"g1^-1": 4})
     assert star(rep, star(rep, x)) == x
+
+
+def _two_generator_reps():
+    ctx = SymplecticContext(2)
+    sp = InvolutiveRepresentation(ctx, (sample_symplectic(ctx, 1), sample_symplectic(ctx, 2)))
+    gsp = InvolutiveRepresentation(
+        ctx, (sample_similitude(ctx, 3, factor=Fraction(3)), sample_symplectic(ctx, 4)), kind="GSp")
+    return sp, gsp
+
+
+def test_star_moves_each_term_to_the_inverse_word_scaled_by_lambda():
+    sp, gsp = _two_generator_reps()
+    assert star(sp, elem({"g1": 2, "g1^-1": 3})) == elem({"g1^-1": 2, "g1": 3})
+    assert gsp.lambda_values == (3, 1)
+    x = elem({"g1": 2, "g1^-1": 3, "g1 g2^-1 g1": Fraction(1, 5), "g2": 7, "1": -1})
+    for rep in (sp, gsp):
+        expected = {word_inv(w): rep.lambda_of_word(w) * c for w, c in x.terms.items()}
+        assert star(rep, x).terms == expected
+    assert star(gsp, x) == elem({"g1^-1": 6, "g1": 1, "g1^-1 g2 g1^-1": Fraction(9, 5),
+                                 "g2^-1": 7, "1": -1})
+
+
+def test_star_refuses_a_generator_past_the_representation():
+    for rep in _two_generator_reps():
+        with pytest.raises(GeneratorError, match="uses g3"):
+            star(rep, elem({"g1": 1, "g3": 2}))
 
 
 def test_representation_computes_each_similitude_once(monkeypatch):

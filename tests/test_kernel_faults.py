@@ -194,8 +194,9 @@ SEEN = {
         " pseudochar: comparison_p_at_identity"),
     "adjoint_plain_transpose": (
         "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
-        " is wrong); every other suite stops with an error: images of x + x* fail the"
-        " j-symmetry and alternating checks, and GMA elements their block membership"),
+        " is wrong), and fft_desk_scale_d1_* at d = 1; every other suite stops with an error:"
+        " the Pfaffian refuses the images of x + x* and of j-symmetric draws, whose M J is no"
+        " longer alternating, and GMA elements fail their block membership"),
     "pfaffian_expansion_negated": (
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly (Pf((t Id - M) J) comes from the expansion on a"
@@ -221,25 +222,21 @@ SEEN = {
         "gma: *_pf_squares_to_det and counterexample_witness_in_kernel_of_D, which compare"
         " with the determinant of a GMA element, a polynomial matrix"),
     "inverse_negated": (
-        "invariants: generators_invariant_under_conjugation; pseudochar stops with an error"
-        " (seeds 1-4): the comparison map's w + lambda(w) w^(-1) becomes w - lambda(w) w^(-1),"
-        " which is not j-symmetric, so its reduced Pfaffian is refused; or (seed 0, d = 1-3)"
-        " fails comparison_agrees_with_det_laws and comparison_p_squared_equals_d on earlier"
-        " trials and stops drawing before one whose Pfaffian is refused"),
+        "every Cayley sample S = 2 (Id - H)^(-1) - Id becomes -2 (Id - H)^(-1) - Id, so"
+        " invariants, pseudochar and det-law stop with an error at their first Sp sample:"
+        " its similitude is not 1 (StructureError), or at seed 1 it is singular"
+        " (NotASimilitudeError); pfaffian and gma draw no Sp sample and pass"),
     "matrix_poly_value_drops_the_last_coefficient": (
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
         " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"
         " matrix, and the value misses the constant term times Id)"),
     "linear_combination_drops_the_last_term": (
-        "every matrix sum loses its last term, so Id - H and Id + H of a Cayley sample are Id"
-        " (an identity sample, which invariants does not see) and t Id - M is t Id;"
-        " pseudochar stops with an error: the comparison P's image of x + x* is no longer"
-        " j-symmetric, so its reduced Pfaffian is refused; det-law:"
-        " det_law_multiplicative_star_invariant (rho(xy) and rho(x) rho(y) lose different"
-        " terms), chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton,"
-        " recursion_matches_pfaffian_char_poly (the Pfaffian characteristic polynomial is t^d);"
-        " gma stops with an error: x + x* of a random symmetric element is x, which chi^P"
-        " refuses as not symmetric"),
+        "every matrix sum loses its last term, so Id - H is Id and a Cayley sample"
+        " 2 (Id - H)^(-1) - Id is 2 Id, of similitude 4: invariants, pseudochar and det-law"
+        " stop with an error at their first Sp sample; t Id - M is t Id, so pfaffian fails"
+        " pfaffian_cayley_hamilton and recursion_matches_pfaffian_char_poly (the Pfaffian"
+        " characteristic polynomial is t^d); gma stops with an error: x + x* of a random"
+        " symmetric element is x, which chi^P refuses as not symmetric"),
     "evaluate_word_reversed": (
         "det-law: det_law_multiplicative_star_invariant, or it stops with an error, as does"
         " pseudochar at some seeds: rho_word, the evaluator's other caller, reads a new word"

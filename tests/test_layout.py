@@ -194,6 +194,28 @@ def test_digit_tests_only_inside_the_integer_reader():
     assert not found, found
 
 
+def test_one_word_check_at_entry():
+    """``words.check_word`` is called only where a word enters: ``GroupAlgebraElement.__init__``,
+    ``InvolutiveRepresentation.rho_word`` and ``lambda_of_word``.  A word held by an element has
+    been checked, and w -> w^(-1) keeps it reduced, so ``star`` and the element arithmetic need
+    no second check; at most the representation's generator bound."""
+    allowed = {"GroupAlgebraElement.__init__", "InvolutiveRepresentation.rho_word",
+               "InvolutiveRepresentation.lambda_of_word"}
+    found = []
+    for path in SOURCES:
+        tree = _parse(path)
+        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        owner = {id(node): name for name, fn in scopes for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}: {owner.get(id(node), 'module level')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and "check_word" in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  and owner.get(id(node)) not in allowed]
+    assert not found, found
+
+
 def _defined_names(tree):
     """(name, line, is_method) of each function, class, method and module-level name a module defines."""
     for node in tree.body:

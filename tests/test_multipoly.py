@@ -88,14 +88,6 @@ def test_coefficients_in():
     assert buckets[0] == a**2
 
 
-def test_substitute():
-    x, y = MultiPoly.variable("x"), MultiPoly.variable("y")
-    p = x**2 + y
-    assert p.substitute({"x": Fraction(2), "y": Fraction(1, 2)}) == Fraction(9, 2)
-    q = p.substitute({"x": y, "y": Fraction(0)})
-    assert q == y**2
-
-
 def test_ring_axioms_randomized():
     rng = random.Random(20240917)
     for _ in range(1000):

@@ -10,7 +10,6 @@ from symplaw.matrices import RingMatrix, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
     SymplecticContext,
-    is_j_symmetric,
     matrix_poly_value,
     pfaffian,
     pfaffian_char_poly,
@@ -173,8 +172,10 @@ def test_reduced_pfaffian_normalization_and_diagonal():
     ctx = SymplecticContext(2)
     m = j_symmetric_diag([3, 5])
     assert reduced_pfaffian(ctx, m) == 15
-    with pytest.raises(StructureError):
-        reduced_pfaffian(ctx, diag(1, 1, 2, 2))  # halves differ: not j-symmetric
+    # halves differ: not j-symmetric, so M J and (t Id - M) J are not alternating
+    for refused in (reduced_pfaffian, pfaffian_char_poly):
+        with pytest.raises(StructureError, match="non-alternating"):
+            refused(ctx, diag(1, 1, 2, 2))
 
 
 def test_reduced_pfaffian_squares_to_det():
@@ -292,7 +293,23 @@ def test_j_symmetric_generator_shape():
     for d in (1, 2, 3):
         ctx = SymplecticContext(d)
         for _ in range(10):
-            assert is_j_symmetric(ctx, random_j_symmetric(ctx, rng))
+            m = random_j_symmetric(ctx, rng)
+            assert symplectic_transpose(ctx, m) == m
+
+
+def test_sample_symplectic_is_the_cayley_transform_of_its_first_draw():
+    """S = 2 (Id - H)^(-1) - Id is (Id - H)^(-1) (Id + H), formed here as that product."""
+    checked = 0
+    for d in (1, 2, 3):
+        ctx = SymplecticContext(d)
+        ident = RingMatrix.identity(ctx.n)
+        for seed in range(8):
+            h = random_sp_lie(ctx, random.Random(seed * 1000003))  # the draw of attempt 0
+            if mat_det(ident - h) == 0:
+                continue
+            assert sample_symplectic(ctx, seed) == (ident - h).inverse() * (ident + h)
+            checked += 1
+    assert checked >= 12
 
 
 # -- the samplers, against the Fraction-built construction they replace -------

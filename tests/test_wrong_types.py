@@ -13,8 +13,15 @@ from symplaw import (
     SymplawError,
     SymplecticContext,
     TraceWord,
+    char_poly,
     eval_det_law,
+    mat_det,
+    pfaffian,
+    pfaffian_char_poly,
+    reduced_pfaffian,
     sample_symplectic,
+    similitude,
+    symplectic_transpose,
     theta_eval,
 )
 from symplaw.errors import GeneratorError
@@ -26,6 +33,7 @@ def _pc():
 
 
 _TRACE = InvariantFunction.sigma(1, TraceWord(((1, False),)))
+_CTX = SymplecticContext(1)
 
 # name: (the call, the exception it must raise)
 CALLS = {
@@ -48,6 +56,14 @@ CALLS = {
     "rho_of_unreduced_word": (lambda: _pc().rep.rho_word(((1, -1), (1, 1))), GeneratorError),
     "trace_word_from_text": (lambda: TraceWord("12"), TypeError),
     "trace_word_with_text_index": (lambda: TraceWord((("1", False),)), TypeError),
+    # each of these once ended in AttributeError on a list or an int
+    "det_of_rows": (lambda: mat_det([[1]]), TypeError),
+    "char_poly_of_rows": (lambda: char_poly([[1]]), TypeError),
+    "pfaffian_of_rows": (lambda: pfaffian([[0, 1], [-1, 0]]), TypeError),
+    "symplectic_transpose_of_rows": (lambda: symplectic_transpose(_CTX, [[1, 0], [0, 1]]), TypeError),
+    "similitude_of_int": (lambda: similitude(_CTX, 1), TypeError),
+    "reduced_pfaffian_of_rows": (lambda: reduced_pfaffian(_CTX, [[1, 0], [0, 1]]), TypeError),
+    "pfaffian_char_poly_of_rows": (lambda: pfaffian_char_poly(_CTX, [[1, 0], [0, 1]]), TypeError),
 }
 
 
