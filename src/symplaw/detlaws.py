@@ -12,9 +12,10 @@ arguments.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .errors import (
     DimensionError,
@@ -43,6 +44,8 @@ class GroupAlgebraElement:
     __slots__ = ("terms",)
 
     def __init__(self, terms: Mapping[Word, Ring]):
+        if not isinstance(terms, Mapping):
+            raise TypeError(f"terms must map words to coefficients, got {type(terms).__name__}")
         clean = {}
         for w, c in terms.items():
             w = check_word(w)
@@ -145,6 +148,8 @@ class InvolutiveRepresentation:
     def from_images(images: Sequence[RingMatrix], kind: str = "Sp") -> "InvolutiveRepresentation":
         if not images:
             raise DimensionError("need at least one generator image")
+        if not all(isinstance(m, RingMatrix) for m in images):
+            raise TypeError("generator images must be RingMatrix values")
         n = images[0].rows
         if n % 2:
             raise DimensionError("images must be 2d x 2d")
@@ -169,9 +174,6 @@ class InvolutiveRepresentation:
         self._check_generators(check_word(w))
         return evaluate(w, self._images)
 
-    def lambda_of_word(self, w: Word) -> Fraction:
-        return self._lambda(check_word(w))
-
     def _lambda(self, w: Word) -> Fraction:
         """lambda(w) of a reduced word: the product of its letters', after the generator bound."""
         self._check_generators(w)
@@ -182,6 +184,8 @@ class InvolutiveRepresentation:
 
     def rho(self, x: GroupAlgebraElement) -> RingMatrix:
         """Linear extension of the word map over Fraction or MultiPoly coefficients."""
+        if not isinstance(x, GroupAlgebraElement):
+            raise TypeError(f"rho takes a GroupAlgebraElement, got {type(x).__name__}")
         n = self.ctx.n
         return _linear_combination([(c, self.rho_word(w)) for w, c in x.terms.items()], n, n)
 
@@ -190,6 +194,8 @@ def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraE
     """Linear extension of w -> lambda(w) w^(-1), an involution.  The words of ``x`` were checked
     when it was built and inversion is one-to-one on reduced words, so each term only moves,
     scaled by lambda(w) (1 under Sp); only the generator bound is left to check."""
+    if not isinstance(x, GroupAlgebraElement):
+        raise TypeError(f"star takes a GroupAlgebraElement, got {type(x).__name__}")
     if rep.kind == "GSp":
         return GroupAlgebraElement({word_inv(w): rep._lambda(w) * c for w, c in x.terms.items()})
     for w in x.terms:

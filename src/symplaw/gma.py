@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import IntegerEliminator, RingMatrix, _berkowitz_lambdas, mat_det
+from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, _guard, _over_cap, _unpack
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
@@ -445,7 +445,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
 
 def _constant_or_raise(x: Ring, what: str) -> Fraction:
     if not isinstance(x, MultiPoly):
-        return Fraction(x)
+        return x if type(x) is Fraction else Fraction(x)
     if x.is_constant():
         return x.constant_value()
     raise StructureError(f"{what} did not land in Q: {x}")
@@ -475,12 +475,12 @@ def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
 def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> tuple:
     """(T_0..T_d) for a symmetric GMA element, from the Lambda recursion.
 
-    The Lambda-vector comes from Berkowitz run in the quotient ring, every
-    inner product reduced as it forms.
+    The Lambda-vector is ``lambdas_of_matrix`` in the quotient ring: Berkowitz
+    with the ring's ``dot``, every inner product reduced as it forms.
     """
     return pfaffian_coeffs_from_lambdas(
         [_constant_or_raise(lam, f"Lambda_{i} of a GMA element")
-         for i, lam in enumerate(_berkowitz_lambdas(m.entries, spec.ring.dot))])
+         for i, lam in enumerate(lambdas_of_matrix(m, spec.ring.dot))])
 
 
 def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:

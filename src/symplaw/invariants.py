@@ -118,6 +118,8 @@ class InvariantFunction:
 
     @staticmethod
     def sigma(index: int, word: TraceWord, arity: int | None = None) -> "InvariantFunction":
+        if not isinstance(word, TraceWord):
+            raise TypeError(f"expected a TraceWord, got {type(word).__name__}")
         top = max(word.indices())
         if arity is None:
             arity = top
@@ -151,6 +153,8 @@ def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
     """
     if len(mats) != f.arity:
         raise ArityError(f"expected {f.arity} matrices, got {len(mats)}")
+    if not all(isinstance(m, RingMatrix) for m in mats):
+        raise TypeError("the arguments of an invariant function must be RingMatrix values")
     n = mats[0].rows
     if n % 2:
         raise DimensionError("matrices must be 2d x 2d")
@@ -210,6 +214,8 @@ def hat(f: InvariantFunction) -> InvariantFunction:
 def check_invariance(fs: Sequence[InvariantFunction], mats: Sequence[RingMatrix],
                      g: RingMatrix) -> InvariantFunction | None:
     """The first f of fs whose value on g mats g^(-1) differs from that on mats, else None."""
+    if not isinstance(g, RingMatrix):
+        raise TypeError(f"conjugation needs a RingMatrix, got {type(g).__name__}")
     gi = g.inverse()
     conj = [g * m * gi for m in mats]
     memo, images, conj_images = {}, {}, {}  # the Lambda-vector memo; a prefix memo per tuple

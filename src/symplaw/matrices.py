@@ -9,10 +9,11 @@ The characteristic polynomial uses Berkowitz's division-free algorithm
 (S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
 themselves, so it serves rational, polynomial and quotient-ring entries
 alike.  Berkowitz, the cofactor DP (one inner product of a row's signed
-entries with their minors per minor) and ``trace_of_product`` take their
-inner product of two sequences of entries as a parameter, ``dot``; a
-quotient ring passes its own, ``gma.QuotientRing.dot``, which never forms
-a term that lies in its ideal.  Every check in this library lives at
+entries with their minors per minor), ``trace_of_product`` and
+``lambdas_of_matrix``, the one routine for the signed coefficients Lambda_i,
+take their inner product of two sequences of entries as a parameter,
+``dot``; a quotient ring passes its own, ``gma.QuotientRing.dot``, which
+never forms a term that lies in its ideal.  Every check in this library lives at
 dimension <= 12, so no sparse or asymptotically clever machinery is needed.
 
 Every matrix holds one of two entry forms, fixed when it is built (in
@@ -57,7 +58,7 @@ from operator import add, mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
-from .multipoly import _FIELD, _MASK, MultiPoly, Ring, _shift, canonical_scalar, fresh_var
+from .multipoly import _MASK, MultiPoly, Ring, _shift, canonical_scalar
 
 _EXACT = (int, Fraction, MultiPoly)
 _POLY_ENTRY_TYPES = frozenset((int, MultiPoly))  # a polynomial matrix of these needs no rewrite
@@ -535,15 +536,6 @@ def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     return coeffs
 
 
-def _berkowitz_lambdas(a: tuple, dot: Callable) -> list:
-    """[L_0..L_n] with det(tI - A) = sum (-1)^i L_i t^(n-i): the Berkowitz coefficients, signed.
-
-    Every L_i is a ring expression in the entries, so a quotient ring's
-    reducing ``dot`` gives the reduced L_i.
-    """
-    return [c if i % 2 == 0 else -c for i, c in enumerate(_berkowitz(a, dot))]
-
-
 def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     """det(var*I - M), a monic MultiPoly of degree n in ``var``.
 
@@ -571,40 +563,29 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     return p
 
 
-def lambdas_of_matrix(m: RingMatrix) -> tuple:
-    """(L_0..L_n) with det(tI - M) = sum (-1)^i L_i t^(n-i), in a variable the entries do not use."""
-    var = fresh_var("t", entry_vars(m))
-    return lambdas_from_char_poly(char_poly(m, var), m.rows, var)
+def lambdas_of_matrix(m: RingMatrix, dot: Callable = _dot) -> tuple:
+    """(L_0..L_n) with det(tI - M) = sum (-1)^i L_i t^(n-i); a constant L_i is a Fraction.
 
-
-def lambdas_from_char_poly(p: MultiPoly, n: int, var: str = "t") -> tuple:
-    """Coefficients (L_0..L_n) with p = sum (-1)^i L_i var^(n-i), e.g. p = det(tI - M).
-
-    One pass over the terms of p files each, signed, under its i = n - (degree
-    in var).  A constant L_i is a Fraction, Fraction(0) where p has no term of
-    that degree; any other L_i is a MultiPoly in the remaining variables.
+    A rational matrix reads them off ``char_poly``, univariate in t, so each of
+    its packed keys is a degree.  Any other runs Berkowitz on its entries with
+    the inner product ``dot``, as ``mat_det`` takes it: a quotient ring's
+    reducing ``dot`` gives the reduced L_i, and a non-constant L_i is a MultiPoly.
     """
-    if var not in p.vars:
-        p = p.in_vars(tuple(sorted((*p.vars, var))))
-    k = p.vars.index(var)
-    rest = p.vars[:k] + p.vars[k + 1:]
-    s = _shift(len(p.vars), k)
-    low = (1 << s) - 1
-    signed: dict = {}
-    for key, c in p._packed.items():  # the field of var out of each key, the fields below it moved up
-        i = n - (key >> s & _MASK)
-        signed.setdefault(i, {})[key >> s + _FIELD << s | key & low] = -c if i % 2 else c
-    out = []
-    for i in range(n + 1):
-        terms = signed.get(i)
-        if terms is None:
-            out.append(Fraction(0))
-        elif len(terms) == 1 and 0 in terms:  # a constant: only key 0, a canonical coefficient
-            c = terms[0]
-            out.append(Fraction(c) if type(c) is int else c)
-        else:
-            out.append(MultiPoly._canonical(rest, terms))
-    return tuple(out)
+    if not _is_square(m):
+        raise DimensionError("Lambda-vector of a non-square matrix")
+    if m._ints is not None:
+        packed = char_poly(m)._packed
+        coeffs = [packed.get(k, 0) for k in range(m.rows, -1, -1)]
+    else:
+        coeffs = _berkowitz(m.entries, dot)
+    return tuple([_constant_as_fraction(-c if i % 2 else c) for i, c in enumerate(coeffs)])
+
+
+def _constant_as_fraction(x: Ring) -> Ring:
+    """x as a Fraction if it is constant, else the MultiPoly x itself."""
+    if type(x) is MultiPoly:
+        return x if any(x._packed) else x.constant_value()
+    return x if type(x) is Fraction else Fraction(x)
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -86,6 +86,8 @@ def format_word(w: Word) -> str:
 
 
 def parse_word(text: str) -> Word:
+    if not isinstance(text, str):
+        raise TypeError(f"a word is parsed from a string, got {type(text).__name__}")
     text = text.strip()
     if text in ("", "1"):
         return IDENTITY

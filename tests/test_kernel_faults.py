@@ -43,8 +43,8 @@ TRIALS = 4
 
 
 def _odd_lambdas_negated(original):
-    def fault(p, n, var="t"):
-        return tuple(-x if i % 2 else x for i, x in enumerate(original(p, n, var)))
+    def fault(*args):
+        return tuple(-x if i % 2 else x for i, x in enumerate(original(*args)))
 
     return fault
 
@@ -155,7 +155,7 @@ def _inverse_letters_as_generators(original):
 
 # fault name: (module or class, kernel name, the wrong kernel made from the kernel)
 FAULTS = {
-    "lambdas_odd_sign_flip": (matrices, "lambdas_from_char_poly", _odd_lambdas_negated),
+    "lambdas_odd_sign_flip": (matrices, "lambdas_of_matrix", _odd_lambdas_negated),
     "random_matrix_scalar": (symplectic, "random_matrix", _scalar_random_matrix),
     "sample_symplectic_identity": (symplectic, "sample_symplectic", _identity_sample),
     "bareiss_sign_flip_from_6": (matrices, "_det_bareiss", _sign_flip_from_6),
@@ -187,7 +187,9 @@ SEEN = {
     "lambdas_odd_sign_flip": (
         "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly (its Lambda side reads the fault, its T side"
-        " splits the Pfaffian characteristic polynomial with coefficients_in)"),
+        " splits the Pfaffian characteristic polynomial with coefficients_in); gma:"
+        " standard_chi_p_vanishes (chi^P takes its T_i from the Lambda_i that lambdas_of_matrix"
+        " reads in the quotient ring, so it becomes the Pfaffian polynomial of -M)"),
     "random_matrix_scalar": "invariants: fft_desk_scale_* (scalar samples span too few trace words)",
     "right_product_negated": (
         "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4);"
@@ -338,7 +340,9 @@ def test_a_suite_sees_the_fault_at_every_seed(monkeypatch, fault):
 
 def test_the_pfaffian_recursion_sees_a_fault_in_the_lambda_extractor(monkeypatch):
     """Of the two routes of ``recursion_matches_pfaffian_char_poly`` only the Lambda side reads
-    ``lambdas_from_char_poly``, so the check fails wherever that extractor is wrong."""
+    ``lambdas_of_matrix``, so the check fails wherever that routine is wrong.  The T side signs
+    and splits its coefficients on its own: an odd-sign fault in a step both routes shared
+    would cancel at even d."""
     failed = _failed_checks(monkeypatch, "lambdas_odd_sign_flip")
     missed = [key for key, checks in failed.items()
               if "recursion_matches_pfaffian_char_poly" not in checks]

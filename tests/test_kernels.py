@@ -1,6 +1,7 @@
 """Cross-checks of the fast kernels against their dense definitions.
 
-char_poly (Berkowitz) against the cofactor determinant of tI - M, the
+char_poly (Berkowitz) and lambdas_of_matrix, with and without a quotient
+ring's reducing dot, against the cofactor determinant of tI - M, the
 signed-permutation symplectic transpose, GMA involution and right product
 with J against the products with J and J_delta, the Lambda-vector memo of
 eval_invariant against a fresh computation, the integer kernels for
@@ -118,6 +119,55 @@ def test_char_poly_variable_clash():
     const_t = MultiPoly(("t",), {(0,): Fraction(3)})
     m = RingMatrix([[const_t, 1], [0, 1]])
     assert char_poly(m) == cofactor_char_poly(m) == (t - 3) * (t - 1)
+
+
+def cofactor_lambdas(m):
+    """(L_0..L_n) read off ``cofactor_char_poly``, bucket by bucket in t: no Berkowitz step."""
+    buckets = cofactor_char_poly(m).coefficients_in("t")
+    return tuple((-1) ** i * buckets.get(m.rows - i, 0) for i in range(m.rows + 1))
+
+
+def assert_lambdas_match(got, expected):
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        assert g == e
+        constant = not isinstance(e, MultiPoly) or e.is_constant()
+        assert type(g) is (Fraction if constant else MultiPoly), (g, e)
+
+
+def _mixed_poly_matrix(rng, n, variables):
+    """An n x n matrix of rational and MultiPoly entries, denominators mixed from 1, 2, 3 and 97."""
+    def coef():
+        return Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 97)))
+
+    def entry():
+        if rng.random() < 0.4:
+            return coef()
+        return MultiPoly(variables, {tuple(rng.randint(0, 2) for _ in variables): coef()
+                                     for _ in range(rng.randint(1, 3))})
+
+    return RingMatrix([[entry() for _ in range(n)] for _ in range(n)])
+
+
+def test_lambdas_of_a_polynomial_matrix_match_the_cofactor_reference():
+    rng = random.Random(35)
+    for variables in (("a",), ("a", "b"), ("a", "b", "c")):
+        for n in range(1, 6):
+            for _ in range(3):
+                m = _mixed_poly_matrix(rng, n, variables)
+                assert_lambdas_match(lambdas_of_matrix(m), cofactor_lambdas(m))
+
+
+@pytest.mark.parametrize("fixture", FIXTURES)
+def test_lambdas_of_gma_elements_match_the_cofactor_reference(fixture):
+    spec = fixture()
+    ring = spec.ring
+    rng = random.Random(36)
+    for _ in range(6):
+        for m in (random_gma_element(spec, rng), random_symmetric_gma_element(spec, rng)):
+            expected = cofactor_lambdas(m)
+            assert_lambdas_match(lambdas_of_matrix(m), expected)
+            assert_lambdas_match(lambdas_of_matrix(m, ring.dot), tuple(map(ring.reduce, expected)))
 
 
 def dense_symplectic_transpose(ctx, m):

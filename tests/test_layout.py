@@ -132,15 +132,31 @@ def test_packed_keys_stay_inside_multipoly_gma_and_matrices():
     assert not found, found
 
 
+def _names_in(module: str, function: str, names: set) -> list:
+    """Where the body of the module-level ``function`` of ``module`` names one of ``names``."""
+    tree = _parse(ROOT / "src" / "symplaw" / module)
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == function]
+    return [f"{module}:{node.lineno}: {name}" for node in ast.walk(fn)
+            for name in (getattr(node, "id", None), getattr(node, "attr", None)) if name in names]
+
+
 def test_the_spanning_side_never_reads_the_oracle():
     """``trace_word_span_dim`` must reach its rank without the Lie-algebra oracle, or the FFT
     check that compares the two would hold by construction."""
-    tree = _parse(ROOT / "src" / "symplaw" / "invariants.py")
-    (fn,) = [node for node in tree.body
-             if isinstance(node, ast.FunctionDef) and node.name == "trace_word_span_dim"]
-    oracle = {"multilinear_invariant_dim", "simple_root_vectors"}
-    found = [f"invariants.py:{node.lineno}: {name}" for node in ast.walk(fn)
-             for name in (getattr(node, "id", None), getattr(node, "attr", None)) if name in oracle]
+    found = _names_in("invariants.py", "trace_word_span_dim",
+                      {"multilinear_invariant_dim", "simple_root_vectors"})
+    assert not found, found
+
+
+def test_the_two_coefficient_routes_share_no_step():
+    """``recursion_matches_pfaffian_char_poly`` compares the T-vector of
+    ``pfaffian_coeffs_of_matrix`` with the one the recursion takes from ``lambdas_of_matrix``.
+    The T route must reach no characteristic polynomial of M, and the Lambda route must not
+    split with ``coefficients_in`` as the T route does, or a fault in a shared step would
+    cancel (an odd-sign fault does at even d)."""
+    found = _names_in("symplectic.py", "pfaffian_coeffs_of_matrix",
+                      {"lambdas_of_matrix", "char_poly", "_berkowitz"})
+    found += _names_in("matrices.py", "lambdas_of_matrix", {"coefficients_in"})
     assert not found, found
 
 
@@ -195,12 +211,11 @@ def test_digit_tests_only_inside_the_integer_reader():
 
 
 def test_one_word_check_at_entry():
-    """``words.check_word`` is called only where a word enters: ``GroupAlgebraElement.__init__``,
-    ``InvolutiveRepresentation.rho_word`` and ``lambda_of_word``.  A word held by an element has
-    been checked, and w -> w^(-1) keeps it reduced, so ``star`` and the element arithmetic need
-    no second check; at most the representation's generator bound."""
-    allowed = {"GroupAlgebraElement.__init__", "InvolutiveRepresentation.rho_word",
-               "InvolutiveRepresentation.lambda_of_word"}
+    """``words.check_word`` is called only where a word enters: ``GroupAlgebraElement.__init__``
+    and ``InvolutiveRepresentation.rho_word``.  A word held by an element has been checked, and
+    w -> w^(-1) keeps it reduced, so ``star`` and the element arithmetic need no second check;
+    at most the representation's generator bound."""
+    allowed = {"GroupAlgebraElement.__init__", "InvolutiveRepresentation.rho_word"}
     found = []
     for path in SOURCES:
         tree = _parse(path)

@@ -14,13 +14,12 @@ from symplaw.matrices import (
     _linear_combination,
     char_poly,
     entry_vars,
-    lambdas_from_char_poly,
     lambdas_of_matrix,
     mat_det,
     matrix_rank,
     trace_of_product,
 )
-from symplaw.multipoly import MultiPoly, fresh_var
+from symplaw.multipoly import _FIELD, _MASK, MultiPoly, _shift, fresh_var
 from symplaw.symplectic import (
     SymplecticContext,
     pfaffian_char_poly,
@@ -113,6 +112,35 @@ def test_char_poly_evaluation_matches_det():
         r = Fraction(rng.randint(10, 30), rng.randint(1, 7))
         direct = mat_det(RingMatrix.scalar(4, r) - m)
         assert sum(c.constant_value() * r**k for k, c in p.coefficients_in("t").items()) == direct
+
+
+def lambdas_from_char_poly(p, n, var="t"):
+    """(L_0..L_n) with p = sum (-1)^i L_i var^(n-i), split off the packed keys of p in one pass.
+
+    Each key loses its field of var, the fields below it moved up.  A constant
+    L_i is a Fraction, Fraction(0) where p has no term of that degree; any
+    other L_i is a MultiPoly in the remaining variables.
+    """
+    if var not in p.vars:
+        p = p.in_vars(tuple(sorted((*p.vars, var))))
+    k = p.vars.index(var)
+    rest = p.vars[:k] + p.vars[k + 1:]
+    s = _shift(len(p.vars), k)
+    low = (1 << s) - 1
+    signed: dict = {}
+    for key, c in p._packed.items():
+        i = n - (key >> s & _MASK)
+        signed.setdefault(i, {})[key >> s + _FIELD << s | key & low] = -c if i % 2 else c
+    out = []
+    for i in range(n + 1):
+        terms = signed.get(i)
+        if terms is None:
+            out.append(Fraction(0))
+        elif len(terms) == 1 and 0 in terms:
+            out.append(Fraction(terms[0]))
+        else:
+            out.append(MultiPoly._canonical(rest, terms))
+    return tuple(out)
 
 
 def test_lambdas_sign_convention():

@@ -177,7 +177,7 @@ def test_comparison_p_takes_each_pair_in_either_order(coefficients):
     for w_first in (True, False):
         terms = {(): identity_coef}
         for c, w in zip(coefs, words):
-            pair = [(w, c), (word_inv(w), c * rep.lambda_of_word(w))]
+            pair = [(w, c), (word_inv(w), c * math.prod(rep.lambda_values[g - 1] ** e for g, e in w))]
             terms.update(pair if w_first else pair[::-1])
         x = GroupAlgebraElement(terms)
         order = list(x.terms)

@@ -12,19 +12,26 @@ from symplaw import (
     Pseudocharacter,
     SymplawError,
     SymplecticContext,
+    RingMatrix,
     TraceWord,
     char_poly,
+    check_invariance,
     eval_det_law,
+    eval_invariant,
+    eval_pf_law,
+    lambdas_of_matrix,
     mat_det,
     pfaffian,
     pfaffian_char_poly,
     reduced_pfaffian,
     sample_symplectic,
     similitude,
+    star,
     symplectic_transpose,
     theta_eval,
 )
 from symplaw.errors import GeneratorError
+from symplaw.words import parse_word
 
 
 def _pc():
@@ -59,11 +66,23 @@ CALLS = {
     # each of these once ended in AttributeError on a list or an int
     "det_of_rows": (lambda: mat_det([[1]]), TypeError),
     "char_poly_of_rows": (lambda: char_poly([[1]]), TypeError),
+    "lambdas_of_rows": (lambda: lambdas_of_matrix([[1]]), TypeError),
     "pfaffian_of_rows": (lambda: pfaffian([[0, 1], [-1, 0]]), TypeError),
     "symplectic_transpose_of_rows": (lambda: symplectic_transpose(_CTX, [[1, 0], [0, 1]]), TypeError),
     "similitude_of_int": (lambda: similitude(_CTX, 1), TypeError),
     "reduced_pfaffian_of_rows": (lambda: reduced_pfaffian(_CTX, [[1, 0], [0, 1]]), TypeError),
     "pfaffian_char_poly_of_rows": (lambda: pfaffian_char_poly(_CTX, [[1, 0], [0, 1]]), TypeError),
+    "rho_of_int": (lambda: _pc().rep.rho(1), TypeError),
+    "star_of_int": (lambda: star(_pc().rep, 1), TypeError),
+    "det_law_of_int": (lambda: eval_det_law(_pc().rep, 1), TypeError),
+    "pf_law_of_int": (lambda: eval_pf_law(_pc().rep, 1), TypeError),
+    "element_from_a_list": (lambda: GroupAlgebraElement([((1, 1),)]), TypeError),
+    "representation_from_ints": (lambda: InvolutiveRepresentation.from_images([1]), TypeError),
+    "invariant_of_ints": (lambda: eval_invariant(_TRACE, [1]), TypeError),
+    "invariance_under_int": (
+        lambda: check_invariance([_TRACE], [RingMatrix.identity(2)], 1), TypeError),
+    "sigma_of_a_letter_tuple": (lambda: InvariantFunction.sigma(1, ((1, False),)), TypeError),
+    "word_from_int": (lambda: parse_word(5), TypeError),
 }
 
 
