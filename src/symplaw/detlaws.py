@@ -126,7 +126,7 @@ class InvolutiveRepresentation:
     def __post_init__(self):
         if self.kind not in ("Sp", "GSp"):
             raise SymplawError(f"kind must be Sp or GSp, got {self.kind!r}")
-        images = tuple(self.generator_images)
+        images = _matrix_images(self.generator_images)
         lams = []
         cache = {(): RingMatrix.identity(self.ctx.n)}
         for gen, m in enumerate(images, 1):
@@ -146,14 +146,13 @@ class InvolutiveRepresentation:
 
     @staticmethod
     def from_images(images: Sequence[RingMatrix], kind: str = "Sp") -> "InvolutiveRepresentation":
+        images = _matrix_images(images)
         if not images:
             raise DimensionError("need at least one generator image")
-        if not all(isinstance(m, RingMatrix) for m in images):
-            raise TypeError("generator images must be RingMatrix values")
         n = images[0].rows
         if n % 2:
             raise DimensionError("images must be 2d x 2d")
-        return InvolutiveRepresentation(SymplecticContext(n // 2), tuple(images), kind)
+        return InvolutiveRepresentation(SymplecticContext(n // 2), images, kind)
 
     @property
     def num_generators(self) -> int:
@@ -190,10 +189,20 @@ class InvolutiveRepresentation:
         return _linear_combination([(c, self.rho_word(w)) for w, c in x.terms.items()], n, n)
 
 
+def _matrix_images(images) -> tuple:
+    """``images`` as a tuple; TypeError unless each is a RingMatrix."""
+    images = tuple(images)
+    if not all(isinstance(m, RingMatrix) for m in images):
+        raise TypeError("generator images must be RingMatrix values")
+    return images
+
+
 def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraElement:
     """Linear extension of w -> lambda(w) w^(-1), an involution.  The words of ``x`` were checked
     when it was built and inversion is one-to-one on reduced words, so each term only moves,
     scaled by lambda(w) (1 under Sp); only the generator bound is left to check."""
+    if not isinstance(rep, InvolutiveRepresentation):
+        raise TypeError(f"star takes an InvolutiveRepresentation, got {type(rep).__name__}")
     if not isinstance(x, GroupAlgebraElement):
         raise TypeError(f"star takes a GroupAlgebraElement, got {type(x).__name__}")
     if rep.kind == "GSp":
@@ -205,11 +214,13 @@ def star(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> GroupAlgebraE
 
 def eval_det_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
     """D(x) = det(rho(x))."""
+    if not isinstance(rep, InvolutiveRepresentation):
+        raise TypeError(f"eval_det_law takes an InvolutiveRepresentation, got {type(rep).__name__}")
     return mat_det(rep.rho(x))
 
 
 def eval_pf_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
-    """P(x) = reduced Pfaffian of rho(x); requires star(x) = x."""
+    """P(x) = reduced Pfaffian of rho(x); requires star(x) = x.  ``star`` checks both arguments."""
     if star(rep, x) != x:
         raise StructureError("Pfaffian law is only defined on symmetric elements")
     # rho(x*) = rho(x)^j since every generator's similitude is verified, so rho(x) is j-symmetric

@@ -47,7 +47,7 @@ from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
 from .errors import DimensionError, MembershipError, StructureError, SymplawError
-from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, mat_det
+from .matrices import IntegerEliminator, RingMatrix, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, _guard, _over_cap, _unpack
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
 
@@ -444,11 +444,9 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
 
 
 def _constant_or_raise(x: Ring, what: str) -> Fraction:
-    if not isinstance(x, MultiPoly):
-        return x if type(x) is Fraction else Fraction(x)
-    if x.is_constant():
-        return x.constant_value()
-    raise StructureError(f"{what} did not land in Q: {x}")
+    if type(x := exact_scalar(x)) is MultiPoly:
+        raise StructureError(f"{what} did not land in Q: {x}")
+    return x
 
 
 def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
@@ -465,11 +463,12 @@ def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
 
 
 def _pfaffian_law(spec: GmaSpec, m: RingMatrix) -> Fraction:
-    """The Pfaffian law of a reduced symmetric GMA element."""
-    if is_alternating(spec._form.right_product(m)):
-        pf = spec.ring.reduce(spec._form.reduced_pfaffian(m))
-        return _constant_or_raise(pf, "GMA Pfaffian")
-    return gma_pf_coeffs(spec, m)[-1]
+    """The Pfaffian law of a reduced symmetric GMA element; T_d where M J_delta is not alternating."""
+    try:
+        pf = spec._form.reduced_pfaffian(m)
+    except StructureError:
+        return gma_pf_coeffs(spec, m)[-1]
+    return _constant_or_raise(spec.ring.reduce(pf), "GMA Pfaffian")
 
 
 def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> tuple:

@@ -26,8 +26,8 @@ Every matrix holds one of two entry forms, fixed when it is built (in
   integral, a Fraction with denominator > 1 otherwise.  So ``m[i, j]`` of a
   polynomial matrix may be an int, and the scalar arithmetic of a matrix
   such as a GMA element, rational diagonal blocks around polynomial ones,
-  runs on ints.  Values that leave a kernel (``mat_det``, ``trace``, the
-  Pfaffian) are a Fraction or a MultiPoly.
+  runs on ints.  A value leaving a kernel is, whichever entries it touched,
+  a Fraction if it is constant and a MultiPoly otherwise (``exact_scalar``).
 
 The cleared form of a rational matrix is one pair (B, delta): B a tuple of
 integer rows and delta > 0 the least common denominator, so that A = B / delta
@@ -73,8 +73,12 @@ def _exact(x) -> Ring:
 
 
 def exact_scalar(x) -> Ring:
-    """x as a value leaving a kernel: an int becomes a Fraction, the rest pass through."""
-    return Fraction(x) if isinstance(_exact(x), int) else x
+    """x as a value leaving a kernel: a Fraction if it is constant, else the MultiPoly x itself."""
+    if type(x) is Fraction:
+        return x
+    if type(x) is MultiPoly:
+        return x if any(x._packed) else x.constant_value()
+    return Fraction(_exact(x))
 
 
 def _integer_rows(ratios) -> tuple:
@@ -166,9 +170,6 @@ class RingMatrix:
 
     # -- shape --------------------------------------------------------
 
-    def is_square(self) -> bool:
-        return self.rows == self.cols
-
     def __getitem__(self, ij):
         i, j = ij
         return self.entries[i][j]
@@ -222,7 +223,7 @@ class RingMatrix:
 
     def _shifted(self, c) -> "RingMatrix":
         """self + c * Id for a square matrix, by adding c to the diagonal entries only."""
-        if not self.is_square():
+        if not _is_square(self):
             raise DimensionError("shift of a non-square matrix")
         rows = list(map(list, self.entries))
         for i, row in enumerate(rows):
@@ -230,7 +231,7 @@ class RingMatrix:
         return RingMatrix._trusted(rows)
 
     def __pow__(self, n: int) -> "RingMatrix":
-        if not self.is_square():
+        if not _is_square(self):
             raise DimensionError("power of a non-square matrix")
         if n < 0:
             return self.inverse() ** (-n)
@@ -262,7 +263,7 @@ class RingMatrix:
         return self.rearranged(lambda rows: zip(*rows))
 
     def trace(self) -> Ring:
-        if not self.is_square():
+        if not _is_square(self):
             raise DimensionError("trace of a non-square matrix")
         if self._ints is not None:
             return Fraction(sum(row[i] for i, row in enumerate(self._ints)), self._den)
@@ -282,7 +283,7 @@ class RingMatrix:
         Bareiss elimination on [B | Id], continued above each pivot, ends in [D Id | D B^(-1)]
         for the last pivot D, det(B) up to the sign of the row swaps; A^(-1) is delta D B^(-1) / D.
         """
-        if not self.is_square():
+        if not _is_square(self):
             raise DimensionError("inverse of a non-square matrix")
         if self._ints is None:
             raise TypeError("inverse requires rational entries")
@@ -564,12 +565,11 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
 
 
 def lambdas_of_matrix(m: RingMatrix, dot: Callable = _dot) -> tuple:
-    """(L_0..L_n) with det(tI - M) = sum (-1)^i L_i t^(n-i); a constant L_i is a Fraction.
+    """(L_0..L_n) with det(tI - M) = sum (-1)^i L_i t^(n-i), each through ``exact_scalar``.
 
-    A rational matrix reads them off ``char_poly``, univariate in t, so each of
-    its packed keys is a degree.  Any other runs Berkowitz on its entries with
-    the inner product ``dot``, as ``mat_det`` takes it: a quotient ring's
-    reducing ``dot`` gives the reduced L_i, and a non-constant L_i is a MultiPoly.
+    A rational matrix reads them off ``char_poly``, univariate in t, so each of its packed
+    keys is a degree.  Any other runs Berkowitz on its entries with the inner product
+    ``dot``, as ``mat_det`` takes it: a quotient ring's reducing ``dot`` gives the reduced L_i.
     """
     if not _is_square(m):
         raise DimensionError("Lambda-vector of a non-square matrix")
@@ -578,14 +578,7 @@ def lambdas_of_matrix(m: RingMatrix, dot: Callable = _dot) -> tuple:
         coeffs = [packed.get(k, 0) for k in range(m.rows, -1, -1)]
     else:
         coeffs = _berkowitz(m.entries, dot)
-    return tuple([_constant_as_fraction(-c if i % 2 else c) for i, c in enumerate(coeffs)])
-
-
-def _constant_as_fraction(x: Ring) -> Ring:
-    """x as a Fraction if it is constant, else the MultiPoly x itself."""
-    if type(x) is MultiPoly:
-        return x if any(x._packed) else x.constant_value()
-    return x if type(x) is Fraction else Fraction(x)
+    return tuple([exact_scalar(-c if i % 2 else c) for i, c in enumerate(coeffs)])
 
 
 def matrix_rank(rows: Sequence[Sequence]) -> int:

@@ -40,10 +40,10 @@ from typing import Iterable, Mapping, Union
 from .errors import CapacityError, VariableError
 
 Scalar = Union[int, Fraction]
-# A matrix entry or a value computed from one.  Values that leave a kernel
-# (determinants, traces, Pfaffians, law values) are a Fraction or a
-# MultiPoly; inside a matrix with a MultiPoly entry every scalar entry is
-# held in canonical form (``canonical_scalar``), so it may be an int.
+# A matrix entry or a value computed from one.  A value leaving a kernel (a determinant,
+# trace, Pfaffian, Lambda_i, law value) is a Fraction if it is constant, else a MultiPoly
+# (``matrices.exact_scalar``); a scalar entry of a matrix with a MultiPoly entry is held
+# in canonical form (``canonical_scalar``), so it may be an int.
 Ring = Union[int, Fraction, "MultiPoly"]
 
 _FIELD = 32  # bits per variable in a packed key, the guard bit included

@@ -167,9 +167,7 @@ def ring_value_to_json(x):
     if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
         return fraction_to_json(x)
     if isinstance(x, MultiPoly):
-        if x.is_constant():
-            return fraction_to_json(x.constant_value())
-        return poly_to_json(x)
+        return fraction_to_json(x.constant_value()) if x.is_constant() else poly_to_json(x)
     raise SchemaError(f"unserializable value {x!r}")
 
 
@@ -184,8 +182,6 @@ def ring_value_from_json(obj):
 
 def ring_value_to_string(x) -> str:
     """Canonical human-readable form for CLI output; CapacityError past the int-to-string digit limit."""
-    if isinstance(x, MultiPoly) and x.is_constant():
-        x = x.constant_value()
     try:
         return str(x)
     except ValueError as e:
@@ -199,8 +195,8 @@ def matrix_to_json(m: RingMatrix) -> list:
     return [[ring_value_to_json(x) for x in row] for row in m.entries]
 
 
-def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
-    """Parse a matrix; check its shape, and with ``max_dim`` its size, before reading any entry.
+def matrix_from_json(obj, max_dim: int) -> RingMatrix:
+    """Parse a matrix; check its shape and its size against ``max_dim`` before reading any entry.
 
     Integers and ``_ratio_literal``s are read as integer pairs, so a rational
     matrix goes straight into its cleared form (B, delta) without a Fraction
@@ -209,7 +205,7 @@ def matrix_from_json(obj, max_dim: int | None = None) -> RingMatrix:
     """
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise SchemaError("matrix must be a nonempty array of arrays")
-    if max_dim is not None and max(len(obj), *map(len, obj)) > max_dim:
+    if max(len(obj), *map(len, obj)) > max_dim:
         raise SchemaError(f"matrix exceeds SYMPLAW_MAX_DIM = {max_dim}")
     ncols = len(obj[0])
     if not ncols:
@@ -266,12 +262,12 @@ def group_elem_from_json(obj) -> GroupAlgebraElement:
     return GroupAlgebraElement(terms)
 
 
-def representation_from_json(obj, max_dim: int | None = None) -> InvolutiveRepresentation:
-    """Parse a representation; with ``max_dim``, refuse 2d > max_dim before building anything."""
+def representation_from_json(obj, max_dim: int) -> InvolutiveRepresentation:
+    """Parse a representation; refuse 2d > max_dim before building anything."""
     d, kind, generators, declared = json_fields(
         obj, "representation", ("d", "kind", "generators"), {"lambdas": _ABSENT})
     d = int_from_json(d, "representation d")
-    if max_dim is not None and 2 * d > max_dim:
+    if 2 * d > max_dim:
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     images = tuple(matrix_from_json(m, max_dim)
                    for m in _typed(generators, list, "representation generators"))
@@ -301,8 +297,8 @@ def _block_key(key: str) -> tuple:
     raise SchemaError(f"block key must be two comma-separated integers, got {key!r}")
 
 
-def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
-    """Parse a GMA spec; with ``max_dim``, refuse a total dimension above it before building J_delta."""
+def gma_spec_from_json(obj, max_dim: int) -> GmaSpec:
+    """Parse a GMA spec; refuse a total dimension above ``max_dim`` before building J_delta."""
     type_keys = ("I0", "I1", "I2", "sigma", "dims")
     *type_lists, variables, nil_monomials, raw_blocks, raw_signs = json_fields(
         obj, "GMA spec", type_keys, {"base_vars": [], "nil_monomials": [], "blocks": {}, "tau_signs": {}})
@@ -312,7 +308,7 @@ def gma_spec_from_json(obj, max_dim: int | None = None) -> GmaSpec:
                       for key, value in zip(type_keys, type_lists)))
     except ValueError as e:
         raise SchemaError(str(e)) from e
-    if max_dim is not None and t.total > max_dim:
+    if t.total > max_dim:
         raise SchemaError(f"GMA dimension {t.total} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     if not all(isinstance(v, str) for v in _typed(variables, list, "GMA spec 'base_vars'")):
         raise SchemaError(f"GMA spec 'base_vars' must be a list of strings, got {variables!r}")

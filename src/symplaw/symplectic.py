@@ -138,7 +138,7 @@ def symplectic_transpose(ctx: SymplecticContext, m: RingMatrix) -> RingMatrix:
 
 
 def is_alternating(a: RingMatrix) -> bool:
-    if not a.is_square():
+    if not _is_square(a):
         return False
     form = a.cleared()
     e = a.entries if form is None else form[0]
@@ -253,12 +253,11 @@ def pfaffian_char_poly(ctx: SymplecticContext, m: RingMatrix, var: str | None = 
 
 def pfaffian_coeffs_of_matrix(ctx: SymplecticContext, m: RingMatrix) -> tuple:
     """(T_0..T_d) with Pf char poly = sum (-1)^i T_i t^(d-i), split by ``coefficients_in`` t;
-    a constant T_i is a Fraction, any other a MultiPoly in the entries' variables."""
+    each T_i through ``exact_scalar``, as the Lambda_i: a Fraction if constant, else a MultiPoly."""
     var = fresh_var("t", entry_vars(m))
     buckets = pfaffian_char_poly(ctx, m, var).coefficients_in(var)
-    coeffs = [buckets.get(ctx.d - i, MultiPoly.zero()) for i in range(ctx.d + 1)]
-    coeffs = [c.constant_value() if c.is_constant() else c for c in coeffs]
-    return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
+    coeffs = [buckets.get(ctx.d - i, 0) for i in range(ctx.d + 1)]
+    return tuple([exact_scalar(-c if i % 2 else c) for i, c in enumerate(coeffs)])
 
 
 def matrix_poly_value(coeffs: Sequence, m: RingMatrix, product: Callable = mul) -> RingMatrix:

@@ -210,24 +210,42 @@ def test_digit_tests_only_inside_the_integer_reader():
     assert not found, found
 
 
+def _calls_outside(callee: str, allowed: set, sources=SOURCES) -> list:
+    """Where a function or method of ``sources`` other than the ``allowed`` ones ("module.name"
+    or "module.Class.name") calls ``callee``, as a name or as an attribute."""
+    found = []
+    for path in sources:
+        tree = _parse(path)
+        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+        scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+                   for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+        owner = {id(node): f"{path.stem}.{name}" for name, fn in scopes for node in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}: {owner.get(id(node), 'module level')}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and callee in (
+                      getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                  and owner.get(id(node)) not in allowed]
+    return found
+
+
 def test_one_word_check_at_entry():
     """``words.check_word`` is called only where a word enters: ``GroupAlgebraElement.__init__``
     and ``InvolutiveRepresentation.rho_word``.  A word held by an element has been checked, and
     w -> w^(-1) keeps it reduced, so ``star`` and the element arithmetic need no second check;
     at most the representation's generator bound."""
-    allowed = {"GroupAlgebraElement.__init__", "InvolutiveRepresentation.rho_word"}
-    found = []
-    for path in SOURCES:
-        tree = _parse(path)
-        scopes = [(fn.name, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
-        scopes += [(f"{cls.name}.{fn.name}", fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
-                   for fn in cls.body if isinstance(fn, ast.FunctionDef)]
-        owner = {id(node): name for name, fn in scopes for node in ast.walk(fn)}
-        found += [f"{path.name}:{node.lineno}: {owner.get(id(node), 'module level')}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and "check_word" in (
-                      getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                  and owner.get(id(node)) not in allowed]
+    found = _calls_outside("check_word", {"detlaws.GroupAlgebraElement.__init__",
+                                          "detlaws.InvolutiveRepresentation.rho_word"})
+    assert not found, found
+
+
+def test_one_rule_for_a_constant_leaving_a_kernel():
+    """Outside ``multipoly.py``, ``constant_value()`` is called only by ``matrices.exact_scalar``,
+    the rule that makes a constant value leaving a kernel a Fraction, by ``symplectic.similitude``,
+    which refuses a non-constant lambda with it, and by ``serialize.ring_value_to_json``, which
+    writes a constant as a rational: a second converter of constants fails here."""
+    found = _calls_outside("constant_value", {
+        "matrices.exact_scalar", "symplectic.similitude", "serialize.ring_value_to_json"},
+        [path for path in SOURCES if path.name != "multipoly.py"])
     assert not found, found
 
 

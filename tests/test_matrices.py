@@ -22,9 +22,11 @@ from symplaw.matrices import (
 from symplaw.multipoly import _FIELD, _MASK, MultiPoly, _shift, fresh_var
 from symplaw.symplectic import (
     SymplecticContext,
+    pfaffian,
     pfaffian_char_poly,
     pfaffian_coeffs_of_matrix,
     random_j_symmetric,
+    reduced_pfaffian,
 )
 
 
@@ -309,8 +311,50 @@ def test_values_leaving_a_kernel_stay_fraction_or_multipoly():
     assert type(m.trace()) is Fraction and m.trace() == 5
     assert type(mat_det(m)) is Fraction and mat_det(m) == 6
     assert isinstance(RingMatrix([[u, 1], [1, u]]).trace(), MultiPoly)
-    # every entry of both factors enters tr(AB), so a polynomial factor gives a MultiPoly
-    assert isinstance(trace_of_product(m, m), MultiPoly) and trace_of_product(m, m) == 13
+    # every entry of both factors enters tr(AB) and u cancels: a constant value is a Fraction
+    assert type(trace_of_product(m, m)) is Fraction and trace_of_product(m, m) == 13
+    assert type(trace_of_product(m, m.transpose())) is MultiPoly  # 13 + u^2
+    assert trace_of_product(m, m.transpose()) == u * u + 13
+
+
+_u = MultiPoly.variable("u")
+_CTX2 = SymplecticContext(2)
+# alternating, with Pf = a01 a23 - a02 a13 + a03 a12 = u - u + 1, and with Pf = u
+_PF_ONE = RingMatrix([[0, _u, _u, 1], [-_u, 0, 1, 1], [-_u, -1, 0, 1], [-1, -1, -1, 0]])
+_PF_U = RingMatrix([[0, _u, 0, 0], [-_u, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]])
+# diag(A, A^T) is j-symmetric at d = 2: T = (1, 2, 1) for A = [[1, u], [0, 1]], T_2 = u for A = diag(u, 1)
+_JSYM_UNIPOTENT = RingMatrix([[1, _u, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, _u, 1]])
+_JSYM_U = RingMatrix([[_u, 0, 0, 0], [0, 1, 0, 0], [0, 0, _u, 0], [0, 0, 0, 1]])
+_U_SYMMETRIC = RingMatrix([[_u, 1], [1, _u]])
+
+# kernel: (the kernel on one matrix, a polynomial matrix where its value is constant, one where not)
+KERNEL_VALUES = {
+    "mat_det": (mat_det, RingMatrix([[_u, 1], [_u - 1, 1]]), _U_SYMMETRIC),
+    "trace": (RingMatrix.trace, RingMatrix([[_u, 0], [0, 1 - _u]]), _U_SYMMETRIC),
+    "trace_of_product": (lambda m: trace_of_product(m, m), RingMatrix([[2, 0], [_u, 3]]), _U_SYMMETRIC),
+    "pfaffian": (pfaffian, _PF_ONE, _PF_U),
+    # M J = A for M = A J^(-1)
+    "reduced_pfaffian": (lambda a: reduced_pfaffian(_CTX2, a * _CTX2.J.inverse()), _PF_ONE, _PF_U),
+    "lambdas_of_matrix": (lambdas_of_matrix, RingMatrix([[1, _u], [0, 1]]), _U_SYMMETRIC),
+    "pfaffian_coeffs_of_matrix": (
+        lambda m: pfaffian_coeffs_of_matrix(_CTX2, m), _JSYM_UNIPOTENT, _JSYM_U),
+}
+
+
+@pytest.mark.parametrize("kernel", sorted(KERNEL_VALUES))
+def test_a_constant_value_leaving_a_kernel_is_a_fraction(kernel):
+    """A value leaving a kernel is a Fraction when it is constant, whichever entries the
+    arithmetic touched on the way, and a non-constant one stays a MultiPoly."""
+    fn, constant, varying = KERNEL_VALUES[kernel]
+    assert constant.cleared() is None and varying.cleared() is None
+    values = fn(constant)
+    values = values if isinstance(values, tuple) else (values,)
+    assert {type(v) for v in values} == {Fraction}, values
+    values = fn(varying)
+    values = values if isinstance(values, tuple) else (values,)
+    assert MultiPoly in map(type, values), values
+    assert all(type(v) is Fraction or (type(v) is MultiPoly and not v.is_constant())
+               for v in values), values
 
 
 def test_inexact_entries_and_scalars_are_refused():

@@ -105,7 +105,7 @@ READERS = {
     "fraction_from_json": fraction_from_json,
     "ring_value_from_json": ring_value_from_json,
     "parse_poly_string": parse_poly_string,
-    "matrix_from_json": lambda text: matrix_from_json([[text, 0]])[0, 0],
+    "matrix_from_json": lambda text: matrix_from_json([[text, 0]], 12)[0, 0],
 }
 
 
@@ -165,12 +165,12 @@ def test_the_cli_refuses_text_outside_the_grammar_in_one_line(tmp_path, capsys, 
 
 def test_matrix_round_trip():
     m = RingMatrix([[Fraction(1, 2), 3], [MultiPoly.variable("u"), 0]])
-    m2 = matrix_from_json(matrix_to_json(m))
+    m2 = matrix_from_json(matrix_to_json(m), 12)
     assert m2 == m
     with pytest.raises(SchemaError):
-        matrix_from_json([])
+        matrix_from_json([], 12)
     with pytest.raises(SchemaError):
-        matrix_from_json([[1, 2], [3]])
+        matrix_from_json([[1, 2], [3]], 12)
 
 
 def test_matrix_size_is_checked_before_any_entry_is_read():
@@ -179,7 +179,7 @@ def test_matrix_size_is_checked_before_any_entry_is_read():
         with pytest.raises(SchemaError, match="SYMPLAW_MAX_DIM = 4"):
             matrix_from_json(rows, 4)
         with pytest.raises(SchemaError, match="not a rational|unserializable|bad rational"):
-            matrix_from_json(rows)
+            matrix_from_json(rows, 12)
     assert matrix_from_json([[1] * 4] * 4, 4) == RingMatrix([[1] * 4] * 4)
 
 
@@ -204,7 +204,7 @@ def test_rational_matrix_reads_as_the_matrix_of_its_fraction_values():
         rows, cols = rng.randint(1, 6), rng.randint(1, 6)
         blob = [[_random_rational_entry(rng) for _ in range(cols)] for _ in range(rows)]
         expected = RingMatrix([[Fraction(x) for x in row] for row in blob])
-        got = matrix_from_json(json.loads(json.dumps(blob)))
+        got = matrix_from_json(json.loads(json.dumps(blob)), 12)
         assert got == expected
         assert got.cleared() == expected.cleared()
         assert got.entries == expected.entries
@@ -254,7 +254,7 @@ def test_edge_matrix_entries_read_as_before(tmp_path, capsys, entry, expected):
 def test_row_mixing_a_polynomial_string_with_rationals():
     rows = [["u", "2/4"], ["3", "-3/06"]]
     u = MultiPoly.variable("u")
-    m = matrix_from_json(rows)
+    m = matrix_from_json(rows, 12)
     assert m == RingMatrix([[u, Fraction(1, 2)], [3, Fraction(-1, 2)]])
     assert m.cleared() is None and [type(x) for row in m.entries for x in row] == [
         MultiPoly, Fraction, int, Fraction]
@@ -285,7 +285,7 @@ def test_round_trip_of_a_polynomial_matrix_with_int_entries():
     assert [type(x) for row in m.entries for x in row] == [int, MultiPoly, Fraction, int]
     blob = matrix_to_json(m)
     assert blob[0][0] == 2 and blob[1] == ["1/3", -5]
-    back = matrix_from_json(json.loads(json.dumps(blob)))
+    back = matrix_from_json(json.loads(json.dumps(blob)), 12)
     assert back == m and matrix_to_json(back) == blob
 
 
@@ -312,23 +312,23 @@ def test_representation_round_trip():
         "generators": [matrix_to_json(m) for m in rep.generator_images],
         "lambdas": [4, "1"],
     }
-    rep2 = representation_from_json(json.loads(json.dumps(blob)))
+    rep2 = representation_from_json(json.loads(json.dumps(blob)), 12)
     assert rep2.generator_images == rep.generator_images
     assert rep2.lambda_values == rep.lambda_values == (4, 1)
     assert rep2.kind == "GSp"
     # lambdas are recomputed when omitted
     del blob["lambdas"]
-    rep3 = representation_from_json(blob)
+    rep3 = representation_from_json(blob, 12)
     assert rep3.lambda_values == rep.lambda_values
 
 
 def test_representation_schema_errors():
     with pytest.raises(SchemaError):
-        representation_from_json({"d": 1, "generators": []})
+        representation_from_json({"d": 1, "generators": []}, 12)
     with pytest.raises(SchemaError):
-        representation_from_json({"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]})
+        representation_from_json({"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]}, 12)
     with pytest.raises(SchemaError, match="generators must be a list"):
-        representation_from_json({"d": 1, "kind": "Sp", "generators": 5})
+        representation_from_json({"d": 1, "kind": "Sp", "generators": 5}, 12)
 
 
 @pytest.mark.parametrize(("lambdas", "message"), [
@@ -341,9 +341,9 @@ def test_representation_schema_errors():
 def test_declared_lambdas_are_checked(lambdas, message):
     blob = {"d": 1, "kind": "GSp", "generators": [[[2, 0], [0, 2]]], "lambdas": lambdas}
     with pytest.raises(SchemaError, match=message):
-        representation_from_json(blob)
+        representation_from_json(blob, 12)
     blob["lambdas"] = ["4"]
-    assert representation_from_json(blob).lambda_values == (4,)
+    assert representation_from_json(blob, 12).lambda_values == (4,)
 
 
 def _basis(exp):
@@ -371,7 +371,7 @@ FIXTURE_SPECS = [
 def test_gma_spec_round_trip():
     for fixture, blob in FIXTURE_SPECS:
         spec = fixture()
-        again = gma_spec_from_json(json.loads(json.dumps(blob)))
+        again = gma_spec_from_json(json.loads(json.dumps(blob)), 12)
         assert again.type == spec.type
         assert again.ring == spec.ring
         assert again.blocks == spec.blocks
@@ -386,6 +386,6 @@ def test_gma_spec_compact_strings():
         "blocks": {"1,2": ["u"], "2,1": ["v"]},
         "tau_signs": {"1,2": -1},
     }
-    spec = gma_spec_from_json(blob)
+    spec = gma_spec_from_json(blob, 12)
     assert spec.tau_signs == {frozenset((1, 2)): -1}
     assert spec.ring.nil_monomials == ((2, 0), (0, 2), (1, 1))

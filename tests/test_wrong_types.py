@@ -31,6 +31,7 @@ from symplaw import (
     theta_eval,
 )
 from symplaw.errors import GeneratorError
+from symplaw.symplectic import is_alternating
 from symplaw.words import parse_word
 
 
@@ -78,6 +79,12 @@ CALLS = {
     "pf_law_of_int": (lambda: eval_pf_law(_pc().rep, 1), TypeError),
     "element_from_a_list": (lambda: GroupAlgebraElement([((1, 1),)]), TypeError),
     "representation_from_ints": (lambda: InvolutiveRepresentation.from_images([1]), TypeError),
+    # these five once ended in AttributeError on an int
+    "representation_of_int_images": (lambda: InvolutiveRepresentation(_CTX, (1,)), TypeError),
+    "det_law_on_int": (lambda: eval_det_law(1, GroupAlgebraElement.one()), TypeError),
+    "pf_law_on_int": (lambda: eval_pf_law(1, GroupAlgebraElement.one()), TypeError),
+    "star_on_int": (lambda: star(1, GroupAlgebraElement.one()), TypeError),
+    "is_alternating_of_int": (lambda: is_alternating(1), TypeError),
     "invariant_of_ints": (lambda: eval_invariant(_TRACE, [1]), TypeError),
     "invariance_under_int": (
         lambda: check_invariance([_TRACE], [RingMatrix.identity(2)], 1), TypeError),
