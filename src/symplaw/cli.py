@@ -61,10 +61,16 @@ def _load_json(path: str):
 
 
 def _emit(report: dict, out_path: str | None):
+    """Print the report, and write it to ``out_path`` if given; a path that cannot be opened
+    for writing is refused before anything is printed."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    try:
+        fh = open(out_path, "w", encoding="utf-8") if out_path else None
+    except OSError as e:
+        raise SchemaError(f"cannot write to {out_path}: {e}") from e
     sys.stdout.write(text)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+    if fh:
+        with fh:
             fh.write(text)
 
 

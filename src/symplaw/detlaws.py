@@ -24,7 +24,15 @@ from .errors import (
     StructureError,
     SymplawError,
 )
-from .matrices import RingMatrix, _linear_combination, entry_vars, exact_scalar, lambdas_of_matrix, mat_det
+from .matrices import (
+    RingMatrix,
+    _exact,
+    _linear_combination,
+    entry_vars,
+    exact_scalar,
+    lambdas_of_matrix,
+    mat_det,
+)
 from .multipoly import MultiPoly, Ring, fresh_var
 from .symplectic import (
     SymplecticContext,
@@ -235,7 +243,10 @@ def eval_pf_law(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:
 
 
 def newton_lambdas_from_traces(traces: Sequence) -> tuple:
-    """Newton's identities: i*L_i = sum_(k=1..i) (-1)^(k-1) L_(i-k) s_k for i = 1..len(traces)."""
+    """Newton's identities: i*L_i = sum_(k=1..i) (-1)^(k-1) L_(i-k) s_k for i = 1..len(traces).
+
+    TypeError on a trace that is not exact, checked once before any arithmetic."""
+    traces = tuple(map(_exact, traces))
     if not traces:
         raise SymplawError("need at least one power trace")
     lams: list = [Fraction(1)]
@@ -252,8 +263,10 @@ def pfaffian_coeffs_from_lambdas(lams: Sequence) -> tuple:
     """Solve Lambda_i = sum_j T_j T_(i-j) with T_0 = 1 and T_i = 0 for i > d.
 
     The residual rows i = d+1..2d must hold as well; if they fail the
-    Lambda spectrum is not a doubled (symmetric) spectrum.
+    Lambda spectrum is not a doubled (symmetric) spectrum.  TypeError on a
+    Lambda_i that is not exact, checked once before any arithmetic.
     """
+    lams = tuple(map(_exact, lams))
     if len(lams) % 2 == 0:
         raise DimensionError(f"{len(lams)} Lambda coefficients: the dimension must be even (2d)")
     if lams[0] != 1:
@@ -312,8 +325,9 @@ _D4_TRACE_COEFFS = (
 def closed_form_check_d4(lams: Sequence, traces: Sequence) -> tuple:
     """The two degree-4 closed forms for T_4: from Lambda's and from traces.
 
-    Both must equal pfaffian_coeffs_from_lambdas(lams)[4].
+    Both must equal pfaffian_coeffs_from_lambdas(lams)[4].  TypeError on an inexact input.
     """
+    lams, traces = tuple(map(_exact, lams)), tuple(map(_exact, traces))
     if len(lams) != 9:
         raise DimensionError("closed forms are specific to 2d = 8")
     if len(traces) < 4:

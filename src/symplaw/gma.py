@@ -218,11 +218,6 @@ def _in_span_rows(p: Ring, span: tuple, ring: QuotientRing) -> bool:
     return columns.keys() >= p._packed.keys() and (full or rows.spans(_integer_row(p, columns)))
 
 
-def in_span(p: Ring, basis: Sequence[Ring], ring: QuotientRing) -> bool:
-    """Is p a Q-linear combination of the basis elements, inside the quotient?"""
-    return _in_span_rows(ring.reduce(p), _span_rows(basis, ring), ring)
-
-
 # -- GMA type -----------------------------------------------------------
 
 

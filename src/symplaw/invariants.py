@@ -129,6 +129,8 @@ class InvariantFunction:
 
     @staticmethod
     def similitude_power(var_index: int, power: int = -1, arity: int | None = None) -> "InvariantFunction":
+        if type(var_index) is not int or type(power) is not int:
+            raise TypeError(f"variable index and power must be ints, got {var_index!r}, {power!r}")
         if arity is None:
             arity = var_index
         if var_index > arity or var_index < 1:

@@ -167,10 +167,6 @@ class MultiPoly:
     def variable(name: str) -> "MultiPoly":
         return MultiPoly((name,), {(1,): 1})
 
-    @staticmethod
-    def zero(variables: Iterable[str] = ()) -> "MultiPoly":
-        return MultiPoly(tuple(sorted(variables)), {})
-
     # -- structure ----------------------------------------------------
 
     def __bool__(self) -> bool:

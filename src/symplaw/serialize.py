@@ -6,9 +6,8 @@ row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 accepted on input for fixtures.  Every integer read from text, block keys and
 "p/q" halves included, is a ``words.integer_literal``, every rational a
 ``_ratio_literal``, and ``parse_poly_string`` builds on both.  Every JSON object
-is read by ``json_fields``, which refuses a key it was not told of.  Rationals,
-polynomials and matrices have writers whose output re-parses to an equal value;
-group-algebra elements, representations and GMA specs are only read.
+is read by ``json_fields``, which refuses a key it was not told of.  Values are only
+read: the CLI prints what it computes with ``str``.
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ def _typed(value, kind: type, what: str):
 # -- rationals ----------------------------------------------------------
 
 
-def fraction_to_json(x: Fraction | int) -> str | int:
-    if x.denominator == 1:
-        return x.numerator
-    return f"{x.numerator}/{x.denominator}"
-
-
 def _ratio_literal(obj) -> tuple | None:
     """(p, q) for an int p (not a bool), or for text "p" or "p/q" of ``integer_literal``s
     with q > 0, else None; not reduced.  The one reader of a rational in text."""
@@ -88,16 +81,6 @@ def int_from_json(value, what: str) -> int:
 
 
 # -- polynomials ----------------------------------------------------------
-
-
-def poly_to_json(p: MultiPoly) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [
-            {"exp": list(exp), "coef": fraction_to_json(coef)}
-            for exp, coef in p.sorted_terms()
-        ],
-    }
 
 
 def poly_from_json(obj) -> MultiPoly:
@@ -162,15 +145,6 @@ def parse_poly_string(text: str) -> MultiPoly:
     return total
 
 
-def ring_value_to_json(x):
-    """A Fraction, int (not bool) or MultiPoly as JSON; a constant polynomial as its value."""
-    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
-        return fraction_to_json(x)
-    if isinstance(x, MultiPoly):
-        return fraction_to_json(x.constant_value()) if x.is_constant() else poly_to_json(x)
-    raise SchemaError(f"unserializable value {x!r}")
-
-
 def ring_value_from_json(obj):
     """A ``_ratio_literal`` as a Fraction; any other string, or an object, as a polynomial."""
     if (ratio := _ratio_literal(obj)) is not None:
@@ -189,10 +163,6 @@ def ring_value_to_string(x) -> str:
 
 
 # -- matrices -------------------------------------------------------------
-
-
-def matrix_to_json(m: RingMatrix) -> list:
-    return [[ring_value_to_json(x) for x in row] for row in m.entries]
 
 
 def matrix_from_json(obj, max_dim: int) -> RingMatrix:

@@ -100,10 +100,11 @@ def _run(schedule, draw: Callable, *checks, witness: Callable | None = None) -> 
     return out
 
 
-def _spread(values, trials: int) -> list:
-    """``trials`` spread evenly over ``values``, earlier ones first: (value, j) for its j-th trial."""
+def _spread(values, trials: int):
+    """``trials`` spread evenly over ``values``, earlier ones first: (value, j) for its j-th
+    trial, made one at a time, so that memory does not grow with ``trials``."""
     base, rem = divmod(trials, len(values))
-    return [(v, j) for i, v in enumerate(values) for j in range(base + (i < rem))]
+    return ((v, j) for i, v in enumerate(values) for j in range(base + (i < rem)))
 
 
 def _sp_pair(ctx: SymplecticContext, seed_a: int, seed_b: int) -> InvolutiveRepresentation:
@@ -150,7 +151,7 @@ def suite_pfaffian(d: int, trials: int, seed: int) -> list:
         for k in range(1, max(d, 4) + 1)
     )))
 
-    by_dd = _spread([SymplecticContext(dd) for dd in range(1, min(d, 3) + 1)], min(trials, 60))
+    by_dd = list(_spread([SymplecticContext(dd) for dd in range(1, min(d, 3) + 1)], min(trials, 60)))
 
     def j_symmetric(item):
         return item[0], random_j_symmetric(item[0], rng, 3)
@@ -292,7 +293,7 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
     )
 
     gens = enumerate_trace_words(2, 3)
-    by_dd = _spread((1, 2) if d >= 2 else (1, 1), min(trials, 200))
+    by_dd = list(_spread((1, 2) if d >= 2 else (1, 1), min(trials, 200)))
     fs = {dd: [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
           for dd, _ in by_dd}
 

@@ -383,8 +383,9 @@ def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
 
 
 def sample_similitude(ctx: SymplecticContext, seed: int, factor: Fraction | int = 1) -> RingMatrix:
-    """A GSp_2d element with similitude exactly ``factor``: Sp sample * diag(factor*Id, Id)."""
-    factor = Fraction(factor)
+    """A GSp_2d element with similitude exactly ``factor``: Sp sample * diag(factor*Id, Id).
+    TypeError unless ``factor`` is an exact rational."""
+    factor = Fraction(exact_scalar(factor))
     if factor == 0:
         raise NotASimilitudeError("similitude factor must be nonzero")
     s = sample_symplectic(ctx, seed)

@@ -161,6 +161,15 @@ def test_out_file_written(tmp_path, capsys):
     json.loads(out_path.read_text())  # round-trips
 
 
+@pytest.mark.parametrize("where", ["a_directory", "under_a_missing_directory"])
+def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys, where):
+    out_path = tmp_path if where == "a_directory" else tmp_path / "missing" / "report.json"
+    code = main(["suite", "pfaffian", "--d", "1", "--trials", "1", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert "cannot write" in captured.err
+
+
 def _write(tmp_path, blob, name="in.json"):
     path = tmp_path / name
     path.write_text(json.dumps(blob))

@@ -25,7 +25,6 @@ import pytest
 
 from symplaw import detlaws, suites
 from symplaw.cli import main
-from symplaw.serialize import fraction_to_json, matrix_to_json
 from symplaw.suites import suite_det_law, suite_pfaffian, suite_pseudochar
 from symplaw.symplectic import SymplecticContext, sample_similitude, sample_symplectic
 
@@ -137,8 +136,9 @@ def _eval_rep(kind):
         images = [sample_symplectic(ctx, seed) for seed in (12, 13)]
     else:
         images = [sample_similitude(ctx, seed, factor=EVAL_LAMBDA[kind]) for seed in (12, 13)]
-    return {"d": 6, "kind": kind, "generators": [matrix_to_json(m) for m in images],
-            "lambdas": [fraction_to_json(EVAL_LAMBDA[kind])] * 2}
+    return {"d": 6, "kind": kind, "generators": [[list(map(str, row)) for row in m.entries]
+                                                 for m in images],
+            "lambdas": [str(EVAL_LAMBDA[kind])] * 2}
 
 
 def _symmetric(kind, terms):
@@ -146,8 +146,7 @@ def _symmetric(kind, terms):
     lam = EVAL_LAMBDA[kind]
     out = []
     for word, inverse, degree, c in terms:
-        out += [{"word": word, "coef": fraction_to_json(c)},
-                {"word": inverse, "coef": fraction_to_json(c * lam ** degree)}]
+        out += [{"word": word, "coef": str(c)}, {"word": inverse, "coef": str(c * lam ** degree)}]
     return {"terms": out}
 
 

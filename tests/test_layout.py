@@ -1,5 +1,6 @@
 """The package layout: standard library only, imports at module level, a sound __all__,
-every function the benchmark's tracer wraps still in place, and no name nothing reads."""
+every function the benchmark's tracer wraps still in place, and no class or module-level
+name that nothing reads (functions and methods are ``test_reach.py``'s)."""
 
 import ast
 import importlib.util
@@ -240,37 +241,30 @@ def test_one_word_check_at_entry():
 
 def test_one_rule_for_a_constant_leaving_a_kernel():
     """Outside ``multipoly.py``, ``constant_value()`` is called only by ``matrices.exact_scalar``,
-    the rule that makes a constant value leaving a kernel a Fraction, by ``symplectic.similitude``,
-    which refuses a non-constant lambda with it, and by ``serialize.ring_value_to_json``, which
-    writes a constant as a rational: a second converter of constants fails here."""
-    found = _calls_outside("constant_value", {
-        "matrices.exact_scalar", "symplectic.similitude", "serialize.ring_value_to_json"},
-        [path for path in SOURCES if path.name != "multipoly.py"])
+    the rule that makes a constant value leaving a kernel a Fraction, and by
+    ``symplectic.similitude``, which refuses a non-constant lambda with it: a second converter
+    of constants fails here."""
+    found = _calls_outside("constant_value", {"matrices.exact_scalar", "symplectic.similitude"},
+                           [path for path in SOURCES if path.name != "multipoly.py"])
     assert not found, found
 
 
 def _defined_names(tree):
-    """(name, line, is_method) of each function, class, method and module-level name a module defines."""
+    """(name, line) of each class and module-level name a module defines."""
     for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno, False
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        yield item.name, item.lineno, True
+        if isinstance(node, ast.ClassDef):
+            yield node.name, node.lineno
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
                 for name in ast.walk(target):
                     if isinstance(name, ast.Name):
-                        yield name.id, node.lineno, False
+                        yield name.id, node.lineno
 
 
 def _read_names(tree):
-    """(name, by_attribute) for each name a module reads: loads, attribute reads, imports and
-    identifiers in strings.  ``by_attribute`` is true for attribute reads and strings, the only
-    ways a method is read.
+    """Each name a module reads: loads, attribute reads, imports and identifiers in strings.
 
-    Strings count because the tracer and the tests name functions in them
+    Strings count because the tracer and the tests name objects in them
     ("matrices.RingMatrix.__mul__", ``monkeypatch.setattr(mod, "name", ..)``);
     docstrings do not, since mentioning a name in prose is not using it.
     """
@@ -282,32 +276,24 @@ def _read_names(tree):
                 docstrings.add(id(first.value))
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            yield node.id, False
+            yield node.id
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            yield node.attr, True
+            yield node.attr
         elif isinstance(node, ast.alias):
-            for name in node.name.split("."):
-                yield name, False
+            yield from node.name.split(".")
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and id(node) not in docstrings):
-            for name in re.findall(r"[A-Za-z_]\w*", node.value):
-                yield name, True
+            yield from re.findall(r"[A-Za-z_]\w*", node.value)
 
 
 def test_every_defined_name_is_read_somewhere():
-    """A function, class, method or module-level name of the package that nothing reads fails here.
-
-    A method counts as read only through an attribute or a string: a bare name
-    that spells it reads a function of the same name, not the method.
-    """
-    read, read_by_attribute = set(), set()
-    for path in READERS:
-        for name, by_attribute in _read_names(_parse(path)):
-            (read_by_attribute if by_attribute else read).add(name)
+    """A class or module-level name of the package that nothing reads fails here.  A function
+    or method that nothing calls fails ``test_reach.py``, which tells a method from a
+    namesake read on another class; reading by name, as here, cannot."""
+    read = {name for path in READERS for name in _read_names(_parse(path))}
     dead = [f"{path.name}:{line}: {name}"
-            for path in SOURCES for name, line, is_method in _defined_names(_parse(path))
-            if name not in read_by_attribute and (is_method or name not in read)
-            and not (name.startswith("__") and name.endswith("__"))]
+            for path in SOURCES for name, line in _defined_names(_parse(path))
+            if name not in read and not (name.startswith("__") and name.endswith("__"))]
     assert not dead, dead
 
 

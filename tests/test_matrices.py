@@ -293,9 +293,9 @@ def test_a_polynomial_matrix_holds_canonical_scalars():
 
 def test_a_polynomial_matrix_of_zeros_is_zero():
     u = MultiPoly.variable("u")
-    m = RingMatrix([[MultiPoly.zero(("u",)), 0], [u - u, Fraction(0)]])
+    m = RingMatrix([[MultiPoly(("u",), {}), 0], [u - u, Fraction(0)]])
     assert m.cleared() is None and m.is_zero()
-    assert not RingMatrix([[MultiPoly.zero(("u",)), 0], [0, u]]).is_zero()
+    assert not RingMatrix([[MultiPoly(("u",), {}), 0], [0, u]]).is_zero()
 
 
 def test_a_matrix_built_with_no_polynomial_entry_is_rational():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from symplaw.errors import CapacityError, VariableError
 from symplaw.gma import QuotientRing
 from symplaw.multipoly import MAX_EXPONENT, MultiPoly, fresh_var
-from symplaw.serialize import poly_to_json
 
 
 def is_canonical(c):
@@ -52,9 +51,9 @@ def test_scalar_interop():
 
 
 def test_bool_is_false_exactly_for_the_zero_polynomial():
-    assert not bool(MultiPoly.zero(("u",)))
+    assert not bool(MultiPoly(("u",), {}))
     u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
-    values = [0, 3, -1, Fraction(0), Fraction(1, 2), MultiPoly.zero(), MultiPoly.zero(("u",)),
+    values = [0, 3, -1, Fraction(0), Fraction(1, 2), MultiPoly((), {}), MultiPoly(("u",), {}),
               MultiPoly.constant(3), MultiPoly.constant(0, ("u",)), u, u - v,
               (u + v) * (u - v) - u**2 + v**2, u * Fraction(1, 3) * 3 - u]
     for x in values:
@@ -191,7 +190,7 @@ def test_trusted_arithmetic_matches_validated_construction():
         _assert_trusted(-(-p), p)
         for var in (*p.vars, "w"):
             buckets = p.coefficients_in(var)
-            rebuilt = MultiPoly.zero(p.vars)
+            rebuilt = MultiPoly(p.vars, {})
             for deg, bucket in buckets.items():
                 _assert_trusted(bucket, _rebuilt(bucket))
                 assert bucket and var not in bucket.vars
@@ -249,7 +248,7 @@ def _assert_matches_reference(result, reference):
     assert result.terms == reference.terms
     assert hash(result) == hash(reference)
     assert str(result) == str(reference)
-    assert poly_to_json(result) == poly_to_json(reference)
+    assert (result.vars, result.sorted_terms()) == (reference.vars, reference.sorted_terms())
     assert all(is_canonical(c) for c in result.terms.values())
     for exp, c in reference.terms.items():
         got = result.coefficient(dict(zip(result.vars, exp)))
@@ -343,7 +342,7 @@ def test_a_power_past_the_cap_raises_before_any_product():
     # one-term powers up to the cap, and the exponent-free zero and constants at any power
     half = MAX_EXPONENT // 2
     assert (u * v**2) ** half == MultiPoly(("u", "v"), {(half, MAX_EXPONENT - 1): 1})
-    assert MultiPoly.zero(("u",)) ** 2**40 == 0 and MultiPoly.constant(1, ("u",)) ** 2**40 == 1
+    assert MultiPoly(("u",), {}) ** 2**40 == 0 and MultiPoly.constant(1, ("u",)) ** 2**40 == 1
     assert MultiPoly.constant(2) ** 5 == 32 and (u + v) ** 0 == 1
 
 

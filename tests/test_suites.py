@@ -1,3 +1,4 @@
+import tracemalloc
 from fnmatch import fnmatch
 
 import pytest
@@ -111,6 +112,21 @@ def test_a_group_draws_until_every_check_has_failed():
     drawn.clear()
     suites._run(range(10), _logged(drawn), ("from_2", lambda x: x < 2, True))
     assert drawn == [0, 1, 2]
+
+
+def test_a_spread_schedule_is_made_one_trial_at_a_time():
+    """``suite pfaffian`` spreads its uncapped ``--trials``: a list of them would need about
+    92 bytes per trial before the first one ran."""
+    assert list(suites._spread([2, 4, 6], 7)) == [(2, 0), (2, 1), (2, 2), (4, 0), (4, 1),
+                                                  (6, 0), (6, 1)]
+    tracemalloc.start()
+    try:
+        for _ in suites._spread([2, 4, 6], 200_000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000, peak
 
 
 def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):

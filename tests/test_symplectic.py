@@ -83,7 +83,7 @@ def test_transpose_dimension_error():
 
 def test_pfaffian_2x2_symbolic():
     a = MultiPoly.variable("a")
-    m = RingMatrix([[MultiPoly.zero(), a], [-a, MultiPoly.zero()]])
+    m = RingMatrix([[MultiPoly((), {}), a], [-a, MultiPoly((), {})]])
     assert pfaffian(m) == a
 
 
@@ -109,7 +109,7 @@ def test_pfaffian_matches_leibniz_oracle():
 def _random_alternating_poly(n, rng):
     """An alternating n x n matrix of random linear polynomials in u and v."""
     u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
-    rows = [[MultiPoly.zero()] * n for _ in range(n)]
+    rows = [[MultiPoly((), {})] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             x = rng.randint(-3, 3) * u + Fraction(rng.randint(-3, 3), 2) * v + rng.randint(-2, 2)

@@ -16,13 +16,16 @@ from symplaw import (
     TraceWord,
     char_poly,
     check_invariance,
+    closed_form_check_d4,
     eval_det_law,
     eval_invariant,
     eval_pf_law,
     lambdas_of_matrix,
     mat_det,
+    newton_lambdas_from_traces,
     pfaffian,
     pfaffian_char_poly,
+    pfaffian_coeffs_from_lambdas,
     reduced_pfaffian,
     sample_symplectic,
     similitude,
@@ -31,7 +34,7 @@ from symplaw import (
     theta_eval,
 )
 from symplaw.errors import GeneratorError
-from symplaw.symplectic import is_alternating
+from symplaw.symplectic import is_alternating, sample_similitude
 from symplaw.words import parse_word
 
 
@@ -90,6 +93,21 @@ CALLS = {
         lambda: check_invariance([_TRACE], [RingMatrix.identity(2)], 1), TypeError),
     "sigma_of_a_letter_tuple": (lambda: InvariantFunction.sigma(1, ((1, False),)), TypeError),
     "word_from_int": (lambda: parse_word(5), TypeError),
+    # each of these once computed in floats, or read a float as its binary fraction
+    "newton_of_float_traces": (lambda: newton_lambdas_from_traces([0.5, 1.0]), TypeError),
+    "pfaffian_coeffs_of_float_lambdas": (
+        lambda: pfaffian_coeffs_from_lambdas([1, 0.5, 0.0625]), TypeError),
+    "closed_forms_of_float_lambdas": (
+        lambda: closed_form_check_d4([1, 0.5, 0, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0]), TypeError),
+    "closed_forms_of_float_traces": (
+        lambda: closed_form_check_d4([1] + [0] * 8, [0.5, 0, 0, 0]), TypeError),
+    "similitude_power_of_a_float_power": (
+        lambda: eval_invariant(InvariantFunction.similitude_power(1, 0.5, 1),
+                               [RingMatrix([[2, 0], [0, 1]])]), TypeError),
+    "similitude_power_of_a_float_index": (
+        lambda: InvariantFunction.similitude_power(1.0), TypeError),
+    "similitude_sample_with_a_float_factor": (
+        lambda: sample_similitude(_CTX, 0, factor=0.1), TypeError),
 }
 
 
