@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .detlaws import eval_det_law, eval_pf_law
 from .errors import SchemaError, SymplawError
@@ -152,6 +153,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        try:  # an unwritable --out is refused before any work; a FIFO is opened only by _emit
+            if args.out and not Path(args.out).is_fifo():
+                open(args.out, "a").close()
+        except OSError as e:
+            raise SchemaError(f"cannot write to {args.out}: {e}") from e
         return args.func(args, _max_dim())
     except SchemaError as e:
         sys.stderr.write(f"input error: {e}\n")

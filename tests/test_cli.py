@@ -3,10 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from symplaw import cli
 from symplaw.cli import main
 from symplaw.multipoly import MAX_EXPONENT
 from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
@@ -168,6 +170,58 @@ def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys, where):
     captured = capsys.readouterr()
     _assert_one_line_error(code, captured)
     assert "cannot write" in captured.err
+
+
+def test_an_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    monkeypatch.setattr(cli, "run_suite", refuse)
+    monkeypatch.setattr(cli, "_load_json", refuse)
+    out_path = str(tmp_path / "missing" / "report.json")
+    for args in (["suite", "pfaffian", "--d", "3", "--trials", "20000"],
+                 ["eval", "pfaffian", "--input", str(tmp_path / "in.json")]):
+        code = main([*args, "--out", out_path])
+        captured = capsys.readouterr()
+        _assert_one_line_error(code, captured)
+        assert f"cannot write to {out_path}" in captured.err
+
+
+def test_an_out_file_is_replaced_only_by_a_report(tmp_path, capsys):
+    """A longer file left at the --out path is overwritten whole, and a run refused with
+    exit code 2 leaves it as it was."""
+    out_path = tmp_path / "report.json"
+    out_path.write_text("x" * 10_000)
+    code = main(["eval", "pfaffian", "--input", str(tmp_path / "missing.json"),
+                 "--out", str(out_path)])
+    assert code == 2 and out_path.read_text() == "x" * 10_000
+    code, out = run_cli(["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(out_path)],
+                        capsys)
+    assert code == 0 and out_path.read_text() == out
+
+
+def test_out_devnull_runs(capsys):
+    code, out = run_cli(["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", os.devnull],
+                        capsys)
+    assert code == 0 and json.loads(out)["pass"] is True
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_fifo_out_path_gets_the_whole_report(tmp_path):
+    """A FIFO's reader sees the report: checking the path by opening it first would end the
+    reader's input, and the report's own open would then wait for a reader forever."""
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        RUN + ["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(fifo)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    reader.join(60)
+    assert proc.returncode == 0 and got == [proc.stdout]
 
 
 def _write(tmp_path, blob, name="in.json"):

@@ -14,6 +14,11 @@ representation still inverted its generators by Gauss-Jordan elimination.
 Those of ``suite pfaffian`` at d = 3 and ``det-law`` at d = 1 were recorded
 while some checks still kept drawing after their first failure; they pin the
 spread of trials over d = 1..3 and the d = 1 schedules.
+Those of the failing ``pfaffian-d3`` reports were recorded once every check drew
+from a stream of its own; their witnesses print a drawn matrix.  At seeds 1 and 2
+the new draws print the 2 x 2 matrices the old ones printed at seeds 2 and 1.
+Every other digest pins only verdicts and computed values, so a change of draws
+that keeps them passing does not show here.
 Any change to a computed value or to the report format shows here.
 """
 
@@ -202,9 +207,9 @@ FAULTS = {
 FAILING_DIGESTS = {
     ("pfaffian-d3", suite_pfaffian, 3, 30, "suites.mat_det",
      ("pfaffian_squared_equals_det", "pfaffian_conjugation_covariance", "transfer_identity")): {
-        0: "15c9f23061c51b002beec400a5b25583e9e7349b6599b2d6c54eb7f85d04bd36",
-        1: "3a9003da0712ebe053c6a3f81dc84ff723337c735c9c2fede9431c7ca90a8f9f",
-        2: "b54b0527bbe2e5d915ec0b72f5c8785e42c6d19770f1f6af90d1b5e0b336bca3",
+        0: "215972917258d4f81c549567cc9f69af922ac0c7f037922fd060b596baa7c14d",
+        1: "b54b0527bbe2e5d915ec0b72f5c8785e42c6d19770f1f6af90d1b5e0b336bca3",
+        2: "3a9003da0712ebe053c6a3f81dc84ff723337c735c9c2fede9431c7ca90a8f9f",
     },
     ("det-law-d2", suite_det_law, 2, 30, "suites.eval_pf_law", ("pf_law_squares_to_det",)): {
         0: "e28471010f6c50b9424a6f0f83d6c02fd61982dab53040fb3e483fd5dc69cb34",

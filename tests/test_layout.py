@@ -249,6 +249,21 @@ def test_one_rule_for_a_constant_leaving_a_kernel():
     assert not found, found
 
 
+def test_one_seed_rule_in_the_suites():
+    """``suites.py`` makes its random streams in ``_stream`` alone, its one ``random.Random``
+    call, and does no arithmetic on a seed: a seed formula such as ``seed * 31 + trial``,
+    which let two draws of a run share a sample, fails here."""
+    path = ROOT / "src" / "symplaw" / "suites.py"
+    tree = _parse(path)
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and "Random" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert len(calls) == 1 and not _calls_outside("Random", {"suites._stream"}, [path])
+    formulas = [f"suites.py:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.BinOp)
+                and any(isinstance(side, ast.Name) and side.id == "seed"
+                        for side in (node.left, node.right))]
+    assert not formulas, formulas
+
+
 def _defined_names(tree):
     """(name, line) of each class and module-level name a module defines."""
     for node in tree.body:
