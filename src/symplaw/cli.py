@@ -5,9 +5,10 @@
     symplaw eval <pfaffian|detlaw|invariant|theta> --input VALUE.json [--out OUT.json]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or
-environment.  SYMPLAW_MAX_DIM caps 2d (default 12) on every path; it must be
-a positive integer.  Every integer read from text, in argv, the environment
-or JSON, follows ``words.integer_literal``: an optional "-" and ASCII digits.
+environment: any SymplawError, printed by ``main`` as one "input error:" line.
+SYMPLAW_MAX_DIM caps 2d (default 12) on every path; it must be a positive
+integer.  Every integer read from text, in argv, the environment or JSON,
+follows ``words.integer_literal``: an optional "-" and ASCII digits.
 """
 
 from __future__ import annotations
@@ -77,14 +78,12 @@ def _emit(report: dict, out_path: str | None):
 
 def _cmd_suite(args, cap: int) -> int:
     if 2 * args.d > cap:
-        sys.stderr.write(f"2d = {2 * args.d} exceeds SYMPLAW_MAX_DIM = {cap}\n")
-        return 2
+        raise SchemaError(f"2d = {2 * args.d} exceeds SYMPLAW_MAX_DIM = {cap}")
     cfg = SuiteConfig(suite=args.name, d=args.d, trials=args.trials, seed=args.seed)
     spec = None
     if args.input:
         if args.name not in ("gma", "all"):
-            sys.stderr.write("--input provides a GMA spec; only the gma/all suites accept one\n")
-            return 2
+            raise SchemaError("--input provides a GMA spec; only the gma/all suites accept one")
         blob = _load_json(args.input)
         spec = gma_spec_from_json(blob, cap)
     report = run_suite(cfg, gma_spec=spec)
@@ -107,7 +106,7 @@ def _cmd_eval(args, cap: int) -> int:
         make, raw = invariant_from_json(blob, "matrices")
         mats = [matrix_from_json(m, cap) for m in eval_arguments(raw, "invariant matrices")]
         values = {"value": ring_value_to_string(eval_invariant(make(len(mats)), mats))}
-    elif args.command == "theta":
+    else:  # theta; argparse refuses any other verb
         rep, f, raw = json_fields(blob, "theta input", ("rep", "f", "gammas"))
         if not all(isinstance(w, str) for w in eval_arguments(raw, "theta gammas")):
             raise SchemaError("theta gammas must be a list of word strings")
@@ -116,8 +115,6 @@ def _cmd_eval(args, cap: int) -> int:
         (make,) = invariant_from_json(f)
         theta = theta_eval(Pseudocharacter(rep), make(len(gammas)), gammas)
         values = {"theta": ring_value_to_string(theta)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise SchemaError(f"unknown eval command {args.command!r}")
     _emit(values, args.out)
     return 0
 
@@ -159,11 +156,8 @@ def main(argv=None) -> int:
         except OSError as e:
             raise SchemaError(f"cannot write to {args.out}: {e}") from e
         return args.func(args, _max_dim())
-    except SchemaError as e:
+    except SymplawError as e:  # every refusal, one line
         sys.stderr.write(f"input error: {e}\n")
-        return 2
-    except SymplawError as e:
-        sys.stderr.write(f"error: {e}\n")
         return 2
 
 

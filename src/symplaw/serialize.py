@@ -98,10 +98,7 @@ def poly_from_json(obj) -> MultiPoly:
         # MultiPoly refuses e < 0
         exp = tuple(int_from_json(e, "exponent") for e in _typed(exp, list, "polynomial term exp"))
         terms[exp] = terms.get(exp, Fraction(0)) + fraction_from_json(coef)
-    try:
-        return MultiPoly(variables, terms)
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    return MultiPoly(variables, terms)
 
 
 _SIGN = re.compile(r"\s*([+-])\s*")
@@ -241,11 +238,8 @@ def representation_from_json(obj, max_dim: int) -> InvolutiveRepresentation:
         raise SchemaError(f"representation 2d = {2 * d} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     images = tuple(matrix_from_json(m, max_dim)
                    for m in _typed(generators, list, "representation generators"))
-    try:
-        rep = InvolutiveRepresentation(SymplecticContext(d), images,
-                                       _typed(kind, str, "representation kind"))
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    rep = InvolutiveRepresentation(SymplecticContext(d), images,
+                                   _typed(kind, str, "representation kind"))
     if declared is not _ABSENT:
         if not isinstance(declared, list) or len(declared) != len(images):
             raise SchemaError("one lambda per generator image required")
@@ -272,12 +266,9 @@ def gma_spec_from_json(obj, max_dim: int) -> GmaSpec:
     type_keys = ("I0", "I1", "I2", "sigma", "dims")
     *type_lists, variables, nil_monomials, raw_blocks, raw_signs = json_fields(
         obj, "GMA spec", type_keys, {"base_vars": [], "nil_monomials": [], "blocks": {}, "tau_signs": {}})
-    try:
-        t = GmaType(*(tuple(int_from_json(x, f"GMA spec {key!r} entry")
-                            for x in _typed(value, list, f"GMA spec {key!r}"))
-                      for key, value in zip(type_keys, type_lists)))
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    t = GmaType(*(tuple(int_from_json(x, f"GMA spec {key!r} entry")
+                        for x in _typed(value, list, f"GMA spec {key!r}"))
+                  for key, value in zip(type_keys, type_lists)))
     if t.total > max_dim:
         raise SchemaError(f"GMA dimension {t.total} exceeds SYMPLAW_MAX_DIM = {max_dim}")
     if not all(isinstance(v, str) for v in _typed(variables, list, "GMA spec 'base_vars'")):
@@ -292,22 +283,15 @@ def gma_spec_from_json(obj, max_dim: int) -> GmaSpec:
         if coef != 1:
             raise SchemaError(f"nil monomial {mono!r} must have coefficient 1")
         nils.append(exp)
-    try:
-        ring = QuotientRing(variables, tuple(nils))
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
-    blocks = {_block_key(key): tuple(q.in_vars(tuple(sorted(set(variables) | set(q.vars))))
-                                     for q in map(poly_from_json, _typed(basis, list, f"block {key!r}")))
+    ring = QuotientRing(variables, tuple(nils))
+    blocks = {_block_key(key): tuple(map(poly_from_json, _typed(basis, list, f"block {key!r}")))
               for key, basis in _typed(raw_blocks, dict, "GMA spec 'blocks'").items()}
     signs = {frozenset(_block_key(key)): int_from_json(s, f"tau sign {key!r}")
              for key, s in _typed(raw_signs, dict, "GMA spec 'tau_signs'").items()}
     for what, read, raw in (("blocks", blocks, raw_blocks), ("tau_signs", signs, raw_signs)):
         if len(read) < len(raw):  # "1,2" and "01,2", or tau signs "1,2" and "2,1"
             raise SchemaError(f"GMA spec {what!r} gives one pair twice: {sorted(raw)}")
-    try:
-        return GmaSpec(t, ring, blocks, signs)
-    except ValueError as e:
-        raise SchemaError(str(e)) from e
+    return GmaSpec(t, ring, blocks, signs)
 
 
 # -- invariant functions ------------------------------------------------------

@@ -10,8 +10,9 @@ import pytest
 
 from symplaw import cli
 from symplaw.cli import main
+from symplaw.gma import validate_standard_gma
 from symplaw.multipoly import MAX_EXPONENT
-from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
+from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS, gma_spec_from_json
 from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
@@ -282,7 +283,29 @@ def test_representation_size_checked_before_it_is_built(tmp_path, capsys):
     path = _write(tmp_path, {"rep": rep, "element": element, "law": "D"})
     code = main(["eval", "detlaw", "--input", path])
     assert code == 2
-    assert "2d = 14 exceeds SYMPLAW_MAX_DIM = 12" in capsys.readouterr().err
+    assert capsys.readouterr().err == "input error: representation 2d = 14 exceeds SYMPLAW_MAX_DIM = 12\n"
+
+
+_ONE_TERM = {"terms": [{"word": "g1", "coef": 1}]}
+
+
+@pytest.mark.parametrize(("argv", "blob", "message"), [
+    (["suite", "pfaffian", "--d", "7"], None, "2d = 14 exceeds SYMPLAW_MAX_DIM = 12"),
+    (["suite", "pfaffian", "--input", "spec.json"], None,
+     "--input provides a GMA spec; only the gma/all suites accept one"),
+    (["suite", "pfaffian", "--trials", "0"], None, "trials must be >= 1"),
+    (["eval", "detlaw"], {"rep": {"d": 1, "kind": "Sp", "generators": [_identity(2)]},
+                          "element": {"terms": [{"word": "gx", "coef": 1}]}}, "bad word token 'gx'"),
+    (["eval", "detlaw"], {"rep": {"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]},
+                          "element": _ONE_TERM}, "Sp representation must have all similitudes equal to 1"),
+], ids=["suite_cap", "input_to_a_suite_without_one", "no_trials", "word_token", "sp_similitude"])
+def test_a_refusal_is_one_input_error_line(tmp_path, capsys, argv, blob, message):
+    """The refusals of the CLI itself and of the library both print one ``input error:`` line."""
+    if blob is not None:
+        argv = [*argv, "--input", _write(tmp_path, blob)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"input error: {message}\n")
 
 
 @pytest.mark.parametrize(
@@ -547,6 +570,43 @@ def test_malformed_gma_spec_exits_2(tmp_path, capsys, field, value):
     path = _write(tmp_path, {**_GMA_INPUT, field: value})
     code = main(["suite", "gma", "--trials", "2", "--input", path])
     _assert_one_line_error(code, capsys.readouterr())
+
+
+def test_a_block_basis_outside_the_ring_is_named_by_its_own_variables(tmp_path, capsys):
+    path = _write(tmp_path, {**_GMA_INPUT, "blocks": {"1,2": ["w"], "2,1": ["v"]}})
+    code = main(["suite", "gma", "--trials", "2", "--input", path])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == "input error: element uses variables outside the ring: ('w',)\n"
+
+
+# the standard fixture's type with a tau-sign fault: tau(1,3) = -1 breaks the sigma pairing,
+# and over Q[u,v]/(u^2, v^2), where span(2,1) * span(1,3) holds uv != 0, tau(2,3) = -1 breaks
+# multiplicativity
+_STANDARD_TYPE = {"I0": [1], "I1": [2], "I2": [3], "sigma": [1, 3, 2], "dims": [2, 1, 1],
+                  "base_vars": ["u", "v"]}
+_SIGN_FAULTS = {
+    "paired": ({**_STANDARD_TYPE, "nil_monomials": ["u^2", "v^2", "u*v"],
+                "blocks": {"1,2": ["u"], "3,1": ["u"], "2,1": ["v"], "1,3": ["v"]},
+                "tau_signs": {"1,2": 1, "1,3": -1, "2,3": 1}},
+               ["tau sign of (1,2) differs from (1,3)", "tau sign of (1,3) differs from (1,2)",
+                "tau sign of (2,1) differs from (3,1)", "tau sign of (3,1) differs from (2,1)"]),
+    "multiplicative": ({**_STANDARD_TYPE, "nil_monomials": ["u^2", "v^2"],
+                        "blocks": {"2,1": ["u", "v"], "1,3": ["u", "v"], "2,3": ["u*v"]},
+                        "tau_signs": {"1,2": 1, "1,3": 1, "2,3": -1}},
+                       ["tau signs not multiplicative on nonzero product (2,1,3)"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(_SIGN_FAULTS))
+def test_a_tau_sign_fault_is_found_by_the_validator_and_reported_by_suite_gma(tmp_path, capsys, fault):
+    blob, violations = _SIGN_FAULTS[fault]
+    assert validate_standard_gma(gma_spec_from_json(blob, 12)) == {"valid": False, "violations": violations}
+    code = main(["suite", "gma", "--trials", "2", "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (1, "")
+    (check,) = json.loads(captured.out)["checks"]
+    assert check == {"name": "input_spec_valid", "pass": False, "violations": violations}
 
 
 def test_gma_spec_whose_ideal_contains_1_exits_2(tmp_path, capsys):

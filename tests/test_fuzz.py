@@ -5,7 +5,8 @@ Each case starts from one valid input: one per ``eval`` verb (the P law of
 ``suite gma --input``.  A mutation replaces one or two leaves with a value
 from ``VALUES``, deletes a key, or puts a matrix one size above
 ``SYMPLAW_MAX_DIM`` in place of one; ``cli.main`` then runs in process.  It
-must return 0, 1 or 2, and no exception may escape it.  The splices, all of
+must return 0, 1 or 2, no exception may escape it, and an exit 2 writes one
+stderr line, which starts ``input error: ``.  The splices, all of
 them and in order, put each string of ``VALUES`` in place of each token of
 each string leaf (a letter or index of a word, a numeral, a variable or a
 ``^`` exponent) and of each whole term, so that a malformed token reaches
@@ -168,7 +169,8 @@ def splices(blob):
 
 
 def run(argv, blob, tmp_path, err=None):
-    """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped.
+    """cli.main on ``blob`` as the input file; its exit code, or the exception that escaped,
+    or an AssertionError for an exit 2 that wrote other than one ``input error: `` line.
 
     What ``main`` writes to stderr goes to ``err`` if one is given.
     """
@@ -177,9 +179,13 @@ def run(argv, blob, tmp_path, err=None):
     out, err = io.StringIO(), io.StringIO() if err is None else err
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            return main([*argv, "--input", str(path)])
+            code = main([*argv, "--input", str(path)])
     except Exception as e:  # anything escaping main is the finding
         return e
+    lines = err.getvalue().splitlines(keepends=True)
+    if code == 2 and not (len(lines) == 1 and lines[0].startswith("input error: ")):
+        return AssertionError(f"exit 2 without one 'input error: ' line: {err.getvalue()!r}")
+    return code
 
 
 def _flagged(argv, variants, tmp_path) -> list:

@@ -248,6 +248,28 @@ def test_span_search_draws_only_what_its_rank_needs(monkeypatch, d, m, full):
         monkeypatch.undo()
 
 
+@pytest.mark.parametrize(("d", "m"), [(1, 2), (1, 3), (2, 2)])
+def test_span_search_grows_its_rank_until_it_is_stable(monkeypatch, d, m):
+    """Zero matrices for the first len(products) + 2 rows keep the rank at 0 through the first
+    two checks; the rounds that follow must raise it to the oracle's value and stop there."""
+    zero_draws = m * (len(invariants.multilinear_trace_products(m)) + 2)
+    draws, ranks = [], []
+    random_matrix_, matrix_rank_ = invariants.random_matrix, invariants.matrix_rank
+
+    def drawn(n, rng, magnitude):
+        draws.append(1)
+        return RingMatrix.zeros(n) if len(draws) <= zero_draws else random_matrix_(n, rng, magnitude)
+
+    def ranked(rows):
+        ranks.append(matrix_rank_(rows))
+        return ranks[-1]
+
+    monkeypatch.setattr(invariants, "random_matrix", drawn)
+    monkeypatch.setattr(invariants, "matrix_rank", ranked)
+    assert trace_word_span_dim(d, m) == multilinear_invariant_dim(d, m)
+    assert ranks[:2] == [0, 0] and max(ranks) == ranks[-1] > 0
+
+
 def test_capacity_guard():
     with pytest.raises(CapacityError):
         multilinear_invariant_dim(3, 4)

@@ -211,9 +211,9 @@ def test_digit_tests_only_inside_the_integer_reader():
     assert not found, found
 
 
-def _calls_outside(callee: str, allowed: set, sources=SOURCES) -> list:
-    """Where a function or method of ``sources`` other than the ``allowed`` ones ("module.name"
-    or "module.Class.name") calls ``callee``, as a name or as an attribute."""
+def _found_outside(matches, allowed: set, sources=SOURCES) -> list:
+    """Where a node of ``sources`` for which ``matches(node)`` holds stands outside the
+    ``allowed`` functions and methods ("module.name" or "module.Class.name")."""
     found = []
     for path in sources:
         tree = _parse(path)
@@ -222,11 +222,15 @@ def _calls_outside(callee: str, allowed: set, sources=SOURCES) -> list:
                    for fn in cls.body if isinstance(fn, ast.FunctionDef)]
         owner = {id(node): f"{path.stem}.{name}" for name, fn in scopes for node in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}: {owner.get(id(node), 'module level')}"
-                  for node in ast.walk(tree)
-                  if isinstance(node, ast.Call) and callee in (
-                      getattr(node.func, "id", None), getattr(node.func, "attr", None))
-                  and owner.get(id(node)) not in allowed]
+                  for node in ast.walk(tree) if matches(node) and owner.get(id(node)) not in allowed]
     return found
+
+
+def _calls_outside(callee: str, allowed: set, sources=SOURCES) -> list:
+    """Where a function or method of ``sources`` other than the ``allowed`` ones calls
+    ``callee``, as a name or as an attribute."""
+    return _found_outside(lambda node: isinstance(node, ast.Call) and callee in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None)), allowed, sources)
 
 
 def test_one_word_check_at_entry():
@@ -262,6 +266,22 @@ def test_one_seed_rule_in_the_suites():
                 and any(isinstance(side, ast.Name) and side.id == "seed"
                         for side in (node.left, node.right))]
     assert not formulas, formulas
+
+
+def test_one_refusal_path():
+    """Only ``cli.main`` writes to ``sys.stderr``: every refusal is a ``SymplawError`` raised
+    where it is found and printed there as one ``input error:`` line.  And no handler in
+    ``serialize.py`` re-raises the error it caught as ``SchemaError(str(e))``: a constructor's
+    refusal passes through with its own class and message."""
+    found = _found_outside(lambda node: (isinstance(node, ast.Attribute) and node.attr == "stderr")
+                           or (isinstance(node, ast.alias) and node.name == "stderr"), {"cli.main"})
+    for handler in ast.walk(_parse(ROOT / "src" / "symplaw" / "serialize.py")):
+        if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+            continue
+        relabel = f"SchemaError(str({handler.name}))"
+        found += [f"serialize.py:{node.lineno}: {relabel}" for node in ast.walk(handler)
+                  if isinstance(node, ast.Raise) and node.exc and ast.unparse(node.exc) == relabel]
+    assert not found, found
 
 
 def _defined_names(tree):

@@ -7,7 +7,7 @@ import pytest
 
 from symplaw.cli import main
 from symplaw.detlaws import GroupAlgebraElement, InvolutiveRepresentation
-from symplaw.errors import SchemaError
+from symplaw.errors import MembershipError, SchemaError, StructureError
 from symplaw.gma import counterexample_fixture, standard_fixture
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
@@ -312,7 +312,7 @@ def test_representation_round_trip():
 def test_representation_schema_errors():
     with pytest.raises(SchemaError):
         representation_from_json({"d": 1, "generators": []}, 12)
-    with pytest.raises(SchemaError):
+    with pytest.raises(StructureError, match="Sp representation must have all similitudes equal to 1"):
         representation_from_json({"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]}, 12)
     with pytest.raises(SchemaError, match="generators must be a list"):
         representation_from_json({"d": 1, "kind": "Sp", "generators": 5}, 12)
@@ -376,3 +376,13 @@ def test_gma_spec_compact_strings():
     spec = gma_spec_from_json(blob, 12)
     assert spec.tau_signs == {frozenset((1, 2)): -1}
     assert spec.ring.nil_monomials == ((2, 0), (0, 2), (1, 1))
+
+
+def test_a_block_basis_is_lifted_into_the_ring_by_the_spec_alone():
+    """A basis polynomial is read over its own variables; ``GmaSpec`` lifts it into the ring,
+    and refuses one with a foreign variable by naming that polynomial's variables alone."""
+    blob = {**FIXTURE_SPECS[1][1], "blocks": {"1,2": ["u"], "2,1": ["v"]}}
+    assert gma_spec_from_json(blob, 12).blocks == counterexample_fixture().blocks
+    blob["blocks"] = {"1,2": ["w"], "2,1": ["v"]}
+    with pytest.raises(MembershipError, match=re.escape("outside the ring: ('w',)")):
+        gma_spec_from_json(blob, 12)
