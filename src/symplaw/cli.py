@@ -59,7 +59,7 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int over the digit limit
-        raise SchemaError(f"cannot read JSON from {path}: {e}") from e
+        raise SchemaError(f"cannot read JSON from {path!r}: {e}") from e
 
 
 def _emit(report: dict, out_path: str | None):
@@ -69,7 +69,7 @@ def _emit(report: dict, out_path: str | None):
     try:
         fh = open(out_path, "w", encoding="utf-8") if out_path else None
     except OSError as e:
-        raise SchemaError(f"cannot write to {out_path}: {e}") from e
+        raise SchemaError(f"cannot write to {out_path!r}: {e}") from e
     sys.stdout.write(text)
     if fh:
         with fh:
@@ -148,15 +148,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    created = None  # an --out file this run made, removed again if the run is refused
     try:
         args = build_parser().parse_args(argv)
         try:  # an unwritable --out is refused before any work; a FIFO is opened only by _emit
             if args.out and not Path(args.out).is_fifo():
-                open(args.out, "a").close()
+                try:
+                    open(args.out, "x").close()
+                    created = args.out
+                except FileExistsError:
+                    open(args.out, "a").close()
         except OSError as e:
-            raise SchemaError(f"cannot write to {args.out}: {e}") from e
+            raise SchemaError(f"cannot write to {args.out!r}: {e}") from e
         return args.func(args, _max_dim())
     except SymplawError as e:  # every refusal, one line
+        if created:
+            Path(created).unlink(missing_ok=True)
         sys.stderr.write(f"input error: {e}\n")
         return 2
 

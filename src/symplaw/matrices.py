@@ -34,8 +34,14 @@ integer rows and delta > 0 the least common denominator, so that A = B / delta
 and gcd(delta, content of B) = 1.  That pair is unique for each rational
 matrix.  It is fixed when the matrix is built, and the kernels run on Python
 ints and normalize their results the same way: the product is B1 B2 /
-(delta1 delta2), a sum c_1 M_1 + ... + c_k M_k of c_i = p_i / q_i is one pass
-over the B_i over lcm(q_i delta_i) (``_linear_combination``), transposes and
+(delta1 delta2), formed, once B2 has at least ten columns, on packed rows
+by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
+row of B2 is one int whose byte-aligned fields hold its entries, so a row of
+B1 B2 is one inner product of that row of B1 with the packed rows, biased by
+2^(w-1) in every field so that no field borrows from the next, and its fields
+are read back from one ``to_bytes`` (``_integer_product``); a sum
+c_1 M_1 + ... + c_k M_k of c_i = p_i / q_i is one pass over the B_i over
+lcm(q_i delta_i) (``_linear_combination``), transposes and
 the signed reindexing of ``RingMatrix.rearranged`` keep delta, equality
 compares the pairs, the trace is tr(B) / delta, the k-th characteristic-
 polynomial coefficient c_k(B) / delta^k, the determinant det(B) / delta^n,
@@ -54,7 +60,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, lshift, mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
@@ -212,7 +218,8 @@ class RingMatrix:
                 raise DimensionError("shape mismatch in matrix product")
             if self._ints is None or other._ints is None:
                 return RingMatrix._trusted(_product(self.entries, other.entries))
-            return RingMatrix._cleared(_product(self._ints, other._ints), self._den * other._den)
+            return RingMatrix._cleared(_integer_product(self._ints, other._ints),
+                                       self._den * other._den)
         return self._scaled(other)
 
     def _scaled(self, c) -> "RingMatrix":
@@ -363,6 +370,35 @@ def _product(a: Sequence, b: Sequence) -> list:
     """
     cols = list(zip(*b))
     return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
+
+
+_PACKED_MIN_COLS = 10
+
+
+def _integer_product(a: Sequence, b: Sequence) -> list:
+    """The rows of A B for integer rows of A and of B; on packed rows once B has 10 columns.
+
+    Each row of B is packed into one int, sum_j b_kj 2^(w j), for a width w of whole bytes
+    with 2^(w-1) > |c_ij| for every entry c_ij of A B, as bounded by the bit lengths of the
+    entries and the inner dimension.  Row i of A B is then sum_k a_ik (packed row k), plus
+    2^(w-1) in every field, so that each field c_ij + 2^(w-1) lies in [0, 2^w) and borrows
+    nothing from the next; one ``to_bytes`` of that sum holds the fields.
+    """
+    cols = len(b[0])
+    # measured crossover, best of 7: packed runs 0.85-1.17x as fast at 8 columns, 0.98-1.62x at 10
+    if cols < _PACKED_MIN_COLS:
+        return _product(a, b)
+    bits = (max(map(int.bit_length, chain.from_iterable(a)))
+            + max(map(int.bit_length, chain.from_iterable(b))) + len(b).bit_length())
+    size = bits // 8 + 1
+    width = 8 * size
+    half = 1 << (width - 1)
+    shifts = range(0, width * cols, width)
+    packed = [sum(map(lshift, row, shifts)) for row in b]
+    bias = sum(map(lshift, repeat(half, cols), shifts))
+    raw = b"".join([sum(map(mul, row, packed), bias).to_bytes(size * cols, "little") for row in a])
+    flat = [int.from_bytes(raw[j:j + size], "little") - half for j in range(0, len(raw), size)]
+    return list(zip(*[iter(flat)] * cols))
 
 
 def _linear_combination(terms, rows: int, cols: int) -> RingMatrix:

@@ -185,7 +185,7 @@ def test_an_unwritable_out_path_is_refused_before_any_work(tmp_path, capsys, mon
         code = main([*args, "--out", out_path])
         captured = capsys.readouterr()
         _assert_one_line_error(code, captured)
-        assert f"cannot write to {out_path}" in captured.err
+        assert f"cannot write to {out_path!r}" in captured.err
 
 
 def test_an_out_file_is_replaced_only_by_a_report(tmp_path, capsys):
@@ -199,6 +199,51 @@ def test_an_out_file_is_replaced_only_by_a_report(tmp_path, capsys):
     code, out = run_cli(["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(out_path)],
                         capsys)
     assert code == 0 and out_path.read_text() == out
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "pfaffian", "--input", "missing.json"],
+    ["suite", "pfaffian", "--d", "7"],
+], ids=["missing_input", "suite_over_the_cap"])
+def test_a_refused_run_removes_the_out_file_it_created(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code = main([*argv, "--out", "report.json"])
+    _assert_one_line_error(code, capsys.readouterr())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_refused_run_keeps_an_empty_out_file_it_found(tmp_path, capsys):
+    out_path = tmp_path / "report.json"
+    out_path.touch()
+    code = main(["eval", "pfaffian", "--input", str(tmp_path / "missing.json"),
+                 "--out", str(out_path)])
+    _assert_one_line_error(code, capsys.readouterr())
+    assert out_path.read_text() == ""
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_a_refused_run_leaves_a_fifo_out_path_unopened(tmp_path):
+    """The FIFO is neither opened, which would wait for a reader, nor removed."""
+    fifo = tmp_path / "report.fifo"
+    os.mkfifo(fifo)
+    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        RUN + ["eval", "pfaffian", "--input", str(tmp_path / "missing.json"), "--out", str(fifo)],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1 and fifo.is_fifo()
+
+
+@pytest.mark.parametrize("flag", ["--input", "--out"])
+def test_a_path_holding_a_newline_is_quoted_in_one_line(tmp_path, capsys, flag):
+    bad = str(tmp_path / "missing" / "x\ny.json")
+    good = {"--input": _write(tmp_path, {"matrix": [[0, 1], [-1, 0]]}),
+            "--out": str(tmp_path / "out.json")}
+    paths = {**good, flag: bad}
+    code = main(["eval", "pfaffian", "--input", paths["--input"], "--out", paths["--out"]])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert repr(bad) in captured.err
 
 
 def test_out_devnull_runs(capsys):

@@ -6,11 +6,13 @@ signed-permutation symplectic transpose, GMA involution and right product
 with J against the products with J and J_delta, the Lambda-vector memo of
 eval_invariant against a fresh computation, the integer kernels for
 rational matrices (product, inverse, determinant, Pfaffian, char_poly,
-rank) against plain Fraction references kept in this file, the cleared
-form (B, delta) every rational matrix keeps, the skew elimination behind
-rational Pfaffians against the expansion, the similitude against the
-scalar of M^j M, and the memoized word images of a representation and the
-prefix memo of word_value against plain products.
+rank) against plain Fraction references kept in this file, the packed
+integer product against the plain one and the Fraction reference on both
+sides of its size threshold, the cleared form (B, delta) every rational
+matrix keeps, the skew elimination behind rational Pfaffians against the
+expansion, the similitude against the scalar of M^j M, and the memoized
+word images of a representation and the prefix memo of word_value against
+plain products.
 """
 
 import random
@@ -20,7 +22,7 @@ from math import gcd
 
 import pytest
 
-from symplaw import invariants, symplectic
+from symplaw import invariants, matrices, symplectic
 from symplaw.detlaws import InvolutiveRepresentation
 from symplaw.errors import ArityError, GeneratorError, NotASimilitudeError, VariableError
 from symplaw.gma import (
@@ -42,7 +44,9 @@ from symplaw.matrices import (
     RingMatrix,
     _cofactor_expansion,
     _det_bareiss,
+    _integer_product,
     _integer_rows,
+    _product,
     char_poly,
     lambdas_of_matrix,
     mat_det,
@@ -685,6 +689,66 @@ def test_cleared_and_fraction_built_matrices_are_equal_and_hash_equal():
             assert RingMatrix._cleared(b, 2 * den) == m * Fraction(1, 2) != m
     zero = RingMatrix._cleared([[0, 0], [0, 0]], 7)
     assert zero.cleared() == (((0, 0), (0, 0)), 1) and zero == RingMatrix.zeros(2)
+
+
+# -- the packed integer product ---------------------------------------------------
+
+
+def _packed_inputs():
+    """(label, A, B) integer rows at 2d = 8, 10, 12, 16, and non-square shapes around them."""
+    rng = random.Random(44)
+
+    def signed(rows, cols, bits):
+        return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(cols)] for _ in range(rows)]
+
+    for d in (4, 5, 6, 8):
+        n = 2 * d
+        ctx = SymplecticContext(d)
+        s1, s2 = sample_symplectic(ctx, 1), sample_symplectic(ctx, 2)
+        s12 = s1 * s2
+        yield f"Cayley n={n}", s1.cleared()[0], s2.cleared()[0]
+        yield f"Cayley products n={n}", s12.cleared()[0], (s12 * s1).cleared()[0]
+        for bits in (1, 64, 3000):
+            yield f"signed {bits} bits n={n}", signed(n, n, bits), signed(n, n, bits)
+        zero_rows = signed(n, n, 8)
+        zero_rows[0] = zero_rows[n // 2] = [0] * n
+        yield f"zero rows n={n}", zero_rows, signed(n, n, 8)
+        yield f"zero left n={n}", [[0] * n] * n, signed(n, n, 8)
+        yield f"zero right n={n}", signed(n, n, 8), [[0] * n] * n
+        for k in (0, 1, 7, 63, 3000):  # every c_ij = n 2^(2k), at the width bound
+            yield f"-2^{k} n={n}", [[-(1 << k)] * n] * n, [[-(1 << k)] * n] * n
+        yield f"1x{n} {n}x1", signed(1, n, 70), signed(n, 1, 70)
+        yield f"{n}x1 1x{n}", signed(n, 1, 70), signed(1, n, 70)
+        yield f"3x{n} {n}x{n + 5}", signed(3, n, 40), signed(n, n + 5, 40)
+        yield f"{n}x7 7x{n - 1}", signed(n, 7, 2), signed(7, n - 1, 2)
+    # 6 + 6 bits of entries and 3 of the inner dimension 7 fit two bytes, with every
+    # c_ij = -7 * 63^2 at 0.85 of 2^15; with the inner dimension 15 they need three bytes
+    yield "63 * -63 in 16-bit fields", [[63] * 7] * 12, [[-63] * 12] * 7
+    yield "63 * 63 in 24-bit fields", [[63] * 15] * 12, [[63] * 12] * 15
+
+
+PACKED_INPUTS = list(_packed_inputs())
+
+
+@pytest.mark.parametrize(("label", "a", "b"), PACKED_INPUTS, ids=[k for k, *_ in PACKED_INPUTS])
+def test_packed_integer_product_matches_the_plain_and_fraction_products(monkeypatch, label, a, b):
+    want = [tuple(row) for row in _product(a, b)]
+    left, right = RingMatrix(a), RingMatrix(b)
+    assert (left * right).entries == tuple(map(tuple, fraction_product(left, right)))
+    assert _integer_product(a, b) == want  # the route the size picks
+    monkeypatch.setattr(matrices, "_PACKED_MIN_COLS", 1)
+    assert _integer_product(a, b) == want  # the packed route at every size
+
+
+def test_the_packed_route_is_chosen_by_the_column_count(monkeypatch):
+    plain = []
+    monkeypatch.setattr(matrices, "_product", lambda a, b: plain.append(len(b[0])) or _product(a, b))
+    rng = random.Random(45)
+    for cols in (1, 9, 10, 12):
+        a = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
+        b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(4)]
+        assert RingMatrix(a) * RingMatrix(b) == RingMatrix(_product(a, b))
+    assert plain == [1, 9]
 
 
 # -- memoized word images --------------------------------------------------------
