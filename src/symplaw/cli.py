@@ -63,17 +63,19 @@ def _load_json(path: str):
 
 
 def _emit(report: dict, out_path: str | None):
-    """Print the report, and write it to ``out_path`` if given; a path that cannot be opened
-    for writing is refused before anything is printed."""
+    """Write the report whole to ``out_path`` if given, then print it; a failed write of either
+    is refused, and a failed file write leaves stdout empty."""
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     try:
-        fh = open(out_path, "w", encoding="utf-8") if out_path else None
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as e:
         raise SchemaError(f"cannot write to {out_path!r}: {e}") from e
-    sys.stdout.write(text)
-    if fh:
-        with fh:
-            fh.write(text)
+    try:
+        print(text, end="", flush=True)
+    except OSError as e:
+        raise SchemaError(f"cannot write to stdout: {e}") from e
 
 
 def _cmd_suite(args, cap: int) -> int:
@@ -148,22 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    created = None  # an --out file this run made, removed again if the run is refused
     try:
         args = build_parser().parse_args(argv)
-        try:  # an unwritable --out is refused before any work; a FIFO is opened only by _emit
-            if args.out and not Path(args.out).is_fifo():
+        try:  # refuse an unwritable --out before any work, leaving the path as it was found
+            if args.out and not Path(args.out).is_fifo():  # a FIFO is opened only by _emit
+                target = os.path.realpath(args.out)  # "x" refuses a dangling link; "w" follows it
                 try:
-                    open(args.out, "x").close()
-                    created = args.out
+                    open(target, "x").close()
+                    os.remove(target)
                 except FileExistsError:
-                    open(args.out, "a").close()
+                    open(target, "a").close()
         except OSError as e:
             raise SchemaError(f"cannot write to {args.out!r}: {e}") from e
         return args.func(args, _max_dim())
     except SymplawError as e:  # every refusal, one line
-        if created:
-            Path(created).unlink(missing_ok=True)
         sys.stderr.write(f"input error: {e}\n")
         return 2
 

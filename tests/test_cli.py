@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from symplaw import cli
+from symplaw import cli, gma
 from symplaw.cli import main
-from symplaw.gma import validate_standard_gma
+from symplaw.gma import check_sch_condition, validate_standard_gma
 from symplaw.multipoly import MAX_EXPONENT
 from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS, gma_spec_from_json
 from symplaw.words import MAX_WORD_LETTERS
@@ -99,6 +99,27 @@ def test_suite_gma_with_counterexample_input(tmp_path, capsys):
     sch = [c for c in report["checks"] if c["name"] == "input_spec_sch_condition"]
     assert sch and sch[0]["sch_condition"] is False
     assert any(c["name"] == "input_spec_chi_p_witness_nonzero" and c["pass"] for c in report["checks"])
+
+
+def test_suite_gma_tests_the_sch_condition_of_an_input_spec_once(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return check_sch_condition(spec)
+
+    monkeypatch.setattr(gma, "check_sch_condition", counted)
+    path = _write(tmp_path, {
+        "I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [1, 1],
+        "base_vars": ["u", "v"],
+        "nil_monomials": ["u^2", "v^2", "u*v"],
+        "blocks": {"1,2": ["u"], "2,1": ["v"]},
+        "tau_signs": {"1,2": 1},
+    })
+    code, out = run_cli(["suite", "gma", "--trials", "3", "--input", path], capsys)
+    sch = [c for c in json.loads(out)["checks"] if c["name"] == "input_spec_sch_condition"]
+    assert code == 0 and len(calls) == 1
+    assert sch == [{"name": "input_spec_sch_condition", "pass": True, "sch_condition": True}]
 
 
 def test_suite_gma_stops_at_an_invalid_input_spec(tmp_path, capsys):
@@ -268,6 +289,53 @@ def test_a_fifo_out_path_gets_the_whole_report(tmp_path):
     )
     reader.join(60)
     assert proc.returncode == 0 and got == [proc.stdout]
+
+
+def test_an_interrupted_run_leaves_the_out_path_as_it_found_it(tmp_path, monkeypatch):
+    """Nothing is undone on the way out: the probe removes the file it makes at once, and a
+    file it finds is only opened for appending."""
+    def interrupt(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_suite", interrupt)
+    found = tmp_path / "found.json"
+    found.write_bytes(b"old report\n")
+    for out_path in (tmp_path / "new.json", found):
+        with pytest.raises(KeyboardInterrupt):
+            main(["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(out_path)])
+    assert list(tmp_path.iterdir()) == [found] and found.read_bytes() == b"old report\n"
+
+
+def test_an_out_symlink_with_no_target_is_left_dangling_by_a_refused_run(tmp_path, capsys):
+    link, target = tmp_path / "link.json", tmp_path / "target.json"
+    link.symlink_to(target)
+    code = main(["eval", "pfaffian", "--input", str(tmp_path / "missing.json"), "--out", str(link)])
+    _assert_one_line_error(code, capsys.readouterr())
+    assert link.is_symlink() and not target.exists()
+    code, out = run_cli(["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(link)],
+                        capsys)
+    assert code == 0 and target.read_text() == out
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_an_out_file_that_cannot_be_written_exits_2_before_stdout(capsys):
+    code = main(["suite", "pfaffian", "--d", "1", "--trials", "2", "--out", "/dev/full"])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert captured.err.startswith("input error: cannot write to '/dev/full': ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_a_stdout_that_cannot_be_written_exits_2_with_one_line():
+    # the child imports the symplaw under test, from the directory this process imported
+    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
+                                         os.environ.get("PYTHONPATH")]))
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(RUN + ["suite", "pfaffian", "--d", "1", "--trials", "2"],
+                              stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 2 and proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith("input error: cannot write to stdout: ")
 
 
 def _write(tmp_path, blob, name="in.json"):
