@@ -68,13 +68,13 @@ def _emit(report: dict, out_path: str | None):
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
     try:
         if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            Path(out_path).write_text(text, encoding="utf-8")
     except OSError as e:
         raise SchemaError(f"cannot write to {out_path!r}: {e}") from e
     try:
         print(text, end="", flush=True)
-    except OSError as e:
+    except OSError as e:  # fd to devnull, so the flush at exit of any bytes still buffered succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         raise SchemaError(f"cannot write to stdout: {e}") from e
 
 
