@@ -5,7 +5,9 @@
     symplaw eval <pfaffian|detlaw|invariant|theta> --input VALUE.json [--out OUT.json]
 
 Exit codes: 0 all checks pass, 1 a check failed, 2 malformed input or
-environment: any SymplawError, printed by ``main`` as one "input error:" line.
+environment: any SymplawError, printed by ``main`` as one "input error:" line,
+its message cut to ``_MESSAGE_CHARS`` and "... (N characters)".  JSON nested
+past the decoder's recursion limit is refused as any unreadable JSON.
 SYMPLAW_MAX_DIM caps 2d (default 12) on every path; it must be a positive
 integer.  Every integer read from text, in argv, the environment or JSON,
 follows ``words.integer_literal``: an optional "-" and ASCII digits.
@@ -38,6 +40,9 @@ from .symplectic import pfaffian
 from .words import integer_literal, parse_word
 
 
+_MESSAGE_CHARS = 300  # of a refusal message printed before the cut
+
+
 def _max_dim() -> int:
     raw = os.environ.get("SYMPLAW_MAX_DIM", "12")
     cap = integer_literal(raw)
@@ -58,7 +63,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: bad JSON, or an int over the digit limit
+    except (OSError, ValueError, RecursionError) as e:  # bad, too deep, or past the digit limit
         raise SchemaError(f"cannot read JSON from {path!r}: {e}") from e
 
 
@@ -163,8 +168,11 @@ def main(argv=None) -> int:
         except OSError as e:
             raise SchemaError(f"cannot write to {args.out!r}: {e}") from e
         return args.func(args, _max_dim())
-    except SymplawError as e:  # every refusal, one line
-        sys.stderr.write(f"input error: {e}\n")
+    except SymplawError as e:  # every refusal, one line, cut past _MESSAGE_CHARS
+        message = str(e)
+        if len(message) > _MESSAGE_CHARS:
+            message = f"{message[:_MESSAGE_CHARS]}... ({len(message)} characters)"
+        sys.stderr.write(f"input error: {message}\n")
         return 2
 
 

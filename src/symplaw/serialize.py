@@ -5,9 +5,9 @@ row-major arrays; polynomials are {"vars": [...], "terms": [{"exp": [...],
 "coef": "p/q"}]} objects, with a compact string form ("2/3*u^2*v - 1")
 accepted on input for fixtures.  Every integer read from text, block keys and
 "p/q" halves included, is a ``words.integer_literal``, every rational a
-``_ratio_literal``, and ``parse_poly_string`` builds on both.  Every JSON object
-is read by ``json_fields``, which refuses a key it was not told of.  Values are only
-read: the CLI prints what it computes with ``str``.
+``_ratio_literal``; ``parse_poly_string`` builds on both, in linear time.  Every
+JSON object is read by ``json_fields``, which refuses a key it was not told of.
+Values are only read: the CLI prints what it computes with ``str``.
 """
 
 from __future__ import annotations
@@ -116,11 +116,12 @@ def parse_poly_string(text: str) -> MultiPoly:
     Terms are joined by "+" or "-", the first may carry a "-", and factors by
     "*"; white space may stand only around these, not at either end.  A factor is a
     ``_ratio_literal``, or a variable with an optional "^" and ``integer_literal``.
+    Every term is summed into one dict, so the time is linear in the number of terms.
     """
     parts = ["+", *_SIGN.split(text)]  # sign, term, sign, term, ...
     if text.startswith("-"):
         del parts[:2]  # the empty term before a leading "-"
-    total = None
+    names, terms = set(), {}  # terms: sorted (variable, nonzero exponent) pairs -> coefficient
     for sign, term in zip(parts[::2], parts[1::2]):
         coef, factors = Fraction(-1 if sign == "-" else 1), {}
         for factor in _TIMES.split(term):
@@ -136,10 +137,11 @@ def parse_poly_string(text: str) -> MultiPoly:
             if power is None:
                 raise _bad("exponent", exp, text)
             factors[name] = factors.get(name, 0) + power
-        vs = tuple(sorted(factors))
-        term = MultiPoly(vs, {tuple(factors[v] for v in vs): coef})
-        total = term if total is None else total + term
-    return total
+        names.update(factors)
+        key = tuple(sorted((v, e) for v, e in factors.items() if e))
+        terms[key] = terms.get(key, 0) + coef
+    vs = tuple(sorted(names))
+    return MultiPoly(vs, {tuple(dict(key).get(v, 0) for v in vs): c for key, c in terms.items()})
 
 
 def ring_value_from_json(obj):

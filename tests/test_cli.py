@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import threading
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +15,8 @@ from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS, gma_spec_fr
 from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
-SRC = str(Path(__file__).resolve().parents[1] / "src")
+# the longest refusal line: the message cut to its first cli._MESSAGE_CHARS, then its length
+MAX_LINE = len("input error: ") + cli._MESSAGE_CHARS + len("... (999999999 characters)\n")
 
 
 def run_cli(args, capsys):
@@ -161,14 +161,12 @@ def test_max_dim_guard(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
-def test_console_entry_point_runs():
-    # the child process imports symplaw from this checkout, with or without PYTHONPATH set
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
+def test_console_entry_point_runs(child_env):
     proc = subprocess.run(
         RUN + ["suite", "pfaffian", "--d", "1", "--trials", "3", "--seed", "1"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["pass"] is True
@@ -243,14 +241,13 @@ def test_a_refused_run_keeps_an_empty_out_file_it_found(tmp_path, capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_refused_run_leaves_a_fifo_out_path_unopened(tmp_path):
+def test_a_refused_run_leaves_a_fifo_out_path_unopened(tmp_path, child_env):
     """The FIFO is neither opened, which would wait for a reader, nor removed."""
     fifo = tmp_path / "report.fifo"
     os.mkfifo(fifo)
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         RUN + ["eval", "pfaffian", "--input", str(tmp_path / "missing.json"), "--out", str(fifo)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1 and fifo.is_fifo()
 
@@ -274,7 +271,7 @@ def test_out_devnull_runs(capsys):
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-def test_a_fifo_out_path_gets_the_whole_report(tmp_path):
+def test_a_fifo_out_path_gets_the_whole_report(tmp_path, child_env):
     """A FIFO's reader sees the report: checking the path by opening it first would end the
     reader's input, and the report's own open would then wait for a reader forever."""
     fifo = tmp_path / "report.fifo"
@@ -282,10 +279,9 @@ def test_a_fifo_out_path_gets_the_whole_report(tmp_path):
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
     reader.start()
-    path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         RUN + ["suite", "pfaffian", "--d", "1", "--trials", "3", "--out", str(fifo)],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60, env=child_env,
     )
     reader.join(60)
     assert proc.returncode == 0 and got == [proc.stdout]
@@ -332,14 +328,11 @@ PYIO_CLI = ("import _pyio, sys; sys.stdout = _pyio.open(1, 'w', closefd=False); 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("child", [RUN, [sys.executable, "-c", PYIO_CLI]], ids=["io", "pyio"])
-def test_a_stdout_that_cannot_be_written_exits_2_with_one_line(child):
-    # the child imports the symplaw under test, from the directory this process imported
-    path = os.pathsep.join(filter(None, [str(Path(cli.__file__).parents[1]),
-                                         os.environ.get("PYTHONPATH")]))
+def test_a_stdout_that_cannot_be_written_exits_2_with_one_line(child, child_env):
     with open("/dev/full", "w") as full:
         proc = subprocess.run(child + ["suite", "pfaffian", "--d", "1", "--trials", "2"],
                               stdout=full, stderr=subprocess.PIPE, text=True, timeout=60,
-                              env={**os.environ, "PYTHONPATH": path})
+                              env=child_env)
     assert proc.returncode == 2 and proc.stderr.count("\n") == 1
     assert proc.stderr.startswith("input error: cannot write to stdout: ")
 
@@ -544,6 +537,7 @@ def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("input error: ") and len(captured.err) <= MAX_LINE
 
 
 @pytest.mark.parametrize(
@@ -606,6 +600,7 @@ def _assert_one_line_error(code, captured):
     assert code == 2
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert captured.err.startswith("input error: ") and len(captured.err) <= MAX_LINE
 
 
 @pytest.mark.parametrize("coef", ["1/0", "2/0*c", "1/x*c", "c^x", "u^-1", "u^", "2*u^*v"])
@@ -883,6 +878,25 @@ def test_an_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     _assert_one_line_error(code, captured)
     assert "cannot read JSON" in captured.err
+
+
+# nested inputs near or past the depth where the decoder hits the recursion limit; where it
+# reads the 980-level array, the refusal quotes the array, cut at cli._MESSAGE_CHARS
+_NESTED = {
+    "array_as_pfaffian_input": (["eval", "pfaffian"], "[" * 100_000 + "]" * 100_000),
+    "object_as_detlaw_input": (["eval", "detlaw"], '{"a": ' * 5000 + "1" + "}" * 5000),
+    **{f"{n}_level_invariant_matrices": (["eval", "invariant"], '{"sigma_index": 1, "word": "1", '
+                                         '"matrices": ' + "[" * n + "]" * n + "}") for n in (980, 990)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_NESTED))
+def test_a_deeply_nested_input_exits_2_with_one_bounded_line(tmp_path, capsys, name):
+    argv, text = _NESTED[name]
+    path = tmp_path / "in.json"
+    path.write_text(text)
+    code = main([*argv, "--input", str(path)])
+    _assert_one_line_error(code, capsys.readouterr())
 
 
 # every random element of a spec with no off-diagonal block is integral, so rational

@@ -6,11 +6,12 @@ Each case starts from one valid input: one per ``eval`` verb (the P law of
 from ``VALUES``, deletes a key, or puts a matrix one size above
 ``SYMPLAW_MAX_DIM`` in place of one; ``cli.main`` then runs in process.  It
 must return 0, 1 or 2, no exception may escape it, and an exit 2 writes one
-stderr line, which starts ``input error: ``.  The splices, all of
-them and in order, put each string of ``VALUES`` in place of each token of
-each string leaf (a letter or index of a word, a numeral, a variable or a
-``^`` exponent) and of each whole term, so that a malformed token reaches
-the parsers inside an otherwise valid field.  The two values one past a
+stderr line, which starts ``input error: `` and is at most ``MAX_LINE`` long.
+The splices, all of them and in order, put each string of ``VALUES``, and
+``LONG_POLY``, in place of each token of each string leaf (a letter or index
+of a word, a numeral, a variable or a ``^`` exponent) and of each whole term,
+so that a malformed token reaches the parsers inside an otherwise valid
+field.  The two values one past a
 work guard (a word of ``MAX_WORD_LETTERS`` + 1 letters, an element of
 ``MAX_ELEMENT_TERMS`` + 1 terms) also go in place of every node of every
 case, since random draws seldom put them where their guard reads them, and
@@ -32,11 +33,13 @@ import re
 
 import pytest
 
-from symplaw.cli import main
+from symplaw.cli import _MESSAGE_CHARS, main
 from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS
 from symplaw.words import MAX_WORD_LETTERS
 
 MAX_DIM = 4  # small, so that matrices above the cap stay cheap
+# the longest refusal line: the message cut to its first _MESSAGE_CHARS, then its length
+MAX_LINE = len("input error: ") + _MESSAGE_CHARS + len("... (999999999 characters)\n")
 
 # one past a work guard: a word of one letter too many, an element of one term too many
 LONG_WORD = " ".join(["g1"] * (MAX_WORD_LETTERS + 1))
@@ -118,7 +121,10 @@ SPLICE_CASES["detlaw_poly"] = (["eval", "detlaw"], {
     "rep": _REP, "law": "D",
     "element": {"terms": [{"word": "g1 g2^-1", "coef": "u^2 - 1/2*u*v + 3"},
                           {"word": "g2", "coef": "v"}]}})
-SPLICES = tuple(v for v in VALUES if isinstance(v, str))
+# a polynomial string of 2000 terms over three monomials: read in linear time, and quoted whole
+# by any refusal that quotes the field it lands in
+LONG_POLY = " + ".join(f"{i}/7*u^{i % 3}*v" for i in range(2000))
+SPLICES = (*(v for v in VALUES if isinstance(v, str)), LONG_POLY)
 TOKEN = re.compile(r"\w+")
 TERM = re.compile(r"[^\s+-](?:[^+-]*[^\s+-])?")  # a term of a polynomial string, or a whole word
 
@@ -183,8 +189,9 @@ def run(argv, blob, tmp_path, err=None):
     except Exception as e:  # anything escaping main is the finding
         return e
     lines = err.getvalue().splitlines(keepends=True)
-    if code == 2 and not (len(lines) == 1 and lines[0].startswith("input error: ")):
-        return AssertionError(f"exit 2 without one 'input error: ' line: {err.getvalue()!r}")
+    if code == 2 and not (len(lines) == 1 and lines[0].startswith("input error: ")
+                          and len(lines[0]) <= MAX_LINE):
+        return AssertionError(f"exit 2 without one bounded 'input error: ' line: {err.getvalue()!r}")
     return code
 
 

@@ -363,3 +363,31 @@ def test_json_keys_read_only_by_the_key_reader():
                   and any(isinstance(op, (ast.In, ast.NotIn)) for op in node.ops)):
                 found.append(f"{path.name}:{node.lineno}: {node.left.value!r} in")
     assert not found, found
+
+
+# every test module and the fixtures they share; ``tests/sweep.py`` is a script, not a test
+TESTS = [ROOT / "tests" / "conftest.py", *sorted((ROOT / "tests").glob("test_*.py"))]
+
+
+def test_a_child_process_runs_the_symplaw_under_test():
+    """Every child process gets its environment from the ``child_env`` fixture, which puts the
+    directory of the imported ``symplaw`` on PYTHONPATH: only ``conftest.py`` names PYTHONPATH,
+    no test edits ``sys.path``, and every ``subprocess`` call passes ``env=child_env`` and no
+    ``cwd``.  A test that put this checkout's ``src`` on a child's path would run other code
+    than the one ``PYTHONPATH`` names.  Reading the source files by path stays allowed."""
+    found = []
+    for path in TESTS:
+        for node in ast.walk(_parse(path)):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if (isinstance(node, ast.Constant) and node.value == "PYTHONPATH"
+                    and path.name not in ("conftest.py", Path(__file__).name)):  # here, to find it
+                found.append(f"{where}: names PYTHONPATH")
+            elif (isinstance(node, ast.Attribute) and node.attr == "path"
+                  and isinstance(node.value, ast.Name) and node.value.id == "sys"):
+                found.append(f"{where}: sys.path")
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and isinstance(node.func.value, ast.Name) and node.func.value.id == "subprocess"):
+                keywords = {k.arg: ast.unparse(k.value) for k in node.keywords}
+                if keywords.get("env") != "child_env" or "cwd" in keywords:
+                    found.append(f"{where}: subprocess.{node.func.attr} without env=child_env")
+    assert not found, found

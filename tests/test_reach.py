@@ -20,13 +20,13 @@ import ast
 import contextlib
 import io
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-PACKAGE = ROOT / "src" / "symplaw"
+import symplaw
+
+PACKAGE = Path(symplaw.__file__).parent  # the package under test, as the probe's child imports it
 LISTED = Path(__file__).with_name("unreached.txt")
 REASONS = ("api", "error", "oracle", "gap")
 
@@ -137,10 +137,8 @@ def listed() -> dict:
     return entries
 
 
-def test_every_function_is_reached_or_listed(tmp_path):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=env,
+def test_every_function_is_reached_or_listed(tmp_path, child_env):
+    done = subprocess.run([sys.executable, __file__, str(tmp_path)], env=child_env,
                           capture_output=True, text=True, check=True)
     probe = json.loads(done.stdout)
     assert probe["codes"] == [0] * len(probe["codes"]), probe["codes"]
