@@ -107,11 +107,11 @@ class QuotientRing:
         object.__setattr__(self, "_divisible", _IdealMemo(tuple(ideal._packed), len(vs)))
 
     def _lift(self, x: MultiPoly) -> MultiPoly:
-        """x over the ring's variables; MembershipError if it uses another."""
+        """x over the ring's variables; MembershipError if one of its ``used_vars`` is not one."""
         if x.vars == self.vars:
             return x
-        if not set(x.vars) <= set(self.vars):
-            raise MembershipError(f"element uses variables outside the ring: {x.vars}")
+        if not set(x.used_vars) <= set(self.vars):
+            raise MembershipError(f"element uses variables outside the ring: {x.used_vars}")
         return x.in_vars(self.vars)
 
     def reduce(self, x: Ring) -> Ring:
@@ -230,20 +230,17 @@ class GmaType:
     dims: tuple
 
     def __post_init__(self):
-        i0, i1, i2 = tuple(self.i0), tuple(self.i1), tuple(self.i2)
-        dims = tuple(int(x) for x in self.dims)
-        sigma = tuple(int(x) for x in self.sigma)
-        r = len(dims)
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "i1", i1)
-        object.__setattr__(self, "i2", i2)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "sigma", sigma)
-        if sorted(i0 + i1 + i2) != list(range(1, r + 1)):
+        for name in ("i0", "i1", "i2", "sigma", "dims"):
+            value = tuple(getattr(self, name))
+            if not all(type(x) is int for x in value):
+                raise TypeError(f"GMA type {name} must hold ints, got {value!r}")
+            object.__setattr__(self, name, value)
+        i0, i1, i2, sigma, dims = self.i0, self.i1, self.i2, self.sigma, self.dims
+        if sorted(i0 + i1 + i2) != list(range(1, self.r + 1)):
             raise StructureError("I0, I1, I2 must partition {1..r}")
-        if len(sigma) != r or sorted(sigma) != list(range(1, r + 1)):
+        if len(sigma) != self.r or sorted(sigma) != list(range(1, self.r + 1)):
             raise StructureError("sigma must be a permutation of {1..r}")
-        for i in range(1, r + 1):
+        for i in range(1, self.r + 1):
             if sigma[sigma[i - 1] - 1] != i:
                 raise StructureError("sigma must be an involution")
             if dims[sigma[i - 1] - 1] != dims[i - 1]:
@@ -409,7 +406,7 @@ def validate_standard_gma(spec: GmaSpec) -> dict:
                 violations.append(f"tau sign of ({i},{j}) differs from ({si},{sj})")
             for k in range(1, t.r + 1):
                 for x in spec.span(i, j):
-                    for y in spec.span(j, k) if j != k else (MultiPoly.constant(1, ring.vars),):
+                    for y in spec.span(j, k):
                         prod = ring.reduce(x * y)
                         if not prod:
                             continue

@@ -64,7 +64,7 @@ from operator import add, lshift, mul
 from typing import Callable, Sequence
 
 from .errors import DimensionError, VariableError
-from .multipoly import _MASK, MultiPoly, Ring, _shift, canonical_scalar
+from .multipoly import MultiPoly, Ring, canonical_scalar
 
 _EXACT = (int, Fraction, MultiPoly)
 _POLY_ENTRY_TYPES = frozenset((int, MultiPoly))  # a polynomial matrix of these needs no rewrite
@@ -539,14 +539,14 @@ def _bareiss(a: list, n: int, above: bool = False) -> int:
 
 
 def entry_vars(m: RingMatrix) -> set:
-    """The variable names carried by the MultiPoly entries of ``m``."""
+    """The variables the MultiPoly entries of ``m`` use: the union of their ``used_vars``."""
     taken: set = set()
     if m._ints is not None:
         return taken
     for row in m.entries:
         for x in row:
             if isinstance(x, MultiPoly):
-                taken.update(x.vars)
+                taken.update(x.used_vars)
     return taken
 
 
@@ -583,12 +583,8 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     if not _is_square(m):
         raise DimensionError("characteristic polynomial of a non-square matrix")
     if m._ints is None:
-        for row in m.entries:
-            for x in row:
-                if isinstance(x, MultiPoly) and var in x.vars:
-                    s = _shift(len(x.vars), x.vars.index(var))
-                    if any(key >> s & _MASK for key in x._packed):
-                        raise VariableError(f"entry already uses variable {var!r}")
+        if var in entry_vars(m):
+            raise VariableError(f"matrix entries already use variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
         den, ints = m._den, _berkowitz(m._ints, _sum_of_products)

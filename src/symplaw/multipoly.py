@@ -19,7 +19,10 @@ monomial product is one integer addition, and a product that carries an
 exponent into a guard bit raises ``CapacityError`` instead of wrapping.  A
 product by a one-term polynomial adds one key to every key and needs no
 accumulation; with coefficient 1 it also keeps the coefficients as they are.
-``terms`` is the exponent-tuple view, a new dict built on each read.
+``terms`` is the exponent-tuple view, a new dict built on each read.  The
+declared ``vars`` fix the fields; every check of where a polynomial fits (``==``,
+``hash``, ``in_vars``, ``matrices.entry_vars``, ``gma.QuotientRing._lift``) reads
+``used_vars``, the variables its terms use, so ``u*w^0`` fits wherever ``u`` does.
 
 The public constructor validates its input; arithmetic results are built
 from validated operands by the private ``MultiPoly._trusted``, unchecked, and
@@ -184,13 +187,20 @@ class MultiPoly:
             raise VariableError(f"not a constant polynomial: {self}")
         return Fraction(self._packed[0])
 
+    @property
+    def used_vars(self) -> tuple:
+        """The variables some term raises to a nonzero power: the fields set in the OR of the keys."""
+        fields = reduce(or_, self._packed, 0)
+        k = len(self.vars)
+        return tuple(v for i, v in enumerate(self.vars) if fields >> _shift(k, i) & _MASK)
+
     def in_vars(self, variables: Iterable[str]) -> "MultiPoly":
-        """Rewrite over a larger (sorted) variable tuple."""
+        """Rewrite over the sorted ``variables``; VariableError if they miss one of ``used_vars``."""
         target = _checked_vars(variables)
         if target == self.vars:
             return self
         for v in self.vars:
-            if v not in target:
+            if v not in target and v in self.used_vars:
                 raise VariableError(f"variable {v} missing from target {target}")
         return MultiPoly._canonical(target, _repacked(self._packed, self.vars, target))
 
@@ -296,11 +306,8 @@ class MultiPoly:
 
     def __hash__(self):
         # Hash ignores unused variables so that equal values hash equally.
-        used_fields = reduce(or_, self._packed, 0)
-        k = len(self.vars)
-        used = tuple(v for i, v in enumerate(self.vars) if used_fields >> _shift(k, i) & _MASK)
-        terms = self._packed if len(used) == k else _repacked(self._packed, self.vars, used)
-        return hash((used, frozenset(terms.items())))
+        used = self.used_vars
+        return hash((used, frozenset(self.in_vars(used)._packed.items())))
 
     # -- extraction ---------------------------------------------------
 

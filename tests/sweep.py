@@ -3,22 +3,33 @@
     python tests/sweep.py [--seeds N]
 
 Prints the number of runs, the number that failed (exit code other than 0),
-the first failing (d, seed) and a SHA-256 digest of every report in order, so
-that two checkouts can be compared by one line.  Exits 1 if any run failed.
-Its name does not match ``test_*.py``, so the test suite does not collect it.
+the first failing (d, seed), a SHA-256 digest of every report in order, so
+that two checkouts can be compared by one line, and the directory of the
+``symplaw`` package that ran.  Exits 1 if any run failed.  A ``symplaw`` on
+``PYTHONPATH`` runs ahead of this checkout's ``src``, so
+
+    PYTHONPATH=/path/to/other/src python tests/sweep.py
+
+sweeps the other copy.  Its name does not match ``test_*.py``, so the test
+suite does not collect it.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import os
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+# sys.path is this script's directory, then one entry per PYTHONPATH entry: src goes after them
+_PYTHONPATH = os.environ.get("PYTHONPATH", "")
+sys.path.insert(1 + len(_PYTHONPATH.split(os.pathsep)) if _PYTHONPATH else 1,
+                str(Path(__file__).resolve().parents[1] / "src"))
 
-from symplaw.cli import main  # noqa: E402  (imported from this checkout's src)
+import symplaw  # noqa: E402
+from symplaw.cli import main  # noqa: E402
 
 DIMENSIONS = (1, 2, 3)
 
@@ -48,7 +59,8 @@ def _main() -> int:
     start = time.perf_counter()
     runs, failures, first, digest = sweep(args.seeds)
     print(f"runs {runs}  failures {failures}  first failing (d, seed) {first}  "
-          f"sha256 {digest}  ({time.perf_counter() - start:.1f} s)")
+          f"sha256 {digest}  ({time.perf_counter() - start:.1f} s)  "
+          f"symplaw {Path(symplaw.__file__).parent}")
     return 1 if failures else 0
 
 

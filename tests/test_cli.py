@@ -694,6 +694,24 @@ def test_a_block_basis_outside_the_ring_is_named_by_its_own_variables(tmp_path, 
     assert captured.err == "input error: element uses variables outside the ring: ('w',)\n"
 
 
+@pytest.mark.parametrize(
+    ("field", "written", "value"),
+    [("blocks", {"1,2": ["u*w^0"], "2,1": ["v"]}, {"1,2": ["u"], "2,1": ["v"]}),
+     ("nil_monomials", ["u^2*w^0", "v^2", "u*v"], ["u^2", "v^2", "u*v"])],
+    ids=["block_basis", "nil_monomial"],
+)
+def test_a_zero_power_of_a_foreign_variable_is_read_as_its_value(tmp_path, capsys, field,
+                                                                   written, value):
+    """``w^0`` uses no variable, so ``u*w^0`` fits the ring over u and v as ``u`` does, and a
+    block or nil monomial written with it gives the report of the one written without it."""
+    reports = []
+    for blob in ({**_GMA_INPUT, field: written}, {**_GMA_INPUT, field: value}):
+        code = main(["suite", "gma", "--trials", "2", "--input", _write(tmp_path, blob)])
+        reports.append((code, capsys.readouterr()))
+    assert reports[0] == reports[1]
+    assert reports[0][0] != 2 and reports[0][1].err == ""
+
+
 # the standard fixture's type with a tau-sign fault: tau(1,3) = -1 breaks the sigma pairing,
 # and over Q[u,v]/(u^2, v^2), where span(2,1) * span(1,3) holds uv != 0, tau(2,3) = -1 breaks
 # multiplicativity

@@ -7,7 +7,10 @@ from hypothesis import given, strategies as st
 
 from symplaw.errors import CapacityError, VariableError
 from symplaw.gma import QuotientRing
+from symplaw.matrices import RingMatrix, char_poly, entry_vars
 from symplaw.multipoly import MAX_EXPONENT, MultiPoly, fresh_var
+from symplaw.serialize import parse_poly_string
+from symplaw.symplectic import SymplecticContext, pfaffian_char_poly
 
 
 def is_canonical(c):
@@ -482,3 +485,49 @@ def test_packed_operations_match_a_tuple_keyed_reference():
             assert buckets.keys() == expected.keys()
             for deg, bucket in buckets.items():
                 _assert_is(bucket, union if i is None else rest, expected[deg])
+
+
+def test_a_zero_power_of_a_variable_is_no_variable_to_in_vars():
+    p = parse_poly_string("u*w^0")
+    assert (p.vars, p.used_vars) == (("u", "w"), ("u",))
+    lifted = p.in_vars(("u",))
+    assert lifted == MultiPoly.variable("u") and lifted.vars == ("u",)
+    with pytest.raises(VariableError, match="variable u missing from target"):
+        p.in_vars(("w",))
+
+
+def _clash_verdicts(p: MultiPoly, names) -> list:
+    """For each name: what ``char_poly`` and ``pfaffian_char_poly`` of diag(p, p) give in it,
+    the name None picking ``pfaffian_char_poly``'s own; a refusal is the string "clash"."""
+    m, ctx = RingMatrix.scalar(2, p), SymplecticContext(1)
+    out = []
+    for name in names:
+        for call in ((lambda: char_poly(m, name)) if name else (lambda: None),
+                     lambda: pfaffian_char_poly(ctx, m, name)):
+            try:
+                out.append(call())
+            except VariableError as e:
+                assert str(e) == f"matrix entries already use variable {name!r}"
+                out.append("clash")
+    return out
+
+
+def test_a_declared_but_unused_variable_changes_no_verdict():
+    """p and p declared over one more variable that no term uses are one value to every reader:
+    ``==``, ``hash``, ``used_vars``, ``in_vars`` back to p's variables, ``entry_vars`` and the
+    clash verdicts of both characteristic polynomials."""
+    rng = random.Random(47)
+    names = ("s", "t", "u", "x")
+    for _ in range(300):
+        variables = tuple(sorted(rng.sample(names, rng.randint(0, 3))))
+        p = rand_poly(rng, variables, max_exp=2)
+        extra = rng.choice([v for v in names if v not in variables])
+        wide = tuple(sorted(variables + (extra,)))
+        at = wide.index(extra)
+        q = MultiPoly(wide, {e[:at] + (0,) + e[at:]: c for e, c in p.terms.items()})
+        assert q.vars == wide and q == p and hash(q) == hash(p)
+        assert q.used_vars == p.used_vars
+        back = q.in_vars(variables)
+        assert back.vars == p.vars and back._packed == p._packed
+        assert entry_vars(RingMatrix.scalar(2, q)) == entry_vars(RingMatrix.scalar(2, p))
+        assert _clash_verdicts(q, names + (None,)) == _clash_verdicts(p, names + (None,))

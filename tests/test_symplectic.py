@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from symplaw.errors import DimensionError, NotASimilitudeError, StructureError
-from symplaw.matrices import RingMatrix, mat_det
+from symplaw.matrices import RingMatrix, char_poly, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
     SymplecticContext,
@@ -365,3 +365,15 @@ def test_samplers_match_the_fraction_built_reference(name):
             assert m == expected and m.cleared() == expected.cleared()
             assert m.entries == expected.entries
             assert rng.random() == ref_rng.random()  # the same draws, in the same order
+
+
+def test_a_declared_but_unused_variable_is_no_clash_for_the_pfaffian_char_poly():
+    """diag(u, u) with u declared over (t, u): no entry uses t, so t is free for both
+    characteristic polynomials, and it is the variable that ``pfaffian_char_poly`` picks."""
+    t, u = MultiPoly.variable("t"), MultiPoly(("t", "u"), {(0, 1): 1})
+    m = RingMatrix.scalar(2, u)
+    ctx = SymplecticContext(1)
+    assert char_poly(m, "t") == (t - u) ** 2
+    assert pfaffian_char_poly(ctx, m, "t") == t - u
+    picked = pfaffian_char_poly(ctx, m)
+    assert picked == t - u and picked.used_vars == ("t", "u")

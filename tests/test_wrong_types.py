@@ -34,6 +34,7 @@ from symplaw import (
     theta_eval,
 )
 from symplaw.errors import GeneratorError
+from symplaw.gma import GmaType
 from symplaw.symplectic import is_alternating, sample_similitude
 from symplaw.words import parse_word
 
@@ -41,6 +42,12 @@ from symplaw.words import parse_word
 def _pc():
     rep = InvolutiveRepresentation.from_images([sample_symplectic(SymplecticContext(1), 3)])
     return Pseudocharacter(rep)
+
+
+def _gma_type(**fields):
+    """The standard fixture's GMA type with ``fields`` replaced."""
+    return GmaType(**{"i0": (1,), "i1": (2,), "i2": (3,), "sigma": (1, 3, 2), "dims": (2, 1, 1),
+                      **fields})
 
 
 _TRACE = InvariantFunction.sigma(1, TraceWord(((1, False),)))
@@ -108,6 +115,10 @@ CALLS = {
         lambda: InvariantFunction.similitude_power(1.0), TypeError),
     "similitude_sample_with_a_float_factor": (
         lambda: sample_similitude(_CTX, 0, factor=0.1), TypeError),
+    # each of these was once converted by int(), so 2.9 was read as 2 and True as 1
+    "gma_type_with_float_dims": (lambda: _gma_type(dims=(2.9, 1, 1)), TypeError),
+    "gma_type_with_text_sigma": (lambda: _gma_type(sigma=("1", 3, 2)), TypeError),
+    "gma_type_with_bool_dims": (lambda: _gma_type(dims=(2, 1, True)), TypeError),
 }
 
 
