@@ -158,8 +158,9 @@ def eval_invariant(f: InvariantFunction, mats: Sequence[RingMatrix],
     if not all(isinstance(m, RingMatrix) for m in mats):
         raise TypeError("the arguments of an invariant function must be RingMatrix values")
     n = mats[0].rows
-    if n % 2:
-        raise DimensionError("matrices must be 2d x 2d")
+    for m in mats:  # a plain loop: any() over a generator costs more than these few matrices
+        if n % 2 or m.rows != n or m.cols != n:
+            raise DimensionError("matrices must be 2d x 2d, all of one size")
     ctx = SymplecticContext(n // 2)
     if f.kind == "similitude":
         lam = similitude(ctx, mats[f.var_index - 1])

@@ -522,6 +522,9 @@ def _matrices_blob(count, matrix=_identity(2)):
         ("invariant", _invariant_blob(1)),
         ("theta", {"rep": _REP_4, "f": {"sigma_index": 1, "word": 1}, "gammas": ["g1"]}),
         ("detlaw", {**_detlaw_blob("g1"), "rep": {**_REP_4, "kind": 5}}),
+        ("invariant", {"matrices": [_identity(2), [["1", "2", "3"]]], "sigma_index": 1, "word": "1"}),
+        ("invariant", {"matrices": [[[1, 2, 3], [4, 5, 6]], _identity(2)], "similitude_power": 2,
+                       "var_index": 2}),
     ],
     ids=["sigma_index", "arity", "similitude_power", "gamma", "gamma_exponent", "term_word",
          "letter_0", "exponent_1e5", "exponent_20_digits", "word_over_cap", "tokens_over_cap",
@@ -529,7 +532,8 @@ def _matrices_blob(count, matrix=_identity(2)):
          "invariant_matrices_over_cap", "trace_word_superscript", "trace_word_superscript_index",
          "trace_word_index_past_digit_limit", "trace_word_starred_index_past_digit_limit",
          "coefficient_exponent_past_digit_limit", "word_exponent_empty", "trace_word_number",
-         "theta_trace_word_number", "representation_kind_number"],
+         "theta_trace_word_number", "representation_kind_number", "invariant_matrices_of_two_sizes",
+         "invariant_similitude_after_a_non_square"],
 )
 def test_malformed_eval_field_exits_2(tmp_path, capsys, verb, blob):
     code = main(["eval", verb, "--input", _write(tmp_path, blob)])

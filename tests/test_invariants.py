@@ -359,6 +359,23 @@ def test_arity_errors():
         eval_invariant(f, [RingMatrix.identity(2), RingMatrix.identity(2)])
 
 
+@pytest.mark.parametrize(
+    ("f", "mats"),
+    [(InvariantFunction.sigma(1, TraceWord(((1, False),)), arity=2),
+      [RingMatrix.identity(2), RingMatrix([[1, 2, 3]])]),
+     (InvariantFunction.sigma(1, TraceWord(((1, False),)), arity=2),
+      [RingMatrix.identity(2), RingMatrix.identity(4)]),
+     (InvariantFunction.similitude_power(2, arity=2),
+      [RingMatrix([[1, 2, 3], [4, 5, 6]]), RingMatrix.identity(2)])],
+    ids=["second_not_square", "second_larger", "first_not_square"],
+)
+def test_eval_invariant_refuses_arguments_of_another_size(f, mats):
+    # a word that reads X1 alone, or a similitude power of X2, reads one argument: the size of
+    # every other one is checked all the same
+    with pytest.raises(DimensionError, match="all of one size"):
+        eval_invariant(f, mats)
+
+
 @pytest.mark.parametrize("letters", [((0, False),), ((1, False), (0, True)), ((-2, False),)])
 def test_trace_word_letters_are_one_based(letters):
     # letter 0 used to read mats[-1], the last matrix, without complaint

@@ -1,21 +1,36 @@
-"""Kernel faults against the suites: can a suite tell that a kernel it rests on is broken?
+"""Faults against the suites: one table of injected faults, run by one runner.
 
-This is mutation testing of the kernels (DeMillo, Lipton and Sayward, "Hints on
-test data selection", 1978).  Each fault replaces one kernel, a function or a
-method, by a wrong one in every module or class that bound it, then runs
-``suite invariants``, ``pseudochar``, ``det-law``, ``pfaffian`` and ``gma`` at
-d in {1, 2} and seeds 0-4.
+This is mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
+1978) of the kernels and of the checks.  A row of either table is a list of patches
+``(owner, name, wrong)``, and ``_under`` is the one runner: for each (d, seed) of a grid it
+runs suites with every patch of the row in place, and keeps each suite's {check: pass}, or
+the ``SymplawError`` that stopped it, which the CLI reports with exit code 2.
 
-- A fault in ``SEEN`` must, at every (d, seed), fail at least one check or stop
-  a suite with a ``SymplawError``, which the CLI reports with exit code 2.
-- A fault in ``UNSEEN`` is one that no suite sees yet, listed with the reason.
-  Its test fails as soon as a suite starts to see it, so that the fault moves
-  to ``SEEN``.
-- A fault in ``PARTLY_SEEN`` is seen at some (d, seed) and not at others,
-  listed with the reason.  Its test fails once every (d, seed) sees it, or
-  none does, so that the fault moves to ``SEEN`` or ``UNSEEN``.
+Kernel faults ask whether a broken kernel is seen.  A row of ``FAULTS`` replaces one kernel,
+a function or a method, in every module and class body that bound it (``_everywhere``), and
+runs ``suite invariants``, ``pseudochar``, ``det-law``, ``pfaffian`` and ``gma`` at d in
+{1, 2} and seeds 0-4.
+
+- A fault in ``SEEN`` must, at every (d, seed), fail at least one check or stop a suite.
+- A fault in ``UNSEEN`` is one that no suite sees yet, listed with the reason.  Its test
+  fails as soon as a suite starts to see it, so that the fault moves to ``SEEN``.
+- A fault in ``PARTLY_SEEN`` is seen at some (d, seed) and not at others, listed with the
+  reason.  Its test fails once every (d, seed) sees it, or none does, so that the fault
+  moves to ``SEEN`` or ``UNSEEN``.
+
+Negative controls ask whether each check can fail.  A row of ``CONTROLS`` names a suite, a
+check (a glob over check names) and patches under which that check must fail, not stop its
+suite with an error, at every (d, seed) of its grid: the suite at d in {1, 2} and seeds 0-9,
+or for gma, which reads no d, seeds 0-9; ``binomial_values_at_identity``, ``d4_closed_forms``
+and ``enumeration_desk_counts`` read no d or no seed, so they repeat runs.  Every check has a
+control.  A control names only the namespaces it patches (``_at``, or a patch written out):
+patched in every alias, the controls of ``similitude_conjugation_invariant``, ``*_valid`` and
+``similitude_recovery_multiplicative`` stop their suite with a ``StructureError`` at d = 1
+before their check can fail.
 """
 
+from dataclasses import replace
+from fnmatch import fnmatch
 from functools import cache
 from types import SimpleNamespace
 
@@ -27,37 +42,74 @@ from symplaw.errors import SymplawError
 from symplaw.gma import QuotientRing
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
-from symplaw.suites import (
-    suite_det_law,
-    suite_gma,
-    suite_invariants,
-    suite_pfaffian,
-    suite_pseudochar,
-)
+from symplaw.suites import suite_det_law, suite_gma, suite_invariants, suite_pfaffian, suite_pseudochar
 from symplaw.symplectic import SignedPermutation
 
 MODULES = (matrices, symplectic, detlaws, invariants, pseudochar, gma, suites)
-SUITES = (suite_invariants, suite_pseudochar, suite_det_law, suite_pfaffian,
-          lambda d, trials, seed: suite_gma(trials, seed))
 TRIALS = 4
+SUITES = {
+    "invariants": lambda d, seed: suite_invariants(d, TRIALS, seed),
+    "pseudochar": lambda d, seed: suite_pseudochar(d, TRIALS, seed),
+    "det-law": lambda d, seed: suite_det_law(d, TRIALS, seed),
+    "pfaffian": lambda d, seed: suite_pfaffian(d, TRIALS, seed),
+    "gma": lambda d, seed: suite_gma(TRIALS, seed),
+}
+KERNEL_GRID = [(d, seed) for d in (1, 2) for seed in range(5)]
+
+
+def _grid(suite: str) -> list:
+    """A control's grid: its suite at d in {1, 2} and seeds 0-9; gma reads no d."""
+    return [(d, seed) for d in ((1,) if suite == "gma" else (1, 2)) for seed in range(10)]
+
+
+def _under(monkeypatch, patches, suites, keys) -> dict:
+    """{(d, seed): [each suite's {check: pass}, or the SymplawError that stopped it]} with each
+    (owner, name, wrong) of ``patches`` in place; a suite is called as suite(d, seed)."""
+    for owner, name, wrong in patches:
+        monkeypatch.setattr(owner, name, wrong)
+    # the standard forms cache Pf(J), which a fault may compute; none outlives the run
+    SignedPermutation.standard.cache_clear()
+    try:
+        return {key: [_outcome(suite, *key) for suite in suites] for key in keys}
+    finally:
+        SignedPermutation.standard.cache_clear()
+
+
+def _outcome(suite, d: int, seed: int):
+    try:
+        return {c["name"]: c["pass"] for c in suite(d, seed)}
+    except SymplawError as e:
+        return e
+
+
+def _failures(outcome) -> list:
+    """The names of the checks a suite failed, or the error that stopped it."""
+    return [outcome] if isinstance(outcome, SymplawError) else [n for n, ok in outcome.items() if not ok]
+
+
+def _at(owner, name: str, make) -> list:
+    """One patch: make(owner.name) in place of owner.name, in that namespace only."""
+    return [(owner, name, make(getattr(owner, name)))]
+
+
+def _everywhere(owner, name: str, make) -> list:
+    """make(owner.name) in place of owner.name and of every alias of it in ``MODULES`` and in
+    the class body of ``owner``, such as ``MultiPoly.__rmul__ = __mul__``."""
+    original = getattr(owner, name)
+    wrong = make(original)
+    return [(space, alias, wrong) for space in dict.fromkeys((owner, *MODULES))
+            for alias, value in vars(space).items() if value is original]
+
+
+# -- kernel faults ------------------------------------------------------------------------
 
 
 def _odd_lambdas_negated(original):
-    def fault(*args):
-        return tuple(-x if i % 2 else x for i, x in enumerate(original(*args)))
-
-    return fault
+    return lambda *args: tuple(-x if i % 2 else x for i, x in enumerate(original(*args)))
 
 
 def _scalar_random_matrix(original):
-    def fault(n, rng, magnitude=5):
-        return RingMatrix.scalar(n, original(1, rng, magnitude)[0, 0])
-
-    return fault
-
-
-def _identity_sample(original):
-    return lambda ctx, seed: RingMatrix.identity(ctx.n)
+    return lambda n, rng, magnitude=5: RingMatrix.scalar(n, original(1, rng, magnitude)[0, 0])
 
 
 def _sign_flip_from_6(original):
@@ -66,6 +118,11 @@ def _sign_flip_from_6(original):
 
 def _negated(original):
     return lambda *args: -original(*args)
+
+
+def _packed_products_negated(original):
+    """Every entry negated in a product of 10 or more columns, the ones the packed route takes."""
+    return lambda a, b: [tuple(-x for x in r) for r in original(a, b)] if len(b[0]) >= 10 else original(a, b)
 
 
 def _last_coefficient_negated(original):
@@ -90,18 +147,6 @@ def _signs_dropped(original):
         return minor(frozenset(range(len(a))))
 
     return fault
-
-
-def _plain_transpose(original):
-    return lambda self, m: m.transpose()
-
-
-def _unreduced(original):
-    return lambda self, x: x
-
-
-def _plain_dot(original):
-    return lambda self, u, v: matrices._dot(u, v)
 
 
 def _first_variable_term_dropped(original):
@@ -132,10 +177,7 @@ def _last_coefficient_dropped(original):
 
 def _letters_reversed(original):
     """The product of a trace word's letters taken right to left."""
-    def fault(word, mats, ctx, *images):
-        return original(SimpleNamespace(letters=word.letters[::-1]), mats, ctx, *images)
-
-    return fault
+    return lambda word, *args: original(SimpleNamespace(letters=word.letters[::-1]), *args)
 
 
 def _word_reversed(original):
@@ -153,33 +195,41 @@ def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
 
-# fault name: (module or class, kernel name, the wrong kernel made from the kernel)
 FAULTS = {
-    "lambdas_odd_sign_flip": (matrices, "lambdas_of_matrix", _odd_lambdas_negated),
-    "random_matrix_scalar": (symplectic, "random_matrix", _scalar_random_matrix),
-    "sample_symplectic_identity": (symplectic, "sample_symplectic", _identity_sample),
-    "bareiss_sign_flip_from_6": (matrices, "_det_bareiss", _sign_flip_from_6),
-    "pfaffian_expansion_negated": (symplectic, "_pfaffian_expansion", _negated),
-    "pfaffian_elimination_negated": (symplectic, "_pfaffian_elimination", _negated),
-    "berkowitz_last_coefficient_negated": (matrices, "_berkowitz", _last_coefficient_negated),
-    "cofactor_expansion_negated": (matrices, "_cofactor_expansion", _negated),
-    "cofactor_expansion_without_signs": (matrices, "_cofactor_expansion", _signs_dropped),
-    "right_product_negated": (SignedPermutation, "right_product", _negated),
-    "adjoint_plain_transpose": (SignedPermutation, "adjoint", _plain_transpose),
-    "reduce_keeps_every_term": (QuotientRing, "reduce", _unreduced),
-    "quotient_dot_unreduced": (QuotientRing, "dot", _plain_dot),
-    "quotient_dot_drops_a_degree_1_term": (QuotientRing, "dot", _first_variable_term_dropped),
-    "rho_word_inverse_letters_as_generators": (
+    "lambdas_odd_sign_flip": _everywhere(matrices, "lambdas_of_matrix", _odd_lambdas_negated),
+    "random_matrix_scalar": _everywhere(symplectic, "random_matrix", _scalar_random_matrix),
+    "sample_symplectic_identity": _everywhere(
+        symplectic, "sample_symplectic", lambda real: lambda ctx, seed: RingMatrix.identity(ctx.n)),
+    "bareiss_sign_flip_from_6": _everywhere(matrices, "_det_bareiss", _sign_flip_from_6),
+    "pfaffian_expansion_negated": _everywhere(symplectic, "_pfaffian_expansion", _negated),
+    "pfaffian_elimination_negated": _everywhere(symplectic, "_pfaffian_elimination", _negated),
+    "berkowitz_last_coefficient_negated": _everywhere(
+        matrices, "_berkowitz", _last_coefficient_negated),
+    "cofactor_expansion_negated": _everywhere(matrices, "_cofactor_expansion", _negated),
+    "cofactor_expansion_without_signs": _everywhere(
+        matrices, "_cofactor_expansion", _signs_dropped),
+    "right_product_negated": _everywhere(SignedPermutation, "right_product", _negated),
+    "adjoint_plain_transpose": _everywhere(
+        SignedPermutation, "adjoint", lambda real: lambda self, m: m.transpose()),
+    "reduce_keeps_every_term": _everywhere(QuotientRing, "reduce", lambda real: lambda self, x: x),
+    "quotient_dot_unreduced": _everywhere(
+        QuotientRing, "dot", lambda real: lambda self, u, v: matrices._dot(u, v)),
+    "quotient_dot_drops_a_degree_1_term": _everywhere(
+        QuotientRing, "dot", _first_variable_term_dropped),
+    "rho_word_inverse_letters_as_generators": _everywhere(
         InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
-    "inverse_negated": (RingMatrix, "inverse", _negated),
-    "linear_combination_drops_the_last_term": (
+    "inverse_negated": _everywhere(RingMatrix, "inverse", _negated),
+    "linear_combination_drops_the_last_term": _everywhere(
         matrices, "_linear_combination", _last_term_dropped),
-    "matrix_poly_value_drops_the_last_coefficient": (
+    "matrix_poly_value_drops_the_last_coefficient": _everywhere(
         symplectic, "matrix_poly_value", _last_coefficient_dropped),
-    "word_value_reversed": (invariants, "word_value", _letters_reversed),
-    "evaluate_word_reversed": (words, "evaluate", _word_reversed),
-    "pf_law_negated": (detlaws, "eval_pf_law", _negated),
-    "matrix_product_factors_swapped": (RingMatrix, "__mul__", _factors_swapped),
+    "word_value_reversed": _everywhere(invariants, "word_value", _letters_reversed),
+    "evaluate_word_reversed": _everywhere(words, "evaluate", _word_reversed),
+    "pf_law_negated": _everywhere(detlaws, "eval_pf_law", _negated),
+    "matrix_product_factors_swapped": _everywhere(RingMatrix, "__mul__", _factors_swapped),
+    "multipoly_product_negated": _everywhere(MultiPoly, "__mul__", _negated),
+    "det_law_negated": _everywhere(detlaws, "eval_det_law", _negated),
+    "packed_product_negated": _everywhere(matrices, "_integer_product", _packed_products_negated),
 }
 
 # what sees each fault at d in {1, 2}, seeds 0-4
@@ -249,6 +299,15 @@ SEEN = {
         "pseudochar: comparison_agrees_with_det_laws (the comparison P, a reduced Pfaffian of its"
         " own, is compared with eval_pf_law); det-law's pf_law_squares_to_det squares P, so the"
         " sign cancels there"),
+    "multipoly_product_negated": (
+        "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
+        " recursion_matches_pfaffian_char_poly; gma: counterexample_sch_condition,"
+        " counterexample_chi_p_vanishes (char_poly builds det(t Id - M) by Horner steps"
+        " p * t + c, each a product of polynomials, so its coefficients change sign; the"
+        " Pfaffian polynomial in t and the quotient ring's elements are products of them too)"),
+    "det_law_negated": (
+        "det-law: det_law_multiplicative_star_invariant (D(x y) against D(x) D(y)),"
+        " pf_law_squares_to_det (P^2 against D); pseudochar: comparison_agrees_with_det_laws"),
 }
 UNSEEN = {
     "cofactor_expansion_without_signs": (
@@ -281,6 +340,11 @@ UNSEEN = {
         " Lambda-vectors and reduced Pfaffians it compares do not change under transposition;"
         " no suite compares a product with one formed entry by entry"
     ),
+    "packed_product_negated": (
+        "only a product with 10 or more columns takes the packed route, and no suite multiplies"
+        " by a matrix that wide: the suites' matrices are 2d x 2d with 2d <= 4 here, and 6 at"
+        " d = 3"
+    ),
 }
 PARTLY_SEEN = {
     "word_value_reversed": (
@@ -293,31 +357,11 @@ PARTLY_SEEN = {
 }
 
 
-def _failures(suite, d: int, seed: int) -> list:
-    """The names of the checks ``suite`` fails, or the error that stopped it."""
-    try:
-        return [c["name"] for c in suite(d, TRIALS, seed) if not c["pass"]]
-    except SymplawError as e:
-        return [f"{type(e).__name__}: {e}"]
-
-
-def _failed_checks(monkeypatch, fault: str) -> dict:
-    """{(d, seed): failures of every suite} with ``fault`` in place of its kernel."""
-    owner, name, make = FAULTS[fault]
-    original = getattr(owner, name)
-    wrong = make(original)
-    monkeypatch.setattr(owner, name, wrong)
-    for module in MODULES:
-        for alias, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, alias, wrong)
-    # the standard forms cache Pf(J), which a fault may compute; none outlives the test
-    SignedPermutation.standard.cache_clear()
-    try:
-        return {(d, seed): [f for suite in SUITES for f in _failures(suite, d, seed)]
-                for d in (1, 2) for seed in range(5)}
-    finally:
-        SignedPermutation.standard.cache_clear()
+def _seen(monkeypatch, fault: str) -> dict:
+    """{(d, seed): what failed} at each point of the kernel grid where a suite sees ``fault``."""
+    runs = _under(monkeypatch, FAULTS[fault], SUITES.values(), KERNEL_GRID)
+    return {key: failed for key, outcomes in runs.items()
+            if (failed := [f for outcome in outcomes for f in _failures(outcome)])}
 
 
 def test_every_fault_is_listed_once():
@@ -326,38 +370,253 @@ def test_every_fault_is_listed_once():
     assert sum(map(len, lists)) == len(FAULTS)
 
 
-def test_suites_pass_without_a_fault():
-    for d in (1, 2):
-        for seed in range(5):
-            assert all(c["pass"] for suite in SUITES for c in suite(d, TRIALS, seed))
-
-
 @pytest.mark.parametrize("fault", sorted(SEEN))
 def test_a_suite_sees_the_fault_at_every_seed(monkeypatch, fault):
-    unseen = [key for key, failed in _failed_checks(monkeypatch, fault).items() if not failed]
+    seen = _seen(monkeypatch, fault)
+    unseen = [key for key in KERNEL_GRID if key not in seen]
     assert not unseen, f"{fault} passes every check at (d, seed) = {unseen}"
-
-
-def test_the_pfaffian_recursion_sees_a_fault_in_the_lambda_extractor(monkeypatch):
-    """Of the two routes of ``recursion_matches_pfaffian_char_poly`` only the Lambda side reads
-    ``lambdas_of_matrix``, so the check fails wherever that routine is wrong.  The T side signs
-    and splits its coefficients on its own: an odd-sign fault in a step both routes shared
-    would cancel at even d."""
-    failed = _failed_checks(monkeypatch, "lambdas_odd_sign_flip")
-    missed = [key for key, checks in failed.items()
-              if "recursion_matches_pfaffian_char_poly" not in checks]
-    assert not missed, f"recursion_matches_pfaffian_char_poly passes at (d, seed) = {missed}"
 
 
 @pytest.mark.parametrize("fault", sorted(UNSEEN))
 def test_an_unseen_fault_is_still_unseen(monkeypatch, fault):
-    seen = {key: failed for key, failed in _failed_checks(monkeypatch, fault).items() if failed}
+    seen = _seen(monkeypatch, fault)
     assert not seen, f"{fault} is now seen; move it to SEEN: {seen}"
 
 
 @pytest.mark.parametrize("fault", sorted(PARTLY_SEEN))
 def test_a_partly_seen_fault_is_still_partly_seen(monkeypatch, fault):
-    failed = _failed_checks(monkeypatch, fault)
-    seen = sorted(key for key, checks in failed.items() if checks)
+    seen = _seen(monkeypatch, fault)
     assert seen, f"{fault} is now unseen; move it to UNSEEN"
-    assert len(seen) < len(failed), f"{fault} is now seen at every (d, seed); move it to SEEN"
+    assert len(seen) < len(KERNEL_GRID), f"{fault} is now seen at every (d, seed); move it to SEEN"
+
+
+# -- negative controls --------------------------------------------------------------------
+
+
+def _one_larger(real):
+    return lambda *args: real(*args) + 1
+
+
+def _doubled(real):
+    return lambda *args: real(*args) * 2
+
+
+def _of_double(real):
+    """real with its last argument, a matrix, doubled."""
+    return lambda *args: real(*args[:-1], args[-1] * 2)
+
+
+def _leading_term_dropped(real):
+    """chi^P without its leading term T_0 x^d; a product of the quotient ring is passed on."""
+    return lambda coeffs, m, *product: real(coeffs[1:], m, *product)
+
+
+def _last_one_larger(real):
+    def wrong(*args):
+        *head, last = real(*args)
+        return (*head, last + 1)
+
+    return wrong
+
+
+def _first_trace_one_larger(real):
+    def wrong(m, upto):
+        first, *rest = real(m, upto)
+        return [first + 1, *rest]
+
+    return wrong
+
+
+def _entry_01_one_larger(real):
+    """Bareiss on m with entry (0, 1) one larger; m is at least 2 x 2 in ``suite pfaffian``."""
+    def wrong(m):
+        rows = [list(r) for r in m.entries]
+        rows[0][1] += 1
+        return real(RingMatrix(rows))
+
+    return wrong
+
+
+def _shifted(real):
+    """M J read off M + Id, which shifts the Pfaffian polynomial by t -> t - 1."""
+    return lambda self, m: real(self, m + RingMatrix.identity(m.rows))
+
+
+def _with_a_symmetric_pairing_block(real):
+    """The standard fixture plus u on block (2,3) with tau sign -1 there, so that u* = u."""
+    def wrong():
+        spec = real()
+        return replace(spec, blocks={**spec.blocks, (2, 3): (spec.ring.variable("u"),)},
+                       tau_signs={**spec.tau_signs, frozenset((2, 3)): -1})
+
+    return wrong
+
+
+def _cache_never_read(real):
+    """theta_eval that drops the cached value of its key first, so it always recomputes."""
+    def wrong(pc, f, gammas):
+        pc.cache.pop(pc.cache_key(f, tuple(tuple(w) for w in gammas)), None)
+        return real(pc, f, gammas)
+
+    return wrong
+
+
+# (suite, check glob, patches): under the patches each check of the suite that the glob names
+# fails at every (d, seed) of the suite's grid
+CONTROLS = [
+    # Bareiss, which mat_det runs on every rational matrix, reads entry (0, 1) one too large
+    ("pfaffian", "pfaffian_squared_equals_det", _at(matrices, "_det_bareiss", _entry_01_one_larger)),
+    # X^j comes out doubled
+    ("pfaffian", "symplectic_transpose_involutive", _at(suites, "symplectic_transpose", _doubled)),
+    ("pfaffian", "pfaffian_conjugation_covariance", _at(suites, "pfaffian", _one_larger)),
+    # the reduced Pfaffian forgets to divide by Pf(J), which is -1 at d = 2, 3
+    ("pfaffian", "reduced_pfaffian_normalization",
+     [(suites, "reduced_pfaffian", lambda ctx, m: suites.pfaffian(m * ctx.J))]),
+    ("pfaffian", "pfaffian_cayley_hamilton", _at(suites, "matrix_poly_value", _leading_term_dropped)),
+    # the Lambda-vector is read off 2M instead of M
+    ("pfaffian", "recursion_matches_pfaffian_char_poly", _at(suites, "lambdas_of_matrix", _of_double)),
+    # of the check's two routes only the Lambda side reads lambdas_of_matrix, so a fault there
+    # shows wherever it is made; the T side signs and splits its coefficients on its own, so an
+    # odd-sign fault in a step both routes shared would cancel at even d
+    ("pfaffian", "recursion_matches_pfaffian_char_poly", FAULTS["lambdas_odd_sign_flip"]),
+    ("pfaffian", "transfer_identity", _at(suites, "mat_det", _one_larger)),
+    ("pfaffian", "commuting_multiplicativity", _at(suites, "reduced_pfaffian", _one_larger)),
+    ("det-law", "newton_matches_char_poly", _at(suites, "lambdas_of_matrix", _of_double)),
+    # the recursion returns T_d one too large
+    ("det-law", "binomial_values_at_identity",
+     _at(suites, "pfaffian_coeffs_from_lambdas", _last_one_larger)),
+    ("det-law", "d4_closed_forms", _at(suites, "power_traces", _first_trace_one_larger)),
+    # g^2 is taken to be g
+    ("det-law", "sl2_trace_identities", [(suites, "word_mul", lambda a, b: a)]),
+    ("det-law", "det_law_multiplicative_star_invariant", _at(detlaws, "mat_det", _one_larger)),
+    # M J comes out doubled
+    ("det-law", "pf_law_squares_to_det", _at(SignedPermutation, "right_product", _doubled)),
+    ("det-law", "chi_alpha_vanishes_on_matrix_models",
+     _at(detlaws, "matrix_poly_value", _leading_term_dropped)),
+    # two faults of M J that chi^P's coefficient of t^d cancels, as it rescales the Pfaffian
+    # polynomial by 2^d or shifts it; the check also compares the T_i with the Lambda recursion
+    ("det-law", "chi_alpha_vanishes_on_matrix_models",
+     _at(SignedPermutation, "right_product", _doubled)),
+    ("det-law", "chi_alpha_vanishes_on_matrix_models",
+     _at(SignedPermutation, "right_product", _shifted)),
+    # the enumeration loses its shortest word
+    ("invariants", "enumeration_desk_counts",
+     _at(suites, "enumerate_trace_words", lambda real: lambda *args: real(*args)[1:])),
+    # X^j is taken to be the plain transpose X^T
+    ("invariants", "generators_invariant_under_conjugation",
+     [(invariants, "symplectic_transpose", lambda ctx, m: m.transpose())]),
+    # the similitude factor reads entry (0, 0) instead
+    ("invariants", "similitude_conjugation_invariant",
+     [(suites, "similitude", lambda ctx, m: m[0, 0])]),
+    # the oracle skips the long-root generator E_(d,2d)
+    ("invariants", "fft_desk_scale_*",
+     _at(invariants, "simple_root_vectors", lambda real: lambda d: real(d)[:-1])),
+    # J_delta is taken not to be alternating
+    ("gma", "*_valid", [(gma, "is_alternating", lambda m: False)]),
+    # the standard fixture's sCH holds vacuously, as its pairing blocks are empty, so its
+    # control changes the fixture itself
+    ("gma", "standard_sch_condition",
+     _at(gma, "standard_fixture", _with_a_symmetric_pairing_block)),
+    # the counterexample fixture loses its tau sign -1, so its sCH holds
+    ("gma", "counterexample_sch_condition", _at(gma, "counterexample_fixture", lambda real: lambda:
+                                                replace(real(), tau_signs={frozenset((1, 2)): 1}))),
+    # T_d, the Pfaffian law itself, comes out one too large
+    ("gma", "standard_chi_p_vanishes", _at(gma, "gma_pf_coeffs", _last_one_larger)),
+    ("gma", "counterexample_chi_p_witness_nonzero",
+     _at(gma, "matrix_poly_value", _leading_term_dropped)),
+    ("gma", "counterexample_witness_in_kernel_of_D", _at(gma, "mat_det", _one_larger)),
+    # the trace of a product picks up the first entry of its left factor
+    ("gma", "*_trace_commutes",
+     _at(suites, "trace_of_product", lambda real: lambda a, *rest: real(a, *rest) + a[0, 0])),
+    ("gma", "*_pf_squares_to_det", _at(gma, "mat_det", _one_larger)),
+    # each invariant value comes out larger by the arity of its function; at --trials 4 each
+    # representation gets one axiom trial at d = 2, and the two sides of the product axiom
+    # have arities m + 1 and m
+    ("pseudochar", "axioms_*",
+     _at(pseudochar, "eval_invariant", lambda real: lambda f, *args: real(f, *args) + f.arity)),
+    # so a corrupted cache entry goes unseen
+    ("pseudochar", "corrupted_cache_detected", _at(pseudochar, "theta_eval", _cache_never_read)),
+    ("pseudochar", "comparison_agrees_with_det_laws", _at(detlaws, "mat_det", _one_larger)),
+    # the comparison D reads its Lambda-vector off 2M instead of M
+    ("pseudochar", "comparison_p_squared_equals_d",
+     _at(pseudochar, "lambdas_of_matrix", _of_double)),
+    # the comparison P takes the reduced Pfaffian of 2M instead of M
+    ("pseudochar", "comparison_p_at_identity", _at(pseudochar, "reduced_pfaffian", _of_double)),
+    # the recovered similitude is one too large
+    ("pseudochar", "similitude_recovery_multiplicative",
+     _at(pseudochar, "similitude", _one_larger)),
+]
+# each suite's number of checks at d = 2, and of control rows
+COUNTS = {"invariants": (5, 4), "pseudochar": (9, 6), "det-law": (7, 9), "pfaffian": (8, 9),
+          "gma": (11, 8)}
+
+
+def _control(suite: str, glob: str) -> list:
+    """The patches of the first control row of ``suite`` for ``glob``."""
+    return next(patches for s, g, patches in CONTROLS if (s, g) == (suite, glob))
+
+
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_check_has_a_control(suite):
+    names = {c["name"] for c in SUITES[suite](2, 0)}
+    globs = [glob for s, glob, _ in CONTROLS if s == suite]
+    assert (len(names), len(globs)) == COUNTS[suite]
+    assert all(any(fnmatch(name, glob) for glob in globs) for name in names)
+
+
+@pytest.mark.parametrize(
+    ("suite", "glob", "patches"), CONTROLS,
+    ids=[f"{s}:{g}:{'+'.join(dict.fromkeys(name for _, name, _ in p))}" for s, g, p in CONTROLS])
+def test_a_check_fails_under_its_control(monkeypatch, suite, glob, patches):
+    for key, (outcome,) in _under(monkeypatch, patches, [SUITES[suite]], _grid(suite)).items():
+        assert isinstance(outcome, dict), (key, outcome)
+        named = [passed for name, passed in outcome.items() if fnmatch(name, glob)]
+        assert named and not any(named), (key, outcome)
+
+
+def test_comparison_check_fails_when_mat_det_is_off_by_one(monkeypatch):
+    (checks,), = _under(monkeypatch, _control("pseudochar", "comparison_agrees_with_det_laws"),
+                        [lambda d, seed: suite_pseudochar(d, 25, seed)], [(2, 0)]).values()
+    assert checks["comparison_agrees_with_det_laws"] is False
+    assert checks["comparison_p_squared_equals_d"] is True
+
+
+def _pfaffian_d3(monkeypatch, patches) -> list:
+    """The checks of ``suite pfaffian --d 3 --trials 30 --seed 0`` under ``patches``."""
+    checks = []
+    _under(monkeypatch, patches, [lambda d, seed: checks.extend(suite_pfaffian(d, 30, seed)) or checks],
+           [(3, 0)])
+    return checks
+
+
+# A check stops at its first failure, and that input is its witness: at d = 3 the first
+# failing draw is at the smallest size or half-dimension.
+FIRST_WITNESSES = {
+    "transfer_identity": ("pfaffian_squared_equals_det", "size 2:"),  # mat_det one too large
+    "pfaffian_cayley_hamilton": ("pfaffian_cayley_hamilton", "d=1:"),
+    "recursion_matches_pfaffian_char_poly": ("recursion_matches_pfaffian_char_poly", "d=1:"),
+}
+
+
+@pytest.mark.parametrize("control", sorted(FIRST_WITNESSES))
+def test_a_check_stops_at_its_first_failure(control, monkeypatch):
+    name, prefix = FIRST_WITNESSES[control]
+    (check,) = [c for c in _pfaffian_d3(monkeypatch, _control("pfaffian", control)) if c["name"] == name]
+    assert not check["pass"] and check["witness"].startswith(prefix), check["witness"][:40]
+
+
+def test_pfaffian_squared_check_draws_once_under_a_det_fault(monkeypatch):
+    """Under a wrong ``mat_det`` the first trial fails, so the check draws one matrix."""
+    draws = []
+
+    def logged(name, real):
+        def draw(*args):
+            draws.append(name)
+            return real(*args)
+        return draw
+
+    _pfaffian_d3(monkeypatch, [*_control("pfaffian", "transfer_identity"),
+                               *((suites, name, logged(name, getattr(suites, name)))
+                                 for name in ("random_alternating", "random_matrix"))])
+    # the check after it, symplectic_transpose_involutive, draws with random_matrix
+    assert draws.index("random_matrix") == 1
