@@ -301,7 +301,7 @@ def suite_invariants(d: int, trials: int, seed: int) -> list:
     gens = enumerate_trace_words(2, 3)
     by_dd = list(_spread((1, 2) if d >= 2 else (1, 1), min(trials, 200)))
     fs = {dd: [InvariantFunction.sigma(i, w, arity=2) for w in gens for i in range(1, 2 * dd + 1)]
-          for dd, _ in by_dd}
+          for dd in {dd for dd, _ in by_dd}}
 
     def conjugator_and_pair(item, rng):
         dd, _ = item

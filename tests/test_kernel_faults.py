@@ -1,22 +1,26 @@
 """Faults against the suites: one table of injected faults, run by one runner.
 
 This is mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
-1978) of the kernels and of the checks.  A row of either table is a list of patches
+1978) of the kernels and of the checks.  A row of either table holds a list of patches
 ``(owner, name, wrong)``, and ``_under`` is the one runner: for each (d, seed) of a grid it
 runs suites with every patch of the row in place, and keeps each suite's {check: pass}, or
 the ``SymplawError`` that stopped it, which the CLI reports with exit code 2.
 
-Kernel faults ask whether a broken kernel is seen.  A row of ``FAULTS`` replaces one kernel,
-a function or a method, in every module and class body that bound it (``_everywhere``), and
-runs ``suite invariants``, ``pseudochar``, ``det-law``, ``pfaffian`` and ``gma`` at d in
-{1, 2} and seeds 0-4.
+Kernel faults ask whether a broken kernel is seen.  A row of ``FAULTS`` is
+``name: (status, patches, why)``: its patches replace one kernel, a function or a method, in
+every module and class body that bound it (``_everywhere``).  At each (d, seed) of the kernel
+grid, d in {1, 2} and seeds 0-4, the suites run in order of cost (``pfaffian``, ``gma``,
+``pseudochar``, ``det-law``, ``invariants``) until one fails a check or stops with an error;
+that suite sees the fault, and the rest are not asked.  A point where no suite sees the fault
+runs all five.  The number of points where a suite sees the fault gives the status:
 
-- A fault in ``SEEN`` must, at every (d, seed), fail at least one check or stop a suite.
-- A fault in ``UNSEEN`` is one that no suite sees yet, listed with the reason.  Its test
-  fails as soon as a suite starts to see it, so that the fault moves to ``SEEN``.
-- A fault in ``PARTLY_SEEN`` is seen at some (d, seed) and not at others, listed with the
-  reason.  Its test fails once every (d, seed) sees it, or none does, so that the fault
-  moves to ``SEEN`` or ``UNSEEN``.
+- ``SEEN``: every point.
+- ``UNSEEN``: none.  The test fails as soon as a suite starts to see the fault, so that its
+  row moves to ``SEEN``.
+- ``PARTLY_SEEN``: some, not all.  The test fails once every point sees it, or none does.
+
+``why`` names every suite and check known to see the fault, or says why none does.  The text
+documents; the test asserts only the status, and stops at the first suite that sees a fault.
 
 Negative controls ask whether each check can fail.  A row of ``CONTROLS`` names a suite, a
 check (a glob over check names) and patches under which that check must fail, not stop its
@@ -47,12 +51,12 @@ from symplaw.symplectic import SignedPermutation
 
 MODULES = (matrices, symplectic, detlaws, invariants, pseudochar, gma, suites)
 TRIALS = 4
-SUITES = {
-    "invariants": lambda d, seed: suite_invariants(d, TRIALS, seed),
-    "pseudochar": lambda d, seed: suite_pseudochar(d, TRIALS, seed),
-    "det-law": lambda d, seed: suite_det_law(d, TRIALS, seed),
+SUITES = {  # in order of cost over the kernel grid, cheapest first
     "pfaffian": lambda d, seed: suite_pfaffian(d, TRIALS, seed),
     "gma": lambda d, seed: suite_gma(TRIALS, seed),
+    "pseudochar": lambda d, seed: suite_pseudochar(d, TRIALS, seed),
+    "det-law": lambda d, seed: suite_det_law(d, TRIALS, seed),
+    "invariants": lambda d, seed: suite_invariants(d, TRIALS, seed),
 }
 KERNEL_GRID = [(d, seed) for d in (1, 2) for seed in range(5)]
 
@@ -195,199 +199,169 @@ def _inverse_letters_as_generators(original):
     return lambda self, w: original(self, tuple((g, 1) for g, _ in w))
 
 
+SEEN, UNSEEN, PARTLY_SEEN = "SEEN", "UNSEEN", "PARTLY_SEEN"
+# name: (status at d in {1, 2} and seeds 0-4, patches, what sees the fault or why nothing does)
 FAULTS = {
-    "lambdas_odd_sign_flip": _everywhere(matrices, "lambdas_of_matrix", _odd_lambdas_negated),
-    "random_matrix_scalar": _everywhere(symplectic, "random_matrix", _scalar_random_matrix),
-    "sample_symplectic_identity": _everywhere(
-        symplectic, "sample_symplectic", lambda real: lambda ctx, seed: RingMatrix.identity(ctx.n)),
-    "bareiss_sign_flip_from_6": _everywhere(matrices, "_det_bareiss", _sign_flip_from_6),
-    "pfaffian_expansion_negated": _everywhere(symplectic, "_pfaffian_expansion", _negated),
-    "pfaffian_elimination_negated": _everywhere(symplectic, "_pfaffian_elimination", _negated),
-    "berkowitz_last_coefficient_negated": _everywhere(
-        matrices, "_berkowitz", _last_coefficient_negated),
-    "cofactor_expansion_negated": _everywhere(matrices, "_cofactor_expansion", _negated),
-    "cofactor_expansion_without_signs": _everywhere(
-        matrices, "_cofactor_expansion", _signs_dropped),
-    "right_product_negated": _everywhere(SignedPermutation, "right_product", _negated),
-    "adjoint_plain_transpose": _everywhere(
-        SignedPermutation, "adjoint", lambda real: lambda self, m: m.transpose()),
-    "reduce_keeps_every_term": _everywhere(QuotientRing, "reduce", lambda real: lambda self, x: x),
-    "quotient_dot_unreduced": _everywhere(
-        QuotientRing, "dot", lambda real: lambda self, u, v: matrices._dot(u, v)),
-    "quotient_dot_drops_a_degree_1_term": _everywhere(
-        QuotientRing, "dot", _first_variable_term_dropped),
-    "rho_word_inverse_letters_as_generators": _everywhere(
-        InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
-    "inverse_negated": _everywhere(RingMatrix, "inverse", _negated),
-    "linear_combination_drops_the_last_term": _everywhere(
-        matrices, "_linear_combination", _last_term_dropped),
-    "matrix_poly_value_drops_the_last_coefficient": _everywhere(
-        symplectic, "matrix_poly_value", _last_coefficient_dropped),
-    "word_value_reversed": _everywhere(invariants, "word_value", _letters_reversed),
-    "evaluate_word_reversed": _everywhere(words, "evaluate", _word_reversed),
-    "pf_law_negated": _everywhere(detlaws, "eval_pf_law", _negated),
-    "matrix_product_factors_swapped": _everywhere(RingMatrix, "__mul__", _factors_swapped),
-    "multipoly_product_negated": _everywhere(MultiPoly, "__mul__", _negated),
-    "det_law_negated": _everywhere(detlaws, "eval_det_law", _negated),
-    "packed_product_negated": _everywhere(matrices, "_integer_product", _packed_products_negated),
-}
-
-# what sees each fault at d in {1, 2}, seeds 0-4
-SEEN = {
     "lambdas_odd_sign_flip": (
+        SEEN, _everywhere(matrices, "lambdas_of_matrix", _odd_lambdas_negated),
         "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly (its Lambda side reads the fault, its T side"
         " splits the Pfaffian characteristic polynomial with coefficients_in); gma:"
         " standard_chi_p_vanishes (chi^P takes its T_i from the Lambda_i that lambdas_of_matrix"
         " reads in the quotient ring, so it becomes the Pfaffian polynomial of -M)"),
-    "random_matrix_scalar": "invariants: fft_desk_scale_* (scalar samples span too few trace words)",
-    "right_product_negated": (
-        "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4);"
-        " pseudochar: comparison_p_at_identity"),
-    "adjoint_plain_transpose": (
-        "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
-        " is wrong), and fft_desk_scale_d1_* at d = 1; every other suite stops with an error:"
-        " the Pfaffian refuses the images of x + x* and of j-symmetric draws, whose M J is no"
-        " longer alternating, and GMA elements fail their block membership"),
+    "random_matrix_scalar": (
+        SEEN, _everywhere(symplectic, "random_matrix", _scalar_random_matrix),
+        "invariants: fft_desk_scale_* (scalar samples span too few trace words)"),
+    "sample_symplectic_identity": (
+        UNSEEN, _everywhere(symplectic, "sample_symplectic",
+                            lambda real: lambda ctx, seed: RingMatrix.identity(ctx.n)),
+        "every check that draws an Sp sample tests an identity that holds on all of Sp, the"
+        " identity matrix included; no check asks that a sample be non-scalar or that two"
+        " samples not commute"),
+    "bareiss_sign_flip_from_6": (
+        UNSEEN, _everywhere(matrices, "_det_bareiss", _sign_flip_from_6),
+        "at d <= 2 no suite takes the determinant of a rational matrix larger than 4 x 4;"
+        " suite pfaffian at d = 3 sees it"),
     "pfaffian_expansion_negated": (
+        SEEN, _everywhere(symplectic, "_pfaffian_expansion", _negated),
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly (Pf((t Id - M) J) comes from the expansion on a"
         " polynomial matrix and Pf(J) from the elimination, so the sign no longer cancels)"),
     "pfaffian_elimination_negated": (
+        SEEN, _everywhere(symplectic, "_pfaffian_elimination", _negated),
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly (Pf(J), a rational Pfaffian, changes sign while"
         " the Pfaffian of the polynomial (t Id - M) J does not)"),
-    "reduce_keeps_every_term": (
-        "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"
-        " survive)"),
-    "quotient_dot_unreduced": (
-        "gma stops with an error: the Lambda_i of a GMA element keep their nil terms, so"
-        " they no longer land in Q"),
-    "rho_word_inverse_letters_as_generators": (
-        "det-law and pseudochar stop with an error: the image of x + x* is no longer"
-        " j-symmetric, so its M J is not alternating"),
     "berkowitz_last_coefficient_negated": (
+        SEEN, _everywhere(matrices, "_berkowitz", _last_coefficient_negated),
         "det-law, pfaffian and gma stop with an error: Lambda_2d = det changes sign, so the"
         " Lambda-vector of a j-symmetric matrix is no longer a square; pseudochar:"
         " comparison_agrees_with_det_laws, comparison_p_squared_equals_d"),
     "cofactor_expansion_negated": (
+        SEEN, _everywhere(matrices, "_cofactor_expansion", _negated),
         "gma: *_pf_squares_to_det and counterexample_witness_in_kernel_of_D, which compare"
         " with the determinant of a GMA element, a polynomial matrix"),
+    "cofactor_expansion_without_signs": (
+        UNSEEN, _everywhere(matrices, "_cofactor_expansion", _signs_dropped),
+        "only gma takes polynomial determinants, of 2 x 2 and 4 x 4 GMA elements over"
+        " Q[u, v]/(u^2, uv, v^2), and on each of them the terms of the odd permutations sum to"
+        " zero, so the permanent equals the determinant"),
+    "right_product_negated": (
+        SEEN, _everywhere(SignedPermutation, "right_product", _negated),
+        "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4),"
+        " recursion_matches_pfaffian_char_poly, and commuting_multiplicativity at 9 of the 10"
+        " (d, seed); pseudochar: comparison_p_at_identity; det-law:"
+        " chi_alpha_vanishes_on_matrix_models at 5 of the 10"),
+    "adjoint_plain_transpose": (
+        SEEN, _everywhere(SignedPermutation, "adjoint", lambda real: lambda self, m: m.transpose()),
+        "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
+        " is wrong), and fft_desk_scale_d1_* at d = 1; every other suite stops with an error:"
+        " the Pfaffian refuses the images of x + x* and of j-symmetric draws, whose M J is no"
+        " longer alternating, and GMA elements fail their block membership"),
+    "reduce_keeps_every_term": (
+        SEEN, _everywhere(QuotientRing, "reduce", lambda real: lambda self, x: x),
+        "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"
+        " survive)"),
+    "quotient_dot_unreduced": (
+        SEEN, _everywhere(QuotientRing, "dot", lambda real: lambda self, u, v: matrices._dot(u, v)),
+        "gma stops with an error: the Lambda_i of a GMA element keep their nil terms, so"
+        " they no longer land in Q"),
+    "quotient_dot_drops_a_degree_1_term": (
+        UNSEEN, _everywhere(QuotientRing, "dot", _first_variable_term_dropped),
+        "the constant term of a product in the quotient depends only on the constant terms"
+        " of its factors, which the fault keeps; the trace, determinant, Pfaffian and"
+        " Lambda_i of an element and det(1 + chi^P s) in the kernel probe are constants, both"
+        " sides of tr(xy) = tr(yx) lose the same term, the one product of chi^P on the"
+        " standard fixture is a scalar matrix with no u term, and chi^P on the counterexample"
+        " (d = 1) takes no matrix product"),
+    "rho_word_inverse_letters_as_generators": (
+        SEEN, _everywhere(InvolutiveRepresentation, "rho_word", _inverse_letters_as_generators),
+        "det-law and pseudochar stop with an error: the image of x + x* is no longer"
+        " j-symmetric, so its M J is not alternating"),
     "inverse_negated": (
+        SEEN, _everywhere(RingMatrix, "inverse", _negated),
         "every Cayley sample S = 2 (Id - H)^(-1) - Id becomes -2 (Id - H)^(-1) - Id, so"
         " invariants, pseudochar and det-law stop with an error at their first Sp sample:"
         " its similitude is not 1 (StructureError), or at seed 1 it is singular"
         " (NotASimilitudeError); pfaffian and gma draw no Sp sample and pass"),
-    "matrix_poly_value_drops_the_last_coefficient": (
-        "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
-        " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"
-        " matrix, and the value misses the constant term times Id)"),
     "linear_combination_drops_the_last_term": (
+        SEEN, _everywhere(matrices, "_linear_combination", _last_term_dropped),
         "every matrix sum loses its last term, so Id - H is Id and a Cayley sample"
         " 2 (Id - H)^(-1) - Id is 2 Id, of similitude 4: invariants, pseudochar and det-law"
         " stop with an error at their first Sp sample; t Id - M is t Id, so pfaffian fails"
         " pfaffian_cayley_hamilton and recursion_matches_pfaffian_char_poly (the Pfaffian"
         " characteristic polynomial is t^d); gma stops with an error: x + x* of a random"
         " symmetric element is x, which chi^P refuses as not symmetric"),
+    "matrix_poly_value_drops_the_last_coefficient": (
+        SEEN, _everywhere(symplectic, "matrix_poly_value", _last_coefficient_dropped),
+        "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
+        " standard_chi_p_vanishes (each asks that a characteristic polynomial vanish at its"
+        " matrix, and the value misses the constant term times Id)"),
+    "word_value_reversed": (
+        PARTLY_SEEN, _everywhere(invariants, "word_value", _letters_reversed),
+        "the reversal of a trace word W is W with every star toggled, then transposed by j,"
+        " and M^j has the characteristic polynomial of M; so the fault reads each invariant"
+        " function f as X -> f(X_1^j, .., X_m^j), again an invariant function, which no"
+        " invariance check can tell from f; only pseudochar's axioms of a representation"
+        " (X^j = lambda X^-1) see it, at 4 of the 10 (d, seed): axioms_GSp_4 at (2, 2), and"
+        " the Sp axioms that corrupted_cache_detected runs first at (1, 1), (2, 1) and (2, 3)"),
     "evaluate_word_reversed": (
+        SEEN, _everywhere(words, "evaluate", _word_reversed),
         "det-law: det_law_multiplicative_star_invariant, or it stops with an error, as does"
-        " pseudochar at some seeds: rho_word, the evaluator's other caller, reads a new word"
-        " as its reversal, so rho(xy) and rho(x) rho(y) differ, and the image of x + x* is no"
-        " longer j-symmetric, so its M J is not alternating; invariants does not see it, for"
-        " the reason given for word_value_reversed"),
+        " pseudochar, which fails comparison_p_squared_equals_d at one seed: rho_word, the"
+        " evaluator's other caller, reads a new word as its reversal, so rho(xy) and"
+        " rho(x) rho(y) differ, and the image of x + x* is no longer j-symmetric, so its M J is"
+        " not alternating; invariants does not see it, for the reason given for"
+        " word_value_reversed"),
     "pf_law_negated": (
+        SEEN, _everywhere(detlaws, "eval_pf_law", _negated),
         "pseudochar: comparison_agrees_with_det_laws (the comparison P, a reduced Pfaffian of its"
         " own, is compared with eval_pf_law); det-law's pf_law_squares_to_det squares P, so the"
         " sign cancels there"),
+    "matrix_product_factors_swapped": (
+        UNSEEN, _everywhere(RingMatrix, "__mul__", _factors_swapped),
+        "with AB read as BA, a word's image is the transpose of its image under the"
+        " representation whose generator images are transposed, again a GSp representation with"
+        " the same similitudes, and a trace word's value is that of the transposed arguments;"
+        " every identity a suite checks holds for any such input, and the determinants, traces,"
+        " Lambda-vectors and reduced Pfaffians it compares do not change under transposition;"
+        " no suite compares a product with one formed entry by entry"),
     "multipoly_product_negated": (
+        SEEN, _everywhere(MultiPoly, "__mul__", _negated),
         "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly; gma: counterexample_sch_condition,"
         " counterexample_chi_p_vanishes (char_poly builds det(t Id - M) by Horner steps"
         " p * t + c, each a product of polynomials, so its coefficients change sign; the"
         " Pfaffian polynomial in t and the quotient ring's elements are products of them too)"),
     "det_law_negated": (
+        SEEN, _everywhere(detlaws, "eval_det_law", _negated),
         "det-law: det_law_multiplicative_star_invariant (D(x y) against D(x) D(y)),"
         " pf_law_squares_to_det (P^2 against D); pseudochar: comparison_agrees_with_det_laws"),
-}
-UNSEEN = {
-    "cofactor_expansion_without_signs": (
-        "only gma takes polynomial determinants, of 2 x 2 and 4 x 4 GMA elements over"
-        " Q[u, v]/(u^2, uv, v^2), and on each of them the terms of the odd permutations sum to"
-        " zero, so the permanent equals the determinant"
-    ),
-    "sample_symplectic_identity": (
-        "every check that draws an Sp sample tests an identity that holds on all of Sp, the"
-        " identity matrix included; no check asks that a sample be non-scalar or that two"
-        " samples not commute"
-    ),
-    "bareiss_sign_flip_from_6": (
-        "at d <= 2 no suite takes the determinant of a rational matrix larger than 4 x 4;"
-        " suite pfaffian at d = 3 sees it"
-    ),
-    "quotient_dot_drops_a_degree_1_term": (
-        "the constant term of a product in the quotient depends only on the constant terms"
-        " of its factors, which the fault keeps; the trace, determinant, Pfaffian and"
-        " Lambda_i of an element and det(1 + chi^P s) in the kernel probe are constants, both"
-        " sides of tr(xy) = tr(yx) lose the same term, the one product of chi^P on the"
-        " standard fixture is a scalar matrix with no u term, and chi^P on the counterexample"
-        " (d = 1) takes no matrix product"
-    ),
-    "matrix_product_factors_swapped": (
-        "with AB read as BA, a word's image is the transpose of its image under the"
-        " representation whose generator images are transposed, again a GSp representation with"
-        " the same similitudes, and a trace word's value is that of the transposed arguments;"
-        " every identity a suite checks holds for any such input, and the determinants, traces,"
-        " Lambda-vectors and reduced Pfaffians it compares do not change under transposition;"
-        " no suite compares a product with one formed entry by entry"
-    ),
     "packed_product_negated": (
+        UNSEEN, _everywhere(matrices, "_integer_product", _packed_products_negated),
         "only a product with 10 or more columns takes the packed route, and no suite multiplies"
         " by a matrix that wide: the suites' matrices are 2d x 2d with 2d <= 4 here, and 6 at"
-        " d = 3"
-    ),
-}
-PARTLY_SEEN = {
-    "word_value_reversed": (
-        "the reversal of a trace word W is W with every star toggled, then transposed by j,"
-        " and M^j has the characteristic polynomial of M; so the fault reads each invariant"
-        " function f as X -> f(X_1^j, .., X_m^j), again an invariant function, which no"
-        " invariance check can tell from f; only pseudochar's axioms of a GSp representation"
-        " (X^j = lambda X^-1) see it, at 3 of the 10 (d, seed): (1, 0), (2, 0) and (2, 4)"
-    ),
+        " d = 3"),
 }
 
 
-def _seen(monkeypatch, fault: str) -> dict:
-    """{(d, seed): what failed} at each point of the kernel grid where a suite sees ``fault``."""
-    runs = _under(monkeypatch, FAULTS[fault], SUITES.values(), KERNEL_GRID)
-    return {key: failed for key, outcomes in runs.items()
-            if (failed := [f for outcome in outcomes for f in _failures(outcome)])}
+def _first_seen(d: int, seed: int) -> list:
+    """The checks of the first suite, in ``SUITES`` order, that fails one at (d, seed), else of
+    the last; a ``SymplawError`` ends the search, as a suite it stops sees the fault."""
+    for suite in SUITES.values():
+        checks = suite(d, seed)
+        if not all(c["pass"] for c in checks):
+            break
+    return checks
 
 
-def test_every_fault_is_listed_once():
-    lists = (SEEN, UNSEEN, PARTLY_SEEN)
-    assert set().union(*lists) == set(FAULTS)
-    assert sum(map(len, lists)) == len(FAULTS)
-
-
-@pytest.mark.parametrize("fault", sorted(SEEN))
-def test_a_suite_sees_the_fault_at_every_seed(monkeypatch, fault):
-    seen = _seen(monkeypatch, fault)
-    unseen = [key for key in KERNEL_GRID if key not in seen]
-    assert not unseen, f"{fault} passes every check at (d, seed) = {unseen}"
-
-
-@pytest.mark.parametrize("fault", sorted(UNSEEN))
-def test_an_unseen_fault_is_still_unseen(monkeypatch, fault):
-    seen = _seen(monkeypatch, fault)
-    assert not seen, f"{fault} is now seen; move it to SEEN: {seen}"
-
-
-@pytest.mark.parametrize("fault", sorted(PARTLY_SEEN))
-def test_a_partly_seen_fault_is_still_partly_seen(monkeypatch, fault):
-    seen = _seen(monkeypatch, fault)
-    assert seen, f"{fault} is now unseen; move it to UNSEEN"
-    assert len(seen) < len(KERNEL_GRID), f"{fault} is now seen at every (d, seed); move it to SEEN"
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_fault_is_seen_where_its_row_says(monkeypatch, fault):
+    status, patches, _ = FAULTS[fault]
+    runs = _under(monkeypatch, patches, [_first_seen], KERNEL_GRID)
+    seen = {key: failed for key, (outcome,) in runs.items() if (failed := _failures(outcome))}
+    found = SEEN if len(seen) == len(KERNEL_GRID) else PARTLY_SEEN if seen else UNSEEN
+    assert found == status, f"{fault} is {found}, not {status}; seen at {seen}"
 
 
 # -- negative controls --------------------------------------------------------------------
@@ -478,7 +452,8 @@ CONTROLS = [
     # of the check's two routes only the Lambda side reads lambdas_of_matrix, so a fault there
     # shows wherever it is made; the T side signs and splits its coefficients on its own, so an
     # odd-sign fault in a step both routes shared would cancel at even d
-    ("pfaffian", "recursion_matches_pfaffian_char_poly", FAULTS["lambdas_odd_sign_flip"]),
+    ("pfaffian", "recursion_matches_pfaffian_char_poly",
+     _everywhere(matrices, "lambdas_of_matrix", _odd_lambdas_negated)),
     ("pfaffian", "transfer_identity", _at(suites, "mat_det", _one_larger)),
     ("pfaffian", "commuting_multiplicativity", _at(suites, "reduced_pfaffian", _one_larger)),
     ("det-law", "newton_matches_char_poly", _at(suites, "lambdas_of_matrix", _of_double)),

@@ -5,6 +5,7 @@ import pytest
 from symplaw import suites, symplectic
 from symplaw.errors import SymplawError
 from symplaw.gma import counterexample_fixture
+from symplaw.invariants import InvariantFunction
 from symplaw.suites import SuiteConfig, run_suite, suite_gma, suite_pseudochar
 
 
@@ -51,6 +52,21 @@ def test_suite_seed_sweep(suite, d):
     for seed in range(10):
         report = run_suite(SuiteConfig(suite=suite, d=d, trials=4, seed=seed))
         assert report["pass"], (seed, [c for c in report["checks"] if not c["pass"]])
+
+
+def test_suite_invariants_builds_each_generator_once(monkeypatch):
+    """20 trace words, each with sigma indices 1-2 at d = 1 and 1-4 at d = 2: 120 functions,
+    built once per half-dimension, not once per trial (6000 at trials 100)."""
+    calls = []
+    real = InvariantFunction.sigma
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(InvariantFunction, "sigma", staticmethod(counted))
+    assert all(c["pass"] for c in suites.suite_invariants(2, 100, 0))
+    assert len(calls) == 120
 
 
 # -- where the draws come from -----------------------------------------------------------
