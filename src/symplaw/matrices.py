@@ -8,7 +8,9 @@ here it beats both Bareiss over polynomials and interpolation at points.
 The characteristic polynomial uses Berkowitz's division-free algorithm
 (S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
 themselves, so it serves rational, polynomial and quotient-ring entries
-alike.  Berkowitz, the cofactor DP (one inner product of a row's signed
+alike; on the cleared rows of a rational 2 x 2 or 4 x 4 matrix, the sizes
+every Lambda-vector at d <= 2 has, closed forms in the principal minors take
+its place.  Berkowitz, the cofactor DP (one inner product of a row's signed
 entries with their minors per minor), ``trace_of_product`` and
 ``lambdas_of_matrix``, the one routine for the signed coefficients Lambda_i,
 take their inner product of two sequences of entries as a parameter,
@@ -48,11 +50,11 @@ polynomial coefficient c_k(B) / delta^k, the determinant det(B) / delta^n,
 and the inverse delta B^(-1) (Bareiss on [B | Id], continued above each
 pivot).  No Fraction is built in between: a result makes its Fraction
 ``entries`` only when they are read (``entries``, ``m[i, j]``, JSON output).
-Berkowitz, division-free, runs unchanged on either B or the entries.  The
-Pfaffian in ``symplectic`` splits as the determinant does: a fraction-free
-elimination on B, and a division-free expansion on the entries of a
-polynomial matrix.  Polynomial matrices have no cleared form and take the
-generic path.
+Berkowitz, division-free, runs unchanged on either B or the entries, and
+the closed forms run on B.  The Pfaffian in ``symplectic`` splits as the
+determinant does: a fraction-free elimination on B, and a division-free
+expansion on the entries of a polynomial matrix.  Polynomial matrices have
+no cleared form and take the generic path.
 """
 
 from __future__ import annotations
@@ -573,12 +575,40 @@ def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     return coeffs
 
 
+def _integer_char_coeffs(a: tuple) -> list:
+    """[c_0..c_n] of det(tI - A) for integer rows ``a``: closed forms at n = 2 and 4, else Berkowitz.
+
+    c_k is (-1)^k times the sum of the principal k x k minors (Horn and Johnson, Matrix
+    Analysis, 1.2).  At n = 4 the twelve 2 x 2 minors of rows {0, 1} and of rows {2, 3} give
+    each principal 3 x 3 minor, expanded along its row outside that pair, and the
+    determinant, by Laplace expansion along rows {0, 1}.
+    """
+    if len(a) == 2:
+        (p, q), (r, s) = a
+        return [1, -p - s, p * s - q * r]
+    if len(a) != 4:
+        return _berkowitz(a, _sum_of_products)
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = a
+    # x_pq and y_pq: the minors of rows {0, 1} and of rows {2, 3} on columns p < q
+    x01, x02, x03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    x12, x13, x23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    y01, y02, y03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    y12, y13, y23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    minors2 = x01 + y23 + a0 * c2 - a2 * c0 + a0 * d3 - a3 * d0 + b1 * c2 - b2 * c1 + b1 * d3 - b3 * d1
+    minors3 = (c0 * x12 - c1 * x02 + c2 * x01 + d0 * x13 - d1 * x03 + d3 * x01
+               + a0 * y23 - a2 * y03 + a3 * y02 + b1 * y23 - b2 * y13 + b3 * y12)
+    det = x01 * y23 - x02 * y13 + x03 * y12 + x12 * y03 - x13 * y02 + x23 * y01
+    return [1, -a0 - b1 - c2 - d3, minors2, -minors3, det]
+
+
 def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     """det(var*I - M), a monic MultiPoly of degree n in ``var``.
 
     Entries may themselves be polynomials, as long as they do not use ``var``.
-    The Berkowitz coefficients are assembled by Horner's rule; for rational
-    M = B / delta they are c_k(B) / delta^k.
+    The coefficients are assembled by Horner's rule.  For rational M = B / delta
+    they are c_k(B) / delta^k, from closed forms at n = 2 and 4
+    (``_integer_char_coeffs``) and from Berkowitz otherwise; any other matrix
+    takes Berkowitz on its entries.
     """
     if not _is_square(m):
         raise DimensionError("characteristic polynomial of a non-square matrix")
@@ -587,7 +617,7 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
             raise VariableError(f"matrix entries already use variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
-        den, ints = m._den, _berkowitz(m._ints, _sum_of_products)
+        den, ints = m._den, _integer_char_coeffs(m._ints)
         coeffs = [Fraction(c, den**k) for k, c in enumerate(ints[1:], 1)]
     t = MultiPoly.variable(var)
     p = MultiPoly.constant(1, (var,))

@@ -745,6 +745,28 @@ def test_a_tau_sign_fault_is_found_by_the_validator_and_reported_by_suite_gma(tm
     assert check == {"name": "input_spec_valid", "pass": False, "violations": violations}
 
 
+@pytest.mark.parametrize(
+    ("blob", "message"),
+    [
+        ({"I0": [], "I1": [1], "I2": [2, 3], "sigma": [2, 3, 1], "dims": [1, 1, 1]},
+         "sigma must be an involution"),
+        ({"I0": [1, 2], "I1": [], "I2": [], "sigma": [2, 1], "dims": [2, 2]},
+         "sigma must fix I0 pointwise"),
+        ({"I0": [], "I1": [1], "I2": [2], "sigma": [2, 1], "dims": [0, 0]},
+         "block dimensions must be positive"),
+        ({**_STANDARD_TYPE, "nil_monomials": ["u^2", "v^2", "u*v"],
+          "blocks": {"1,1": ["u"], "1,2": ["u"], "3,1": ["u"], "2,1": ["v"], "1,3": ["v"]}},
+         "diagonal blocks are implicitly Q and cannot be overridden"),
+    ],
+    ids=["sigma_not_an_involution", "sigma_moves_I0", "zero_block_dimension", "diagonal_block"],
+)
+def test_a_gma_spec_that_breaks_the_type_rules_exits_2(tmp_path, capsys, blob, message):
+    code = main(["suite", "gma", "--trials", "2", "--input", _write(tmp_path, blob)])
+    captured = capsys.readouterr()
+    _assert_one_line_error(code, captured)
+    assert captured.err == f"input error: {message}\n"
+
+
 def test_gma_spec_whose_ideal_contains_1_exits_2(tmp_path, capsys):
     # in Q[u, v] / (1) every check would pass vacuously
     for nils in (["1"], ["u^2", "1"]):

@@ -1,21 +1,24 @@
 """Cross-checks of the fast kernels against their dense definitions.
 
-char_poly (Berkowitz) and lambdas_of_matrix, with and without a quotient
-ring's reducing dot, against the cofactor determinant of tI - M, the
-signed-permutation symplectic transpose, GMA involution and right product
-with J against the products with J and J_delta, the Lambda-vector memo of
-eval_invariant against a fresh computation, the integer kernels for
-rational matrices (product, inverse, determinant, Pfaffian, char_poly,
-rank) against plain Fraction references kept in this file, the packed
-integer product against the plain one and the Fraction reference on both
-sides of its size threshold, the cleared form (B, delta) every rational
-matrix keeps, the skew elimination behind rational Pfaffians against the
-expansion, the similitude against the scalar of M^j M, and the memoized
-word images of a representation and the prefix memo of word_value against
-plain products.
+char_poly (Berkowitz, and closed forms on rational 2 x 2 and 4 x 4 matrices)
+and lambdas_of_matrix, with and without a quotient ring's reducing dot,
+against the cofactor determinant of tI - M, the signed-permutation
+symplectic transpose, GMA involution and right product with J against the
+products with J and J_delta, the Lambda-vector memo of eval_invariant
+against a fresh computation, the integer kernels for rational matrices
+(product, inverse, determinant, Pfaffian, char_poly, rank) against plain
+Fraction references kept in this file, the packed integer product against
+the plain one and the Fraction reference on both sides of its size
+threshold, the closed-form characteristic coefficients at n = 2 and 4
+against Berkowitz, with both sides of that size switch run by ``suite all``,
+the cleared form (B, delta) every rational matrix keeps, the skew
+elimination behind rational Pfaffians against the expansion, the similitude
+against the scalar of M^j M, and the memoized word images of a
+representation and the prefix memo of word_value against plain products.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import gcd
@@ -23,6 +26,7 @@ from math import gcd
 import pytest
 
 from symplaw import invariants, matrices, symplectic
+from symplaw.cli import main
 from symplaw.detlaws import InvolutiveRepresentation
 from symplaw.errors import ArityError, GeneratorError, NotASimilitudeError, VariableError
 from symplaw.gma import (
@@ -42,11 +46,14 @@ from symplaw.invariants import (
 )
 from symplaw.matrices import (
     RingMatrix,
+    _berkowitz,
     _cofactor_expansion,
     _det_bareiss,
+    _integer_char_coeffs,
     _integer_product,
     _integer_rows,
     _product,
+    _sum_of_products,
     char_poly,
     lambdas_of_matrix,
     mat_det,
@@ -749,6 +756,61 @@ def test_the_packed_route_is_chosen_by_the_column_count(monkeypatch):
         b = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(4)]
         assert RingMatrix(a) * RingMatrix(b) == RingMatrix(_product(a, b))
     assert plain == [1, 9]
+
+
+# -- closed-form characteristic coefficients -------------------------------------------
+
+
+def _closed_form_inputs():
+    """(label, integer rows) at n = 2 and 4: signed entries of 1, 64 and 3000 bits, a zero row,
+    and the zero and identity matrices."""
+    rng = random.Random(50)
+
+    def signed(n, bits):
+        return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(n)] for _ in range(n)]
+
+    for n in (2, 4):
+        for bits in (1, 64, 3000):
+            for k in range(4):
+                yield f"signed {bits} bits n={n} #{k}", signed(n, bits)
+        zero_row = signed(n, 64)
+        zero_row[n - 1] = [0] * n
+        yield f"zero row n={n}", zero_row
+        yield f"zero n={n}", [[0] * n] * n
+        yield f"identity n={n}", [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+CLOSED_FORM_INPUTS = list(_closed_form_inputs())
+
+
+@pytest.mark.parametrize(("label", "a"), CLOSED_FORM_INPUTS, ids=[k for k, _ in CLOSED_FORM_INPUTS])
+def test_closed_form_coefficients_match_berkowitz(label, a):
+    a = tuple(map(tuple, a))
+    got = _integer_char_coeffs(a)
+    assert got == _berkowitz(a, _sum_of_products)
+    assert all(type(c) is int for c in got)
+
+
+def test_both_sides_of_the_closed_form_switch_run_in_suite_all(monkeypatch, capsys):
+    """Over ``suite all --d 2`` at default trials the closed forms run at n = 2 and 4, and
+    Berkowitz runs on integer rows at n = 8, through det-law's ``d4_closed_forms`` input."""
+    closed, berkowitz = Counter(), Counter()
+    real_closed, real_berkowitz = matrices._integer_char_coeffs, matrices._berkowitz
+
+    def counted_closed(a):
+        closed[len(a)] += 1
+        return real_closed(a)
+
+    def counted_berkowitz(a, dot=matrices._dot):
+        berkowitz[len(a)] += dot is _sum_of_products  # the integer rows' inner product
+        return real_berkowitz(a, dot)
+
+    monkeypatch.setattr(matrices, "_integer_char_coeffs", counted_closed)
+    monkeypatch.setattr(matrices, "_berkowitz", counted_berkowitz)
+    assert main(["suite", "all", "--d", "2"]) == 0
+    capsys.readouterr()
+    assert sorted(closed) == [2, 4, 8] and closed[2] > 0 and closed[4] > 0
+    assert {n: c for n, c in berkowitz.items() if c} == {8: closed[8]}
 
 
 # -- memoized word images --------------------------------------------------------

@@ -159,7 +159,7 @@ def test_the_two_coefficient_routes_share_no_step():
     split with ``coefficients_in`` as the T route does, or a fault in a shared step would
     cancel (an odd-sign fault does at even d)."""
     found = _names_in("symplectic.py", "pfaffian_coeffs_of_matrix",
-                      {"lambdas_of_matrix", "char_poly", "_berkowitz"})
+                      {"lambdas_of_matrix", "char_poly", "_berkowitz", "_integer_char_coeffs"})
     found += _names_in("matrices.py", "lambdas_of_matrix", {"coefficients_in"})
     assert not found, found
 
