@@ -1,4 +1,4 @@
-"""The standard symplectic form, Pfaffians, and exact symplectic sampling.
+"""The standard symplectic form, Pfaffians, and integral symplectic sampling.
 
 The standard form on 2d coordinates is J = [[0, Id], [-Id, 0]].  The
 symplectic transpose is M^j = J M^T J^(-1); matrices fixed by it are
@@ -19,6 +19,8 @@ the adjoint J tau(M)^T J^(-1) and the right product M J, move entries of M
 and negate some, so they cost no ring products and keep the cleared form of
 a rational M.  The form computes its own Pfaffian once; its unchecked
 ``reduced_pfaffian`` is the Pfaffian law of both forms.
+
+An Sp sample is a short product of unipotent generators of Sp_2d(Z), an integer matrix.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import DimensionError, NotASimilitudeError, StructureError, Variabl
 from .matrices import (
     RingMatrix,
     _is_square,
-    _linear_combination,
     entry_vars,
     exact_scalar,
     matrix_from_ratios,
@@ -326,60 +327,57 @@ def random_matrix(n: int, rng: random.Random, magnitude: int = 5) -> RingMatrix:
 
 
 def random_alternating(n: int, rng: random.Random) -> RingMatrix:
-    return matrix_from_ratios(_rand_paired_block(n, rng, 5, -1))
+    return matrix_from_ratios(_rand_alternating_rows(n, rng, 5))
 
 
-def _rand_paired_block(d: int, rng: random.Random, magnitude: int, sign: int) -> list:
-    """Random rows of pairs (p, q) with entry (j, i) = sign * entry (i, j): symmetric for +1,
-    alternating for -1."""
-    rows = [[(0, 1)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i if sign > 0 else i + 1, d):
+def _rand_alternating_rows(n: int, rng: random.Random, magnitude: int) -> list:
+    """Random n x n rows of pairs (p, q) with entry (j, i) = -entry (i, j) and a zero diagonal."""
+    rows = [[(0, 1)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             p, q = _rand_ratio(rng, magnitude)
             rows[i][j] = (p, q)
-            rows[j][i] = (sign * p, q)
+            rows[j][i] = (-p, q)
     return rows
-
-
-def _rand_block_matrix(d: int, rng: random.Random, magnitude: int, sign: int) -> RingMatrix:
-    """[[A, B], [C, sign A^T]] in d x d blocks, A random and B, C drawn with X^T = -sign X."""
-    a = [[_rand_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
-    b = _rand_paired_block(d, rng, magnitude, -sign)
-    c = _rand_paired_block(d, rng, magnitude, -sign)
-    return matrix_from_ratios([a[i] + b[i] for i in range(d)]
-                              + [c[i] + [(sign * p, q) for p, q in col] for i, col in enumerate(zip(*a))])
 
 
 def random_j_symmetric(ctx: SymplecticContext, rng: random.Random, magnitude: int = 5) -> RingMatrix:
     """Random M with M^j = M: blocks [[D, B], [C, D^T]] with B, C antisymmetric."""
-    return _rand_block_matrix(ctx.d, rng, magnitude, 1)
-
-
-def random_sp_lie(ctx: SymplecticContext, rng: random.Random) -> RingMatrix:
-    """Random H in sp_2d: blocks [[A, B], [C, -A^T]] with B, C symmetric, entries p/q, |p| <= 3."""
-    return _rand_block_matrix(ctx.d, rng, 3, -1)
+    d = ctx.d
+    a = [[_rand_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
+    b = _rand_alternating_rows(d, rng, magnitude)
+    c = _rand_alternating_rows(d, rng, magnitude)
+    return matrix_from_ratios([a[i] + b[i] for i in range(d)]
+                              + [c[i] + list(col) for i, col in enumerate(zip(*a))])
 
 
 def sample_symplectic(ctx: SymplecticContext, seed: int) -> RingMatrix:
-    """Cayley transform S = (Id - H)^(-1)(Id + H) = 2 (Id - H)^(-1) - Id of a seeded H in sp_2d.
+    """A product U(S_1) L(T_1) U(S_2) L(T_2) of unipotent generators of Sp_2d(Z).
 
-    Deterministic in the seed; retries with a perturbed seed if Id - H is
-    singular.  The defining relation S^T J S = J, similitude 1, is checked
-    exactly before returning.
+    U(S) = [[Id, S], [0, Id]] and L(T) = [[Id, 0], [T, Id]] for symmetric d x d integer blocks,
+    whose upper triangles, row by row, come from one ``choices`` draw over +-1, +-2, +-3 of
+    ``random.Random(seed)`` (a 0 would make some samples Id, and more of them commute).  These
+    factors generate Sp_2d(Z) (Hua and Reiner, 1949), which is Zariski dense in Sp_2d.  Each
+    is a block-column update of integer rows, so a sample has denominator 1; its similitude 1
+    is checked exactly before returning.
     """
-    n = ctx.n
-    ident = RingMatrix.identity(n)
-    for attempt in range(64):
-        rng = random.Random(seed * 1000003 + attempt)
-        h = random_sp_lie(ctx, rng)
-        try:
-            s = _linear_combination(((2, (ident - h).inverse()), (-1, ident)), n, n)
-        except ZeroDivisionError:
-            continue
-        if similitude(ctx, s) != 1:  # reached only through a faulty kernel
-            raise StructureError("Cayley transform left the symplectic group")
-        return s
-    raise StructureError("could not sample a symplectic matrix (singular Id - H persisted)")
+    d = ctx.d
+    draws = iter(random.Random(seed).choices((-3, -2, -1, 1, 2, 3), k=2 * d * (d + 1)))
+    rows = [[int(i == j) for j in range(ctx.n)] for i in range(ctx.n)]
+    for k in range(4):
+        block = [[0] * d for _ in range(d)]
+        for i in range(d):
+            for j in range(i, d):
+                block[i][j] = block[j][i] = next(draws)
+        src, dst = (0, d) if k % 2 == 0 else (d, 0)  # M U(S) adds x S to y, M L(T) adds y T to x
+        for row in rows:
+            x = row[src:src + d]
+            for j, col in enumerate(block):  # column j of a symmetric block is its row j
+                row[dst + j] += sum(map(mul, x, col))
+    s = matrix_from_ratios([[(x, 1) for x in row] for row in rows])
+    if similitude(ctx, s) != 1:  # reached only through a faulty kernel
+        raise StructureError("a product of unipotent generators left the symplectic group")
+    return s
 
 
 def sample_similitude(ctx: SymplecticContext, seed: int, factor: Fraction | int = 1) -> RingMatrix:

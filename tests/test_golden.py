@@ -131,7 +131,8 @@ def test_suite_output_pinned(suite, flags, seed, digest, capsys):
 
 # -- eval verbs at the dimension cap -----------------------------------------------
 
-# Sp: Cayley samples; GSp: the same samples times diag(3/2 Id, Id), similitude 3/2
+# Sp: products of unipotent generators of Sp_12(Z); GSp: the same samples times
+# diag(3/2 Id, Id), similitude 3/2
 EVAL_LAMBDA = {"Sp": Fraction(1), "GSp": Fraction(3, 2)}
 
 
@@ -171,17 +172,17 @@ def _eval_input(kind, verb):
 
 EVAL_DIGESTS = {
     ("Sp", "detlaw-D"):
-        "9e200709da66dfc47f940d93993ef1c7a5ef615d7cb643b4838b5e09933f9e15",
+        "1f2fcc59e8d51c35ad9ea3d1a9db8784c5d747cff3d32b1ab17320f3ca38c321",
     ("Sp", "detlaw-P"):
-        "82bcf3b2f4eaa5c3fc8804df3992316f4741986dfe3040c3a58ed4780884ed96",
+        "59cb42a36033a9a0d04b265074d6e263352857d57b18f7be0c5658ac8f3cad5e",
     ("Sp", "theta"):
-        "aee6505e469bffa998c4b3ead7bd49196d9a56b30db9579c62492ac92411ea27",
+        "c896200f3df5f2f02c07e2093a15f5a784bbc7973f5facbd7f192bb8ce9cf115",
     ("GSp", "detlaw-D"):
-        "c7b584e9e24a118b3752e454b124a323e39b63fd1ad65a63962b4afeb73aff5b",
+        "01e665f12b1afc11c2ec2975d06e1b1a161397a657ff2ab9a02eea59646516f0",
     ("GSp", "detlaw-P"):
-        "82bc5d6158910ab824d7080da220f47faada676aac0bbababb54b99eb85d5566",
+        "6410e611d2bf06b56d28d299b650fe1083bb8e1e3d2e683a9964cef466c4f438",
     ("GSp", "theta"):
-        "340b334f8bd8528b5e017782177af9cf16910cb1a9fd1653c3982d24fc03b5ca",
+        "65033b51fcbb99b759a579dbdd9e87d1d75faa6701b747feba8952f98e902cc4",
 }
 
 

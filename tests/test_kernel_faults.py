@@ -9,11 +9,11 @@ the ``SymplawError`` that stopped it, which the CLI reports with exit code 2.
 Kernel faults ask whether a broken kernel is seen.  A row of ``FAULTS`` is
 ``name: (status, patches, why)``: its patches replace one kernel, a function or a method, in
 every module and class body that bound it (``_everywhere``).  At each (d, seed) of the kernel
-grid, d in {1, 2} and seeds 0-4, the suites run in order of cost (``pfaffian``, ``gma``,
+grid, d in {1, 2, 3} and seeds 0-4, the suites run in order of cost (``pfaffian``, ``gma``,
 ``pseudochar``, ``det-law``, ``invariants``) until one fails a check or stops with an error;
 that suite sees the fault, and the rest are not asked.  A point where no suite sees the fault
-runs all five.  ``gma`` reads no d, so it runs once per seed and its answer serves both
-points of that seed.  The number of points where a suite sees the fault gives the status:
+runs all five.  ``gma`` reads no d, so it runs once per seed and its answer serves every
+point of that seed.  The number of points where a suite sees the fault gives the status:
 
 - ``SEEN``: every point.
 - ``UNSEEN``: none.  The test fails as soon as a suite starts to see the fault, so that its
@@ -25,7 +25,7 @@ documents; the test asserts only the status, and stops at the first suite that s
 
 Negative controls ask whether each check can fail.  A row of ``CONTROLS`` names a suite, a
 check (a glob over check names) and patches under which that check must fail, not stop its
-suite with an error, at every (d, seed) of its grid: the suite at d in {1, 2} and seeds 0-9,
+suite with an error, at every (d, seed) of its grid: the suite at d in {1, 2, 3} and seeds 0-9,
 or for gma, which reads no d, seeds 0-9; ``binomial_values_at_identity``, ``d4_closed_forms``
 and ``enumeration_desk_counts`` read no d or no seed, so they repeat runs.  Every check has a
 control.  A control names only the namespaces it patches (``_at``, or a patch written out):
@@ -59,12 +59,12 @@ SUITES = {  # in order of cost over the kernel grid, cheapest first
     "det-law": lambda d, seed: suite_det_law(d, TRIALS, seed),
     "invariants": lambda d, seed: suite_invariants(d, TRIALS, seed),
 }
-KERNEL_GRID = [(d, seed) for d in (1, 2) for seed in range(5)]
+KERNEL_GRID = [(d, seed) for d in (1, 2, 3) for seed in range(5)]
 
 
 def _grid(suite: str) -> list:
-    """A control's grid: its suite at d in {1, 2} and seeds 0-9; gma reads no d."""
-    return [(d, seed) for d in ((1,) if suite == "gma" else (1, 2)) for seed in range(10)]
+    """A control's grid: its suite at d in {1, 2, 3} and seeds 0-9; gma reads no d."""
+    return [(d, seed) for d in ((1,) if suite == "gma" else (1, 2, 3)) for seed in range(10)]
 
 
 def _under(monkeypatch, patches, suites, keys) -> dict:
@@ -210,7 +210,7 @@ def _inverse_letters_as_generators(original):
 
 
 SEEN, UNSEEN, PARTLY_SEEN = "SEEN", "UNSEEN", "PARTLY_SEEN"
-# name: (status at d in {1, 2} and seeds 0-4, patches, what sees the fault or why nothing does)
+# name: (status at d in {1, 2, 3} and seeds 0-4, patches, what sees the fault or why nothing does)
 FAULTS = {
     "lambdas_odd_sign_flip": (
         SEEN, _everywhere(matrices, "lambdas_of_matrix", _odd_lambdas_negated),
@@ -226,12 +226,13 @@ FAULTS = {
         UNSEEN, _everywhere(symplectic, "sample_symplectic",
                             lambda real: lambda ctx, seed: RingMatrix.identity(ctx.n)),
         "every check that draws an Sp sample tests an identity that holds on all of Sp, the"
-        " identity matrix included; no check asks that a sample be non-scalar or that two"
-        " samples not commute"),
+        " identity matrix included; no suite check asks that a sample be non-scalar or that two"
+        " samples not commute (tests/test_symplectic.py asks it of the sampler alone)"),
     "bareiss_sign_flip_from_6": (
-        UNSEEN, _everywhere(matrices, "_det_bareiss", _sign_flip_from_6),
-        "at d <= 2 no suite takes the determinant of a rational matrix larger than 4 x 4;"
-        " suite pfaffian at d = 3 sees it"),
+        PARTLY_SEEN, _everywhere(matrices, "_det_bareiss", _sign_flip_from_6),
+        "pfaffian at d = 3: pfaffian_squared_equals_det and pfaffian_conjugation_covariance, which"
+        " take determinants of 6 x 6 rational matrices; at d <= 2 no suite takes the determinant"
+        " of a rational matrix larger than 4 x 4"),
     "pfaffian_expansion_negated": (
         SEEN, _everywhere(symplectic, "_pfaffian_expansion", _negated),
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian:"
@@ -247,14 +248,16 @@ FAULTS = {
         "det-law and gma stop with an error: Lambda_2d = det changes sign, so the Lambda-vector"
         " of a j-symmetric matrix is no longer a square, for det-law's 8 x 8 d4_closed_forms"
         " input (integer rows) and for gma's elements (the quotient ring's entries); pfaffian"
-        " and pseudochar do not see it, as their rational matrices are 2 x 2 or 4 x 4, whose"
-        " coefficients come from the closed forms of _integer_char_coeffs"),
+        " stops with an error at d = 3 (Lambda_6 of a 6 x 6 draw), at 4 of the 5 seeds;"
+        " pseudochar does not see it, nor pfaffian at d <= 2, as their rational matrices there"
+        " are 2 x 2 or 4 x 4, whose coefficients come from the closed forms of"
+        " _integer_char_coeffs"),
     "closed_form_second_coefficient_negated": (
         SEEN, _everywhere(matrices, "_integer_char_coeffs", _second_coefficient_negated),
         "pfaffian and det-law stop with an error: Lambda_2 of a j-symmetric 2 x 2 or 4 x 4"
         " matrix changes sign, so its Lambda-vector is no longer a square; pseudochar:"
         " comparison_agrees_with_det_laws, comparison_p_squared_equals_d; a fault in c_3 at"
-        " n = 4 alone is seen only at d = 2 (pfaffian, det-law), as no suite at d = 1 forms a"
+        " n = 4 alone is seen only at d >= 2 (pfaffian, det-law), as no suite at d = 1 forms a"
         " 4 x 4 rational characteristic polynomial"),
     "cofactor_expansion_negated": (
         SEEN, _everywhere(matrices, "_cofactor_expansion", _negated),
@@ -268,9 +271,9 @@ FAULTS = {
     "right_product_negated": (
         SEEN, _everywhere(SignedPermutation, "right_product", _negated),
         "pfaffian: reduced_pfaffian_normalization (Pf(-M J) = (-1)^k Pf(M J) for k = 1..4),"
-        " recursion_matches_pfaffian_char_poly, and commuting_multiplicativity at 9 of the 10"
+        " recursion_matches_pfaffian_char_poly, and commuting_multiplicativity at 13 of the 15"
         " (d, seed); pseudochar: comparison_p_at_identity; det-law:"
-        " chi_alpha_vanishes_on_matrix_models at 5 of the 10"),
+        " chi_alpha_vanishes_on_matrix_models at the 5 points of d = 1"),
     "adjoint_plain_transpose": (
         SEEN, _everywhere(SignedPermutation, "adjoint", lambda real: lambda self, m: m.transpose()),
         "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
@@ -299,18 +302,19 @@ FAULTS = {
         " j-symmetric, so its M J is not alternating"),
     "inverse_negated": (
         SEEN, _everywhere(RingMatrix, "inverse", _negated),
-        "every Cayley sample S = 2 (Id - H)^(-1) - Id becomes -2 (Id - H)^(-1) - Id, so"
-        " invariants, pseudochar and det-law stop with an error at their first Sp sample:"
-        " its similitude is not 1 (StructureError), or at seed 1 it is singular"
-        " (NotASimilitudeError); pfaffian and gma draw no Sp sample and pass"),
+        "invariants: generators_invariant_under_conjugation (check_invariance conjugates by"
+        " g and -g^(-1), which negates each conjugate, so sigma_i of a word of odd length"
+        " changes sign for odd i); pseudochar stops with an error: the comparison P inverts"
+        " the image of a word larger than its inverse, so the image of x + x* is no longer"
+        " j-symmetric and its M J is not alternating; det-law, pfaffian and gma invert nothing"),
     "linear_combination_drops_the_last_term": (
         SEEN, _everywhere(matrices, "_linear_combination", _last_term_dropped),
-        "every matrix sum loses its last term, so Id - H is Id and a Cayley sample"
-        " 2 (Id - H)^(-1) - Id is 2 Id, of similitude 4: invariants, pseudochar and det-law"
-        " stop with an error at their first Sp sample; t Id - M is t Id, so pfaffian fails"
+        "every matrix sum loses its last term: t Id - M is t Id, so pfaffian fails"
         " pfaffian_cayley_hamilton and recursion_matches_pfaffian_char_poly (the Pfaffian"
-        " characteristic polynomial is t^d); gma stops with an error: x + x* of a random"
-        " symmetric element is x, which chi^P refuses as not symmetric"),
+        " characteristic polynomial is t^d); pseudochar and det-law stop with an error, as the"
+        " image of x + x* loses a term and is no longer j-symmetric, so its M J is not"
+        " alternating; gma stops with an error: x + x* of a random symmetric element is x,"
+        " which chi^P refuses as not symmetric"),
     "matrix_poly_value_drops_the_last_coefficient": (
         SEEN, _everywhere(symplectic, "matrix_poly_value", _last_coefficient_dropped),
         "det-law: chi_alpha_vanishes_on_matrix_models; pfaffian: pfaffian_cayley_hamilton; gma:"
@@ -322,13 +326,14 @@ FAULTS = {
         " and M^j has the characteristic polynomial of M; so the fault reads each invariant"
         " function f as X -> f(X_1^j, .., X_m^j), again an invariant function, which no"
         " invariance check can tell from f; only pseudochar's axioms of a representation"
-        " (X^j = lambda X^-1) see it, at 4 of the 10 (d, seed): axioms_GSp_4 at (2, 2), and"
-        " the Sp axioms that corrupted_cache_detected runs first at (1, 1), (2, 1) and (2, 3)"),
+        " (X^j = lambda X^-1) see it, at 6 of the 15 (d, seed): axioms_GSp_4 at (2, 2) and"
+        " (3, 2), and the Sp axioms that corrupted_cache_detected runs first at (2, 1), (2, 3),"
+        " (3, 1) and (3, 3)"),
     "evaluate_word_reversed": (
         SEEN, _everywhere(words, "evaluate", _word_reversed),
         "det-law: det_law_multiplicative_star_invariant, or it stops with an error, as does"
-        " pseudochar, which fails comparison_p_squared_equals_d at one seed: rho_word, the"
-        " evaluator's other caller, reads a new word as its reversal, so rho(xy) and"
+        " pseudochar, which fails comparison_p_squared_equals_d at seed 0 when d >= 2: rho_word,"
+        " the evaluator's other caller, reads a new word as its reversal, so rho(xy) and"
         " rho(x) rho(y) differ, and the image of x + x* is no longer j-symmetric, so its M J is"
         " not alternating; invariants does not see it, for the reason given for"
         " word_value_reversed"),
@@ -359,8 +364,7 @@ FAULTS = {
     "packed_product_negated": (
         UNSEEN, _everywhere(matrices, "_integer_product", _packed_products_negated),
         "only a product with 10 or more columns takes the packed route, and no suite multiplies"
-        " by a matrix that wide: the suites' matrices are 2d x 2d with 2d <= 4 here, and 6 at"
-        " d = 3"),
+        " by a matrix that wide: the suites' matrices are 2d x 2d with 2d <= 6 here"),
 }
 
 

@@ -902,7 +902,7 @@ def test_rho_word_spends_one_product_per_new_letter(monkeypatch):
 
 def test_building_a_representation_inverts_nothing(monkeypatch):
     ctx = SymplecticContext(6)
-    sp_images = [sample_symplectic(ctx, 12), sample_symplectic(ctx, 13)]  # Cayley: inverts
+    sp_images = [sample_symplectic(ctx, 12), sample_symplectic(ctx, 13)]
     gsp_images = _gsp_12()
     calls = []
     real_inverse = RingMatrix.inverse

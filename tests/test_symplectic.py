@@ -17,7 +17,6 @@ from symplaw.symplectic import (
     random_alternating,
     random_j_symmetric,
     random_matrix,
-    random_sp_lie,
     reduced_pfaffian,
     sample_similitude,
     sample_symplectic,
@@ -297,19 +296,63 @@ def test_j_symmetric_generator_shape():
             assert symplectic_transpose(ctx, m) == m
 
 
-def test_sample_symplectic_is_the_cayley_transform_of_its_first_draw():
-    """S = 2 (Id - H)^(-1) - Id is (Id - H)^(-1) (Id + H), formed here as that product."""
-    checked = 0
+def _unipotent_factors(ctx, seed):
+    """U(S_1), L(T_1), U(S_2), L(T_2) of ``sample_symplectic(ctx, seed)``, from the same draws:
+    U(S) = [[Id, S], [0, Id]] and L(T) = [[Id, 0], [T, Id]], their symmetric blocks filled
+    upper triangle first, row by row, from one ``choices`` call."""
+    d = ctx.d
+    draws = iter(random.Random(seed).choices((-3, -2, -1, 1, 2, 3), k=2 * d * (d + 1)))
+    factors = []
+    for k in range(4):
+        rows = [[int(i == j) for j in range(ctx.n)] for i in range(ctx.n)]
+        top, left = (0, d) if k % 2 == 0 else (d, 0)  # the block's first row and column
+        for i in range(d):
+            for j in range(i, d):
+                rows[top + i][left + j] = rows[top + j][left + i] = next(draws)
+        factors.append(RingMatrix(rows))
+    return factors
+
+
+def test_sample_symplectic_is_the_product_of_its_unipotent_factors():
     for d in (1, 2, 3):
         ctx = SymplecticContext(d)
-        ident = RingMatrix.identity(ctx.n)
         for seed in range(8):
-            h = random_sp_lie(ctx, random.Random(seed * 1000003))  # the draw of attempt 0
-            if mat_det(ident - h) == 0:
-                continue
-            assert sample_symplectic(ctx, seed) == (ident - h).inverse() * (ident + h)
-            checked += 1
-    assert checked >= 12
+            s = sample_symplectic(ctx, seed)
+            u1, l1, u2, l2 = _unipotent_factors(ctx, seed)
+            assert s == u1 * l1 * u2 * l2
+            assert s.cleared()[1] == 1
+            assert similitude(ctx, s) == 1
+
+
+def _sample_pairs(d, count):
+    """``count`` pairs of samples drawn as ``suites._sp_pair`` draws them, from one stream."""
+    ctx, rng = SymplecticContext(d), random.Random(0)
+    return [tuple(sample_symplectic(ctx, rng.getrandbits(64)) for _ in range(2)) for _ in range(count)]
+
+
+def _scalar_or_unipotent(s):
+    ident = RingMatrix.identity(s.rows)
+    return s in (ident, -ident) or ((s - ident) ** s.rows).is_zero()
+
+
+@pytest.mark.parametrize(("d", "count"), [(2, 1000), (3, 300)])
+def test_samples_are_neither_scalar_nor_unipotent_and_pairs_do_not_commute(d, count):
+    """The suites test identities on such pairs, which a scalar or unipotent sample, or a
+    commuting pair, can satisfy by accident.  Over the first 2000 pairs at d = 2, one sample
+    in 4000 was unipotent (pair 1971, U(S_1 + S_2) as T_1 S_2 = 0 and T_2 = -T_1) and no pair
+    commuted."""
+    for a, b in _sample_pairs(d, count):
+        assert not _scalar_or_unipotent(a) and not _scalar_or_unipotent(b)
+        assert a * b != b * a
+
+
+def test_few_samples_at_d1_are_scalar_or_unipotent_and_few_pairs_commute():
+    """At d = 1, in SL_2(Z), short products of unipotents are often unipotent or commute with
+    each other, so both shares are bounded: at most 4 % and 1 % over 2000 pairs."""
+    pairs = _sample_pairs(1, 2000)
+    special = sum(_scalar_or_unipotent(s) for pair in pairs for s in pair)
+    commuting = sum(a * b == b * a for a, b in pairs)
+    assert special <= 0.04 * 2 * len(pairs) and commuting <= 0.01 * len(pairs), (special, commuting)
 
 
 # -- the samplers, against the Fraction-built construction they replace -------
@@ -323,22 +366,22 @@ def _ref_random_matrix(n, rng, magnitude=5):
     return RingMatrix([[_ref_ratio(rng, magnitude) for _ in range(n)] for _ in range(n)])
 
 
-def _ref_paired_block(d, rng, magnitude, sign):
-    rows = [[Fraction(0)] * d for _ in range(d)]
-    for i in range(d):
-        for j in range(i if sign > 0 else i + 1, d):
+def _ref_alternating(n, rng, magnitude):
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
             x = _ref_ratio(rng, magnitude)
             rows[i][j] = x
-            rows[j][i] = sign * x
+            rows[j][i] = -x
     return rows
 
 
-def _ref_block_matrix(d, rng, magnitude, sign):
+def _ref_j_symmetric(d, rng, magnitude):
     a = [[_ref_ratio(rng, magnitude) for _ in range(d)] for _ in range(d)]
-    b = _ref_paired_block(d, rng, magnitude, -sign)
-    c = _ref_paired_block(d, rng, magnitude, -sign)
+    b = _ref_alternating(d, rng, magnitude)
+    c = _ref_alternating(d, rng, magnitude)
     return RingMatrix([a[i] + b[i] for i in range(d)]
-                      + [c[i] + [sign * a[j][i] for j in range(d)] for i in range(d)])
+                      + [c[i] + [a[j][i] for j in range(d)] for i in range(d)])
 
 
 _SAMPLERS = {
@@ -347,11 +390,9 @@ _SAMPLERS = {
     "random_matrix_3": (lambda n, rng: random_matrix(n, rng, 3),
                         lambda n, rng: _ref_random_matrix(n, rng, 3)),
     "random_alternating": (random_alternating,
-                           lambda n, rng: RingMatrix(_ref_paired_block(n, rng, 5, -1))),
+                           lambda n, rng: RingMatrix(_ref_alternating(n, rng, 5))),
     "random_j_symmetric": (lambda n, rng: random_j_symmetric(SymplecticContext(n // 2), rng, 3),
-                           lambda n, rng: _ref_block_matrix(n // 2, rng, 3, 1)),
-    "random_sp_lie": (lambda n, rng: random_sp_lie(SymplecticContext(n // 2), rng),
-                      lambda n, rng: _ref_block_matrix(n // 2, rng, 3, -1)),
+                           lambda n, rng: _ref_j_symmetric(n // 2, rng, 3)),
 }
 
 
