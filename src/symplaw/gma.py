@@ -2,37 +2,23 @@
 
 A GMA type partitions the block indices into I0 (self-paired blocks
 carrying an internal standard form), and I1/I2 (blocks swapped in pairs).
-The associated form J_delta, J on I0 diagonal blocks and -Id/+Id on the
-I1/I2 pairings, is built from the type as a ``symplectic.SignedPermutation``,
-the same signed-permutation form as J.  The involution M -> J_delta tau(M)^T J_delta^(-1),
-where tau rescales each off-diagonal block by a sign, is that form's
-adjoint with the tau signs tabled once per spec, and M J_delta its right
-product: the kernels behind M^j and M J, reindexings of M.
+Its form J_delta, J on I0 diagonal blocks and -Id/+Id on the I1/I2
+pairings, is a ``symplectic.SignedPermutation``, as J is: the involution
+M -> J_delta tau(M)^T J_delta^(-1), where tau rescales each off-diagonal
+block by a sign, is that form's adjoint, and M J_delta its right product.
 
 Block coefficient modules live inside a polynomial ring modulo a monomial
-ideal, so products and span membership reduce to exact monomial
-bookkeeping on packed exponent keys (``symplaw.multipoly``): each ring
-decides once per key whether the ideal contains that monomial, with one
-subtraction and a mask over the guard bits per nil monomial, and each spec
-computes once per block the monomial columns and integer echelon rows of its
-span.  A full-rank block holds the entries whose monomials are columns; only
-a rank-deficient one clears an entry against its rows.  Membership checks and
-random elements walk one per-spec table of cells, one per entry in block order.
-Random elements are combinations of the reduced block bases, so they are
-built already reduced; a matrix given to a public entry point is reduced
-once, at ``GmaSpec.check_membership``.  Adjoints, right products, sums and
-traces of reduced matrices are reduced.  Products reduce as they form:
-``QuotientRing.dot`` takes each inner product in one pass that never forms
-a term in the ideal, so the Berkowitz inner products behind the
-Lambda-vector, the cofactor minors behind the determinants, the traces of
-products and the matrix products of chi^P and of the kernel probe never
-carry a nil term.  The reduced Pfaffian alone multiplies in Q[vars] and
-reduces its result: it is the route, independent of the determinant's,
-that the suite compares with the determinant.
-The trace/determinant land in Q; the Pfaffian-type law is the form's reduced
-Pfaffian Pf(MJ_delta) / Pf(J_delta) when MJ_delta is alternating and
-otherwise comes from the determinant through the coefficient recursion (the
-two agree whenever both apply: the degree-d law with value 1 at 1 is unique).
+ideal (``QuotientRing``), so products and span membership reduce to exact
+monomial bookkeeping on packed exponent keys (``symplaw.multipoly``).  A
+matrix given to a public entry point is reduced once, at
+``GmaSpec.check_membership``; adjoints, right products, sums and traces of
+reduced matrices are reduced, and every product reduces as it forms, through
+``QuotientRing.dot``, so no kernel carries a nil term.  The reduced Pfaffian
+alone multiplies in Q[vars] and reduces its result: it is the route,
+independent of the determinant's, that the suite compares with the
+determinant.  Where M J_delta is not alternating, the Pfaffian law comes from
+the determinant through the coefficient recursion; the two agree wherever
+both apply, as the degree-d law with value 1 at 1 is unique.
 """
 
 from __future__ import annotations

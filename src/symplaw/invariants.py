@@ -4,15 +4,12 @@ A trace word is a cyclic word in the letters X_i and (X_i)^j; its trace is
 invariant under simultaneous symplectic conjugation, and such traces (more
 precisely the characteristic-polynomial coefficients of word values)
 generate the full invariant algebra.  The generation statement is tested
-empirically at desk scale: the span of multilinear trace products is
-compared against an independent oracle, the space of multilinear maps
-killed by sp_2d acting by commutator derivations.  Sp is connected and
-everything lives over Q, so infinitesimal invariance is equivalent to
-group invariance for polynomial functions.  Two facts shrink the oracle's
-linear system: the diagonal Cartan elements kill an invariant, so it lives
-on the coordinates of torus weight zero; and a weight-zero vector killed by
-the d simple root vectors is a highest-weight vector of weight 0, so it is
-invariant.  The oracle is the kernel of V_0 -> (+)_i V_(-alpha_i).
+empirically at desk scale: the span of multilinear trace products
+(``trace_word_span_dim``) is compared against an independent oracle
+(``multilinear_invariant_dim``), the space of multilinear maps killed by
+sp_2d acting by commutator derivations.  Sp is connected and everything
+lives over Q, so infinitesimal invariance is equivalent to group invariance
+for polynomial functions.
 """
 
 from __future__ import annotations

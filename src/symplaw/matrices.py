@@ -1,60 +1,17 @@
 """Dense matrices over exact scalars or MultiPoly entries.
 
-Determinants are exact: Bareiss fraction-free elimination (E. H. Bareiss,
-Math. Comp. 22, 1968) on the cleared integer rows of every rational matrix,
-and division-free cofactor expansion (dynamic programming over column
-subsets) on the entries of any other matrix, because at the sizes checked
-here it beats both Bareiss over polynomials and interpolation at points.
-The characteristic polynomial uses Berkowitz's division-free algorithm
-(S. J. Berkowitz, IPL 18, 1984): O(n^4) ring operations on the entries
-themselves, so it serves rational, polynomial and quotient-ring entries
-alike; on the cleared rows of a rational 2 x 2 or 4 x 4 matrix, the sizes
-every Lambda-vector at d <= 2 has, closed forms in the principal minors take
-its place.  Berkowitz, the cofactor DP (one inner product of a row's signed
-entries with their minors per minor), ``trace_of_product`` and
-``lambdas_of_matrix``, the one routine for the signed coefficients Lambda_i,
-take their inner product of two sequences of entries as a parameter,
-``dot``; a quotient ring passes its own, ``gma.QuotientRing.dot``, which
-never forms a term that lies in its ideal.  Every check in this library lives at
-dimension <= 12, so no sparse or asymptotically clever machinery is needed.
-
-Every matrix holds one of two entry forms, fixed when it is built (in
-``_fill``, the one place that sets entries):
-
-- a rational matrix, with no MultiPoly entry, has Fraction entries and its
-  cleared form, even when it is built from int rows;
-- a polynomial matrix, with at least one MultiPoly entry, holds each scalar
-  entry in MultiPoly's canonical coefficient form: an int when the value is
-  integral, a Fraction with denominator > 1 otherwise.  So ``m[i, j]`` of a
-  polynomial matrix may be an int, and the scalar arithmetic of a matrix
-  such as a GMA element, rational diagonal blocks around polynomial ones,
-  runs on ints.  A value leaving a kernel is, whichever entries it touched,
-  a Fraction if it is constant and a MultiPoly otherwise (``exact_scalar``).
-
-The cleared form of a rational matrix is one pair (B, delta): B a tuple of
-integer rows and delta > 0 the least common denominator, so that A = B / delta
-and gcd(delta, content of B) = 1.  That pair is unique for each rational
-matrix.  It is fixed when the matrix is built, and the kernels run on Python
-ints and normalize their results the same way: the product is B1 B2 /
-(delta1 delta2), formed, once B2 has at least ten columns, on packed rows
-by Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each
-row of B2 is one int whose byte-aligned fields hold its entries, so a row of
-B1 B2 is one inner product of that row of B1 with the packed rows, biased by
-2^(w-1) in every field so that no field borrows from the next, and its fields
-are read back from one ``to_bytes`` (``_integer_product``); a sum
-c_1 M_1 + ... + c_k M_k of c_i = p_i / q_i is one pass over the B_i over
-lcm(q_i delta_i) (``_linear_combination``), transposes and
-the signed reindexing of ``RingMatrix.rearranged`` keep delta, equality
-compares the pairs, the trace is tr(B) / delta, the k-th characteristic-
-polynomial coefficient c_k(B) / delta^k, the determinant det(B) / delta^n,
-and the inverse delta B^(-1) (Bareiss on [B | Id], continued above each
-pivot).  No Fraction is built in between: a result makes its Fraction
-``entries`` only when they are read (``entries``, ``m[i, j]``, JSON output).
-Berkowitz, division-free, runs unchanged on either B or the entries, and
-the closed forms run on B.  The Pfaffian in ``symplectic`` splits as the
-determinant does: a fraction-free elimination on B, and a division-free
-expansion on the entries of a polynomial matrix.  Polynomial matrices have
-no cleared form and take the generic path.
+Every check in this library lives at dimension <= 12, so dense rows and
+division-free or fraction-free algorithms serve, with no sparse or
+asymptotically clever machinery.  A matrix holds one of two entry forms, set
+by ``_fill`` when it is built: a rational matrix keeps its cleared form
+(B, delta), integer rows B with A = B / delta, on which its kernels run in
+Python ints, and a polynomial matrix works on its entries.  Each kernel
+takes both forms and its docstring names its routes: ``mat_det``,
+``char_poly``, ``lambdas_of_matrix`` (the one routine for the signed
+coefficients Lambda_i), ``RingMatrix.inverse``, ``_integer_product`` and
+``_linear_combination``, behind every sum and scalar multiple.  A kernel
+that takes an inner product ``dot`` lets a quotient ring pass its own,
+``gma.QuotientRing.dot``, which never forms a term that lies in its ideal.
 """
 
 from __future__ import annotations
@@ -380,11 +337,12 @@ _PACKED_MIN_COLS = 10
 def _integer_product(a: Sequence, b: Sequence) -> list:
     """The rows of A B for integer rows of A and of B; on packed rows once B has 10 columns.
 
-    Each row of B is packed into one int, sum_j b_kj 2^(w j), for a width w of whole bytes
-    with 2^(w-1) > |c_ij| for every entry c_ij of A B, as bounded by the bit lengths of the
-    entries and the inner dimension.  Row i of A B is then sum_k a_ik (packed row k), plus
-    2^(w-1) in every field, so that each field c_ij + 2^(w-1) lies in [0, 2^w) and borrows
-    nothing from the next; one ``to_bytes`` of that sum holds the fields.
+    Kronecker substitution (D. Harvey, J. Symbolic Comput. 44, 2009): each row of B is one int,
+    sum_j b_kj 2^(w j), for a width w of whole bytes with 2^(w-1) > |c_ij| for every entry c_ij
+    of A B, as bounded by the bit lengths of the entries and the inner dimension.  Row i of
+    A B is then sum_k a_ik (packed row k), plus 2^(w-1) in every field, so that each field
+    c_ij + 2^(w-1) lies in [0, 2^w) and borrows nothing from the next; one ``to_bytes`` of
+    that sum holds the fields.
     """
     cols = len(b[0])
     # measured crossover, best of 7: packed runs 0.85-1.17x as fast at 8 columns, 0.98-1.62x at 10
@@ -463,8 +421,9 @@ def mat_det(m: RingMatrix, dot: Callable = _sum_of_products) -> Ring:
     """Exact determinant of a square matrix, a Fraction or a MultiPoly.
 
     A rational matrix goes to Bareiss.  Any other goes to the cofactor DP,
-    which takes each minor as one inner product ``dot`` of two sequences of
-    entries: the plain one unless a caller, such as a quotient ring that
+    which at these sizes beats both Bareiss over polynomials and interpolation
+    at points, and takes each minor as one inner product ``dot`` of two sequences
+    of entries: the plain one unless a caller, such as a quotient ring that
     reduces each inner product, passes its own.
     """
     if not _is_square(m):
@@ -512,7 +471,8 @@ def _det_bareiss(m: RingMatrix) -> Fraction:
 
 
 def _bareiss(a: list, n: int, above: bool = False) -> int:
-    """Bareiss elimination in place on integer rows [B | C], B n x n; det(B), 0 if singular.
+    """Bareiss elimination (Math. Comp. 22, 1968) in place on integer rows [B | C], B n x n;
+    det(B), 0 if singular.
 
     Step k clears column k below its pivot, and above it too when ``above``,
     dividing every update exactly by the previous pivot.  With ``above``, C
@@ -555,11 +515,11 @@ def entry_vars(m: RingMatrix) -> set:
 def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
     """[c_0..c_n] with det(tI - A) = sum c_k t^(n-k), for the rows ``a`` of A.
 
-    Division-free (Berkowitz 1984).  Step r extends the leading r x r block
-    A_r by row R = a[r][:r], column C = (a[0][r]..a[r-1][r]) and corner
-    a[r][r]: the new coefficient vector is the lower-triangular Toeplitz
-    matrix of (1, -a[r][r], -R C, -R A_r C, ..., -R A_r^(r-1) C) applied to
-    the old one.  ``dot`` is the inner product of two sequences of entries.
+    Division-free (Berkowitz, IPL 18, 1984), O(n^4) ring operations, so it serves every
+    entry kind.  Step r extends the leading r x r block A_r by row R = a[r][:r], column
+    C = (a[0][r]..a[r-1][r]) and corner a[r][r]: the new coefficient vector is the
+    lower-triangular Toeplitz matrix of (1, -a[r][r], -R C, -R A_r C, ..., -R A_r^(r-1) C)
+    applied to the old one.  ``dot`` is the inner product of two sequences of entries.
     """
     coeffs = [1, -a[0][0]]
     for r in range(1, len(a)):
@@ -576,7 +536,8 @@ def _berkowitz(a: tuple, dot: Callable = _dot) -> list:
 
 
 def _integer_char_coeffs(a: tuple) -> list:
-    """[c_0..c_n] of det(tI - A) for integer rows ``a``: closed forms at n = 2 and 4, else Berkowitz.
+    """[c_0..c_n] of det(tI - A) for integer rows ``a``: closed forms at n = 2 and 4, the sizes
+    of every Lambda-vector at d <= 2, else Berkowitz.
 
     c_k is (-1)^k times the sum of the principal k x k minors (Horn and Johnson, Matrix
     Analysis, 1.2).  At n = 4 the twelve 2 x 2 minors of rows {0, 1} and of rows {2, 3} give

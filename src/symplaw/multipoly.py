@@ -4,10 +4,9 @@ A polynomial stores an ordered tuple of variable names (kept sorted, so the
 ordering is canonical) and a dict mapping packed exponent keys to nonzero
 coefficients in one canonical form: an ``int`` when the value is integral, a
 ``Fraction`` otherwise, so arithmetic on integral polynomials stays in
-``int``.  ``constant_value`` and ``coefficient`` return a ``Fraction``.  All
-arithmetic is exact; there is no floating point anywhere.  Polynomials
-interoperate with ``Fraction`` and ``int`` scalars, which act on the
-coefficients directly, so matrix code can stay agnostic about whether an
+``int``.  All arithmetic is exact; there is no floating point anywhere.
+Polynomials interoperate with ``Fraction`` and ``int`` scalars, which act on
+the coefficients directly, so matrix code can stay agnostic about whether an
 entry is a scalar or a polynomial.
 
 A packed key holds the exponent vector in one int, after Monagan and Pearce
@@ -16,10 +15,7 @@ vectors", 2007): each variable has a ``_FIELD``-bit field, the first variable
 the highest, so integer order is lexicographic order.  The top bit of each
 field is a guard: exponents are at most ``MAX_EXPONENT`` = 2^31 - 1, a
 monomial product is one integer addition, and a product that carries an
-exponent into a guard bit raises ``CapacityError`` instead of wrapping.  A
-product by a one-term polynomial adds one key to every key and needs no
-accumulation; with coefficient 1 it also keeps the coefficients as they are.
-``terms`` is the exponent-tuple view, a new dict built on each read.  The
+exponent into a guard bit raises ``CapacityError`` instead of wrapping.  The
 declared ``vars`` fix the fields; every check of where a polynomial fits (``==``,
 ``hash``, ``in_vars``, ``matrices.entry_vars``, ``gma.QuotientRing._lift``) reads
 ``used_vars``, the variables its terms use, so ``u*w^0`` fits wherever ``u`` does.
@@ -305,7 +301,10 @@ class MultiPoly:
         return NotImplemented
 
     def __hash__(self):
-        # Hash ignores unused variables so that equal values hash equally.
+        # Hash ignores unused variables so that equal values hash equally; a constant equals
+        # its scalar value, so it hashes as that value.
+        if self.is_constant():
+            return hash(self.constant_value())
         used = self.used_vars
         return hash((used, frozenset(self.in_vars(used)._packed.items())))
 

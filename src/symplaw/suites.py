@@ -4,11 +4,8 @@ Every suite is deterministic in (d, trials, seed) and returns a list of
 check dicts {"name", "pass", ...}; witnesses for failures are included as
 strings.  All equalities are exact, with no tolerances anywhere.
 
-A randomized check is declared as drawn inputs and two sides, and ``_run`` runs
-it: a ``draw`` makes every random draw of a trial, and each (name, left, right)
-fails at its first inputs where the two sides differ.  Trials stop once every
-check of the call has failed, so a call with one check stops at its first
-failure.  One-shot checks are made by ``_check``.
+A randomized check is declared as drawn inputs and two sides, which ``_run``
+draws and compares; one-shot checks are made by ``_check``.
 """
 
 from __future__ import annotations

@@ -4,14 +4,8 @@ The standard form on 2d coordinates is J = [[0, Id], [-Id, 0]].  The
 symplectic transpose is M^j = J M^T J^(-1); matrices fixed by it are
 "j-symmetric" and M J is then alternating, so Pf(MJ) makes sense.  Pf(J)
 itself is -1 for d = 2, 3 (mod 4); the reduced Pfaffian Pf(MJ) / Pf(J)
-divides by it so that the identity always maps to 1.
-
-Pfaffians split as ``matrices.mat_det`` does: a rational matrix goes to a
-fraction-free skew elimination on its cleared integer rows (J. R. Bunch,
-Math. Comp. 38, 1982), O(n^3), and a polynomial one to the division-free
-first-row expansion, memoized on bitmasks.  The similitude lambda of
-M^j M = lambda Id is read off the upper triangle of the alternating
-M^T J M = lambda J, without forming a matrix product.
+divides by it so that the identity always maps to 1.  ``pfaffian`` splits
+by entry form as ``matrices.mat_det`` does.
 
 J, and the block form J_delta of a generalized matrix algebra (``gma``),
 are each held as a ``SignedPermutation``: one +-1 per row.  Its two kernels,
@@ -19,8 +13,6 @@ the adjoint J tau(M)^T J^(-1) and the right product M J, move entries of M
 and negate some, so they cost no ring products and keep the cleared form of
 a rational M.  The form computes its own Pfaffian once; its unchecked
 ``reduced_pfaffian`` is the Pfaffian law of both forms.
-
-An Sp sample is a short product of unipotent generators of Sp_2d(Z), an integer matrix.
 """
 
 from __future__ import annotations
@@ -166,7 +158,8 @@ def pfaffian(a: RingMatrix) -> Ring:
 
 
 def _pfaffian_elimination(b) -> int:
-    """Pf of the alternating integer rows ``b``, by fraction-free skew elimination, O(n^3).
+    """Pf of the alternating integer rows ``b``, by fraction-free skew elimination, O(n^3)
+    (J. R. Bunch, Math. Comp. 38, 1982).
 
     Step k (k even) pivots on a[k][k+1], after which a[i][j] for k+1 < i < j
     holds the Pfaffian of the indices 0..k+1, i, j; each update divides

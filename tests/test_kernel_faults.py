@@ -1,5 +1,8 @@
 """Faults against the suites: one table of injected faults, run by one runner.
 
+Every test that runs a suite under an injected fault is here, apart from the pinned failing
+reports of ``test_golden.py``, which patch a kernel on their own.
+
 This is mutation analysis (DeMillo, Lipton and Sayward, "Hints on test data selection",
 1978) of the kernels and of the checks.  A row of either table holds a list of patches
 ``(owner, name, wrong)``, and ``_under`` is the one runner: for each (d, seed) of a grid it
@@ -575,6 +578,8 @@ def _control(suite: str, glob: str) -> list:
 
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_every_check_has_a_control(suite):
+    """Each check matches a control row, and ``COUNTS`` pins the numbers of both, so a new
+    check without a control, or a deleted control, fails here."""
     names = {c["name"] for c in SUITES[suite](2, 0)}
     globs = [glob for s, glob, _ in CONTROLS if s == suite]
     assert (len(names), len(globs)) == COUNTS[suite]

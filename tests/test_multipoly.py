@@ -53,6 +53,14 @@ def test_scalar_interop():
     assert x - x == 0
 
 
+@pytest.mark.parametrize("value", [3, Fraction(1, 2), 0])
+def test_a_constant_hashes_as_the_scalar_it_equals(value):
+    u = MultiPoly.variable("u")
+    for p in (MultiPoly.constant(value), MultiPoly.constant(value, ("u", "v")), u - u + value):
+        assert p == value and hash(p) == hash(value)
+        assert len({p, value}) == 1
+
+
 def test_bool_is_false_exactly_for_the_zero_polynomial():
     assert not bool(MultiPoly(("u",), {}))
     u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
