@@ -8,10 +8,10 @@ by ``_fill`` when it is built: a rational matrix keeps its cleared form
 Python ints, and a polynomial matrix works on its entries.  Each kernel
 takes both forms and its docstring names its routes: ``mat_det``,
 ``char_poly``, ``lambdas_of_matrix`` (the one routine for the signed
-coefficients Lambda_i), ``RingMatrix.inverse``, ``_integer_product`` and
-``_linear_combination``, behind every sum and scalar multiple.  A kernel
-that takes an inner product ``dot`` lets a quotient ring pass its own,
-``gma.QuotientRing.dot``, which never forms a term that lies in its ideal.
+coefficients Lambda_i), ``RingMatrix.inverse``, ``_product``,
+``_integer_product`` and ``_linear_combination``, behind every sum and scalar
+multiple.  A kernel that takes an inner product ``dot`` lets a quotient ring
+pass its own, ``gma.QuotientRing.dot``, which never forms a term in its ideal.
 """
 
 from __future__ import annotations
@@ -323,10 +323,17 @@ def _is_square(m) -> bool:
 
 
 def _product(a: Sequence, b: Sequence) -> list:
-    """The rows of A B for the rows of A and of B, integers or ring entries.
-
-    ``sum`` starts from the int 0, and 0 + x is x for Fraction and MultiPoly.
-    """
+    """The rows of A B for the rows of A and of B, integers or ring entries: written out for a
+    square B of size 2 or 4, the sizes of every product at d <= 2, else inner products."""
+    n = len(b)
+    if n == 4 and len(b[0]) == 4:
+        (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (s0, s1, s2, s3) = b
+        return [(w * p0 + x * q0 + y * r0 + z * s0, w * p1 + x * q1 + y * r1 + z * s1,
+                 w * p2 + x * q2 + y * r2 + z * s2, w * p3 + x * q3 + y * r3 + z * s3)
+                for w, x, y, z in a]
+    if n == 2 and len(b[0]) == 2:
+        (p0, p1), (q0, q1) = b
+        return [(x * p0 + y * q0, x * p1 + y * q1) for x, y in a]
     cols = list(zip(*b))
     return [tuple([sum(map(mul, row, col)) for col in cols]) for row in a]
 

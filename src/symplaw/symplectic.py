@@ -296,6 +296,8 @@ def similitude(ctx: SymplecticContext, m: RingMatrix) -> Fraction:
     if form is not None:
         lam = Fraction(lam, form[1] ** 2)
     elif isinstance(lam, MultiPoly):
+        if not lam.is_constant():
+            raise NotASimilitudeError(f"similitude factor is not a constant: {lam}")
         lam = lam.constant_value()
     if lam == 0:
         raise NotASimilitudeError("similitude factor is zero (singular matrix)")

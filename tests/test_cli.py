@@ -410,7 +410,10 @@ _ONE_TERM = {"terms": [{"word": "g1", "coef": 1}]}
                           "element": {"terms": [{"word": "gx", "coef": 1}]}}, "bad word token 'gx'"),
     (["eval", "detlaw"], {"rep": {"d": 1, "kind": "Sp", "generators": [[[2, 0], [0, 2]]]},
                           "element": _ONE_TERM}, "Sp representation must have all similitudes equal to 1"),
-], ids=["suite_cap", "input_to_a_suite_without_one", "no_trials", "word_token", "sp_similitude"])
+    (["eval", "invariant"], {"similitude_power": 1, "matrices": [[["u", 0], [0, 1]]]},
+     "similitude factor is not a constant: u"),
+], ids=["suite_cap", "input_to_a_suite_without_one", "no_trials", "word_token", "sp_similitude",
+        "polynomial_similitude"])
 def test_a_refusal_is_one_input_error_line(tmp_path, capsys, argv, blob, message):
     """The refusals of the CLI itself and of the library both print one ``input error:`` line."""
     if blob is not None:

@@ -133,6 +133,18 @@ def _packed_products_negated(original):
     return lambda a, b: [tuple(-x for x in r) for r in original(a, b)] if len(b[0]) >= 10 else original(a, b)
 
 
+def _closed_product_term_negated(original):
+    """Entry (0, 0) of a product by a square B of size 2 or 4, the closed forms' sizes, with its
+    last term a_0k b_k0 negated."""
+    def fault(a, b):
+        rows = original(a, b)
+        if len(b) in (2, 4) and len(b[0]) == len(b) and rows:
+            rows[0] = (rows[0][0] - 2 * (a[0][-1] * b[-1][0]), *rows[0][1:])
+        return rows
+
+    return fault
+
+
 def _last_coefficient_negated(original):
     def fault(a, *dot):
         coeffs = original(a, *dot)
@@ -364,6 +376,13 @@ FAULTS = {
         SEEN, _everywhere(detlaws, "eval_det_law", _negated),
         "det-law: det_law_multiplicative_star_invariant (D(x y) against D(x) D(y)),"
         " pf_law_squares_to_det (P^2 against D); pseudochar: comparison_agrees_with_det_laws"),
+    "closed_product_term_negated": (
+        SEEN, _everywhere(matrices, "_product", _closed_product_term_negated),
+        "pfaffian, pseudochar and det-law stop with an error at every (d, seed): a congruence"
+        " G A G^T of 2 x 2 or 4 x 4 matrices is no longer alternating, nor is M J for the image"
+        " M of x + x* (pseudochar at (2, 1) and (3, 1): M^j M is not scalar);"
+        " invariants: generators_invariant_under_conjugation, similitude_conjugation_invariant"
+        " and fft_desk_scale_d1_m3 at d = 1, an error at d >= 2; gma forms no such product"),
     "packed_product_negated": (
         UNSEEN, _everywhere(matrices, "_integer_product", _packed_products_negated),
         "only a product with 10 or more columns takes the packed route, and no suite multiplies"

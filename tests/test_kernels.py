@@ -10,11 +10,13 @@ against a fresh computation, the integer kernels for rational matrices
 Fraction references kept in this file, the packed integer product against
 the plain one and the Fraction reference on both sides of its size
 threshold, the closed-form characteristic coefficients at n = 2 and 4
-against Berkowitz, with both sides of that size switch run by ``suite all``,
-the cleared form (B, delta) every rational matrix keeps, the skew
-elimination behind rational Pfaffians against the expansion, the similitude
-against the scalar of M^j M, and the memoized word images of a
-representation and the prefix memo of word_value against plain products.
+against Berkowitz and the closed-form products by a 2 x 2 or 4 x 4 B against
+the inner products and the Fraction reference, with both sides of each size
+switch run by ``suite all``, the cleared form (B, delta) every rational
+matrix keeps, the skew elimination behind rational Pfaffians against the
+expansion, the similitude against the scalar of M^j M, and the memoized
+word images of a representation and the prefix memo of word_value against
+plain products.
 """
 
 import random
@@ -22,6 +24,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -813,6 +816,99 @@ def test_both_sides_of_the_closed_form_switch_run_in_suite_all(monkeypatch, caps
     assert {n: c for n, c in berkowitz.items() if c} == {8: closed[8]}
 
 
+# -- closed-form products ------------------------------------------------------------------
+
+
+def _closed_product_inputs():
+    """(label, A, B) for B square of size 2 or 4: signed entries of 1, 64 and 3000 bits, a zero
+    row, the identity and the zero matrix, A of 1, 3 or 5 rows, polynomial entries mixed with
+    ints and Fractions; and a 4 x 2 and a 2 x 4 B, which take the inner products."""
+    rng = random.Random(54)
+    u, v = MultiPoly.variable("u"), MultiPoly.variable("v")
+
+    def signed(rows, cols, bits):
+        return [[rng.randint(-(1 << bits), 1 << bits) for _ in range(cols)] for _ in range(rows)]
+
+    def entry():
+        kind, p, q = rng.randrange(3), rng.randint(-9, 9), rng.randint(1, 9)
+        return (p, Fraction(p, q), p * u * v + Fraction(q, 2) * u - 1)[kind]
+
+    def mixed(rows, cols):
+        return [[entry() for _ in range(cols)] for _ in range(rows)]
+
+    for n in (2, 4):
+        for bits in (1, 64, 3000):
+            yield f"signed {bits} bits n={n}", signed(n, n, bits), signed(n, n, bits)
+        zero_row = signed(n, n, 64)
+        zero_row[n - 1] = [0] * n
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        yield f"zero row n={n}", zero_row, signed(n, n, 64)
+        yield f"zero row right n={n}", signed(n, n, 64), zero_row
+        yield f"identity n={n}", signed(n, n, 64), identity
+        yield f"identity left n={n}", identity, signed(n, n, 64)
+        yield f"zero n={n}", signed(n, n, 64), [[0] * n] * n
+        yield f"polynomial n={n}", mixed(n, n), mixed(n, n)
+        yield f"polynomial times u n={n}", mixed(n, n), [[u * x for x in r] for r in identity]
+    for rows in (1, 3, 5):
+        yield f"{rows}x4 4x4", signed(rows, 4, 64), signed(4, 4, 64)
+    yield "3x4 polynomial 4x4", mixed(3, 4), mixed(4, 4)
+    yield "3x4 4x2", signed(3, 4, 64), signed(4, 2, 64)
+    yield "3x2 2x4", signed(3, 2, 64), signed(2, 4, 64)
+    yield "3x4 polynomial 4x2", mixed(3, 4), mixed(4, 2)
+
+
+CLOSED_PRODUCT_INPUTS = list(_closed_product_inputs())
+
+
+def _counted_sums(monkeypatch) -> list:
+    """A list that grows by one at each ``sum`` the matrices module calls: the inner products of
+    ``_product`` call it once per entry, its closed forms never."""
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return sum(*args)
+
+    monkeypatch.setattr(matrices, "sum", counted, raising=False)
+    return calls
+
+
+@pytest.mark.parametrize(("label", "a", "b"), CLOSED_PRODUCT_INPUTS,
+                         ids=[k for k, *_ in CLOSED_PRODUCT_INPUTS])
+def test_closed_form_product_matches_the_inner_products_and_fractions(monkeypatch, label, a, b):
+    want = [tuple([sum(map(mul, row, col)) for col in zip(*b)]) for row in a]
+    sums = _counted_sums(monkeypatch)
+    got = _product(a, b)
+    closed = len(b) in (2, 4) and len(b[0]) == len(b)
+    assert len(sums) == (0 if closed else len(a) * len(b[0]))
+    assert got == want
+    assert [list(map(type, r)) for r in got] == [list(map(type, r)) for r in want]
+    left, right = RingMatrix(a), RingMatrix(b)
+    assert RingMatrix(got) == RingMatrix(fraction_product(left, right)) == left * right
+
+
+def test_both_sides_of_the_product_size_switch_run_in_suite_all(monkeypatch, capsys):
+    """Over ``suite all --d 2`` at default trials the closed-form products run by a B of size 2 and
+    4, on MultiPoly entries too (det-law), and the inner products by 8 x 8 integer rows, in the
+    power traces of det-law's ``d4_closed_forms`` input."""
+    closed, generic = Counter(), Counter()
+    sums = _counted_sums(monkeypatch)
+    real = matrices._product
+
+    def counted(a, b):
+        before = len(sums)
+        rows = real(a, b)
+        poly = any(isinstance(x, MultiPoly) for x in chain(*a, *b))
+        (generic if len(sums) > before else closed)[len(b), poly] += 1
+        return rows
+
+    monkeypatch.setattr(matrices, "_product", counted)
+    assert main(["suite", "all", "--d", "2"]) == 0
+    capsys.readouterr()
+    assert {n for n, _ in closed} == {2, 4} and closed[2, False] > 0 and closed[4, True] > 0
+    assert list(generic) == [(8, False)]
+
+
 # -- memoized word images --------------------------------------------------------
 
 
@@ -1077,7 +1173,7 @@ def test_similitude_of_polynomial_entries():
             got = similitude(ctx, m)
             assert got == c and type(got) is Fraction
             assert symplectic_transpose(ctx, m) * m == RingMatrix.scalar(ctx.n, c)
-        with pytest.raises(VariableError):  # M^j M = t Id: no constant similitude
+        with pytest.raises(NotASimilitudeError, match=r"^similitude factor is not a constant: t$"):
             similitude(ctx, _blocks([[t * x for x in r] for r in ident], zero, zero, ident))
         if d > 1:  # B not symmetric
             b = [[t * (i + 2 * j + 1) for j in range(d)] for i in range(d)]
