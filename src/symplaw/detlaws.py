@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import (
+    ArityError,
     DimensionError,
     GeneratorError,
     SpectrumError,
@@ -356,7 +357,7 @@ def chi_alpha(
     """
     d = rep.ctx.d
     if len(alpha) != len(elems):
-        raise SymplawError("alpha and element list have different lengths")
+        raise ArityError("alpha and element list have different lengths")
     if sum(alpha) != d or any(a < 0 for a in alpha):
         raise SymplawError(f"alpha must be nonnegative and sum to d = {d}")
     for r in elems:

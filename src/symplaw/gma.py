@@ -32,7 +32,7 @@ from operator import is_
 from typing import Mapping, Sequence
 
 from .detlaws import pfaffian_coeffs_from_lambdas
-from .errors import DimensionError, MembershipError, StructureError, SymplawError
+from .errors import DimensionError, MembershipError, StructureError, SymplawError, VariableError
 from .matrices import IntegerEliminator, RingMatrix, exact_scalar, lambdas_of_matrix, mat_det
 from .multipoly import MultiPoly, Ring, _guard, _over_cap, _unpack
 from .symplectic import SignedPermutation, is_alternating, matrix_poly_value
@@ -80,7 +80,7 @@ class QuotientRing:
     def __post_init__(self):
         vs = tuple(self.vars)
         if list(vs) != sorted(vs):
-            raise SymplawError(f"ring variables must be sorted: {vs}")
+            raise VariableError(f"ring variables must be sorted: {vs}")
         nils = tuple(tuple(e) for e in self.nil_monomials)
         for e in nils:
             if len(e) != len(vs):
@@ -524,6 +524,8 @@ def random_symmetric_gma_element(spec: GmaSpec, rng: random.Random) -> RingMatri
 
 def kernel_probe(spec: GmaSpec, witness: RingMatrix, trials: int, seed: int) -> bool:
     """D(1 + witness * s) = 1 for sampled s: the witness behaves as a kernel element."""
+    if trials < 1:
+        raise SymplawError("trials must be >= 1")
     witness = spec.check_membership(witness)
     rng = random.Random(seed)
     for _ in range(trials):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import permutations, product
 from typing import Sequence
 
-from .errors import ArityError, CapacityError, DimensionError, SymplawError
+from .errors import ArityError, CapacityError, DimensionError, StructureError, SymplawError
 from .matrices import IntegerEliminator, RingMatrix, lambdas_of_matrix, matrix_rank
 from .symplectic import SymplecticContext, random_matrix, similitude, symplectic_transpose
 from .words import evaluate
@@ -199,7 +199,7 @@ def hat(f: InvariantFunction) -> InvariantFunction:
     m = f.arity
     if f.kind == "similitude":
         if f.var_index == m:
-            raise SymplawError("hat of a last-argument similitude generator is not atomic")
+            raise StructureError("hat of a last-argument similitude generator is not atomic")
         return InvariantFunction.similitude_power(f.var_index, f.power, m + 1)
     letters: list = []
     for i, s in f.word.letters:
@@ -233,7 +233,7 @@ def _check_sizes(d: int, m: int):
     if d < 1:
         raise DimensionError("half-dimension d must be >= 1")
     if m < 0:
-        raise SymplawError("arity m must be >= 0")
+        raise ArityError("arity m must be >= 0")
     if (4 * d * d) ** m > _MAX_UNKNOWNS:
         raise CapacityError(f"{(4 * d * d) ** m} unknowns exceed the {_MAX_UNKNOWNS} guard")
 

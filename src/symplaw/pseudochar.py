@@ -19,9 +19,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation, star
-from .errors import ArityError, StructureError, UnsupportedKindError
+from .errors import ArityError, StructureError, SymplawError, UnsupportedKindError
 from .invariants import InvariantFunction, TraceWord, eval_invariant, hat, relabel
 from .matrices import _linear_combination, lambdas_of_matrix
 from .multipoly import Ring
@@ -73,56 +74,73 @@ def _random_sigma_function(rng: random.Random, arity: int, two_d: int) -> Invari
     return InvariantFunction.sigma(rng.randint(1, two_d), TraceWord(letters), arity)
 
 
+def _draw_trials(pc: Pseudocharacter, trials: int, seed: int) -> list:
+    """The trials of verify_axioms, each (f, f^zeta, gamma_n, gamma_zeta, the functions whose
+    product is hat(f), gamma, merged gamma).  They read the seed, the kind, 2d and the generator
+    count, never the cache."""
+    rng = random.Random(seed)
+    two_d = pc.rep.ctx.n
+    k = pc.rep.num_generators
+    draws = []
+    for _ in range(trials):
+        m = rng.randint(1, 3)
+        if pc.kind == "GSp" and rng.random() < 0.25:
+            f = InvariantFunction.similitude_power(rng.randint(1, m), -1, m)
+        else:
+            f = _random_sigma_function(rng, m, two_d)
+        n = rng.randint(1, 3)
+        zeta = [rng.randint(1, n) for _ in range(m)]
+        gammas_n = [random_word(rng, k, 4) for _ in range(n)]
+        gammas = [random_word(rng, k, 4) for _ in range(m + 1)]
+        if f.kind == "similitude" and f.var_index == m:
+            # hat of the last-slot similitude generator is a product of two generators
+            hats = tuple(InvariantFunction.similitude_power(i, -1, m + 1) for i in (m, m + 1))
+        else:
+            hats = (hat(f),)
+        merged = gammas[: m - 1] + [word_mul(gammas[m - 1], gammas[m])]
+        draws.append((f, relabel(f, zeta, n), gammas_n, [gammas_n[z - 1] for z in zeta],
+                      hats, gammas, merged))
+    return draws
+
+
+def _failures(pc: Pseudocharacter, draws: list) -> list:
+    """The witnesses of the drawn trials that fail an axiom on pc's values."""
+    failures = []
+    for f, f_zeta, gammas_n, gammas_zeta, hats, gammas, merged in draws:
+        # axiom 1, relabelling variables commutes with evaluation.  Two sides with one cache
+        # key would compare a value with itself, and a corrupted entry would cancel out, so
+        # the comparison is skipped before either side is evaluated.
+        if (pc.cache_key(f_zeta, gammas_n) != pc.cache_key(f, gammas_zeta)
+                and theta_eval(pc, f_zeta, gammas_n) != theta_eval(pc, f, gammas_zeta)):
+            failures.append({"axiom": 1, "f": str(f.key()), "words": [format_word(w) for w in gammas_n]})
+        # axiom 2, merging the last two arguments by multiplication
+        if prod(theta_eval(pc, h, gammas) for h in hats) != theta_eval(pc, f, merged):
+            failures.append({"axiom": 2, "f": str(f.key()), "words": [format_word(w) for w in gammas]})
+    return failures
+
+
 def verify_axioms(pc: Pseudocharacter, trials: int, seed: int) -> dict:
     """Randomized check of the relabelling and last-argument-product axioms.
 
     Returns {"passed": bool, "trials": n, "failures": [witness, ...]} where a
     witness records the axiom, the function and the word tuple.
     """
-    rng = random.Random(seed)
-    two_d = pc.rep.ctx.n
-    k = pc.rep.num_generators
-    failures = []
-    for _ in range(trials):
-        m = rng.randint(1, 3)
-        use_similitude = pc.kind == "GSp" and rng.random() < 0.25
-        if use_similitude:
-            f = InvariantFunction.similitude_power(rng.randint(1, m), -1, m)
-        else:
-            f = _random_sigma_function(rng, m, two_d)
-
-        # axiom: relabelling variables commutes with evaluation
-        n = rng.randint(1, 3)
-        zeta = [rng.randint(1, n) for _ in range(m)]
-        gammas_n = [random_word(rng, k, 4) for _ in range(n)]
-        f_zeta, gammas_zeta = relabel(f, zeta, n), [gammas_n[z - 1] for z in zeta]
-        # Two sides with one cache key would compare a value with itself, and a
-        # corrupted entry would cancel out, so the comparison is skipped before
-        # either side is evaluated.
-        if pc.cache_key(f_zeta, gammas_n) != pc.cache_key(f, gammas_zeta):
-            lhs = theta_eval(pc, f_zeta, gammas_n)
-            rhs = theta_eval(pc, f, gammas_zeta)
-            if lhs != rhs:
-                failures.append(
-                    {"axiom": 1, "f": str(f.key()), "words": [format_word(w) for w in gammas_n]}
-                )
-
-        # axiom: merging the last two arguments by multiplication
-        gammas = [random_word(rng, k, 4) for _ in range(m + 1)]
-        merged = list(gammas[: m - 1]) + [word_mul(gammas[m - 1], gammas[m])]
-        if f.kind == "similitude" and f.var_index == m:
-            # hat of the last-slot similitude generator is a product of two generators
-            f1 = InvariantFunction.similitude_power(m, -1, m + 1)
-            f2 = InvariantFunction.similitude_power(m + 1, -1, m + 1)
-            lhs = theta_eval(pc, f1, gammas) * theta_eval(pc, f2, gammas)
-        else:
-            lhs = theta_eval(pc, hat(f), gammas)
-        rhs = theta_eval(pc, f, merged)
-        if lhs != rhs:
-            failures.append(
-                {"axiom": 2, "f": str(f.key()), "words": [format_word(w) for w in gammas]}
-            )
+    if trials < 1:
+        raise SymplawError("trials must be >= 1")
+    failures = _failures(pc, _draw_trials(pc, trials, seed))
     return {"passed": not failures, "trials": trials, "failures": failures}
+
+
+def _corrupted_cache_detected(pc: Pseudocharacter, trials: int, seed: int) -> bool:
+    """The axioms pass on one draw of trials, and fail on the same draw once the cache entry
+    first by repr is off by one.  The draws never read the cache, so both passes check the
+    same trials, and the second reads every value from the cache."""
+    draws = _draw_trials(pc, trials, seed)
+    if _failures(pc, draws) or not pc.cache:
+        return False
+    entry = sorted(pc.cache, key=repr)[0]
+    pc.cache[entry] += 1
+    return bool(_failures(pc, draws))
 
 
 # -- comparison with the determinant-law side ---------------------------

@@ -18,6 +18,7 @@ from symplaw.detlaws import (
     star,
 )
 from symplaw.errors import (
+    ArityError,
     DimensionError,
     GeneratorError,
     SpectrumError,
@@ -373,3 +374,10 @@ def test_chi_alpha_validates_input():
     sym = g1 + star(rep, g1)
     with pytest.raises(ValueError):
         chi_alpha(rep, [sym], [2])  # alpha sums to 2 != d
+
+
+def test_chi_alpha_refuses_lists_of_unequal_length():
+    rep = sl2_rep(UNIPOTENT)
+    g1 = GroupAlgebraElement.from_word(parse_word("g1"))
+    with pytest.raises(ArityError, match="different lengths"):
+        chi_alpha(rep, [g1 + star(rep, g1)], [1, 0])

@@ -5,7 +5,7 @@ from operator import mul
 
 import pytest
 
-from symplaw.errors import DimensionError, MembershipError, StructureError
+from symplaw.errors import DimensionError, MembershipError, StructureError, SymplawError, VariableError
 from symplaw.gma import (
     GmaSpec,
     GmaType,
@@ -166,6 +166,11 @@ def test_an_ideal_that_contains_1_is_refused(variables, nils):
         QuotientRing(variables, nils)
 
 
+def test_unsorted_ring_variables_are_refused():
+    with pytest.raises(VariableError, match="must be sorted"):
+        QuotientRing(("v", "u"), ((2, 0),))
+
+
 def test_delta_involution_sign_cases():
     # epsilon = +1: the off-diagonal slot is antisymmetric
     spec = GmaSpec(
@@ -323,6 +328,13 @@ def test_chi_p_nonzero_on_counterexample_and_kernel_probe():
     # chi^P(x, x) = x itself here; it must act as a kernel element of D
     assert kernel_probe(ce, chi, trials=25, seed=56)
     assert mat_det(RingMatrix.identity(2) + chi) == 1
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_kernel_probe_refuses_fewer_than_one_trial(trials):
+    # with no trial drawn, the probe would pass any witness
+    with pytest.raises(SymplawError, match="trials must be >= 1"):
+        kernel_probe(counterexample_fixture(), RingMatrix.zeros(2), trials, 0)
 
 
 def test_chi_p_nonzero_on_random_symmetric_counterexample_elements():

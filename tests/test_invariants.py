@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from symplaw import invariants
-from symplaw.errors import ArityError, CapacityError, DimensionError, SymplawError
+from symplaw.errors import ArityError, CapacityError, DimensionError, StructureError, SymplawError
 from symplaw.invariants import (
     InvariantFunction,
     TraceWord,
@@ -142,6 +142,13 @@ def test_relabel_and_hat():
     fh = hat(f)
     assert fh.arity == 3
     assert eval_invariant(fh, mats) == eval_invariant(f, [mats[0], mats[1] * mats[2]])
+
+
+def test_hat_of_a_last_slot_similitude_is_refused():
+    # lambda(g_m g_(m+1)) is lambda(g_m) lambda(g_(m+1)), a product of two generators
+    assert hat(InvariantFunction.similitude_power(1, -1, 2)).arity == 3
+    with pytest.raises(StructureError, match="not atomic"):
+        hat(InvariantFunction.similitude_power(2, -1, 2))
 
 
 # -- the invariant-dimension oracle against a brute-force reference ----
@@ -328,7 +335,7 @@ def test_bad_sizes_raise(dim):
     for d in (0, -1):
         with pytest.raises(DimensionError):
             dim(d, 1)
-    with pytest.raises(SymplawError):
+    with pytest.raises(ArityError, match="arity m must be >= 0"):
         dim(1, -1)
     assert dim(1, 0) == 1 and dim(2, 0) == 1
 

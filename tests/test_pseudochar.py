@@ -11,12 +11,13 @@ from symplaw.detlaws import (
     eval_pf_law,
     star,
 )
-from symplaw.errors import ArityError, StructureError, UnsupportedKindError
+from symplaw.errors import ArityError, StructureError, SymplawError, UnsupportedKindError
 from symplaw.invariants import InvariantFunction, TraceWord, eval_invariant, word_value
 from symplaw.matrices import RingMatrix
 from symplaw.multipoly import MultiPoly
 from symplaw.pseudochar import (
     Pseudocharacter,
+    _corrupted_cache_detected,
     comparison_to_det_law,
     similitude_character,
     theta_eval,
@@ -106,6 +107,25 @@ def test_corrupted_cache_detected():
     corrupted = verify_axioms(pc, trials=25, seed=7)
     assert not corrupted["passed"]
     assert corrupted["failures"]
+
+
+def test_the_corruption_probe_checks_one_draw_clean_and_corrupted():
+    """The probe's clean pass fills the cache as verify_axioms does, then the entry first by
+    repr moves by 1, and the second pass of the same draw sees it."""
+    reference, pc = sp_pc(1, [41, 42]), sp_pc(1, [41, 42])
+    assert verify_axioms(reference, trials=25, seed=7)["passed"]
+    assert _corrupted_cache_detected(pc, 25, 7)
+    assert pc.cache.keys() == reference.cache.keys()
+    first = min(pc.cache, key=repr)
+    assert [key for key in pc.cache if pc.cache[key] != reference.cache[key]] == [first]
+    assert pc.cache[first] == reference.cache[first] + 1
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_fewer_than_one_trial_is_refused(trials):
+    # with no trial drawn, the axioms would pass vacuously
+    with pytest.raises(SymplawError, match="trials must be >= 1"):
+        verify_axioms(sp_pc(1, [41, 42]), trials, 1)
 
 
 def test_lambda_memo_holds_no_value_of_f():

@@ -2,7 +2,7 @@ import tracemalloc
 
 import pytest
 
-from symplaw import suites, symplectic
+from symplaw import pseudochar, suites, symplectic
 from symplaw.errors import SymplawError
 from symplaw.gma import counterexample_fixture
 from symplaw.invariants import InvariantFunction
@@ -110,6 +110,40 @@ def test_pseudochar_sends_the_two_generators_apart_at_seed_0(monkeypatch):
     suite_pseudochar(2, 25, 0)
     assert [rep.ctx.d for rep in reps] == [1, 2]
     assert all(g1 != g2 for g1, g2 in (rep.generator_images for rep in reps))
+
+
+def _counting(monkeypatch, owner, name: str) -> list:
+    """Patch owner.name to log each call's arguments into the list it returns."""
+    calls, real = [], getattr(owner, name)
+    monkeypatch.setattr(owner, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize(("d", "trials", "seed", "relabels"),
+                         [(2, 25, 0, 4 * 6 + 25), (1, 100, 3, 2 * 50 + 25)])
+def test_the_corruption_probe_draws_its_trials_once(d, trials, seed, relabels, monkeypatch):
+    """Each axiom trial relabels f once: the axioms of 4 (or 2) representations, then the 25
+    trials of ``corrupted_cache_detected``, checked clean and corrupted but drawn once.  When
+    each pass drew them again, the suite made 74 (or 150) relabels."""
+    calls = _counting(monkeypatch, pseudochar, "relabel")
+    assert all(c["pass"] for c in suite_pseudochar(d, trials, seed))
+    assert len(calls) == relabels
+
+
+def test_the_corrupted_pass_reads_every_value_from_the_cache(monkeypatch):
+    evals = _counting(monkeypatch, pseudochar, "eval_invariant")
+    passes = []  # the eval_invariant calls of each check of drawn trials
+    real = pseudochar._failures
+
+    def failures(pc, draws):
+        before = len(evals)
+        found = real(pc, draws)
+        passes.append(len(evals) - before)
+        return found
+
+    monkeypatch.setattr(pseudochar, "_failures", failures)
+    assert all(c["pass"] for c in suite_pseudochar(2, 25, 0))
+    assert len(passes) == 4 + 2 and passes[-2] > 0 and passes[-1] == 0
 
 
 # -- the runner every randomized check goes through ----------------------------------
