@@ -573,8 +573,9 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
     """det(var*I - M), a monic MultiPoly of degree n in ``var``.
 
     Entries may themselves be polynomials, as long as they do not use ``var``.
-    The coefficients are assembled by Horner's rule.  For rational M = B / delta
-    they are c_k(B) / delta^k, from closed forms at n = 2 and 4
+    Horner's rule assembles c_1..c_n from the monic start var + c_1, in n - 1
+    products.  For rational M = B / delta they are c_k(B) / delta^k, the int
+    c_k(B) itself at delta = 1, from closed forms at n = 2 and 4
     (``_integer_char_coeffs``) and from Berkowitz otherwise; any other matrix
     takes Berkowitz on its entries.
     """
@@ -585,11 +586,12 @@ def char_poly(m: RingMatrix, var: str = "t") -> MultiPoly:
             raise VariableError(f"matrix entries already use variable {var!r}")
         coeffs = _berkowitz(m.entries)[1:]
     else:
-        den, ints = m._den, _integer_char_coeffs(m._ints)
-        coeffs = [Fraction(c, den**k) for k, c in enumerate(ints[1:], 1)]
+        den, coeffs = m._den, _integer_char_coeffs(m._ints)[1:]
+        if den > 1:
+            coeffs = [Fraction(c, den**k) for k, c in enumerate(coeffs, 1)]
     t = MultiPoly.variable(var)
-    p = MultiPoly.constant(1, (var,))
-    for c in coeffs:
+    p = t + coeffs[0]
+    for c in coeffs[1:]:
         p = p * t + c
     return p
 

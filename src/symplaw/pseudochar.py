@@ -20,6 +20,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
+from typing import Iterable, Iterator
 
 from .detlaws import GroupAlgebraElement, InvolutiveRepresentation, star
 from .errors import ArityError, StructureError, SymplawError, UnsupportedKindError
@@ -74,14 +75,13 @@ def _random_sigma_function(rng: random.Random, arity: int, two_d: int) -> Invari
     return InvariantFunction.sigma(rng.randint(1, two_d), TraceWord(letters), arity)
 
 
-def _draw_trials(pc: Pseudocharacter, trials: int, seed: int) -> list:
+def _draw_trials(pc: Pseudocharacter, trials: int, seed: int) -> Iterator[tuple]:
     """The trials of verify_axioms, each (f, f^zeta, gamma_n, gamma_zeta, the functions whose
-    product is hat(f), gamma, merged gamma).  They read the seed, the kind, 2d and the generator
-    count, never the cache."""
+    product is hat(f), gamma, merged gamma), drawn one at a time.  They read the seed, the kind,
+    2d and the generator count, never the cache."""
     rng = random.Random(seed)
     two_d = pc.rep.ctx.n
     k = pc.rep.num_generators
-    draws = []
     for _ in range(trials):
         m = rng.randint(1, 3)
         if pc.kind == "GSp" and rng.random() < 0.25:
@@ -98,12 +98,11 @@ def _draw_trials(pc: Pseudocharacter, trials: int, seed: int) -> list:
         else:
             hats = (hat(f),)
         merged = gammas[: m - 1] + [word_mul(gammas[m - 1], gammas[m])]
-        draws.append((f, relabel(f, zeta, n), gammas_n, [gammas_n[z - 1] for z in zeta],
-                      hats, gammas, merged))
-    return draws
+        yield (f, relabel(f, zeta, n), gammas_n, [gammas_n[z - 1] for z in zeta],
+               hats, gammas, merged)
 
 
-def _failures(pc: Pseudocharacter, draws: list) -> list:
+def _failures(pc: Pseudocharacter, draws: Iterable[tuple]) -> list:
     """The witnesses of the drawn trials that fail an axiom on pc's values."""
     failures = []
     for f, f_zeta, gammas_n, gammas_zeta, hats, gammas, merged in draws:
@@ -135,7 +134,7 @@ def _corrupted_cache_detected(pc: Pseudocharacter, trials: int, seed: int) -> bo
     """The axioms pass on one draw of trials, and fail on the same draw once the cache entry
     first by repr is off by one.  The draws never read the cache, so both passes check the
     same trials, and the second reads every value from the cache."""
-    draws = _draw_trials(pc, trials, seed)
+    draws = list(_draw_trials(pc, trials, seed))
     if _failures(pc, draws) or not pc.cache:
         return False
     entry = sorted(pc.cache, key=repr)[0]

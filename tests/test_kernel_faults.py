@@ -369,9 +369,10 @@ FAULTS = {
         SEEN, _everywhere(MultiPoly, "__mul__", _negated),
         "det-law: newton_matches_char_poly, chi_alpha_vanishes_on_matrix_models; pfaffian:"
         " recursion_matches_pfaffian_char_poly; gma: counterexample_sch_condition,"
-        " counterexample_chi_p_vanishes (char_poly builds det(t Id - M) by Horner steps"
-        " p * t + c, each a product of polynomials, so its coefficients change sign; the"
-        " Pfaffian polynomial in t and the quotient ring's elements are products of them too)"),
+        " counterexample_chi_p_vanishes (char_poly builds det(t Id - M) from t + c_1 by Horner"
+        " steps p * t + c, each a product of polynomials, so at n >= 2 its coefficients change"
+        " sign; the Pfaffian polynomial in t and the quotient ring's elements are products of"
+        " them too)"),
     "det_law_negated": (
         SEEN, _everywhere(detlaws, "eval_det_law", _negated),
         "det-law: det_law_multiplicative_star_invariant (D(x y) against D(x) D(y)),"

@@ -12,7 +12,9 @@ the plain one and the Fraction reference on both sides of its size
 threshold, the closed-form characteristic coefficients at n = 2 and 4
 against Berkowitz and the closed-form products by a 2 x 2 or 4 x 4 B against
 the inner products and the Fraction reference, with both sides of each size
-switch run by ``suite all``, the cleared form (B, delta) every rational
+switch run by ``suite all``, char_poly's Horner rule from the monic start
+against the unit start and the literal sum, a table of kernel switches whose
+every side ``suite all`` runs, the cleared form (B, delta) every rational
 matrix keeps, the skew elimination behind rational Pfaffians against the
 expansion, the similitude against the scalar of M^j M, and the memoized
 word images of a representation and the prefix memo of word_value against
@@ -20,6 +22,7 @@ plain products.
 """
 
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import chain, permutations, product
@@ -816,6 +819,68 @@ def test_both_sides_of_the_closed_form_switch_run_in_suite_all(monkeypatch, caps
     assert {n: c for n, c in berkowitz.items() if c} == {8: closed[8]}
 
 
+# -- Horner's rule from the monic start ----------------------------------------------------
+
+
+def _horner_inputs():
+    """(label, matrix) at n = 1..6: signed integer entries of 1 and 64 bits at delta = 1 and at a
+    delta > 1, I / 2 (some c_k / delta^k integral), the zero matrix, a strictly upper triangular
+    (nilpotent) one at delta = 1 and at delta > 1, and MultiPoly entries mixed with rationals."""
+    rng = random.Random(56)
+
+    def signed(n, bits, den=1):
+        return RingMatrix([[Fraction(rng.randint(-(1 << bits), 1 << bits), den) for _ in range(n)]
+                           for _ in range(n)])
+
+    def upper(n, den):
+        return RingMatrix([[Fraction(rng.randint(1, 1 << 64), den) if j > i else 0 for j in range(n)]
+                           for i in range(n)])
+
+    for n in range(1, 7):
+        for bits in (1, 64):
+            yield f"{bits} bits n={n}", signed(n, bits)
+            yield f"{bits} bits over 97 n={n}", signed(n, bits, 97)
+        yield f"half identity n={n}", RingMatrix.scalar(n, Fraction(1, 2))
+        yield f"zero n={n}", RingMatrix.zeros(n)
+        yield f"nilpotent n={n}", upper(n, 1)
+        yield f"nilpotent over 3 n={n}", upper(n, 3)
+        poly = [list(r) for r in _mixed_poly_matrix(rng, n, ("a", "b")).entries]
+        poly[0][0] += MultiPoly.variable("a")  # a MultiPoly entry at n = 1 too
+        yield f"polynomial n={n}", RingMatrix(poly)
+
+
+HORNER_INPUTS = list(_horner_inputs())
+
+
+@pytest.mark.parametrize(("label", "m"), HORNER_INPUTS, ids=[k for k, _ in HORNER_INPUTS])
+def test_monic_start_matches_the_unit_start_and_the_literal_sum(monkeypatch, label, m):
+    """char_poly against det(tI - M) built from Berkowitz's coefficients on the entries, both by
+    Horner's rule from the constant 1 and as the sum of c_k t^(n-k); its Horner steps make n - 1
+    products by t."""
+    n, t = m.rows, MultiPoly.variable("t")
+    coeffs = _berkowitz(m.entries)
+    unit_start = MultiPoly.constant(1, ("t",))
+    for c in coeffs[1:]:
+        unit_start = unit_start * t + c
+    literal = sum(c * t ** (n - k) for k, c in enumerate(coeffs))
+    products = []
+    real_mul = MultiPoly.__mul__
+
+    def counted(a, b):
+        products.append(b == t)
+        return real_mul(a, b)
+
+    monkeypatch.setattr(MultiPoly, "__mul__", counted)
+    got = char_poly(m)
+    monkeypatch.undo()
+    assert sum(products) == n - 1
+    assert got == unit_start == literal
+    assert str(got) == str(unit_start) == str(literal)
+    assert hash(got) == hash(unit_start) == hash(literal)
+    assert got._packed == unit_start._packed
+    assert all(type(c) is int or c.denominator > 1 for c in got._packed.values()), got
+
+
 # -- closed-form products ------------------------------------------------------------------
 
 
@@ -907,6 +972,53 @@ def test_both_sides_of_the_product_size_switch_run_in_suite_all(monkeypatch, cap
     capsys.readouterr()
     assert {n for n, _ in closed} == {2, 4} and closed[2, False] > 0 and closed[4, True] > 0
     assert list(generic) == [(8, False)]
+
+
+# -- the sides of each kernel switch that suite all takes ----------------------------------
+
+
+def _cleared(m, *_):
+    return "cleared" if m.cleared() is not None else "not cleared"
+
+
+def _char_poly_delta(m, *_):
+    if m.cleared() is None:
+        return None  # the polynomial branch, which no suite takes, is off this switch
+    return "delta = 1" if m.cleared()[1] == 1 else "delta > 1"
+
+
+# (module, function, the side a call takes, or None off the switch).  The packed integer product
+# is left out: no suite multiplies integer rows of _PACKED_MIN_COLS = 10 or more columns, so only
+# the packed-product tests above and the benchmark's 2d = 12 bundles run that route.
+SWITCHES = (
+    (matrices, "char_poly", _char_poly_delta, {"delta = 1", "delta > 1"}),
+    (matrices, "mat_det", _cleared, {"cleared", "not cleared"}),
+    (symplectic, "pfaffian", _cleared, {"cleared", "not cleared"}),
+    (matrices, "lambdas_of_matrix", _cleared, {"cleared", "not cleared"}),
+)
+
+
+def test_both_sides_of_each_switch_run_in_suite_all(monkeypatch, capsys):
+    """Over ``suite all --d 2`` at default flags every side of each switch in SWITCHES runs, at
+    each call wherever the package binds the function."""
+    seen = Counter()
+
+    def counted(name, real, side):
+        def wrapper(*args, **kwargs):
+            seen[name, side(*args)] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for owner, name, side, _ in SWITCHES:
+        real = getattr(owner, name)
+        wrapper = counted(name, real, side)
+        for module in [m for k, m in sys.modules.items() if k.split(".")[0] == "symplaw"]:
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, wrapper)
+    assert main(["suite", "all", "--d", "2"]) == 0
+    capsys.readouterr()
+    for _, name, _, sides in SWITCHES:
+        assert {s for n, s in seen if n == name and s is not None} == sides, name
 
 
 # -- memoized word images --------------------------------------------------------

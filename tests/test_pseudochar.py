@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from symplaw import pseudochar
 from symplaw.detlaws import (
     GroupAlgebraElement,
     InvolutiveRepresentation,
@@ -95,6 +96,19 @@ def test_axioms_pass_for_representation_backed():
                gsp_pc(2, [37, 38], [Fraction(4), Fraction(1, 2)])):
         report = verify_axioms(pc, trials=30, seed=99)
         assert report["passed"], report["failures"][:2]
+
+
+def test_each_axiom_trial_is_checked_as_it_is_drawn(monkeypatch):
+    """A trial relabels f once as it is drawn and evaluates theta as it is checked; every check
+    comes before the next draw, so verify_axioms holds one drawn trial at a time."""
+    log = []
+    real_relabel, real_theta = pseudochar.relabel, pseudochar.theta_eval
+    monkeypatch.setattr(pseudochar, "relabel", lambda *a: log.append("draw") or real_relabel(*a))
+    monkeypatch.setattr(pseudochar, "theta_eval", lambda *a: log.append("check") or real_theta(*a))
+    assert verify_axioms(sp_pc(1, [41, 42]), trials=20, seed=7)["passed"]
+    draws = [i for i, event in enumerate(log) if event == "draw"] + [len(log)]
+    assert len(draws) == 21 and draws[0] == 0
+    assert all("check" in log[a:b] for a, b in zip(draws, draws[1:]))
 
 
 def test_corrupted_cache_detected():
