@@ -34,7 +34,7 @@ from .matrices import (
     lambdas_of_matrix,
     mat_det,
 )
-from .multipoly import MultiPoly, Ring, fresh_var
+from .multipoly import MultiPoly, Ring, canonical_scalar, fresh_var
 from .symplectic import (
     SymplecticContext,
     matrix_poly_value,
@@ -267,28 +267,28 @@ def pfaffian_coeffs_from_lambdas(lams: Sequence) -> tuple:
     Lambda spectrum is not a doubled (symmetric) spectrum.  TypeError on a
     Lambda_i that is not exact, checked once before any arithmetic.
     """
-    lams = tuple(map(_exact, lams))
+    lams = tuple([x if isinstance(x, MultiPoly) else canonical_scalar(x) for x in map(_exact, lams)])
     if len(lams) % 2 == 0:
         raise DimensionError(f"{len(lams)} Lambda coefficients: the dimension must be even (2d)")
     if lams[0] != 1:
         raise StructureError("Lambda_0 must be 1")
     d = len(lams) // 2
     half = Fraction(1, 2)
-    ts: list = [Fraction(1)]
+    ts: list = [1]  # on canonical scalars: an int while the T_i stay integral
     for i in range(1, d + 1):
         acc: Ring = lams[i]
         for j in range(1, i):
             acc = acc - ts[j] * ts[i - j]
-        ts.append(acc * half)
+        ts.append(acc >> 1 if type(acc) is int and not acc & 1 else acc * half)
     for i in range(d + 1, 2 * d + 1):
-        acc = Fraction(0)
+        acc = 0
         for j in range(max(0, i - d), min(i, d) + 1):
             acc = acc + ts[j] * ts[i - j]
         if not acc == lams[i]:
             raise SpectrumError(
                 f"Lambda_{i} inconsistent with a squared degree-{d} polynomial"
             )
-    return tuple(ts)
+    return tuple([t if isinstance(t, MultiPoly) else Fraction(t) for t in ts])
 
 
 def pf_law_from_det(rep: InvolutiveRepresentation, x: GroupAlgebraElement) -> Ring:

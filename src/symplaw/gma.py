@@ -123,7 +123,7 @@ class QuotientRing:
         """
         scalar = 0
         terms = None
-        divisible = self._divisible
+        vs, divisible = self.vars, self._divisible
         for a, b in zip(u, v):
             if not (a and b):
                 continue
@@ -134,9 +134,10 @@ class QuotientRing:
                 a, b = b, a
             if terms is None:
                 terms = {}
-            left = self._lift(a)._packed.items()
+            # only an entry over another tuple, as from a parsed spec, is lifted
+            left = (a if a.vars is vs else self._lift(a))._packed.items()
             if isinstance(b, MultiPoly):
-                right = self._lift(b)._packed.items()
+                right = (b if b.vars is vs else self._lift(b))._packed.items()
                 for e1, c1 in left:
                     for e2, c2 in right:
                         exp = e1 + e2
@@ -436,7 +437,7 @@ def gma_trace_det_pf(spec: GmaSpec, m: RingMatrix) -> tuple:
     m = spec.check_membership(m)
     trace = _constant_or_raise(m.trace(), "GMA trace")
     det = _constant_or_raise(mat_det(m, spec.ring.dot), "GMA determinant")
-    pf = _pfaffian_law(spec, m) if spec._form.adjoint(m) == m else None
+    pf = _pfaffian_law(spec, m) if spec._form.fixes(m) else None
     return trace, det, pf
 
 
@@ -463,7 +464,7 @@ def gma_pf_coeffs(spec: GmaSpec, m: RingMatrix) -> tuple:
 def gma_chi_p(spec: GmaSpec, m: RingMatrix) -> RingMatrix:
     """chi^P(m, m) = sum (-1)^i T_i m^(d-i): zero iff the Pfaffian CH identity holds at m."""
     m = spec.check_membership(m)
-    if spec._form.adjoint(m) != m:
+    if not spec._form.fixes(m):
         raise StructureError("chi^P is evaluated at symmetric elements")
     # reduction modulo a monomial ideal is a ring homomorphism, so reducing each product is exact
     return matrix_poly_value(gma_pf_coeffs(spec, m), m, spec.ring.product)

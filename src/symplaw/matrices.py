@@ -191,6 +191,8 @@ class RingMatrix:
         """self + c * Id for a square matrix, by adding c to the diagonal entries only."""
         if not _is_square(self):
             raise DimensionError("shift of a non-square matrix")
+        if self._ints is None and type(c) is Fraction and c.denominator == 1:
+            c = c.numerator  # an int keeps the int entries, so ``_fill`` rewrites none
         rows = list(map(list, self.entries))
         for i, row in enumerate(rows):
             row[i] = row[i] + c

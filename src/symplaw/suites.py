@@ -29,7 +29,7 @@ from .detlaws import (
     pfaffian_coeffs_from_lambdas,
     star,
 )
-from .errors import SymplawError
+from .errors import CapacityError, SymplawError
 from .invariants import InvariantFunction, check_invariance, enumerate_trace_words
 from .matrices import RingMatrix, lambdas_of_matrix, mat_det, trace_of_product
 from .symplectic import (
@@ -50,6 +50,9 @@ from .symplectic import (
 from .words import random_word, word_inv, word_mul
 
 SUITE_NAMES = ("pfaffian", "det-law", "invariants", "gma", "pseudochar", "all")
+# the most trials a suite runs: suite all --d 6 at it takes about 75 s on a 2-core VM, by linear
+# extrapolation from runs of up to 8192 trials (ROADMAP item 26)
+MAX_TRIALS = 100_000
 
 
 @dataclass(frozen=True)
@@ -64,6 +67,8 @@ class SuiteConfig:
             raise SymplawError(f"unknown suite {self.suite!r}; choose from {SUITE_NAMES}")
         if self.trials < 1:
             raise SymplawError("trials must be >= 1")
+        if self.trials > MAX_TRIALS:
+            raise CapacityError(f"trials = {self.trials} exceeds the guard of {MAX_TRIALS}")
         if self.d < 1:
             raise SymplawError("d must be >= 1")
 

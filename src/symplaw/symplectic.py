@@ -76,6 +76,15 @@ class SignedPermutation:
 
         return m.rearranged(flip)
 
+    def fixes(self, m: RingMatrix) -> bool:
+        """adjoint(m) == m for a square m of the form's size, read in place: stops at the first
+        entry that differs, on the integers B of a rational m = B / delta, as delta is shared."""
+        cleared = m.cleared()
+        e = m.entries if cleared is None else cleared[0]
+        return all((e[p][q] if s > 0 else -e[p][q]) == y
+                   for row, q, row_signs in zip(e, self.perm, self._adjoint_signs)
+                   for y, p, s in zip(row, self.perm, row_signs))
+
     def right_product(self, m: RingMatrix) -> RingMatrix:
         """M J: column perm[c] is sign[c] times column c of M."""
         cols = self._columns

@@ -9,9 +9,11 @@ import pytest
 
 from symplaw import cli, gma
 from symplaw.cli import main
+from symplaw.errors import CapacityError
 from symplaw.gma import check_sch_condition, validate_standard_gma
 from symplaw.multipoly import MAX_EXPONENT
 from symplaw.serialize import MAX_ELEMENT_TERMS, MAX_EVAL_ARGUMENTS, gma_spec_from_json
+from symplaw.suites import MAX_TRIALS, SuiteConfig
 from symplaw.words import MAX_WORD_LETTERS
 
 RUN = [sys.executable, "-m", "symplaw.cli"]
@@ -159,6 +161,17 @@ def test_max_dim_guard(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SYMPLAW_MAX_DIM", "4")
     code, _ = run_cli(["suite", "pfaffian", "--d", "3", "--trials", "2"], capsys)
     assert code == 2
+
+
+def test_trials_over_the_guard_exit_2_and_the_guard_itself_is_accepted(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run_suite", lambda *args, **kwargs: pytest.fail("a suite ran"))
+    code = main(["suite", "pfaffian", "--d", "1", "--trials", str(MAX_TRIALS + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"input error: trials = {MAX_TRIALS + 1} exceeds the guard of {MAX_TRIALS}\n"
+    with pytest.raises(CapacityError):
+        SuiteConfig("all", 6, MAX_TRIALS + 1)
+    assert SuiteConfig("all", 6, MAX_TRIALS).trials == MAX_TRIALS  # built, not run
 
 
 def test_console_entry_point_runs(child_env):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from symplaw.errors import (
     StructureError,
     SymplawError,
 )
-from symplaw.matrices import RingMatrix, entry_vars, lambdas_of_matrix, mat_det
+from symplaw.matrices import RingMatrix, _exact, entry_vars, lambdas_of_matrix, mat_det
 from symplaw.multipoly import MultiPoly
 from symplaw.symplectic import (
     SymplecticContext,
@@ -171,6 +172,81 @@ def test_recursion_rejects_an_odd_dimension():
 def test_recursion_rejects_lambda_0_other_than_1():
     with pytest.raises(StructureError):
         pfaffian_coeffs_from_lambdas((Fraction(2), Fraction(2), Fraction(1, 2)))
+
+
+def _recursion_on_fractions(lams):
+    """The T recursion as written on Fractions throughout: the oracle of the canonical one."""
+    lams = tuple(map(_exact, lams))
+    if len(lams) % 2 == 0:
+        raise DimensionError(f"{len(lams)} Lambda coefficients: the dimension must be even (2d)")
+    if lams[0] != 1:
+        raise StructureError("Lambda_0 must be 1")
+    d = len(lams) // 2
+    ts = [Fraction(1)]
+    for i in range(1, d + 1):
+        acc = lams[i]
+        for j in range(1, i):
+            acc = acc - ts[j] * ts[i - j]
+        ts.append(acc * Fraction(1, 2))
+    for i in range(d + 1, 2 * d + 1):
+        acc = Fraction(0)
+        for j in range(max(0, i - d), min(i, d) + 1):
+            acc = acc + ts[j] * ts[i - j]
+        if not acc == lams[i]:
+            raise SpectrumError(f"Lambda_{i} inconsistent with a squared degree-{d} polynomial")
+    return tuple(ts)
+
+
+def _squared(ts):
+    """The Lambda-vector of sum T_i t^i squared."""
+    return [sum((ts[j] * ts[i - j] for j in range(max(0, i - len(ts) + 1), min(i, len(ts) - 1) + 1)), 0)
+            for i in range(2 * len(ts) - 1)]
+
+
+def _lambda_vectors(d, rng):
+    """Lambda-vectors at d, each as canonical scalars and as Fractions: integral, with an odd
+    Lambda_1 (T_1 = k/2), rational and polynomial, and one polynomial only in Lambda_d..2d."""
+    u, v = MultiPoly.variable("u").in_vars(("u", "v")), MultiPoly.variable("v").in_vars(("u", "v"))
+    integral = [1] + [rng.randint(-5, 5) for _ in range(d)]
+    odd = [1, Fraction(2 * rng.randint(-3, 3) + 1, 2)] + [Fraction(rng.randint(-5, 5), 2) for _ in range(d - 1)]
+    rational = [1] + [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d)]
+    poly = [1] + [rng.randint(-2, 2) * u + rng.randint(-2, 2) * v + Fraction(rng.randint(-3, 3), 2)
+                  for _ in range(d)]
+    out = []
+    for ts in (integral, odd, rational, poly, integral[:-1] + poly[-1:]):
+        lams = _squared(ts)
+        out.append([x.numerator if type(x) is Fraction and x.denominator == 1 else x for x in lams])
+        out.append([x if isinstance(x, MultiPoly) else Fraction(x) for x in lams])
+    assert type(out[2][1]) is int and out[2][1] % 2
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_recursion_on_canonical_scalars_is_the_fraction_recursion(d):
+    rng = random.Random(40 + d)
+    for _ in range(10):
+        for lams in _lambda_vectors(d, rng):
+            got, expected = pfaffian_coeffs_from_lambdas(lams), _recursion_on_fractions(lams)
+            assert got == expected, lams
+            assert [type(t) for t in got] == [type(t) for t in expected], lams
+            assert all(type(t) in (Fraction, MultiPoly) for t in got)
+            broken = [*lams[:-1], lams[-1] + 1]
+            with pytest.raises(SpectrumError) as err:
+                pfaffian_coeffs_from_lambdas(broken)
+            with pytest.raises(SpectrumError, match=f"^{re.escape(str(err.value))}$"):
+                _recursion_on_fractions(broken)
+
+
+@pytest.mark.parametrize(("lams", "error"), [
+    ((), DimensionError), ((1, 2), DimensionError), ((1, 2, 1, 2.5), TypeError),
+    ((2, 2, 1), StructureError), ((Fraction(3), 0, 0), StructureError), ((1, 1.0, 0), TypeError),
+    (("1",), TypeError), ((1, 3, 2), SpectrumError), ((1, Fraction(1), Fraction(1, 3)), SpectrumError),
+])
+def test_recursion_on_canonical_scalars_refuses_as_the_fraction_recursion(lams, error):
+    with pytest.raises(error) as err:
+        pfaffian_coeffs_from_lambdas(lams)
+    with pytest.raises(error, match=f"^{re.escape(str(err.value))}$"):
+        _recursion_on_fractions(lams)
 
 
 def test_recursion_matches_pfaffian_char_poly():

@@ -936,3 +936,84 @@ def test_dot_and_product_reduce_what_the_plain_kernels_give():
     assert ring.product(rational, rational) == rational * rational
     with pytest.raises(DimensionError):
         ring.product(RingMatrix([[u, 1]]), RingMatrix([[u, 1]]))
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture])
+def test_dot_lifts_only_entries_over_another_variable_tuple(make_spec, monkeypatch):
+    """Entries over the ring's own tuple skip ``_lift``; over an equal but distinct tuple, as a
+    parsed spec gives, or over a subset, they are lifted, and every kind gives one value."""
+    ring = make_spec().ring
+    u, v = ring.variable("u"), ring.variable("v")
+    same = MultiPoly(list(ring.vars), {(1, 0): 2, (0, 1): Fraction(-1, 2), (0, 0): 3})
+    assert same.vars == ring.vars and same.vars is not ring.vars
+    subset = MultiPoly(("u",), {(1,): Fraction(3, 2), (0,): -1})
+    own = {name: MultiPoly._canonical(ring.vars, dict(p.in_vars(ring.vars)._packed))
+           for name, p in (("same", same), ("subset", subset))}
+    assert all(p.vars is ring.vars for p in own.values())
+    lifted = []
+    real = QuotientRing._lift
+    monkeypatch.setattr(QuotientRing, "_lift", lambda self, x: lifted.append(x) or real(self, x))
+    for name, p in (("same", same), ("subset", subset)):
+        for left, right in (([p, 2, Fraction(1, 3)], [u + 1, v, 0]), ([u, p, p], [p, Fraction(-2, 5), u])):
+            mirror = [own[name] if x is p else x for x in left], [own[name] if x is p else x for x in right]
+            del lifted[:]
+            expected = ring.dot(*mirror)
+            assert not lifted  # every MultiPoly holds the ring's own tuple
+            got = ring.dot(left, right)
+            assert lifted and all(x is p for x in lifted)
+            assert got == expected and str(got) == str(expected) and type(got) is type(expected)
+            assert got == ring.reduce(sum(map(mul, left, right)))
+            assert got.vars is ring.vars
+
+
+def _fixes_cases(form, kind, rng):
+    """(m, adjoint(m) == m expected) for a symmetric x + x*, that matrix with one entry moved,
+    with one nonzero diagonal entry negated, and the skew x - x*."""
+    n = len(form.perm)
+    u = MultiPoly.variable("u").in_vars(("u", "v"))
+    while True:
+        if kind == "delta = 1":
+            x = RingMatrix([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+        elif kind == "delta > 1":
+            x = RingMatrix([[Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)]
+                            for _ in range(n)])
+        else:
+            x = RingMatrix([[rng.randint(-2, 2) * u + Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                             for _ in range(n)] for _ in range(n)])
+        s, skew = x + form.adjoint(x), x - form.adjoint(x)
+        diagonal = [a for a in range(n) if s[a, a]]
+        if diagonal and not skew.is_zero():
+            break
+    moved = [list(row) for row in s.entries]
+    moved[0][0] = moved[0][0] + 1  # its mirror, entry (perm[0], perm[0]), is another entry
+    negated = [list(row) for row in s.entries]
+    negated[diagonal[0]][diagonal[0]] = -negated[diagonal[0]][diagonal[0]]
+    return [(s, True), (RingMatrix(moved), False), (RingMatrix(negated), False), (skew, False)]
+
+
+FORMS = {"J_1": lambda: SignedPermutation.standard(1), "J_2": lambda: SignedPermutation.standard(2),
+         "J_3": lambda: SignedPermutation.standard(3), "standard": lambda: standard_fixture()._form,
+         "counterexample": lambda: counterexample_fixture()._form}
+
+
+@pytest.mark.parametrize("kind", ["delta = 1", "delta > 1", "polynomial"])
+@pytest.mark.parametrize("form", sorted(FORMS))
+def test_fixes_is_the_adjoint_compared_with_the_matrix(form, kind):
+    form = FORMS[form]()
+    rng = random.Random(57)
+    for _ in range(5):
+        for m, symmetric in _fixes_cases(form, kind, rng):
+            assert (m.cleared() is None) is (kind == "polynomial")
+            assert (form.adjoint(m) == m) is symmetric
+            assert form.fixes(m) is symmetric, m
+
+
+@pytest.mark.parametrize("make_spec", [standard_fixture, counterexample_fixture])
+def test_fixes_on_gma_elements(make_spec):
+    spec = make_spec()
+    rng = random.Random(58)
+    for _ in range(20):
+        x, s = random_gma_element(spec, rng), random_symmetric_gma_element(spec, rng)
+        for m in (x, s, spec.ring.product(x, s)._shifted(1)):
+            assert spec._form.fixes(m) == (spec._form.adjoint(m) == m)
+        assert spec._form.fixes(s)

@@ -294,7 +294,12 @@ FAULTS = {
         "invariants: generators_invariant_under_conjugation (a generator's inverse M^j / lambda"
         " is wrong), and fft_desk_scale_d1_* at d = 1; every other suite stops with an error:"
         " the Pfaffian refuses the images of x + x* and of j-symmetric draws, whose M J is no"
-        " longer alternating, and GMA elements fail their block membership"),
+        " longer alternating, and gma's x + x* fails its block membership (the symmetry test"
+        " of chi^P, SignedPermutation.fixes, reads the sign table itself, not adjoint)"),
+    "fixes_plain_transpose": (
+        SEEN, _everywhere(SignedPermutation, "fixes", lambda real: lambda self, m: m.transpose() == m),
+        "gma stops with an error: a symmetric element x + x* is not its plain transpose, as"
+        " J_delta moves its entries, so chi^P refuses it as not symmetric"),
     "reduce_keeps_every_term": (
         SEEN, _everywhere(QuotientRing, "reduce", lambda real: lambda self, x: x),
         "gma: *_valid (products of off-diagonal blocks no longer close: u v, u^2 and v^2"

@@ -989,7 +989,10 @@ def _char_poly_delta(m, *_):
 
 # (module, function, the side a call takes, or None off the switch).  The packed integer product
 # is left out: no suite multiplies integer rows of _PACKED_MIN_COLS = 10 or more columns, so only
-# the packed-product tests above and the benchmark's 2d = 12 bundles run that route.
+# the packed-product tests above and the benchmark's 2d = 12 bundles run that route.  So is
+# QuotientRing.dot's identity test of an entry's variable tuple: every entry a suite builds holds
+# the ring's own tuple, so only entries parsed from an --input spec reach its _lift side, and
+# tests/test_gma.py runs both sides.
 SWITCHES = (
     (matrices, "char_poly", _char_poly_delta, {"delta = 1", "delta > 1"}),
     (matrices, "mat_det", _cleared, {"cleared", "not cleared"}),

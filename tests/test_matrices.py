@@ -291,6 +291,23 @@ def test_a_polynomial_matrix_holds_canonical_scalars():
     assert (m * half)[1, 0] == Fraction(1, 6)
 
 
+def test_a_shift_by_an_integral_fraction_is_the_shift_by_its_int():
+    u = MultiPoly.variable("u")
+    poly = RingMatrix([[3, u], [Fraction(1, 3), u + 1]])
+    rational = RingMatrix([[3, 1], [Fraction(1, 3), -2]])
+    for m in (poly, rational):
+        by_fraction, by_int = m._shifted(Fraction(4)), m._shifted(4)
+        assert by_fraction.entries == by_int.entries
+        assert [type(x) for row in by_fraction.entries for x in row] == [
+            type(x) for row in by_int.entries for x in row]
+        assert by_fraction.cleared() == by_int.cleared()
+    assert type(poly._shifted(Fraction(4))[0, 0]) is int and poly._shifted(Fraction(4))[0, 0] == 7
+    assert type(rational._shifted(Fraction(4))[0, 0]) is Fraction
+    half = poly._shifted(Fraction(1, 2))
+    assert half[0, 0] == Fraction(7, 2) and type(half[0, 0]) is Fraction
+    assert half[1, 1] == u + Fraction(3, 2) and half[0, 1] is u
+
+
 def test_a_polynomial_matrix_of_zeros_is_zero():
     u = MultiPoly.variable("u")
     m = RingMatrix([[MultiPoly(("u",), {}), 0], [u - u, Fraction(0)]])
