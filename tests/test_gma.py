@@ -114,10 +114,13 @@ def test_build_j_delta_matches_the_dense_assembly():
 
 
 def test_involution_and_product_match_the_dense_form_under_mixed_tau_signs():
+    """On each type of J_DELTA_TYPES with mixed tau signs, 4 elements each, and on the two
+    fixtures, 15 elements each."""
     rng = random.Random(65)
-    for t in J_DELTA_TYPES:
-        spec = _mixed_sign_spec(t)
-        n = spec.n
+    specs = [(_mixed_sign_spec(t), 4) for t in J_DELTA_TYPES]
+    specs += [(fixture(), 15) for fixture in (standard_fixture, counterexample_fixture)]
+    for spec, count in specs:
+        n, t = spec.n, spec.type
         jd = dense_j_delta(t)
         block = [k for k, dim in enumerate(t.dims, 1) for _ in range(dim)]
 
@@ -127,15 +130,15 @@ def test_involution_and_product_match_the_dense_form_under_mixed_tau_signs():
                               for a in range(n)])
             return jd * tau.transpose() * jd.inverse()
 
-        for _ in range(4):
+        for _ in range(count):
             m = random_gma_element(spec, rng)
             assert delta_involution(spec, m) == spec.ring.reduce_matrix(dense_involution(m))
-            assert spec._form.right_product(m) == m * spec.J_delta
+            assert spec._form.right_product(m) == m * jd
         # the rational path, on the cleared form
         q = RingMatrix([[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                         for _ in range(n)])
         assert spec._form.adjoint(q) == dense_involution(q)
-        assert spec._form.right_product(q) == q * spec.J_delta
+        assert spec._form.right_product(q) == q * jd
 
 
 def in_span(p, basis, ring):

@@ -3,7 +3,6 @@ every function the benchmark's tracer wraps still in place, and no class or modu
 name that nothing reads (functions and methods are ``test_reach.py``'s)."""
 
 import ast
-import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -38,8 +37,9 @@ def test_no_import_inside_a_function():
 
 
 def test_absolute_imports_are_standard_library():
+    """The package, and the benchmark's oracle the tests share, which so never imports symplaw."""
     found = []
-    for path in SOURCES:
+    for path in SOURCES + [ROOT / "bench" / "exact.py"]:
         for node in ast.walk(_parse(path)):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -61,12 +61,9 @@ def test_all_names_resolve_without_duplicates():
     assert not missing, missing
 
 
-def test_every_traced_boundary_resolves(monkeypatch):
+def test_every_traced_boundary_resolves(bench):
     """A renamed or deleted function that ``bench/run.py --trace 1`` wraps fails here."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave bench/ as it is
-    spec = importlib.util.spec_from_file_location("symplaw_bench_tracing", ROOT / "bench" / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = bench("tracing")
     unresolved = []
     for boundary in tracing.TIMED + tracing.COUNTED:
         try:

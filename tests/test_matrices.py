@@ -19,7 +19,7 @@ from symplaw.matrices import (
     matrix_rank,
     trace_of_product,
 )
-from symplaw.multipoly import _FIELD, _MASK, MultiPoly, _shift, fresh_var
+from symplaw.multipoly import MultiPoly, fresh_var
 from symplaw.symplectic import (
     SymplecticContext,
     pfaffian,
@@ -32,23 +32,6 @@ from symplaw.symplectic import (
 
 def rand_matrix(rng, n, lo=-9, hi=9):
     return RingMatrix([[Fraction(rng.randint(lo, hi)) for _ in range(n)] for _ in range(n)])
-
-
-def det_leibniz(m):
-    """Permutation-sum oracle, independent of the production code path."""
-    n = m.rows
-    total = Fraction(0)
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        prod = Fraction(1)
-        for i in range(n):
-            prod *= m[i, perm[i]]
-        total += sign * prod
-    return total
 
 
 def test_det_hand_cases():
@@ -71,12 +54,12 @@ def test_empty_or_ragged_rows_rejected(rows):
         RingMatrix(rows)
 
 
-def test_det_matches_leibniz_oracle():
+def test_det_matches_the_exact_oracle(exact):
     rng = random.Random(11)
     for n in (2, 3, 4, 5):
         for _ in range(10):
             m = rand_matrix(rng, n)
-            assert mat_det(m) == det_leibniz(m)
+            assert mat_det(m) == exact.det(m.entries)
 
 
 def test_det_bareiss_path_agrees_with_cofactor():
@@ -116,41 +99,6 @@ def test_char_poly_evaluation_matches_det():
         assert sum(c.constant_value() * r**k for k, c in p.coefficients_in("t").items()) == direct
 
 
-def lambdas_from_char_poly(p, n, var="t"):
-    """(L_0..L_n) with p = sum (-1)^i L_i var^(n-i), split off the packed keys of p in one pass.
-
-    Each key loses its field of var, the fields below it moved up.  A constant
-    L_i is a Fraction, Fraction(0) where p has no term of that degree; any
-    other L_i is a MultiPoly in the remaining variables.
-    """
-    if var not in p.vars:
-        p = p.in_vars(tuple(sorted((*p.vars, var))))
-    k = p.vars.index(var)
-    rest = p.vars[:k] + p.vars[k + 1:]
-    s = _shift(len(p.vars), k)
-    low = (1 << s) - 1
-    signed: dict = {}
-    for key, c in p._packed.items():
-        i = n - (key >> s & _MASK)
-        signed.setdefault(i, {})[key >> s + _FIELD << s | key & low] = -c if i % 2 else c
-    out = []
-    for i in range(n + 1):
-        terms = signed.get(i)
-        if terms is None:
-            out.append(Fraction(0))
-        elif len(terms) == 1 and 0 in terms:
-            out.append(Fraction(terms[0]))
-        else:
-            out.append(MultiPoly._canonical(rest, terms))
-    return tuple(out)
-
-
-def test_lambdas_sign_convention():
-    m = RingMatrix([[1, 2], [3, 4]])
-    lams = lambdas_from_char_poly(char_poly(m), 2)
-    assert lams == (Fraction(1), Fraction(5), Fraction(-2))
-
-
 def lambdas_reference(p, n, var):
     """(L_0..L_n) of p = sum (-1)^i L_i var^(n-i) through ``coefficients_in``, bucket by bucket."""
     buckets = p.coefficients_in(var)
@@ -163,6 +111,12 @@ def lambdas_reference(p, n, var):
             val = coef.constant_value() if coef.is_constant() else coef
             out.append(val if i % 2 == 0 else -val)
     return tuple(out)
+
+
+def test_lambdas_sign_convention():
+    m = RingMatrix([[1, 2], [3, 4]])
+    want = (Fraction(1), Fraction(5), Fraction(-2))
+    assert lambdas_of_matrix(m) == lambdas_reference(char_poly(m), 2, "t") == want
 
 
 def assert_same_lambdas(got, expected):
@@ -214,19 +168,13 @@ def test_lambdas_of_a_polynomial_matrix_match_the_bucket_reference():
             assert_same_lambdas(lambdas_of_matrix(m), lambdas_reference(char_poly(m, var), n, var))
 
 
-def test_lambdas_read_a_polynomial_without_the_variable_as_degree_0():
-    u = MultiPoly.variable("u")
-    assert_same_lambdas(lambdas_from_char_poly(u + 1, 0, "t"), (u + 1,))
-    assert_same_lambdas(lambdas_from_char_poly(u * 0 + 3, 1, "t"), (Fraction(0), Fraction(-3)))
-
-
 def test_pfaffian_coefficients_match_the_bucket_reference():
     rng = random.Random(18)
     for d in (1, 2, 3):
         ctx = SymplecticContext(d)
         for _ in range(5):
             m = random_j_symmetric(ctx, rng, 3)
-            expected = lambdas_from_char_poly(pfaffian_char_poly(ctx, m, "t"), d, "t")
+            expected = lambdas_reference(pfaffian_char_poly(ctx, m, "t"), d, "t")
             got = pfaffian_coeffs_of_matrix(ctx, m)
             assert_same_lambdas(got, expected)
             assert all(type(x) is Fraction for x in got)
